@@ -25,9 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .cones import Cone
+from .cones import Cone, SupportUniverse
 from .credal import Gamble, LowerPrevision, OutcomeSpace, SchemaError, _schema_outcomes, _schema_rat
-from .exactla import ZERO, ones, rat, vec
+from .exactla import ZERO, indicator, ones, rat, vec
+from .fanwalk import MescGraph, MescNode
 
 __all__ = [
     "LowerProbability",
@@ -40,6 +41,8 @@ __all__ = [
     "chain_cone",
     "chain_fan",
     "chain_neighbors",
+    "event_universe",
+    "chain_graph",
     "enumerate_extreme_2mono",
     "is_comonotone",
     "choquet",
@@ -217,15 +220,11 @@ def chain_vertex(lowprob: LowerProbability, chain: EventChain, check: bool = Fal
     return point
 
 
-def _indicator(n, members):
-    return tuple(rat(1) if i in members else ZERO for i in range(n))
-
-
 def chain_cone(chain: EventChain) -> Cone:
     """Normal-cone candidate for the chain: indicators of its proper events
     generate, the constant direction is lineality."""
     n = chain.n
-    return Cone(tuple(_indicator(n, s) for s in chain.sets[:-1]), (ones(n),))
+    return Cone(tuple(indicator(n, s) for s in chain.sets[:-1]), (ones(n),))
 
 
 def chain_fan(n: int) -> tuple:
@@ -245,6 +244,35 @@ def chain_neighbors(chain: EventChain) -> tuple:
         replaced = below | (sets[i + 1] - sets[i])
         out.append(EventChain(sets[:i] + (replaced,) + sets[i + 1 :]))
     return tuple(out)
+
+
+def event_universe(n: int) -> SupportUniverse:
+    """Indicators of every nonempty event: the rays of the chain fan plus
+    the constant direction."""
+    return SupportUniverse(tuple(
+        indicator(n, s) for r in range(1, n + 1) for s in itertools.combinations(range(n), r)))
+
+
+def chain_graph(lowprob: LowerProbability) -> MescGraph:
+    """The chain fan as a MescGraph over event_universe(n): one node per
+    chain, keyed by the universe indices of its proper events, and one
+    edge per swap of two consecutive outcomes. Validity of the vertices
+    (2-monotonicity) is the caller's concern."""
+    n = lowprob.space.n
+    universe = event_universe(n)
+    uindex = {frozenset(i for i, a in enumerate(v) if a): k for k, v in enumerate(universe.vectors)}
+
+    def key(chain):
+        return tuple(sorted(uindex[s] for s in chain.sets[:-1]))
+
+    nodes = {}
+    edges = set()
+    for chain in chain_fan(n):
+        k = key(chain)
+        nodes[k] = MescNode(k, chain_vertex(lowprob, chain))
+        for nb in chain_neighbors(chain):
+            edges.add(frozenset({k, key(nb)}))
+    return MescGraph(tuple(nodes[k] for k in sorted(nodes)), frozenset(edges))
 
 
 def enumerate_extreme_2mono(lowprob: LowerProbability) -> frozenset:

@@ -27,15 +27,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import sys
 import time
 
 from . import chains2mono, credal, pri
-from .cones import SupportUniverse
-from .exactla import ZERO, dot, format_rat, ones, rat
-from .fanwalk import MescGraph, MescNode, graph_to_dot, graph_to_json, verify_graph, walk
+from .exactla import dot, format_rat
+from .fanwalk import graph_to_dot, graph_to_json, verify_graph, walk
 from .polytope import EmptyPolytopeError, OracleGuardError, lp_min, vertices_bruteforce
 
 __all__ = ["main"]
@@ -123,22 +121,6 @@ def _require_two_monotone(model):
             f"give {format_rat(rep.lhs)} < {format_rat(rep.rhs)}")
 
 
-def _chain_graph(model) -> MescGraph:
-    n = model.space.n
-    gens_of = {}
-    nodes = {}
-    for chain in chains2mono.chain_fan(n):
-        cone = chains2mono.chain_cone(chain)
-        node = MescNode(cone.generators, chains2mono.chain_vertex(model, chain))
-        gens_of[chain] = node.gens
-        nodes[node.gens] = node
-    edges = set()
-    for chain in chains2mono.chain_fan(n):
-        for nb in chains2mono.chain_neighbors(chain):
-            edges.add(frozenset({gens_of[chain], gens_of[nb]}))
-    return MescGraph(tuple(nodes[k] for k in sorted(nodes)), frozenset(edges))
-
-
 def _guard_advice(exc, engine):
     hints = {
         "walk": "use --engine pri or --engine chains for structured models of this size",
@@ -167,9 +149,8 @@ def _compute_graph(tag, model, engine, seed):
                 raise PropertyError("improper interval model: no distribution fits the bounds")
             model = pri.induced_2mono(model)
         _require_two_monotone(model)
-        graph = _chain_graph(model)
-        universe = _event_universe(model.space.n)
-        return graph, universe, graph.vertices
+        graph = chains2mono.chain_graph(model)
+        return graph, chains2mono.event_universe(model.space.n), graph.vertices
     h, universe, prevision = _hrep_universe(tag, model)
     try:
         if engine == "oracle":
@@ -197,15 +178,6 @@ def _compute_graph(tag, model, engine, seed):
     except EmptyPolytopeError as exc:
         raise PropertyError(f"empty credal set: {exc}") from None
     return graph, universe, graph.vertices
-
-
-def _event_universe(n):
-    vs = []
-    for r in range(1, n):
-        for s in itertools.combinations(range(n), r):
-            vs.append(tuple(rat(1) if i in s else ZERO for i in range(n)))
-    vs.append(ones(n))
-    return SupportUniverse(tuple(vs))
 
 
 def _verify_vertices(tag, model, points):

@@ -33,6 +33,7 @@ from .exactla import (
     ZERO,
     dot,
     in_nonneg_span,
+    indicator,
     is_multiple,
     ones,
     rank,
@@ -129,7 +130,7 @@ class Gamble:
         idx = {m if isinstance(m, int) else space.index(m) for m in members}
         if not idx <= set(range(space.n)):
             raise ValueError("indicator members out of range")
-        return cls(space, tuple(rat(1) if i in idx else ZERO for i in range(space.n)))
+        return cls(space, indicator(space.n, idx))
 
     def _binop(self, other, op):
         if isinstance(other, Gamble):
@@ -484,10 +485,6 @@ class EventMescReport:
     witness: object = None
 
 
-def _event_indicator(n, members):
-    return tuple(rat(1) if i in members else ZERO for i in range(n))
-
-
 def is_event_mesc(col: EventCollection, space: OutcomeSpace) -> EventMescReport:
     """Does this event family, which must contain the sure event, span a
     MESC over the universe of all event indicators?
@@ -512,13 +509,13 @@ def is_event_mesc(col: EventCollection, space: OutcomeSpace) -> EventMescReport:
             return EventMescReport(False, "disjoint-pair", (a, b))
         if a | b == omega:
             return EventMescReport(False, "covering-pair", (a, b))
-    gens = [_event_indicator(n, e) for e in members]
+    gens = [indicator(n, e) for e in members]
     if rank(gens + [ones(n)]) != n:
         return EventMescReport(False, "dependent", tuple(members))
     gen_set = set(gens)
     for r in range(1, n):
         for s in itertools.combinations(range(n), r):
-            u = _event_indicator(n, s)
+            u = indicator(n, s)
             if u in gen_set:
                 continue
             w = in_nonneg_span(gens, [ones(n)], u)

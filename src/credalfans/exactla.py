@@ -8,6 +8,7 @@ phase-1 simplex with Bland's rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._ratbackend import BACKEND, Rat, format_rat, rat
@@ -21,6 +22,7 @@ __all__ = [
     "zeros",
     "unit",
     "ones",
+    "indicator",
     "dot",
     "vadd",
     "vsub",
@@ -56,6 +58,11 @@ def unit(n: int, i: int) -> tuple:
 
 def ones(n: int) -> tuple:
     return (ONE,) * n
+
+
+def indicator(n: int, members) -> tuple:
+    """0/1 vector of an event given as a set of outcome indices."""
+    return tuple(ONE if i in members else ZERO for i in range(n))
 
 
 def dot(u, v):
@@ -105,16 +112,10 @@ def _int_rows(rows) -> list[list[int]]:
         mult = 1
         for a in row:
             d = int(a.denominator)
-            g = _gcd(mult, d)
+            g = math.gcd(mult, d)
             mult = mult // g * d
         out.append([int(a.numerator) * (mult // int(a.denominator)) for a in row])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:

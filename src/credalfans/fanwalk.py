@@ -55,33 +55,29 @@ class SeedSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class MescNode:
-    """A MESC (by its canonical generator tuple) plus the vertex it
-    certifies."""
+    """A MESC plus the vertex it certifies. In a graph, gens is the sorted
+    tuple of the generators' indices in the engine's SupportUniverse; the
+    universe is stored sorted, so index order is generator order.
+    neighbor_candidates, which works on cones, gives the generator vectors
+    themselves, and walk maps them to indices."""
 
     gens: tuple
     vertex: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(sorted(vec(g) for g in self.gens)))
-        object.__setattr__(self, "vertex", vec(self.vertex))
+        object.__setattr__(self, "gens", tuple(sorted(self.gens)))
 
 
 @dataclass(frozen=True)
 class MescGraph:
     """Walk result: nodes in canonical order, undirected edges as frozensets
-    of generator keys. incomplete_walls records (gens, dropped) walls where
-    no neighbour was found, which can only happen on degenerate input."""
+    of node keys (gens). incomplete_walls records (gens, dropped index)
+    walls where no neighbour was found, which can only happen on degenerate
+    input."""
 
     nodes: tuple
     edges: frozenset
     incomplete_walls: tuple = ()
-
-    def node_by_gens(self, gens):
-        key = tuple(sorted(vec(g) for g in gens))
-        for n in self.nodes:
-            if n.gens == key:
-                return n
-        raise KeyError("no node with those generators")
 
     @property
     def vertices(self) -> frozenset:
@@ -220,25 +216,27 @@ def walk(h: HPolytope, universe: SupportUniverse, *, seed: int = 0, max_attempts
             break
     if start is None:
         raise SeedSearchError(f"no seed MESC found in {max_attempts} attempts")
-    nodes = {start.gens: start}
+    uindex = {v: i for i, v in enumerate(universe.vectors)}
+    mesc_cache = {start.gens: True}
+    key = tuple(uindex[g] for g in start.gens)
+    nodes = {key: MescNode(key, start.vertex)}
     edges = set()
     incomplete = []
-    mesc_cache = {start.gens: True}
-    queue = deque([start.gens])
+    queue = deque([key])
     while queue:
         key = queue.popleft()
-        node = nodes[key]
-        cone = Cone(key, (one,))
-        for dropped in node.gens:
+        cone = Cone(tuple(universe.vectors[i] for i in key), (one,))
+        for i, dropped in zip(key, cone.generators):
             cands = neighbor_candidates(cone, dropped, h, universe, cache=mesc_cache)
             if not cands:
-                incomplete.append((key, dropped))
+                incomplete.append((key, i))
                 continue
             for cand in cands:
-                if cand.gens not in nodes:
-                    nodes[cand.gens] = cand
-                    queue.append(cand.gens)
-                edges.add(frozenset({key, cand.gens}))
+                nk = tuple(uindex[g] for g in cand.gens)
+                if nk not in nodes:
+                    nodes[nk] = MescNode(nk, cand.vertex)
+                    queue.append(nk)
+                edges.add(frozenset({key, nk}))
     ordered = tuple(nodes[k] for k in sorted(nodes))
     return MescGraph(ordered, frozenset(edges), tuple(incomplete))
 
@@ -326,18 +324,16 @@ def graph_to_json(g: MescGraph, universe: SupportUniverse) -> dict:
     from ._ratbackend import format_rat
 
     index = {node.gens: i for i, node in enumerate(g.nodes)}
-    uindex = {v: i for i, v in enumerate(universe.vectors)}
+    size = len(universe)
     nodes = []
     for i, node in enumerate(g.nodes):
-        try:
-            gen_ids = [uindex[g_] for g_ in node.gens]
-        except KeyError:
-            raise ValueError("graph generator missing from the universe") from None
+        if not all(0 <= k < size for k in node.gens):
+            raise ValueError("graph generator index outside the universe")
         nodes.append(
             {
                 "id": i,
                 "vertex": [format_rat(a) for a in node.vertex],
-                "generators": gen_ids,
+                "generators": list(node.gens),
             }
         )
     edges = sorted(tuple(sorted((index[x] for x in e))) for e in g.edges)

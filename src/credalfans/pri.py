@@ -272,7 +272,8 @@ def _seed_cone(m: PRIModel):
 
 def enumerate_extreme_pri(m: PRIModel):
     """All extreme points of a coherent interval model, with the MESC
-    adjacency graph, by walking the exchange rules from a seed cone.
+    adjacency graph, by walking the exchange rules from a seed cone. Graph
+    nodes are keyed by generator indices in pri_hrep(m)'s universe.
 
     Raises IncoherenceError on incoherent input (repair it first via
     is_coherent_pri). For n == 2 the polytope is a segment and has no
@@ -290,35 +291,34 @@ def enumerate_extreme_pri(m: PRIModel):
     start = _seed_cone(m)
     if start is None:
         raise IncoherenceError("no valid seed cone; model is not reachable")
-    cones = {start.key(): start}
-    vertices = {start.key(): vertex_for_cone(m, start)}
+    # node keys are universe indices: row[y] of the lower row of y, row[n + z]
+    # of the upper row of z
+    h, universe = pri_hrep(m)
+    uindex = {v: i for i, v in enumerate(universe.vectors)}
+    row = [uindex[f] for f, _ in h.inequalities]
+
+    def gens(c):
+        return tuple(sorted([row[y] for y in c.a] + [row[n + z] for z in c.b]))
+
+    key = gens(start)
+    cones = {key: start}
+    nodes = {key: MescNode(key, vertex_for_cone(m, start))}
     edges = set()
-    queue = [start.key()]
+    queue = [key]
     while queue:
         key = queue.pop()
-        cur = cones[key]
-        for nb, _tag in pri_neighbors(m, cur):
-            nk = nb.key()
-            if nk not in cones:
+        for nb, _tag in pri_neighbors(m, cones[key]):
+            nk = gens(nb)
+            if nk not in nodes:
                 v = vertex_for_cone(m, nb)
                 if v is None:
                     raise IncoherenceError("neighbour rule left the fan; model is not reachable")
                 cones[nk] = nb
-                vertices[nk] = v
+                nodes[nk] = MescNode(nk, v)
                 queue.append(nk)
             edges.add(frozenset({key, nk}))
-    nodes = {}
-    gens_of = {}
-    for key, c in cones.items():
-        g = gens_for_cone(c, n)
-        gens_of[key] = g
-        nodes[g] = MescNode(g, vertices[key])
-    graph_edges = set()
-    for e in edges:
-        a, b = tuple(e)
-        graph_edges.add(frozenset({gens_of[a], gens_of[b]}))
     ordered = tuple(nodes[k] for k in sorted(nodes))
-    return frozenset(vertices.values()), MescGraph(ordered, frozenset(graph_edges))
+    return frozenset(node.vertex for node in ordered), MescGraph(ordered, frozenset(edges))
 
 
 def natural_extension_pri(m: PRIModel, f):

@@ -162,7 +162,7 @@ class TestNeighbors:
             _, graph = enumerate_extreme_pri(m)
             checked = 0
             for node in graph.nodes[:6]:
-                c = _cone_from_gens(node.gens, n)
+                c = _cone_from_gens(node.gens, m)
                 for nb, _tag in pri_neighbors(m, c):
                     back = {b.key() for b, _ in pri_neighbors(m, nb)}
                     assert c.key() in back
@@ -176,7 +176,7 @@ class TestNeighbors:
             m = PRIModel(space(n), tuple(lows), tuple(ups))
             _, graph = enumerate_extreme_pri(m)
             for node in graph.nodes:
-                c = _cone_from_gens(node.gens, n)
+                c = _cone_from_gens(node.gens, m)
                 walls_covered = set()
                 for nb, tag in pri_neighbors(m, c):
                     moved = (c.a - nb.a) | (c.b - nb.b) | ({c.x} - ({nb.x} | nb.a | nb.b))
@@ -184,10 +184,13 @@ class TestNeighbors:
                 assert walls_covered == c.a | c.b
 
 
-def _cone_from_gens(gens, n):
-    """Invert gens_for_cone: singletons go to A, complements to B."""
+def _cone_from_gens(gens, m):
+    """Invert gens_for_cone: map the universe indices back through
+    pri_hrep's universe, then singletons go to A, complements to B."""
+    n = m.n
+    _, uni = pri_hrep(m)
     a, b = set(), set()
-    for g in gens:
+    for g in (uni.vectors[i] for i in gens):
         supp = [i for i in range(n) if g[i] != 0]
         if len(supp) == 1:
             a.add(supp[0])
@@ -218,16 +221,20 @@ class TestEnumeration:
 
     def test_matches_walk_and_oracle(self):
         rng = random.Random(17)
-        for n in (3, 4):
+        models = []
+        for n in (3, 4, 5):
             for _ in range(4):
                 lows, ups = coherent_intervals(rng, n)
-                m = PRIModel(space(n), tuple(lows), tuple(ups))
-                pts, graph = enumerate_extreme_pri(m)
-                h, uni = pri_hrep(m)
-                assert pts == {v.point for v in vertices_bruteforce(h)}
-                walked = walk(h, uni)
-                assert graph.nodes == walked.nodes
-                assert graph.edges == walked.edges
+                models.append(PRIModel(space(n), tuple(lows), tuple(ups)))
+        # degenerate reproducer: ties emit both sides of a wall
+        models.append(pri_uniform(5, "1/6", "1/4"))
+        for m in models:
+            pts, graph = enumerate_extreme_pri(m)
+            h, uni = pri_hrep(m)
+            assert pts == {v.point for v in vertices_bruteforce(h)}
+            walked = walk(h, uni)
+            assert graph.nodes == walked.nodes
+            assert graph.edges == walked.edges
 
     def test_degenerate_pinned_interval(self):
         # l(x1) == u(x1) collapses the polytope to a segment; cones from
