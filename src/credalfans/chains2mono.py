@@ -46,7 +46,6 @@ __all__ = [
     "enumerate_extreme_2mono",
     "is_comonotone",
     "choquet",
-    "comonotone_additivity_check",
     "lower_probability_from_json",
 ]
 
@@ -320,18 +319,6 @@ def choquet(lowprob: LowerProbability, f):
         level = frozenset(i for i in range(n) if fv[i] >= values[j])
         total += (values[j] - values[j + 1]) * lowprob.value(level)
     return total
-
-
-def comonotone_additivity_check(evaluate, f, g):
-    """Comonotone additivity probe: None when the pair is not comonotone
-    (no claim applies), else whether evaluate(f + g) == evaluate(f) +
-    evaluate(g) exactly."""
-    if not is_comonotone(f, g):
-        return None
-    fv = f.values if isinstance(f, Gamble) else vec(f)
-    gv = g.values if isinstance(g, Gamble) else vec(g)
-    s = tuple(a + b for a, b in zip(fv, gv))
-    return evaluate(s) == evaluate(fv) + evaluate(gv)
 
 
 def lower_probability_from_json(obj) -> LowerProbability:

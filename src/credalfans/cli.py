@@ -16,7 +16,8 @@ chain fan of a 2-monotone lower probability, "pri" the interval exchange
 rules, "oracle" the brute-force vertex enumerator. Exit status: 0 success,
 1 a property of the model failed (incoherent, not 2-monotone, verification
 mismatch), 2 unusable input (schema errors, wrong engine for the model
-type, oracle guards exceeded).
+type, oracle guards exceeded, a chain fan on more than CHAIN_FAN_MAX_N = 8
+outcomes).
 
 All values are exact rationals; --decimal adds 12-significant-digit
 approximations for reading convenience, explicitly marked non-authoritative.
@@ -34,9 +35,13 @@ import time
 from . import chains2mono, credal, pri
 from .exactla import dot, format_rat
 from .fanwalk import graph_to_dot, graph_to_json, verify_graph, walk
-from .polytope import EmptyPolytopeError, OracleGuardError, lp_min, vertices_bruteforce
+from .polytope import EmptyPolytopeError, OracleGuardError, vertices_bruteforce
 
 __all__ = ["main"]
+
+# Largest outcome count the chain fan is built for: n! nodes, and n = 8
+# already takes seconds and hundreds of megabytes.
+CHAIN_FAN_MAX_N = 8
 
 
 class InputError(Exception):
@@ -45,10 +50,6 @@ class InputError(Exception):
 
 class PropertyError(Exception):
     """Exit-1 class: the model fails the property the command relies on."""
-
-
-def _fail_input(msg):
-    raise InputError(msg)
 
 
 def _load_model(path):
@@ -96,17 +97,26 @@ def _pick_engine(requested, tag, model):
     return "walk"
 
 
-def _hrep_universe(tag, model):
-    """(polytope, universe, prevision-or-None) for the generic engines."""
-    if tag == "pri":
-        h, universe = pri.pri_hrep(model)
-        return h, universe, None
+def _as_prevision(tag, model):
+    """The model as a lower prevision, for the generic engines."""
     if tag == "lower_probability":
-        prevision = chains2mono.as_lower_prevision(model)
-    else:
-        prevision = model
-    h, universe = credal.build_credal_hrep(prevision)
-    return h, universe, prevision
+        return chains2mono.as_lower_prevision(model)
+    if tag == "pri":
+        return pri.as_lower_prevision(model)
+    return model
+
+
+def _hrep(tag, model):
+    """(polytope, universe) of the credal set for the generic engines."""
+    if tag == "pri":
+        return pri.pri_hrep(model)
+    return credal.build_credal_hrep(_as_prevision(tag, model))
+
+
+def _oracle_points(tag, model):
+    """The brute-force vertex set, subject to the oracle guards."""
+    h, _ = _hrep(tag, model)
+    return frozenset(v.point for v in vertices_bruteforce(h))
 
 
 def _require_two_monotone(model):
@@ -121,6 +131,80 @@ def _require_two_monotone(model):
             f"give {format_rat(rep.lhs)} < {format_rat(rep.rhs)}")
 
 
+def _chain_model(tag, model):
+    """The 2-monotone lower probability the chains engine works on."""
+    if tag == "pri":
+        if not pri.is_coherent_pri(model).proper:
+            raise PropertyError("improper interval model: no distribution fits the bounds")
+        model = pri.induced_2mono(model)
+    _require_two_monotone(model)
+    return model
+
+
+# Graph functions return (graph or None, universe, vertex set); natex
+# functions the exact lower expectation of a gamble.
+
+def _pri_graph(tag, model, seed):
+    points, graph = pri.enumerate_extreme_pri(model)
+    return graph, pri.pri_hrep(model)[1], points
+
+
+def _chains_graph(tag, model, seed):
+    n = model.space.n
+    if n > CHAIN_FAN_MAX_N:
+        raise InputError(
+            f"chain fan refused: {n} outcomes > {CHAIN_FAN_MAX_N} ({n}! chains); "
+            "use --engine pri for interval models")
+    model = _chain_model(tag, model)
+    graph = chains2mono.chain_graph(model)
+    return graph, chains2mono.event_universe(n), graph.vertices
+
+
+def _walk_graph(tag, model, seed):
+    h, universe = _hrep(tag, model)
+    # The walk presumes every assessment row supports the credal set;
+    # slack rows (incoherent input) break its wall-crossing invariants,
+    # so refuse up front instead of emitting a defective graph.
+    if tag == "pri":
+        if not pri.is_coherent_pri(model).coherent:
+            raise PropertyError(
+                "incoherent interval model: the adjacency walk needs reachable "
+                "bounds (run check for the repaired bounds)")
+    else:
+        rep = credal.is_coherent(_as_prevision(tag, model))
+        if not rep.coherent:
+            raise PropertyError(
+                "empty credal set" if rep.empty
+                else "incoherent model: some assessed bound is not attained; "
+                     "the adjacency walk needs a coherent model (try --engine oracle "
+                     "for the raw vertex set)")
+    graph = walk(h, universe, seed=seed)
+    return graph, universe, graph.vertices
+
+
+def _oracle_natex(tag, model, gamble):
+    # Raw polytope minimum: valid on incoherent input too, where the
+    # natural extension (an envelope notion) refuses to answer.
+    points = _oracle_points(tag, model)
+    if not points:
+        raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
+    return min(dot(gamble.values, p) for p in points)
+
+
+# engine -> (graph function, natex function), each called through _run_engine
+ENGINES = {
+    "pri": (_pri_graph,
+            lambda tag, model, gamble: pri.natural_extension_pri(model, gamble)),
+    "chains": (_chains_graph,
+               lambda tag, model, gamble: chains2mono.choquet(_chain_model(tag, model), gamble)),
+    "walk": (_walk_graph,
+             lambda tag, model, gamble: credal.natural_extension(_as_prevision(tag, model),
+                                                                 gamble.values)),
+    "oracle": (lambda tag, model, seed: (None, None, _oracle_points(tag, model)),
+               _oracle_natex),
+}
+
+
 def _guard_advice(exc, engine):
     hints = {
         "walk": "use --engine pri or --engine chains for structured models of this size",
@@ -129,69 +213,50 @@ def _guard_advice(exc, engine):
     return f"{exc} ({hints.get(engine, 'reduce the instance size')})"
 
 
-def _compute_graph(tag, model, engine, seed):
-    """(graph, universe, vertex set) under the chosen engine; the oracle
-    engine yields vertices with no graph."""
-    if engine == "pri":
-        if tag == "pri":
-            m = model
-        else:
-            raise InputError("pri engine needs an interval model")
-        try:
-            points, graph = pri.enumerate_extreme_pri(m)
-        except credal.IncoherenceError as exc:
-            raise PropertyError(str(exc)) from None
-        _, universe = pri.pri_hrep(m)
-        return graph, universe, points
-    if engine == "chains":
-        if tag == "pri":
-            if not pri.is_coherent_pri(model).proper:
-                raise PropertyError("improper interval model: no distribution fits the bounds")
-            model = pri.induced_2mono(model)
-        _require_two_monotone(model)
-        graph = chains2mono.chain_graph(model)
-        return graph, chains2mono.event_universe(model.space.n), graph.vertices
-    h, universe, prevision = _hrep_universe(tag, model)
+def _run_engine(engine, step, *args):
+    """Run one engine step, mapping the engines' exceptions to exit classes."""
     try:
-        if engine == "oracle":
-            points = frozenset(v.point for v in vertices_bruteforce(h))
-            return None, universe, points
-        # The walk presumes every assessment row supports the credal set;
-        # slack rows (incoherent input) break its wall-crossing invariants,
-        # so refuse up front instead of emitting a defective graph.
-        if tag == "pri":
-            if not pri.is_coherent_pri(model).coherent:
-                raise PropertyError(
-                    "incoherent interval model: the adjacency walk needs reachable "
-                    "bounds (run check for the repaired bounds)")
-        else:
-            rep = credal.is_coherent(prevision)
-            if not rep.coherent:
-                raise PropertyError(
-                    "empty credal set" if rep.empty
-                    else "incoherent model: some assessed bound is not attained; "
-                         "the adjacency walk needs a coherent model (try --engine oracle "
-                         "for the raw vertex set)")
-        graph = walk(h, universe, seed=seed)
-    except OracleGuardError as exc:
-        raise InputError(_guard_advice(exc, engine)) from None
+        return step(*args)
+    except credal.IncoherenceError as exc:
+        raise PropertyError(str(exc)) from None
     except EmptyPolytopeError as exc:
         raise PropertyError(f"empty credal set: {exc}") from None
-    return graph, universe, graph.vertices
-
-
-def _verify_vertices(tag, model, points):
-    h, _, _ = _hrep_universe(tag, model)
-    try:
-        oracle = frozenset(v.point for v in vertices_bruteforce(h))
     except OracleGuardError as exc:
-        raise InputError(_guard_advice(exc, "oracle")) from None
+        raise InputError(_guard_advice(exc, engine)) from None
+
+
+def _start(args, command):
+    """Load the model, pick the engine and open the run report."""
+    tag, model, digest = _load_model(args.model)
+    engine = _pick_engine(args.engine, tag, model)
+    if engine == "oracle" and command in ("fan", "graph"):
+        raise InputError("the oracle engine enumerates vertices only; pick walk, chains, or pri")
+    report = Report(command)
+    report.add("model", args.model)
+    report.add("sha256", digest)
+    report.add("engine", engine)
+    return tag, model, engine, report
+
+
+def _compute_graph(args, command):
+    """(tag, model, graph, universe, vertex set, report) under the picked engine."""
+    tag, model, engine, report = _start(args, command)
+    t0 = time.perf_counter()
+    graph, universe, points = _run_engine(engine, ENGINES[engine][0], tag, model, args.seed)
+    report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
+    return tag, model, graph, universe, points, report
+
+
+def _verify_vertices(tag, model, points, report):
+    t0 = time.perf_counter()
+    oracle = _run_engine("oracle", _oracle_points, tag, model)
     if oracle != points:
         missing = len(oracle - points)
         extra = len(points - oracle)
         raise PropertyError(
             f"verification mismatch: {missing} oracle vertices missing, {extra} spurious")
-    return len(oracle)
+    report.add("time_ms_verify", round(1000 * (time.perf_counter() - t0)))
+    report.add("verified", True)
 
 
 class Report:
@@ -263,10 +328,7 @@ def _cmd_check(args):
             report.add("violation", f"{format_rat(rep.lhs)} < {format_rat(rep.rhs)}")
         ok = rep.ok
     else:
-        try:
-            rep = credal.is_coherent(model)
-        except OracleGuardError as exc:
-            raise InputError(_guard_advice(exc, "oracle")) from None
+        rep = _run_engine("oracle", credal.is_coherent, model)
         report.add("empty", rep.empty)
         report.add("coherent", rep.coherent)
         for chk in rep.failures():
@@ -279,37 +341,16 @@ def _cmd_check(args):
 
 
 def _cmd_vertices(args):
-    tag, model, digest = _load_model(args.model)
-    engine = _pick_engine(args.engine, tag, model)
-    report = Report("vertices")
-    report.add("model", args.model)
-    report.add("sha256", digest)
-    report.add("engine", engine)
-    t0 = time.perf_counter()
-    _, _, points = _compute_graph(tag, model, engine, args.seed)
-    report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
+    tag, model, _, _, points, report = _compute_graph(args, "vertices")
     report.add("n_vertices", len(points))
     if args.verify:
-        t1 = time.perf_counter()
-        _verify_vertices(tag, model, points)
-        report.add("time_ms_verify", round(1000 * (time.perf_counter() - t1)))
-        report.add("verified", True)
+        _verify_vertices(tag, model, points, report)
     _emit_vertices(points, model.space.names, args.out, args.decimal, report)
     return 0
 
 
 def _cmd_fan(args):
-    tag, model, digest = _load_model(args.model)
-    engine = _pick_engine(args.engine, tag, model)
-    if engine == "oracle":
-        raise InputError("the oracle engine enumerates vertices only; pick walk, chains, or pri")
-    report = Report("fan")
-    report.add("model", args.model)
-    report.add("sha256", digest)
-    report.add("engine", engine)
-    t0 = time.perf_counter()
-    graph, _, points = _compute_graph(tag, model, engine, args.seed)
-    report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
+    tag, model, graph, _, points, report = _compute_graph(args, "fan")
     fan_rep = verify_graph(graph)
     report.add("n_nodes", fan_rep.n_nodes)
     report.add("n_edges", fan_rep.n_edges)
@@ -320,10 +361,7 @@ def _cmd_fan(args):
     report.add("regular", fan_rep.regular)
     report.add("structure_ok", fan_rep.ok)
     if args.verify:
-        t1 = time.perf_counter()
-        _verify_vertices(tag, model, points)
-        report.add("time_ms_verify", round(1000 * (time.perf_counter() - t1)))
-        report.add("verified", True)
+        _verify_vertices(tag, model, points, report)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(graph_to_dot(graph))
@@ -333,17 +371,7 @@ def _cmd_fan(args):
 
 
 def _cmd_graph(args):
-    tag, model, digest = _load_model(args.model)
-    engine = _pick_engine(args.engine, tag, model)
-    if engine == "oracle":
-        raise InputError("the oracle engine enumerates vertices only; pick walk, chains, or pri")
-    report = Report("graph")
-    report.add("model", args.model)
-    report.add("sha256", digest)
-    report.add("engine", engine)
-    t0 = time.perf_counter()
-    graph, universe, _ = _compute_graph(tag, model, engine, args.seed)
-    report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
+    _, _, graph, universe, _, report = _compute_graph(args, "graph")
     report.add("n_nodes", len(graph.nodes))
     report.add("n_edges", len(graph.edges))
     payload = json.dumps(graph_to_json(graph, universe), indent=2)
@@ -359,8 +387,7 @@ def _cmd_graph(args):
 
 
 def _cmd_natex(args):
-    tag, model, digest = _load_model(args.model)
-    engine = _pick_engine(args.engine, tag, model)
+    tag, model, engine, report = _start(args, "natex")
     try:
         with open(args.gamble, "rb") as fh:
             gobj = json.loads(fh.read())
@@ -372,48 +399,11 @@ def _cmd_natex(args):
         gamble = credal.parse_gamble(gobj, model.space, "gamble")
     except credal.SchemaError as exc:
         raise InputError(str(exc)) from None
-    report = Report("natex")
-    report.add("model", args.model)
-    report.add("sha256", digest)
-    report.add("engine", engine)
     t0 = time.perf_counter()
-    try:
-        if engine == "pri":
-            value = pri.natural_extension_pri(model, gamble)
-        elif engine == "chains":
-            m = model
-            if tag == "pri":
-                if not pri.is_coherent_pri(model).proper:
-                    raise PropertyError(
-                        "improper interval model: no distribution fits the bounds")
-                m = pri.induced_2mono(model)
-            _require_two_monotone(m)
-            value = chains2mono.choquet(m, gamble)
-        elif engine == "oracle":
-            # Raw polytope minimum: valid on incoherent input too, where the
-            # natural extension (an envelope notion) refuses to answer.
-            h, _, _ = _hrep_universe(tag, model)
-            value = lp_min(h, gamble.values).value
-        else:
-            prevision = model
-            if tag == "lower_probability":
-                prevision = chains2mono.as_lower_prevision(model)
-            elif tag == "pri":
-                prevision = pri.as_lower_prevision(model)
-            value = credal.natural_extension(prevision, gamble.values)
-    except credal.IncoherenceError as exc:
-        raise PropertyError(str(exc)) from None
-    except EmptyPolytopeError as exc:
-        raise PropertyError(f"empty credal set: {exc}") from None
-    except OracleGuardError as exc:
-        raise InputError(_guard_advice(exc, engine)) from None
+    value = _run_engine(engine, ENGINES[engine][1], tag, model, gamble)
     report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
     if args.verify:
-        h, _, _ = _hrep_universe(tag, model)
-        try:
-            oracle = min(dot(gamble.values, v.point) for v in vertices_bruteforce(h))
-        except OracleGuardError as exc:
-            raise InputError(_guard_advice(exc, "oracle")) from None
+        oracle = _run_engine("oracle", _oracle_natex, tag, model, gamble)
         if oracle != value:
             raise PropertyError(
                 f"verification mismatch: engine {format_rat(value)} vs oracle {format_rat(oracle)}")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .exactla import (
     dot,
-    expand_in_basis,
     in_nonneg_span,
     is_multiple,
     nullspace,
@@ -28,19 +27,12 @@ __all__ = [
     "Cone",
     "SupportUniverse",
     "MescFailure",
-    "NonSimplicialConeError",
     "AdjacencyPreconditionError",
     "contains",
-    "in_relative_interior",
-    "is_simplicial",
     "mesc_failure",
     "is_mesc",
     "are_adjacent",
 ]
-
-
-class NonSimplicialConeError(ValueError):
-    """Operation requires independent generators (plus lineality)."""
 
 
 class AdjacencyPreconditionError(ValueError):
@@ -111,28 +103,6 @@ class SupportUniverse:
 def contains(c: Cone, v) -> bool:
     """Closed-cone membership: v in cone(generators) + span(lineality)."""
     return in_nonneg_span(c.generators, c.lineality, v) is not None
-
-
-def in_relative_interior(c: Cone, v) -> bool:
-    """Membership with all generator coefficients strictly positive.
-
-    Well defined only when generators + lineality are independent (the
-    expansion is unique); raises NonSimplicialConeError otherwise.
-    """
-    cols = list(c.generators) + list(c.lineality)
-    try:
-        coeffs = expand_in_basis(cols, v)
-    except ValueError as exc:
-        raise NonSimplicialConeError(str(exc)) from None
-    if coeffs is None:
-        return False
-    return all(a > 0 for a in coeffs[: len(c.generators)])
-
-
-def is_simplicial(c: Cone) -> bool:
-    """True iff generators and lineality together are linearly independent."""
-    cols = list(c.generators) + list(c.lineality)
-    return rank(cols) == len(cols)
 
 
 @dataclass(frozen=True)

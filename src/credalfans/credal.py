@@ -51,8 +51,6 @@ __all__ = [
     "LowerPrevision",
     "CoherenceReport",
     "AssessmentCheck",
-    "AxiomReport",
-    "AxiomFailure",
     "EventCollection",
     "EventMescReport",
     "IncoherenceError",
@@ -60,7 +58,6 @@ __all__ = [
     "build_credal_hrep",
     "is_coherent",
     "natural_extension",
-    "check_axioms",
     "cone_additivity_check",
     "is_event_mesc",
     "lower_prevision_from_json",
@@ -122,10 +119,6 @@ class Gamble:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def constant(cls, space: OutcomeSpace, c) -> "Gamble":
-        return cls(space, (rat(c),) * space.n)
-
-    @classmethod
     def indicator(cls, space: OutcomeSpace, members) -> "Gamble":
         idx = {m if isinstance(m, int) else space.index(m) for m in members}
         if not idx <= set(range(space.n)):
@@ -158,12 +151,6 @@ class Gamble:
         return Gamble(self.space, tuple(c * a for a in self.values))
 
     __rmul__ = __mul__
-
-    def min_value(self):
-        return min(self.values)
-
-    def max_value(self):
-        return max(self.values)
 
     def is_constant(self) -> bool:
         return all(a == self.values[0] for a in self.values)
@@ -378,55 +365,6 @@ def natural_extension(lp: LowerPrevision, f):
         )
     v = _as_vector(lp, f)
     return min(dot(v, vtx.point) for vtx in _credal_vertices(lp))
-
-
-@dataclass(frozen=True)
-class AxiomFailure:
-    axiom: str  # 'bounds' | 'homogeneity' | 'superadditivity'
-    gambles: tuple
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-_HOMOGENEITY_SCALES = (0, 1, 2, 5)
-
-
-def check_axioms(extension, gambles) -> AxiomReport:
-    """Test a candidate lower-prevision functional on concrete gambles.
-
-    Checks, exactly: min f <= E(f) <= max f; E(c f) == c E(f) for small
-    nonnegative scales c; E(f + g) >= E(f) + E(g) on all pairs. Every
-    violation is reported with its witnesses.
-    """
-    gambles = tuple(gambles)
-    failures = []
-    values = {}
-    for g in gambles:
-        values[g.values] = extension(g)
-    for g in gambles:
-        e = values[g.values]
-        if not (g.min_value() <= e <= g.max_value()):
-            failures.append(AxiomFailure("bounds", (g,), e, (g.min_value(), g.max_value())))
-    for g in gambles:
-        for c in _HOMOGENEITY_SCALES:
-            scaled = extension(g * c) if c != 1 else values[g.values]
-            if scaled != rat(c) * values[g.values]:
-                failures.append(AxiomFailure("homogeneity", (g, c), scaled, rat(c) * values[g.values]))
-    for ga, gb in itertools.combinations_with_replacement(gambles, 2):
-        lhs = extension(ga + gb)
-        rhs = values[ga.values] + values[gb.values]
-        if lhs < rhs:
-            failures.append(AxiomFailure("superadditivity", (ga, gb), lhs, rhs))
-    return AxiomReport(tuple(failures))
 
 
 def cone_additivity_check(lp: LowerPrevision, vertex_point, g, h):

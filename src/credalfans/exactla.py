@@ -31,9 +31,7 @@ __all__ = [
     "is_multiple",
     "rank",
     "solve_unique",
-    "solve_square",
     "nullspace",
-    "expand_in_basis",
     "solve_nonneg",
     "SpanWitness",
     "in_nonneg_span",
@@ -178,13 +176,6 @@ def solve_unique(rows, rhs):
     return tuple(x)
 
 
-def solve_square(a, b):
-    """Solve the square system a . x = b; None iff a is singular."""
-    a = list(a)
-    assert a and all(len(row) == len(a) for row in a)
-    return solve_unique(a, b)
-
-
 def nullspace(rows) -> list[tuple]:
     """Basis of {x : row . x = 0 for every row}, one vector per free column.
 
@@ -214,21 +205,6 @@ def nullspace(rows) -> list[tuple]:
             x = [-a for a in x]
         basis.append(tuple(x))
     return basis
-
-
-def expand_in_basis(columns, v):
-    """Coefficients c with sum c_j columns[j] == v, or None if v is outside
-    the span. The columns must be linearly independent (ValueError if not).
-    """
-    columns = [vec(c) for c in columns]
-    v = vec(v)
-    if not columns:
-        return () if all(a == 0 for a in v) else None
-    if rank(columns) != len(columns):
-        raise ValueError("columns are linearly dependent")
-    n = len(v)
-    rows = [[col[i] for col in columns] for i in range(n)]
-    return solve_unique(rows, v)
 
 
 def solve_nonneg(columns, target):

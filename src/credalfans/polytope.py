@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import cones
-from .exactla import dot, ones, rank, rat, solve_unique, vec
+from .exactla import dot, rank, rat, solve_unique, vec
 
 __all__ = [
     "HPolytope",
@@ -69,30 +69,11 @@ class HPolytope:
     def n_constraints(self) -> int:
         return len(self.inequalities) + len(self.equalities)
 
-    def constraint(self, index: int):
-        """(normal, bound, is_equality) for a shared-space constraint index."""
-        m = len(self.inequalities)
-        if index < m:
-            f, b = self.inequalities[index]
-            return f, b, False
-        f, b = self.equalities[index - m]
-        return f, b, True
-
     def is_feasible(self, x) -> bool:
         x = vec(x)
         return all(dot(x, f) >= b for f, b in self.inequalities) and all(
             dot(x, f) == b for f, b in self.equalities
         )
-
-    def split_equalities(self) -> "HPolytope":
-        """Equivalent polytope with each equality written as two opposite
-        inequalities (the all-inequality export form)."""
-        extra = []
-        for f, b in self.equalities:
-            extra.append((f, b))
-            extra.append((tuple(-a for a in f), -b))
-        return HPolytope(self.dim, self.inequalities + tuple(extra), ())
-
 
 @dataclass(frozen=True)
 class Vertex:

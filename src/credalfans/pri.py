@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .chains2mono import LowerProbability
-from .cones import Cone, SupportUniverse
+from .cones import SupportUniverse
 from .credal import (
     Gamble,
     IncoherenceError,
@@ -48,9 +48,6 @@ __all__ = [
     "PriCoherenceReport",
     "PriCone",
     "is_coherent_pri",
-    "gens_for_cone",
-    "to_cone",
-    "cone_membership",
     "locate_cone",
     "vertex_for_cone",
     "pri_neighbors",
@@ -58,7 +55,6 @@ __all__ = [
     "natural_extension_pri",
     "induced_2mono",
     "count_bounds",
-    "comonotone_cones_in",
     "pri_hrep",
     "as_lower_prevision",
     "pri_from_json",
@@ -147,41 +143,6 @@ class PriCone:
 
     def key(self):
         return (self.x, tuple(sorted(self.a)), tuple(sorted(self.b)))
-
-
-def gens_for_cone(c: PriCone, n: int) -> tuple:
-    """Generators as constraint normals: singleton indicators on A,
-    complement indicators on B, in canonical sorted order."""
-    gens = [unit(n, y) for y in c.a]
-    one = ones(n)
-    gens += [tuple(o - u for o, u in zip(one, unit(n, z))) for z in c.b]
-    return tuple(sorted(gens))
-
-
-def to_cone(c: PriCone, n: int) -> Cone:
-    return Cone(gens_for_cone(c, n), (ones(n),))
-
-
-def cone_membership(c: PriCone, f) -> tuple:
-    """(in cone, in relative interior) for a gamble, by the sign pattern of
-    f - f(x): nonnegative on A, nonpositive on B, zero elsewhere; strict on
-    A and B for the interior."""
-    fv = f.values if isinstance(f, Gamble) else vec(f)
-    pivot = fv[c.x]
-    inside = True
-    strict = True
-    for y in c.a:
-        d = fv[y] - pivot
-        inside = inside and d >= 0
-        strict = strict and d > 0
-    for z in c.b:
-        d = fv[z] - pivot
-        inside = inside and d <= 0
-        strict = strict and d < 0
-    for w in range(len(fv)):
-        if w != c.x and w not in c.a and w not in c.b and fv[w] != pivot:
-            return (False, False)
-    return (inside, inside and strict)
 
 
 def locate_cone(f) -> tuple:
@@ -375,12 +336,6 @@ def count_bounds(n: int) -> tuple:
     half = (n - 1) // 2
     high = math.factorial(n) // (math.factorial(half) * math.factorial(n - 1 - half))
     return (low, high)
-
-
-def comonotone_cones_in(c: PriCone) -> int:
-    """Number of chain cones refining this interval cone: any ordering of A
-    interleaves freely with any ordering of B on their own sides."""
-    return math.factorial(len(c.a)) * math.factorial(len(c.b))
 
 
 def pri_hrep(m: PRIModel):

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from functools import partial
 
 import pytest
 
@@ -15,7 +14,6 @@ from credalfans.chains2mono import (
     chain_neighbors,
     chain_vertex,
     choquet,
-    comonotone_additivity_check,
     enumerate_extreme_2mono,
     is_comonotone,
     is_two_monotone,
@@ -233,16 +231,17 @@ class TestComonotonicity:
         assert is_comonotone((3, 3, 3), (0, 5, 1))
 
     def test_additivity_check(self):
-        ev = partial(choquet, lp3(SUPERMOD3))
-        assert comonotone_additivity_check(ev, (2, 1, 0), (5, 1, 1)) is True
-        assert comonotone_additivity_check(ev, (2, 1, 0), (0, 1, 2)) is None
-        broken = lambda v: sum(a * a for a in v)
-        assert comonotone_additivity_check(broken, (2, 1, 0), (5, 1, 1)) is False
+        lp = lp3(SUPERMOD3)
+        f, g = (Q(2), Q(1), Q(0)), (Q(5), Q(1), Q(1))
+        assert choquet(lp, tuple(a + b for a, b in zip(f, g))) == choquet(lp, f) + choquet(lp, g)
+        # off comonotone pairs only superadditivity holds, here strictly
+        h = (Q(0), Q(1), Q(2))
+        assert not is_comonotone(f, h)
+        assert choquet(lp, tuple(a + b for a, b in zip(f, h))) > choquet(lp, f) + choquet(lp, h)
 
     def test_choquet_comonotone_additive_everywhere(self):
         rng = random.Random(31)
         lp = lp3(SUPERMOD3)
-        ev = partial(choquet, lp)
         for _ in range(20):
             order = list(range(3))
             rng.shuffle(order)
@@ -253,7 +252,8 @@ class TestComonotonicity:
                 fa += Q(rng.randint(0, 12)) / 12
                 ga += Q(rng.randint(0, 12)) / 12
                 f[i], g[i] = fa, ga
-            assert comonotone_additivity_check(ev, tuple(f), tuple(g)) is True
+            assert is_comonotone(f, g)
+            assert choquet(lp, [a + b for a, b in zip(f, g)]) == choquet(lp, f) + choquet(lp, g)
 
 
 class TestJson:

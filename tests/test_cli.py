@@ -11,6 +11,7 @@ import io
 import json
 from pathlib import Path
 
+from credalfans import chains2mono, pri
 from credalfans.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -396,6 +397,38 @@ class TestInputErrors:
         assert code == 2
         assert "does not apply" in err
 
+
+class TestRefusals:
+    def test_guard_refusal_is_exit_2(self, capsys, tmp_path):
+        # seven outcomes: building the credal set already asks the oracle
+        # whether the nonnegativity rows are implied, and it refuses
+        names = list("abcdefg")
+        path = tmp_path / "m7.json"
+        path.write_text(json.dumps({
+            "type": "lower_prevision", "outcomes": names,
+            "assessments": [{"gamble": {x: "2" if x == "a" else "1" for x in names},
+                             "lower": "1"}],
+        }))
+        runs = [["vertices", "--engine", engine] for engine in ("auto", "walk", "oracle")]
+        runs += [[command, "--engine", engine] for command in ("fan", "graph")
+                 for engine in ("auto", "walk")]
+        runs.append(["vertices", "--verify"])
+        for argv in runs:
+            code, _, err = run(capsys, *argv, "--model", str(path))
+            assert code == 2, argv
+            assert "brute force refused" in err, argv
+
+    def test_chain_fan_refused_above_eight_outcomes(self, capsys, monkeypatch):
+        def per_event_work(*args):
+            raise AssertionError("per-event work before the size check")
+
+        monkeypatch.setattr(pri, "induced_2mono", per_event_work)
+        monkeypatch.setattr(chains2mono, "is_two_monotone", per_event_work)
+        for command in ("vertices", "fan", "graph"):
+            code, _, err = run(capsys, command, "--model", model("pri_n10_uniform_max.json"),
+                               "--engine", "chains")
+            assert code == 2
+            assert "chain fan refused" in err and "--engine pri" in err
 
 class TestSeedStability:
     def test_walk_seed_does_not_change_result(self, capsys):

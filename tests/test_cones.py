@@ -10,16 +10,13 @@ from credalfans.cones import (
     AdjacencyPreconditionError,
     Cone,
     MescFailure,
-    NonSimplicialConeError,
     SupportUniverse,
     are_adjacent,
     contains,
-    in_relative_interior,
     is_mesc,
-    is_simplicial,
     mesc_failure,
 )
-from credalfans.exactla import ones, rat, vec
+from credalfans.exactla import in_nonneg_span, ones, rat, vec
 
 Q = rat
 
@@ -59,29 +56,20 @@ def test_support_universe_requires_constant_one():
 
 
 def test_contains_and_relative_interior():
+    def interior(c, v):
+        # CHAIN3 is simplicial, so its conic witness is unique
+        w = in_nonneg_span(c.generators, c.lineality, v)
+        return w is not None and all(a > 0 for a in w.coeffs)
+
     assert contains(CHAIN3, vec([3, 2, 1]))
-    assert in_relative_interior(CHAIN3, vec([3, 2, 1]))
+    assert interior(CHAIN3, vec([3, 2, 1]))
     # boundary: the generator itself has a zero coefficient partner
     assert contains(CHAIN3, ind(3, {0}))
-    assert not in_relative_interior(CHAIN3, ind(3, {0}))
+    assert not interior(CHAIN3, ind(3, {0}))
     # shifting by any constant keeps relative-interior membership
-    assert in_relative_interior(CHAIN3, vec([2, 1, 0]))
-    assert in_relative_interior(CHAIN3, vec([1, 0, -1]))
+    assert interior(CHAIN3, vec([2, 1, 0]))
+    assert interior(CHAIN3, vec([1, 0, -1]))
     assert not contains(CHAIN3, vec([1, 2, 3]))
-
-
-def test_relative_interior_needs_simplicial():
-    c = Cone((ind(4, {0}), ind(4, {1}), ind(4, {0, 1})), (ones(4),))
-    assert not is_simplicial(c)
-    with pytest.raises(NonSimplicialConeError):
-        in_relative_interior(c, vec([1, 1, 0, 0]))
-
-
-def test_is_simplicial():
-    assert is_simplicial(CHAIN3)
-    # generators independent among themselves but constant-one is absorbed
-    c = Cone((ind(2, {0}), ind(2, {1})), (ones(2),))
-    assert not is_simplicial(c)
 
 
 def test_mesc_chain_cone():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from credalfans.exactla import (
     SpanWitness,
     dot,
-    expand_in_basis,
     format_rat,
     in_nonneg_span,
     is_multiple,
@@ -18,7 +17,6 @@ from credalfans.exactla import (
     rank,
     rat,
     solve_nonneg,
-    solve_square,
     solve_unique,
     unit,
     vadd,
@@ -85,14 +83,14 @@ def test_rank_degenerate_cases():
 
 def test_solve_square_unique():
     a = rows([2, 1], [1, -1])
-    x = solve_square(a, vec([4, -1]))
+    x = solve_unique(a, vec([4, -1]))
     assert x == vec([1, 2])
 
 
 def test_solve_square_singular_is_none():
     a = rows([1, 2], [2, 4])
-    assert solve_square(a, vec([1, 2])) is None  # consistent but not unique
-    assert solve_square(a, vec([1, 3])) is None  # inconsistent
+    assert solve_unique(a, vec([1, 2])) is None  # consistent but not unique
+    assert solve_unique(a, vec([1, 3])) is None  # inconsistent
 
 
 def test_solve_unique_overdetermined():
@@ -117,19 +115,6 @@ def test_nullspace_counts_and_orthogonality():
         assert lead > 0
     with pytest.raises(ValueError):
         nullspace([])
-
-
-def test_expand_in_basis():
-    cols = rows([1, 0, 1], [0, 1, 1])
-    assert expand_in_basis(cols, vec([2, 3, 5])) == vec([2, 3])
-    assert expand_in_basis(cols, vec([2, 3, 4])) is None
-    with pytest.raises(ValueError):
-        expand_in_basis(rows([1, 1], [2, 2]), vec([1, 1]))
-    assert expand_in_basis([], zeros(2)) == ()
-    assert expand_in_basis([], vec([1, 0])) is None
-
-
-# ---------------------------------------------------------------- cones
 
 
 def test_in_nonneg_span_unique_witness():
@@ -189,7 +174,7 @@ def test_solve_square_reconstructs(m, data):
     n = len(m)
     x = data.draw(st.lists(small_rats, min_size=n, max_size=n))
     b = [dot(row, x) for row in m]
-    got = solve_square(m, b)
+    got = solve_unique(m, b)
     if rank(m) == n:
         assert got is not None
         assert [dot(row, got) for row in m] == b

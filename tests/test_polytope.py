@@ -129,19 +129,12 @@ def test_oracle_guards():
     assert len(vertices_bruteforce(simplex(7), max_dim=7)) == 7
 
 
-def test_split_equalities_same_vertices():
-    split = PRI3.split_equalities()
-    assert split.equalities == ()
-    a = [v.point for v in vertices_bruteforce(PRI3)]
-    b = [v.point for v in vertices_bruteforce(split)]
-    assert a == b
-
-
 def test_every_vertex_has_full_rank_active_set():
     from credalfans.exactla import rank
 
     for v in vertices_bruteforce(PRI3):
-        normals = [PRI3.constraint(i)[0] for i in sorted(v.active)]
+        rows = PRI3.inequalities + PRI3.equalities
+        normals = [rows[i][0] for i in sorted(v.active)]
         assert rank(normals) == PRI3.dim
 
 

@@ -9,20 +9,17 @@ import random
 import pytest
 
 from credalfans.chains2mono import chain_cone, chain_fan, choquet, is_two_monotone
-from credalfans.cones import contains, is_mesc
+from credalfans.cones import Cone, contains, is_mesc
 from credalfans.credal import IncoherenceError, OutcomeSpace, SchemaError, natural_extension
-from credalfans.exactla import dot, unit, vec
+from credalfans.exactla import dot, in_nonneg_span, ones, unit, vec
 from credalfans.fanwalk import verify_graph, walk
 from credalfans.polytope import vertices_bruteforce
 from credalfans.pri import (
     PRIModel,
     PriCone,
     as_lower_prevision,
-    comonotone_cones_in,
-    cone_membership,
     count_bounds,
     enumerate_extreme_pri,
-    gens_for_cone,
     induced_2mono,
     is_coherent_pri,
     locate_cone,
@@ -30,7 +27,6 @@ from credalfans.pri import (
     pri_from_json,
     pri_hrep,
     pri_neighbors,
-    to_cone,
     vertex_for_cone,
 )
 
@@ -89,37 +85,30 @@ class TestConeCalculus:
 
     def test_gens_are_row_normals(self):
         c = PriCone(0, frozenset({1}), frozenset({2}))
-        assert set(gens_for_cone(c, 3)) == {unit(3, 1), (Q(1), Q(1), Q(0))}
-        h, uni = pri_hrep(pri3())
-        assert set(gens_for_cone(c, 3)) <= set(uni)
+        gens = _cone_of(c, pri3()).generators
+        assert set(gens) == {unit(3, 1), (Q(1), Q(1), Q(0))}
+        _, uni = pri_hrep(pri3())
+        assert set(gens) <= set(uni)
 
     def test_cone_is_mesc_over_interval_universe(self):
+        points, graph = enumerate_extreme_pri(pri3())
         _, uni = pri_hrep(pri3())
-        c = to_cone(PriCone(0, frozenset({1}), frozenset({2})), 3)
-        assert is_mesc(c, uni)
-
-    def test_membership_sign_pattern(self):
-        c = PriCone(1, frozenset({0}), frozenset({2}))
-        assert cone_membership(c, (2, 1, 0)) == (True, True)
-        assert cone_membership(c, (1, 1, 0)) == (True, False)  # wall: f(x1)=f(x2)
-        assert cone_membership(c, (0, 1, 2)) == (False, False)
-        assert cone_membership(c, (1, 1, 1)) == (True, False)  # apex: lineality only
-
-    def test_membership_matches_exact_cone(self):
-        c = PriCone(1, frozenset({0}), frozenset({2, 3}))
-        cone = to_cone(c, 4)
-        rng = random.Random(3)
-        for _ in range(30):
-            f = random_gamble(rng, 4, den=4, lo=-2, hi=2)
-            assert cone_membership(c, f)[0] == contains(cone, f)
+        assert len(graph.nodes) == 6
+        for node in graph.nodes:
+            assert is_mesc(Cone(tuple(uni.vectors[i] for i in node.gens), (ones(3),)), uni)
 
     def test_locate_generic(self):
         (c,) = locate_cone((3, 1, 2))
         assert (c.x, c.a, c.b) == (2, frozenset({0}), frozenset({1}))
-        cones = locate_cone((5, 1, 3, 2))
+        f = vec((5, 1, 3, 2))
+        cones = locate_cone(f)
         assert len(cones) == 2
         for c in cones:
-            assert cone_membership(c, (5, 1, 3, 2)) == (True, True)
+            # the cones are simplicial, so the conic witness is unique and
+            # the relative interior is where it is strictly positive
+            cone = _cone_of(c, pri_uniform(4, 0, 1))
+            w = in_nonneg_span(cone.generators, cone.lineality, f)
+            assert w is not None and all(a > 0 for a in w.coeffs)
 
     def test_locate_on_wall_or_constant(self):
         assert locate_cone((1, 1, 0)) == ()
@@ -184,8 +173,17 @@ class TestNeighbors:
                 assert walls_covered == c.a | c.b
 
 
+def _cone_of(c, m):
+    """The cone of (x, A, B) over pri_hrep(m)'s rows: the lower row of each
+    y in A and the upper row of each z in B generate, the constants are
+    lineality."""
+    h, _ = pri_hrep(m)
+    rows = [f for f, _ in h.inequalities]
+    return Cone([rows[y] for y in c.a] + [rows[m.n + z] for z in c.b], (ones(m.n),))
+
+
 def _cone_from_gens(gens, m):
-    """Invert gens_for_cone: map the universe indices back through
+    """Invert _cone_of on graph keys: map the universe indices back through
     pri_hrep's universe, then singletons go to A, complements to B."""
     n = m.n
     _, uni = pri_hrep(m)
@@ -338,31 +336,30 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_bounds(2)
 
-    def test_comonotone_cone_counts(self):
-        assert comonotone_cones_in(PriCone(0, frozenset({1}), frozenset({2}))) == 1
-        big = PriCone(0, frozenset(range(1, 6)), frozenset(range(6, 10)))
-        assert comonotone_cones_in(big) == 120 * 24
-
     def test_refinement_counts_cover_chains(self):
-        # a generic gamble lies in n - 2 interval cones, so summing the
-        # chain-cone counts over every full cone with both sides nonempty
-        # covers each of the n! chains exactly n - 2 times
+        # a generic gamble lies in n - 2 interval cones, and the chain
+        # cones refining the interval cone (x, A, B) order A and B freely
+        # on their own sides, so every full cone with both sides nonempty
+        # is hit by |A|! |B|! of the n! chains
         for n in (3, 4, 5):
-            total = 0
-            for x in range(n):
-                rest = [y for y in range(n) if y != x]
-                for r in range(1, n - 1):
-                    for a in itertools.combinations(rest, r):
-                        c = PriCone(x, frozenset(a), frozenset(rest) - frozenset(a))
-                        total += comonotone_cones_in(c)
-            assert total == math.factorial(n) * (n - 2)
+            hits = {}
+            for chain in chain_fan(n):
+                cc = chain_cone(chain)
+                probe = vec([sum(g[i] for g in cc.generators) for i in range(n)])
+                for pc in locate_cone(probe):
+                    hits[pc] = hits.get(pc, 0) + 1
+            assert len(hits) == n * (2 ** (n - 1) - 2)
+            assert sum(hits.values()) == math.factorial(n) * (n - 2)
+            for pc, count in hits.items():
+                assert count == math.factorial(len(pc.a)) * math.factorial(len(pc.b))
 
     def test_chain_cones_refine_interval_cones(self):
+        m = pri_uniform(4, 0, 1)
         for chain in chain_fan(4):
             cc = chain_cone(chain)
             probe = vec([sum(g[i] for g in cc.generators) for i in range(4)])
             for pc in locate_cone(probe):
-                target = to_cone(pc, 4)
+                target = _cone_of(pc, m)
                 for g in cc.generators:
                     assert contains(target, g)
 
