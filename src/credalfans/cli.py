@@ -134,9 +134,13 @@ def _require_two_monotone(model):
 def _chain_model(tag, model):
     """The 2-monotone lower probability the chains engine works on."""
     if tag == "pri":
-        if not pri.is_coherent_pri(model).proper:
+        rep = pri.is_coherent_pri(model)
+        if not rep.proper:
             raise PropertyError("improper interval model: no distribution fits the bounds")
         model = pri.induced_2mono(model)
+        if rep.coherent:
+            # the envelope of reachable intervals is 2-monotone: no O(4^n) scan
+            return model
     _require_two_monotone(model)
     return model
 
@@ -205,24 +209,29 @@ ENGINES = {
 }
 
 
-def _guard_advice(exc, engine):
+def _guard_advice(exc, engine, tag):
+    """The guard's refusal plus a hint naming only engines that _pick_engine
+    accepts for this model type."""
+    structured = {"pri": "--engine pri or --engine chains", "lower_probability": "--engine chains"}
+    if tag not in structured:
+        return f"{exc} (no structured engine applies to a {tag} model; reduce the instance size)"
     hints = {
-        "walk": "use --engine pri or --engine chains for structured models of this size",
+        "walk": f"use {structured[tag]} for structured models of this size",
         "oracle": "the oracle is restricted to small instances; use a structured engine",
     }
     return f"{exc} ({hints.get(engine, 'reduce the instance size')})"
 
 
-def _run_engine(engine, step, *args):
-    """Run one engine step, mapping the engines' exceptions to exit classes."""
+def _run_engine(engine, step, tag, *args):
+    """Run step(tag, *args), mapping the engines' exceptions to exit classes."""
     try:
-        return step(*args)
+        return step(tag, *args)
     except credal.IncoherenceError as exc:
         raise PropertyError(str(exc)) from None
     except EmptyPolytopeError as exc:
         raise PropertyError(f"empty credal set: {exc}") from None
     except OracleGuardError as exc:
-        raise InputError(_guard_advice(exc, engine)) from None
+        raise InputError(_guard_advice(exc, engine, tag)) from None
 
 
 def _start(args, command):
@@ -328,7 +337,7 @@ def _cmd_check(args):
             report.add("violation", f"{format_rat(rep.lhs)} < {format_rat(rep.rhs)}")
         ok = rep.ok
     else:
-        rep = _run_engine("oracle", credal.is_coherent, model)
+        rep = _run_engine("oracle", lambda tag, model: credal.is_coherent(model), tag, model)
         report.add("empty", rep.empty)
         report.add("coherent", rep.coherent)
         for chk in rep.failures():

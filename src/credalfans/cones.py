@@ -7,6 +7,10 @@ with the constant-one vector, form a basis, and which absorbs no other
 member of U. MESCs are the maximal cells available for triangulating a
 normal fan whose rays are drawn from U, which is what makes the adjacency
 walk work.
+
+Both MESC questions are read off the dual basis of the generators plus
+constant-one (``dual_basis``): its rows are the wall normals, and give the
+coordinates of any vector, so membership is a sign test.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactla import (
+    SpanWitness,
     dot,
     in_nonneg_span,
     is_multiple,
-    nullspace,
     ones,
-    rank,
+    solve_unique,
+    unit,
     vec,
 )
 
@@ -29,6 +34,8 @@ __all__ = [
     "MescFailure",
     "AdjacencyPreconditionError",
     "contains",
+    "dual_basis",
+    "absorbed",
     "mesc_failure",
     "is_mesc",
     "are_adjacent",
@@ -126,26 +133,46 @@ def _require_constant_lineality(c: Cone) -> int:
     return n
 
 
+def dual_basis(generators, n: int):
+    """Rows t_i with t_i . b_j == [i == j] over the basis b = generators +
+    (constant-one), one exact solve per row; None when b is not a basis.
+    The coordinates of v in b are t_i . v, so a generator's row is the
+    normal of the wall opposite it."""
+    basis = list(generators) + [ones(n)]
+    if len(basis) != n:
+        return None
+    rows = tuple(solve_unique(basis, unit(n, i)) for i in range(n))
+    return None if None in rows else rows
+
+
+def absorbed(dual, vectors):
+    """(v, witness) for the first of vectors in cone(generators) +
+    span(constant-one), given the generators' dual basis, else None. The
+    witness is unique: its coefficients are the coordinates t_i . v."""
+    *gen_rows, shift = dual
+    for v in vectors:
+        if all(dot(t, v) >= 0 for t in gen_rows):
+            return v, SpanWitness(tuple(dot(t, v) for t in gen_rows), (dot(shift, v),))
+    return None
+
+
 def mesc_failure(c: Cone, universe: SupportUniverse):
     """None if c is a MESC over the universe, else the first failure found.
 
     Universe vectors that are constant (multiples of the lineality
     direction) are skipped: they lie in every cone considered here.
+    Absorption is read off the dual basis; no LP is solved.
     """
     n = _require_constant_lineality(c)
     gens = c.generators
     if len(gens) != n - 1:
         return MescFailure("size")
-    if rank(list(gens) + [ones(n)]) != n:
+    dual = dual_basis(gens, n)
+    if dual is None:
         return MescFailure("dependent")
-    gen_set = set(gens)
-    for u in universe:
-        if u in gen_set or is_multiple(u, ones(n)):
-            continue
-        w = in_nonneg_span(gens, c.lineality, u)
-        if w is not None:
-            return MescFailure("absorbs", u, w)
-    return None
+    one = ones(n)
+    found = absorbed(dual, (u for u in universe if u not in gens and not is_multiple(u, one)))
+    return None if found is None else MescFailure("absorbs", *found)
 
 
 def is_mesc(c: Cone, universe: SupportUniverse) -> bool:
@@ -155,15 +182,16 @@ def is_mesc(c: Cone, universe: SupportUniverse) -> bool:
 def are_adjacent(a: Cone, b: Cone) -> bool:
     """Sign test for two MESCs sharing all generators but one.
 
-    Let t span the orthogonal complement of the shared generators together
-    with the lineality. The cones lie on opposite sides of that common
-    hyperplane (share a facet) iff the two swapped generators take opposite
-    signs against t. Raises AdjacencyPreconditionError unless the inputs
-    share exactly all-but-one generator, agree on lineality, and the shared
-    span has codimension one.
+    The row t of a's dual basis that belongs to f, the generator b lacks,
+    is the normal of the common wall (t . f == 1), so the cones lie on
+    opposite sides iff t . g < 0 for b's new generator g. Raises
+    AdjacencyPreconditionError unless both lineality spaces are exactly
+    {constant-one}, the inputs share exactly all-but-one generator, and a's
+    generators plus constant-one are a basis.
     """
-    if a.lineality != b.lineality:
-        raise AdjacencyPreconditionError("lineality mismatch")
+    n = a.dim_ambient
+    if not a.lineality == b.lineality == (ones(n),):
+        raise AdjacencyPreconditionError("lineality must be exactly {constant-one} on both cones")
     sa, sb = set(a.generators), set(b.generators)
     if len(sa) != len(sb):
         raise AdjacencyPreconditionError("generator counts differ")
@@ -174,11 +202,7 @@ def are_adjacent(a: Cone, b: Cone) -> bool:
         )
     (f,) = sa - sb
     (g,) = sb - sa
-    basis = nullspace(sorted(shared) + list(a.lineality))
-    if len(basis) != 1:
-        raise AdjacencyPreconditionError(
-            "shared generators plus lineality do not span a hyperplane"
-        )
-    t = basis[0]
-    sf, sg = dot(f, t), dot(g, t)
-    return (sf < 0 < sg) or (sg < 0 < sf)
+    dual = dual_basis(a.generators, n)
+    if dual is None:
+        raise AdjacencyPreconditionError("generators plus constant-one are not a basis")
+    return dot(g, dual[a.generators.index(f)]) < 0

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cones import SupportUniverse
+from .cones import SupportUniverse, absorbed, dual_basis
 from .exactla import (
     ZERO,
     dot,
@@ -36,7 +36,6 @@ from .exactla import (
     indicator,
     is_multiple,
     ones,
-    rank,
     rat,
     solve_nonneg,
     unit,
@@ -235,18 +234,13 @@ def _nonneg_row_implied(x: int, other_rows, n: int) -> bool:
     """
     normals = [f for f, _ in other_rows]
     m = len(normals)
-    rows_dim = m + 2
-
-    def column(entries):
-        return vec(entries)
-
     cols = []
     for i in range(n):  # d+ part
-        cols.append(column([g[i] for g in normals] + [1, 1 if i == x else 0]))
+        cols.append(vec([g[i] for g in normals] + [1, 1 if i == x else 0]))
     for i in range(n):  # d- part
-        cols.append(column([-g[i] for g in normals] + [-1, -1 if i == x else 0]))
+        cols.append(vec([-g[i] for g in normals] + [-1, -1 if i == x else 0]))
     for j in range(m):  # slack per inequality
-        cols.append(column([-1 if k == j else 0 for k in range(m)] + [0, 0]))
+        cols.append(vec([-1 if k == j else 0 for k in range(m)] + [0, 0]))
     target = vec([0] * m + [0, -1])
     if solve_nonneg(cols, target) is not None:
         return False
@@ -257,7 +251,10 @@ def _nonneg_row_implied(x: int, other_rows, n: int) -> bool:
     return min(v.point[x] for v in vs) >= 0
 
 
-@lru_cache(maxsize=None)
+CACHE_SIZE = 64  # models per cache; the least recently used are evicted
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def build_credal_hrep(lp: LowerPrevision):
     """H-representation of the credal set plus its support universe.
 
@@ -297,12 +294,6 @@ def build_credal_hrep(lp: LowerPrevision):
     return h, SupportUniverse(tuple(sorted(universe)))
 
 
-@lru_cache(maxsize=None)
-def _credal_vertices(lp: LowerPrevision):
-    h, _ = build_credal_hrep(lp)
-    return vertices_bruteforce(h)
-
-
 @dataclass(frozen=True)
 class AssessmentCheck:
     gamble: Gamble
@@ -324,20 +315,26 @@ class CoherenceReport:
         return tuple(c for c in self.checks if c.attained is None or not c.tight)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _credal_vertices(lp: LowerPrevision):
+    """The vertex set of the credal set and the coherence report read off
+    it, computed once per model."""
+    h, _ = build_credal_hrep(lp)
+    vs = vertices_bruteforce(h)
+    checks = tuple(
+        AssessmentCheck(a.gamble, a.lower,
+                        min((dot(a.gamble.values, v.point) for v in vs), default=None))
+        for a in lp.assessments
+    )
+    return vs, CoherenceReport(bool(vs) and all(c.tight for c in checks), not vs, checks)
+
+
 def is_coherent(lp: LowerPrevision) -> CoherenceReport:
     """Envelope check: the credal set must be nonempty and every assessed
     bound must equal the exact minimum of its gamble over the set. A bound
     strictly below the minimum is not attained (the assessment is too weak
     to be an envelope value); a bound above would empty the set."""
-    vs = _credal_vertices(lp)
-    if not vs:
-        checks = tuple(AssessmentCheck(a.gamble, a.lower, None) for a in lp.assessments)
-        return CoherenceReport(False, True, checks)
-    checks = []
-    for a in lp.assessments:
-        attained = min(dot(a.gamble.values, v.point) for v in vs)
-        checks.append(AssessmentCheck(a.gamble, a.lower, attained))
-    return CoherenceReport(all(c.tight for c in checks), False, tuple(checks))
+    return _credal_vertices(lp)[1]
 
 
 def _as_vector(lp: LowerPrevision, f):
@@ -355,16 +352,17 @@ def natural_extension(lp: LowerPrevision, f):
     """Exact lower envelope value min {p . f : p in the credal set}.
 
     Defined here only for coherent lp (IncoherenceError otherwise); the
-    minimum is taken over the cached vertex set.
+    minimum is taken over the cached vertex set, next to which the
+    coherence report is cached.
     """
-    report = is_coherent(lp)
+    vs, report = _credal_vertices(lp)
     if not report.coherent:
         raise IncoherenceError(
             "natural extension requires a coherent lower prevision"
             + (" (empty credal set)" if report.empty else "")
         )
     v = _as_vector(lp, f)
-    return min(dot(v, vtx.point) for vtx in _credal_vertices(lp))
+    return min(dot(v, vtx.point) for vtx in vs)
 
 
 def cone_additivity_check(lp: LowerPrevision, vertex_point, g, h):
@@ -430,7 +428,7 @@ def is_event_mesc(col: EventCollection, space: OutcomeSpace) -> EventMescReport:
     The necessary structure is checked in increasing cost order: right
     count, no disjoint pair, no pair covering the sure event, indicators
     plus constant-one a basis, and finally no other event indicator
-    absorbed by the cone.
+    absorbed by the cone, read off the dual basis of the indicators.
     """
     n = space.n
     omega = frozenset(range(n))
@@ -448,18 +446,15 @@ def is_event_mesc(col: EventCollection, space: OutcomeSpace) -> EventMescReport:
         if a | b == omega:
             return EventMescReport(False, "covering-pair", (a, b))
     gens = [indicator(n, e) for e in members]
-    if rank(gens + [ones(n)]) != n:
+    dual = dual_basis(gens, n)
+    if dual is None:
         return EventMescReport(False, "dependent", tuple(members))
-    gen_set = set(gens)
-    for r in range(1, n):
-        for s in itertools.combinations(range(n), r):
-            u = indicator(n, s)
-            if u in gen_set:
-                continue
-            w = in_nonneg_span(gens, [ones(n)], u)
-            if w is not None:
-                return EventMescReport(False, "absorbs", (frozenset(s),), w)
-    return EventMescReport(True)
+    events = {indicator(n, s): frozenset(s)
+              for r in range(1, n) for s in itertools.combinations(range(n), r)}
+    found = absorbed(dual, (u for u in events if u not in gens))
+    if found is None:
+        return EventMescReport(True)
+    return EventMescReport(False, "absorbs", (events[found[0]],), found[1])
 
 
 # ----------------------------------------------------------------- JSON

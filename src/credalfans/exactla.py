@@ -31,7 +31,6 @@ __all__ = [
     "is_multiple",
     "rank",
     "solve_unique",
-    "nullspace",
     "solve_nonneg",
     "SpanWitness",
     "in_nonneg_span",
@@ -174,37 +173,6 @@ def solve_unique(rows, rhs):
             acc -= row[j] * x[j]
         x[p] = acc / row[p]
     return tuple(x)
-
-
-def nullspace(rows) -> list[tuple]:
-    """Basis of {x : row . x = 0 for every row}, one vector per free column.
-
-    Each basis vector is sign-normalized so its first nonzero entry is
-    positive. Requires at least one row (the ambient dimension is read off
-    the rows).
-    """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("nullspace needs at least one row to fix the dimension")
-    n = len(rows[0])
-    m, piv = _echelon(_int_rows(rows))
-    free = [c for c in range(n) if c not in piv]
-    basis = []
-    for fc in free:
-        x = [ZERO] * n
-        x[fc] = ONE
-        for k in reversed(range(len(piv))):
-            p = piv[k]
-            row = m[k]
-            acc = ZERO
-            for j in range(p + 1, n):
-                acc += row[j] * x[j]
-            x[p] = -acc / row[p]
-        lead = next(a for a in x if a != 0)
-        if lead < 0:
-            x = [-a for a in x]
-        basis.append(tuple(x))
-    return basis
 
 
 def solve_nonneg(columns, target):

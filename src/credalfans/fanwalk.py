@@ -8,6 +8,11 @@ another feasible MESC are its neighbours. Every neighbour certifies an
 extreme point by solving the active-constraint system, so the walk yields
 the vertex set and the cone adjacency graph together.
 
+Nodes are keyed by sorted universe indices. Each node's dual basis
+(``cones.dual_basis``) is computed once: its rows are the wall normals, so
+a wall is crossed by the sign test f2 . t < 0, and MESC tests are dot
+products. Only the seed comes from an LP (``lp_min``).
+
 The walk is deterministic for a fixed model and seed. Node count is bounded
 by the number of feasible MESCs over the universe; for models whose normal
 cones are themselves simplicial this is exactly one node per vertex.
@@ -15,28 +20,20 @@ cones are themselves simplicial this is exactly one node per vertex.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
 
-from .cones import (
-    AdjacencyPreconditionError,
-    Cone,
-    SupportUniverse,
-    are_adjacent,
-    is_mesc,
-    mesc_failure,
-)
-from .exactla import in_nonneg_span, is_multiple, ones, rat, solve_unique, vec
+from .cones import SupportUniverse, absorbed, dual_basis
+from .exactla import dot, is_multiple, ones, rat, solve_unique
 from .polytope import HPolytope, lp_min
 
 __all__ = [
     "MescNode",
     "MescGraph",
     "FanReport",
-    "SingularSystemError",
     "SeedSearchError",
-    "extreme_point_of",
     "neighbor_candidates",
     "walk",
     "verify_graph",
@@ -44,28 +41,22 @@ __all__ = [
     "graph_to_json",
 ]
 
-
-class SingularSystemError(ValueError):
-    """The active-constraint system of the cone has no unique solution."""
+# Generic directions tried for the seed before the walk gives up.
+SEED_ATTEMPTS = 32
 
 
 class SeedSearchError(RuntimeError):
-    """No starting MESC found after the configured number of attempts."""
+    """No starting MESC found after SEED_ATTEMPTS generic directions."""
 
 
 @dataclass(frozen=True)
 class MescNode:
-    """A MESC plus the vertex it certifies. In a graph, gens is the sorted
-    tuple of the generators' indices in the engine's SupportUniverse; the
-    universe is stored sorted, so index order is generator order.
-    neighbor_candidates, which works on cones, gives the generator vectors
-    themselves, and walk maps them to indices."""
+    """A MESC plus the vertex it certifies. gens is the sorted tuple of the
+    generators' indices in the engine's SupportUniverse; the universe is
+    stored sorted, so index order is generator order."""
 
     gens: tuple
     vertex: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(sorted(self.gens)))
 
 
 @dataclass(frozen=True)
@@ -84,80 +75,62 @@ class MescGraph:
         return frozenset(n.vertex for n in self.nodes)
 
 
-def _bounds_map(h: HPolytope) -> dict:
-    """Tightest bound per inequality normal (duplicate normals collapse to
-    the binding row)."""
+def _active_table(h: HPolytope, universe: SupportUniverse) -> dict:
+    """Universe index -> tightest bound of that inequality normal in h (None
+    when it is no normal of h), over the non-constant universe vectors."""
     bounds: dict = {}
     for f, b in h.inequalities:
         if f not in bounds or b > bounds[f]:
             bounds[f] = b
-    return bounds
+    one = ones(universe.dim)
+    return {i: bounds.get(v) for i, v in enumerate(universe.vectors) if not is_multiple(v, one)}
 
 
-def extreme_point_of(c: Cone, h: HPolytope) -> tuple:
-    """Solve the cone's active system: x . g == bound(g) for every generator
-    plus every equality of h. The solution is the unique candidate vertex
-    certified by the cone; feasibility is the caller's concern.
-
-    Raises SingularSystemError when the system has no unique solution, and
-    ValueError when a generator is not a constraint normal of h.
-    """
-    bounds = _bounds_map(h)
-    rows = [f for f, _ in h.equalities]
-    rhs = [b for _, b in h.equalities]
-    for g in c.generators:
-        if g not in bounds:
-            raise ValueError("cone generator is not an inequality normal of the polytope")
-        rows.append(g)
-        rhs.append(bounds[g])
-    x = solve_unique(rows, rhs)
-    if x is None:
-        raise SingularSystemError("active system of the cone is singular")
-    return x
+def _mesc_dual(key, universe: SupportUniverse, table: dict, cache: dict):
+    """The dual basis of the cone on these universe indices when it is a
+    MESC over the universe, else None; memoized in cache."""
+    if key not in cache:
+        vectors = universe.vectors
+        dual = dual_basis([vectors[i] for i in key], universe.dim)
+        mesc = dual is not None and not absorbed(dual, (vectors[j] for j in table if j not in key))
+        cache[key] = dual if mesc else None
+    return cache[key]
 
 
-def neighbor_candidates(c: Cone, dropped, h: HPolytope, universe: SupportUniverse, cache=None):
-    """MESC neighbours of c across the wall opened by removing ``dropped``.
+def neighbor_candidates(key, dropped, t, h: HPolytope, universe: SupportUniverse,
+                        table: dict, cache: dict):
+    """MESC neighbours of the node on universe indices key across the wall
+    opened by dropping index ``dropped``; t is the wall's normal, the node's
+    dual-basis row of that generator.
 
-    A universe vector f2 yields a neighbour when the completed cone lies on
-    the opposite side of the wall (sign test), certifies a feasible point of
-    h, and is itself a MESC. All surviving candidates certify the same
-    vertex on non-degenerate input; the returned tuple keeps every candidate
-    achieving the lexicographically smallest certified vertex.
+    A universe vector f2 yields a neighbour when f2 . t < 0, the completed
+    active system certifies a feasible point of h, and the completed cone
+    is a MESC. All surviving candidates certify the same vertex on
+    non-degenerate input; the returned tuple keeps every candidate
+    achieving the lexicographically smallest certified vertex. table is
+    the walk's ``_active_table(h, universe)`` and cache its memo of
+    ``_mesc_dual``.
 
     The returned tuple is empty only when h is degenerate across that wall.
     """
-    dropped = vec(dropped)
-    if dropped not in c.generators:
-        raise ValueError("dropped vector is not a generator of the cone")
-    n = c.dim_ambient
-    one = ones(n)
-    shared = tuple(g for g in c.generators if g != dropped)
-    if cache is None:
-        cache = {}
+    if dropped not in key:
+        raise ValueError("dropped index is not a generator of the node")
+    vectors = universe.vectors
+    shared = tuple(i for i in key if i != dropped)
+    eq_rows = [f for f, _ in h.equalities]
+    eq_rhs = [b for _, b in h.equalities]
     found = []
-    for f2 in universe:
-        if f2 in c.generators or is_multiple(f2, one):
+    for j, bound in table.items():
+        if dot(vectors[j], t) >= 0:
             continue
-        cand = Cone(shared + (f2,), c.lineality)
-        if len(cand.generators) != len(c.generators):
+        if bound is None:
+            raise ValueError("universe vector is not an inequality normal of the polytope")
+        nk = tuple(sorted(shared + (j,)))
+        point = solve_unique(eq_rows + [vectors[i] for i in nk], eq_rhs + [table[i] for i in nk])
+        if point is None or not h.is_feasible(point):
             continue
-        try:
-            if not are_adjacent(c, cand):
-                continue
-        except AdjacencyPreconditionError:
-            continue
-        try:
-            point = extreme_point_of(cand, h)
-        except SingularSystemError:
-            continue
-        if not h.is_feasible(point):
-            continue
-        if cand.generators not in cache:
-            cache[cand.generators] = is_mesc(cand, universe)
-        if not cache[cand.generators]:
-            continue
-        found.append(MescNode(cand.generators, point))
+        if _mesc_dual(nk, universe, table, cache) is not None:
+            found.append(MescNode(nk, point))
     if not found:
         return ()
     best = min(node.vertex for node in found)
@@ -170,73 +143,55 @@ def _generic_direction(n: int, rng: random.Random) -> tuple:
     return tuple(rat(a) / den for a in nums)
 
 
-def _find_seed(h: HPolytope, universe: SupportUniverse, direction):
+def _find_seed(h: HPolytope, universe: SupportUniverse, table: dict, direction, cache: dict):
     """A MESC containing the direction inside the normal cone of the vertex
     minimizing it, or None when the active set spans no such MESC."""
-    import itertools
-
-    n = h.dim
-    one = ones(n)
     _, vtx = lp_min(h, direction)
+    index = {v: i for i, v in enumerate(universe.vectors)}
     m = len(h.inequalities)
-    active_normals = sorted(
-        {
-            h.inequalities[i][0]
-            for i in vtx.active
-            if i < m
-            and h.inequalities[i][0] in universe
-            and not is_multiple(h.inequalities[i][0], one)
-        }
-    )
-    for combo in itertools.combinations(active_normals, n - 1):
-        if in_nonneg_span(combo, [one], direction) is None:
-            continue
-        cand = Cone(combo, (one,))
-        if mesc_failure(cand, universe) is None:
-            return MescNode(cand.generators, vtx.point)
+    active = sorted({index.get(h.inequalities[i][0]) for i in vtx.active if i < m} & table.keys())
+    for key in itertools.combinations(active, h.dim - 1):
+        dual = _mesc_dual(key, universe, table, cache)
+        if dual is not None and absorbed(dual, [direction]):
+            return MescNode(key, vtx.point)
     return None
 
 
-def walk(h: HPolytope, universe: SupportUniverse, *, seed: int = 0, max_attempts: int = 32) -> MescGraph:
+def walk(h: HPolytope, universe: SupportUniverse, *, seed: int = 0) -> MescGraph:
     """Full adjacency walk: seed a MESC, then breadth-first cross every wall
     of every discovered node. Deterministic given (h, universe, seed).
 
     Raises SeedSearchError when no starting MESC is found (after
-    max_attempts generic directions) and propagates EmptyPolytopeError when
-    h has no vertices at all.
+    SEED_ATTEMPTS generic directions) and propagates EmptyPolytopeError
+    when h has no vertices at all.
     """
     n = h.dim
-    one = ones(n)
+    table = _active_table(h, universe)
+    cache: dict = {}  # key -> dual basis of a MESC, or None
     start = None
-    for attempt in range(max_attempts):
+    for attempt in range(SEED_ATTEMPTS):
         rng = random.Random(seed * 1000003 + attempt)
-        direction = _generic_direction(n, rng)
-        start = _find_seed(h, universe, direction)
+        start = _find_seed(h, universe, table, _generic_direction(n, rng), cache)
         if start is not None:
             break
     if start is None:
-        raise SeedSearchError(f"no seed MESC found in {max_attempts} attempts")
-    uindex = {v: i for i, v in enumerate(universe.vectors)}
-    mesc_cache = {start.gens: True}
-    key = tuple(uindex[g] for g in start.gens)
-    nodes = {key: MescNode(key, start.vertex)}
+        raise SeedSearchError(f"no seed MESC found in {SEED_ATTEMPTS} attempts")
+    nodes = {start.gens: start}
     edges = set()
     incomplete = []
-    queue = deque([key])
+    queue = deque([start.gens])
     while queue:
         key = queue.popleft()
-        cone = Cone(tuple(universe.vectors[i] for i in key), (one,))
-        for i, dropped in zip(key, cone.generators):
-            cands = neighbor_candidates(cone, dropped, h, universe, cache=mesc_cache)
+        for i, t in zip(key, cache[key]):
+            cands = neighbor_candidates(key, i, t, h, universe, table, cache)
             if not cands:
                 incomplete.append((key, i))
                 continue
             for cand in cands:
-                nk = tuple(uindex[g] for g in cand.gens)
-                if nk not in nodes:
-                    nodes[nk] = MescNode(nk, cand.vertex)
-                    queue.append(nk)
-                edges.add(frozenset({key, nk}))
+                if cand.gens not in nodes:
+                    nodes[cand.gens] = cand
+                    queue.append(cand.gens)
+                edges.add(frozenset({key, cand.gens}))
     ordered = tuple(nodes[k] for k in sorted(nodes))
     return MescGraph(ordered, frozenset(edges), tuple(incomplete))
 

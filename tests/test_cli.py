@@ -8,6 +8,7 @@ stderr when data owns stdout, report on stdout otherwise.
 import csv
 import hashlib
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -298,6 +299,34 @@ class TestNatex:
         assert code == 1
         assert "coherent" in err
 
+    def test_chains_skips_two_monotone_scan_on_coherent_intervals(
+            self, capsys, monkeypatch, tmp_path):
+        # the induced event envelope of a coherent interval model is
+        # 2-monotone by construction: no O(4^n) scan of event pairs
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({f"x{i}": str(i % 4) for i in range(1, 11)}))
+        argv = ["natex", "--model", model("pri_n10_uniform_max.json"), "--gamble", str(gpath)]
+        code, out, _ = run(capsys, *argv, "--engine", "pri")
+        assert code == 0
+
+        def scan(*args):
+            raise AssertionError("2-monotonicity scan of a coherent interval model")
+
+        monkeypatch.setattr(chains2mono, "is_two_monotone", scan)
+        code, chains_out, _ = run(capsys, *argv, "--engine", "chains")
+        assert code == 0
+        assert report_get(chains_out, "value") == report_get(out, "value")
+
+    def test_chains_still_scans_unreachable_intervals(self, capsys, monkeypatch):
+        calls = []
+        scan = chains2mono.is_two_monotone
+        monkeypatch.setattr(chains2mono, "is_two_monotone",
+                            lambda lowprob: calls.append(lowprob) or scan(lowprob))
+        code, _, _ = run(capsys, "natex", "--model", model("pri_n3_unreachable.json"),
+                         "--engine", "chains", "--gamble", model("gamble_n3.json"))
+        assert code == 0
+        assert calls
+
     def test_bad_gamble_schema(self, capsys, tmp_path):
         gpath = tmp_path / "g.json"
         gpath.write_text(json.dumps({"x1": "1", "x2": "2"}))
@@ -398,17 +427,24 @@ class TestInputErrors:
         assert "does not apply" in err
 
 
+SEVEN = list("abcdefg")
+
+
+def prevision7(tmp_path):
+    """A seven-outcome lower prevision: building its credal set already asks
+    the oracle whether the nonnegativity rows are implied, and it refuses."""
+    path = tmp_path / "m7.json"
+    path.write_text(json.dumps({
+        "type": "lower_prevision", "outcomes": SEVEN,
+        "assessments": [{"gamble": {x: "2" if x == "a" else "1" for x in SEVEN},
+                         "lower": "1"}],
+    }))
+    return path
+
+
 class TestRefusals:
     def test_guard_refusal_is_exit_2(self, capsys, tmp_path):
-        # seven outcomes: building the credal set already asks the oracle
-        # whether the nonnegativity rows are implied, and it refuses
-        names = list("abcdefg")
-        path = tmp_path / "m7.json"
-        path.write_text(json.dumps({
-            "type": "lower_prevision", "outcomes": names,
-            "assessments": [{"gamble": {x: "2" if x == "a" else "1" for x in names},
-                             "lower": "1"}],
-        }))
+        path = prevision7(tmp_path)
         runs = [["vertices", "--engine", engine] for engine in ("auto", "walk", "oracle")]
         runs += [[command, "--engine", engine] for command in ("fan", "graph")
                  for engine in ("auto", "walk")]
@@ -417,6 +453,34 @@ class TestRefusals:
             code, _, err = run(capsys, *argv, "--model", str(path))
             assert code == 2, argv
             assert "brute force refused" in err, argv
+
+    def test_guard_hint_names_only_engines_the_model_type_accepts(self, capsys, tmp_path):
+        # _pick_engine accepts walk and oracle for a lower_prevision, and
+        # chains besides for a lower_probability
+        events = ["|".join(s) for r in range(1, 7) for s in itertools.combinations(SEVEN, r)]
+        lowprob = tmp_path / "lowprob7.json"
+        lowprob.write_text(json.dumps({
+            "type": "lower_probability", "outcomes": SEVEN,
+            "values": {e: "0" for e in events},
+        }))
+        rejected = {prevision7(tmp_path): ("--engine pri", "--engine chains"),
+                    lowprob: ("--engine pri",)}
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({x: "1" if x == "a" else "0" for x in SEVEN}))
+        runs = [["vertices", "--engine", "walk"], ["vertices", "--engine", "oracle"],
+                ["vertices", "--engine", "walk", "--verify"],
+                ["fan", "--engine", "walk"], ["graph", "--engine", "walk"],
+                ["natex", "--engine", "walk", "--gamble", str(gpath)],
+                ["natex", "--engine", "oracle", "--gamble", str(gpath)]]
+        for path, engines in rejected.items():
+            for argv in runs:
+                code, _, err = run(capsys, *argv, "--model", str(path))
+                assert code == 2, (path.name, argv)
+                assert "brute force refused" in err, (path.name, argv)
+                for engine in engines:
+                    assert engine not in err, (path.name, argv)
+        code, _, err = run(capsys, "vertices", "--engine", "walk", "--model", str(lowprob))
+        assert "--engine chains" in err
 
     def test_chain_fan_refused_above_eight_outcomes(self, capsys, monkeypatch):
         def per_event_work(*args):

@@ -1,6 +1,7 @@
 """Cone membership, MESC recognition, adjacency sign test."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,13 @@ from credalfans.cones import (
     SupportUniverse,
     are_adjacent,
     contains,
+    dual_basis,
     is_mesc,
     mesc_failure,
 )
-from credalfans.exactla import in_nonneg_span, ones, rat, vec
+from credalfans.credal import OutcomeSpace, build_credal_hrep
+from credalfans.exactla import dot, in_nonneg_span, is_multiple, ones, rank, rat, vec
+from credalfans.pri import PRIModel, as_lower_prevision, is_coherent_pri, pri_hrep
 
 Q = rat
 
@@ -178,3 +182,65 @@ def test_adjacency_is_symmetric_for_chain_swaps(perm, i):
     a, b = chain_cone_of_perm(perm), chain_cone_of_perm(tuple(swapped))
     assert are_adjacent(a, b)
     assert are_adjacent(b, a)
+
+
+# ------------------------------------------- dual basis against the LP route
+
+
+def _tied_interval_universes(n):
+    """The universes of an interval model whose bounds repeat on a 1/720
+    grid: pri_hrep's (singletons and complements) and build_credal_hrep's
+    (singletons and their negatives)."""
+    step = 180 // n
+    rng = random.Random(720 + n)
+    lo = tuple(rat(rng.choice((2, 3)) * step) / 720 for _ in range(n))
+    up = tuple(rat(rng.choice((5, 6)) * step) / 720 for _ in range(n))
+    m = is_coherent_pri(PRIModel(OutcomeSpace(tuple(f"x{i}" for i in range(n))), lo, up)).repaired
+    return [pri_hrep(m)[1], build_credal_hrep(as_lower_prevision(m))[1]]
+
+
+UNIVERSES = [u for n in (3, 4, 5) for u in [event_universe(n), *_tied_interval_universes(n)]]
+
+
+def lp_mesc_failure(c, universe):
+    """mesc_failure by the LP route: a rank test, then one phase-1 LP per
+    universe vector (exactla.in_nonneg_span)."""
+    n = c.dim_ambient
+    gens = c.generators
+    if len(gens) != n - 1:
+        return MescFailure("size")
+    if rank(list(gens) + [ones(n)]) != n:
+        return MescFailure("dependent")
+    for u in universe:
+        if u in gens or is_multiple(u, ones(n)):
+            continue
+        w = in_nonneg_span(gens, c.lineality, u)
+        if w is not None:
+            return MescFailure("absorbs", u, w)
+    return None
+
+
+@st.composite
+def universe_and_generators(draw):
+    universe = draw(st.sampled_from(UNIVERSES))
+    n = universe.dim
+    plain = [v for v in universe if v != ones(n)]
+    size = draw(st.sampled_from((n - 1, n - 1, n - 1, n - 2)))
+    gens = draw(st.lists(st.sampled_from(plain), min_size=size, max_size=size, unique=True))
+    return universe, gens
+
+
+@settings(max_examples=120, deadline=None)
+@given(universe_and_generators())
+def test_dual_basis_matches_lp_route(drawn):
+    universe, gens = drawn
+    n = universe.dim
+    dual = dual_basis(gens, n)
+    basis = gens + [ones(n)]
+    if dual is None:
+        assert len(basis) != n or rank(basis) < n
+    else:
+        for i, t in enumerate(dual):
+            assert [dot(t, b) for b in basis] == [int(i == j) for j in range(n)]
+    cone = Cone(tuple(gens), (ones(n),))
+    assert mesc_failure(cone, universe) == lp_mesc_failure(cone, universe)

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from credalfans import credal
 from credalfans.credal import (
     Assessment,
     EventCollection,
@@ -193,9 +194,31 @@ class TestNaturalExtension:
         assert 2 > Q(3) / 5 + Q(3) / 5
 
     def test_incoherent_input_rejected(self):
+        # the coherence report is cached next to the vertex set, so the
+        # second query is refused from the cache
         lp = LowerPrevision.from_bounds(SP3, lower=[((1, 2, 3), 0)])
-        with pytest.raises(IncoherenceError):
-            natural_extension(lp, (1, 1, 0))
+        for f in ((1, 1, 0), (0, 0, 1)):
+            with pytest.raises(IncoherenceError):
+                natural_extension(lp, f)
+
+
+class TestCaches:
+    def test_filling_a_cache_past_its_bound_evicts(self):
+        caches = (credal.build_credal_hrep, credal._credal_vertices)
+        sp = OutcomeSpace(("a", "b"))
+        size = credal.CACHE_SIZE
+        models = [LowerPrevision.from_bounds(sp, lower=[((1, 0), Q(k) / (2 * size))])
+                  for k in range(size + 1)]
+        for cache in caches:
+            cache.cache_clear()
+        for k, lp in enumerate(models):
+            assert natural_extension(lp, (1, 0)) == Q(k) / (2 * size)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize == size and info.currsize == size
+        misses = credal._credal_vertices.cache_info().misses
+        natural_extension(models[0], (1, 0))  # the oldest entry was evicted
+        assert credal._credal_vertices.cache_info().misses == misses + 1
 
 
 class TestAxiomChecks:

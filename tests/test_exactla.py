@@ -1,4 +1,4 @@
-"""Exact linear algebra kernels: elimination, nullspaces, conic feasibility."""
+"""Exact linear algebra kernels: elimination, solving, conic feasibility."""
 
 from fractions import Fraction
 
@@ -12,7 +12,6 @@ from credalfans.exactla import (
     format_rat,
     in_nonneg_span,
     is_multiple,
-    nullspace,
     ones,
     rank,
     rat,
@@ -99,24 +98,6 @@ def test_solve_unique_overdetermined():
     assert solve_unique(a, vec([2, 3, 6])) is None
 
 
-def test_nullspace_matches_known_kernel():
-    # rows 1_{x1} and 1_Omega on a 3-outcome space
-    basis = nullspace(rows([1, 0, 0], [1, 1, 1]))
-    assert basis == [vec([0, 1, -1])]
-
-
-def test_nullspace_counts_and_orthogonality():
-    m = rows([1, 1, 0, 0], [0, 0, 1, 1])
-    basis = nullspace(m)
-    assert len(basis) == 2
-    for b in basis:
-        assert all(dot(r, b) == 0 for r in m)
-        lead = next(a for a in b if a != 0)
-        assert lead > 0
-    with pytest.raises(ValueError):
-        nullspace([])
-
-
 def test_in_nonneg_span_unique_witness():
     # doubleton indicators absorb the triple indicator on 4 outcomes
     gens = rows([1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0])
@@ -190,17 +171,6 @@ def test_rank_transpose_invariant(m):
     r = rank(m)
     assert r == rank(t)
     assert r <= min(len(m), len(m[0]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda n: _matrix(max(1, n - 1), n)))
-def test_nullspace_dimension_and_orthogonality(m):
-    basis = nullspace(m)
-    n = len(m[0])
-    assert len(basis) == n - rank(m)
-    for b in basis:
-        assert any(a != 0 for a in b)
-        assert all(dot(row, b) == 0 for row in m)
 
 
 @settings(max_examples=60, deadline=None)

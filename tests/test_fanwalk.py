@@ -8,18 +8,16 @@ import pytest
 from conftest import (
     SUPERMOD3,
     event_universe,
-    ind,
     interval_hrep,
     interval_universe,
     lowprob_hrep,
 )
 
-from credalfans.cones import Cone, SupportUniverse
+from credalfans.cones import SupportUniverse, dual_basis
 from credalfans.exactla import ones, rat, unit, vec
 from credalfans.fanwalk import (
     MescNode,
-    SingularSystemError,
-    extreme_point_of,
+    _active_table,
     graph_to_dot,
     graph_to_json,
     neighbor_candidates,
@@ -38,31 +36,25 @@ SUP3 = lowprob_hrep(3, SUPERMOD3)
 SUP3_U = event_universe(3)
 
 
-def test_extreme_point_of_chain_cone():
-    # vertex of the chain x1 < x1x2 < full: consecutive lower-bound gaps
-    c = Cone((ind(3, {0}), ind(3, {0, 1})), (ones(3),))
-    assert extreme_point_of(c, SUP3) == vec(["1/10", "2/5", "1/2"])
-
-
-def test_extreme_point_of_errors():
-    with pytest.raises(ValueError):
-        extreme_point_of(Cone((vec([2, 3, 4]),), (ones(3),)), SUP3)
-    # dependent active rows with incompatible bounds: no unique solution
-    c = Cone((ind(3, {0, 1}), ind(3, {2})), (ones(3),))
-    with pytest.raises(SingularSystemError):
-        extreme_point_of(c, SUP3)
+def _simplex_index(*vectors):
+    return tuple(sorted(SIMPLEX3_U.vectors.index(v) for v in vectors))
 
 
 def test_neighbor_candidates_simplex():
-    node = Cone((unit(3, 1), unit(3, 2)), (ones(3),))  # vertex (1,0,0)
-    out = neighbor_candidates(node, unit(3, 1), SIMPLEX3, SIMPLEX3_U)
-    assert out == (MescNode((unit(3, 0), unit(3, 2)), vec([0, 1, 0])),)
+    key = _simplex_index(unit(3, 1), unit(3, 2))  # vertex (1,0,0)
+    (dropped,) = _simplex_index(unit(3, 1))
+    t = dual_basis([SIMPLEX3_U.vectors[i] for i in key], 3)[key.index(dropped)]
+    table = _active_table(SIMPLEX3, SIMPLEX3_U)
+    out = neighbor_candidates(key, dropped, t, SIMPLEX3, SIMPLEX3_U, table, {})
+    assert out == (MescNode(_simplex_index(unit(3, 0), unit(3, 2)), vec([0, 1, 0])),)
 
 
 def test_neighbor_candidates_drop_must_be_generator():
-    node = Cone((unit(3, 1), unit(3, 2)), (ones(3),))
+    key = _simplex_index(unit(3, 1), unit(3, 2))
+    (dropped,) = _simplex_index(unit(3, 0))
     with pytest.raises(ValueError):
-        neighbor_candidates(node, unit(3, 0), SIMPLEX3, SIMPLEX3_U)
+        neighbor_candidates(key, dropped, ones(3), SIMPLEX3, SIMPLEX3_U,
+                            _active_table(SIMPLEX3, SIMPLEX3_U), {})
 
 
 def test_walk_simplex_triangle():
