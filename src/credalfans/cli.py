@@ -15,9 +15,9 @@ the model supports, "walk" runs the generic adjacency walk, "chains" the
 chain fan of a 2-monotone lower probability, "pri" the interval exchange
 rules, "oracle" the brute-force vertex enumerator. Exit status: 0 success,
 1 a property of the model failed (incoherent, not 2-monotone, verification
-mismatch), 2 unusable input (schema errors, wrong engine for the model
-type, oracle guards exceeded, a chain fan on more than CHAIN_FAN_MAX_N = 8
-outcomes).
+mismatch), 2 unusable input (schema errors, unwritable output paths, wrong
+engine for the model type, oracle guards exceeded, a chain fan on more than
+CHAIN_FAN_MAX_N = 8 outcomes).
 
 All values are exact rationals; --decimal adds 12-significant-digit
 approximations for reading convenience, explicitly marked non-authoritative.
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -76,6 +77,14 @@ def _load_model(path):
     except credal.SchemaError as exc:
         raise InputError(str(exc)) from None
     raise InputError(f"unknown model type {tag!r}")
+
+
+def _write_file(path, text):
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output file: {exc}") from None
 
 
 def _pick_engine(requested, tag, model):
@@ -293,18 +302,16 @@ def _emit_vertices(points, names, out_path, decimal, report):
     header = list(names)
     if decimal:
         header += [f"{name}_dec" for name in names]
-    target = open(out_path, "w", newline="") if out_path else sys.stdout
-    try:
-        writer = csv.writer(target)
-        writer.writerow(header)
-        for p in rows:
-            cells = [format_rat(x) for x in p]
-            if decimal:
-                cells += [_decimal(x) for x in p]
-            writer.writerow(cells)
-    finally:
-        if out_path:
-            target.close()
+    target = io.StringIO() if out_path else sys.stdout
+    writer = csv.writer(target)
+    writer.writerow(header)
+    for p in rows:
+        cells = [format_rat(x) for x in p]
+        if decimal:
+            cells += [_decimal(x) for x in p]
+        writer.writerow(cells)
+    if out_path:
+        _write_file(out_path, target.getvalue())
     if decimal:
         report.add("decimal", "12-digit approximations, non-authoritative")
     report.write(sys.stdout if out_path else sys.stderr)
@@ -372,8 +379,7 @@ def _cmd_fan(args):
     if args.verify:
         _verify_vertices(tag, model, points, report)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(graph_to_dot(graph))
+        _write_file(args.dot, graph_to_dot(graph))
         report.add("dot", args.dot)
     report.write(sys.stdout)
     return 0 if fan_rep.ok else 1
@@ -385,8 +391,7 @@ def _cmd_graph(args):
     report.add("n_edges", len(graph.edges))
     payload = json.dumps(graph_to_json(graph, universe), indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        _write_file(args.out, payload + "\n")
         report.add("out", args.out)
         report.write(sys.stdout)
     else:

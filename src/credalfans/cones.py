@@ -1,4 +1,4 @@
-"""Simplicial cones modulo a constant-direction lineality, and MESC tests.
+"""Simplicial cones modulo a constant-direction lineality, and the MESC test.
 
 Throughout, the constant-one vector is lineality: it is never a one-sided
 generator. A MESC over a support universe U (a finite vector family that
@@ -8,9 +8,11 @@ member of U. MESCs are the maximal cells available for triangulating a
 normal fan whose rays are drawn from U, which is what makes the adjacency
 walk work.
 
-Both MESC questions are read off the dual basis of the generators plus
-constant-one (``dual_basis``): its rows are the wall normals, and give the
-coordinates of any vector, so membership is a sign test.
+The MESC test is read off the dual basis of the generators plus
+constant-one: ``dual_basis`` is None when they are no basis, and
+``absorbed`` finds a universe vector inside the cone, since the dual rows
+give the coordinates of any vector and membership is a sign test. The
+rows are also the wall normals (``are_adjacent``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .exactla import (
     SpanWitness,
     dot,
     in_nonneg_span,
-    is_multiple,
     ones,
     solve_unique,
     unit,
@@ -31,13 +32,10 @@ from .exactla import (
 __all__ = [
     "Cone",
     "SupportUniverse",
-    "MescFailure",
     "AdjacencyPreconditionError",
     "contains",
     "dual_basis",
     "absorbed",
-    "mesc_failure",
-    "is_mesc",
     "are_adjacent",
 ]
 
@@ -112,27 +110,6 @@ def contains(c: Cone, v) -> bool:
     return in_nonneg_span(c.generators, c.lineality, v) is not None
 
 
-@dataclass(frozen=True)
-class MescFailure:
-    """Why a cone is not a MESC over a universe.
-
-    kind is one of 'size' (not exactly n-1 generators), 'dependent'
-    (generators plus constant-one are not a basis), 'absorbs' (some other
-    universe vector lies in the cone; that vector and its conic witness are
-    attached)."""
-
-    kind: str
-    vector: tuple = None
-    witness: object = None
-
-
-def _require_constant_lineality(c: Cone) -> int:
-    n = c.dim_ambient
-    if c.lineality != (ones(n),):
-        raise ValueError("MESC tests require lineality exactly {constant-one}")
-    return n
-
-
 def dual_basis(generators, n: int):
     """Rows t_i with t_i . b_j == [i == j] over the basis b = generators +
     (constant-one), one exact solve per row; None when b is not a basis.
@@ -154,29 +131,6 @@ def absorbed(dual, vectors):
         if all(dot(t, v) >= 0 for t in gen_rows):
             return v, SpanWitness(tuple(dot(t, v) for t in gen_rows), (dot(shift, v),))
     return None
-
-
-def mesc_failure(c: Cone, universe: SupportUniverse):
-    """None if c is a MESC over the universe, else the first failure found.
-
-    Universe vectors that are constant (multiples of the lineality
-    direction) are skipped: they lie in every cone considered here.
-    Absorption is read off the dual basis; no LP is solved.
-    """
-    n = _require_constant_lineality(c)
-    gens = c.generators
-    if len(gens) != n - 1:
-        return MescFailure("size")
-    dual = dual_basis(gens, n)
-    if dual is None:
-        return MescFailure("dependent")
-    one = ones(n)
-    found = absorbed(dual, (u for u in universe if u not in gens and not is_multiple(u, one)))
-    return None if found is None else MescFailure("absorbs", *found)
-
-
-def is_mesc(c: Cone, universe: SupportUniverse) -> bool:
-    return mesc_failure(c, universe) is None
 
 
 def are_adjacent(a: Cone, b: Cone) -> bool:

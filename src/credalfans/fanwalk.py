@@ -3,15 +3,16 @@
 Instead of enumerating all vertices of a credal polytope blindly, the walk
 seeds one MESC inside the normal cone of an easily found vertex, then
 repeatedly crosses cone walls: dropping one generator of a MESC opens a
-facet, and the universe vectors on the far side that complete the facet to
-another feasible MESC are its neighbours. Every neighbour certifies an
-extreme point by solving the active-constraint system, so the walk yields
-the vertex set and the cone adjacency graph together.
+facet, and the rows entering the edge beyond it that complete the facet to
+another MESC are its neighbours. The walk yields the vertex set and the
+cone adjacency graph together.
 
 Nodes are keyed by sorted universe indices. Each node's dual basis
-(``cones.dual_basis``) is computed once: its rows are the wall normals, so
-a wall is crossed by the sign test f2 . t < 0, and MESC tests are dot
-products. Only the seed comes from an LP (``lp_min``).
+(``cones.dual_basis``) is computed once. The row t of a generator is both
+the wall normal and the direction of the edge leaving the node's vertex x
+across that wall, so a wall is crossed by one minimum-ratio test (Avis and
+Fukuda's pivot): the neighbour's vertex is x + lambda* t, and the MESC test
+is dot products. Only the seed comes from an LP (``lp_min``).
 
 The walk is deterministic for a fixed model and seed. Node count is bounded
 by the number of feasible MESCs over the universe; for models whose normal
@@ -26,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cones import SupportUniverse, absorbed, dual_basis
-from .exactla import dot, is_multiple, ones, rat, solve_unique
+from .exactla import dot, is_multiple, ones, rat
 from .polytope import HPolytope, lp_min
 
 __all__ = [
@@ -76,14 +77,25 @@ class MescGraph:
 
 
 def _active_table(h: HPolytope, universe: SupportUniverse) -> dict:
-    """Universe index -> tightest bound of that inequality normal in h (None
-    when it is no normal of h), over the non-constant universe vectors."""
+    """Universe index -> tightest bound of that inequality normal in h, over
+    the non-constant universe vectors.
+
+    These are the walk's hypotheses: h's only equality is p . 1 = 1, so an
+    edge direction is any vector orthogonal to the constant, and every
+    non-constant universe vector is an inequality normal of h, so every
+    generator has a bound. ValueError otherwise.
+    """
+    one = ones(universe.dim)
+    if h.equalities != ((one, 1),):
+        raise ValueError("the walk needs p . 1 = 1 as the polytope's only equality")
     bounds: dict = {}
     for f, b in h.inequalities:
         if f not in bounds or b > bounds[f]:
             bounds[f] = b
-    one = ones(universe.dim)
-    return {i: bounds.get(v) for i, v in enumerate(universe.vectors) if not is_multiple(v, one)}
+    table = {i: bounds.get(v) for i, v in enumerate(universe.vectors) if not is_multiple(v, one)}
+    if None in table.values():
+        raise ValueError("universe vector is not an inequality normal of the polytope")
+    return table
 
 
 def _mesc_dual(key, universe: SupportUniverse, table: dict, cache: dict):
@@ -97,44 +109,40 @@ def _mesc_dual(key, universe: SupportUniverse, table: dict, cache: dict):
     return cache[key]
 
 
-def neighbor_candidates(key, dropped, t, h: HPolytope, universe: SupportUniverse,
+def neighbor_candidates(node: MescNode, dropped, t, h: HPolytope, universe: SupportUniverse,
                         table: dict, cache: dict):
-    """MESC neighbours of the node on universe indices key across the wall
-    opened by dropping index ``dropped``; t is the wall's normal, the node's
-    dual-basis row of that generator.
+    """MESC neighbours of node across the wall opened by dropping universe
+    index ``dropped``; t is the node's dual-basis row of that generator.
 
-    A universe vector f2 yields a neighbour when f2 . t < 0, the completed
-    active system certifies a feasible point of h, and the completed cone
-    is a MESC. All surviving candidates certify the same vertex on
-    non-degenerate input; the returned tuple keeps every candidate
-    achieving the lexicographically smallest certified vertex. table is
-    the walk's ``_active_table(h, universe)`` and cache its memo of
-    ``_mesc_dual``.
+    t is orthogonal to the other generators and to the constant, and
+    t . f_dropped = 1, so the edge leaving the node's vertex x across the
+    wall is x + lambda t, lambda >= 0. It stops at the least ratio
+    lambda* = (x . f - b) / (-t . f) over the rows of h with t . f < 0. The
+    candidates are the universe rows entering there (t . f < 0, tight at
+    x + lambda* t); each whose completed cone is a MESC is a neighbour
+    with vertex x + lambda* t. table is the walk's ``_active_table(h,
+    universe)`` and cache its memo of ``_mesc_dual``.
 
-    The returned tuple is empty only when h is degenerate across that wall.
+    The returned tuple, sorted by key, is empty only when h is degenerate
+    across that wall or unbounded along the edge.
     """
-    if dropped not in key:
+    if dropped not in node.gens:
         raise ValueError("dropped index is not a generator of the node")
-    vectors = universe.vectors
-    shared = tuple(i for i in key if i != dropped)
-    eq_rows = [f for f, _ in h.equalities]
-    eq_rhs = [b for _, b in h.equalities]
-    found = []
-    for j, bound in table.items():
-        if dot(vectors[j], t) >= 0:
-            continue
-        if bound is None:
-            raise ValueError("universe vector is not an inequality normal of the polytope")
-        nk = tuple(sorted(shared + (j,)))
-        point = solve_unique(eq_rows + [vectors[i] for i in nk], eq_rhs + [table[i] for i in nk])
-        if point is None or not h.is_feasible(point):
-            continue
-        if _mesc_dual(nk, universe, table, cache) is not None:
-            found.append(MescNode(nk, point))
-    if not found:
+    x = node.vertex
+    steps = [(dot(x, f) - b) / -s for f, b in h.inequalities if (s := dot(f, t)) < 0]
+    if not steps:
         return ()
-    best = min(node.vertex for node in found)
-    return tuple(sorted((n for n in found if n.vertex == best), key=lambda n: n.gens))
+    lam = min(steps)
+    point = tuple(a + lam * c for a, c in zip(x, t))
+    vectors = universe.vectors
+    shared = tuple(i for i in node.gens if i != dropped)
+    found = []
+    for j, bound in table.items():  # ascending j, so keys come out sorted
+        if dot(vectors[j], t) < 0 and dot(vectors[j], point) == bound:
+            key = tuple(sorted(shared + (j,)))
+            if _mesc_dual(key, universe, table, cache) is not None:
+                found.append(MescNode(key, point))
+    return tuple(found)
 
 
 def _generic_direction(n: int, rng: random.Random) -> tuple:
@@ -162,8 +170,9 @@ def walk(h: HPolytope, universe: SupportUniverse, *, seed: int = 0) -> MescGraph
     of every discovered node. Deterministic given (h, universe, seed).
 
     Raises SeedSearchError when no starting MESC is found (after
-    SEED_ATTEMPTS generic directions) and propagates EmptyPolytopeError
-    when h has no vertices at all.
+    SEED_ATTEMPTS generic directions), ValueError when h and the universe
+    break the hypotheses of ``_active_table``, and propagates
+    EmptyPolytopeError when h has no vertices at all.
     """
     n = h.dim
     table = _active_table(h, universe)
@@ -179,18 +188,19 @@ def walk(h: HPolytope, universe: SupportUniverse, *, seed: int = 0) -> MescGraph
     nodes = {start.gens: start}
     edges = set()
     incomplete = []
-    queue = deque([start.gens])
+    queue = deque([start])
     while queue:
-        key = queue.popleft()
+        node = queue.popleft()
+        key = node.gens
         for i, t in zip(key, cache[key]):
-            cands = neighbor_candidates(key, i, t, h, universe, table, cache)
+            cands = neighbor_candidates(node, i, t, h, universe, table, cache)
             if not cands:
                 incomplete.append((key, i))
                 continue
             for cand in cands:
                 if cand.gens not in nodes:
                     nodes[cand.gens] = cand
-                    queue.append(cand.gens)
+                    queue.append(cand)
                 edges.add(frozenset({key, cand.gens}))
     ordered = tuple(nodes[k] for k in sorted(nodes))
     return MescGraph(ordered, frozenset(edges), tuple(incomplete))

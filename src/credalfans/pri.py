@@ -237,15 +237,17 @@ def enumerate_extreme_pri(m: PRIModel):
     nodes are keyed by generator indices in pri_hrep(m)'s universe.
 
     Raises IncoherenceError on incoherent input (repair it first via
-    is_coherent_pri). For n == 2 the polytope is a segment and has no
-    MESCs; the two endpoint vertices are returned with an empty graph.
+    is_coherent_pri). For n == 1 the graph is the one cone with no
+    generators, as the other engines give it. For n == 2 the polytope is a
+    segment and has no MESCs; the two endpoint vertices are returned with an
+    empty graph.
     """
     rep = is_coherent_pri(m)
     if not rep.coherent:
         raise IncoherenceError("extreme-point walk requires a coherent interval model")
     n = m.n
     if n == 1:
-        return frozenset({(rat(1),)}), MescGraph((), frozenset())
+        return frozenset({(rat(1),)}), MescGraph((MescNode((), (rat(1),)),), frozenset())
     if n == 2:
         pts = {(m.lower[0], 1 - m.lower[0]), (m.upper[0], 1 - m.upper[0])}
         return frozenset(pts), MescGraph((), frozenset())
@@ -326,16 +328,22 @@ def induced_2mono(m: PRIModel) -> LowerProbability:
     return LowerProbability(m.space, tuple(table))
 
 
+# Largest n count_bounds answers: the upper bound has about 0.3 n decimal
+# digits, so at 10000 it stays under Python's default 4300-digit limit on
+# printing an int, and takes milliseconds where a billion takes forever.
+COUNT_BOUNDS_MAX_N = 10_000
+
+
 def count_bounds(n: int) -> tuple:
     """Sharp bounds on the number of cones (equivalently walk nodes) of a
-    coherent interval model on n >= 3 outcomes: at least n(n-1), at most
-    n! / (floor((n-1)/2)! ceil((n-1)/2)!)."""
+    coherent interval model on 3 <= n <= COUNT_BOUNDS_MAX_N outcomes: at
+    least n(n-1), at most n! / (floor((n-1)/2)! ceil((n-1)/2)!)."""
     if n < 3:
         raise ValueError("cone counts are defined for n >= 3")
-    low = n * (n - 1)
+    if n > COUNT_BOUNDS_MAX_N:
+        raise ValueError(f"cone counts are answered for n <= {COUNT_BOUNDS_MAX_N}")
     half = (n - 1) // 2
-    high = math.factorial(n) // (math.factorial(half) * math.factorial(n - 1 - half))
-    return (low, high)
+    return (n * (n - 1), n * math.comb(n - 1, half))
 
 
 def pri_hrep(m: PRIModel):
@@ -345,9 +353,10 @@ def pri_hrep(m: PRIModel):
     n = m.n
     one = ones(n)
     rows = [(unit(n, x), m.lower[x]) for x in range(n)]
-    rows += [
-        (tuple(o - u for o, u in zip(one, unit(n, x))), 1 - m.upper[x]) for x in range(n)
-    ]
+    if n > 1:  # a single outcome's complement is the zero vector
+        rows += [
+            (tuple(o - u for o, u in zip(one, unit(n, x))), 1 - m.upper[x]) for x in range(n)
+        ]
     h = HPolytope(n, tuple(rows), ((one, 1),))
     universe = SupportUniverse(tuple(sorted({f for f, _ in rows} | {one})))
     return h, universe

@@ -372,6 +372,14 @@ class TestBounds:
         assert code == 2
         assert "interval models" in err
 
+    def test_large_n_rejected(self, capsys):
+        # the upper bound at 20000 outcomes has more digits than Python
+        # prints from an int by default
+        code, out, err = run(capsys, "bounds", "--n", "20000")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cone counts are answered for n <= {pri.COUNT_BOUNDS_MAX_N}\n"
+
 
 class TestInputErrors:
     def test_missing_model_file(self, capsys):
@@ -493,6 +501,42 @@ class TestRefusals:
                                "--engine", "chains")
             assert code == 2
             assert "chain fan refused" in err and "--engine pri" in err
+
+    def test_unwritable_output_path_is_exit_2(self, capsys, tmp_path):
+        missing = tmp_path / "no_such_dir"
+        runs = [["vertices", "--out", str(missing / "v.csv")],
+                ["graph", "--out", str(missing / "g.json")],
+                ["fan", "--dot", str(missing / "f.dot")]]
+        for command, flag, path in runs:
+            code, _, err = run(capsys, command, "--model", model("pri_n3.json"), flag, path)
+            assert code == 2, command
+            assert err.startswith("error: cannot write output file:"), command
+            assert path in err, command
+        assert not missing.exists()
+
+
+ONE_OUTCOME = {
+    "pri": {"type": "pri", "outcomes": ["a"], "lower": {"a": "1"}, "upper": {"a": "1"}},
+    "lower_probability": {"type": "lower_probability", "outcomes": ["a"], "values": {}},
+    "lower_prevision": {"type": "lower_prevision", "outcomes": ["a"], "assessments": []},
+}
+
+
+class TestOneOutcome:
+    def test_every_model_type_has_the_single_vertex(self, capsys, tmp_path):
+        for tag, doc in ONE_OUTCOME.items():
+            path = tmp_path / f"{tag}.json"
+            path.write_text(json.dumps(doc))
+            code, out, _ = run(capsys, "vertices", "--model", str(path))
+            assert code == 0, tag
+            assert list(csv.reader(io.StringIO(out))) == [["a"], ["1"]], tag
+            code, out, _ = run(capsys, "fan", "--model", str(path))
+            assert code == 0, tag
+            assert report_get(out, "n_nodes") == report_get(out, "n_vertices") == "1", tag
+            code, out, _ = run(capsys, "graph", "--model", str(path))
+            assert code == 0, tag
+            assert [nd["vertex"] for nd in json.loads(out)["nodes"]] == [["1"]], tag
+
 
 class TestSeedStability:
     def test_walk_seed_does_not_change_result(self, capsys):

@@ -1,4 +1,4 @@
-"""Cone membership, MESC recognition, adjacency sign test."""
+"""Cone membership, MESC recognition by the dual basis, adjacency sign test."""
 
 import itertools
 import random
@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from credalfans.cones import (
     AdjacencyPreconditionError,
     Cone,
-    MescFailure,
     SupportUniverse,
+    absorbed,
     are_adjacent,
     contains,
     dual_basis,
-    is_mesc,
-    mesc_failure,
 )
 from credalfans.credal import OutcomeSpace, build_credal_hrep
 from credalfans.exactla import dot, in_nonneg_span, is_multiple, ones, rank, rat, vec
@@ -41,6 +39,13 @@ def event_universe(n):
 
 
 CHAIN3 = Cone((ind(3, {0}), ind(3, {0, 1})), (ones(3),))
+
+
+def others(gens, universe):
+    """The universe vectors a MESC on gens must not absorb: all but the
+    generators and the constant direction, in universe order."""
+    n = universe.dim
+    return [u for u in universe if u not in gens and not is_multiple(u, ones(n))]
 
 
 def test_cone_canonicalization():
@@ -78,45 +83,33 @@ def test_contains_and_relative_interior():
 
 def test_mesc_chain_cone():
     u = event_universe(3)
-    assert is_mesc(CHAIN3, u)
-    assert mesc_failure(CHAIN3, u) is None
+    dual = dual_basis(CHAIN3.generators, 3)
+    assert dual is not None
+    assert absorbed(dual, others(CHAIN3.generators, u)) is None
 
 
 def test_mesc_size_and_dependence_failures():
-    u = event_universe(3)
-    assert mesc_failure(Cone((ind(3, {0}),), (ones(3),)), u).kind == "size"
+    assert dual_basis((ind(3, {0}),), 3) is None  # size
     # 1_{x1,x2} and 1_{x3} sum to the constant-one: not a basis with it
-    dep = Cone((ind(3, {0, 1}), ind(3, {2})), (ones(3),))
-    assert mesc_failure(dep, u).kind == "dependent"
+    assert dual_basis((ind(3, {0, 1}), ind(3, {2})), 3) is None
 
 
 def test_mesc_absorption_witness():
     # three pairwise-overlapping doubletons on 4 outcomes absorb the triple
     u = event_universe(4)
-    c = Cone(
-        (ind(4, {0, 1}), ind(4, {1, 2}), ind(4, {0, 2})),
-        (ones(4),),
-    )
-    fail = mesc_failure(c, u)
-    assert isinstance(fail, MescFailure)
-    assert fail.kind == "absorbs"
-    assert fail.vector == ind(4, {0, 1, 2})
-    assert fail.witness.coeffs == (Q("1/2"), Q("1/2"), Q("1/2"))
+    gens = (ind(4, {0, 1}), ind(4, {1, 2}), ind(4, {0, 2}))
+    vector, witness = absorbed(dual_basis(gens, 4), others(gens, u))
+    assert vector == ind(4, {0, 1, 2})
+    assert witness.coeffs == (Q("1/2"), Q("1/2"), Q("1/2"))
 
 
 def test_mesc_absorption_via_negative_lineality():
     # complements of x1 and x2 absorb 1_{x3} using a negative constant shift
     u = event_universe(3)
-    c = Cone((ind(3, {1, 2}), ind(3, {0, 2})), (ones(3),))
-    fail = mesc_failure(c, u)
-    assert fail.kind == "absorbs"
-    assert fail.vector == ind(3, {2})
-    assert fail.witness.lineality_coeffs == (Q(-1),)
-
-
-def test_mesc_requires_constant_lineality():
-    with pytest.raises(ValueError):
-        is_mesc(Cone((ind(3, {0}), ind(3, {0, 1}))), event_universe(3))
+    gens = (ind(3, {1, 2}), ind(3, {0, 2}))
+    vector, witness = absorbed(dual_basis(gens, 3), others(gens, u))
+    assert vector == ind(3, {2})
+    assert witness.lineality_coeffs == (Q(-1),)
 
 
 def chain_cone_of_perm(perm):
@@ -202,21 +195,20 @@ def _tied_interval_universes(n):
 UNIVERSES = [u for n in (3, 4, 5) for u in [event_universe(n), *_tied_interval_universes(n)]]
 
 
-def lp_mesc_failure(c, universe):
-    """mesc_failure by the LP route: a rank test, then one phase-1 LP per
-    universe vector (exactla.in_nonneg_span)."""
-    n = c.dim_ambient
-    gens = c.generators
+def lp_mesc_failure(gens, universe):
+    """Why the cone on gens is no MESC, by the LP route: 'size', 'dependent'
+    (a rank test), or the first absorbed vector with its witness (one
+    phase-1 LP per universe vector, exactla.in_nonneg_span); None for a
+    MESC."""
+    n = universe.dim
     if len(gens) != n - 1:
-        return MescFailure("size")
+        return "size"
     if rank(list(gens) + [ones(n)]) != n:
-        return MescFailure("dependent")
-    for u in universe:
-        if u in gens or is_multiple(u, ones(n)):
-            continue
-        w = in_nonneg_span(gens, c.lineality, u)
+        return "dependent"
+    for u in others(gens, universe):
+        w = in_nonneg_span(gens, (ones(n),), u)
         if w is not None:
-            return MescFailure("absorbs", u, w)
+            return u, w
     return None
 
 
@@ -242,5 +234,9 @@ def test_dual_basis_matches_lp_route(drawn):
     else:
         for i, t in enumerate(dual):
             assert [dot(t, b) for b in basis] == [int(i == j) for j in range(n)]
-    cone = Cone(tuple(gens), (ones(n),))
-    assert mesc_failure(cone, universe) == lp_mesc_failure(cone, universe)
+    expected = lp_mesc_failure(gens, universe)
+    if expected in ("size", "dependent"):
+        assert dual is None
+    else:
+        assert dual is not None
+        assert absorbed(dual, others(gens, universe)) == expected

@@ -41,20 +41,38 @@ def _simplex_index(*vectors):
 
 
 def test_neighbor_candidates_simplex():
-    key = _simplex_index(unit(3, 1), unit(3, 2))  # vertex (1,0,0)
+    node = MescNode(_simplex_index(unit(3, 1), unit(3, 2)), vec([1, 0, 0]))
     (dropped,) = _simplex_index(unit(3, 1))
-    t = dual_basis([SIMPLEX3_U.vectors[i] for i in key], 3)[key.index(dropped)]
+    t = dual_basis([SIMPLEX3_U.vectors[i] for i in node.gens], 3)[node.gens.index(dropped)]
     table = _active_table(SIMPLEX3, SIMPLEX3_U)
-    out = neighbor_candidates(key, dropped, t, SIMPLEX3, SIMPLEX3_U, table, {})
+    out = neighbor_candidates(node, dropped, t, SIMPLEX3, SIMPLEX3_U, table, {})
     assert out == (MescNode(_simplex_index(unit(3, 0), unit(3, 2)), vec([0, 1, 0])),)
 
 
 def test_neighbor_candidates_drop_must_be_generator():
-    key = _simplex_index(unit(3, 1), unit(3, 2))
+    node = MescNode(_simplex_index(unit(3, 1), unit(3, 2)), vec([1, 0, 0]))
     (dropped,) = _simplex_index(unit(3, 0))
     with pytest.raises(ValueError):
-        neighbor_candidates(key, dropped, ones(3), SIMPLEX3, SIMPLEX3_U,
+        neighbor_candidates(node, dropped, ones(3), SIMPLEX3, SIMPLEX3_U,
                             _active_table(SIMPLEX3, SIMPLEX3_U), {})
+
+
+def test_walk_needs_mass_one_as_the_only_equality():
+    pinned = HPolytope(3, SIMPLEX3.inequalities, SIMPLEX3.equalities + ((unit(3, 0), Q("1/2")),))
+    doubled = HPolytope(3, SIMPLEX3.inequalities, ((vec([2, 2, 2]), 2),))
+    for h in (pinned, doubled, HPolytope(3, SIMPLEX3.inequalities)):
+        with pytest.raises(ValueError, match="only equality"):
+            _active_table(h, SIMPLEX3_U)
+        with pytest.raises(ValueError, match="only equality"):
+            walk(h, SIMPLEX3_U)
+
+
+def test_walk_needs_every_universe_vector_as_a_row_normal():
+    extra = SupportUniverse(SIMPLEX3_U.vectors + (vec([1, 1, 0]),))
+    with pytest.raises(ValueError, match="not an inequality normal"):
+        _active_table(SIMPLEX3, extra)
+    with pytest.raises(ValueError, match="not an inequality normal"):
+        walk(SIMPLEX3, extra)
 
 
 def test_walk_simplex_triangle():

@@ -9,12 +9,13 @@ import random
 import pytest
 
 from credalfans.chains2mono import chain_cone, chain_fan, choquet, is_two_monotone
-from credalfans.cones import Cone, contains, is_mesc
+from credalfans.cones import Cone, absorbed, contains, dual_basis
 from credalfans.credal import IncoherenceError, OutcomeSpace, SchemaError, natural_extension
 from credalfans.exactla import dot, in_nonneg_span, ones, unit, vec
 from credalfans.fanwalk import verify_graph, walk
 from credalfans.polytope import vertices_bruteforce
 from credalfans.pri import (
+    COUNT_BOUNDS_MAX_N,
     PRIModel,
     PriCone,
     as_lower_prevision,
@@ -95,7 +96,10 @@ class TestConeCalculus:
         _, uni = pri_hrep(pri3())
         assert len(graph.nodes) == 6
         for node in graph.nodes:
-            assert is_mesc(Cone(tuple(uni.vectors[i] for i in node.gens), (ones(3),)), uni)
+            gens = [uni.vectors[i] for i in node.gens]
+            dual = dual_basis(gens, 3)
+            assert dual is not None
+            assert absorbed(dual, (u for u in uni if u not in gens and u != ones(3))) is None
 
     def test_locate_generic(self):
         (c,) = locate_cone((3, 1, 2))
@@ -335,6 +339,16 @@ class TestCounts:
         assert count_bounds(10) == (90, 1260)
         with pytest.raises(ValueError):
             count_bounds(2)
+
+    def test_count_bounds_refuses_sizes_it_cannot_answer(self):
+        # the closed form at COUNT_BOUNDS_MAX_N, then a size whose factorial
+        # would never finish
+        n = COUNT_BOUNDS_MAX_N
+        half = (n - 1) // 2
+        assert count_bounds(n)[1] == math.factorial(n) // (
+            math.factorial(half) * math.factorial(n - 1 - half))
+        with pytest.raises(ValueError, match="n <= "):
+            count_bounds(10**9)
 
     def test_refinement_counts_cover_chains(self):
         # a generic gamble lies in n - 2 interval cones, and the chain
