@@ -15,10 +15,12 @@ implied by the other constraints are kept in the H-representation but
 excluded from the support universe: they are never tight on a facet, so
 they cannot generate a MESC wall.
 
-Natural extension evaluates the lower envelope of the credal set at any
-gamble; on this layer it is computed from the brute-force vertex oracle and
-therefore inherits its small-instance guards. The structured engines exist
-precisely to avoid this path.
+Coherence is one exact LP per assessment (``polytope.lp_min``). Natural
+extension evaluates the lower envelope of the credal set at any gamble; on
+this layer it is a minimum over the vertex set from the brute-force oracle,
+enumerated once per model and cached, so a warm query is a scan of that
+set. Both paths keep the oracle's small-instance guards; the structured
+engines exist precisely to avoid them.
 """
 
 from __future__ import annotations
@@ -29,19 +31,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cones import SupportUniverse, absorbed, dual_basis
-from .exactla import (
-    ZERO,
-    dot,
-    in_nonneg_span,
-    indicator,
-    is_multiple,
-    ones,
-    rat,
-    solve_nonneg,
-    unit,
-    vec,
+from .exactla import ZERO, dot, in_nonneg_span, indicator, is_multiple, ones, rat, unit, vec
+from .polytope import (
+    EmptyPolytopeError,
+    HPolytope,
+    UnboundedLpError,
+    lp_min,
+    normal_cone_at,
+    vertices_bruteforce,
 )
-from .polytope import HPolytope, normal_cone_at, vertices_bruteforce
 
 __all__ = [
     "OutcomeSpace",
@@ -224,31 +222,14 @@ def _canonical_ray(f, b):
 
 
 def _nonneg_row_implied(x: int, other_rows, n: int) -> bool:
-    """Is p(x) >= 0 implied by the listed rows plus total mass one?
-
-    First search for an exact descent ray (d . g >= 0 on every other normal,
-    d . 1 == 0, d(x) == -1): one exists iff p(x) is unbounded below over the
-    relaxation, in which case the row is certainly not implied. Otherwise
-    the relaxation is pointed and bounded in that coordinate, so the vertex
-    scan decides.
-    """
-    normals = [f for f, _ in other_rows]
-    m = len(normals)
-    cols = []
-    for i in range(n):  # d+ part
-        cols.append(vec([g[i] for g in normals] + [1, 1 if i == x else 0]))
-    for i in range(n):  # d- part
-        cols.append(vec([-g[i] for g in normals] + [-1, -1 if i == x else 0]))
-    for j in range(m):  # slack per inequality
-        cols.append(vec([-1 if k == j else 0 for k in range(m)] + [0, 0]))
-    target = vec([0] * m + [0, -1])
-    if solve_nonneg(cols, target) is not None:
-        return False
+    """Is p(x) >= 0 implied by the listed rows plus total mass one? One LP:
+    the minimum of p(x) over that relaxation is at least 0. A relaxation
+    that is empty, or on which p(x) is unbounded below, implies nothing."""
     relaxed = HPolytope(n, tuple(other_rows), ((ones(n), 1),))
-    vs = vertices_bruteforce(relaxed)
-    if not vs:
+    try:
+        return lp_min(relaxed, unit(n, x)).value >= 0
+    except (EmptyPolytopeError, UnboundedLpError):
         return False
-    return min(v.point[x] for v in vs) >= 0
 
 
 CACHE_SIZE = 64  # models per cache; the least recently used are evicted
@@ -264,8 +245,8 @@ def build_credal_hrep(lp: LowerPrevision):
     added for every outcome; a row implied by all the others is excluded
     from the universe. The cheap sufficient test (a direct assessment on
     that outcome's indicator with a nonnegative bound) keeps large
-    structured models off the oracle path; otherwise an exact relaxation
-    test decides, subject to the oracle guards.
+    structured models off the LP path; otherwise one LP over the relaxation
+    decides, subject to the oracle guards.
     """
     n = lp.space.n
     assess_rows = []
@@ -315,26 +296,31 @@ class CoherenceReport:
         return tuple(c for c in self.checks if c.attained is None or not c.tight)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _credal_vertices(lp: LowerPrevision):
-    """The vertex set of the credal set and the coherence report read off
-    it, computed once per model."""
-    h, _ = build_credal_hrep(lp)
-    vs = vertices_bruteforce(h)
-    checks = tuple(
-        AssessmentCheck(a.gamble, a.lower,
-                        min((dot(a.gamble.values, v.point) for v in vs), default=None))
-        for a in lp.assessments
-    )
-    return vs, CoherenceReport(bool(vs) and all(c.tight for c in checks), not vs, checks)
-
-
 def is_coherent(lp: LowerPrevision) -> CoherenceReport:
     """Envelope check: the credal set must be nonempty and every assessed
-    bound must equal the exact minimum of its gamble over the set. A bound
-    strictly below the minimum is not attained (the assessment is too weak
-    to be an envelope value); a bound above would empty the set."""
-    return _credal_vertices(lp)[1]
+    bound must equal the exact minimum of its gamble over the set, one
+    ``lp_min`` per assessment. A bound strictly below the minimum is not
+    attained (the assessment is too weak to be an envelope value); a bound
+    above would empty the set."""
+    h, _ = build_credal_hrep(lp)
+    checks = []
+    for a in lp.assessments:
+        try:
+            attained = lp_min(h, a.gamble.values).value
+        except EmptyPolytopeError:
+            checks = [AssessmentCheck(a.gamble, a.lower, None) for a in lp.assessments]
+            return CoherenceReport(False, True, tuple(checks))
+        checks.append(AssessmentCheck(a.gamble, a.lower, attained))
+    return CoherenceReport(all(c.tight for c in checks), False, tuple(checks))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _credal_vertices(lp: LowerPrevision):
+    """The coherence report and, for a coherent model, the vertex set the
+    natural extension minimises over, computed once per model."""
+    report = is_coherent(lp)
+    vs = vertices_bruteforce(build_credal_hrep(lp)[0]) if report.coherent else ()
+    return vs, report
 
 
 def _as_vector(lp: LowerPrevision, f):

@@ -2,8 +2,9 @@
 
 Vectors are tuples of backend rationals. Elimination is fraction-free
 (Bareiss) on denominator-cleared integer rows, so intermediate growth stays
-polynomial and every division is exact. Cone feasibility is an exact
-phase-1 simplex with Bland's rule.
+polynomial and every division is exact. Linear programs, cone membership
+among them, go through one exact two-phase simplex with Bland's rule
+(``simplex``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ __all__ = [
     "is_multiple",
     "rank",
     "solve_unique",
+    "LpInfeasible",
+    "LpUnbounded",
+    "simplex",
     "solve_nonneg",
     "SpanWitness",
     "in_nonneg_span",
@@ -175,67 +179,104 @@ def solve_unique(rows, rhs):
     return tuple(x)
 
 
-def solve_nonneg(columns, target):
-    """Exact x >= 0 with sum x_j columns[j] == target, or None if infeasible.
+class LpInfeasible(ArithmeticError):
+    """No nonnegative combination of the columns meets the target."""
 
-    Phase-1 simplex, Bland's rule (anti-cycling), all arithmetic rational.
+
+class LpUnbounded(ArithmeticError):
+    """The cost falls without bound over the nonnegative combinations."""
+
+
+def _pivot(tab: list, obj: list, basis: list, r: int, j: int) -> None:
+    """Make column j basic in row r: scale the row to a unit pivot and
+    eliminate column j from every other row and from the cost row."""
+    pv = tab[r][j]
+    pr = tab[r] = [a / pv for a in tab[r]]
+    nz = [k for k, a in enumerate(pr) if a != 0]
+    for row in tab + [obj]:
+        f = row[j]
+        if f != 0 and row is not pr:
+            for k in nz:
+                row[k] -= f * pr[k]
+    basis[r] = j
+
+
+def _to_optimum(tab: list, obj: list, basis: list, m: int) -> bool:
+    """Bland's rule on the real columns 0..m-1 until no reduced cost in obj
+    is negative (True) or an entering column has no positive entry, so the
+    cost is unbounded below (False). The last entry of every row is its
+    right-hand side; obj's is minus the current cost."""
+    while True:
+        enter = next((j for j in range(m) if obj[j] < 0), None)
+        if enter is None:
+            return True
+        leave = None
+        for i, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                ratio = row[m] / a
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            return False
+        _pivot(tab, obj, basis, leave, enter)
+
+
+def simplex(columns, target, costs=None):
+    """Exact minimum of costs . x over x >= 0 with sum x_j columns[j] ==
+    target: the one LP kernel, a dense rational tableau with Bland's rule
+    (anti-cycling) in both phases.
+
+    Phase 1 starts from one artificial column per row and drives their sum
+    to zero, raising LpInfeasible when it cannot. An artificial still basic
+    (at level zero) is then pivoted out on any real column with a nonzero
+    entry in its row; a row with none is dependent and takes no further
+    part. Phase 2 runs when costs are given and minimises costs . x from
+    that basis, raising LpUnbounded when the cost falls without bound.
+
+    Returns (x, basis): a basic optimal x (a basic feasible one without
+    costs) and the indices of its basic columns in tableau row order. The
+    basic columns are linearly independent and span the columns, so there
+    are fewer of them than rows exactly when the columns do not span.
     """
     target = vec(target)
-    n = len(target)
-    m = len(columns)
+    n, m = len(target), len(columns)
     tab = []
-    for i in range(n):
-        row = [rat(col[i]) for col in columns]
-        b = target[i]
-        if b < 0:
-            row = [-a for a in row]
-            b = -b
-        row += [ONE if j == i else ZERO for j in range(n)]
-        row.append(b)
-        tab.append(row)
-    ncols = m + n
-    basis = list(range(m, ncols))
-    in_basis = set(basis)
-    while True:
-        art_rows = [i for i in range(n) if basis[i] >= m]
-        enter = None
-        for j in range(ncols):
-            if j in in_basis:
-                continue
-            cost = ONE if j >= m else ZERO
-            red = cost - sum((tab[i][j] for i in art_rows), ZERO)
-            if red < 0:
-                enter = j
-                break
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(n):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        assert leave is not None, "phase-1 objective cannot be unbounded"
-        pv = tab[leave][enter]
-        tab[leave] = [a / pv for a in tab[leave]]
-        for i in range(n):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        in_basis.discard(basis[leave])
-        basis[leave] = enter
-        in_basis.add(enter)
-    infeas = sum((tab[i][-1] for i in range(n) if basis[i] >= m), ZERO)
-    if infeas != 0:
-        return None
+    for i, b in enumerate(target):
+        row = [rat(col[i]) for col in columns] + [b]
+        tab.append([-a for a in row] if b < 0 else row)
+    basis = list(range(m, m + n))  # the artificial of row i has index m + i
+    obj = [-sum((row[j] for row in tab), ZERO) for j in range(m + 1)]
+    _to_optimum(tab, obj, basis, m)
+    if obj[m] != 0:
+        raise LpInfeasible("no nonnegative combination of the columns meets the target")
+    for i in range(n):  # artificials still basic are at level zero
+        if basis[i] >= m:
+            j = next((j for j in range(m) if tab[i][j] != 0), None)
+            if j is not None:
+                _pivot(tab, obj, basis, i, j)
+    if costs is not None:
+        costs = vec(costs)
+        obj = list(costs) + [ZERO]
+        for row, b in zip(tab, basis):
+            if b < m and costs[b] != 0:
+                obj = [a - costs[b] * t for a, t in zip(obj, row)]
+        if not _to_optimum(tab, obj, basis, m):
+            raise LpUnbounded("the cost is unbounded below")
     x = [ZERO] * m
-    for i, b in enumerate(basis):
+    for row, b in zip(tab, basis):
         if b < m:
-            x[b] = tab[i][-1]
-    return x
+            x[b] = row[m]
+    return x, tuple(b for b in basis if b < m)
+
+
+def solve_nonneg(columns, target):
+    """Exact x >= 0 with sum x_j columns[j] == target, or None if
+    infeasible: phase 1 of ``simplex``."""
+    try:
+        return simplex(columns, target)[0]
+    except LpInfeasible:
+        return None
 
 
 @dataclass(frozen=True)

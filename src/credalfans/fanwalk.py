@@ -12,7 +12,10 @@ Nodes are keyed by sorted universe indices. Each node's dual basis
 the wall normal and the direction of the edge leaving the node's vertex x
 across that wall, so a wall is crossed by one minimum-ratio test (Avis and
 Fukuda's pivot): the neighbour's vertex is x + lambda* t, and the MESC test
-is dot products. Only the seed comes from an LP (``lp_min``).
+is dot products. Only the seed comes from an LP: one exact simplex
+(``polytope.lp_min``) per generic direction tried, whose optimal basis gives
+the seed vertex and its active rows. No vertex set is enumerated, but the
+walk inherits ``lp_min``'s oracle guards on dimension and row count.
 
 The walk is deterministic for a fixed model and seed. Node count is bounded
 by the number of feasible MESCs over the universe; for models whose normal

@@ -17,7 +17,18 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import cones
-from .exactla import dot, rank, rat, solve_unique, vec
+from .exactla import (
+    LpInfeasible,
+    LpUnbounded,
+    dot,
+    rank,
+    rat,
+    simplex,
+    solve_unique,
+    vec,
+    vneg,
+    zeros,
+)
 
 __all__ = [
     "HPolytope",
@@ -25,6 +36,7 @@ __all__ = [
     "LpResult",
     "OracleGuardError",
     "EmptyPolytopeError",
+    "UnboundedLpError",
     "InfeasiblePointError",
     "vertices_bruteforce",
     "active_set",
@@ -39,6 +51,10 @@ class OracleGuardError(RuntimeError):
 
 class EmptyPolytopeError(RuntimeError):
     """The feasible set is empty."""
+
+
+class UnboundedLpError(RuntimeError):
+    """The objective is unbounded below over the polyhedron."""
 
 
 class InfeasiblePointError(ValueError):
@@ -108,12 +124,11 @@ def _check_guards(p: HPolytope, max_dim: int, max_constraints: int) -> None:
 def active_set(p: HPolytope, x) -> frozenset:
     """Indices of all constraints tight at the feasible point x."""
     x = vec(x)
-    if not p.is_feasible(x):
+    slacks = [dot(x, f) - b for f, b in p.inequalities]
+    if any(s < 0 for s in slacks) or any(dot(x, f) != b for f, b in p.equalities):
         raise InfeasiblePointError(f"point {x} violates the constraint system")
-    m = len(p.inequalities)
-    act = {i for i, (f, b) in enumerate(p.inequalities) if dot(x, f) == b}
-    act.update(range(m, m + len(p.equalities)))
-    return frozenset(act)
+    m = len(slacks)
+    return frozenset([i for i, s in enumerate(slacks) if s == 0] + list(range(m, m + len(p.equalities))))
 
 
 def vertices_bruteforce(p: HPolytope, *, max_dim: int = 6, max_constraints: int = 25):
@@ -155,19 +170,38 @@ def normal_cone_at(p: HPolytope, x) -> cones.Cone:
 
 
 def lp_min(p: HPolytope, f, *, max_dim: int = 6, max_constraints: int = 25) -> LpResult:
-    """Exact minimum of x . f over p via the vertex oracle.
+    """Exact minimum of x . f over p and a vertex attaining it, by one
+    ``exactla.simplex`` on the dual.
 
-    Ties broken toward the lexicographically smallest argmin vertex.
+    The dual LP maximises b . y over multipliers y with sum y_i f_i == f,
+    y >= 0 on the inequality normals f_i and free on the equality normals
+    (each entered as a +- pair of columns). At its optimal basis the basic
+    rows of p hold with equality and define the returned vertex. When
+    several vertices attain the minimum, the one returned is the vertex of
+    the basis Bland's rule ends on, fixed by the row order of p and f; no
+    other tie rule is promised.
+
+    Raises EmptyPolytopeError when p is empty or has no vertex (its
+    normals do not span), UnboundedLpError when x . f is unbounded below
+    over p, and keeps the oracle's guards (OracleGuardError).
     """
+    _check_guards(p, max_dim, max_constraints)
     f = vec(f)
-    vs = vertices_bruteforce(p, max_dim=max_dim, max_constraints=max_constraints)
-    if not vs:
+    rows = list(p.inequalities + p.equalities)
+    rows += [(vneg(g), -b) for g, b in p.equalities]
+    normals = [g for g, _ in rows]
+    costs = [-b for _, b in rows]
+    try:
+        _, basis = simplex(normals, f, costs)
+    except LpUnbounded:  # the dual is unbounded, so p is empty
+        raise EmptyPolytopeError("no vertices: empty or degenerate feasible set") from None
+    except LpInfeasible:  # f leaves the normals' cone: unbounded unless p is empty
+        try:
+            simplex(normals, zeros(p.dim), costs)
+        except LpUnbounded:
+            raise EmptyPolytopeError("no vertices: empty or degenerate feasible set") from None
+        raise UnboundedLpError(f"x . {f} is unbounded below over the polyhedron") from None
+    if len(basis) < p.dim:
         raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
-    best = None
-    arg = None
-    for v in vs:  # vs is lex-sorted, so first strict improvement wins ties
-        val = dot(v.point, f)
-        if best is None or val < best:
-            best = val
-            arg = v
-    return LpResult(best, arg)
+    x = solve_unique([normals[j] for j in basis], [rows[j][1] for j in basis])
+    return LpResult(dot(x, f), Vertex(x, active_set(p, x)))

@@ -239,8 +239,9 @@ def enumerate_extreme_pri(m: PRIModel):
     Raises IncoherenceError on incoherent input (repair it first via
     is_coherent_pri). For n == 1 the graph is the one cone with no
     generators, as the other engines give it. For n == 2 the polytope is a
-    segment and has no MESCs; the two endpoint vertices are returned with an
-    empty graph.
+    segment, outside the (x, A, B) cones, and the graph is the walk's: each
+    singleton row alone is a MESC, certifying the end that minimises its
+    outcome's mass, and the two are adjacent.
     """
     rep = is_coherent_pri(m)
     if not rep.coherent:
@@ -249,8 +250,10 @@ def enumerate_extreme_pri(m: PRIModel):
     if n == 1:
         return frozenset({(rat(1),)}), MescGraph((MescNode((), (rat(1),)),), frozenset())
     if n == 2:
-        pts = {(m.lower[0], 1 - m.lower[0]), (m.upper[0], 1 - m.upper[0])}
-        return frozenset(pts), MescGraph((), frozenset())
+        # universe order (0, 1) < (1, 0) < (1, 1): index 0 is outcome 1's row
+        ends = (MescNode((0,), (1 - m.lower[1], m.lower[1])),
+                MescNode((1,), (m.lower[0], 1 - m.lower[0])))
+        return frozenset(e.vertex for e in ends), MescGraph(ends, frozenset({frozenset({(0,), (1,)})}))
     start = _seed_cone(m)
     if start is None:
         raise IncoherenceError("no valid seed cone; model is not reachable")

@@ -7,6 +7,8 @@ the builders themselves can be cross-checked against them.
 
 import itertools
 
+from hypothesis import strategies as st
+
 from credalfans.cones import SupportUniverse
 from credalfans.exactla import ones, rat, unit
 from credalfans.polytope import HPolytope
@@ -139,3 +141,63 @@ def coherentify_lowprob(n, values):
             val, _ = lp_min(h, ind(n, set(s)))
             out[frozenset(s)] = val
     return out
+
+
+# ------------------------------------------------------------ strategies
+
+GRID = 720
+
+
+def on_grid(k):
+    return Q(k) / GRID
+
+
+def _neg(v):
+    return tuple(-a for a in v)
+
+
+@st.composite
+def assessed_rows(draw):
+    """(n, rows): a model on n outcomes as lower-bound rows (gamble, bound)
+    with distinct non-constant gambles, drawn from three families whose
+    bounds sit on the 1/720 grid and often tie. Empty and incoherent models
+    are included.
+
+    * interval bounds around the uniform pmf, an upper bound written as a
+      lower row on minus the indicator; a shift of all lower bounds can
+      empty the set;
+    * lower envelopes of one to three pmfs on a few integer gambles, some
+      bounds moved one step of 1/12 off the envelope;
+    * lower probabilities with a bound on every proper event.
+    """
+    family = draw(st.sampled_from(("interval", "envelope", "lowprob")))
+    if family == "interval":
+        n = draw(st.integers(2, 5))
+        step = st.sampled_from((0, 36, 72, 144))
+        shift = draw(st.sampled_from((0, 0, 0, 120)))
+        base = GRID // n
+        rows = [(ind(n, {x}), on_grid(base + shift - draw(step))) for x in range(n)]
+        rows += [(_neg(ind(n, {x})), -on_grid(base + draw(step))) for x in range(n)]
+        return n, rows
+    if family == "envelope":
+        n = draw(st.integers(2, 4))
+        weights = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
+        pmfs = [tuple(Q(w) / sum(ws) for w in ws)
+                for ws in draw(st.lists(weights, min_size=1, max_size=3))]
+        gamble = st.tuples(*[st.integers(-2, 3)] * n).filter(lambda g: len(set(g)) > 1)
+        rows = []
+        for g in draw(st.lists(gamble, min_size=1, max_size=5, unique=True)):
+            low = min(sum(Q(a) * p for a, p in zip(g, pmf)) for pmf in pmfs)
+            rows.append((tuple(Q(a) for a in g), low + on_grid(draw(st.sampled_from((0, 0, 0, -60, 60))))))
+        return n, rows
+    n = draw(st.integers(2, 4))
+    level = st.sampled_from((0, 90, 180, 270, 360))
+    return n, [(ind(n, set(s)), on_grid(draw(level) * len(s) // 2))
+               for r in range(1, n) for s in itertools.combinations(range(n), r)]
+
+
+def rows_hrep(n, rows):
+    """The credal set of assessed_rows by hand: the rows, a nonnegativity
+    row per outcome, masses summing to one."""
+    rows = list(rows) + [(unit(n, x), Q(0)) for x in range(n)]
+    return HPolytope(n, tuple(rows), ((ones(n), 1),))

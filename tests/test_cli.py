@@ -440,7 +440,8 @@ SEVEN = list("abcdefg")
 
 def prevision7(tmp_path):
     """A seven-outcome lower prevision: building its credal set already asks
-    the oracle whether the nonnegativity rows are implied, and it refuses."""
+    lp_min, which keeps the oracle's guards, whether the nonnegativity rows
+    are implied, and it refuses."""
     path = tmp_path / "m7.json"
     path.write_text(json.dumps({
         "type": "lower_prevision", "outcomes": SEVEN,

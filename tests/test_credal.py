@@ -5,10 +5,13 @@ parsing."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from credalfans import credal
 from credalfans.credal import (
     Assessment,
+    AssessmentCheck,
+    CoherenceReport,
     EventCollection,
     Gamble,
     IncoherenceError,
@@ -23,11 +26,11 @@ from credalfans.credal import (
     natural_extension,
     parse_gamble,
 )
-from credalfans.exactla import ones, unit
+from credalfans.exactla import dot, ones, rat, solve_nonneg, unit, vec
 from credalfans.fanwalk import walk
-from credalfans.polytope import vertices_bruteforce
+from credalfans.polytope import HPolytope, vertices_bruteforce
 
-from conftest import Q, interval_hrep
+from conftest import Q, assessed_rows, interval_hrep
 
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -172,6 +175,68 @@ class TestCoherence:
         assert rep.empty and not rep.coherent
         with pytest.raises(IncoherenceError):
             natural_extension(lp, (1, 0, 0))
+
+
+def ray_scan_implied(x, other_rows, n):
+    """Reference for credal._nonneg_row_implied by another route: a
+    descent ray (d . g >= 0 on every other normal, d . 1 == 0, d(x) == -1)
+    from one phase-1 LP means p(x) is unbounded below, so not implied;
+    otherwise the minimum of p(x) over the relaxation's vertex set decides."""
+    normals = [f for f, _ in other_rows]
+    m = len(normals)
+    cols = []
+    for i in range(n):  # d+ part
+        cols.append(vec([g[i] for g in normals] + [1, 1 if i == x else 0]))
+    for i in range(n):  # d- part
+        cols.append(vec([-g[i] for g in normals] + [-1, -1 if i == x else 0]))
+    for j in range(m):  # slack per inequality
+        cols.append(vec([-1 if k == j else 0 for k in range(m)] + [0, 0]))
+    if solve_nonneg(cols, vec([0] * m + [0, -1])) is not None:
+        return False
+    vs = vertices_bruteforce(HPolytope(n, tuple(other_rows), ((ones(n), 1),)))
+    return bool(vs) and min(v.point[x] for v in vs) >= 0
+
+
+def scan_report(lp):
+    """Reference for is_coherent: every assessment's minimum over the
+    oracle's vertex set of the credal set."""
+    vs = vertices_bruteforce(build_credal_hrep(lp)[0])
+    checks = tuple(
+        AssessmentCheck(a.gamble, a.lower,
+                        min((dot(a.gamble.values, v.point) for v in vs), default=None))
+        for a in lp.assessments)
+    return CoherenceReport(bool(vs) and all(c.tight for c in checks), not vs, checks)
+
+
+def rows_model(n, rows):
+    return LowerPrevision.from_bounds(OutcomeSpace(tuple(f"x{i}" for i in range(n))), lower=rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(assessed_rows())
+def test_implied_row_lp_matches_ray_scan(model):
+    n, rows = model
+    canonical = [credal._canonical_ray(vec(f), rat(b)) for f, b in rows]
+    for x in range(n):
+        others = canonical + [(unit(n, y), Q(0)) for y in range(n) if y != x]
+        assert credal._nonneg_row_implied(x, others, n) == ray_scan_implied(x, others, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(assessed_rows())
+def test_is_coherent_matches_vertex_scan(model):
+    lp = rows_model(*model)
+    assert is_coherent(lp) == scan_report(lp)
+
+
+def test_is_coherent_matches_vertex_scan_on_every_verdict():
+    slack = LowerPrevision.from_bounds(SP3, lower=[((1, 2, 3), 0)])
+    empty = LowerPrevision.from_bounds(SP3, lower=[((1, 0, 0), Q(2) / 3), ((0, 1, 0), Q(2) / 3)])
+    models = (supermod3_lp(), pri3_lp(), slack, empty, LowerPrevision.vacuous(SP3))
+    reports = [is_coherent(lp) for lp in models]
+    assert reports == [scan_report(lp) for lp in models]
+    assert [(r.coherent, r.empty) for r in reports] == [
+        (True, False), (True, False), (False, False), (False, True), (True, False)]
 
 
 class TestNaturalExtension:

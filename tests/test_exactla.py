@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credalfans.exactla import (
+    LpInfeasible,
+    LpUnbounded,
     SpanWitness,
     dot,
     format_rat,
@@ -15,6 +17,7 @@ from credalfans.exactla import (
     ones,
     rank,
     rat,
+    simplex,
     solve_nonneg,
     solve_unique,
     unit,
@@ -134,6 +137,33 @@ def test_solve_nonneg_trivial_and_empty():
     assert solve_nonneg([], vec([1, 0, 0])) is None
     x = solve_nonneg([vec([1, 0]), vec([0, 1])], zeros(2))
     assert x == [Q(0), Q(0)]
+
+
+def test_simplex_phase_two():
+    # min x0 + 2 x1 + 3 x2 with x0 + x1 + x2 == 1 and x1 - x2 == 0
+    cols = [vec([1, 0]), vec([1, 1]), vec([1, -1])]
+    x, basis = simplex(cols, vec([1, 0]), vec([1, 2, 3]))
+    assert x == [Q(1), Q(0), Q(0)]
+    assert sorted(basis) in ([0, 1], [0, 2])
+    # without costs the same call is phase 1: any feasible basic x
+    x, _ = simplex(cols, vec([1, 0]))
+    assert [dot([c[i] for c in cols], x) for i in range(2)] == [1, 0]
+
+
+def test_simplex_drops_a_dependent_row():
+    # the third row is the sum of the first two: two basic columns
+    cols = [vec([1, 0, 1]), vec([0, 1, 1]), vec([1, 1, 2])]
+    x, basis = simplex(cols, vec([1, 2, 3]), vec([1, 1, 1]))
+    assert len(basis) == 2
+    assert x == [Q(0), Q(1), Q(1)]
+
+
+def test_simplex_infeasible_and_unbounded():
+    with pytest.raises(LpInfeasible):
+        simplex([vec([1, 1])], vec([1, 2]), vec([0]))
+    # x0 == x1 leaves -x0 unbounded below
+    with pytest.raises(LpUnbounded):
+        simplex([vec([1]), vec([-1])], vec([0]), vec([-1, 0]))
 
 
 # ---------------------------------------------------------------- properties

@@ -3,19 +3,25 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credalfans.cones import Cone
-from credalfans.exactla import ones, rat, unit, vec
+from credalfans.exactla import dot, ones, rat, unit, vec
 from credalfans.polytope import (
     EmptyPolytopeError,
     HPolytope,
     InfeasiblePointError,
     OracleGuardError,
+    UnboundedLpError,
+    Vertex,
     active_set,
     lp_min,
     normal_cone_at,
     vertices_bruteforce,
 )
+
+from conftest import assessed_rows, rows_hrep
 
 Q = rat
 
@@ -107,6 +113,62 @@ def test_empty_polytope():
     assert vertices_bruteforce(p) == ()
     with pytest.raises(EmptyPolytopeError):
         lp_min(p, ones(3))
+
+
+def test_lp_min_unbounded_raises():
+    # the quadrant: (1, -1) has no minimum, while the vertex scan would say 0
+    quadrant = HPolytope(2, ((unit(2, 0), 0), (unit(2, 1), 0)))
+    with pytest.raises(UnboundedLpError):
+        lp_min(quadrant, vec([1, -1]))
+    assert lp_min(quadrant, vec([1, 2])) == (0, Vertex(vec([0, 0]), {0, 1}))
+
+
+def test_lp_min_tells_empty_from_unbounded():
+    # x1 >= 1 and x1 <= 0: empty, although (0, -1) also leaves the normals' cone
+    empty = HPolytope(2, ((unit(2, 0), 1), (vec([-1, 0]), 0)))
+    with pytest.raises(EmptyPolytopeError):
+        lp_min(empty, vec([0, -1]))
+    with pytest.raises(EmptyPolytopeError):
+        lp_min(empty, vec([1, 0]))
+
+
+def test_lp_min_without_a_vertex():
+    # a half-plane has a minimum of x1 but no vertex to return
+    with pytest.raises(EmptyPolytopeError):
+        lp_min(HPolytope(2, ((unit(2, 0), 0),)), unit(2, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(assessed_rows(), st.data())
+def test_lp_min_matches_oracle(model, data):
+    n, rows = model
+    p = rows_hrep(n, rows)
+    vs = vertices_bruteforce(p)
+    for f in data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=3, max_size=3)):
+        f = vec(f)
+        if not vs:
+            with pytest.raises(EmptyPolytopeError):
+                lp_min(p, f)
+            continue
+        value, arg = lp_min(p, f)
+        assert value == min(dot(v.point, f) for v in vs)
+        assert arg in vs and dot(arg.point, f) == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+def test_lp_min_on_a_shifted_orthant(drawn):
+    # x >= c: the minimum is c . f when f >= 0, else unbounded below
+    c, f = (vec(v) for v in drawn)
+    n = len(c)
+    p = HPolytope(n, tuple((unit(n, i), c[i]) for i in range(n)))
+    if min(f) < 0:
+        with pytest.raises(UnboundedLpError):
+            lp_min(p, f)
+    else:
+        assert lp_min(p, f) == (dot(c, f), Vertex(c, range(n)))
 
 
 def test_unbounded_face_is_not_a_problem_for_pointed_sets():

@@ -12,7 +12,7 @@ from credalfans.chains2mono import chain_cone, chain_fan, choquet, is_two_monoto
 from credalfans.cones import Cone, absorbed, contains, dual_basis
 from credalfans.credal import IncoherenceError, OutcomeSpace, SchemaError, natural_extension
 from credalfans.exactla import dot, in_nonneg_span, ones, unit, vec
-from credalfans.fanwalk import verify_graph, walk
+from credalfans.fanwalk import MescNode, graph_to_json, verify_graph, walk
 from credalfans.polytope import vertices_bruteforce
 from credalfans.pri import (
     COUNT_BOUNDS_MAX_N,
@@ -219,7 +219,23 @@ class TestEnumeration:
         m = PRIModel(OutcomeSpace(("a", "b")), (Q(1) / 4, Q(1) / 3), (Q(2) / 3, Q(3) / 4))
         pts, graph = enumerate_extreme_pri(m)
         assert pts == {(Q(1) / 4, Q(3) / 4), (Q(2) / 3, Q(1) / 3)}
-        assert graph.nodes == () and graph.edges == frozenset()
+        assert graph.nodes == (MescNode((0,), (Q(2) / 3, Q(1) / 3)),
+                               MescNode((1,), (Q(1) / 4, Q(3) / 4)))
+        assert graph.edges == {frozenset({(0,), (1,)})}
+
+    @pytest.mark.parametrize("low, up", [("1/4", "3/4"), ("1/2", "1/2"), ("0", "1")])
+    def test_n2_graph_is_the_walks(self, low, up):
+        m = PRIModel(OutcomeSpace(("a", "b")), (Q(low),) * 2, (Q(up),) * 2)
+        pts, graph = enumerate_extreme_pri(m)
+        h, universe = pri_hrep(m)
+        doc = graph_to_json(graph, universe)
+        assert doc == graph_to_json(walk(h, universe), universe)
+        assert pts == {v.point for v in vertices_bruteforce(h)}
+        if low == "1/4":
+            assert doc["nodes"] == [
+                {"id": 0, "vertex": ["3/4", "1/4"], "generators": [0]},
+                {"id": 1, "vertex": ["1/4", "3/4"], "generators": [1]}]
+            assert doc["edges"] == [[0, 1]]
 
     def test_matches_walk_and_oracle(self):
         rng = random.Random(17)
