@@ -303,15 +303,13 @@ def is_coherent(lp: LowerPrevision) -> CoherenceReport:
     attained (the assessment is too weak to be an envelope value); a bound
     above would empty the set."""
     h, _ = build_credal_hrep(lp)
-    checks = []
-    for a in lp.assessments:
-        try:
-            attained = lp_min(h, a.gamble.values).value
-        except EmptyPolytopeError:
-            checks = [AssessmentCheck(a.gamble, a.lower, None) for a in lp.assessments]
-            return CoherenceReport(False, True, tuple(checks))
-        checks.append(AssessmentCheck(a.gamble, a.lower, attained))
-    return CoherenceReport(all(c.tight for c in checks), False, tuple(checks))
+    try:
+        attained = [lp_min(h, a.gamble.values).value for a in lp.assessments]
+        empty = False
+    except EmptyPolytopeError:
+        attained, empty = [None] * len(lp.assessments), True
+    checks = tuple(AssessmentCheck(a.gamble, a.lower, v) for a, v in zip(lp.assessments, attained))
+    return CoherenceReport(not empty and all(c.tight for c in checks), empty, checks)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

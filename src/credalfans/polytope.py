@@ -194,14 +194,15 @@ def lp_min(p: HPolytope, f, *, max_dim: int = 6, max_constraints: int = 25) -> L
     try:
         _, basis = simplex(normals, f, costs)
     except LpUnbounded:  # the dual is unbounded, so p is empty
-        raise EmptyPolytopeError("no vertices: empty or degenerate feasible set") from None
+        basis = ()
     except LpInfeasible:  # f leaves the normals' cone: unbounded unless p is empty
         try:
             simplex(normals, zeros(p.dim), costs)
         except LpUnbounded:
-            raise EmptyPolytopeError("no vertices: empty or degenerate feasible set") from None
-        raise UnboundedLpError(f"x . {f} is unbounded below over the polyhedron") from None
-    if len(basis) < p.dim:
+            basis = ()
+        else:
+            raise UnboundedLpError("x . f is unbounded below over the polyhedron") from None
+    if len(basis) < p.dim:  # empty, or no vertex because the normals do not span
         raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
     x = solve_unique([normals[j] for j in basis], [rows[j][1] for j in basis])
     return LpResult(dot(x, f), Vertex(x, active_set(p, x)))

@@ -10,7 +10,7 @@ import itertools
 from hypothesis import strategies as st
 
 from credalfans.cones import SupportUniverse
-from credalfans.exactla import ones, rat, unit
+from credalfans.exactla import ones, rat, unit, vneg
 from credalfans.polytope import HPolytope
 
 Q = rat
@@ -152,10 +152,6 @@ def on_grid(k):
     return Q(k) / GRID
 
 
-def _neg(v):
-    return tuple(-a for a in v)
-
-
 @st.composite
 def assessed_rows(draw):
     """(n, rows): a model on n outcomes as lower-bound rows (gamble, bound)
@@ -177,7 +173,7 @@ def assessed_rows(draw):
         shift = draw(st.sampled_from((0, 0, 0, 120)))
         base = GRID // n
         rows = [(ind(n, {x}), on_grid(base + shift - draw(step))) for x in range(n)]
-        rows += [(_neg(ind(n, {x})), -on_grid(base + draw(step))) for x in range(n)]
+        rows += [(vneg(ind(n, {x})), -on_grid(base + draw(step))) for x in range(n)]
         return n, rows
     if family == "envelope":
         n = draw(st.integers(2, 4))

@@ -103,6 +103,7 @@ def test_lp_min_constant_direction_hits_equality():
 
 
 def test_lp_min_tie_break_lexicographic():
+    # (1, 1, 0) is minimised at (0, 0, 1) alone; lp_min promises no tie rule
     val, arg = lp_min(simplex(3), vec([1, 1, 0]))
     assert val == Q(0)
     assert arg.point == vec([0, 0, 1])
@@ -116,7 +117,7 @@ def test_empty_polytope():
 
 
 def test_lp_min_unbounded_raises():
-    # the quadrant: (1, -1) has no minimum, while the vertex scan would say 0
+    # the quadrant has one vertex, the origin, but x . (1, -1) has no minimum
     quadrant = HPolytope(2, ((unit(2, 0), 0), (unit(2, 1), 0)))
     with pytest.raises(UnboundedLpError):
         lp_min(quadrant, vec([1, -1]))
