@@ -33,7 +33,8 @@ else:
         Rat = _Fraction
         BACKEND = "fraction"
 
-_ACCEPTED = (int, str, _Fraction, type(Rat(0)))
+_RAT_TYPE = type(Rat(0))
+_ACCEPTED = (int, str, _Fraction, _RAT_TYPE)
 
 
 def rat(value):
@@ -43,7 +44,7 @@ def rat(value):
     or ``"7"``. Floats are rejected: silently admitting them would break the
     exactness contract.
     """
-    if isinstance(value, type(Rat(0))):
+    if isinstance(value, _RAT_TYPE):
         return value
     if isinstance(value, bool) or not isinstance(value, _ACCEPTED):
         raise TypeError(f"not an exact rational: {value!r} of {type(value).__name__}")

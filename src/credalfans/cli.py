@@ -157,12 +157,12 @@ def _chain_model(tag, model):
 # Graph functions return (graph or None, universe, vertex set); natex
 # functions the exact lower expectation of a gamble.
 
-def _pri_graph(tag, model, seed):
+def _pri_graph(tag, model):
     points, graph = pri.enumerate_extreme_pri(model)
     return graph, pri.pri_hrep(model)[1], points
 
 
-def _chains_graph(tag, model, seed):
+def _chains_graph(tag, model):
     n = model.space.n
     if n > CHAIN_FAN_MAX_N:
         raise InputError(
@@ -173,7 +173,7 @@ def _chains_graph(tag, model, seed):
     return graph, chains2mono.event_universe(n), graph.vertices
 
 
-def _walk_graph(tag, model, seed):
+def _walk_graph(tag, model):
     h, universe = _hrep(tag, model)
     # The walk presumes every assessment row supports the credal set;
     # slack rows (incoherent input) break its wall-crossing invariants,
@@ -191,7 +191,7 @@ def _walk_graph(tag, model, seed):
                 else "incoherent model: some assessed bound is not attained; "
                      "the adjacency walk needs a coherent model (try --engine oracle "
                      "for the raw vertex set)")
-    graph = walk(h, universe, seed=seed)
+    graph = walk(h, universe)
     return graph, universe, graph.vertices
 
 
@@ -213,7 +213,7 @@ ENGINES = {
     "walk": (_walk_graph,
              lambda tag, model, gamble: credal.natural_extension(_as_prevision(tag, model),
                                                                  gamble.values)),
-    "oracle": (lambda tag, model, seed: (None, None, _oracle_points(tag, model)),
+    "oracle": (lambda tag, model: (None, None, _oracle_points(tag, model)),
                _oracle_natex),
 }
 
@@ -260,7 +260,7 @@ def _compute_graph(args, command):
     """(tag, model, graph, universe, vertex set, report) under the picked engine."""
     tag, model, engine, report = _start(args, command)
     t0 = time.perf_counter()
-    graph, universe, points = _run_engine(engine, ENGINES[engine][0], tag, model, args.seed)
+    graph, universe, points = _run_engine(engine, ENGINES[engine][0], tag, model)
     report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
     return tag, model, graph, universe, points, report
 
@@ -464,7 +464,6 @@ def _build_parser():
         p.add_argument("--model", required=model_required, help="model JSON file")
         p.add_argument("--engine", default="auto",
                        choices=("auto", "walk", "chains", "pri", "oracle"))
-        p.add_argument("--seed", type=int, default=0, help="walk seed")
         p.add_argument("--verify", action="store_true",
                        help="cross-check against the brute-force oracle")
         p.add_argument("--decimal", action="store_true",

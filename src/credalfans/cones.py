@@ -23,9 +23,8 @@ from .exactla import (
     SpanWitness,
     dot,
     in_nonneg_span,
+    inverse,
     ones,
-    solve_unique,
-    unit,
     vec,
 )
 
@@ -112,14 +111,14 @@ def contains(c: Cone, v) -> bool:
 
 def dual_basis(generators, n: int):
     """Rows t_i with t_i . b_j == [i == j] over the basis b = generators +
-    (constant-one), one exact solve per row; None when b is not a basis.
-    The coordinates of v in b are t_i . v, so a generator's row is the
-    normal of the wall opposite it."""
+    (constant-one): the inverse of the matrix whose columns are b, one
+    exact elimination; None when b is not a basis. The coordinates of v in
+    b are t_i . v, so a generator's row is the normal of the wall opposite
+    it."""
     basis = list(generators) + [ones(n)]
     if len(basis) != n:
         return None
-    rows = tuple(solve_unique(basis, unit(n, i)) for i in range(n))
-    return None if None in rows else rows
+    return inverse(list(zip(*basis)))
 
 
 def absorbed(dual, vectors):

@@ -1,10 +1,11 @@
 """Exact linear algebra over rationals.
 
-Vectors are tuples of backend rationals. Elimination is fraction-free
-(Bareiss) on denominator-cleared integer rows, so intermediate growth stays
-polynomial and every division is exact. Linear programs, cone membership
-among them, go through one exact two-phase simplex with Bland's rule
-(``simplex``).
+Vectors are tuples of backend rationals. ``rank``, ``solve_unique``,
+``inverse`` and the one LP kernel (``simplex``, which also decides cone
+membership) share one fraction-free Gauss-Jordan pivot (``_pivot``,
+Edmonds' integer-preserving elimination, as in lrs) on denominator-cleared
+integer rows: every division is exact, intermediate growth stays
+polynomial, and a rational is built only when a result leaves the kernel.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "is_multiple",
     "rank",
     "solve_unique",
+    "inverse",
     "LpInfeasible",
     "LpUnbounded",
     "simplex",
@@ -106,50 +108,54 @@ def _exact_div(a: int, b: int) -> int:
 
 
 def _int_rows(rows) -> list[list[int]]:
-    """Clear denominators row by row (row scaling preserves row space)."""
-    out = []
+    """Clear denominators with one common multiplier. Scaling the whole
+    matrix by a positive number keeps its rank, its solutions, every sign
+    and every ratio, so the simplex makes the same choices on the result."""
+    rows = [[rat(a) for a in row] for row in rows]
+    mult = 1
     for row in rows:
-        row = [rat(a) for a in row]
-        mult = 1
         for a in row:
-            d = int(a.denominator)
-            g = math.gcd(mult, d)
-            mult = mult // g * d
-        out.append([int(a.numerator) * (mult // int(a.denominator)) for a in row])
-    return out
+            mult = math.lcm(mult, int(a.denominator))
+    return [[int(a.numerator) * _exact_div(mult, int(a.denominator)) for a in row] for row in rows]
 
 
-def _echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free elimination. Returns (rows, pivot columns)."""
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    piv_cols: list[int] = []
-    prev = 1
+def _pivot(t: list[list[int]], det: int, r: int, c: int) -> int:
+    """Integer-preserving Gauss-Jordan pivot on t[r][c] (Edmonds): every
+    row holds det times its rational values, before and after, and the new
+    det is returned. Each entry of another row becomes
+    (p * a - f * b) / det, an exact division. A negative pivot row is
+    negated first, so det stays positive and signs read off the integers."""
+    if t[r][c] < 0:
+        t[r] = [-a for a in t[r]]
+    pr = t[r]
+    p = pr[c]
+    for i, row in enumerate(t):
+        if i != r:
+            f = row[c]
+            t[i] = [_exact_div(p * a - f * b, det) for a, b in zip(row, pr)]
+    return p
+
+
+def _eliminate(t: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Gauss-Jordan on columns 0..ncols-1 of t, in place: each pivot is the
+    first nonzero entry outside the pivot rows, swapped up to follow them.
+    Returns (det, rank); if rank == ncols, column k is zero but in row k."""
+    det = 1
     r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, nr):
-            mic = m[i][c]
-            for j in range(c, nc):
-                m[i][j] = _exact_div(pv * m[i][j] - mic * m[r][j], prev)
-        prev = pv
-        piv_cols.append(c)
-        r += 1
-    return m, piv_cols
+    for c in range(ncols):
+        p = next((i for i in range(r, len(t)) if t[i][c] != 0), None)
+        if p is not None:
+            t[r], t[p] = t[p], t[r]
+            det = _pivot(t, det, r, c)
+            r += 1
+    return det, r
 
 
 def rank(rows) -> int:
     rows = list(rows)
     if not rows:
         return 0
-    _, piv = _echelon(_int_rows(rows))
-    return len(piv)
+    return _eliminate(_int_rows(rows), len(rows[0]))[1]
 
 
 def solve_unique(rows, rhs):
@@ -162,21 +168,23 @@ def solve_unique(rows, rhs):
     rhs = list(rhs)
     assert rows and len(rows) == len(rhs)
     n = len(rows[0])
-    aug = _int_rows([list(r) + [b] for r, b in zip(rows, rhs)])
-    m, piv = _echelon(aug)
-    if n in piv:
-        return None  # a pivot in the rhs column: inconsistent
-    if len(piv) < n:
-        return None  # rank-deficient: no unique solution
-    x = [ZERO] * n
-    for k in reversed(range(len(piv))):
-        p = piv[k]
-        row = m[k]
-        acc = rat(row[n])
-        for j in range(p + 1, n):
-            acc -= row[j] * x[j]
-        x[p] = acc / row[p]
-    return tuple(x)
+    t = _int_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    det, r = _eliminate(t, n)
+    if r < n or any(row[n] != 0 for row in t[n:]):
+        return None  # rank-deficient, or a nonzero rhs left over: inconsistent
+    return tuple(Rat(row[n], det) for row in t[:n])
+
+
+def inverse(rows):
+    """Exact inverse of a square matrix as a tuple of row tuples, or None
+    when it is singular: one elimination of [rows | I]."""
+    n = len(rows)
+    assert all(len(row) == n for row in rows)
+    t = _int_rows([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    det, r = _eliminate(t, n)
+    if r < n:
+        return None
+    return tuple(tuple(Rat(a, det) for a in row[n:]) for row in t)
 
 
 class LpInfeasible(ArithmeticError):
@@ -187,45 +195,33 @@ class LpUnbounded(ArithmeticError):
     """The cost falls without bound over the nonnegative combinations."""
 
 
-def _pivot(tab: list, obj: list, basis: list, r: int, j: int) -> None:
-    """Make column j basic in row r: scale the row to a unit pivot and
-    eliminate column j from every other row and from the cost row."""
-    pv = tab[r][j]
-    pr = tab[r] = [a / pv for a in tab[r]]
-    nz = [k for k, a in enumerate(pr) if a != 0]
-    for row in tab + [obj]:
-        f = row[j]
-        if f != 0 and row is not pr:
-            for k in nz:
-                row[k] -= f * pr[k]
-    basis[r] = j
-
-
-def _to_optimum(tab: list, obj: list, basis: list, m: int) -> bool:
-    """Bland's rule on the real columns 0..m-1 until no reduced cost in obj
-    is negative (True) or an entering column has no positive entry, so the
-    cost is unbounded below (False). The last entry of every row is its
-    right-hand side; obj's is minus the current cost."""
+def _to_optimum(t: list[list[int]], det: int, basis: list, m: int) -> int:
+    """Bland's rule on the real columns 0..m-1 until no reduced cost in the
+    cost row t[-1] is negative; returns the final det. The last entry of a
+    row is its right-hand side (the cost row's is minus the cost). Ratios
+    compare by cross-multiplication. Raises LpUnbounded when an entering
+    column has no positive entry."""
     while True:
-        enter = next((j for j in range(m) if obj[j] < 0), None)
+        enter = next((j for j in range(m) if t[-1][j] < 0), None)
         if enter is None:
-            return True
+            return det
         leave = None
-        for i, row in enumerate(tab):
-            a = row[enter]
-            if a > 0:
-                ratio = row[m] / a
-                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+        for i, row in enumerate(t[:-1]):
+            if row[enter] > 0:
+                if leave is not None:  # sign of row's ratio minus the best so far
+                    d = row[m] * t[leave][enter] - t[leave][m] * row[enter]
+                if leave is None or d < 0 or (d == 0 and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
-            return False
-        _pivot(tab, obj, basis, leave, enter)
+            raise LpUnbounded("the cost is unbounded below")
+        det = _pivot(t, det, leave, enter)
+        basis[leave] = enter
 
 
 def simplex(columns, target, costs=None):
     """Exact minimum of costs . x over x >= 0 with sum x_j columns[j] ==
-    target: the one LP kernel, a dense rational tableau with Bland's rule
-    (anti-cycling) in both phases.
+    target: the one LP kernel, a dense integer tableau (``_pivot``) with
+    Bland's rule (anti-cycling) in both phases and the cost as its last row.
 
     Phase 1 starts from one artificial column per row and drives their sum
     to zero, raising LpInfeasible when it cannot. An artificial still basic
@@ -239,34 +235,33 @@ def simplex(columns, target, costs=None):
     basic columns are linearly independent and span the columns, so there
     are fewer of them than rows exactly when the columns do not span.
     """
-    target = vec(target)
     n, m = len(target), len(columns)
-    tab = []
-    for i, b in enumerate(target):
-        row = [rat(col[i]) for col in columns] + [b]
-        tab.append([-a for a in row] if b < 0 else row)
+    t = _int_rows([[col[i] for col in columns] + [b] for i, b in enumerate(target)])
+    t = [[-a for a in row] if row[m] < 0 else row for row in t]
+    t.append([-sum(row[j] for row in t) for j in range(m + 1)])
     basis = list(range(m, m + n))  # the artificial of row i has index m + i
-    obj = [-sum((row[j] for row in tab), ZERO) for j in range(m + 1)]
-    _to_optimum(tab, obj, basis, m)
-    if obj[m] != 0:
+    det = _to_optimum(t, 1, basis, m)
+    if t[n][m] != 0:
         raise LpInfeasible("no nonnegative combination of the columns meets the target")
     for i in range(n):  # artificials still basic are at level zero
         if basis[i] >= m:
-            j = next((j for j in range(m) if tab[i][j] != 0), None)
+            j = next((j for j in range(m) if t[i][j] != 0), None)
             if j is not None:
-                _pivot(tab, obj, basis, i, j)
+                det = _pivot(t, det, i, j)
+                basis[i] = j
     if costs is not None:
-        costs = vec(costs)
-        obj = list(costs) + [ZERO]
-        for row, b in zip(tab, basis):
-            if b < m and costs[b] != 0:
-                obj = [a - costs[b] * t for a, t in zip(obj, row)]
-        if not _to_optimum(tab, obj, basis, m):
-            raise LpUnbounded("the cost is unbounded below")
+        (c,) = _int_rows([costs])
+        # the cost row in the current basis: det times the reduced costs
+        obj = [det * a for a in c] + [0]
+        for row, b in zip(t, basis):
+            if b < m and c[b] != 0:
+                obj = [a - c[b] * v for a, v in zip(obj, row)]
+        t[n] = obj
+        det = _to_optimum(t, det, basis, m)
     x = [ZERO] * m
-    for row, b in zip(tab, basis):
+    for row, b in zip(t, basis):
         if b < m:
-            x[b] = row[m]
+            x[b] = Rat(row[m], det)
     return x, tuple(b for b in basis if b < m)
 
 

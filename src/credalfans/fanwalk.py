@@ -17,7 +17,7 @@ is dot products. Only the seed comes from an LP: one exact simplex
 the seed vertex and its active rows. No vertex set is enumerated, but the
 walk inherits ``lp_min``'s oracle guards on dimension and row count.
 
-The walk is deterministic for a fixed model and seed. Node count is bounded
+The walk is deterministic for a fixed model. Node count is bounded
 by the number of feasible MESCs over the universe; for models whose normal
 cones are themselves simplicial this is exactly one node per vertex.
 """
@@ -168,9 +168,10 @@ def _find_seed(h: HPolytope, universe: SupportUniverse, table: dict, direction, 
     return None
 
 
-def walk(h: HPolytope, universe: SupportUniverse, *, seed: int = 0) -> MescGraph:
+def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
     """Full adjacency walk: seed a MESC, then breadth-first cross every wall
-    of every discovered node. Deterministic given (h, universe, seed).
+    of every discovered node. Deterministic given (h, universe): the
+    k-th generic direction tried for the seed comes from random.Random(k).
 
     Raises SeedSearchError when no starting MESC is found (after
     SEED_ATTEMPTS generic directions), ValueError when h and the universe
@@ -182,8 +183,8 @@ def walk(h: HPolytope, universe: SupportUniverse, *, seed: int = 0) -> MescGraph
     cache: dict = {}  # key -> dual basis of a MESC, or None
     start = None
     for attempt in range(SEED_ATTEMPTS):
-        rng = random.Random(seed * 1000003 + attempt)
-        start = _find_seed(h, universe, table, _generic_direction(n, rng), cache)
+        direction = _generic_direction(n, random.Random(attempt))
+        start = _find_seed(h, universe, table, direction, cache)
         if start is not None:
             break
     if start is None:

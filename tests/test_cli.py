@@ -537,16 +537,3 @@ class TestOneOutcome:
             code, out, _ = run(capsys, "graph", "--model", str(path))
             assert code == 0, tag
             assert [nd["vertex"] for nd in json.loads(out)["nodes"]] == [["1"]], tag
-
-
-class TestSeedStability:
-    def test_walk_seed_does_not_change_result(self, capsys):
-        results = []
-        for seed in ("0", "1", "7"):
-            code, out, err = run(capsys, "vertices", "--model",
-                                 model("prevision_n3_general.json"),
-                                 "--engine", "walk", "--seed", seed)
-            assert code == 0
-            assert report_get(err, "engine") == "walk"
-            results.append(out)
-        assert results[0] == results[1] == results[2]

@@ -1,5 +1,6 @@
 """Exact linear algebra kernels: elimination, solving, conic feasibility."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -235,3 +236,63 @@ def test_in_nonneg_span_finds_planted_combination(data):
         recon = vadd(recon, vscale(a, g))
     recon = vadd(recon, vscale(w.lineality_coeffs[0], ones(n)))
     assert recon == v
+
+
+def _gauss(columns, target):
+    """Unique x with sum x_j columns[j] == target, by plain Gaussian
+    elimination over fractions; None when the columns are dependent or the
+    system is inconsistent."""
+    k = len(columns)
+    a = [[Fraction(c[i]) for c in columns] + [Fraction(b)] for i, b in enumerate(target)]
+    for j in range(k):
+        p = next((i for i in range(j, len(a)) if a[i][j] != 0), None)
+        if p is None:
+            return None
+        a[j], a[p] = a[p], a[j]
+        a[j] = [v / a[j][j] for v in a[j]]
+        for i in range(len(a)):
+            if i != j and a[i][j] != 0:
+                f = a[i][j]
+                a[i] = [v - f * w for v, w in zip(a[i], a[j])]
+    if any(row[k] != 0 for row in a[k:]):
+        return None
+    return [row[k] for row in a[:k]]
+
+
+def _min_over_bases(columns, target, costs):
+    """Minimum cost over the basic feasible solutions, found by solving
+    every subset of at most len(target) columns; None when none is
+    feasible."""
+    best = None
+    for size in range(len(target) + 1):
+        for subset in itertools.combinations(range(len(columns)), size):
+            x = _gauss([columns[j] for j in subset], target)
+            if x is not None and all(v >= 0 for v in x):
+                cost = sum((costs[j] * v for j, v in zip(subset, x)), Fraction(0))
+                best = cost if best is None else min(best, cost)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_simplex_matches_basis_enumeration(data):
+    # at most 3 drawn rows plus an all-ones row, which bounds the LP
+    n = data.draw(st.integers(0, 3))
+    m = data.draw(st.integers(1, 6))
+    cols = [data.draw(st.lists(small_rats, min_size=n, max_size=n)) + [rat(1)] for _ in range(m)]
+    if data.draw(st.booleans()):  # planted feasible point
+        x0 = data.draw(st.lists(small_rats.filter(lambda a: a >= 0), min_size=m, max_size=m))
+        target = [dot([c[i] for c in cols], x0) for i in range(n + 1)]
+    else:
+        target = data.draw(st.lists(small_rats, min_size=n + 1, max_size=n + 1))
+    costs = data.draw(st.lists(small_rats, min_size=m, max_size=m))
+    expected = _min_over_bases(cols, target, costs)
+    if expected is None:
+        with pytest.raises(LpInfeasible):
+            simplex(cols, target, costs)
+        return
+    x, basis = simplex(cols, target, costs)
+    assert all(a >= 0 for a in x)
+    assert [dot([c[i] for c in cols], x) for i in range(n + 1)] == list(target)
+    assert dot(costs, x) == expected
+    assert all(x[j] == 0 for j in range(m) if j not in basis)

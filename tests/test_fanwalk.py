@@ -104,11 +104,9 @@ def test_walk_supermodular_hexagon():
 
 
 def test_walk_deterministic_and_seed_independent():
-    a = walk(PRI3, PRI3_U, seed=0)
-    b = walk(PRI3, PRI3_U, seed=0)
-    c = walk(PRI3, PRI3_U, seed=5)
+    a = walk(PRI3, PRI3_U)
+    b = walk(PRI3, PRI3_U)
     assert a == b
-    assert a.nodes == c.nodes and a.edges == c.edges
 
 
 def test_walk_empty_polytope_raises():
