@@ -25,9 +25,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .cones import Cone, SupportUniverse
+from .cones import SupportUniverse
 from .credal import Gamble, LowerPrevision, OutcomeSpace, SchemaError, _schema_outcomes, _schema_rat
-from .exactla import ZERO, indicator, ones, rat, vec
+from .exactla import ZERO, indicator, rat, vec
 from .fanwalk import MescGraph, MescNode
 
 __all__ = [
@@ -38,13 +38,11 @@ __all__ = [
     "as_lower_prevision",
     "is_two_monotone",
     "chain_vertex",
-    "chain_cone",
     "chain_fan",
     "chain_neighbors",
     "event_universe",
     "chain_graph",
     "enumerate_extreme_2mono",
-    "is_comonotone",
     "choquet",
     "lower_probability_from_json",
 ]
@@ -103,16 +101,6 @@ class LowerProbability:
                               if e and e != omega), key=lambda t: _event_key(t[0])))
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_index", index)
-
-    @classmethod
-    def from_events(cls, space: OutcomeSpace, values) -> "LowerProbability":
-        """values maps events (iterables of outcome labels or indices) to
-        rationals."""
-        table = []
-        for e, v in values.items():
-            idx = frozenset(x if isinstance(x, int) else space.index(x) for x in e)
-            table.append((idx, v))
-        return cls(space, tuple(table))
 
     def value(self, event):
         e = frozenset(x if isinstance(x, int) else self.space.index(x) for x in event)
@@ -183,15 +171,6 @@ class EventChain:
         order = tuple(order)
         return cls(tuple(frozenset(order[: k + 1]) for k in range(len(order))))
 
-    def permutation(self) -> tuple:
-        out = []
-        prev = frozenset()
-        for s in self.sets:
-            (x,) = s - prev
-            out.append(x)
-            prev = s
-        return tuple(out)
-
     @property
     def n(self) -> int:
         return len(self.sets)
@@ -217,13 +196,6 @@ def chain_vertex(lowprob: LowerProbability, chain: EventChain, check: bool = Fal
             if sum(point[x] for x in e) < v:
                 raise ValueError(f"chain point violates the bound on {sorted(e)}")
     return point
-
-
-def chain_cone(chain: EventChain) -> Cone:
-    """Normal-cone candidate for the chain: indicators of its proper events
-    generate, the constant direction is lineality."""
-    n = chain.n
-    return Cone(tuple(indicator(n, s) for s in chain.sets[:-1]), (ones(n),))
 
 
 def chain_fan(n: int) -> tuple:
@@ -285,19 +257,6 @@ def enumerate_extreme_2mono(lowprob: LowerProbability) -> frozenset:
             f"not 2-monotone: events {sorted(a)} and {sorted(b)} give "
             f"{rep.lhs} < {rep.rhs}")
     return frozenset(chain_vertex(lowprob, c) for c in chain_fan(lowprob.space.n))
-
-
-def is_comonotone(f, g) -> bool:
-    """No pair of outcomes on which the two gambles move strictly opposite
-    ways."""
-    fv = f.values if isinstance(f, Gamble) else vec(f)
-    gv = g.values if isinstance(g, Gamble) else vec(g)
-    if len(fv) != len(gv):
-        raise ValueError("gambles of different lengths")
-    for i, j in itertools.combinations(range(len(fv)), 2):
-        if (fv[i] - fv[j]) * (gv[i] - gv[j]) < 0:
-            return False
-    return True
 
 
 def choquet(lowprob: LowerProbability, f):

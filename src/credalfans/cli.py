@@ -53,17 +53,27 @@ class PropertyError(Exception):
     """Exit-1 class: the model fails the property the command relies on."""
 
 
-def _load_model(path):
+def _read_json(path, what):
+    """(raw bytes, parsed document) of a JSON input file. Every way the file
+    can be unusable is an InputError naming the file's role (what): it
+    cannot be read, its bytes are no JSON text in any encoding JSON allows,
+    it is no valid JSON, or it nests deeper than the parser recurses."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read model file: {exc}") from None
-    digest = hashlib.sha256(raw).hexdigest()
+        raise InputError(f"cannot read {what} file: {exc}") from None
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"model file is not valid JSON: {exc}") from None
+        return raw, json.loads(raw)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{what} file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{what} file is nested too deeply to parse") from None
+
+
+def _load_model(path):
+    raw, obj = _read_json(path, "model")
+    digest = hashlib.sha256(raw).hexdigest()
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("model document must be an object with a 'type' field")
     tag = obj["type"]
@@ -402,13 +412,7 @@ def _cmd_graph(args):
 
 def _cmd_natex(args):
     tag, model, engine, report = _start(args, "natex")
-    try:
-        with open(args.gamble, "rb") as fh:
-            gobj = json.loads(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read gamble file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"gamble file is not valid JSON: {exc}") from None
+    _, gobj = _read_json(args.gamble, "gamble")
     try:
         gamble = credal.parse_gamble(gobj, model.space, "gamble")
     except credal.SchemaError as exc:

@@ -25,19 +25,17 @@ engines exist precisely to avoid them.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cones import SupportUniverse, absorbed, dual_basis
-from .exactla import ZERO, dot, in_nonneg_span, indicator, is_multiple, ones, rat, unit, vec
+from .cones import SupportUniverse
+from .exactla import ZERO, dot, indicator, is_multiple, ones, rat, unit, vec
 from .polytope import (
     EmptyPolytopeError,
     HPolytope,
     UnboundedLpError,
     lp_min,
-    normal_cone_at,
     vertices_bruteforce,
 )
 
@@ -48,15 +46,11 @@ __all__ = [
     "LowerPrevision",
     "CoherenceReport",
     "AssessmentCheck",
-    "EventCollection",
-    "EventMescReport",
     "IncoherenceError",
     "SchemaError",
     "build_credal_hrep",
     "is_coherent",
     "natural_extension",
-    "cone_additivity_check",
-    "is_event_mesc",
     "lower_prevision_from_json",
     "parse_gamble",
 ]
@@ -349,109 +343,22 @@ def natural_extension(lp: LowerPrevision, f):
     return min(dot(v, vtx.point) for vtx in vs)
 
 
-def cone_additivity_check(lp: LowerPrevision, vertex_point, g, h):
-    """Natural extension is additive on gambles sharing a normal cone.
-
-    Returns None (skip) when g or h lies outside the normal cone at the
-    given extreme point, else whether E(g + h) == E(g) + E(h) exactly.
-    """
-    hrep, _ = build_credal_hrep(lp)
-    cone = normal_cone_at(hrep, vertex_point)
-    gv = _as_vector(lp, g)
-    hv = _as_vector(lp, h)
-    for v in (gv, hv):
-        if in_nonneg_span(cone.generators, cone.lineality, v) is None:
-            return None
-    lhs = natural_extension(lp, tuple(a + b for a, b in zip(gv, hv)))
-    return lhs == natural_extension(lp, gv) + natural_extension(lp, hv)
-
-
-# --------------------------------------------------------------- events
-
-
-@dataclass(frozen=True)
-class EventCollection:
-    """Family of events (index sets) over an outcome space."""
-
-    events: tuple
-
-    def __post_init__(self):
-        evs = []
-        seen = set()
-        for e in self.events:
-            fe = frozenset(e)
-            if not fe:
-                raise ValueError("empty event in collection")
-            if fe not in seen:
-                seen.add(fe)
-                evs.append(fe)
-        evs.sort(key=lambda s: (len(s), sorted(s)))
-        object.__setattr__(self, "events", tuple(evs))
-
-    @classmethod
-    def from_labels(cls, space: OutcomeSpace, groups) -> "EventCollection":
-        return cls(tuple(frozenset(space.index(x) for x in g) for g in groups))
-
-
-@dataclass(frozen=True)
-class EventMescReport:
-    """Outcome of the event-MESC test. reason is None on success, else one
-    of 'size', 'disjoint-pair', 'covering-pair', 'dependent', 'absorbs';
-    the offending events (and the conic witness for absorption) follow."""
-
-    ok: bool
-    reason: str = None
-    events: tuple = ()
-    witness: object = None
-
-
-def is_event_mesc(col: EventCollection, space: OutcomeSpace) -> EventMescReport:
-    """Does this event family, which must contain the sure event, span a
-    MESC over the universe of all event indicators?
-
-    The necessary structure is checked in increasing cost order: right
-    count, no disjoint pair, no pair covering the sure event, indicators
-    plus constant-one a basis, and finally no other event indicator
-    absorbed by the cone, read off the dual basis of the indicators.
-    """
-    n = space.n
-    omega = frozenset(range(n))
-    for e in col.events:
-        if not e <= omega:
-            raise ValueError("event outside the outcome space")
-    if omega not in col.events:
-        raise ValueError("collection must contain the sure event")
-    members = [e for e in col.events if e != omega]
-    if len(members) != n - 1:
-        return EventMescReport(False, "size", tuple(members))
-    for a, b in itertools.combinations(members, 2):
-        if not (a & b):
-            return EventMescReport(False, "disjoint-pair", (a, b))
-        if a | b == omega:
-            return EventMescReport(False, "covering-pair", (a, b))
-    gens = [indicator(n, e) for e in members]
-    dual = dual_basis(gens, n)
-    if dual is None:
-        return EventMescReport(False, "dependent", tuple(members))
-    events = {indicator(n, s): frozenset(s)
-              for r in range(1, n) for s in itertools.combinations(range(n), r)}
-    found = absorbed(dual, (u for u in events if u not in gens))
-    if found is None:
-        return EventMescReport(True)
-    return EventMescReport(False, "absorbs", (events[found[0]],), found[1])
-
-
 # ----------------------------------------------------------------- JSON
 
-_RAT_LITERAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RAT_LITERAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _schema_rat(value, path: str):
     # strict literal form: the numeric backends accept more (decimals,
-    # exponents) but not identically, so the schema pins the syntax
-    if not isinstance(value, str) or not _RAT_LITERAL.match(value):
+    # exponents, non-ASCII digits, surrounding whitespace) but not
+    # identically, so the schema pins the syntax to ASCII digits end to end
+    if not isinstance(value, str) or not _RAT_LITERAL.fullmatch(value):
         raise SchemaError(path, f"expected a rational like '1/2' or '-3', got {value!r}")
-    return rat(value)
+    try:
+        return rat(value)
+    except ValueError:  # more digits than Python's int() converts
+        raise SchemaError(
+            path, f"rational literal has too many digits ({len(value)} characters)") from None
 
 
 def _schema_outcomes(obj, path: str) -> OutcomeSpace:

@@ -1,17 +1,16 @@
 """Exact linear algebra over rationals.
 
 Vectors are tuples of backend rationals. ``rank``, ``solve_unique``,
-``inverse`` and the one LP kernel (``simplex``, which also decides cone
-membership) share one fraction-free Gauss-Jordan pivot (``_pivot``,
-Edmonds' integer-preserving elimination, as in lrs) on denominator-cleared
-integer rows: every division is exact, intermediate growth stays
-polynomial, and a rational is built only when a result leaves the kernel.
+``inverse`` and the one LP kernel (``simplex``) share one fraction-free
+Gauss-Jordan pivot (``_pivot``, Edmonds' integer-preserving elimination,
+as in lrs) on denominator-cleared integer rows: every division is exact,
+intermediate growth stays polynomial, and a rational is built only when a
+result leaves the kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._ratbackend import BACKEND, Rat, format_rat, rat
 
@@ -26,9 +25,6 @@ __all__ = [
     "ones",
     "indicator",
     "dot",
-    "vadd",
-    "vsub",
-    "vscale",
     "vneg",
     "is_multiple",
     "rank",
@@ -37,9 +33,6 @@ __all__ = [
     "LpInfeasible",
     "LpUnbounded",
     "simplex",
-    "solve_nonneg",
-    "SpanWitness",
-    "in_nonneg_span",
 ]
 
 ZERO = rat(0)
@@ -71,21 +64,6 @@ def indicator(n: int, members) -> tuple:
 def dot(u, v):
     assert len(u) == len(v)
     return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
-def vadd(u, v) -> tuple:
-    assert len(u) == len(v)
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v) -> tuple:
-    assert len(u) == len(v)
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u) -> tuple:
-    c = rat(c)
-    return tuple(c * a for a in u)
 
 
 def vneg(u) -> tuple:
@@ -264,37 +242,3 @@ def simplex(columns, target, costs=None):
             x[b] = Rat(row[m], det)
     return x, tuple(b for b in basis if b < m)
 
-
-def solve_nonneg(columns, target):
-    """Exact x >= 0 with sum x_j columns[j] == target, or None if
-    infeasible: phase 1 of ``simplex``."""
-    try:
-        return simplex(columns, target)[0]
-    except LpInfeasible:
-        return None
-
-
-@dataclass(frozen=True)
-class SpanWitness:
-    """Certificate for conic membership: v == sum coeffs_i generators_i
-    + sum lineality_coeffs_j lineality_j with coeffs >= 0 (lineality
-    coefficients unrestricted)."""
-
-    coeffs: tuple
-    lineality_coeffs: tuple
-
-
-def in_nonneg_span(generators, lineality, v):
-    """Witness that v lies in cone(generators) + span(lineality), else None."""
-    generators = [vec(g) for g in generators]
-    lineality = [vec(l) for l in lineality]
-    v = vec(v)
-    cols = generators + lineality + [vneg(l) for l in lineality]
-    x = solve_nonneg(cols, v)
-    if x is None:
-        return None
-    k = len(generators)
-    m = len(lineality)
-    alpha = tuple(x[:k])
-    beta = tuple(x[k + j] - x[k + m + j] for j in range(m))
-    return SpanWitness(alpha, beta)

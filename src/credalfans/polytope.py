@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import cones
 from .exactla import (
     LpInfeasible,
     LpUnbounded,
@@ -40,7 +39,6 @@ __all__ = [
     "InfeasiblePointError",
     "vertices_bruteforce",
     "active_set",
-    "normal_cone_at",
     "lp_min",
 ]
 
@@ -157,16 +155,6 @@ def vertices_bruteforce(p: HPolytope, *, max_dim: int = 6, max_constraints: int 
         if x not in seen:
             seen[x] = Vertex(x, active_set(p, x))
     return tuple(seen[x] for x in sorted(seen))
-
-
-def normal_cone_at(p: HPolytope, x) -> cones.Cone:
-    """Cone of directions minimized at x: active inequality normals as
-    generators, all equality normals as lineality."""
-    act = active_set(p, x)
-    m = len(p.inequalities)
-    gens = tuple(p.inequalities[i][0] for i in sorted(act) if i < m)
-    lin = tuple(f for f, _ in p.equalities)
-    return cones.Cone(gens, lin)
 
 
 def lp_min(p: HPolytope, f, *, max_dim: int = 6, max_constraints: int = 25) -> LpResult:

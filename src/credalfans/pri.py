@@ -48,7 +48,6 @@ __all__ = [
     "PriCoherenceReport",
     "PriCone",
     "is_coherent_pri",
-    "locate_cone",
     "vertex_for_cone",
     "pri_neighbors",
     "enumerate_extreme_pri",
@@ -143,24 +142,6 @@ class PriCone:
 
     def key(self):
         return (self.x, tuple(sorted(self.a)), tuple(sorted(self.b)))
-
-
-def locate_cone(f) -> tuple:
-    """All full cones whose relative interior contains the gamble: one per
-    choice of x not tied with any other outcome and with both sides
-    nonempty. A gamble with distinct values lands in exactly n - 2 cones."""
-    fv = f.values if isinstance(f, Gamble) else vec(f)
-    n = len(fv)
-    out = []
-    for x in range(n):
-        a = frozenset(y for y in range(n) if y != x and fv[y] > fv[x])
-        b = frozenset(z for z in range(n) if z != x and fv[z] < fv[x])
-        if len(a) + len(b) != n - 1:  # a tie with x
-            continue
-        if not a or not b:
-            continue
-        out.append(PriCone(x, a, b))
-    return tuple(sorted(out, key=PriCone.key))
 
 
 def _remainder(m: PRIModel, c: PriCone):

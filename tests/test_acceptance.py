@@ -15,29 +15,23 @@ import time
 from credalfans.chains2mono import (
     LowerProbability,
     as_lower_prevision,
-    chain_cone,
     chain_fan,
     chain_neighbors,
     chain_vertex,
     choquet,
     enumerate_extreme_2mono,
-    is_comonotone,
     is_two_monotone,
 )
-from credalfans.cones import are_adjacent, contains
 from credalfans.credal import (
-    EventCollection,
     Gamble,
     LowerPrevision,
     OutcomeSpace,
     build_credal_hrep,
-    cone_additivity_check,
-    is_event_mesc,
     natural_extension,
 )
-from credalfans.exactla import dot, rat, vadd
+from credalfans.exactla import dot, rat
 from credalfans.fanwalk import MescGraph, MescNode, verify_graph
-from credalfans.polytope import normal_cone_at, vertices_bruteforce
+from credalfans.polytope import vertices_bruteforce
 from credalfans.pri import (
     PRIModel,
     as_lower_prevision as pri_prevision,
@@ -45,12 +39,23 @@ from credalfans.pri import (
     enumerate_extreme_pri,
     induced_2mono,
     is_coherent_pri,
-    locate_cone,
     natural_extension_pri,
     pri_hrep,
     vertex_for_cone,
 )
 
+from cone_calculus import (
+    EventCollection,
+    are_adjacent,
+    chain_cone,
+    cone_additivity_check,
+    contains,
+    is_comonotone,
+    is_event_mesc,
+    locate_cone,
+    normal_cone_at,
+    vadd,
+)
 from conftest import (
     SUPERMOD3,
     belief_masses,

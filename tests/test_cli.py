@@ -503,6 +503,32 @@ class TestRefusals:
             assert code == 2
             assert "chain fan refused" in err and "--engine pri" in err
 
+    # the JSON parser raises RecursionError on the first and
+    # UnicodeDecodeError (a UTF-16 mark, then an odd byte count) on the
+    # second; both are unusable input, not a failed property
+    MALFORMED = {"deep": "[" * 200000 + "]" * 200000, "undecodable": b"\xff\xfe\x7b"}
+
+    def _malformed(self, tmp_path):
+        for name, content in self.MALFORMED.items():
+            path = tmp_path / f"{name}.json"
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content)
+            yield name, str(path)
+
+    def test_malformed_model_file_is_exit_2(self, capsys, tmp_path):
+        for name, path in self._malformed(tmp_path):
+            code, out, err = run(capsys, "check", "--model", path)
+            assert (code, out) == (2, ""), name
+            assert err.startswith("error: model file is "), name
+
+    def test_malformed_gamble_file_is_exit_2(self, capsys, tmp_path):
+        for name, path in self._malformed(tmp_path):
+            code, out, err = run(capsys, "natex", "--model", model("pri_n3.json"), "--gamble", path)
+            assert (code, out) == (2, ""), name
+            assert err.startswith("error: gamble file is "), name
+
     def test_unwritable_output_path_is_exit_2(self, capsys, tmp_path):
         missing = tmp_path / "no_such_dir"
         runs = [["vertices", "--out", str(missing / "v.csv")],

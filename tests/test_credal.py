@@ -12,24 +12,22 @@ from credalfans.credal import (
     Assessment,
     AssessmentCheck,
     CoherenceReport,
-    EventCollection,
     Gamble,
     IncoherenceError,
     LowerPrevision,
     OutcomeSpace,
     SchemaError,
     build_credal_hrep,
-    cone_additivity_check,
     is_coherent,
-    is_event_mesc,
     lower_prevision_from_json,
     natural_extension,
     parse_gamble,
 )
-from credalfans.exactla import dot, ones, rat, solve_nonneg, unit, vec
+from credalfans.exactla import LpInfeasible, dot, ones, rat, simplex, unit, vec
 from credalfans.fanwalk import walk
 from credalfans.polytope import HPolytope, vertices_bruteforce
 
+from cone_calculus import EventCollection, cone_additivity_check, is_event_mesc
 from conftest import Q, assessed_rows, interval_hrep
 
 
@@ -180,8 +178,9 @@ class TestCoherence:
 def ray_scan_implied(x, other_rows, n):
     """Reference for credal._nonneg_row_implied by another route: a
     descent ray (d . g >= 0 on every other normal, d . 1 == 0, d(x) == -1)
-    from one phase-1 LP means p(x) is unbounded below, so not implied;
-    otherwise the minimum of p(x) over the relaxation's vertex set decides."""
+    from one phase-1 LP (exactla.simplex without costs) means p(x) is
+    unbounded below, so not implied; otherwise the minimum of p(x) over the
+    relaxation's vertex set decides."""
     normals = [f for f, _ in other_rows]
     m = len(normals)
     cols = []
@@ -191,7 +190,11 @@ def ray_scan_implied(x, other_rows, n):
         cols.append(vec([-g[i] for g in normals] + [-1, -1 if i == x else 0]))
     for j in range(m):  # slack per inequality
         cols.append(vec([-1 if k == j else 0 for k in range(m)] + [0, 0]))
-    if solve_nonneg(cols, vec([0] * m + [0, -1])) is not None:
+    try:
+        simplex(cols, vec([0] * m + [0, -1]))
+    except LpInfeasible:
+        pass  # no descent ray
+    else:
         return False
     vs = vertices_bruteforce(HPolytope(n, tuple(other_rows), ((ones(n), 1),)))
     return bool(vs) and min(v.point[x] for v in vs) >= 0
@@ -339,21 +342,24 @@ class TestEventMesc:
             is_event_mesc(EventCollection(({0}, {0, 1})), SP3)
 
     def test_size_failure(self):
+        # one event besides the sure one: too few indicators for a basis
         rep = is_event_mesc(EventCollection(({0}, {0, 1, 2})), SP3)
-        assert not rep.ok and rep.reason == "size"
+        assert not rep.ok and rep.reason == "no-basis"
 
     def test_disjoint_pair(self):
+        # a disjoint pair absorbs its union: 1_{x1,x2} = 1_{x1} + 1_{x2}
         rep = is_event_mesc(EventCollection(({0}, {1}, {0, 1, 2})), SP3)
-        assert rep.reason == "disjoint-pair"
-        assert set(rep.events) == {frozenset({0}), frozenset({1})}
+        assert rep.reason == "absorbs"
+        assert rep.events == (frozenset({0, 1}),)
+        assert rep.witness.coeffs == (Q(1), Q(1))
 
     def test_covering_pair(self):
-        # pairwise intersections all nonempty, so the union test is reached
+        # a covering pair with a nonempty intersection C gives
+        # 1_A + 1_B = 1 + 1_C; here C = {x2,x3} is the third event's
+        # complement, so the indicators and the constant are dependent
         rep = is_event_mesc(
             EventCollection(({0, 1, 2}, {1, 2, 3}, {0, 3}, {0, 1, 2, 3})), SP4)
-        assert rep.reason == "covering-pair"
-        a, b = rep.events
-        assert a | b == frozenset(range(4)) and (a & b)
+        assert rep.reason == "no-basis"
 
     def test_absorbed_event_with_witness(self):
         # three pairwise-overlapping doubletons absorb the triple {x1,x2,x3}
@@ -401,6 +407,24 @@ class TestJson:
         with pytest.raises(SchemaError) as exc:
             lower_prevision_from_json(doc)
         assert "0.5" in str(exc.value)
+
+    def test_non_ascii_digits_rejected(self):
+        # Arabic-Indic one over two: a \d regex and the backend read it as 1/2
+        doc = dict(self.DOC, assessments=[{"event": ["x1"], "lower": "\u0661/2"}])
+        with pytest.raises(SchemaError):
+            lower_prevision_from_json(doc)
+
+    def test_trailing_newline_rejected(self):
+        doc = dict(self.DOC, assessments=[{"event": ["x1"], "lower": "1\n"}])
+        with pytest.raises(SchemaError):
+            lower_prevision_from_json(doc)
+
+    def test_overlong_literal_is_a_schema_error(self):
+        # past Python's 4300-digit limit on converting a string to an int
+        doc = dict(self.DOC, assessments=[{"event": ["x1"], "lower": "1" * 5001}])
+        with pytest.raises(SchemaError) as exc:
+            lower_prevision_from_json(doc)
+        assert "too many digits" in str(exc.value)
 
     def test_gamble_and_event_exclusive(self):
         doc = dict(self.DOC, assessments=[

@@ -1,4 +1,4 @@
-"""Exact linear algebra kernels: elimination, solving, conic feasibility."""
+"""Exact linear algebra kernels: elimination, solving, the simplex."""
 
 import itertools
 from fractions import Fraction
@@ -10,22 +10,17 @@ from hypothesis import strategies as st
 from credalfans.exactla import (
     LpInfeasible,
     LpUnbounded,
-    SpanWitness,
     dot,
     format_rat,
-    in_nonneg_span,
     is_multiple,
     ones,
     rank,
     rat,
     simplex,
-    solve_nonneg,
     solve_unique,
     unit,
-    vadd,
     vec,
     vneg,
-    vscale,
     zeros,
 )
 
@@ -56,8 +51,6 @@ def test_vector_helpers():
     assert unit(3, 1) == vec([0, 1, 0])
     assert ones(2) == vec([1, 1])
     assert dot(vec([1, 2]), vec([3, "1/2"])) == Q(4)
-    assert vadd(vec([1, 0]), vec([0, 1])) == vec([1, 1])
-    assert vscale("1/2", vec([2, 4])) == vec([1, 2])
     assert vneg(vec([1, -1])) == vec([-1, 1])
     assert is_multiple(vec([2, 2, 2]), ones(3))
     assert is_multiple(vec([-3, -3]), ones(2))
@@ -102,41 +95,11 @@ def test_solve_unique_overdetermined():
     assert solve_unique(a, vec([2, 3, 6])) is None
 
 
-def test_in_nonneg_span_unique_witness():
-    # doubleton indicators absorb the triple indicator on 4 outcomes
-    gens = rows([1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0])
-    w = in_nonneg_span(gens, [ones(4)], vec([1, 1, 1, 0]))
-    assert isinstance(w, SpanWitness)
-    assert w.coeffs == (Q("1/2"), Q("1/2"), Q("1/2"))
-    assert w.lineality_coeffs == (Q(0),)
-
-
-def test_in_nonneg_span_negative_case():
-    w = in_nonneg_span(rows([1, 0, 0]), [ones(3)], vec([0, 1, 0]))
-    assert w is None
-
-
-def test_in_nonneg_span_requires_nonneg_generator_coeff():
-    # -1_{x1} is not in cone(1_{x1}) even modulo the constant direction
-    w = in_nonneg_span(rows([1, 0]), [], vec([-1, 0]))
-    assert w is None
-
-
-def test_in_nonneg_span_lineality_sign():
-    # 1_{x1,x2} - 1_Omega: inside the cone via a negative lineality coefficient
-    w = in_nonneg_span(rows([1, 1, 0]), [ones(3)], vec([0, 0, -1]))
-    assert w is not None
-    assert w.coeffs == (Q(1),)
-    assert w.lineality_coeffs == (Q(-1),)
-    # ... while 1_{x3} = 1_Omega - 1_{x1,x2} needs a negative generator
-    # coefficient and must be rejected
-    assert in_nonneg_span(rows([1, 1, 0]), [ones(3)], vec([0, 0, 1])) is None
-
-
-def test_solve_nonneg_trivial_and_empty():
-    assert solve_nonneg([], zeros(3)) == []
-    assert solve_nonneg([], vec([1, 0, 0])) is None
-    x = solve_nonneg([vec([1, 0]), vec([0, 1])], zeros(2))
+def test_simplex_phase_one_trivial_and_empty():
+    assert simplex([], zeros(3))[0] == []
+    with pytest.raises(LpInfeasible):
+        simplex([], vec([1, 0, 0]))
+    x, _ = simplex([vec([1, 0]), vec([0, 1])], zeros(2))
     assert x == [Q(0), Q(0)]
 
 
@@ -206,7 +169,9 @@ def test_rank_transpose_invariant(m):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_in_nonneg_span_finds_planted_combination(data):
+def test_simplex_finds_planted_combination(data):
+    # phase 1 recovers some x >= 0 over the generators and a +- pair for
+    # the constant direction whenever a planted combination exists
     n = data.draw(st.integers(2, 4))
     k = data.draw(st.integers(1, 3))
     gens = [
@@ -224,18 +189,20 @@ def test_in_nonneg_span_finds_planted_combination(data):
         )
     )
     beta = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
-    v = zeros(n)
-    for a, g in zip(alphas, gens):
-        v = vadd(v, vscale(rat(Fraction(a)), g))
-    v = vadd(v, vscale(rat(Fraction(beta)), ones(n)))
-    w = in_nonneg_span(gens, [ones(n)], v)
-    assert w is not None
-    recon = zeros(n)
-    for a, g in zip(w.coeffs, gens):
-        assert a >= 0
-        recon = vadd(recon, vscale(a, g))
-    recon = vadd(recon, vscale(w.lineality_coeffs[0], ones(n)))
-    assert recon == v
+    cols = gens + [ones(n), vneg(ones(n))]
+    planted = [rat(Fraction(a)) for a in alphas] + [rat(Fraction(beta)), Q(0)]
+    v = _combine(cols, planted)
+    x, _ = simplex(cols, v)
+    assert all(a >= 0 for a in x)
+    assert _combine(cols, x) == v
+
+
+def _combine(columns, coeffs):
+    """sum coeffs_j columns[j]."""
+    out = zeros(len(columns[0]))
+    for c, col in zip(coeffs, columns):
+        out = tuple(a + c * b for a, b in zip(out, col))
+    return out
 
 
 def _gauss(columns, target):

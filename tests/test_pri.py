@@ -8,10 +8,10 @@ import random
 
 import pytest
 
-from credalfans.chains2mono import chain_cone, chain_fan, choquet, is_two_monotone
-from credalfans.cones import Cone, absorbed, contains, dual_basis
+from credalfans.chains2mono import chain_fan, choquet, is_two_monotone
+from credalfans.cones import absorbed, dual_basis
 from credalfans.credal import IncoherenceError, OutcomeSpace, SchemaError, natural_extension
-from credalfans.exactla import dot, in_nonneg_span, ones, unit, vec
+from credalfans.exactla import dot, ones, unit, vec
 from credalfans.fanwalk import MescNode, graph_to_json, verify_graph, walk
 from credalfans.polytope import vertices_bruteforce
 from credalfans.pri import (
@@ -23,7 +23,6 @@ from credalfans.pri import (
     enumerate_extreme_pri,
     induced_2mono,
     is_coherent_pri,
-    locate_cone,
     natural_extension_pri,
     pri_from_json,
     pri_hrep,
@@ -31,6 +30,7 @@ from credalfans.pri import (
     vertex_for_cone,
 )
 
+from cone_calculus import Cone, chain_cone, contains, locate_cone
 from conftest import Q, coherent_intervals, random_gamble
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -111,8 +111,8 @@ class TestConeCalculus:
             # the cones are simplicial, so the conic witness is unique and
             # the relative interior is where it is strictly positive
             cone = _cone_of(c, pri_uniform(4, 0, 1))
-            w = in_nonneg_span(cone.generators, cone.lineality, f)
-            assert w is not None and all(a > 0 for a in w.coeffs)
+            found = absorbed(dual_basis(cone.generators, 4), [f])
+            assert found is not None and all(a > 0 for a in found[1].coeffs)
 
     def test_locate_on_wall_or_constant(self):
         assert locate_cone((1, 1, 0)) == ()
@@ -183,7 +183,7 @@ def _cone_of(c, m):
     lineality."""
     h, _ = pri_hrep(m)
     rows = [f for f, _ in h.inequalities]
-    return Cone([rows[y] for y in c.a] + [rows[m.n + z] for z in c.b], (ones(m.n),))
+    return Cone(tuple([rows[y] for y in c.a] + [rows[m.n + z] for z in c.b]))
 
 
 def _cone_from_gens(gens, m):
