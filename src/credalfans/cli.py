@@ -97,13 +97,18 @@ def _write_file(path, text):
         raise InputError(f"cannot write output file: {exc}") from None
 
 
+# The structured engines that apply to each model type, preferred first;
+# the generic walk and oracle apply to every type.
+_STRUCTURED = {
+    "lower_prevision": (),
+    "lower_probability": ("chains",),
+    "pri": ("pri", "chains"),
+}
+
+
 def _pick_engine(requested, tag, model):
     if requested != "auto":
-        allowed = {
-            "lower_prevision": {"walk", "oracle"},
-            "lower_probability": {"walk", "oracle", "chains"},
-            "pri": {"walk", "oracle", "pri", "chains"},
-        }[tag]
+        allowed = {"walk", "oracle", *_STRUCTURED[tag]}
         if requested not in allowed:
             raise InputError(
                 f"engine {requested!r} does not apply to a {tag} model "
@@ -231,11 +236,12 @@ ENGINES = {
 def _guard_advice(exc, engine, tag):
     """The guard's refusal plus a hint naming only engines that _pick_engine
     accepts for this model type."""
-    structured = {"pri": "--engine pri or --engine chains", "lower_probability": "--engine chains"}
-    if tag not in structured:
+    structured = _STRUCTURED[tag]
+    if not structured:
         return f"{exc} (no structured engine applies to a {tag} model; reduce the instance size)"
+    options = " or ".join(f"--engine {e}" for e in structured)
     hints = {
-        "walk": f"use {structured[tag]} for structured models of this size",
+        "walk": f"use {options} for structured models of this size",
         "oracle": "the oracle is restricted to small instances; use a structured engine",
     }
     return f"{exc} ({hints.get(engine, 'reduce the instance size')})"

@@ -349,9 +349,9 @@ _RAT_LITERAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _schema_rat(value, path: str):
-    # strict literal form: the numeric backends accept more (decimals,
-    # exponents, non-ASCII digits, surrounding whitespace) but not
-    # identically, so the schema pins the syntax to ASCII digits end to end
+    # strict literal form: Fraction's own syntax is looser (decimals,
+    # exponents, surrounding whitespace, non-ASCII digits), so the schema
+    # pins a model's numbers to ASCII "p/q" or "p" end to end
     if not isinstance(value, str) or not _RAT_LITERAL.fullmatch(value):
         raise SchemaError(path, f"expected a rational like '1/2' or '-3', got {value!r}")
     try:

@@ -1,22 +1,24 @@
 """Exact linear algebra over rationals.
 
-Vectors are tuples of backend rationals. ``rank``, ``solve_unique``,
-``inverse`` and the one LP kernel (``simplex``) share one fraction-free
-Gauss-Jordan pivot (``_pivot``, Edmonds' integer-preserving elimination,
-as in lrs) on denominator-cleared integer rows: every division is exact,
-intermediate growth stays polynomial, and a rational is built only when a
-result leaves the kernel.
+Every kernel in this package runs on exact rationals, and nothing downstream
+may introduce floating point: the one number type is ``fractions.Fraction``,
+and ``rat`` is the only way in. It refuses floats (and bools), so an inexact
+value fails loudly instead of rounding silently.
+
+Vectors are tuples of Fractions. ``rank``, ``solve_unique``, ``inverse``
+and the one LP kernel (``simplex``) share one fraction-free Gauss-Jordan
+pivot (``_pivot``, Edmonds' integer-preserving elimination, as in lrs) on
+denominator-cleared integer rows: every division is exact, intermediate
+growth stays polynomial, and a Fraction is built only when a result leaves
+the kernel.
 """
 
 from __future__ import annotations
 
 import math
-
-from ._ratbackend import BACKEND, Rat, format_rat, rat
+from fractions import Fraction
 
 __all__ = [
-    "BACKEND",
-    "Rat",
     "rat",
     "format_rat",
     "vec",
@@ -34,6 +36,27 @@ __all__ = [
     "LpUnbounded",
     "simplex",
 ]
+
+
+def rat(value) -> Fraction:
+    """Coerce ``value`` to a Fraction.
+
+    Accepts Fractions, ints, and strings like ``"-3/4"`` or ``"7"``. Floats
+    (and Decimals) are rejected: silently admitting them would break the
+    exactness contract.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"not an exact rational: {value!r} of {type(value).__name__}")
+    return Fraction(value)
+
+
+def format_rat(value) -> str:
+    """Canonical string form: ``"p/q"`` in lowest terms, ``"p"`` if integral."""
+    num, den = value.numerator, value.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
+
 
 ZERO = rat(0)
 ONE = rat(1)
@@ -93,8 +116,8 @@ def _int_rows(rows) -> list[list[int]]:
     mult = 1
     for row in rows:
         for a in row:
-            mult = math.lcm(mult, int(a.denominator))
-    return [[int(a.numerator) * _exact_div(mult, int(a.denominator)) for a in row] for row in rows]
+            mult = math.lcm(mult, a.denominator)
+    return [[a.numerator * _exact_div(mult, a.denominator) for a in row] for row in rows]
 
 
 def _pivot(t: list[list[int]], det: int, r: int, c: int) -> int:
@@ -150,7 +173,7 @@ def solve_unique(rows, rhs):
     det, r = _eliminate(t, n)
     if r < n or any(row[n] != 0 for row in t[n:]):
         return None  # rank-deficient, or a nonzero rhs left over: inconsistent
-    return tuple(Rat(row[n], det) for row in t[:n])
+    return tuple(Fraction(row[n], det) for row in t[:n])
 
 
 def inverse(rows):
@@ -162,7 +185,7 @@ def inverse(rows):
     det, r = _eliminate(t, n)
     if r < n:
         return None
-    return tuple(tuple(Rat(a, det) for a in row[n:]) for row in t)
+    return tuple(tuple(Fraction(a, det) for a in row[n:]) for row in t)
 
 
 class LpInfeasible(ArithmeticError):
@@ -239,6 +262,6 @@ def simplex(columns, target, costs=None):
     x = [ZERO] * m
     for row, b in zip(t, basis):
         if b < m:
-            x[b] = Rat(row[m], det)
+            x[b] = Fraction(row[m], det)
     return x, tuple(b for b in basis if b < m)
 

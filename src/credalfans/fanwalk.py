@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cones import SupportUniverse, absorbed, dual_basis
-from .exactla import dot, is_multiple, ones, rat
+from .exactla import dot, format_rat, is_multiple, ones, rat
 from .polytope import HPolytope, lp_min
 
 __all__ = [
@@ -269,8 +269,6 @@ def verify_graph(g: MescGraph, expected_degree=None) -> FanReport:
 
 
 def _vertex_label(vertex) -> str:
-    from ._ratbackend import format_rat
-
     return ",".join(format_rat(a) for a in vertex)
 
 
@@ -290,8 +288,6 @@ def graph_to_dot(g: MescGraph) -> str:
 
 def graph_to_json(g: MescGraph, universe: SupportUniverse) -> dict:
     """JSON-ready dict; generators are referenced by universe index."""
-    from ._ratbackend import format_rat
-
     index = {node.gens: i for i, node in enumerate(g.nodes)}
     size = len(universe)
     nodes = []

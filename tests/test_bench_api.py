@@ -1,11 +1,10 @@
 """The package API the benchmark uses.
 
-perfbench/*.py and benchmarks/bench_backends.py call the package by name.
-They are read here with ast, never imported or run: every credalfans name
-they import, and every attribute chain they take of an imported credalfans
-module (``credal._credal_vertices.cache_clear``), must still resolve. A
-deletion or rename that would make benchmark operations fail then fails
-this test.
+The files perfbench/*.py call the package by name. They are read here
+with ast, never imported or run: every credalfans name they import, and
+every attribute chain they take of an imported credalfans module
+(``credal._credal_vertices.cache_clear``), must still resolve. A deletion
+or rename that would make benchmark operations fail then fails this test.
 """
 
 import ast
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "benchmarks" / "bench_backends.py"]
+FILES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _module(name):

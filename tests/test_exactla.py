@@ -1,5 +1,6 @@
 """Exact linear algebra kernels: elimination, solving, the simplex."""
 
+import decimal
 import itertools
 from fractions import Fraction
 
@@ -38,12 +39,16 @@ def test_rat_coercion_and_format():
     assert Q("3/6") == Q(1) / 2
     assert Q("  -3/4 ") == -Q(3) / 4
     assert Q(Fraction(2, 8)) == Q("1/4")
+    for x in (3, "-3/4", Fraction(1, 3)):
+        assert type(Q(x)) is Fraction
     assert format_rat(Q("4/2")) == "2"
     assert format_rat(Q("-10/4")) == "-5/2"
     with pytest.raises(TypeError):
         Q(0.5)
     with pytest.raises(TypeError):
         Q(True)
+    with pytest.raises(TypeError):
+        Q(decimal.Decimal("0.5"))
 
 
 def test_vector_helpers():
