@@ -106,8 +106,6 @@ class LowerProbability:
         e = frozenset(x if isinstance(x, int) else self.space.index(x) for x in event)
         return self._index[e]
 
-    __getitem__ = value
-
     def events(self):
         """Proper nonempty events in canonical order."""
         return tuple(e for e, _ in self.table)

@@ -19,7 +19,7 @@ mismatch), 2 unusable input (schema errors, unwritable output paths, wrong
 engine for the model type, oracle guards exceeded, a chain fan on more than
 CHAIN_FAN_MAX_N = 8 outcomes).
 
-All values are exact rationals; --decimal adds 12-significant-digit
+All values are exact rationals; --decimal (vertices, natex) adds 12-digit
 approximations for reading convenience, explicitly marked non-authoritative.
 """
 
@@ -32,6 +32,7 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import chains2mono, credal, pri
 from .exactla import dot, format_rat
@@ -310,7 +311,24 @@ class Report:
 
 
 def _decimal(x) -> str:
-    return f"{float(x):.12g}"
+    """x rounded half-even to 12 significant digits from its exact value,
+    laid out as float's '.12g' lays it out; exact, so a magnitude past
+    float's range keeps its digits and exponent."""
+    mag = abs(x)
+    exp = len(str(mag.numerator)) - len(str(mag.denominator))
+    if mag < Fraction(10) ** exp:
+        exp -= 1  # now 10**exp <= mag < 10**(exp + 1)
+    digits = round(mag / Fraction(10) ** (exp - 11))
+    if digits == 10 ** 12:
+        digits, exp = digits // 10, exp + 1
+    text = str(digits)
+    if -4 <= exp < 12:  # positional, where '.12g' picks it
+        text = "0" * -exp + text
+        point, suffix = max(exp, 0) + 1, ""
+    else:
+        point, suffix = 1, f"e{exp:+03d}"
+    frac = text[point:].rstrip("0")
+    return ("-" if x < 0 else "") + text[:point] + ("." + frac if frac else "") + suffix
 
 
 def _emit_vertices(points, names, out_path, decimal, report):
@@ -402,9 +420,11 @@ def _cmd_fan(args):
 
 
 def _cmd_graph(args):
-    _, _, graph, universe, _, report = _compute_graph(args, "graph")
+    tag, model, graph, universe, points, report = _compute_graph(args, "graph")
     report.add("n_nodes", len(graph.nodes))
     report.add("n_edges", len(graph.edges))
+    if args.verify:
+        _verify_vertices(tag, model, points, report)
     payload = json.dumps(graph_to_json(graph, universe), indent=2)
     if args.out:
         _write_file(args.out, payload + "\n")
@@ -470,21 +490,22 @@ def _build_parser():
         description="exact normal-fan computations for credal sets")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_required=True):
-        p.add_argument("--model", required=model_required, help="model JSON file")
+    def common(p, decimal=False):
+        p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--engine", default="auto",
                        choices=("auto", "walk", "chains", "pri", "oracle"))
         p.add_argument("--verify", action="store_true",
                        help="cross-check against the brute-force oracle")
-        p.add_argument("--decimal", action="store_true",
-                       help="add non-authoritative decimal approximations")
+        if decimal:
+            p.add_argument("--decimal", action="store_true",
+                           help="add non-authoritative decimal approximations")
 
     p = sub.add_parser("check", help="coherence diagnostics")
     p.add_argument("--model", required=True)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("vertices", help="extreme points as CSV")
-    common(p)
+    common(p, decimal=True)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=_cmd_vertices)
 
@@ -499,7 +520,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("natex", help="lower expectation of a gamble")
-    common(p)
+    common(p, decimal=True)
     p.add_argument("--gamble", required=True, help="gamble JSON file")
     p.set_defaults(func=_cmd_natex)
 

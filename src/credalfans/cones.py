@@ -11,7 +11,7 @@ walk work.
 
 The MESC test is read off the dual basis of the generators plus
 constant-one: ``dual_basis`` is None when they are no basis, and
-``absorbed`` finds a universe vector inside the cone, since the dual rows
+``absorbed`` returns a universe vector inside the cone, since the dual rows
 give the coordinates of any vector and membership is a sign test. A
 generator's row is also the normal of the wall opposite it, which is how
 the walk crosses walls.
@@ -25,7 +25,6 @@ from .exactla import dot, inverse, ones, vec
 
 __all__ = [
     "SupportUniverse",
-    "SpanWitness",
     "dual_basis",
     "absorbed",
 ]
@@ -54,24 +53,8 @@ class SupportUniverse:
     def dim(self) -> int:
         return len(self.vectors[0])
 
-    def __iter__(self):
-        return iter(self.vectors)
-
     def __len__(self):
         return len(self.vectors)
-
-    def __contains__(self, v):
-        return vec(v) in self.vectors
-
-
-@dataclass(frozen=True)
-class SpanWitness:
-    """Certificate for conic membership: v == sum coeffs_i generators_i
-    + sum lineality_coeffs_j lineality_j with coeffs >= 0 (lineality
-    coefficients unrestricted)."""
-
-    coeffs: tuple
-    lineality_coeffs: tuple
 
 
 def dual_basis(generators, n: int):
@@ -87,12 +70,9 @@ def dual_basis(generators, n: int):
 
 
 def absorbed(dual, vectors):
-    """(v, witness) for the first of vectors in cone(generators) +
-    span(constant-one), given the generators' dual basis, else None. The
-    witness is unique: its coefficients are the coordinates t_i . v."""
-    *gen_rows, shift = dual
-    for v in vectors:
-        if all(dot(t, v) >= 0 for t in gen_rows):
-            return v, SpanWitness(tuple(dot(t, v) for t in gen_rows), (dot(shift, v),))
-    return None
+    """The first of vectors in cone(generators) + span(constant-one), given
+    the generators' dual basis, else None: v is in it iff its coordinates
+    t_i . v on the generators' rows are all nonnegative."""
+    gen_rows = dual[:-1]
+    return next((v for v in vectors if all(dot(t, v) >= 0 for t in gen_rows)), None)
 

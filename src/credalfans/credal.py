@@ -116,32 +116,8 @@ class Gamble:
             raise ValueError("indicator members out of range")
         return cls(space, indicator(space.n, idx))
 
-    def _binop(self, other, op):
-        if isinstance(other, Gamble):
-            if other.space != self.space:
-                raise ValueError("gambles on different outcome spaces")
-            ov = other.values
-        else:
-            c = rat(other)
-            ov = (c,) * self.space.n
-        return Gamble(self.space, tuple(op(a, b) for a, b in zip(self.values, ov)))
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
     def __neg__(self):
         return Gamble(self.space, tuple(-a for a in self.values))
-
-    def __mul__(self, scalar):
-        c = rat(scalar)
-        return Gamble(self.space, tuple(c * a for a in self.values))
-
-    __rmul__ = __mul__
 
     def is_constant(self) -> bool:
         return all(a == self.values[0] for a in self.values)
@@ -149,18 +125,13 @@ class Gamble:
 
 @dataclass(frozen=True)
 class Assessment:
-    """One accepted bound: the gamble's lower prevision. provenance records
-    whether the bound was given directly, obtained by conjugacy from an
-    upper bound, or is a structural convention."""
+    """One accepted bound: the gamble's lower prevision."""
 
     gamble: Gamble
     lower: object
-    provenance: str = "direct"
 
     def __post_init__(self):
         object.__setattr__(self, "lower", rat(self.lower))
-        if self.provenance not in ("direct", "conjugate", "convention"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
 @dataclass(frozen=True)
@@ -196,15 +167,11 @@ class LowerPrevision:
         out = []
         for g, b in lower:
             g = g if isinstance(g, Gamble) else Gamble(space, g)
-            out.append(Assessment(g, b, "direct"))
+            out.append(Assessment(g, b))
         for g, b in upper:
             g = g if isinstance(g, Gamble) else Gamble(space, g)
-            out.append(Assessment(-g, -rat(b), "conjugate"))
+            out.append(Assessment(-g, -rat(b)))
         return cls(space, tuple(out))
-
-    @classmethod
-    def vacuous(cls, space: OutcomeSpace) -> "LowerPrevision":
-        return cls(space, ())
 
 
 def _canonical_ray(f, b):

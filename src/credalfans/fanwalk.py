@@ -223,11 +223,10 @@ class FanReport:
     ok: bool
 
 
-def verify_graph(g: MescGraph, expected_degree=None) -> FanReport:
+def verify_graph(g: MescGraph) -> FanReport:
     """Degree histogram, connectivity, and regularity of the walk result.
 
-    ok means: connected, no incomplete walls, and every node has the
-    expected degree (or all degrees equal when none is specified).
+    ok means: connected, no incomplete walls, and all degrees equal.
     """
     deg = {node.gens: 0 for node in g.nodes}
     adj = {node.gens: [] for node in g.nodes}
@@ -252,10 +251,7 @@ def verify_graph(g: MescGraph, expected_degree=None) -> FanReport:
         connected = len(seen) == len(g.nodes)
     else:
         connected = True
-    if expected_degree is None:
-        regular = len(hist) <= 1
-    else:
-        regular = set(hist) == {expected_degree} or (not hist and expected_degree == 0)
+    regular = len(hist) <= 1
     ok = connected and regular and not g.incomplete_walls
     return FanReport(
         n_nodes=len(g.nodes),

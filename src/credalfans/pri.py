@@ -20,6 +20,8 @@ All neighbour rules reduce to comparing the redistributed remainder against
 the distinguished outcome's own bounds; the four cases (move y out of A,
 swap x with y in A, and the two mirrored B moves) are exhaustive, and a tie
 emits both sides, which then certify the same vertex from two cones.
+Below three outcomes no cone has both sides nonempty; the generic walk
+takes those models, and its seed is the only LP this module runs.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .credal import (
     _schema_outcomes,
     parse_gamble,
 )
-from .exactla import ZERO, dot, ones, rat, unit, vec
-from .fanwalk import MescGraph, MescNode
+from .exactla import ZERO, dot, ones, unit, vec
+from .fanwalk import MescGraph, MescNode, walk
 from .polytope import HPolytope
 
 __all__ = [
@@ -140,9 +142,6 @@ class PriCone:
     def is_full(self, n: int) -> bool:
         return len(self.a) + len(self.b) == n - 1
 
-    def key(self):
-        return (self.x, tuple(sorted(self.a)), tuple(sorted(self.b)))
-
 
 def _remainder(m: PRIModel, c: PriCone):
     return 1 - sum((m.lower[y] for y in c.a), ZERO) - sum((m.upper[z] for z in c.b), ZERO)
@@ -168,13 +167,13 @@ def vertex_for_cone(m: PRIModel, c: PriCone):
 
 
 def pri_neighbors(m: PRIModel, c: PriCone) -> tuple:
-    """Wall crossings of a full cone with both sides nonempty.
+    """The cones across the walls of a full cone with both sides nonempty.
 
     Dropping the generator of y in A opens one wall; the far side either
-    keeps x distinguished and moves y to B (tag A1) or makes y the new
-    distinguished outcome (tag A2), decided by comparing the redistributed
-    remainder with l(x). B walls mirror this against u(x). A tie emits
-    both, and a coherent model leaves no wall without a neighbour.
+    keeps x distinguished and moves y to B or makes y the new distinguished
+    outcome, decided by comparing the redistributed remainder with l(x).
+    B walls mirror this against u(x). A tie emits both, and a coherent
+    model leaves no wall without a neighbour.
     """
     n = m.n
     if not c.is_full(n) or not c.a or not c.b:
@@ -185,15 +184,15 @@ def pri_neighbors(m: PRIModel, c: PriCone) -> tuple:
     for y in sorted(c.a):
         t = r + m.lower[y] - m.upper[y]
         if len(c.a) > 1 and t >= lx:
-            out.append((PriCone(c.x, c.a - {y}, c.b | {y}), "A1"))
+            out.append(PriCone(c.x, c.a - {y}, c.b | {y}))
         if t <= lx:
-            out.append((PriCone(y, (c.a - {y}) | {c.x}, c.b), "A2"))
+            out.append(PriCone(y, (c.a - {y}) | {c.x}, c.b))
     for z in sorted(c.b):
         t = r + m.upper[z] - m.lower[z]
         if len(c.b) > 1 and t <= ux:
-            out.append((PriCone(c.x, c.a | {z}, c.b - {z}), "B1"))
+            out.append(PriCone(c.x, c.a | {z}, c.b - {z}))
         if t >= ux:
-            out.append((PriCone(z, c.a, (c.b - {z}) | {c.x}), "B2"))
+            out.append(PriCone(z, c.a, (c.b - {z}) | {c.x}))
     return tuple(out)
 
 
@@ -218,23 +217,18 @@ def enumerate_extreme_pri(m: PRIModel):
     nodes are keyed by generator indices in pri_hrep(m)'s universe.
 
     Raises IncoherenceError on incoherent input (repair it first via
-    is_coherent_pri). For n == 1 the graph is the one cone with no
-    generators, as the other engines give it. For n == 2 the polytope is a
-    segment, outside the (x, A, B) cones, and the graph is the walk's: each
-    singleton row alone is a MESC, certifying the end that minimises its
-    outcome's mass, and the two are adjacent.
+    is_coherent_pri). For n <= 2 the graph is fanwalk.walk's on
+    pri_hrep(m), seeded by one LP: one cone with no generators at n == 1,
+    and at n == 2 the segment's two ends, each certified by one singleton
+    row.
     """
     rep = is_coherent_pri(m)
     if not rep.coherent:
         raise IncoherenceError("extreme-point walk requires a coherent interval model")
     n = m.n
-    if n == 1:
-        return frozenset({(rat(1),)}), MescGraph((MescNode((), (rat(1),)),), frozenset())
-    if n == 2:
-        # universe order (0, 1) < (1, 0) < (1, 1): index 0 is outcome 1's row
-        ends = (MescNode((0,), (1 - m.lower[1], m.lower[1])),
-                MescNode((1,), (m.lower[0], 1 - m.lower[0])))
-        return frozenset(e.vertex for e in ends), MescGraph(ends, frozenset({frozenset({(0,), (1,)})}))
+    if n <= 2:
+        graph = walk(*pri_hrep(m))
+        return graph.vertices, graph
     start = _seed_cone(m)
     if start is None:
         raise IncoherenceError("no valid seed cone; model is not reachable")
@@ -254,7 +248,7 @@ def enumerate_extreme_pri(m: PRIModel):
     queue = [key]
     while queue:
         key = queue.pop()
-        for nb, _tag in pri_neighbors(m, cones[key]):
+        for nb in pri_neighbors(m, cones[key]):
             nk = gens(nb)
             if nk not in nodes:
                 v = vertex_for_cone(m, nb)

@@ -2,8 +2,9 @@
 on the engine's own primitives. Every cone tested for membership or
 adjacency here is simplicial modulo the constant-one lineality, so
 ``cones.dual_basis`` gives a vector's unique coordinates and
-``cones.absorbed`` reads membership off their signs: no LP. Normal-cone
-membership is its definition: f is in N(x) iff x attains E(f).
+``cones.absorbed`` reads membership off their signs: no LP. Those
+coordinates are the conic witness. Normal-cone membership is its
+definition: f is in N(x) iff x attains E(f).
 """
 
 import itertools
@@ -20,6 +21,22 @@ class Cone(NamedTuple):
     """cone(generators) + span(constant-one)."""
 
     generators: tuple
+
+
+class Witness(NamedTuple):
+    """Conic membership certificate: v == sum coeffs_i generators_i +
+    lineality_coeffs[0] (constant-one), with coeffs >= 0 when v is in the
+    cone."""
+
+    coeffs: tuple
+    lineality_coeffs: tuple
+
+
+def witness(dual, v) -> Witness:
+    """The coordinates t . v of v over a dual basis's rows, the
+    constant-one row last; unique, since the cone is simplicial."""
+    *gen_rows, shift = dual
+    return Witness(tuple(dot(t, v) for t in gen_rows), (dot(shift, v),))
 
 
 def vadd(u, v):
@@ -59,7 +76,7 @@ def locate_cone(f) -> tuple:
         b = frozenset(z for z in range(n) if fv[z] < fv[x])
         if a and b and len(a) + len(b) == n - 1:
             out.append(PriCone(x, a, b))
-    return tuple(sorted(out, key=PriCone.key))
+    return tuple(sorted(out, key=lambda c: (c.x, sorted(c.a), sorted(c.b))))
 
 
 def is_comonotone(f, g) -> bool:
@@ -117,4 +134,4 @@ def is_event_mesc(col, space) -> EventMescReport:
     found = absorbed(dual, others)
     if found is None:
         return EventMescReport(True)
-    return EventMescReport(False, "absorbs", (others[found[0]],), found[1])
+    return EventMescReport(False, "absorbs", (others[found],), witness(dual, found))

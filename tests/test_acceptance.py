@@ -235,16 +235,18 @@ def _chain_graph_n4():
 def test_c09_fan_structure_and_unique_cone_location():
     # chain fan on four outcomes: 4! cones, adjacent by transposition
     graph = _chain_graph_n4()
-    rep = verify_graph(graph, expected_degree=3)
+    rep = verify_graph(graph)
     assert rep.n_nodes == 24 and rep.connected and rep.regular and rep.ok
+    assert rep.degree_histogram == ((3, 24),)
     for chain in chain_fan(4):
         cone = chain_cone(chain)
         for nb in chain_neighbors(chain):
             assert are_adjacent(cone, chain_cone(nb))
     # interval fan at the sharp maximum: simple and connected
     points10, g10 = enumerate_extreme_pri(MAX10)
-    rep10 = verify_graph(g10, expected_degree=9)
+    rep10 = verify_graph(g10)
     assert rep10.n_nodes == 1260 and rep10.connected and rep10.regular and rep10.ok
+    assert rep10.degree_histogram == ((9, 1260),)
     # a generic direction lies in exactly one maximal cone of each fan
     rng = random.Random(406)
     chain_cones = [chain_cone(c) for c in chain_fan(4)]
@@ -290,7 +292,7 @@ def _regression_previsions():
         sp3,
         lower=[(Gamble(sp3, (Q(1), Q(2), Q(0))), Q("1/2"))],
         upper=[(Gamble.indicator(sp3, ["x3"]), Q("1/2"))])
-    models = [LowerPrevision.vacuous(sp3), singleton, general]
+    models = [LowerPrevision(sp3, ()), singleton, general]
     models.append(as_lower_prevision(lowprob_from_values(3, SUPERMOD3)))
     models.append(as_lower_prevision(lowprob_from_values(4, quadratic_lowprob(rng, 4))))
     models.append(pri_prevision(uniform_pri(3, "1/6", "1/2")))

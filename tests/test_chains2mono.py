@@ -66,7 +66,7 @@ class TestLowerProbability:
     def test_value_accepts_labels_and_indices(self):
         lp = lp3(SUPERMOD3)
         assert lp.value(("x1", "x3")) == Q(1) / 2
-        assert lp[(0, 2)] == Q(1) / 2
+        assert lp.value((0, 2)) == Q(1) / 2
         assert lp.value(range(3)) == 1
 
     def test_canonical_table(self):

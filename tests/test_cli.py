@@ -12,6 +12,8 @@ import itertools
 import json
 from pathlib import Path
 
+import pytest
+
 from credalfans import chains2mono, pri
 from credalfans.cli import main
 
@@ -242,6 +244,12 @@ class TestGraph:
                          "--engine", "oracle")
         assert code == 2
 
+    def test_verify_cross_checks_the_oracle(self, capsys):
+        code, out, err = run(capsys, "graph", "--model", model("pri_n3.json"), "--verify")
+        assert code == 0
+        assert len(json.loads(out)["nodes"]) == 6
+        assert report_get(err, "verified") == "true"
+
 
 class TestNatex:
     def test_pri_closed_form(self, capsys):
@@ -274,6 +282,17 @@ class TestNatex:
                            "--gamble", model("gamble_n3.json"), "--decimal")
         assert code == 0
         assert report_get(out, "value_dec") == "1.66666666667"
+
+    def test_decimal_value_past_float_range(self, capsys, tmp_path):
+        # 401-digit payoffs: the value is 5/3 * 10**400, beyond any float
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"x1": "3" + "0" * 400, "x2": "2" + "0" * 400,
+                                     "x3": "1" + "0" * 400}))
+        code, out, _ = run(capsys, "natex", "--model", model("pri_n3.json"),
+                           "--gamble", str(gpath), "--decimal")
+        assert code == 0
+        assert report_get(out, "value") == "5" + "0" * 400 + "/3"
+        assert report_get(out, "value_dec") == "1.66666666667e+400"
 
     def test_chains_rejects_nonsupermodular(self, capsys):
         code, _, err = run(capsys, "natex", "--model",
@@ -382,6 +401,14 @@ class TestBounds:
 
 
 class TestInputErrors:
+    def test_decimal_only_on_vertices_and_natex(self, capsys):
+        # fan and graph print no numbers to approximate, so argparse refuses
+        for command in ("fan", "graph"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--model", model("pri_n3.json"), "--decimal"])
+            assert exc.value.code == 2
+            assert "--decimal" in capsys.readouterr().err
+
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, "check", "--model", "/does/not/exist.json")
         assert code == 2

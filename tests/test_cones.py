@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credalfans.cones import SpanWitness, SupportUniverse, absorbed, dual_basis
+from credalfans.cones import SupportUniverse, absorbed, dual_basis
 from credalfans.credal import OutcomeSpace, build_credal_hrep
 from credalfans.exactla import LpInfeasible, dot, is_multiple, ones, rank, rat, simplex, vec, vneg
 from credalfans.pri import PRIModel, as_lower_prevision, is_coherent_pri, pri_hrep
 
-from cone_calculus import Cone, are_adjacent, contains
+from cone_calculus import Cone, Witness, are_adjacent, contains, witness
 
 Q = rat
 
@@ -39,7 +39,7 @@ def others(gens, universe):
     """The universe vectors a MESC on gens must not absorb: all but the
     generators and the constant direction, in universe order."""
     n = universe.dim
-    return [u for u in universe if u not in gens and not is_multiple(u, ones(n))]
+    return [u for u in universe.vectors if u not in gens and not is_multiple(u, ones(n))]
 
 
 def test_support_universe_requires_constant_one():
@@ -47,14 +47,14 @@ def test_support_universe_requires_constant_one():
         SupportUniverse((ind(3, {0}),))
     u = event_universe(3)
     assert len(u) == 7
-    assert ones(3) in u
+    assert ones(3) in u.vectors
 
 
 def test_contains_and_relative_interior():
     def interior(c, v):
         # CHAIN3 is simplicial, so its conic witness is unique
-        found = absorbed(dual_basis(c.generators, 3), [v])
-        return found is not None and all(a > 0 for a in found[1].coeffs)
+        dual = dual_basis(c.generators, 3)
+        return absorbed(dual, [v]) is not None and all(a > 0 for a in witness(dual, v).coeffs)
 
     assert contains(CHAIN3, vec([3, 2, 1]))
     assert interior(CHAIN3, vec([3, 2, 1]))
@@ -84,18 +84,20 @@ def test_mesc_absorption_witness():
     # three pairwise-overlapping doubletons on 4 outcomes absorb the triple
     u = event_universe(4)
     gens = (ind(4, {0, 1}), ind(4, {1, 2}), ind(4, {0, 2}))
-    vector, witness = absorbed(dual_basis(gens, 4), others(gens, u))
+    dual = dual_basis(gens, 4)
+    vector = absorbed(dual, others(gens, u))
     assert vector == ind(4, {0, 1, 2})
-    assert witness.coeffs == (Q("1/2"), Q("1/2"), Q("1/2"))
+    assert witness(dual, vector).coeffs == (Q("1/2"), Q("1/2"), Q("1/2"))
 
 
 def test_mesc_absorption_via_negative_lineality():
     # complements of x1 and x2 absorb 1_{x3} using a negative constant shift
     u = event_universe(3)
     gens = (ind(3, {1, 2}), ind(3, {0, 2}))
-    vector, witness = absorbed(dual_basis(gens, 3), others(gens, u))
+    dual = dual_basis(gens, 3)
+    vector = absorbed(dual, others(gens, u))
     assert vector == ind(3, {2})
-    assert witness.lineality_coeffs == (Q(-1),)
+    assert witness(dual, vector).lineality_coeffs == (Q(-1),)
 
 
 def chain_cone_of_perm(perm):
@@ -196,7 +198,7 @@ def lp_mesc_failure(gens, universe):
             x, _ = simplex(list(gens) + [ones(n), vneg(ones(n))], u)
         except LpInfeasible:
             continue
-        return u, SpanWitness(tuple(x[: n - 1]), (x[n - 1] - x[n],))
+        return u, Witness(tuple(x[: n - 1]), (x[n - 1] - x[n],))
     return None
 
 
@@ -204,7 +206,7 @@ def lp_mesc_failure(gens, universe):
 def universe_and_generators(draw):
     universe = draw(st.sampled_from(UNIVERSES))
     n = universe.dim
-    plain = [v for v in universe if v != ones(n)]
+    plain = [v for v in universe.vectors if v != ones(n)]
     size = draw(st.sampled_from((n - 1, n - 1, n - 1, n - 2)))
     gens = draw(st.lists(st.sampled_from(plain), min_size=size, max_size=size, unique=True))
     return universe, gens
@@ -227,4 +229,5 @@ def test_dual_basis_matches_lp_route(drawn):
         assert dual is None
     else:
         assert dual is not None
-        assert absorbed(dual, others(gens, universe)) == expected
+        found = absorbed(dual, others(gens, universe))
+        assert (None if found is None else (found, witness(dual, found))) == expected

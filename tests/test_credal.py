@@ -61,20 +61,17 @@ class TestSpacesAndGambles:
             SP3.index("nope")
 
     def test_gamble_arithmetic(self):
+        # negation, for conjugacy, is the one operation a gamble has
         f = Gamble(SP3, (2, 1, 0))
-        g = Gamble.indicator(SP3, ("x2",))
-        assert (f + g).values == (Q(2), Q(2), Q(0))
-        assert (f - g).values == (Q(2), Q(0), Q(0))
         assert (-f).values == (Q(-2), Q(-1), Q(0))
-        assert (3 * g).values == (Q(0), Q(3), Q(0))
-        assert (f + 1).values == (Q(3), Q(2), Q(1))
         assert Gamble(SP3, (Q(1) / 3,) * 3).is_constant()
+        assert not f.is_constant()
 
     def test_gamble_mismatch(self):
         with pytest.raises(ValueError):
             Gamble(SP3, (1, 2))
         with pytest.raises(ValueError):
-            Gamble(SP3, (1, 0, 0)) + Gamble(SP4, (1, 0, 0, 0))
+            natural_extension(supermod3_lp(), Gamble(SP4, (1, 0, 0, 0)))
 
     def test_prevision_validation(self):
         g = Gamble.indicator(SP3, ("x1",))
@@ -88,17 +85,16 @@ class TestSpacesAndGambles:
             SP3, lower=[((1, 0, 0), Q(1) / 6)], upper=[((1, 0, 0), Q(1) / 2)]
         )
         direct, conj = lp.assessments
-        assert direct.provenance == "direct" and direct.lower == Q(1) / 6
-        assert conj.provenance == "conjugate"
+        assert direct.gamble.values == (Q(1), Q(0), Q(0)) and direct.lower == Q(1) / 6
         assert conj.gamble.values == (Q(-1), Q(0), Q(0))
         assert conj.lower == Q(-1) / 2
 
 
 class TestHrepConstruction:
     def test_vacuous_universe_and_rows(self):
-        h, uni = build_credal_hrep(LowerPrevision.vacuous(SP3))
+        h, uni = build_credal_hrep(LowerPrevision(SP3, ()))
         # no assessment implies any nonnegativity row, so all three stay
-        assert set(uni) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
+        assert set(uni.vectors) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
         assert {v.point for v in vertices_bruteforce(h)} == {
             (Q(1), Q(0), Q(0)), (Q(0), Q(1), Q(0)), (Q(0), Q(0), Q(1))}
 
@@ -106,7 +102,7 @@ class TestHrepConstruction:
         lp = LowerPrevision.from_bounds(SP3, lower=[((1, 0, 0), Q(1) / 4)])
         h, uni = build_credal_hrep(lp)
         # p(x1) >= 1/4 subsumes p(x1) >= 0; the other two rows survive
-        assert set(uni) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
+        assert set(uni.vectors) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
         assert dict(h.inequalities)[unit(3, 0)] == Q(1) / 4
         assert {v.point for v in vertices_bruteforce(h)} == {
             (Q(1), Q(0), Q(0)),
@@ -122,7 +118,7 @@ class TestHrepConstruction:
         # p . (1,2,3) >= 0 cannot bound any p(x) below, rows all retained
         lp = LowerPrevision.from_bounds(SP3, lower=[((1, 2, 3), 0)])
         _, uni = build_credal_hrep(lp)
-        assert unit(3, 0) in uni and unit(3, 1) in uni and unit(3, 2) in uni
+        assert {unit(3, 0), unit(3, 1), unit(3, 2)} <= set(uni.vectors)
 
     def test_implied_row_without_shortcut(self):
         # upper bounds u == 1/3 on two outcomes force p(x3) >= 1/3 > 0,
@@ -132,8 +128,8 @@ class TestHrepConstruction:
             SP3, upper=[((1, 0, 0), Q(1) / 3), ((0, 1, 0), Q(1) / 3)]
         )
         _, uni = build_credal_hrep(lp)
-        assert unit(3, 2) not in uni
-        assert unit(3, 0) in uni and unit(3, 1) in uni
+        assert unit(3, 2) not in uni.vectors
+        assert {unit(3, 0), unit(3, 1)} <= set(uni.vectors)
 
     def test_interval_model_matches_handbuilt_polytope(self):
         lp = pri3_lp()
@@ -142,7 +138,7 @@ class TestHrepConstruction:
         assert {v.point for v in vertices_bruteforce(h)} == {
             v.point for v in vertices_bruteforce(handbuilt)}
         # all nonnegativity rows implied by the lower assessments
-        assert len(tuple(uni)) == 7
+        assert len(uni) == 7
 
     def test_walk_runs_on_built_model(self):
         h, uni = build_credal_hrep(pri3_lp())
@@ -235,7 +231,7 @@ def test_is_coherent_matches_vertex_scan(model):
 def test_is_coherent_matches_vertex_scan_on_every_verdict():
     slack = LowerPrevision.from_bounds(SP3, lower=[((1, 2, 3), 0)])
     empty = LowerPrevision.from_bounds(SP3, lower=[((1, 0, 0), Q(2) / 3), ((0, 1, 0), Q(2) / 3)])
-    models = (supermod3_lp(), pri3_lp(), slack, empty, LowerPrevision.vacuous(SP3))
+    models = (supermod3_lp(), pri3_lp(), slack, empty, LowerPrevision(SP3, ()))
     reports = [is_coherent(lp) for lp in models]
     assert reports == [scan_report(lp) for lp in models]
     assert [(r.coherent, r.empty) for r in reports] == [
@@ -244,14 +240,13 @@ def test_is_coherent_matches_vertex_scan_on_every_verdict():
 
 class TestNaturalExtension:
     def test_vacuous_is_infimum(self):
-        lp = LowerPrevision.vacuous(SP3)
+        lp = LowerPrevision(SP3, ())
         assert natural_extension(lp, (5, 2, 7)) == 2
         assert natural_extension(lp, Gamble(SP3, (-1, 0, 1))) == -1
 
     def test_constant_shift(self):
         lp = supermod3_lp()
-        f = Gamble(SP3, (2, 1, 0))
-        assert natural_extension(lp, f + 3) == natural_extension(lp, f) + 3
+        assert natural_extension(lp, (5, 4, 3)) == natural_extension(lp, (2, 1, 0)) + 3
 
     def test_frozen_supermodular_values(self):
         lp = supermod3_lp()
@@ -303,9 +298,10 @@ class TestAxiomChecks:
         for g in self.GAMBLES:
             assert min(g.values) <= value[g.values] <= max(g.values)
             for c in (0, 2, 5):
-                assert natural_extension(lp, g * c) == c * value[g.values]
+                assert natural_extension(lp, [c * a for a in g.values]) == c * value[g.values]
         for f, g in itertools.combinations_with_replacement(self.GAMBLES, 2):
-            assert natural_extension(lp, f + g) >= value[f.values] + value[g.values]
+            total = [a + b for a, b in zip(f.values, g.values)]
+            assert natural_extension(lp, total) >= value[f.values] + value[g.values]
 
 
 class TestConeAdditivity:
@@ -393,9 +389,11 @@ class TestJson:
     def test_parse_roundtrip(self):
         lp = lower_prevision_from_json(self.DOC)
         assert lp.space == SP3
-        assert len(lp.assessments) == 3  # lower, gamble, conjugated upper
-        kinds = sorted(a.provenance for a in lp.assessments)
-        assert kinds == ["conjugate", "direct", "direct"]
+        # the two lower bounds in order, then the upper through conjugacy
+        assert [(a.gamble.values, a.lower) for a in lp.assessments] == [
+            (unit(3, 0), Q(1) / 6),
+            ((Q(2), Q(1), Q(0)), Q(3) / 5),
+            ((Q(-1), Q(0), Q(0)), Q(-1) / 2)]
 
     def test_parse_gamble_requires_all_outcomes(self):
         with pytest.raises(SchemaError) as exc:

@@ -16,6 +16,7 @@ from conftest import (
 from credalfans.cones import SupportUniverse, dual_basis
 from credalfans.exactla import ones, rat, unit, vec
 from credalfans.fanwalk import (
+    MescGraph,
     MescNode,
     _active_table,
     graph_to_dot,
@@ -78,8 +79,8 @@ def test_walk_needs_every_universe_vector_as_a_row_normal():
 def test_walk_simplex_triangle():
     g = walk(SIMPLEX3, SIMPLEX3_U)
     assert g.vertices == {vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])}
-    report = verify_graph(g, expected_degree=2)
-    assert report.ok
+    report = verify_graph(g)
+    assert report.ok and report.degree_histogram == ((2, 3),)
     assert report.n_nodes == 3 and report.n_edges == 3
     assert not g.incomplete_walls
 
@@ -88,15 +89,15 @@ def test_walk_interval_hexagon():
     g = walk(PRI3, PRI3_U)
     expected = {vec(p) for p in itertools.permutations(["1/2", "1/3", "1/6"])}
     assert g.vertices == expected
-    report = verify_graph(g, expected_degree=2)
-    assert report.ok
+    report = verify_graph(g)
+    assert report.ok and report.degree_histogram == ((2, 6),)
     assert report.n_nodes == 6 and report.n_edges == 6
 
 
 def test_walk_supermodular_hexagon():
     g = walk(SUP3, SUP3_U)
-    report = verify_graph(g, expected_degree=2)
-    assert report.ok
+    report = verify_graph(g)
+    assert report.ok and report.degree_histogram == ((2, 6),)
     assert report.n_nodes == 6
     # chain vertices: lower-bound increments along each permutation
     assert vec(["1/10", "2/5", "1/2"]) in g.vertices
@@ -152,9 +153,12 @@ def test_walk_matches_oracle_on_random_lower_probabilities():
 
 
 def test_verify_graph_degenerate_degree():
+    # the triangle less one edge is a path: connected, degrees 1, 2, 1
     g = walk(SIMPLEX3, SIMPLEX3_U)
-    bad = verify_graph(g, expected_degree=3)
-    assert not bad.ok and bad.connected
+    path = MescGraph(g.nodes, frozenset(sorted(g.edges, key=sorted)[1:]))
+    bad = verify_graph(path)
+    assert bad.degree_histogram == ((1, 2), (2, 1))
+    assert not bad.ok and not bad.regular and bad.connected
 
 
 def test_graph_to_dot_shape():

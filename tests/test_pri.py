@@ -30,7 +30,7 @@ from credalfans.pri import (
     vertex_for_cone,
 )
 
-from cone_calculus import Cone, chain_cone, contains, locate_cone
+from cone_calculus import Cone, chain_cone, contains, locate_cone, witness
 from conftest import Q, coherent_intervals, random_gamble
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -89,7 +89,7 @@ class TestConeCalculus:
         gens = _cone_of(c, pri3()).generators
         assert set(gens) == {unit(3, 1), (Q(1), Q(1), Q(0))}
         _, uni = pri_hrep(pri3())
-        assert set(gens) <= set(uni)
+        assert set(gens) <= set(uni.vectors)
 
     def test_cone_is_mesc_over_interval_universe(self):
         points, graph = enumerate_extreme_pri(pri3())
@@ -99,7 +99,7 @@ class TestConeCalculus:
             gens = [uni.vectors[i] for i in node.gens]
             dual = dual_basis(gens, 3)
             assert dual is not None
-            assert absorbed(dual, (u for u in uni if u not in gens and u != ones(3))) is None
+            assert absorbed(dual, (u for u in uni.vectors if u not in gens and u != ones(3))) is None
 
     def test_locate_generic(self):
         (c,) = locate_cone((3, 1, 2))
@@ -111,8 +111,9 @@ class TestConeCalculus:
             # the cones are simplicial, so the conic witness is unique and
             # the relative interior is where it is strictly positive
             cone = _cone_of(c, pri_uniform(4, 0, 1))
-            found = absorbed(dual_basis(cone.generators, 4), [f])
-            assert found is not None and all(a > 0 for a in found[1].coeffs)
+            dual = dual_basis(cone.generators, 4)
+            assert absorbed(dual, [f]) is not None
+            assert all(a > 0 for a in witness(dual, f).coeffs)
 
     def test_locate_on_wall_or_constant(self):
         assert locate_cone((1, 1, 0)) == ()
@@ -140,12 +141,10 @@ class TestNeighbors:
         m = pri3()
         c = PriCone(0, frozenset({1}), frozenset({2}))
         nbs = pri_neighbors(m, c)
+        # outcome 1 leaves A and outcome 2 leaves B, each to become distinguished
         assert len(nbs) == 2
-        tags = {tag for _, tag in nbs}
-        assert tags == {"A2", "B2"}
-        keys = {nb.key() for nb, _ in nbs}
-        assert keys == {PriCone(1, frozenset({0}), frozenset({2})).key(),
-                        PriCone(2, frozenset({1}), frozenset({0})).key()}
+        assert set(nbs) == {PriCone(1, frozenset({0}), frozenset({2})),
+                            PriCone(2, frozenset({1}), frozenset({0}))}
 
     def test_reverse_symmetry(self):
         rng = random.Random(5)
@@ -156,9 +155,8 @@ class TestNeighbors:
             checked = 0
             for node in graph.nodes[:6]:
                 c = _cone_from_gens(node.gens, m)
-                for nb, _tag in pri_neighbors(m, c):
-                    back = {b.key() for b, _ in pri_neighbors(m, nb)}
-                    assert c.key() in back
+                for nb in pri_neighbors(m, c):
+                    assert c in pri_neighbors(m, nb)
                     checked += 1
             assert checked
 
@@ -171,7 +169,7 @@ class TestNeighbors:
             for node in graph.nodes:
                 c = _cone_from_gens(node.gens, m)
                 walls_covered = set()
-                for nb, tag in pri_neighbors(m, c):
+                for nb in pri_neighbors(m, c):
                     moved = (c.a - nb.a) | (c.b - nb.b) | ({c.x} - ({nb.x} | nb.a | nb.b))
                     walls_covered |= moved
                 assert walls_covered == c.a | c.b
@@ -207,8 +205,9 @@ class TestEnumeration:
     def test_hexagon(self):
         pts, graph = enumerate_extreme_pri(pri3())
         assert pts == {tuple(p) for p in itertools.permutations((Q(1) / 2, Q(1) / 3, Q(1) / 6))}
-        rep = verify_graph(graph, expected_degree=2)
+        rep = verify_graph(graph)
         assert rep.ok and rep.n_nodes == 6 and rep.n_edges == 6
+        assert rep.degree_histogram == ((2, 6),)
 
     def test_incoherent_rejected(self):
         m = PRIModel(SP3, (Q(1) / 2, 0, 0), (Q(1) / 2, Q(1) / 2, 1))
@@ -223,14 +222,22 @@ class TestEnumeration:
                                MescNode((1,), (Q(1) / 4, Q(3) / 4)))
         assert graph.edges == {frozenset({(0,), (1,)})}
 
-    @pytest.mark.parametrize("low, up", [("1/4", "3/4"), ("1/2", "1/2"), ("0", "1")])
-    def test_n2_graph_is_the_walks(self, low, up):
-        m = PRIModel(OutcomeSpace(("a", "b")), (Q(low),) * 2, (Q(up),) * 2)
+    @pytest.mark.parametrize("outcomes, low, up", [
+        pytest.param(("a",), "1", "1", id="n1"),
+        *(pytest.param(("a", "b"), low, up, id=f"{low}-{up}")
+          for low, up in [("1/4", "3/4"), ("1/2", "1/2"), ("0", "1")]),
+    ])
+    def test_n2_graph_is_the_walks(self, outcomes, low, up):
+        n = len(outcomes)
+        m = PRIModel(OutcomeSpace(outcomes), (Q(low),) * n, (Q(up),) * n)
         pts, graph = enumerate_extreme_pri(m)
         h, universe = pri_hrep(m)
         doc = graph_to_json(graph, universe)
         assert doc == graph_to_json(walk(h, universe), universe)
         assert pts == {v.point for v in vertices_bruteforce(h)}
+        if n == 1:  # one cone, with no generators, and no wall
+            assert doc["nodes"] == [{"id": 0, "vertex": ["1"], "generators": []}]
+            assert doc["edges"] == []
         if low == "1/4":
             assert doc["nodes"] == [
                 {"id": 0, "vertex": ["3/4", "1/4"], "generators": [0]},
@@ -275,8 +282,8 @@ class TestEnumeration:
         pts, graph = enumerate_extreme_pri(m)
         low, high = count_bounds(5)
         assert len(graph.nodes) == high == 30
-        rep = verify_graph(graph, expected_degree=4)
-        assert rep.ok
+        rep = verify_graph(graph)
+        assert rep.ok and rep.degree_histogram == ((4, 30),)
 
 
 class TestNaturalExtension:
