@@ -6,18 +6,17 @@ A 2-monotone (supermodular) lower probability L satisfies
     L(A | B) + L(A & B) >= L(A) + L(B)
 
 for all events. Its credal set then has a completely explicit extreme-point
-structure: every maximal chain of events (equivalently, every ordering of
-the outcomes) yields an extreme point by telescoping L along the chain, and
-all extreme points arise this way. The associated normal fan refines into
-at most n! simplicial cones, one per chain, with adjacency given by swapping
-two consecutive outcomes.
+structure. A chain is an order of the outcomes, a tuple of outcome indices
+with the highest ranked first; telescoping L along its growing initial
+segments yields an extreme point, and all extreme points arise this way.
+The normal fan refines into the n! chain cones, the cone of an order being
+spanned by the indicators of its proper initial segments (the upper level
+sets of the gambles it holds), and two cones share a wall exactly when
+their orders differ by one swap of consecutive outcomes.
 
-Orientation convention used throughout: a chain's first event collects the
-outcomes with the highest payoff, so the telescoped vertex puts the least
-mass where a gamble decreasing along the chain pays most. Under this
-convention the Choquet integral of such a gamble equals its exact lower
-expectation, and the chain's cone is spanned by the indicators of its
-proper initial segments (upper level sets).
+Under this orientation the telescoped vertex puts the least mass where a
+gamble decreasing along the order pays most, so the Choquet integral of
+such a gamble equals its exact lower expectation.
 """
 
 from __future__ import annotations
@@ -34,11 +33,9 @@ __all__ = [
     "LowerProbability",
     "NotTwoMonotoneError",
     "TwoMonotoneReport",
-    "EventChain",
     "as_lower_prevision",
     "is_two_monotone",
     "chain_vertex",
-    "chain_fan",
     "chain_neighbors",
     "event_universe",
     "chain_graph",
@@ -141,73 +138,29 @@ def is_two_monotone(lowprob: LowerProbability) -> TwoMonotoneReport:
     return TwoMonotoneReport(True)
 
 
-@dataclass(frozen=True)
-class EventChain:
-    """Maximal increasing chain of events, one new outcome per step, ending
-    at the sure event. The first event holds the outcome ranked highest."""
-
-    sets: tuple
-
-    def __post_init__(self):
-        sets = tuple(frozenset(s) for s in self.sets)
-        if not sets:
-            raise ValueError("empty chain")
-        n = len(sets[-1])
-        if len(sets) != n:
-            raise ValueError("chain must have one event per size 1..n")
-        if sets[-1] != frozenset(range(n)):
-            raise ValueError("chain must end at the sure event on outcomes 0..n-1")
-        prev = frozenset()
-        for k, s in enumerate(sets, start=1):
-            if len(s) != k or not prev < s:
-                raise ValueError("chain events must grow by one outcome per step")
-            prev = s
-        object.__setattr__(self, "sets", sets)
-
-    @classmethod
-    def from_permutation(cls, order) -> "EventChain":
-        order = tuple(order)
-        return cls(tuple(frozenset(order[: k + 1]) for k in range(len(order))))
-
-    @property
-    def n(self) -> int:
-        return len(self.sets)
-
-
-def chain_vertex(lowprob: LowerProbability, chain: EventChain):
-    """Telescope L along the chain: the outcome added at step k receives
-    mass L(A_k) - L(A_{k-1}). The point dominates L on every event when L
-    is 2-monotone."""
-    n = chain.n
-    if n != lowprob.space.n:
-        raise ValueError("chain on a different outcome space")
+def chain_vertex(lowprob: LowerProbability, order):
+    """Telescope L along the growing prefixes of an outcome order (highest
+    ranked first): the outcome at step k receives mass L(A_k) - L(A_{k-1}).
+    The point dominates L on every event when L is 2-monotone."""
+    n = lowprob.space.n
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"order is not a permutation of the {n} outcomes")
+    value = lowprob._index
     p = [ZERO] * n
-    prev_set, prev_val = frozenset(), ZERO
-    for s in chain.sets:
-        (x,) = s - prev_set
-        val = lowprob.value(s)
-        p[x] = val - prev_val
-        prev_set, prev_val = s, val
+    prefix, prev = frozenset(), ZERO
+    for x in order:
+        prefix = prefix | {x}
+        val = value[prefix]
+        p[x] = val - prev
+        prev = val
     return tuple(p)
 
 
-def chain_fan(n: int) -> tuple:
-    """All n! maximal chains, in permutation order."""
-    return tuple(EventChain.from_permutation(p) for p in itertools.permutations(range(n)))
-
-
-def chain_neighbors(chain: EventChain) -> tuple:
-    """The n-1 chains whose cones share a wall with this one: replace the
-    event at one interior level by the other union of its neighbors, which
-    swaps two consecutive outcomes."""
-    sets = chain.sets
-    n = chain.n
-    out = []
-    for i in range(n - 1):
-        below = sets[i - 1] if i else frozenset()
-        replaced = below | (sets[i + 1] - sets[i])
-        out.append(EventChain(sets[:i] + (replaced,) + sets[i + 1 :]))
-    return tuple(out)
+def chain_neighbors(order) -> tuple:
+    """The n-1 orders whose cones share a wall with this one's: each swaps
+    one pair of consecutive outcomes."""
+    return tuple(order[:i] + (order[i + 1], order[i]) + order[i + 2:]
+                 for i in range(len(order) - 1))
 
 
 def event_universe(n: int) -> SupportUniverse:
@@ -219,24 +172,19 @@ def event_universe(n: int) -> SupportUniverse:
 
 def chain_graph(lowprob: LowerProbability) -> MescGraph:
     """The chain fan as a MescGraph over event_universe(n): one node per
-    chain, keyed by the universe indices of its proper events, and one
-    edge per swap of two consecutive outcomes. Validity of the vertices
-    (2-monotonicity) is the caller's concern."""
+    outcome order, keyed by the universe indices of its proper initial
+    segments, and one edge per swap of two consecutive outcomes. Validity
+    of the vertices (2-monotonicity) is the caller's concern."""
     n = lowprob.space.n
     universe = event_universe(n)
     uindex = {frozenset(i for i, a in enumerate(v) if a): k for k, v in enumerate(universe.vectors)}
-
-    def key(chain):
-        return tuple(sorted(uindex[s] for s in chain.sets[:-1]))
-
-    nodes = {}
-    edges = set()
-    for chain in chain_fan(n):
-        k = key(chain)
-        nodes[k] = MescNode(k, chain_vertex(lowprob, chain))
-        for nb in chain_neighbors(chain):
-            edges.add(frozenset({k, key(nb)}))
-    return MescGraph(tuple(nodes[k] for k in sorted(nodes)), frozenset(edges))
+    keys = {order: tuple(sorted(uindex[frozenset(order[:k])] for k in range(1, n)))
+            for order in itertools.permutations(range(n))}
+    nodes = sorted((MescNode(k, chain_vertex(lowprob, order)) for order, k in keys.items()),
+                   key=lambda node: node.gens)
+    edges = frozenset(frozenset({k, keys[nb]}) for order, k in keys.items()
+                      for nb in chain_neighbors(order))
+    return MescGraph(tuple(nodes), edges)
 
 
 def enumerate_extreme_2mono(lowprob: LowerProbability) -> frozenset:
@@ -249,7 +197,8 @@ def enumerate_extreme_2mono(lowprob: LowerProbability) -> frozenset:
         raise NotTwoMonotoneError(
             f"not 2-monotone: events {sorted(a)} and {sorted(b)} give "
             f"{rep.lhs} < {rep.rhs}")
-    return frozenset(chain_vertex(lowprob, c) for c in chain_fan(lowprob.space.n))
+    return frozenset(chain_vertex(lowprob, order)
+                     for order in itertools.permutations(range(lowprob.space.n)))
 
 
 def choquet(lowprob: LowerProbability, f):

@@ -17,7 +17,8 @@ rules, "oracle" the brute-force vertex enumerator. Exit status: 0 success,
 1 a property of the model failed (incoherent, not 2-monotone, verification
 mismatch), 2 unusable input (schema errors, unwritable output paths, wrong
 engine for the model type, oracle guards exceeded, a chain fan on more than
-CHAIN_FAN_MAX_N = 8 outcomes).
+CHAIN_FAN_MAX_N = 8 outcomes, a result past Python's int-to-str digit
+limit). --verify checks the oracle guards before the engine runs.
 
 All values are exact rationals; --decimal (vertices, natex) adds 12-digit
 approximations for reading convenience, explicitly marked non-authoritative.
@@ -35,9 +36,9 @@ import time
 from fractions import Fraction
 
 from . import chains2mono, credal, pri
-from .exactla import dot, format_rat
+from .exactla import DigitLimitError, dot, format_rat
 from .fanwalk import graph_to_dot, graph_to_json, verify_graph, walk
-from .polytope import EmptyPolytopeError, OracleGuardError, vertices_bruteforce
+from .polytope import EmptyPolytopeError, OracleGuardError, check_guards, vertices_bruteforce
 
 __all__ = ["main"]
 
@@ -142,6 +143,13 @@ def _oracle_points(tag, model):
     """The brute-force vertex set, subject to the oracle guards."""
     h, _ = _hrep(tag, model)
     return frozenset(v.point for v in vertices_bruteforce(h))
+
+
+def _check_verify(args, tag, model):
+    """Under --verify, refuse a model past the oracle guards before the
+    engine runs, with the refusal the oracle itself would raise."""
+    if args.verify:
+        _run_engine("oracle", lambda tag, model: check_guards(_hrep(tag, model)[0]), tag, model)
 
 
 def _require_two_monotone(model):
@@ -276,6 +284,7 @@ def _start(args, command):
 def _compute_graph(args, command):
     """(tag, model, graph, universe, vertex set, report) under the picked engine."""
     tag, model, engine, report = _start(args, command)
+    _check_verify(args, tag, model)
     t0 = time.perf_counter()
     graph, universe, points = _run_engine(engine, ENGINES[engine][0], tag, model)
     report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
@@ -443,6 +452,7 @@ def _cmd_natex(args):
         gamble = credal.parse_gamble(gobj, model.space, "gamble")
     except credal.SchemaError as exc:
         raise InputError(str(exc)) from None
+    _check_verify(args, tag, model)
     t0 = time.perf_counter()
     value = _run_engine(engine, ENGINES[engine][1], tag, model, gamble)
     report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
@@ -540,7 +550,7 @@ def main(argv=None) -> int:
     except PropertyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InputError as exc:
+    except (InputError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -238,7 +238,6 @@ def build_credal_hrep(lp: LowerPrevision):
 
 @dataclass(frozen=True)
 class AssessmentCheck:
-    gamble: Gamble
     lower: object
     attained: object  # exact minimum over the credal set, None when empty
 
@@ -269,7 +268,7 @@ def is_coherent(lp: LowerPrevision) -> CoherenceReport:
         empty = False
     except EmptyPolytopeError:
         attained, empty = [None] * len(lp.assessments), True
-    checks = tuple(AssessmentCheck(a.gamble, a.lower, v) for a, v in zip(lp.assessments, attained))
+    checks = tuple(AssessmentCheck(a.lower, v) for a, v in zip(lp.assessments, attained))
     return CoherenceReport(not empty and all(c.tight for c in checks), empty, checks)
 
 

@@ -16,11 +16,13 @@ the kernel.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 __all__ = [
     "rat",
     "format_rat",
+    "DigitLimitError",
     "vec",
     "zeros",
     "unit",
@@ -52,10 +54,20 @@ def rat(value) -> Fraction:
     return Fraction(value)
 
 
+class DigitLimitError(ValueError):
+    """A rational has more digits than Python's int-to-str limit prints."""
+
+
 def format_rat(value) -> str:
-    """Canonical string form: ``"p/q"`` in lowest terms, ``"p"`` if integral."""
+    """Canonical string form: ``"p/q"`` in lowest terms, ``"p"`` if integral.
+    Raises DigitLimitError past Python's int-to-str digit limit."""
     num, den = value.numerator, value.denominator
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        raise DigitLimitError(
+            f"result too large to print: more than {sys.get_int_max_str_digits()} "
+            "digits in its numerator or denominator") from None
 
 
 ZERO = rat(0)

@@ -37,6 +37,7 @@ __all__ = [
     "EmptyPolytopeError",
     "UnboundedLpError",
     "InfeasiblePointError",
+    "check_guards",
     "vertices_bruteforce",
     "active_set",
     "lp_min",
@@ -106,7 +107,8 @@ class LpResult(NamedTuple):
     argmin: Vertex
 
 
-def _check_guards(p: HPolytope, max_dim: int, max_constraints: int) -> None:
+def check_guards(p: HPolytope, max_dim: int = 6, max_constraints: int = 25) -> None:
+    """Refuse (OracleGuardError) an instance past the brute-force guards."""
     if p.dim > max_dim:
         raise OracleGuardError(
             f"brute force refused: dimension {p.dim} > {max_dim}; "
@@ -138,7 +140,7 @@ def vertices_bruteforce(p: HPolytope, *, max_dim: int = 6, max_constraints: int 
     point (nontrivial lineality), or the polytope is otherwise degenerate;
     callers that require vertices should treat it as a diagnostic.
     """
-    _check_guards(p, max_dim, max_constraints)
+    check_guards(p, max_dim, max_constraints)
     eq_rows = [f for f, _ in p.equalities]
     eq_rhs = [b for _, b in p.equalities]
     r0 = rank(eq_rows) if eq_rows else 0
@@ -173,7 +175,7 @@ def lp_min(p: HPolytope, f, *, max_dim: int = 6, max_constraints: int = 25) -> L
     normals do not span), UnboundedLpError when x . f is unbounded below
     over p, and keeps the oracle's guards (OracleGuardError).
     """
-    _check_guards(p, max_dim, max_constraints)
+    check_guards(p, max_dim, max_constraints)
     f = vec(f)
     rows = list(p.inequalities + p.equalities)
     rows += [(vneg(g), -b) for g, b in p.equalities]

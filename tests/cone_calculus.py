@@ -59,9 +59,11 @@ def are_adjacent(a: Cone, b: Cone) -> bool:
     return dot(dual[a.generators.index(f)], g) < 0
 
 
-def chain_cone(chain) -> Cone:
-    """The chain's cone: its proper events' indicators, sorted."""
-    return Cone(tuple(sorted(indicator(chain.n, s) for s in chain.sets[:-1])))
+def chain_cone(order) -> Cone:
+    """The cone of an outcome order: the indicators of its proper initial
+    segments, sorted."""
+    n = len(order)
+    return Cone(tuple(sorted(indicator(n, order[:k]) for k in range(1, n))))
 
 
 def locate_cone(f) -> tuple:

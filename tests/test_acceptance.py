@@ -15,7 +15,6 @@ import time
 from credalfans.chains2mono import (
     LowerProbability,
     as_lower_prevision,
-    chain_fan,
     chain_neighbors,
     chain_vertex,
     choquet,
@@ -221,14 +220,14 @@ def _chain_graph_n4():
     values = lowprob_from_values(4, quadratic_lowprob(random.Random(9), 4))
     gens_of = {}
     nodes = {}
-    for chain in chain_fan(4):
-        node = MescNode(chain_cone(chain).generators, chain_vertex(values, chain))
-        gens_of[chain] = node.gens
+    for order in itertools.permutations(range(4)):
+        node = MescNode(chain_cone(order).generators, chain_vertex(values, order))
+        gens_of[order] = node.gens
         nodes[node.gens] = node
     edges = set()
-    for chain in chain_fan(4):
-        for nb in chain_neighbors(chain):
-            edges.add(frozenset({gens_of[chain], gens_of[nb]}))
+    for order in itertools.permutations(range(4)):
+        for nb in chain_neighbors(order):
+            edges.add(frozenset({gens_of[order], gens_of[nb]}))
     return MescGraph(tuple(nodes[k] for k in sorted(nodes)), frozenset(edges))
 
 
@@ -238,9 +237,9 @@ def test_c09_fan_structure_and_unique_cone_location():
     rep = verify_graph(graph)
     assert rep.n_nodes == 24 and rep.connected and rep.regular and rep.ok
     assert rep.degree_histogram == ((3, 24),)
-    for chain in chain_fan(4):
-        cone = chain_cone(chain)
-        for nb in chain_neighbors(chain):
+    for order in itertools.permutations(range(4)):
+        cone = chain_cone(order)
+        for nb in chain_neighbors(order):
             assert are_adjacent(cone, chain_cone(nb))
     # interval fan at the sharp maximum: simple and connected
     points10, g10 = enumerate_extreme_pri(MAX10)
@@ -249,7 +248,7 @@ def test_c09_fan_structure_and_unique_cone_location():
     assert rep10.degree_histogram == ((9, 1260),)
     # a generic direction lies in exactly one maximal cone of each fan
     rng = random.Random(406)
-    chain_cones = [chain_cone(c) for c in chain_fan(4)]
+    chain_cones = [chain_cone(order) for order in itertools.permutations(range(4))]
     for _ in range(200):
         f = tuple(Q(v) for v in rng.sample(range(-200, 200), 4))
         assert sum(1 for c in chain_cones if contains(c, f)) == 1

@@ -1,15 +1,15 @@
 """Lower probabilities and the chain structure of 2-monotone credal sets."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from credalfans.chains2mono import (
-    EventChain,
     LowerProbability,
     as_lower_prevision,
-    chain_fan,
+    chain_graph,
     chain_neighbors,
     chain_vertex,
     choquet,
@@ -95,57 +95,55 @@ class TestTwoMonotonicity:
 
 
 class TestChains:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EventChain((frozenset({0}), frozenset({0, 2})))  # top is not the sure event
-        with pytest.raises(ValueError):
-            EventChain((frozenset({0}), frozenset({1, 2}), frozenset({0, 1, 2})))
-        with pytest.raises(ValueError):
-            EventChain((frozenset({0}), frozenset({0, 3}), frozenset({0, 1, 3})))
+    def test_vertex_rejects_a_non_permutation(self):
+        lp = lp3(SUPERMOD3)
+        for order in ((0, 1), (0, 1, 1), (0, 1, 3), (0, 1, 2, 3)):
+            with pytest.raises(ValueError, match="permutation"):
+                chain_vertex(lp, order)
 
     def test_vertex_telescopes(self):
         lp = lp3(SUPERMOD3)
-        chain = EventChain.from_permutation((0, 1, 2))
-        assert chain_vertex(lp, chain) == (Q(1) / 10, Q(2) / 5, Q(1) / 2)
+        assert chain_vertex(lp, (0, 1, 2)) == (Q(1) / 10, Q(2) / 5, Q(1) / 2)
         # under 2-monotonicity every chain point dominates L on every event
-        for c in chain_fan(3):
-            p = chain_vertex(lp, c)
+        for order in itertools.permutations(range(3)):
+            p = chain_vertex(lp, order)
             assert all(sum(p[x] for x in e) >= v for e, v in lp.table)
 
     def test_vertex_check_catches_violation(self):
         # without 2-monotonicity some chain point leaves the credal set
         lp = lp3(NONSUPER3)
-        chain = EventChain.from_permutation((1, 2, 0))
-        p = chain_vertex(lp, chain)
+        p = chain_vertex(lp, (1, 2, 0))
         assert p == (Q(1) / 4, Q(0), Q(3) / 4)
         assert sum(p[x] for x in (0, 1)) < lp.value((0, 1))
-        assert any(sum(chain_vertex(lp, c)[x] for x in e) < v
-                   for c in chain_fan(3) for e, v in lp.table)
+        assert any(sum(chain_vertex(lp, order)[x] for x in e) < v
+                   for order in itertools.permutations(range(3)) for e, v in lp.table)
 
     def test_cone_generators_are_initial_segments(self):
-        chain = EventChain.from_permutation((2, 0, 1))
-        cone = chain_cone(chain)
+        cone = chain_cone((2, 0, 1))
         assert set(cone.generators) == {unit(3, 2), (Q(1), Q(0), Q(1))}
 
     def test_fan_size(self):
-        assert len(chain_fan(3)) == 6
-        assert len(chain_fan(4)) == 24
-        assert len(set(chain_fan(4))) == 24
+        # n! chains, each adjacent to n - 1 others
+        for n in (3, 4):
+            sp = OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+            lp = LowerProbability(sp, tuple(quadratic_lowprob(random.Random(n), n).items()))
+            graph = chain_graph(lp)
+            assert len(graph.nodes) == math.factorial(n)
+            assert len(graph.edges) == math.factorial(n) * (n - 1) // 2
 
     def test_neighbors_swap_adjacent_outcomes(self):
-        chain = EventChain.from_permutation((0, 1, 2, 3))
         swaps = {(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)}
-        assert set(chain_neighbors(chain)) == {EventChain.from_permutation(p) for p in swaps}
+        assert set(chain_neighbors((0, 1, 2, 3))) == swaps
 
     def test_neighbor_relation_is_symmetric(self):
-        for chain in chain_fan(4):
-            for nb in chain_neighbors(chain):
-                assert chain in chain_neighbors(nb)
+        for order in itertools.permutations(range(4)):
+            for nb in chain_neighbors(order):
+                assert order in chain_neighbors(nb)
 
     def test_neighbor_cones_share_a_wall(self):
-        chain = EventChain.from_permutation((0, 1, 2, 3))
-        for nb in chain_neighbors(chain):
-            assert are_adjacent(chain_cone(chain), chain_cone(nb))
+        order = (0, 1, 2, 3)
+        for nb in chain_neighbors(order):
+            assert are_adjacent(chain_cone(order), chain_cone(nb))
 
 
 class TestEnumeration:

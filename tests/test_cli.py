@@ -132,6 +132,22 @@ class TestVertices:
         assert code == 2
         assert "structured engine" in err
 
+    def test_verify_guard_refuses_before_the_engine(self, capsys, monkeypatch, tmp_path):
+        def engine(*args):
+            raise AssertionError("the engine ran before the oracle guard")
+
+        monkeypatch.setattr(pri, "enumerate_extreme_pri", engine)
+        monkeypatch.setattr(pri, "natural_extension_pri", engine)
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({f"x{k}": str(k) for k in range(1, 11)}))
+        refusal = ("error: brute force refused: dimension 10 > 6; use a structured engine "
+                   "or raise max_dim explicitly (the oracle is restricted to small "
+                   "instances; use a structured engine)\n")
+        for argv in (["vertices"], ["fan"], ["graph"], ["natex", "--gamble", str(gpath)]):
+            code, out, err = run(capsys, *argv, "--verify",
+                                 "--model", model("pri_n10_uniform_max.json"))
+            assert (code, out, err) == (2, "", refusal), argv
+
     def test_oracle_engine_handles_incoherent(self, capsys):
         code, out, _ = run(capsys, "vertices", "--model",
                            model("lowprob_n3_nonsupermodular.json"),
@@ -293,6 +309,24 @@ class TestNatex:
         assert code == 0
         assert report_get(out, "value") == "5" + "0" * 400 + "/3"
         assert report_get(out, "value_dec") == "1.66666666667e+400"
+
+    def test_value_past_the_digit_limit_is_exit_2(self, capsys, tmp_path):
+        # bounds 1/10**2000 and (10**2000 - 2)/10**2000 with 2500-digit
+        # payoffs: the value's numerator has about 4500 digits, past the
+        # 4300 that Python converts to text
+        big = 10 ** 2000
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({
+            "type": "pri", "outcomes": ["a", "b", "c"],
+            "lower": {x: f"1/{big}" for x in "abc"},
+            "upper": {x: f"{big - 2}/{big}" for x in "abc"}}))
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"a": str(3 ** 5240), "b": str(3 ** 5240 + 1),
+                                     "c": str(7 ** 2958)}))
+        code, out, err = run(capsys, "natex", "--model", str(mpath), "--gamble", str(gpath))
+        assert (code, out) == (2, "")
+        assert err == ("error: result too large to print: more than 4300 digits "
+                       "in its numerator or denominator\n")
 
     def test_chains_rejects_nonsupermodular(self, capsys):
         code, _, err = run(capsys, "natex", "--model",

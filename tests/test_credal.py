@@ -201,8 +201,7 @@ def scan_report(lp):
     oracle's vertex set of the credal set."""
     vs = vertices_bruteforce(build_credal_hrep(lp)[0])
     checks = tuple(
-        AssessmentCheck(a.gamble, a.lower,
-                        min((dot(a.gamble.values, v.point) for v in vs), default=None))
+        AssessmentCheck(a.lower, min((dot(a.gamble.values, v.point) for v in vs), default=None))
         for a in lp.assessments)
     return CoherenceReport(bool(vs) and all(c.tight for c in checks), not vs, checks)
 
