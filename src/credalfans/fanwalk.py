@@ -8,11 +8,13 @@ another MESC are its neighbours. The walk yields the vertex set and the
 cone adjacency graph together.
 
 Nodes are keyed by sorted universe indices. Each node's dual basis
-(``cones.dual_basis``) is computed once. The row t of a generator is both
-the wall normal and the direction of the edge leaving the node's vertex x
-across that wall, so a wall is crossed by one minimum-ratio test (Avis and
-Fukuda's pivot): the neighbour's vertex is x + lambda* t, and the MESC test
-is dot products. Only the seed comes from an LP: one exact simplex
+(``cones.dual_basis``) is computed once, its rows scaled to integers. The
+row t of a generator is both the wall normal and the direction of the edge
+leaving the node's vertex x across that wall, so a wall is crossed by one
+minimum-ratio test (Avis and Fukuda's pivot) on integer rows: the rows
+attaining the least ratio lambda* enter, and the neighbour's vertex
+x + lambda* t is the only Fraction built. The MESC test is an integer sign
+test. Only the seed comes from an LP: one exact simplex
 (``polytope.lp_min``) per generic direction tried, whose optimal basis gives
 the seed vertex and its active rows. No vertex set is enumerated, but the
 walk inherits ``lp_min``'s oracle guards on dimension and row count.
@@ -25,12 +27,15 @@ cones are themselves simplicial this is exactly one node per vertex.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from .cones import SupportUniverse, absorbed, dual_basis
-from .exactla import dot, format_rat, is_multiple, ones, rat
+from .exactla import format_rat, is_multiple, ones, rat
 from .polytope import HPolytope, lp_min
 
 __all__ = [
@@ -79,9 +84,17 @@ class MescGraph:
         return frozenset(n.vertex for n in self.nodes)
 
 
-def _active_table(h: HPolytope, universe: SupportUniverse) -> dict:
-    """Universe index -> tightest bound of that inequality normal in h, over
-    the non-constant universe vectors.
+def _scaled(v) -> tuple:
+    """(d, d v) for the least common multiple d of v's denominators: d v is
+    integer, with the signs and ratios of v."""
+    d = math.lcm(*(a.denominator for a in v))
+    return d, tuple(a.numerator * (d // a.denominator) for a in v)
+
+
+def _active_table(h: HPolytope, universe: SupportUniverse) -> tuple:
+    """One integer row (j, f, b) per distinct inequality normal of h and its
+    tightest bound, scaled together to integers; j is the normal's universe
+    index, None off the universe.
 
     These are the walk's hypotheses: h's only equality is p . 1 = 1, so an
     edge direction is any vector orthogonal to the constant, and every
@@ -95,56 +108,71 @@ def _active_table(h: HPolytope, universe: SupportUniverse) -> dict:
     for f, b in h.inequalities:
         if f not in bounds or b > bounds[f]:
             bounds[f] = b
-    table = {i: bounds.get(v) for i, v in enumerate(universe.vectors) if not is_multiple(v, one)}
-    if None in table.values():
+    index = {v: i for i, v in enumerate(universe.vectors) if not is_multiple(v, one)}
+    if not index.keys() <= bounds.keys():
         raise ValueError("universe vector is not an inequality normal of the polytope")
-    return table
+    rows = ((index.get(f), _scaled(f + (b,))[1]) for f, b in bounds.items())
+    return tuple((j, row[:-1], row[-1]) for j, row in rows)
 
 
-def _mesc_dual(key, universe: SupportUniverse, table: dict, cache: dict):
-    """The dual basis of the cone on these universe indices when it is a
-    MESC over the universe, else None; memoized in cache."""
+def _mesc_dual(key, universe: SupportUniverse, table: tuple, cache: dict):
+    """The dual basis of the cone on these universe indices, rows scaled to
+    integers, when it is a MESC over the universe, else None; memoized in
+    cache. The absorption test (``cones.absorbed``) is then a sign test on
+    integers against the table's universe rows."""
     if key not in cache:
-        vectors = universe.vectors
-        dual = dual_basis([vectors[i] for i in key], universe.dim)
-        mesc = dual is not None and not absorbed(dual, (vectors[j] for j in table if j not in key))
-        cache[key] = dual if mesc else None
+        dual = dual_basis([universe.vectors[i] for i in key], universe.dim)
+        if dual is not None:
+            dual = tuple(_scaled(t)[1] for t in dual)
+            if any(all(sum(map(mul, t, v)) >= 0 for t in dual[:-1])
+                   for j, v, _ in table if j is not None and j not in key):
+                dual = None
+        cache[key] = dual
     return cache[key]
 
 
 def neighbor_candidates(node: MescNode, dropped, t, h: HPolytope, universe: SupportUniverse,
-                        table: dict, cache: dict):
+                        table: tuple, cache: dict):
     """MESC neighbours of node across the wall opened by dropping universe
-    index ``dropped``; t is the node's dual-basis row of that generator.
+    index ``dropped``; t is the node's dual-basis row of that generator, or
+    a positive multiple of it.
 
     t is orthogonal to the other generators and to the constant, and
-    t . f_dropped = 1, so the edge leaving the node's vertex x across the
+    t . f_dropped > 0, so the edge leaving the node's vertex x across the
     wall is x + lambda t, lambda >= 0. It stops at the least ratio
-    lambda* = (x . f - b) / (-t . f) over the rows of h with t . f < 0. The
-    candidates are the universe rows entering there (t . f < 0, tight at
-    x + lambda* t); each whose completed cone is a MESC is a neighbour
-    with vertex x + lambda* t. table is the walk's ``_active_table(h,
-    universe)`` and cache its memo of ``_mesc_dual``.
+    lambda* = (x . f - b) / (-t . f) over the rows of h with t . f < 0,
+    compared on table's integer rows by cross-multiplication. The
+    candidates are the universe rows attaining lambda*, which are the rows
+    tight at x + lambda* t; each whose completed cone is a MESC is a
+    neighbour with vertex x + lambda* t. table is the walk's
+    ``_active_table(h, universe)`` and cache its memo of ``_mesc_dual``.
 
     The returned tuple, sorted by key, is empty only when h is degenerate
     across that wall or unbounded along the edge.
     """
     if dropped not in node.gens:
         raise ValueError("dropped index is not a generator of the node")
-    x = node.vertex
-    steps = [(dot(x, f) - b) / -s for f, b in h.inequalities if (s := dot(f, t)) < 0]
-    if not steps:
+    d, x = _scaled(node.vertex)
+    _, t = _scaled(t)
+    num, den, entering = 0, 0, []  # least ratio num / den so far, rows attaining it
+    for j, f, b in table:
+        s = -sum(map(mul, f, t))
+        if s > 0:
+            r = sum(map(mul, f, x)) - b * d
+            c = r * den - num * s if den else -1  # sign of r / s - num / den
+            if c < 0:
+                num, den, entering = r, s, [j]
+            elif c == 0:
+                entering.append(j)
+    if not den:
         return ()
-    lam = min(steps)
-    point = tuple(a + lam * c for a, c in zip(x, t))
-    vectors = universe.vectors
+    point = tuple(Fraction(den * a + num * c, den * d) for a, c in zip(x, t))
     shared = tuple(i for i in node.gens if i != dropped)
     found = []
-    for j, bound in table.items():  # ascending j, so keys come out sorted
-        if dot(vectors[j], t) < 0 and dot(vectors[j], point) == bound:
-            key = tuple(sorted(shared + (j,)))
-            if _mesc_dual(key, universe, table, cache) is not None:
-                found.append(MescNode(key, point))
+    for j in sorted(j for j in entering if j is not None):  # keys come out sorted
+        key = tuple(sorted(shared + (j,)))
+        if _mesc_dual(key, universe, table, cache) is not None:
+            found.append(MescNode(key, point))
     return tuple(found)
 
 
@@ -154,13 +182,13 @@ def _generic_direction(n: int, rng: random.Random) -> tuple:
     return tuple(rat(a) / den for a in nums)
 
 
-def _find_seed(h: HPolytope, universe: SupportUniverse, table: dict, direction, cache: dict):
+def _find_seed(h: HPolytope, universe: SupportUniverse, table: tuple, direction, cache: dict):
     """A MESC containing the direction inside the normal cone of the vertex
     minimizing it, or None when the active set spans no such MESC."""
     _, vtx = lp_min(h, direction)
-    index = {v: i for i, v in enumerate(universe.vectors)}
+    index = {universe.vectors[j]: j for j, _, _ in table if j is not None}
     m = len(h.inequalities)
-    active = sorted({index.get(h.inequalities[i][0]) for i in vtx.active if i < m} & table.keys())
+    active = sorted({index.get(h.inequalities[i][0]) for i in vtx.active if i < m} - {None})
     for key in itertools.combinations(active, h.dim - 1):
         dual = _mesc_dual(key, universe, table, cache)
         if dual is not None and absorbed(dual, [direction]):
@@ -180,7 +208,7 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
     """
     n = h.dim
     table = _active_table(h, universe)
-    cache: dict = {}  # key -> dual basis of a MESC, or None
+    cache: dict = {}  # key -> integer dual basis of a MESC, or None
     start = None
     for attempt in range(SEED_ATTEMPTS):
         direction = _generic_direction(n, random.Random(attempt))
