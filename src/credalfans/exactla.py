@@ -5,12 +5,13 @@ may introduce floating point: the one number type is ``fractions.Fraction``,
 and ``rat`` is the only way in. It refuses floats (and bools), so an inexact
 value fails loudly instead of rounding silently.
 
-Vectors are tuples of Fractions. ``rank``, ``solve_unique``, ``inverse``
-and the one LP kernel (``simplex``) share one fraction-free Gauss-Jordan
-pivot (``_pivot``, Edmonds' integer-preserving elimination, as in lrs) on
-denominator-cleared integer rows: every division is exact, intermediate
-growth stays polynomial, and a Fraction is built only when a result leaves
-the kernel.
+Vectors are tuples of Fractions. ``rank``, ``solve_unique``,
+``scaled_inverse`` and the one LP kernel (``simplex``) share one
+fraction-free Gauss-Jordan pivot (``_pivot``, Edmonds' integer-preserving
+elimination, as in lrs) on denominator-cleared integer rows: every division
+is exact, intermediate growth stays polynomial, and a Fraction is built only
+when a result leaves the kernel. ``scaled_inverse`` returns integers, for
+callers that read only the signs and ratios of an inverse's rows.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
     "is_multiple",
     "rank",
     "solve_unique",
-    "inverse",
+    "scaled_inverse",
     "LpInfeasible",
     "LpUnbounded",
     "simplex",
@@ -188,16 +189,17 @@ def solve_unique(rows, rhs):
     return tuple(Fraction(row[n], det) for row in t[:n])
 
 
-def inverse(rows):
-    """Exact inverse of a square matrix as a tuple of row tuples, or None
-    when it is singular: one elimination of [rows | I]."""
+def scaled_inverse(rows):
+    """The eliminated right-hand block of [rows | I] for a square integer
+    matrix rows: integer row tuples R with R . rows == d I for one d > 0,
+    so each row of R is a positive multiple of the matching row of the
+    inverse; None when rows is singular."""
     n = len(rows)
     assert all(len(row) == n for row in rows)
-    t = _int_rows([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
-    det, r = _eliminate(t, n)
-    if r < n:
+    t = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    if _eliminate(t, n)[1] < n:
         return None
-    return tuple(tuple(Fraction(a, det) for a in row[n:]) for row in t)
+    return tuple(tuple(row[n:]) for row in t)
 
 
 class LpInfeasible(ArithmeticError):

@@ -7,16 +7,17 @@ facet, and the rows entering the edge beyond it that complete the facet to
 another MESC are its neighbours. The walk yields the vertex set and the
 cone adjacency graph together.
 
-Nodes are keyed by sorted universe indices. Each node's dual basis
-(``cones.dual_basis``) is computed once, its rows scaled to integers. The
-row t of a generator is both the wall normal and the direction of the edge
-leaving the node's vertex x across that wall, so a wall is crossed by one
-minimum-ratio test (Avis and Fukuda's pivot) on integer rows: the rows
-attaining the least ratio lambda* enter, and the neighbour's vertex
-x + lambda* t is the only Fraction built. The MESC test is an integer sign
-test. Only the seed comes from an LP: one exact simplex
-(``polytope.lp_min``) per generic direction tried, whose optimal basis gives
-the seed vertex and its active rows. No vertex set is enumerated, but the
+Nodes are keyed by sorted universe indices. Each node's dual basis is
+computed once, from the polytope's rows scaled to integers once per walk:
+its rows (``exactla.scaled_inverse``) are positive multiples of the exact
+dual rows. The row t of a generator is both the wall normal and the
+direction of the edge leaving the node's vertex x across that wall, so a
+wall is crossed by one minimum-ratio test (Avis and Fukuda's pivot) on
+integer rows: the rows attaining the least ratio lambda* enter, and the
+neighbour's vertex x + lambda* t is the only Fraction built. The MESC test
+is an integer sign test. Only the seed comes from an LP: one exact simplex
+(``polytope.lp_min``) per generic direction tried, whose vertex's tight
+rows give the seed's generators. No vertex set is enumerated, but the
 walk inherits ``lp_min``'s oracle guards on dimension and row count.
 
 The walk is deterministic for a fixed model. Node count is bounded
@@ -33,9 +34,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
-from .cones import SupportUniverse, absorbed, dual_basis
-from .exactla import format_rat, is_multiple, ones, rat
+from .cones import SupportUniverse
+from .exactla import format_rat, is_multiple, ones, rat, scaled_inverse
 from .polytope import HPolytope, lp_min
 
 __all__ = [
@@ -91,7 +93,15 @@ def _scaled(v) -> tuple:
     return d, tuple(a.numerator * (d // a.denominator) for a in v)
 
 
-def _active_table(h: HPolytope, universe: SupportUniverse) -> tuple:
+class _Table(NamedTuple):
+    """The walk's integer rows: (j, f, b) per distinct inequality normal of
+    h, and the universe rows f by their universe index j."""
+
+    rows: tuple
+    gens: dict
+
+
+def _active_table(h: HPolytope, universe: SupportUniverse) -> _Table:
     """One integer row (j, f, b) per distinct inequality normal of h and its
     tightest bound, scaled together to integers; j is the normal's universe
     index, None off the universe.
@@ -111,28 +121,31 @@ def _active_table(h: HPolytope, universe: SupportUniverse) -> tuple:
     index = {v: i for i, v in enumerate(universe.vectors) if not is_multiple(v, one)}
     if not index.keys() <= bounds.keys():
         raise ValueError("universe vector is not an inequality normal of the polytope")
-    rows = ((index.get(f), _scaled(f + (b,))[1]) for f, b in bounds.items())
-    return tuple((j, row[:-1], row[-1]) for j, row in rows)
+    scaled = ((index.get(f), _scaled(f + (b,))[1]) for f, b in bounds.items())
+    rows = tuple((j, row[:-1], row[-1]) for j, row in scaled)
+    return _Table(rows, {j: f for j, f, _ in rows if j is not None})
 
 
-def _mesc_dual(key, universe: SupportUniverse, table: tuple, cache: dict):
-    """The dual basis of the cone on these universe indices, rows scaled to
-    integers, when it is a MESC over the universe, else None; memoized in
-    cache. The absorption test (``cones.absorbed``) is then a sign test on
-    integers against the table's universe rows."""
+def _mesc_dual(key, table: _Table, cache: dict):
+    """Integer dual rows of the cone on these universe indices when it is a
+    MESC over the universe, else None; memoized in cache.
+
+    The basis is the generators' integer rows plus the constant-one vector.
+    ``exactla.scaled_inverse`` of the matrix with those columns gives one
+    row per basis vector, in that order, each a positive multiple of the
+    exact dual row, so t . v has the sign of v's coordinate on that basis
+    vector. The cone absorbs v when its coordinates on the generators are
+    all nonnegative; it is a MESC when it absorbs no other universe row."""
     if key not in cache:
-        dual = dual_basis([universe.vectors[i] for i in key], universe.dim)
-        if dual is not None:
-            dual = tuple(_scaled(t)[1] for t in dual)
-            if any(all(sum(map(mul, t, v)) >= 0 for t in dual[:-1])
-                   for j, v, _ in table if j is not None and j not in key):
-                dual = None
+        dual = scaled_inverse([(*col, 1) for col in zip(*(table.gens[i] for i in key))])
+        if dual is not None and any(all(sum(map(mul, t, v)) >= 0 for t in dual[:-1])
+                                    for j, v in table.gens.items() if j not in key):
+            dual = None
         cache[key] = dual
     return cache[key]
 
 
-def neighbor_candidates(node: MescNode, dropped, t, h: HPolytope, universe: SupportUniverse,
-                        table: tuple, cache: dict):
+def neighbor_candidates(node: MescNode, dropped, t, table: _Table, cache: dict):
     """MESC neighbours of node across the wall opened by dropping universe
     index ``dropped``; t is the node's dual-basis row of that generator, or
     a positive multiple of it.
@@ -140,22 +153,22 @@ def neighbor_candidates(node: MescNode, dropped, t, h: HPolytope, universe: Supp
     t is orthogonal to the other generators and to the constant, and
     t . f_dropped > 0, so the edge leaving the node's vertex x across the
     wall is x + lambda t, lambda >= 0. It stops at the least ratio
-    lambda* = (x . f - b) / (-t . f) over the rows of h with t . f < 0,
-    compared on table's integer rows by cross-multiplication. The
+    lambda* = (x . f - b) / (-t . f) over the rows of the polytope with
+    t . f < 0, compared on table's integer rows by cross-multiplication. The
     candidates are the universe rows attaining lambda*, which are the rows
     tight at x + lambda* t; each whose completed cone is a MESC is a
     neighbour with vertex x + lambda* t. table is the walk's
     ``_active_table(h, universe)`` and cache its memo of ``_mesc_dual``.
 
-    The returned tuple, sorted by key, is empty only when h is degenerate
-    across that wall or unbounded along the edge.
+    The returned tuple, sorted by key, is empty only when the polytope is
+    degenerate across that wall or unbounded along the edge.
     """
     if dropped not in node.gens:
         raise ValueError("dropped index is not a generator of the node")
     d, x = _scaled(node.vertex)
     _, t = _scaled(t)
     num, den, entering = 0, 0, []  # least ratio num / den so far, rows attaining it
-    for j, f, b in table:
+    for j, f, b in table.rows:
         s = -sum(map(mul, f, t))
         if s > 0:
             r = sum(map(mul, f, x)) - b * d
@@ -171,7 +184,7 @@ def neighbor_candidates(node: MescNode, dropped, t, h: HPolytope, universe: Supp
     found = []
     for j in sorted(j for j in entering if j is not None):  # keys come out sorted
         key = tuple(sorted(shared + (j,)))
-        if _mesc_dual(key, universe, table, cache) is not None:
+        if _mesc_dual(key, table, cache) is not None:
             found.append(MescNode(key, point))
     return tuple(found)
 
@@ -182,16 +195,17 @@ def _generic_direction(n: int, rng: random.Random) -> tuple:
     return tuple(rat(a) / den for a in nums)
 
 
-def _find_seed(h: HPolytope, universe: SupportUniverse, table: tuple, direction, cache: dict):
+def _find_seed(h: HPolytope, table: _Table, direction, cache: dict):
     """A MESC containing the direction inside the normal cone of the vertex
-    minimizing it, or None when the active set spans no such MESC."""
+    minimizing it, or None when the universe rows tight there span no such
+    MESC."""
     _, vtx = lp_min(h, direction)
-    index = {universe.vectors[j]: j for j, _, _ in table if j is not None}
-    m = len(h.inequalities)
-    active = sorted({index.get(h.inequalities[i][0]) for i in vtx.active if i < m} - {None})
-    for key in itertools.combinations(active, h.dim - 1):
-        dual = _mesc_dual(key, universe, table, cache)
-        if dual is not None and absorbed(dual, [direction]):
+    d, x = _scaled(vtx.point)
+    _, w = _scaled(direction)
+    tight = sorted(j for j, f, b in table.rows if j is not None and sum(map(mul, f, x)) == b * d)
+    for key in itertools.combinations(tight, h.dim - 1):
+        dual = _mesc_dual(key, table, cache)
+        if dual is not None and all(sum(map(mul, t, w)) >= 0 for t in dual[:-1]):
             return MescNode(key, vtx.point)
     return None
 
@@ -212,7 +226,7 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
     start = None
     for attempt in range(SEED_ATTEMPTS):
         direction = _generic_direction(n, random.Random(attempt))
-        start = _find_seed(h, universe, table, direction, cache)
+        start = _find_seed(h, table, direction, cache)
         if start is not None:
             break
     if start is None:
@@ -225,7 +239,7 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
         node = queue.popleft()
         key = node.gens
         for i, t in zip(key, cache[key]):
-            cands = neighbor_candidates(node, i, t, h, universe, table, cache)
+            cands = neighbor_candidates(node, i, t, table, cache)
             if not cands:
                 incomplete.append((key, i))
                 continue

@@ -1,13 +1,12 @@
-"""Polytopes in H-representation and the brute-force vertex oracle.
+"""Polytopes in H-representation, the brute-force vertex oracle and the
+exact LP.
 
 A polytope is stored as inequality rows ``x . f >= b`` plus equality rows
 ``x . f == b``. The vertex oracle enumerates every maximal linearly
 independent active set by subset search; it is deliberately simple and
 exact, guarded to small instances, and serves as the ground truth that the
-structured fast paths are tested against.
-
-Constraints are indexed in one shared space: inequality i has index i,
-equality j has index ``len(inequalities) + j``.
+structured fast paths are tested against. ``lp_min`` minimises a linear
+function by one exact simplex under the same guards.
 """
 
 from __future__ import annotations
@@ -36,10 +35,8 @@ __all__ = [
     "OracleGuardError",
     "EmptyPolytopeError",
     "UnboundedLpError",
-    "InfeasiblePointError",
     "check_guards",
     "vertices_bruteforce",
-    "active_set",
     "lp_min",
 ]
 
@@ -54,10 +51,6 @@ class EmptyPolytopeError(RuntimeError):
 
 class UnboundedLpError(RuntimeError):
     """The objective is unbounded below over the polyhedron."""
-
-
-class InfeasiblePointError(ValueError):
-    """The queried point violates a constraint."""
 
 
 @dataclass(frozen=True)
@@ -92,14 +85,12 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class Vertex:
-    """Extreme point with the full set of active constraint indices."""
+    """Extreme point of a polytope."""
 
     point: tuple
-    active: frozenset
 
     def __post_init__(self):
         object.__setattr__(self, "point", vec(self.point))
-        object.__setattr__(self, "active", frozenset(self.active))
 
 
 class LpResult(NamedTuple):
@@ -121,16 +112,6 @@ def check_guards(p: HPolytope, max_dim: int = 6, max_constraints: int = 25) -> N
         )
 
 
-def active_set(p: HPolytope, x) -> frozenset:
-    """Indices of all constraints tight at the feasible point x."""
-    x = vec(x)
-    slacks = [dot(x, f) - b for f, b in p.inequalities]
-    if any(s < 0 for s in slacks) or any(dot(x, f) != b for f, b in p.equalities):
-        raise InfeasiblePointError(f"point {x} violates the constraint system")
-    m = len(slacks)
-    return frozenset([i for i, s in enumerate(slacks) if s == 0] + list(range(m, m + len(p.equalities))))
-
-
 def vertices_bruteforce(p: HPolytope, *, max_dim: int = 6, max_constraints: int = 25):
     """All vertices of p by exhaustive active-set search, sorted
     lexicographically by point.
@@ -145,7 +126,7 @@ def vertices_bruteforce(p: HPolytope, *, max_dim: int = 6, max_constraints: int 
     eq_rhs = [b for _, b in p.equalities]
     r0 = rank(eq_rows) if eq_rows else 0
     k = p.dim - r0
-    seen = {}
+    seen = set()
     for sel in itertools.combinations(range(len(p.inequalities)), k):
         rows = eq_rows + [p.inequalities[i][0] for i in sel]
         rhs = eq_rhs + [p.inequalities[i][1] for i in sel]
@@ -154,9 +135,8 @@ def vertices_bruteforce(p: HPolytope, *, max_dim: int = 6, max_constraints: int 
         x = solve_unique(rows, rhs)
         if x is None or not p.is_feasible(x):
             continue
-        if x not in seen:
-            seen[x] = Vertex(x, active_set(p, x))
-    return tuple(seen[x] for x in sorted(seen))
+        seen.add(x)
+    return tuple(Vertex(x) for x in sorted(seen))
 
 
 def lp_min(p: HPolytope, f, *, max_dim: int = 6, max_constraints: int = 25) -> LpResult:
@@ -195,4 +175,4 @@ def lp_min(p: HPolytope, f, *, max_dim: int = 6, max_constraints: int = 25) -> L
     if len(basis) < p.dim:  # empty, or no vertex because the normals do not span
         raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
     x = solve_unique([normals[j] for j in basis], [rows[j][1] for j in basis])
-    return LpResult(dot(x, f), Vertex(x, active_set(p, x)))
+    return LpResult(dot(x, f), Vertex(x))

@@ -1,19 +1,20 @@
 """The cone calculus the acceptance suite checks the paper's claims with,
 on the engine's own primitives. Every cone tested for membership or
 adjacency here is simplicial modulo the constant-one lineality, so
-``cones.dual_basis`` gives a vector's unique coordinates and
-``cones.absorbed`` reads membership off their signs: no LP. Those
-coordinates are the conic witness. Normal-cone membership is its
+``dual_basis`` gives a vector's unique coordinates and ``absorbed`` reads
+membership off their signs: no LP. Those coordinates are the conic
+witness. ``dual_basis`` is exact, in Fractions: the reference the walk's
+integer dual rows are checked against. Normal-cone membership is its
 definition: f is in N(x) iff x attains E(f).
 """
 
 import itertools
+import math
+from fractions import Fraction
 from typing import NamedTuple
 
-from credalfans.cones import absorbed, dual_basis
 from credalfans.credal import natural_extension
-from credalfans.exactla import dot, indicator, vec
-from credalfans.polytope import active_set
+from credalfans.exactla import dot, indicator, ones, scaled_inverse, vec
 from credalfans.pri import PriCone
 
 
@@ -30,6 +31,41 @@ class Witness(NamedTuple):
 
     coeffs: tuple
     lineality_coeffs: tuple
+
+
+def dual_basis(generators, n: int):
+    """Rows t_i with t_i . b_j == [i == j] over the basis b = generators +
+    (constant-one), or None when b is not a basis. Each b_j is scaled by
+    the lcm c_j of its denominators to an integer column; if R is
+    ``scaled_inverse`` of those columns, with R . (c_j b_j) == d [i == j],
+    then t_i = c_i R_i / d. The coordinates of v in b are t_i . v, so a
+    generator's row is the normal of the wall opposite it."""
+    basis = [vec(g) for g in generators] + [ones(n)]
+    if len(basis) != n:
+        return None
+    scales = [math.lcm(*(a.denominator for a in b)) for b in basis]
+    cols = [[int(a * c) for a in b] for b, c in zip(basis, scales)]
+    rows = scaled_inverse(list(zip(*cols)))
+    if rows is None:
+        return None
+    d = dot(rows[0], cols[0])
+    return tuple(tuple(Fraction(a * c, d) for a in r) for r, c in zip(rows, scales))
+
+
+def absorbed(dual, vectors):
+    """The first of vectors in cone(generators) + span(constant-one), given
+    the generators' dual basis, else None: v is in it iff its coordinates
+    t_i . v on the generators' rows are all nonnegative."""
+    gen_rows = dual[:-1]
+    return next((v for v in vectors if all(dot(t, v) >= 0 for t in gen_rows)), None)
+
+
+def active_set(h, x) -> frozenset:
+    """Indices of the constraints of h tight at the feasible point x:
+    inequality i has index i, equality j index len(inequalities) + j."""
+    m = len(h.inequalities)
+    return frozenset([i for i, (f, b) in enumerate(h.inequalities) if dot(vec(x), f) == b]
+                     + list(range(m, m + len(h.equalities))))
 
 
 def witness(dual, v) -> Witness:

@@ -5,6 +5,10 @@ with ast, never imported or run: every credalfans name they import, and
 every attribute chain they take of an imported credalfans module
 (``credal._credal_vertices.cache_clear``), must still resolve. A deletion
 or rename that would make benchmark operations fail then fails this test.
+
+Two uses are not visible as names: the tracer imports each module named in
+its ``MODULES`` string tuple, and the ``lp_min`` operation reads the
+result's ``value`` and ``argmin.point``. Both are exercised here.
 """
 
 import ast
@@ -12,6 +16,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from credalfans.polytope import HPolytope, lp_min
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "perfbench").glob("*.py"))
@@ -88,3 +94,24 @@ def test_the_benchmark_uses_the_package():
 def test_every_package_name_the_benchmark_uses_exists(path):
     missing = [r for r in package_references(path.read_text()) if not resolves(r)]
     assert not missing, f"{path.name} uses names the package no longer has: {missing}"
+
+
+def _tracer_modules():
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "MODULES" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no MODULES tuple")
+
+
+@pytest.mark.parametrize("name", _tracer_modules())
+def test_every_module_the_tracer_wraps_imports(name):
+    importlib.import_module(f"credalfans.{name}")
+
+
+def test_lp_min_result_has_what_the_lp_min_op_reads():
+    simplex2 = HPolytope(2, (((1, 0), 0), ((0, 1), 0)), (((1, 1), 1),))
+    res = lp_min(simplex2, (1, 2))
+    assert res.value == 1
+    assert res.argmin.point == (1, 0)

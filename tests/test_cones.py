@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credalfans.cones import SupportUniverse, absorbed, dual_basis
+from credalfans.cones import SupportUniverse
 from credalfans.credal import OutcomeSpace, build_credal_hrep
 from credalfans.exactla import LpInfeasible, dot, is_multiple, ones, rank, rat, simplex, vec, vneg
 from credalfans.pri import PRIModel, as_lower_prevision, is_coherent_pri, pri_hrep
 
-from cone_calculus import Cone, Witness, are_adjacent, contains, witness
+from cone_calculus import Cone, Witness, absorbed, are_adjacent, contains, dual_basis, witness
 
 Q = rat
 

@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credalfans.exactla import (
@@ -17,6 +17,7 @@ from credalfans.exactla import (
     ones,
     rank,
     rat,
+    scaled_inverse,
     simplex,
     solve_unique,
     unit,
@@ -170,6 +171,55 @@ def test_rank_transpose_invariant(m):
     r = rank(m)
     assert r == rank(t)
     assert r <= min(len(m), len(m[0]))
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def int_square_matrices(draw):
+    """n x n integer matrices, n <= 6, entries in [-5, 5]. Some have a zero
+    leading entry, so the first pivot needs a row swap; some have a row
+    that repeats, negates or zeroes another, so they are singular."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if draw(st.booleans()):
+        m[0][0] = 0
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from((-1, 0, 1)))
+        m[i] = [c * a for a in m[j]]
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_square_matrices())
+@example([[0, 1], [1, 0]])  # a row swap, determinant -1
+@example([[0, 0, 2], [0, -3, 0], [5, 0, 0]])  # two swaps, determinant 30
+@example([[2, 4], [1, 2]])  # singular
+def test_scaled_inverse_contract(m):
+    # None exactly for a singular matrix, else integer rows R with
+    # R . m == d I for one d > 0, whatever the sign of the determinant
+    n = len(m)
+    r = scaled_inverse(m)
+    if _leibniz_det(m) == 0:
+        assert r is None
+        return
+    assert all(type(a) is int for row in r for a in row)
+    prod = [[sum(r[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    d = prod[0][0]
+    assert d > 0
+    assert prod == [[d * (i == j) for j in range(n)] for i in range(n)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from cone_calculus import dual_basis
 from conftest import (
     SUPERMOD3,
     event_universe,
@@ -13,7 +14,7 @@ from conftest import (
     lowprob_hrep,
 )
 
-from credalfans.cones import SupportUniverse, dual_basis
+from credalfans.cones import SupportUniverse
 from credalfans.exactla import ones, rat, unit, vec
 from credalfans.fanwalk import (
     MescGraph,
@@ -46,7 +47,7 @@ def test_neighbor_candidates_simplex():
     (dropped,) = _simplex_index(unit(3, 1))
     t = dual_basis([SIMPLEX3_U.vectors[i] for i in node.gens], 3)[node.gens.index(dropped)]
     table = _active_table(SIMPLEX3, SIMPLEX3_U)
-    out = neighbor_candidates(node, dropped, t, SIMPLEX3, SIMPLEX3_U, table, {})
+    out = neighbor_candidates(node, dropped, t, table, {})
     assert out == (MescNode(_simplex_index(unit(3, 0), unit(3, 2)), vec([0, 1, 0])),)
 
 
@@ -54,8 +55,7 @@ def test_neighbor_candidates_drop_must_be_generator():
     node = MescNode(_simplex_index(unit(3, 1), unit(3, 2)), vec([1, 0, 0]))
     (dropped,) = _simplex_index(unit(3, 0))
     with pytest.raises(ValueError):
-        neighbor_candidates(node, dropped, ones(3), SIMPLEX3, SIMPLEX3_U,
-                            _active_table(SIMPLEX3, SIMPLEX3_U), {})
+        neighbor_candidates(node, dropped, ones(3), _active_table(SIMPLEX3, SIMPLEX3_U), {})
 
 
 def test_walk_needs_mass_one_as_the_only_equality():

@@ -9,7 +9,6 @@ import random
 import pytest
 
 from credalfans.chains2mono import choquet, is_two_monotone
-from credalfans.cones import absorbed, dual_basis
 from credalfans.credal import IncoherenceError, OutcomeSpace, SchemaError, natural_extension
 from credalfans.exactla import dot, ones, unit, vec
 from credalfans.fanwalk import MescNode, graph_to_json, verify_graph, walk
@@ -30,7 +29,7 @@ from credalfans.pri import (
     vertex_for_cone,
 )
 
-from cone_calculus import Cone, chain_cone, contains, locate_cone, witness
+from cone_calculus import Cone, absorbed, chain_cone, contains, dual_basis, locate_cone, witness
 from conftest import Q, coherent_intervals, random_gamble
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))

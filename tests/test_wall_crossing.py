@@ -1,4 +1,5 @@
-"""The walk's wall crossing against the universe scan it replaced.
+"""The walk's wall crossing against the universe scan it replaced, and its
+integer dual rows against the exact ones.
 
 ``fanwalk.neighbor_candidates`` crosses a wall by one minimum-ratio test
 along the edge x + lambda t. The reference below is the earlier crossing:
@@ -7,19 +8,23 @@ system of its completed cone, check the point against every row of h, keep
 the cones that are MESCs, and of those keep the ones certifying the
 lexicographically smallest vertex. Both must return the same tuple at every
 wall of the walks on the models below, degenerate ones included.
+
+The ratio test and the MESC test read only signs and ratios of the dual
+rows, so the walk's integer rows must be positive multiples of the exact
+Fraction rows of ``cone_calculus.dual_basis``.
 """
 
 import random
 
 import pytest
+from cone_calculus import absorbed, dual_basis
 from conftest import coherent_intervals, interval_hrep, interval_universe
 from test_graph_keys import tied_model
 from test_walk_pinned import CASES
 
-from credalfans.cones import absorbed, dual_basis
 from credalfans.credal import build_credal_hrep
 from credalfans.exactla import dot, solve_unique
-from credalfans.fanwalk import MescNode, _active_table, neighbor_candidates, walk
+from credalfans.fanwalk import MescNode, _active_table, _mesc_dual, neighbor_candidates, walk
 from credalfans.pri import as_lower_prevision, pri_hrep
 
 
@@ -79,7 +84,7 @@ def test_crossing_matches_the_universe_scan_at_every_wall(name):
         dual = dual_basis([universe.vectors[i] for i in node.gens], universe.dim)
         for i, t in zip(node.gens, dual):
             expected = reference_crossing(node, i, t, h, universe)
-            assert neighbor_candidates(node, i, t, h, universe, table, cache) == expected
+            assert neighbor_candidates(node, i, t, table, cache) == expected
 
 
 def test_degenerate_walls_are_covered():
@@ -91,5 +96,18 @@ def test_degenerate_walls_are_covered():
     for node in graph.nodes:
         dual = dual_basis([universe.vectors[i] for i in node.gens], universe.dim)
         for i, t in zip(node.gens, dual):
-            widths.add(len(neighbor_candidates(node, i, t, h, universe, table, {})))
+            widths.add(len(neighbor_candidates(node, i, t, table, {})))
     assert max(widths) > 1
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_integer_dual_rows_are_positive_multiples_of_the_exact_rows(name):
+    h, universe = MODELS[name]()
+    table = _active_table(h, universe)
+    cache = {}
+    for node in walk(h, universe).nodes:
+        exact = dual_basis([universe.vectors[i] for i in node.gens], universe.dim)
+        for t, ref in zip(_mesc_dual(node.gens, table, cache), exact, strict=True):
+            lead = next(k for k, a in enumerate(ref) if a != 0)
+            c = t[lead] / ref[lead]
+            assert c > 0 and all(a == c * b for a, b in zip(t, ref, strict=True))
