@@ -17,12 +17,19 @@ their orders differ by one swap of consecutive outcomes.
 Under this orientation the telescoped vertex puts the least mass where a
 gamble decreasing along the order pays most, so the Choquet integral of
 such a gamble equals its exact lower expectation.
+
+The fan's kernels read L off one table of ints over a common denominator,
+indexed by event bitmask: is_two_monotone checks local inequalities on it,
+and the step masses L(A | {x}) - L(A) that chain vertices are made of come
+from it once per model, not once per order. choquet builds no table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .cones import SupportUniverse
 from .credal import Gamble, LowerPrevision, OutcomeSpace, SchemaError, _schema_outcomes, _schema_rat
@@ -66,6 +73,7 @@ class LowerProbability:
     space: OutcomeSpace
     table: tuple
     _index: dict = field(init=False, repr=False, compare=False, default=None)
+    _steps: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.space.n
@@ -123,36 +131,68 @@ class TwoMonotoneReport:
     rhs: object = None  # L(A) + L(B)
 
 
+def _scaled_table(lowprob: LowerProbability):
+    """(V, d): V[mask] = d L(event) as an int for every event, empty and
+    sure included, indexed by bitmask (outcome i is bit i)."""
+    d = math.lcm(*(v.denominator for v in lowprob._index.values()))
+    table = [0] * (1 << lowprob.space.n)
+    for e, v in lowprob._index.items():
+        table[sum(1 << x for x in e)] = v.numerator * (d // v.denominator)
+    return table, d
+
+
 def is_two_monotone(lowprob: LowerProbability) -> TwoMonotoneReport:
-    """Exact supermodularity scan over incomparable event pairs (comparable
-    pairs hold with equality); the first violator in canonical order is
-    reported."""
-    events = lowprob.events()
-    for a, b in itertools.combinations(events, 2):
-        if a <= b or b <= a:
-            continue
-        lhs = lowprob.value(a | b) + lowprob.value(a & b)
-        rhs = lowprob.value(a) + lowprob.value(b)
+    """Exact supermodularity test by the n(n-1) 2^(n-3) local inequalities
+
+        L(A | {x, y}) + L(A) >= L(A | {x}) + L(A | {y})   (x, y not in A)
+
+    as integer comparisons on L's table. For a set function on all 2^n
+    events, as L is with L(empty) = 0 and L(sure) = 1, these imply the
+    inequality for every pair of events (Chateauneuf & Jaffray 1989). If
+    one fails, a scan over all pairs in canonical order names the first
+    violator (comparable pairs hold with equality, so it is incomparable)."""
+    table, d = _scaled_table(lowprob)
+    bits = [1 << x for x in range(lowprob.space.n)]
+    if all(table[a | bx | by] + va >= table[a | bx] + table[a | by]
+           for a, va in enumerate(table)
+           for bx, by in itertools.combinations([b for b in bits if not a & b], 2)):
+        return TwoMonotoneReport(True)
+    events = [(e, sum(1 << x for x in e)) for e in lowprob.events()]
+    for (a, ma), (b, mb) in itertools.combinations(events, 2):
+        lhs = table[ma | mb] + table[ma & mb]
+        rhs = table[ma] + table[mb]
         if lhs < rhs:
-            return TwoMonotoneReport(False, (a, b), lhs, rhs)
-    return TwoMonotoneReport(True)
+            return TwoMonotoneReport(False, (a, b), Fraction(lhs, d), Fraction(rhs, d))
+    raise AssertionError("a failed local inequality is a violating pair")
+
+
+def _step_table(lowprob: LowerProbability) -> tuple:
+    """The n 2^(n-1) step masses L(A | {x}) - L(A) as steps[mask of A][x]
+    (None for x in A), built on the model's first chain_vertex call and
+    kept with it, so that its vertices share them."""
+    if lowprob._steps is None:
+        table, d = _scaled_table(lowprob)
+        bits = [1 << x for x in range(lowprob.space.n)]
+        object.__setattr__(lowprob, "_steps", tuple(
+            tuple(None if a & bx else Fraction(table[a | bx] - va, d) for bx in bits)
+            for a, va in enumerate(table)))
+    return lowprob._steps
 
 
 def chain_vertex(lowprob: LowerProbability, order):
     """Telescope L along the growing prefixes of an outcome order (highest
-    ranked first): the outcome at step k receives mass L(A_k) - L(A_{k-1}).
-    The point dominates L on every event when L is 2-monotone."""
+    ranked first): the outcome at step k receives mass L(A_k) - L(A_{k-1}),
+    read off the model's step table. The point dominates L on every event
+    when L is 2-monotone."""
     n = lowprob.space.n
     if sorted(order) != list(range(n)):
         raise ValueError(f"order is not a permutation of the {n} outcomes")
-    value = lowprob._index
+    steps = _step_table(lowprob)
     p = [ZERO] * n
-    prefix, prev = frozenset(), ZERO
+    prefix = 0
     for x in order:
-        prefix = prefix | {x}
-        val = value[prefix]
-        p[x] = val - prev
-        prev = val
+        p[x] = steps[prefix][x]
+        prefix |= 1 << x
     return tuple(p)
 
 

@@ -167,13 +167,9 @@ def _require_two_monotone(model):
 def _chain_model(tag, model):
     """The 2-monotone lower probability the chains engine works on."""
     if tag == "pri":
-        rep = pri.is_coherent_pri(model)
-        if not rep.proper:
+        if not pri.is_coherent_pri(model).proper:
             raise PropertyError("improper interval model: no distribution fits the bounds")
         model = pri.induced_2mono(model)
-        if rep.coherent:
-            # the envelope of reachable intervals is 2-monotone: no O(4^n) scan
-            return model
     _require_two_monotone(model)
     return model
 

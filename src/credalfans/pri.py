@@ -166,19 +166,20 @@ def vertex_for_cone(m: PRIModel, c: PriCone):
     return tuple(p)
 
 
-def pri_neighbors(m: PRIModel, c: PriCone) -> tuple:
+def pri_neighbors(m: PRIModel, c: PriCone, r=None) -> tuple:
     """The cones across the walls of a full cone with both sides nonempty.
 
     Dropping the generator of y in A opens one wall; the far side either
     keeps x distinguished and moves y to B or makes y the new distinguished
     outcome, decided by comparing the redistributed remainder with l(x).
     B walls mirror this against u(x). A tie emits both, and a coherent
-    model leaves no wall without a neighbour.
+    model leaves no wall without a neighbour. r is the cone's remainder
+    when the caller has it already (the walk reads it off the vertex).
     """
     n = m.n
     if not c.is_full(n) or not c.a or not c.b:
         raise ValueError("neighbour rules apply to full cones with both sides nonempty")
-    r = _remainder(m, c)
+    r = _remainder(m, c) if r is None else r
     lx, ux = m.lower[c.x], m.upper[c.x]
     out = []
     for y in sorted(c.a):
@@ -248,7 +249,8 @@ def enumerate_extreme_pri(m: PRIModel):
     queue = [key]
     while queue:
         key = queue.pop()
-        for nb in pri_neighbors(m, cones[key]):
+        c = cones[key]
+        for nb in pri_neighbors(m, c, nodes[key].vertex[c.x]):
             nk = gens(nb)
             if nk not in nodes:
                 v = vertex_for_cone(m, nb)

@@ -3,11 +3,15 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credalfans.chains2mono import (
     LowerProbability,
+    TwoMonotoneReport,
     as_lower_prevision,
     chain_graph,
     chain_neighbors,
@@ -38,6 +42,54 @@ NONSUPER3 = {
 
 def lp3(values):
     return LowerProbability(SP3, tuple(values.items()))
+
+
+def reference_is_two_monotone(lowprob):
+    """The pair scan over all incomparable proper events in canonical order,
+    on frozensets and Fractions: the reference for the local test's verdict
+    and for its first violator."""
+    for a, b in itertools.combinations(lowprob.events(), 2):
+        if a <= b or b <= a:
+            continue
+        lhs = lowprob.value(a | b) + lowprob.value(a & b)
+        rhs = lowprob.value(a) + lowprob.value(b)
+        if lhs < rhs:
+            return TwoMonotoneReport(False, (a, b), lhs, rhs)
+    return TwoMonotoneReport(True)
+
+
+def reference_chain_vertex(lowprob, order):
+    """Telescoping on frozenset prefixes: the reference for the step table."""
+    p = [None] * lowprob.space.n
+    prefix, prev = frozenset(), Q(0)
+    for x in order:
+        prefix = prefix | {x}
+        val = lowprob.value(prefix)
+        p[x] = val - prev
+        prev = val
+    return tuple(p)
+
+
+@st.composite
+def monotone_capacities(draw):
+    """A monotone capacity on n = 2..5 outcomes, values on a grid of 1/k
+    for small k so that ties are common: either the monotone closure of
+    raw grid values (mostly not 2-monotone) or a belief function of grid
+    masses, zero masses included (always 2-monotone)."""
+    n = draw(st.integers(2, 5))
+    events = [frozenset(s) for r in range(1, n) for s in itertools.combinations(range(n), r)]
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        raw = dict(zip(events, draw(st.lists(st.integers(0, k), min_size=len(events),
+                                              max_size=len(events)))))
+        values = {e: Fraction(max(raw[b] for b in events if b <= e), k) for e in events}
+    else:
+        masses = dict(zip(events, draw(st.lists(st.integers(0, k), min_size=len(events),
+                                                 max_size=len(events)))))
+        total = sum(masses.values()) + draw(st.integers(1, k))  # the rest on the sure event
+        values = {e: Fraction(sum(m for f, m in masses.items() if f <= e), total) for e in events}
+    sp = OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+    return LowerProbability(sp, tuple(values.items()))
 
 
 class TestLowerProbability:
@@ -85,6 +137,11 @@ class TestTwoMonotonicity:
         assert rep.violator == (frozenset({0, 1}), frozenset({1, 2}))
         assert rep.lhs == 1 and rep.rhs == Q(3) / 2
 
+    @settings(max_examples=150, deadline=None)
+    @given(monotone_capacities())
+    def test_local_test_matches_the_pair_scan(self, lp):
+        assert is_two_monotone(lp) == reference_is_two_monotone(lp)
+
     def test_belief_functions_always_pass(self):
         rng = random.Random(7)
         for _ in range(10):
@@ -117,6 +174,28 @@ class TestChains:
         assert sum(p[x] for x in (0, 1)) < lp.value((0, 1))
         assert any(sum(chain_vertex(lp, order)[x] for x in e) < v
                    for order in itertools.permutations(range(3)) for e, v in lp.table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(monotone_capacities())
+    def test_vertex_matches_reference_telescoping(self, lp):
+        for order in itertools.permutations(range(lp.space.n)):
+            assert chain_vertex(lp, order) == reference_chain_vertex(lp, order)
+
+    def test_step_table_is_built_by_chain_vertex_only(self):
+        # construction, value, choquet and the 2-monotone test leave it
+        # unbuilt: models queried once through choquet never pay for it
+        lp = lp3(SUPERMOD3)
+        lp.value((0, 1))
+        choquet(lp, (2, 1, 0))
+        is_two_monotone(lp)
+        assert lp._steps is None
+        first = chain_vertex(lp, (0, 1, 2))
+        steps = lp._steps
+        assert steps is not None
+        # built once and shared: equal steps are the same objects
+        second = chain_vertex(lp, (0, 2, 1))
+        assert lp._steps is steps and second[0] is first[0]
+        assert lp == lp3(SUPERMOD3) and hash(lp) == hash(lp3(SUPERMOD3))
 
     def test_cone_generators_are_initial_segments(self):
         cone = chain_cone((2, 0, 1))

@@ -352,23 +352,23 @@ class TestNatex:
         assert code == 1
         assert "coherent" in err
 
-    def test_chains_skips_two_monotone_scan_on_coherent_intervals(
+    def test_chains_gates_coherent_intervals_like_every_input(
             self, capsys, monkeypatch, tmp_path):
         # the induced event envelope of a coherent interval model is
-        # 2-monotone by construction: no O(4^n) scan of event pairs
+        # 2-monotone, and the local test says so at O(n^2 2^n) cost
         gpath = tmp_path / "g.json"
         gpath.write_text(json.dumps({f"x{i}": str(i % 4) for i in range(1, 11)}))
         argv = ["natex", "--model", model("pri_n10_uniform_max.json"), "--gamble", str(gpath)]
         code, out, _ = run(capsys, *argv, "--engine", "pri")
         assert code == 0
-
-        def scan(*args):
-            raise AssertionError("2-monotonicity scan of a coherent interval model")
-
-        monkeypatch.setattr(chains2mono, "is_two_monotone", scan)
+        reports = []
+        scan = chains2mono.is_two_monotone
+        monkeypatch.setattr(chains2mono, "is_two_monotone",
+                            lambda lowprob: reports.append(scan(lowprob)) or reports[-1])
         code, chains_out, _ = run(capsys, *argv, "--engine", "chains")
         assert code == 0
         assert report_get(chains_out, "value") == report_get(out, "value")
+        assert [rep.ok for rep in reports] == [True]
 
     def test_chains_still_scans_unreachable_intervals(self, capsys, monkeypatch):
         calls = []
