@@ -33,6 +33,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
@@ -81,8 +82,9 @@ class MescGraph:
     edges: frozenset
     incomplete_walls: tuple = ()
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset:
+        """The certified vertices, built on the first read and kept."""
         return frozenset(n.vertex for n in self.nodes)
 
 

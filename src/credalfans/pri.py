@@ -17,9 +17,12 @@ touching a generic LP, in time proportional to the number of cones, which
 ranges from n(n-1) up to a central binomial count.
 
 All neighbour rules reduce to comparing the redistributed remainder against
-the distinguished outcome's own bounds; the four cases (move y out of A,
-swap x with y in A, and the two mirrored B moves) are exhaustive, and a tie
-emits both sides, which then certify the same vertex from two cones.
+the distinguished outcome's own bounds; the four cases (move y from A to B,
+adding l(y) - u(y) to R; swap x with y in A, adding l(y) - l(x); and the two
+mirrored B moves) are exhaustive, and a tie emits both sides, which then
+certify the same vertex from two cones. The walk carries d R (d the bounds'
+common denominator) by those int differences on bitmask sides, so walls and
+each new cone's guard l(x) <= R <= u(x) are int comparisons.
 Below three outcomes no cone has both sides nonempty; the generic walk
 takes those models, and its seed is the only LP this module runs.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .chains2mono import LowerProbability
 from .cones import SupportUniverse
@@ -147,6 +151,13 @@ def _remainder(m: PRIModel, c: PriCone):
     return 1 - sum((m.lower[y] for y in c.a), ZERO) - sum((m.upper[z] for z in c.b), ZERO)
 
 
+def _int_bounds(m: PRIModel) -> tuple:
+    """(lo, up, d): lo[y] = d l(y) and up[y] = d u(y) as ints over the
+    bounds' common denominator d."""
+    d = math.lcm(*(v.denominator for v in m.lower + m.upper))
+    return tuple(int(v * d) for v in m.lower), tuple(int(v * d) for v in m.upper), d
+
+
 def vertex_for_cone(m: PRIModel, c: PriCone):
     """The candidate extreme point of a full cone: lower bounds on A, upper
     bounds on B, remainder on x. None when the remainder leaves x's own
@@ -166,48 +177,47 @@ def vertex_for_cone(m: PRIModel, c: PriCone):
     return tuple(p)
 
 
-def pri_neighbors(m: PRIModel, c: PriCone, r=None) -> tuple:
-    """The cones across the walls of a full cone with both sides nonempty.
+def pri_neighbors(t: tuple, s: tuple) -> tuple:
+    """The states across the walls of a full cone with both sides nonempty.
 
-    Dropping the generator of y in A opens one wall; the far side either
-    keeps x distinguished and moves y to B or makes y the new distinguished
-    outcome, decided by comparing the redistributed remainder with l(x).
-    B walls mirror this against u(x). A tie emits both, and a coherent
-    model leaves no wall without a neighbour. r is the cone's remainder
-    when the caller has it already (the walk reads it off the vertex).
+    t is the model's _int_bounds table, s = (x, a, b, r) a cone with its
+    sides A and B as outcome bitmasks and r = d R. The wall of y in A leads
+    to (x, A - y, B + y) or to (y, A - y + x, B), decided by r + l(y) - u(y)
+    against l(x); B walls mirror this against u(x). A tie emits both, and a
+    coherent model leaves no wall without a neighbour.
     """
-    n = m.n
-    if not c.is_full(n) or not c.a or not c.b:
+    x, a, b, r = s
+    lo, up, _ = t
+    n = len(lo)
+    bx = 1 << x
+    if not a or not b or a & b or (a | b) ^ ((1 << n) - 1) != bx:
         raise ValueError("neighbour rules apply to full cones with both sides nonempty")
-    r = _remainder(m, c) if r is None else r
-    lx, ux = m.lower[c.x], m.upper[c.x]
+    lx, ux = lo[x], up[x]
     out = []
-    for y in sorted(c.a):
-        t = r + m.lower[y] - m.upper[y]
-        if len(c.a) > 1 and t >= lx:
-            out.append(PriCone(c.x, c.a - {y}, c.b | {y}))
-        if t <= lx:
-            out.append(PriCone(y, (c.a - {y}) | {c.x}, c.b))
-    for z in sorted(c.b):
-        t = r + m.upper[z] - m.lower[z]
-        if len(c.b) > 1 and t <= ux:
-            out.append(PriCone(c.x, c.a | {z}, c.b - {z}))
-        if t >= ux:
-            out.append(PriCone(z, c.a, (c.b - {z}) | {c.x}))
+    for y in range(n):
+        by = 1 << y
+        if a & by:
+            ty = r + lo[y] - up[y]
+            if a != by and ty >= lx:
+                out.append((x, a ^ by, b | by, ty))
+            if ty <= lx:
+                out.append((y, a ^ by | bx, b, r + lo[y] - lx))
+        elif b & by:
+            ty = r + up[y] - lo[y]
+            if b != by and ty <= ux:
+                out.append((x, a | by, b ^ by, ty))
+            if ty >= ux:
+                out.append((y, a, b ^ by | bx, r + up[y] - ux))
     return tuple(out)
 
 
 def _seed_cone(m: PRIModel):
     """A valid cone for the staircase gamble (0, 1, ..., n-1): scan the
-    interior split positions; coherence guarantees one works."""
+    interior split positions x; coherence guarantees one works."""
     n = m.n
-    for k in range(1, n - 1):  # x at ascending position k, 0-indexed
-        x = k
-        a = frozenset(range(k + 1, n))
-        b = frozenset(range(k))
-        c = PriCone(x, a, b)
-        r = _remainder(m, c)
-        if m.lower[x] <= r <= m.upper[x]:
+    for x in range(1, n - 1):
+        c = PriCone(x, frozenset(range(x + 1, n)), frozenset(range(x)))
+        if vertex_for_cone(m, c) is not None:
             return c
     return None
 
@@ -216,6 +226,11 @@ def enumerate_extreme_pri(m: PRIModel):
     """All extreme points of a coherent interval model, with the MESC
     adjacency graph, by walking the exchange rules from a seed cone. Graph
     nodes are keyed by generator indices in pri_hrep(m)'s universe.
+
+    The walk's states are pri_neighbors' (x, a, b, r) on the model's
+    integer table, keyed by a | b << n; each new one must keep
+    l(x) <= R <= u(x). A vertex's x-coordinate Fraction(r, d) is the only
+    Fraction built; its other coordinates are the model's own bounds.
 
     Raises IncoherenceError on incoherent input (repair it first via
     is_coherent_pri). For n <= 2 the graph is fanwalk.walk's on
@@ -233,35 +248,38 @@ def enumerate_extreme_pri(m: PRIModel):
     start = _seed_cone(m)
     if start is None:
         raise IncoherenceError("no valid seed cone; model is not reachable")
-    # node keys are universe indices: row[y] of the lower row of y, row[n + z]
-    # of the upper row of z
+    t = lo, up, d = _int_bounds(m)
+    a, b = (sum(1 << y for y in side) for side in (start.a, start.b))
+    r = d - sum(lo[y] for y in start.a) - sum(up[z] for z in start.b)
+    states = {a | b << n: (start.x, a, b, r)}
+    edges = set()
+    queue = list(states.values())
+    while queue:
+        s = queue.pop()
+        key = s[1] | s[2] << n
+        for nb in pri_neighbors(t, s):
+            x, a, b, r = nb
+            nk = a | b << n
+            if nk not in states:
+                if not lo[x] <= r <= up[x]:
+                    raise IncoherenceError("neighbour rule left the fan; model is not reachable")
+                states[nk] = nb
+                queue.append(nb)
+            edges.add((key, nk) if key < nk else (nk, key))
+    # bit j of a key is pri_hrep's row j (lower row of y at y, upper row of
+    # z at n + z); node keys are those rows' universe indices
     h, universe = pri_hrep(m)
     uindex = {v: i for i, v in enumerate(universe.vectors)}
     row = [uindex[f] for f, _ in h.inequalities]
-
-    def gens(c):
-        return tuple(sorted([row[y] for y in c.a] + [row[n + z] for z in c.b]))
-
-    key = gens(start)
-    cones = {key: start}
-    nodes = {key: MescNode(key, vertex_for_cone(m, start))}
-    edges = set()
-    queue = [key]
-    while queue:
-        key = queue.pop()
-        c = cones[key]
-        for nb in pri_neighbors(m, c, nodes[key].vertex[c.x]):
-            nk = gens(nb)
-            if nk not in nodes:
-                v = vertex_for_cone(m, nb)
-                if v is None:
-                    raise IncoherenceError("neighbour rule left the fan; model is not reachable")
-                cones[nk] = nb
-                nodes[nk] = MescNode(nk, v)
-                queue.append(nk)
-            edges.add(frozenset({key, nk}))
-    ordered = tuple(nodes[k] for k in sorted(nodes))
-    return frozenset(node.vertex for node in ordered), MescGraph(ordered, frozenset(edges))
+    gens = {k: tuple(sorted(row[j] for j in range(2 * n) if k >> j & 1)) for k in states}
+    nodes = []
+    for k in sorted(states, key=gens.__getitem__):
+        x, a, b, r = states[k]
+        p = [m.lower[y] if a >> y & 1 else m.upper[y] for y in range(n)]
+        p[x] = Fraction(r, d)
+        nodes.append(MescNode(gens[k], tuple(p)))
+    graph = MescGraph(tuple(nodes), frozenset(frozenset((gens[i], gens[j])) for i, j in edges))
+    return graph.vertices, graph
 
 
 def natural_extension_pri(m: PRIModel, f):

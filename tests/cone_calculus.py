@@ -5,7 +5,10 @@ adjacency here is simplicial modulo the constant-one lineality, so
 membership off their signs: no LP. Those coordinates are the conic
 witness. ``dual_basis`` is exact, in Fractions: the reference the walk's
 integer dual rows are checked against. Normal-cone membership is its
-definition: f is in N(x) iff x attains E(f).
+definition: f is in N(x) iff x attains E(f). ``reference_pri_neighbors`` and
+``reference_enumerate_extreme_pri`` are the interval exchange walk on
+``PriCone``s in Fractions, with each remainder summed from the bounds: the
+reference the integer walk of ``credalfans.pri`` is checked against.
 """
 
 import itertools
@@ -15,7 +18,8 @@ from typing import NamedTuple
 
 from credalfans.credal import natural_extension
 from credalfans.exactla import dot, indicator, ones, scaled_inverse, vec
-from credalfans.pri import PriCone
+from credalfans.fanwalk import MescGraph, MescNode
+from credalfans.pri import PriCone, _remainder, _seed_cone, pri_hrep, vertex_for_cone
 
 
 class Cone(NamedTuple):
@@ -115,6 +119,66 @@ def locate_cone(f) -> tuple:
         if a and b and len(a) + len(b) == n - 1:
             out.append(PriCone(x, a, b))
     return tuple(sorted(out, key=lambda c: (c.x, sorted(c.a), sorted(c.b))))
+
+
+def reference_pri_neighbors(m, c: PriCone) -> tuple:
+    """The cones across the walls of a full cone (x, A, B) with both sides
+    nonempty, by the exchange rules on the remainder R: the wall of y in A
+    leads to (x, A - y, B + y) when R + l(y) - u(y) >= l(x) and to
+    (y, A - y + x, B) when it is <= l(x); B walls mirror this against u(x)."""
+    n = m.n
+    if not c.is_full(n) or not c.a or not c.b:
+        raise ValueError("neighbour rules apply to full cones with both sides nonempty")
+    r = _remainder(m, c)
+    lx, ux = m.lower[c.x], m.upper[c.x]
+    out = []
+    for y in sorted(c.a):
+        t = r + m.lower[y] - m.upper[y]
+        if len(c.a) > 1 and t >= lx:
+            out.append(PriCone(c.x, c.a - {y}, c.b | {y}))
+        if t <= lx:
+            out.append(PriCone(y, (c.a - {y}) | {c.x}, c.b))
+    for z in sorted(c.b):
+        t = r + m.upper[z] - m.lower[z]
+        if len(c.b) > 1 and t <= ux:
+            out.append(PriCone(c.x, c.a | {z}, c.b - {z}))
+        if t >= ux:
+            out.append(PriCone(z, c.a, (c.b - {z}) | {c.x}))
+    return tuple(out)
+
+
+def reference_enumerate_extreme_pri(m):
+    """(points, MescGraph) of a coherent interval model on n >= 3 outcomes
+    by walking reference_pri_neighbors from the engine's seed cone, each
+    vertex from vertex_for_cone; nodes keyed by pri_hrep(m)'s universe
+    indices, as the engine keys them."""
+    n = m.n
+    h, universe = pri_hrep(m)
+    uindex = {v: i for i, v in enumerate(universe.vectors)}
+    row = [uindex[f] for f, _ in h.inequalities]
+
+    def gens(c):
+        return tuple(sorted([row[y] for y in c.a] + [row[n + z] for z in c.b]))
+
+    start = _seed_cone(m)
+    key = gens(start)
+    cones = {key: start}
+    nodes = {key: MescNode(key, vertex_for_cone(m, start))}
+    edges = set()
+    queue = [key]
+    while queue:
+        key = queue.pop()
+        for nb in reference_pri_neighbors(m, cones[key]):
+            nk = gens(nb)
+            if nk not in nodes:
+                v = vertex_for_cone(m, nb)
+                assert v is not None, "neighbour rule left the fan"
+                cones[nk] = nb
+                nodes[nk] = MescNode(nk, v)
+                queue.append(nk)
+            edges.add(frozenset({key, nk}))
+    ordered = tuple(nodes[k] for k in sorted(nodes))
+    return frozenset(node.vertex for node in ordered), MescGraph(ordered, frozenset(edges))
 
 
 def is_comonotone(f, g) -> bool:

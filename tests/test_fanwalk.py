@@ -94,6 +94,14 @@ def test_walk_interval_hexagon():
     assert report.n_nodes == 6 and report.n_edges == 6
 
 
+def test_graph_vertices_built_once_and_outside_equality():
+    g = walk(PRI3, PRI3_U)
+    fresh = MescGraph(g.nodes, g.edges, g.incomplete_walls)
+    assert g.vertices is g.vertices
+    assert g == fresh and hash(g) == hash(fresh)
+    assert fresh.vertices == g.vertices and fresh.vertices is not g.vertices
+
+
 def test_walk_supermodular_hexagon():
     g = walk(SUP3, SUP3_U)
     report = verify_graph(g)

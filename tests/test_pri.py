@@ -3,8 +3,10 @@ calculus, exchange-rule enumeration against the generic walk and the vertex
 oracle, direct natural extension, and the induced lower probability."""
 
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,12 +29,24 @@ from credalfans.pri import (
     pri_hrep,
     pri_neighbors,
     vertex_for_cone,
+    _int_bounds,
+    _remainder,
 )
 
-from cone_calculus import Cone, absorbed, chain_cone, contains, dual_basis, locate_cone, witness
+from cone_calculus import (
+    Cone,
+    absorbed,
+    chain_cone,
+    contains,
+    dual_basis,
+    locate_cone,
+    reference_enumerate_extreme_pri,
+    witness,
+)
 from conftest import Q, coherent_intervals, random_gamble
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def space(n):
@@ -139,7 +153,7 @@ class TestNeighbors:
     def test_hexagon_rules(self):
         m = pri3()
         c = PriCone(0, frozenset({1}), frozenset({2}))
-        nbs = pri_neighbors(m, c)
+        nbs = _neighbors(m, c)
         # outcome 1 leaves A and outcome 2 leaves B, each to become distinguished
         assert len(nbs) == 2
         assert set(nbs) == {PriCone(1, frozenset({0}), frozenset({2})),
@@ -154,8 +168,8 @@ class TestNeighbors:
             checked = 0
             for node in graph.nodes[:6]:
                 c = _cone_from_gens(node.gens, m)
-                for nb in pri_neighbors(m, c):
-                    assert c in pri_neighbors(m, nb)
+                for nb in _neighbors(m, c):
+                    assert c in _neighbors(m, nb)
                     checked += 1
             assert checked
 
@@ -168,10 +182,31 @@ class TestNeighbors:
             for node in graph.nodes:
                 c = _cone_from_gens(node.gens, m)
                 walls_covered = set()
-                for nb in pri_neighbors(m, c):
+                for nb in _neighbors(m, c):
                     moved = (c.a - nb.a) | (c.b - nb.b) | ({c.x} - ({nb.x} | nb.a | nb.b))
                     walls_covered |= moved
                 assert walls_covered == c.a | c.b
+
+
+def _mask(side):
+    return sum(1 << y for y in side)
+
+
+def _outcomes(mask):
+    return frozenset(y for y in range(mask.bit_length()) if mask >> y & 1)
+
+
+def _neighbors(m, c):
+    """pri_neighbors of the cone c on m's integer table, as PriCones; each
+    neighbour's carried r must be d times its remainder summed afresh."""
+    t = _int_bounds(m)
+    d = t[2]
+    out = []
+    for x, a, b, r in pri_neighbors(t, (c.x, _mask(c.a), _mask(c.b), int(d * _remainder(m, c)))):
+        nb = PriCone(x, _outcomes(a), _outcomes(b))
+        assert type(r) is int and r == d * _remainder(m, nb)
+        out.append(nb)
+    return tuple(out)
 
 
 def _cone_of(c, m):
@@ -283,6 +318,49 @@ class TestEnumeration:
         assert len(graph.nodes) == high == 30
         rep = verify_graph(graph)
         assert rep.ok and rep.degree_histogram == ((4, 30),)
+
+
+def grid_intervals(rng, n, k):
+    """Bounds on the 1/(k n) grid around the uniform distribution, repaired
+    to reachable: with few grid values, bounds tie within an outcome and
+    across outcomes."""
+    lows = [Q(rng.randint(0, k)) / (k * n) for _ in range(n)]
+    ups = [Q(rng.randint(k, 2 * k)) / (k * n) for _ in range(n)]
+    return is_coherent_pri(PRIModel(space(n), lows, ups)).repaired
+
+
+class TestIntegerWalk:
+    """The integer walk against the Fraction reference walk of
+    cone_calculus: the same points and the same graph, node for node."""
+
+    def test_matches_fraction_reference_on_seeded_models(self):
+        rng = random.Random(43)
+        degenerate = 0
+        # 300 models, fewer at the larger sizes, where the reference is slow
+        for n, count in {3: 55, 4: 55, 5: 55, 6: 55, 7: 40, 8: 25, 9: 15}.items():
+            for i in range(count):
+                if i % 3 == 2:
+                    m = grid_intervals(rng, n, 1 + i % 4)
+                else:
+                    lows, ups = coherent_intervals(rng, n, den=(12, 3)[i % 3])
+                    m = PRIModel(space(n), tuple(lows), tuple(ups))
+                result = enumerate_extreme_pri(m)
+                assert result == reference_enumerate_extreme_pri(m)
+                # ties emit both sides of a wall, so two cones share a vertex
+                degenerate += len(result[1].nodes) > len(result[0])
+        assert degenerate >= 100
+
+    def test_degenerate_reproducer(self):
+        m = pri_uniform(5, "1/6", "1/4")
+        points, graph = enumerate_extreme_pri(m)
+        assert (points, graph) == reference_enumerate_extreme_pri(m)
+        assert len(graph.nodes) == 50
+        assert verify_graph(graph).degree_histogram == ((6, 30), (7, 20))
+
+    @pytest.mark.parametrize("name", ["pri_n10_uniform_max", "pri_n10_uniform_min"])
+    def test_model_files(self, name):
+        m = pri_from_json(json.loads((MODELS / f"{name}.json").read_text()))
+        assert enumerate_extreme_pri(m) == reference_enumerate_extreme_pri(m)
 
 
 class TestNaturalExtension:
