@@ -27,13 +27,12 @@ from it once per model, not once per order. choquet builds no table.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cones import SupportUniverse
 from .credal import Gamble, LowerPrevision, OutcomeSpace, SchemaError, _schema_outcomes, _schema_rat
-from .exactla import ZERO, indicator, rat, vec
+from .exactla import ZERO, _scaled, indicator, rat, vec
 from .fanwalk import MescGraph, MescNode
 
 __all__ = [
@@ -134,10 +133,10 @@ class TwoMonotoneReport:
 def _scaled_table(lowprob: LowerProbability):
     """(V, d): V[mask] = d L(event) as an int for every event, empty and
     sure included, indexed by bitmask (outcome i is bit i)."""
-    d = math.lcm(*(v.denominator for v in lowprob._index.values()))
+    d, values = _scaled(lowprob._index.values())
     table = [0] * (1 << lowprob.space.n)
-    for e, v in lowprob._index.items():
-        table[sum(1 << x for x in e)] = v.numerator * (d // v.denominator)
+    for e, v in zip(lowprob._index, values):
+        table[sum(1 << x for x in e)] = v
     return table, d
 
 

@@ -15,10 +15,11 @@ the model supports, "walk" runs the generic adjacency walk, "chains" the
 chain fan of a 2-monotone lower probability, "pri" the interval exchange
 rules, "oracle" the brute-force vertex enumerator. Exit status: 0 success,
 1 a property of the model failed (incoherent, not 2-monotone, verification
-mismatch), 2 unusable input (schema errors, unwritable output paths, wrong
-engine for the model type, oracle guards exceeded, a chain fan on more than
-CHAIN_FAN_MAX_N = 8 outcomes, a result past Python's int-to-str digit
-limit). --verify checks the oracle guards before the engine runs.
+mismatch, a fan with incomplete walls), 2 unusable input (schema errors,
+unwritable output paths, wrong engine for the model type, oracle guards
+exceeded, a chain fan on more than CHAIN_FAN_MAX_N = 8 outcomes, a result
+past Python's int-to-str digit limit). --verify checks the oracle guards
+before the engine runs.
 
 All values are exact rationals; --decimal (vertices, natex) adds 12-digit
 approximations for reading convenience, explicitly marked non-authoritative.
@@ -195,9 +196,10 @@ def _chains_graph(tag, model):
 
 def _walk_graph(tag, model):
     h, universe = _hrep(tag, model)
-    # The walk presumes every assessment row supports the credal set;
-    # slack rows (incoherent input) break its wall-crossing invariants,
-    # so refuse up front instead of emitting a defective graph.
+    # The walk presumes every assessment row supports the credal set: slack
+    # rows (incoherent input) break its wall crossing, so refuse them up
+    # front. Redundant rows can still leave a wall without a neighbour; then
+    # vertices and graph refuse the graph (_require_complete), fan reports it.
     if tag == "pri":
         if not pri.is_coherent_pri(model).coherent:
             raise PropertyError(
@@ -285,6 +287,16 @@ def _compute_graph(args, command):
     graph, universe, points = _run_engine(engine, ENGINES[engine][0], tag, model)
     report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
     return tag, model, graph, universe, points, report
+
+
+def _require_complete(graph):
+    """Refuse a fan with a wall the walk found no neighbour across: its
+    vertex set may be short. fan reports such a graph instead."""
+    if graph is not None and graph.incomplete_walls:
+        gens, dropped = graph.incomplete_walls[0]
+        raise PropertyError(f"incomplete fan: the wall of node {gens} without generator "
+                            f"{dropped} has no neighbour; vertices may be missing "
+                            "(try --engine oracle)")
 
 
 def _verify_vertices(tag, model, points, report):
@@ -396,7 +408,8 @@ def _cmd_check(args):
 
 
 def _cmd_vertices(args):
-    tag, model, _, _, points, report = _compute_graph(args, "vertices")
+    tag, model, graph, _, points, report = _compute_graph(args, "vertices")
+    _require_complete(graph)
     report.add("n_vertices", len(points))
     if args.verify:
         _verify_vertices(tag, model, points, report)
@@ -426,6 +439,7 @@ def _cmd_fan(args):
 
 def _cmd_graph(args):
     tag, model, graph, universe, points, report = _compute_graph(args, "graph")
+    _require_complete(graph)
     report.add("n_nodes", len(graph.nodes))
     report.add("n_edges", len(graph.edges))
     if args.verify:

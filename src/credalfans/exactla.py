@@ -121,16 +121,20 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+def _scaled(v) -> tuple:
+    """(d, d v) for the least common multiple d of v's denominators: d v is
+    integer, with the signs and ratios of v."""
+    d = math.lcm(*(a.denominator for a in v))
+    return d, tuple(a.numerator * (d // a.denominator) for a in v)
+
+
 def _int_rows(rows) -> list[list[int]]:
     """Clear denominators with one common multiplier. Scaling the whole
     matrix by a positive number keeps its rank, its solutions, every sign
     and every ratio, so the simplex makes the same choices on the result."""
     rows = [[rat(a) for a in row] for row in rows]
-    mult = 1
-    for row in rows:
-        for a in row:
-            mult = math.lcm(mult, a.denominator)
-    return [[a.numerator * _exact_div(mult, a.denominator) for a in row] for row in rows]
+    entries = iter(_scaled([a for row in rows for a in row])[1])
+    return [[next(entries) for _ in row] for row in rows]
 
 
 def _pivot(t: list[list[int]], det: int, r: int, c: int) -> int:

@@ -28,7 +28,6 @@ cones are themselves simplicial this is exactly one node per vertex.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .cones import SupportUniverse
-from .exactla import format_rat, is_multiple, ones, rat, scaled_inverse
+from .exactla import _scaled, format_rat, is_multiple, ones, rat, scaled_inverse
 from .polytope import HPolytope, lp_min
 
 __all__ = [
@@ -86,13 +85,6 @@ class MescGraph:
     def vertices(self) -> frozenset:
         """The certified vertices, built on the first read and kept."""
         return frozenset(n.vertex for n in self.nodes)
-
-
-def _scaled(v) -> tuple:
-    """(d, d v) for the least common multiple d of v's denominators: d v is
-    integer, with the signs and ratios of v."""
-    d = math.lcm(*(a.denominator for a in v))
-    return d, tuple(a.numerator * (d // a.denominator) for a in v)
 
 
 class _Table(NamedTuple):
@@ -312,15 +304,19 @@ def _vertex_label(vertex) -> str:
     return ",".join(format_rat(a) for a in vertex)
 
 
+def _indexed_edges(g: MescGraph) -> list:
+    """The edges as sorted pairs (i, j), i < j, of positions in g.nodes."""
+    index = {node.gens: i for i, node in enumerate(g.nodes)}
+    pairs = ((index[a], index[b]) for a, b in g.edges)
+    return sorted((i, j) if i < j else (j, i) for i, j in pairs)
+
+
 def graph_to_dot(g: MescGraph) -> str:
     """Undirected DOT rendering; node labels are the certified vertices."""
-    index = {node.gens: i for i, node in enumerate(g.nodes)}
     lines = ["graph fan {"]
     for i, node in enumerate(g.nodes):
         lines.append(f'  n{i} [label="{_vertex_label(node.vertex)}"];')
-    for a, b in sorted(
-        tuple(sorted((index[x] for x in e))) for e in g.edges
-    ):
+    for a, b in _indexed_edges(g):
         lines.append(f"  n{a} -- n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -328,7 +324,6 @@ def graph_to_dot(g: MescGraph) -> str:
 
 def graph_to_json(g: MescGraph, universe: SupportUniverse) -> dict:
     """JSON-ready dict; generators are referenced by universe index."""
-    index = {node.gens: i for i, node in enumerate(g.nodes)}
     size = len(universe)
     nodes = []
     for i, node in enumerate(g.nodes):
@@ -341,9 +336,8 @@ def graph_to_json(g: MescGraph, universe: SupportUniverse) -> dict:
                 "generators": list(node.gens),
             }
         )
-    edges = sorted(tuple(sorted((index[x] for x in e))) for e in g.edges)
     return {
         "universe": [[format_rat(a) for a in v] for v in universe.vectors],
         "nodes": nodes,
-        "edges": [list(e) for e in edges],
+        "edges": [[i, j] for i, j in _indexed_edges(g)],
     }

@@ -1,30 +1,30 @@
 """Probability intervals: bounds on singleton masses and the combinatorial
 fan they induce.
 
-A probability-interval model gives l(x) <= p(x) <= u(x) per outcome. Its
-credal set is a polytope whose extreme points have an explicit shape: pick
-a distinguished outcome x and split the rest into a side A held at its
-lower bounds and a side B held at its upper bounds; the remainder
+A probability-interval model gives l(x) <= p(x) <= u(x) per outcome. Every
+extreme point of its credal set is a split of an outcome order: the
+outcomes before a distinguished x sit at their upper bounds (side B), those
+after it at their lower bounds (side A), and x takes the remainder
 
     R = 1 - sum_A l - sum_B u
 
-goes to x, and the point is extreme exactly when l(x) <= R <= u(x). The
-normal cone of such a point is spanned by the singleton indicators over A
-(lower rows) and the complement indicators over B (upper rows): A collects
-outcomes where the gamble beats its value at x, B those it beats. Walking
-these cones by exchange rules enumerates all extreme points without
-touching a generic LP, in time proportional to the number of cones, which
-ranges from n(n-1) up to a central binomial count.
+when l(x) <= R <= u(x). A gamble is minimised at the first split of its
+sorted order (cheapest first) that fits. ``_splits`` writes this rule once,
+carrying d R (d the bounds' common denominator) as an int along the order;
+``natural_extension_pri`` reads the value off a gamble's first fitting
+split, and ``enumerate_extreme_pri`` seeds its walk at the first fitting
+interior split of the staircase order.
 
-All neighbour rules reduce to comparing the redistributed remainder against
-the distinguished outcome's own bounds; the four cases (move y from A to B,
+The normal cone of a split is spanned by the singleton indicators over A
+(lower rows) and the complement indicators over B (upper rows). The walk
+crosses its walls by four exhaustive exchange rules (move y from A to B,
 adding l(y) - u(y) to R; swap x with y in A, adding l(y) - l(x); and the two
-mirrored B moves) are exhaustive, and a tie emits both sides, which then
-certify the same vertex from two cones. The walk carries d R (d the bounds'
-common denominator) by those int differences on bitmask sides, so walls and
-each new cone's guard l(x) <= R <= u(x) are int comparisons.
-Below three outcomes no cone has both sides nonempty; the generic walk
-takes those models, and its seed is the only LP this module runs.
+mirrored B moves), each an int comparison of the carried remainder against
+x's own bounds on bitmask sides; a tie emits both sides, which then certify
+the same vertex from two cones. No generic LP runs, and the time is
+proportional to the number of cones, from n(n-1) up to a central binomial
+count. Below three outcomes no cone has both sides nonempty; the generic
+walk takes those models, and its seed is the only LP this module runs.
 """
 
 from __future__ import annotations
@@ -45,16 +45,14 @@ from .credal import (
     _schema_outcomes,
     parse_gamble,
 )
-from .exactla import ZERO, dot, ones, unit, vec
+from .exactla import ZERO, _scaled, ones, unit, vec
 from .fanwalk import MescGraph, MescNode, walk
 from .polytope import HPolytope
 
 __all__ = [
     "PRIModel",
     "PriCoherenceReport",
-    "PriCone",
     "is_coherent_pri",
-    "vertex_for_cone",
     "pri_neighbors",
     "enumerate_extreme_pri",
     "natural_extension_pri",
@@ -126,55 +124,24 @@ def is_coherent_pri(m: PRIModel) -> PriCoherenceReport:
     return PriCoherenceReport(True, coherent, repaired)
 
 
-@dataclass(frozen=True)
-class PriCone:
-    """Combinatorial cone datum: distinguished outcome x, lower-active side
-    A (gamble above its x-value), upper-active side B (below)."""
-
-    x: int
-    a: frozenset
-    b: frozenset
-
-    def __post_init__(self):
-        a = frozenset(self.a)
-        b = frozenset(self.b)
-        if self.x in a or self.x in b or (a & b):
-            raise ValueError("sides must be disjoint and exclude x")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def is_full(self, n: int) -> bool:
-        return len(self.a) + len(self.b) == n - 1
-
-
-def _remainder(m: PRIModel, c: PriCone):
-    return 1 - sum((m.lower[y] for y in c.a), ZERO) - sum((m.upper[z] for z in c.b), ZERO)
-
-
 def _int_bounds(m: PRIModel) -> tuple:
     """(lo, up, d): lo[y] = d l(y) and up[y] = d u(y) as ints over the
     bounds' common denominator d."""
-    d = math.lcm(*(v.denominator for v in m.lower + m.upper))
-    return tuple(int(v * d) for v in m.lower), tuple(int(v * d) for v in m.upper), d
+    d, bounds = _scaled(m.lower + m.upper)
+    return bounds[:m.n], bounds[m.n:], d
 
 
-def vertex_for_cone(m: PRIModel, c: PriCone):
-    """The candidate extreme point of a full cone: lower bounds on A, upper
-    bounds on B, remainder on x. None when the remainder leaves x's own
-    interval, i.e. the cone is not in the model's fan."""
-    n = m.n
-    if not c.is_full(n):
-        raise ValueError("vertex requires a full cone")
-    r = _remainder(m, c)
-    if not (m.lower[c.x] <= r <= m.upper[c.x]):
-        return None
-    p = [ZERO] * n
-    for y in c.a:
-        p[y] = m.lower[y]
-    for z in c.b:
-        p[z] = m.upper[z]
-    p[c.x] = r
-    return tuple(p)
+def _splits(t: tuple, order):
+    """(x, r) for each position of an outcome order, cheapest first: the
+    outcomes before x at their upper bounds, those after it at their lower
+    bounds, and r = d R the remainder left to x, over the _int_bounds table
+    t. The split fits when lo[x] <= r <= up[x]."""
+    lo, up, d = t
+    r = d - sum(lo)
+    for x in order:
+        r += lo[x]
+        yield x, r
+        r -= up[x]
 
 
 def pri_neighbors(t: tuple, s: tuple) -> tuple:
@@ -211,17 +178,6 @@ def pri_neighbors(t: tuple, s: tuple) -> tuple:
     return tuple(out)
 
 
-def _seed_cone(m: PRIModel):
-    """A valid cone for the staircase gamble (0, 1, ..., n-1): scan the
-    interior split positions x; coherence guarantees one works."""
-    n = m.n
-    for x in range(1, n - 1):
-        c = PriCone(x, frozenset(range(x + 1, n)), frozenset(range(x)))
-        if vertex_for_cone(m, c) is not None:
-            return c
-    return None
-
-
 def enumerate_extreme_pri(m: PRIModel):
     """All extreme points of a coherent interval model, with the MESC
     adjacency graph, by walking the exchange rules from a seed cone. Graph
@@ -245,15 +201,16 @@ def enumerate_extreme_pri(m: PRIModel):
     if n <= 2:
         graph = walk(*pri_hrep(m))
         return graph.vertices, graph
-    start = _seed_cone(m)
-    if start is None:
-        raise IncoherenceError("no valid seed cone; model is not reachable")
     t = lo, up, d = _int_bounds(m)
-    a, b = (sum(1 << y for y in side) for side in (start.a, start.b))
-    r = d - sum(lo[y] for y in start.a) - sum(up[z] for z in start.b)
-    states = {a | b << n: (start.x, a, b, r)}
+    # the seed: the first interior split of the staircase gamble (0, ..., n-1)
+    # that fits, with A the outcomes after x and B those before it
+    seed = next(((x, (1 << n) - (2 << x), (1 << x) - 1, r) for x, r in _splits(t, range(n))
+                 if 0 < x < n - 1 and lo[x] <= r <= up[x]), None)
+    if seed is None:
+        raise IncoherenceError("no valid seed cone; model is not reachable")
+    states = {seed[1] | seed[2] << n: seed}
     edges = set()
-    queue = list(states.values())
+    queue = [seed]
     while queue:
         s = queue.pop()
         key = s[1] | s[2] << n
@@ -286,8 +243,8 @@ def natural_extension_pri(m: PRIModel, f):
     """Exact lower expectation against the interval model, by direct
     construction of the minimising distribution: sort outcomes by payoff,
     give upper mass to the cheap side and lower mass to the dear side, and
-    place the remainder at the unique split position whose interval can
-    hold it."""
+    place the remainder at the first split position (_splits) whose
+    interval can hold it."""
     rep = is_coherent_pri(m)
     if not rep.coherent:
         raise IncoherenceError("natural extension requires a coherent interval model")
@@ -295,19 +252,14 @@ def natural_extension_pri(m: PRIModel, f):
     n = m.n
     if len(fv) != n:
         raise ValueError("gamble length does not match the outcome space")
-    order = sorted(range(n), key=lambda i: (fv[i], i))
-    p = [None] * n
-    for pos, x in enumerate(order):
-        before = order[:pos]
-        after = order[pos + 1 :]
-        r = 1 - sum((m.upper[z] for z in before), ZERO) - sum((m.lower[y] for y in after), ZERO)
-        if m.lower[x] <= r <= m.upper[x]:
-            for z in before:
-                p[z] = m.upper[z]
-            for y in after:
-                p[y] = m.lower[y]
-            p[x] = r
-            return dot(fv, vec(p))
+    t = lo, up, d = _int_bounds(m)
+    e, g = _scaled(fv)
+    order = sorted(range(n), key=g.__getitem__)  # stable: ties in outcome order
+    for pos, (x, r) in enumerate(_splits(t, order)):
+        if lo[x] <= r <= up[x]:
+            value = (sum(up[z] * g[z] for z in order[:pos]) + r * g[x]
+                     + sum(lo[y] * g[y] for y in order[pos + 1:]))
+            return Fraction(value, d * e)
     raise AssertionError("coherent model must admit a split position")
 
 

@@ -7,19 +7,22 @@ witness. ``dual_basis`` is exact, in Fractions: the reference the walk's
 integer dual rows are checked against. Normal-cone membership is its
 definition: f is in N(x) iff x attains E(f). ``reference_pri_neighbors`` and
 ``reference_enumerate_extreme_pri`` are the interval exchange walk on
-``PriCone``s in Fractions, with each remainder summed from the bounds: the
-reference the integer walk of ``credalfans.pri`` is checked against.
+``PriCone``s in Fractions, seeded by ``seed_cone`` and with each remainder
+summed from the bounds (``remainder``, ``vertex_for_cone``): the reference
+the integer walk and the split rule of ``credalfans.pri`` are checked
+against.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from credalfans.credal import natural_extension
-from credalfans.exactla import dot, indicator, ones, scaled_inverse, vec
+from credalfans.exactla import ZERO, dot, indicator, ones, scaled_inverse, vec
 from credalfans.fanwalk import MescGraph, MescNode
-from credalfans.pri import PriCone, _remainder, _seed_cone, pri_hrep, vertex_for_cone
+from credalfans.pri import pri_hrep
 
 
 class Cone(NamedTuple):
@@ -106,6 +109,63 @@ def chain_cone(order) -> Cone:
     return Cone(tuple(sorted(indicator(n, order[:k]) for k in range(1, n))))
 
 
+@dataclass(frozen=True)
+class PriCone:
+    """Combinatorial cone datum of an interval model: distinguished outcome
+    x, lower-active side A (gamble above its x-value), upper-active side B
+    (below)."""
+
+    x: int
+    a: frozenset
+    b: frozenset
+
+    def __post_init__(self):
+        a = frozenset(self.a)
+        b = frozenset(self.b)
+        if self.x in a or self.x in b or (a & b):
+            raise ValueError("sides must be disjoint and exclude x")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def is_full(self, n: int) -> bool:
+        return len(self.a) + len(self.b) == n - 1
+
+
+def remainder(m, c: PriCone):
+    """R = 1 - sum_A l - sum_B u, summed from the bounds."""
+    return 1 - sum((m.lower[y] for y in c.a), ZERO) - sum((m.upper[z] for z in c.b), ZERO)
+
+
+def vertex_for_cone(m, c: PriCone):
+    """The candidate extreme point of a full cone: lower bounds on A, upper
+    bounds on B, remainder on x. None when the remainder leaves x's own
+    interval, i.e. the cone is not in the model's fan."""
+    n = m.n
+    if not c.is_full(n):
+        raise ValueError("vertex requires a full cone")
+    r = remainder(m, c)
+    if not (m.lower[c.x] <= r <= m.upper[c.x]):
+        return None
+    p = [ZERO] * n
+    for y in c.a:
+        p[y] = m.lower[y]
+    for z in c.b:
+        p[z] = m.upper[z]
+    p[c.x] = r
+    return tuple(p)
+
+
+def seed_cone(m):
+    """A valid cone for the staircase gamble (0, 1, ..., n-1): scan the
+    interior split positions x; coherence guarantees one works."""
+    n = m.n
+    for x in range(1, n - 1):
+        c = PriCone(x, frozenset(range(x + 1, n)), frozenset(range(x)))
+        if vertex_for_cone(m, c) is not None:
+            return c
+    return None
+
+
 def locate_cone(f) -> tuple:
     """The interval-model cones (x, A, B) whose relative interior holds f:
     one per outcome x tied with no other, with A (f above f(x)) and B
@@ -129,7 +189,7 @@ def reference_pri_neighbors(m, c: PriCone) -> tuple:
     n = m.n
     if not c.is_full(n) or not c.a or not c.b:
         raise ValueError("neighbour rules apply to full cones with both sides nonempty")
-    r = _remainder(m, c)
+    r = remainder(m, c)
     lx, ux = m.lower[c.x], m.upper[c.x]
     out = []
     for y in sorted(c.a):
@@ -149,8 +209,8 @@ def reference_pri_neighbors(m, c: PriCone) -> tuple:
 
 def reference_enumerate_extreme_pri(m):
     """(points, MescGraph) of a coherent interval model on n >= 3 outcomes
-    by walking reference_pri_neighbors from the engine's seed cone, each
-    vertex from vertex_for_cone; nodes keyed by pri_hrep(m)'s universe
+    by walking reference_pri_neighbors from seed_cone, each vertex from
+    vertex_for_cone; nodes keyed by pri_hrep(m)'s universe
     indices, as the engine keys them."""
     n = m.n
     h, universe = pri_hrep(m)
@@ -160,7 +220,7 @@ def reference_enumerate_extreme_pri(m):
     def gens(c):
         return tuple(sorted([row[y] for y in c.a] + [row[n + z] for z in c.b]))
 
-    start = _seed_cone(m)
+    start = seed_cone(m)
     key = gens(start)
     cones = {key: start}
     nodes = {key: MescNode(key, vertex_for_cone(m, start))}

@@ -40,7 +40,6 @@ from credalfans.pri import (
     is_coherent_pri,
     natural_extension_pri,
     pri_hrep,
-    vertex_for_cone,
 )
 
 from cone_calculus import (
@@ -54,6 +53,7 @@ from cone_calculus import (
     locate_cone,
     normal_cone_at,
     vadd,
+    vertex_for_cone,
 )
 from conftest import (
     SUPERMOD3,

@@ -231,6 +231,34 @@ class TestFan:
         assert report_get(out, "structure_ok") == "true"
 
 
+# redundant_envelope_a of test_walk_pinned.py: a coherent lower envelope
+# whose redundant rows leave the walk two walls without a neighbour
+REDUNDANT_ENVELOPE = [
+    ((0, -4, -2), "-10/7"), ((-4, -3, 6), "-9/4"), ((5, 6, 5), "61/12"),
+    ((7, -1, 5), "5"), ((-1, 6, -1), "-5/12"), ((3, -2, 3), "16/7")]
+
+
+class TestIncompleteFan:
+    def test_vertices_and_graph_refuse_incomplete_walls(self, capsys, tmp_path):
+        names = ["x0", "x1", "x2"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "type": "lower_prevision", "outcomes": names,
+            "assessments": [{"gamble": dict(zip(names, map(str, g))), "lower": low}
+                            for g, low in REDUNDANT_ENVELOPE]}))
+        for command in ("vertices", "graph"):
+            code, out, err = run(capsys, command, "--model", str(path))
+            assert (code, out) == (1, ""), command
+            assert err == ("error: incomplete fan: the wall of node (2, 4) without "
+                           "generator 4 has no neighbour; vertices may be missing "
+                           "(try --engine oracle)\n")
+        code, out, _ = run(capsys, "fan", "--model", str(path))
+        assert code == 1 and report_get(out, "structure_ok") == "false"
+        code, out, err = run(capsys, "vertices", "--model", str(path), "--engine", "oracle")
+        assert code == 0 and report_get(err, "n_vertices") == "4"
+        assert len(out.splitlines()) == 5
+
+
 class TestGraph:
     def test_json_shape(self, capsys):
         code, out, err = run(capsys, "graph", "--model", model("pri_n3.json"))

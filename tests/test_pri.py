@@ -18,7 +18,6 @@ from credalfans.polytope import vertices_bruteforce
 from credalfans.pri import (
     COUNT_BOUNDS_MAX_N,
     PRIModel,
-    PriCone,
     as_lower_prevision,
     count_bounds,
     enumerate_extreme_pri,
@@ -28,19 +27,20 @@ from credalfans.pri import (
     pri_from_json,
     pri_hrep,
     pri_neighbors,
-    vertex_for_cone,
     _int_bounds,
-    _remainder,
 )
 
 from cone_calculus import (
     Cone,
+    PriCone,
     absorbed,
     chain_cone,
     contains,
     dual_basis,
     locate_cone,
     reference_enumerate_extreme_pri,
+    remainder,
+    vertex_for_cone,
     witness,
 )
 from conftest import Q, coherent_intervals, random_gamble
@@ -202,9 +202,9 @@ def _neighbors(m, c):
     t = _int_bounds(m)
     d = t[2]
     out = []
-    for x, a, b, r in pri_neighbors(t, (c.x, _mask(c.a), _mask(c.b), int(d * _remainder(m, c)))):
+    for x, a, b, r in pri_neighbors(t, (c.x, _mask(c.a), _mask(c.b), int(d * remainder(m, c)))):
         nb = PriCone(x, _outcomes(a), _outcomes(b))
-        assert type(r) is int and r == d * _remainder(m, nb)
+        assert type(r) is int and r == d * remainder(m, nb)
         out.append(nb)
     return tuple(out)
 
@@ -334,6 +334,15 @@ class TestIntegerWalk:
     cone_calculus: the same points and the same graph, node for node."""
 
     def test_matches_fraction_reference_on_seeded_models(self):
+        # the staircase split at position 0 (then n - 1) fits by a tie that
+        # coherence forces there, and the seed must still be interior
+        ends = [PRIModel(SP3, (0, Q(1) / 3, Q(1) / 3), (Q(1) / 3, Q(2) / 3, Q(2) / 3)),
+                PRIModel(SP3, (0, 0, Q(1) / 3), (Q(1) / 3, Q(1) / 3, Q(2) / 3))]
+        assert vertex_for_cone(ends[0], PriCone(0, frozenset({1, 2}), frozenset())) is not None
+        assert vertex_for_cone(ends[1], PriCone(2, frozenset(), frozenset({0, 1}))) is not None
+        for m in ends:
+            assert is_coherent_pri(m).coherent
+            assert enumerate_extreme_pri(m) == reference_enumerate_extreme_pri(m)
         rng = random.Random(43)
         degenerate = 0
         # 300 models, fewer at the larger sizes, where the reference is slow
@@ -384,6 +393,15 @@ class TestNaturalExtension:
         for _ in range(10):
             f = random_gamble(rng, 10)
             assert natural_extension_pri(m, f) == min(dot(f, p) for p in pts)
+        # degenerate grid models, with payoffs in {-1, 0, 1} so that most
+        # gambles tie across outcomes
+        for n in (3, 4, 5, 6):
+            for k in (1, 2, 3):
+                m = grid_intervals(rng, n, k)
+                pts, _ = enumerate_extreme_pri(m)
+                for _ in range(10):
+                    f = random_gamble(rng, n, den=1, lo=-1, hi=1)
+                    assert natural_extension_pri(m, f) == min(dot(f, p) for p in pts)
 
     def test_incoherent_rejected(self):
         m = PRIModel(SP3, (Q(1) / 2, 0, 0), (Q(1) / 2, Q(1) / 2, 1))
