@@ -249,7 +249,7 @@ def choquet(lowprob: LowerProbability, f):
     expectation iff L is 2-monotone; on merely monotone L it can overshoot
     or undershoot the envelope value.
     """
-    fv = f.values if isinstance(f, Gamble) else vec(f)
+    fv = vec(f)
     n = lowprob.space.n
     if len(fv) != n:
         raise ValueError("gamble length does not match the outcome space")

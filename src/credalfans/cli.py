@@ -176,7 +176,7 @@ def _chain_model(tag, model):
 
 
 # Graph functions return (graph or None, universe, vertex set); natex
-# functions the exact lower expectation of a gamble.
+# functions the exact lower expectation of a gamble's value vector.
 
 def _pri_graph(tag, model):
     points, graph = pri.enumerate_extreme_pri(model)
@@ -223,7 +223,7 @@ def _oracle_natex(tag, model, gamble):
     points = _oracle_points(tag, model)
     if not points:
         raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
-    return min(dot(gamble.values, p) for p in points)
+    return min(dot(gamble, p) for p in points)
 
 
 # engine -> (graph function, natex function), each called through _run_engine
@@ -233,8 +233,7 @@ ENGINES = {
     "chains": (_chains_graph,
                lambda tag, model, gamble: chains2mono.choquet(_chain_model(tag, model), gamble)),
     "walk": (_walk_graph,
-             lambda tag, model, gamble: credal.natural_extension(_as_prevision(tag, model),
-                                                                 gamble.values)),
+             lambda tag, model, gamble: credal.natural_extension(_as_prevision(tag, model), gamble)),
     "oracle": (lambda tag, model: (None, None, _oracle_points(tag, model)),
                _oracle_natex),
 }
@@ -441,7 +440,7 @@ def _cmd_graph(args):
     tag, model, graph, universe, points, report = _compute_graph(args, "graph")
     _require_complete(graph)
     report.add("n_nodes", len(graph.nodes))
-    report.add("n_edges", len(graph.edges))
+    report.add("n_edges", len(graph.pairs))
     if args.verify:
         _verify_vertices(tag, model, points, report)
     payload = json.dumps(graph_to_json(graph, universe), indent=2)
@@ -459,7 +458,7 @@ def _cmd_natex(args):
     tag, model, engine, report = _start(args, "natex")
     _, gobj = _read_json(args.gamble, "gamble")
     try:
-        gamble = credal.parse_gamble(gobj, model.space, "gamble")
+        gamble = credal.parse_gamble(gobj, model.space, "gamble").values
     except credal.SchemaError as exc:
         raise InputError(str(exc)) from None
     _check_verify(args, tag, model)

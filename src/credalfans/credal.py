@@ -281,17 +281,6 @@ def _credal_vertices(lp: LowerPrevision):
     return vs, report
 
 
-def _as_vector(lp: LowerPrevision, f):
-    if isinstance(f, Gamble):
-        if f.space != lp.space:
-            raise ValueError("gamble on a different outcome space")
-        return f.values
-    v = vec(f)
-    if len(v) != lp.space.n:
-        raise ValueError("gamble length does not match the outcome space")
-    return v
-
-
 def natural_extension(lp: LowerPrevision, f):
     """Exact lower envelope value min {p . f : p in the credal set}.
 
@@ -305,7 +294,9 @@ def natural_extension(lp: LowerPrevision, f):
             "natural extension requires a coherent lower prevision"
             + (" (empty credal set)" if report.empty else "")
         )
-    v = _as_vector(lp, f)
+    v = vec(f)
+    if len(v) != lp.space.n:
+        raise ValueError("gamble length does not match the outcome space")
     return min(dot(v, vtx.point) for vtx in vs)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -73,9 +73,10 @@ class MescNode:
 @dataclass(frozen=True)
 class MescGraph:
     """Walk result: nodes in canonical order, undirected edges as frozensets
-    of node keys (gens). incomplete_walls records (gens, dropped index)
-    walls where no neighbour was found, which can only happen on degenerate
-    input."""
+    of node keys (gens), which readers take from ``pairs``. incomplete_walls
+    records (gens, dropped index) walls where no neighbour was found, which
+    can only happen on degenerate input. ``vertices`` and ``pairs`` are
+    built on the first read, kept, and outside equality and hashing."""
 
     nodes: tuple
     edges: frozenset
@@ -83,8 +84,15 @@ class MescGraph:
 
     @cached_property
     def vertices(self) -> frozenset:
-        """The certified vertices, built on the first read and kept."""
+        """The certified vertices."""
         return frozenset(n.vertex for n in self.nodes)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """The edges as sorted pairs (i, j), i < j, of positions in nodes."""
+        index = {node.gens: i for i, node in enumerate(self.nodes)}
+        pairs = ((index[a], index[b]) for a, b in self.edges)
+        return tuple(sorted((i, j) if i < j else (j, i) for i, j in pairs))
 
 
 class _Table(NamedTuple):
@@ -260,43 +268,32 @@ class FanReport:
 
 
 def verify_graph(g: MescGraph) -> FanReport:
-    """Degree histogram, connectivity, and regularity of the walk result.
+    """Degree histogram, connectivity, and regularity of the walk result,
+    on adjacency lists of node positions.
 
     ok means: connected, no incomplete walls, and all degrees equal.
     """
-    deg = {node.gens: 0 for node in g.nodes}
-    adj = {node.gens: [] for node in g.nodes}
-    for e in g.edges:
-        a, b = tuple(e)
-        deg[a] += 1
-        deg[b] += 1
-        adj[a].append(b)
-        adj[b].append(a)
-    hist: dict = {}
-    for d in deg.values():
-        hist[d] = hist.get(d, 0) + 1
-    if g.nodes:
-        seen = set()
-        stack = [g.nodes[0].gens]
-        while stack:
-            k = stack.pop()
-            if k in seen:
-                continue
-            seen.add(k)
-            stack.extend(adj[k])
-        connected = len(seen) == len(g.nodes)
-    else:
-        connected = True
-    regular = len(hist) <= 1
-    ok = connected and regular and not g.incomplete_walls
+    adj = [[] for _ in g.nodes]
+    for i, j in g.pairs:
+        adj[i].append(j)
+        adj[j].append(i)
+    hist = Counter(map(len, adj))
+    seen = [False] * len(adj)
+    stack = [0] if adj else []
+    while stack:
+        i = stack.pop()
+        if not seen[i]:
+            seen[i] = True
+            stack.extend(adj[i])
+    connected, regular = all(seen), len(hist) <= 1
     return FanReport(
         n_nodes=len(g.nodes),
-        n_edges=len(g.edges),
+        n_edges=len(g.pairs),
         n_vertices=len(g.vertices),
         degree_histogram=tuple(sorted(hist.items())),
         connected=connected,
         regular=regular,
-        ok=ok,
+        ok=connected and regular and not g.incomplete_walls,
     )
 
 
@@ -304,19 +301,12 @@ def _vertex_label(vertex) -> str:
     return ",".join(format_rat(a) for a in vertex)
 
 
-def _indexed_edges(g: MescGraph) -> list:
-    """The edges as sorted pairs (i, j), i < j, of positions in g.nodes."""
-    index = {node.gens: i for i, node in enumerate(g.nodes)}
-    pairs = ((index[a], index[b]) for a, b in g.edges)
-    return sorted((i, j) if i < j else (j, i) for i, j in pairs)
-
-
 def graph_to_dot(g: MescGraph) -> str:
     """Undirected DOT rendering; node labels are the certified vertices."""
     lines = ["graph fan {"]
     for i, node in enumerate(g.nodes):
         lines.append(f'  n{i} [label="{_vertex_label(node.vertex)}"];')
-    for a, b in _indexed_edges(g):
+    for a, b in g.pairs:
         lines.append(f"  n{a} -- n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -339,5 +329,5 @@ def graph_to_json(g: MescGraph, universe: SupportUniverse) -> dict:
     return {
         "universe": [[format_rat(a) for a in v] for v in universe.vectors],
         "nodes": nodes,
-        "edges": [[i, j] for i, j in _indexed_edges(g)],
+        "edges": [[i, j] for i, j in g.pairs],
     }

@@ -1,19 +1,20 @@
 """Probability intervals: bounds on singleton masses and the combinatorial
 fan they induce.
 
-A probability-interval model gives l(x) <= p(x) <= u(x) per outcome. Every
-extreme point of its credal set is a split of an outcome order: the
-outcomes before a distinguished x sit at their upper bounds (side B), those
-after it at their lower bounds (side A), and x takes the remainder
+A probability-interval model gives l(x) <= p(x) <= u(x) per outcome; its
+coherence, like everything below, is decided on the integer table
+``_int_bounds``, the bounds over their common denominator d. Every extreme
+point of its credal set is a split of an outcome order: the outcomes before
+a distinguished x sit at their upper bounds (side B), those after it at
+their lower bounds (side A), and x takes the remainder
 
     R = 1 - sum_A l - sum_B u
 
 when l(x) <= R <= u(x). A gamble is minimised at the first split of its
 sorted order (cheapest first) that fits. ``_splits`` writes this rule once,
-carrying d R (d the bounds' common denominator) as an int along the order;
-``natural_extension_pri`` reads the value off a gamble's first fitting
-split, and ``enumerate_extreme_pri`` seeds its walk at the first fitting
-interior split of the staircase order.
+carrying d R as an int along the order; ``natural_extension_pri`` reads the
+value off a gamble's first fitting split, and ``enumerate_extreme_pri``
+seeds its walk at the first fitting interior split of the staircase order.
 
 The normal cone of a split is spanned by the singleton indicators over A
 (lower rows) and the complement indicators over B (upper rows). The walk
@@ -110,18 +111,20 @@ class PriCoherenceReport:
 
 def is_coherent_pri(m: PRIModel) -> PriCoherenceReport:
     """Properness is sum l <= 1 <= sum u; reachability tightens each bound
-    against the mass the other outcomes must or may take. The repaired
-    model is the canonical coherent one with the same credal set."""
-    sl = sum(m.lower, ZERO)
-    su = sum(m.upper, ZERO)
-    proper = sl <= 1 <= su
-    if not proper:
+    against the mass the other outcomes must or may take; both on the
+    _int_bounds table. The repaired model is the canonical coherent one
+    with the same credal set, m itself when m is coherent."""
+    lo, up, d = _int_bounds(m)
+    sl, su = sum(lo), sum(up)
+    if not sl <= d <= su:
         return PriCoherenceReport(False, False, None)
-    lo = tuple(max(m.lower[x], 1 - (su - m.upper[x])) for x in range(m.n))
-    up = tuple(min(m.upper[x], 1 - (sl - m.lower[x])) for x in range(m.n))
-    repaired = PRIModel(m.space, lo, up)
-    coherent = lo == m.lower and up == m.upper
-    return PriCoherenceReport(True, coherent, repaired)
+    tlo = tuple(max(l, d - su + u) for l, u in zip(lo, up))
+    tup = tuple(min(u, d - sl + l) for l, u in zip(lo, up))
+    if tlo == lo and tup == up:
+        return PriCoherenceReport(True, True, m)
+    repaired = PRIModel(m.space, tuple(Fraction(v, d) for v in tlo),
+                        tuple(Fraction(v, d) for v in tup))
+    return PriCoherenceReport(True, False, repaired)
 
 
 def _int_bounds(m: PRIModel) -> tuple:
@@ -194,8 +197,7 @@ def enumerate_extreme_pri(m: PRIModel):
     and at n == 2 the segment's two ends, each certified by one singleton
     row.
     """
-    rep = is_coherent_pri(m)
-    if not rep.coherent:
+    if not is_coherent_pri(m).coherent:
         raise IncoherenceError("extreme-point walk requires a coherent interval model")
     n = m.n
     if n <= 2:
@@ -245,10 +247,9 @@ def natural_extension_pri(m: PRIModel, f):
     give upper mass to the cheap side and lower mass to the dear side, and
     place the remainder at the first split position (_splits) whose
     interval can hold it."""
-    rep = is_coherent_pri(m)
-    if not rep.coherent:
+    if not is_coherent_pri(m).coherent:
         raise IncoherenceError("natural extension requires a coherent interval model")
-    fv = f.values if isinstance(f, Gamble) else vec(f)
+    fv = vec(f)
     n = m.n
     if len(fv) != n:
         raise ValueError("gamble length does not match the outcome space")

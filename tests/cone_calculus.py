@@ -10,7 +10,8 @@ definition: f is in N(x) iff x attains E(f). ``reference_pri_neighbors`` and
 ``PriCone``s in Fractions, seeded by ``seed_cone`` and with each remainder
 summed from the bounds (``remainder``, ``vertex_for_cone``): the reference
 the integer walk and the split rule of ``credalfans.pri`` are checked
-against.
+against. ``reference_is_coherent_pri`` is the interval coherence test and
+repair in Fractions, the reference for the integer one.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from typing import NamedTuple
 from credalfans.credal import natural_extension
 from credalfans.exactla import ZERO, dot, indicator, ones, scaled_inverse, vec
 from credalfans.fanwalk import MescGraph, MescNode
-from credalfans.pri import pri_hrep
+from credalfans.pri import PRIModel, PriCoherenceReport, pri_hrep
 
 
 class Cone(NamedTuple):
@@ -129,6 +130,20 @@ class PriCone:
 
     def is_full(self, n: int) -> bool:
         return len(self.a) + len(self.b) == n - 1
+
+
+def reference_is_coherent_pri(m) -> PriCoherenceReport:
+    """Coherence of an interval model in Fractions: properness is
+    sum l <= 1 <= sum u, and each bound is tightened against the mass the
+    other outcomes must or may take; coherent when no bound moves."""
+    sl = sum(m.lower, ZERO)
+    su = sum(m.upper, ZERO)
+    if not sl <= 1 <= su:
+        return PriCoherenceReport(False, False, None)
+    lo = tuple(max(m.lower[x], 1 - (su - m.upper[x])) for x in range(m.n))
+    up = tuple(min(m.upper[x], 1 - (sl - m.lower[x])) for x in range(m.n))
+    coherent = lo == m.lower and up == m.upper
+    return PriCoherenceReport(True, coherent, PRIModel(m.space, lo, up))
 
 
 def remainder(m, c: PriCone):

@@ -55,6 +55,7 @@ class TestCheck:
         assert code == 1
         assert report_get(out, "proper") == "true"
         assert report_get(out, "coherent") == "false"
+        assert report_get(out, "repaired_lower") == "1/2 0 0"
         assert report_get(out, "repaired_upper") == "1/2 1/2 1/2"
 
     def test_nonsupermodular_names_violator(self, capsys):

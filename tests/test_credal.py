@@ -70,8 +70,8 @@ class TestSpacesAndGambles:
     def test_gamble_mismatch(self):
         with pytest.raises(ValueError):
             Gamble(SP3, (1, 2))
-        with pytest.raises(ValueError):
-            natural_extension(supermod3_lp(), Gamble(SP4, (1, 0, 0, 0)))
+        with pytest.raises(ValueError, match="gamble length"):
+            natural_extension(supermod3_lp(), Gamble(SP4, (1, 0, 0, 0)).values)
 
     def test_prevision_validation(self):
         g = Gamble.indicator(SP3, ("x1",))
@@ -241,7 +241,7 @@ class TestNaturalExtension:
     def test_vacuous_is_infimum(self):
         lp = LowerPrevision(SP3, ())
         assert natural_extension(lp, (5, 2, 7)) == 2
-        assert natural_extension(lp, Gamble(SP3, (-1, 0, 1))) == -1
+        assert natural_extension(lp, Gamble(SP3, (-1, 0, 1)).values) == -1
 
     def test_constant_shift(self):
         lp = supermod3_lp()
@@ -293,7 +293,7 @@ class TestAxiomChecks:
 
     def test_natural_extension_passes(self):
         lp = supermod3_lp()
-        value = {g.values: natural_extension(lp, g) for g in self.GAMBLES}
+        value = {g.values: natural_extension(lp, g.values) for g in self.GAMBLES}
         for g in self.GAMBLES:
             assert min(g.values) <= value[g.values] <= max(g.values)
             for c in (0, 2, 5):

@@ -1,8 +1,10 @@
 """Fan walk: seeding, wall crossing, graph structure, exports."""
 
+import hashlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from cone_calculus import dual_basis
@@ -14,7 +16,9 @@ from conftest import (
     lowprob_hrep,
 )
 
+from credalfans.chains2mono import chain_graph, lower_probability_from_json
 from credalfans.cones import SupportUniverse
+from credalfans.credal import OutcomeSpace, build_credal_hrep, lower_prevision_from_json
 from credalfans.exactla import ones, rat, unit, vec
 from credalfans.fanwalk import (
     MescGraph,
@@ -27,6 +31,7 @@ from credalfans.fanwalk import (
     walk,
 )
 from credalfans.polytope import EmptyPolytopeError, HPolytope, vertices_bruteforce
+from credalfans.pri import PRIModel, enumerate_extreme_pri, pri_from_json
 
 Q = rat
 
@@ -100,6 +105,8 @@ def test_graph_vertices_built_once_and_outside_equality():
     assert g.vertices is g.vertices
     assert g == fresh and hash(g) == hash(fresh)
     assert fresh.vertices == g.vertices and fresh.vertices is not g.vertices
+    assert g.pairs is g.pairs
+    assert fresh.pairs == g.pairs and fresh.pairs is not g.pairs
 
 
 def test_walk_supermodular_hexagon():
@@ -167,6 +174,26 @@ def test_verify_graph_degenerate_degree():
     bad = verify_graph(path)
     assert bad.degree_histogram == ((1, 2), (2, 1))
     assert not bad.ok and not bad.regular and bad.connected
+    # the hexagon less two opposite edges is two paths of three nodes
+    hexagon = walk(SUP3, SUP3_U)
+    edges = sorted(hexagon.edges, key=sorted)
+    near = set().union(*(e for e in edges if e & edges[0]))
+    opposite = next(e for e in edges if not e & near)
+    split = verify_graph(MescGraph(hexagon.nodes, hexagon.edges - {edges[0], opposite}))
+    assert (split.n_edges, split.degree_histogram) == (4, ((1, 4), (2, 2)))
+    assert not split.ok and not split.connected and not split.regular
+    # one outcome: a single node, no generators and no edges
+    m = PRIModel(OutcomeSpace(("x",)), (1,), (1,))
+    single = verify_graph(enumerate_extreme_pri(m)[1])
+    assert (single.n_nodes, single.n_edges, single.degree_histogram) == (1, 0, ((0, 1),))
+    assert single.ok
+    empty = verify_graph(MescGraph((), frozenset()))
+    assert (empty.n_nodes, empty.n_edges, empty.degree_histogram) == (0, 0, ())
+    assert empty.ok and empty.connected and empty.regular
+    # a wall without a neighbour fails a connected regular graph
+    wall = (hexagon.nodes[0].gens, hexagon.nodes[0].gens[0])
+    incomplete = verify_graph(MescGraph(hexagon.nodes, hexagon.edges, (wall,)))
+    assert incomplete.connected and incomplete.regular and not incomplete.ok
 
 
 def test_graph_to_dot_shape():
@@ -176,6 +203,31 @@ def test_graph_to_dot_shape():
     assert dot.rstrip().endswith("}")
     assert dot.count(" -- ") == 3
     assert '[label="0,0,1"]' in dot
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def _model(name):
+    return json.loads((MODELS / name).read_text())
+
+
+# sha256 of graph_to_dot on three model files, one engine each: any change
+# to a label, the node order or the edge order shows
+DOT_PINS = [
+    (lambda: enumerate_extreme_pri(pri_from_json(_model("pri_n10_uniform_max.json")))[1],
+     "af30be49d077992da9b5f3c6d695f89f61a5380c86dc6f95fac8a192060ce2b1"),
+    (lambda: chain_graph(lower_probability_from_json(_model("lowprob_n3_supermodular.json"))),
+     "2b40b7492f424e63c9aed72bf5e6a3905726eb16cf0751354f8af6c3aaa2fa17"),
+    (lambda: walk(*build_credal_hrep(
+        lower_prevision_from_json(_model("prevision_n3_general.json")))),
+     "16cc04dc5f88106223ba6b90a1ee59f041c14af5207c7afa5d8c3666a9817aa8"),
+]
+
+
+@pytest.mark.parametrize("graph,digest", DOT_PINS, ids=["pri", "chains", "walk"])
+def test_graph_to_dot_pinned(graph, digest):
+    assert hashlib.sha256(graph_to_dot(graph()).encode()).hexdigest() == digest
 
 
 def test_graph_to_json_roundtrips_through_json():

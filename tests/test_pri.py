@@ -39,6 +39,7 @@ from cone_calculus import (
     dual_basis,
     locate_cone,
     reference_enumerate_extreme_pri,
+    reference_is_coherent_pri,
     remainder,
     vertex_for_cone,
     witness,
@@ -59,6 +60,22 @@ def pri3():
 
 def pri_uniform(n, low, up):
     return PRIModel(space(n), (Q(low),) * n, (Q(up),) * n)
+
+
+def _grid_intervals(rng, n, den):
+    """Bounds on the 1/den grid, proper or not; two draws in three put
+    sum l = 1 or sum u = 1 exactly, the others draw each l(x) up to about 1/n."""
+    kind = rng.randrange(3)
+    cuts = sorted(rng.randint(0, den) for _ in range(n - 1))
+    edge = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+    if kind == 0:
+        lo = [rng.randint(0, -(-den // n)) for _ in range(n)]
+        up = [rng.randint(a, den) for a in lo]
+    elif kind == 1:
+        lo, up = edge, [rng.randint(a, den) for a in edge]
+    else:
+        lo, up = [rng.randint(0, a) for a in edge], edge
+    return PRIModel(space(n), tuple(Q(a) / den for a in lo), tuple(Q(a) / den for a in up))
 
 
 class TestModelAndCoherence:
@@ -88,6 +105,21 @@ class TestModelAndCoherence:
 
     def test_coherent_model_passes(self):
         assert is_coherent_pri(pri3()).coherent
+
+    def test_integer_coherence_matches_fraction_reference(self):
+        rng = random.Random(1711)
+        verdicts, edges = set(), 0
+        for _ in range(300):
+            m = _grid_intervals(rng, rng.randint(1, 5), rng.randint(1, 12))
+            rep = is_coherent_pri(m)
+            assert rep == reference_is_coherent_pri(m)
+            assert not rep.coherent or rep.repaired is m
+            if rep.proper:
+                assert is_coherent_pri(rep.repaired) == reference_is_coherent_pri(rep.repaired)
+            verdicts.add((rep.proper, rep.coherent))
+            edges += sum(m.lower) == 1 or sum(m.upper) == 1
+        assert verdicts == {(False, False), (True, False), (True, True)}
+        assert edges >= 100
 
 
 class TestConeCalculus:
