@@ -15,11 +15,11 @@ the model supports, "walk" runs the generic adjacency walk, "chains" the
 chain fan of a 2-monotone lower probability, "pri" the interval exchange
 rules, "oracle" the brute-force vertex enumerator. Exit status: 0 success,
 1 a property of the model failed (incoherent, not 2-monotone, verification
-mismatch, a fan with incomplete walls), 2 unusable input (schema errors,
-unwritable output paths, wrong engine for the model type, oracle guards
-exceeded, a chain fan on more than CHAIN_FAN_MAX_N = 8 outcomes, a result
-past Python's int-to-str digit limit). --verify checks the oracle guards
-before the engine runs.
+mismatch, a fan with incomplete walls, a walk with no seed cone), 2 unusable
+input (schema errors, unwritable output paths, wrong engine for the model
+type, oracle guards exceeded, a chain fan on more than CHAIN_FAN_MAX_N = 8
+outcomes, a result past Python's int-to-str digit limit). --verify checks
+the oracle guards before the engine runs.
 
 All values are exact rationals; --decimal (vertices, natex) adds 12-digit
 approximations for reading convenience, explicitly marked non-authoritative.
@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from . import chains2mono, credal, pri
 from .exactla import DigitLimitError, dot, format_rat
-from .fanwalk import graph_to_dot, graph_to_json, verify_graph, walk
+from .fanwalk import SeedSearchError, graph_to_dot, graph_to_json, verify_graph, walk
 from .polytope import EmptyPolytopeError, OracleGuardError, check_guards, vertices_bruteforce
 
 __all__ = ["main"]
@@ -197,9 +197,9 @@ def _chains_graph(tag, model):
 def _walk_graph(tag, model):
     h, universe = _hrep(tag, model)
     # The walk presumes every assessment row supports the credal set: slack
-    # rows (incoherent input) break its wall crossing, so refuse them up
-    # front. Redundant rows can still leave a wall without a neighbour; then
-    # vertices and graph refuse the graph (_require_complete), fan reports it.
+    # rows (incoherent input) break its wall crossing, so refuse them up front.
+    # Repeated half-spaces are one row; a wall still left without a neighbour
+    # makes vertices and graph refuse the graph (_require_complete), fan report it.
     if tag == "pri":
         if not pri.is_coherent_pri(model).coherent:
             raise PropertyError(
@@ -263,6 +263,8 @@ def _run_engine(engine, step, tag, *args):
         raise PropertyError(f"empty credal set: {exc}") from None
     except OracleGuardError as exc:
         raise InputError(_guard_advice(exc, engine, tag)) from None
+    except SeedSearchError as exc:
+        raise PropertyError(f"{exc}: the walk cannot start (try --engine oracle)") from None
 
 
 def _start(args, command):

@@ -10,10 +10,11 @@ assessment:
     p . 1   == 1.
 
 The probability-one equality makes the constant-one direction lineality in
-every normal cone, never a one-sided generator. Nonnegativity rows that are
-implied by the other constraints are kept in the H-representation but
-excluded from the support universe: they are never tight on a facet, so
-they cannot generate a MESC wall.
+every normal cone, and p . f >= b and p . (c f + k 1) >= c b + k (c > 0)
+one half-space, kept as one row: f shifted to least entry 0, then scaled to
+first nonzero entry 1. Only an outcome whose indicator no assessment covers
+costs an LP: if the other rows imply p(x) >= 0, 1_x stays out of the support
+universe, as a row never tight on a facet generates no MESC wall.
 
 Coherence is one exact LP per assessment (``polytope.lp_min``). Natural
 extension evaluates the lower envelope of the credal set at any gamble; on
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cones import SupportUniverse
-from .exactla import ZERO, dot, indicator, is_multiple, ones, rat, unit, vec
+from .exactla import ZERO, dot, indicator, ones, rat, unit, vec
 from .polytope import (
     EmptyPolytopeError,
     HPolytope,
@@ -174,12 +175,15 @@ class LowerPrevision:
         return cls(space, tuple(out))
 
 
-def _canonical_ray(f, b):
-    """Scale a constraint so the normal's first nonzero entry is +-1; rows
-    with the same normal direction then merge literally."""
+def _canonical_row(f, b):
+    """The half-space p . f >= b of the simplex in one form: on p . 1 = 1,
+    f and b shift together by f's least entry, then scale so the first
+    nonzero entry is 1. Rows describing one half-space then share a key,
+    and an indicator row keeps its form."""
+    low = min(f)
+    f = [a - low for a in f]
     lead = next(a for a in f if a != 0)
-    c = 1 / abs(lead)
-    return tuple(c * a for a in f), b * c
+    return tuple(a / lead for a in f), (b - low) / lead
 
 
 def _nonneg_row_implied(x: int, other_rows, n: int) -> bool:
@@ -200,39 +204,25 @@ CACHE_SIZE = 64  # models per cache; the least recently used are evicted
 def build_credal_hrep(lp: LowerPrevision):
     """H-representation of the credal set plus its support universe.
 
-    Rows are stored ray-canonically (normals scaled so the first nonzero
-    entry is +-1) and rows sharing a normal merge to the binding bound, so
-    the universe vectors are literally row normals. A nonnegativity row is
-    added for every outcome; a row implied by all the others is excluded
-    from the universe. The cheap sufficient test (a direct assessment on
-    that outcome's indicator with a nonnegative bound) keeps large
-    structured models off the LP path; otherwise one LP over the relaxation
-    decides, subject to the oracle guards.
+    One row per half-space, keyed by _canonical_row (the shift-and-scale
+    rule), each key at its tightest bound; the universe is the assessment
+    keys and the constant. Every p(x) >= 0 merges into its key, and one LP
+    (_nonneg_row_implied over the other rows) decides whether 1_x joins the
+    universe, only where no assessment covers 1_x. Rows keep the
+    assessments' order, then the unassessed outcomes'.
     """
     n = lp.space.n
-    assess_rows = []
+    rows: dict = {}
     for a in lp.assessments:
-        assess_rows.append(_canonical_ray(a.gamble.values, a.lower))
-    convention_rows = [(unit(n, x), ZERO) for x in range(n)]
-
-    implied = []
-    for x in range(n):
-        e_x = unit(n, x)
-        if any(f == e_x and b >= 0 for f, b in assess_rows):
-            implied.append(True)
-            continue
-        others = assess_rows + [r for y, r in enumerate(convention_rows) if y != x]
-        implied.append(_nonneg_row_implied(x, others, n))
-
-    merged: dict = {}
-    for f, b in assess_rows + convention_rows:
-        if f not in merged or b > merged[f]:
-            merged[f] = b
-    h = HPolytope(n, tuple(merged.items()), ((ones(n), 1),))
-
-    universe = {f for f, _ in assess_rows if not is_multiple(f, ones(n))}
-    universe.update(unit(n, x) for x in range(n) if not implied[x])
-    universe.add(ones(n))
+        f, b = _canonical_row(a.gamble.values, a.lower)
+        rows[f] = max(b, rows.get(f, b))
+    universe = set(rows) | {ones(n)}
+    units = [unit(n, x) for x in range(n)]
+    for e_x in units:
+        rows[e_x] = max(ZERO, rows.get(e_x, ZERO))
+    universe.update(e_x for x, e_x in enumerate(units) if e_x not in universe and not
+                    _nonneg_row_implied(x, [r for r in rows.items() if r[0] != e_x], n))
+    h = HPolytope(n, tuple(rows.items()), ((ones(n), 1),))
     return h, SupportUniverse(tuple(sorted(universe)))
 
 

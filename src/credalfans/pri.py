@@ -46,7 +46,7 @@ from .credal import (
     _schema_outcomes,
     parse_gamble,
 )
-from .exactla import ZERO, _scaled, ones, unit, vec
+from .exactla import ZERO, _scaled, indicator, ones, unit, vec, vneg
 from .fanwalk import MescGraph, MescNode, walk
 from .polytope import HPolytope
 
@@ -304,17 +304,24 @@ def pri_hrep(m: PRIModel):
     n = m.n
     one = ones(n)
     rows = [(unit(n, x), m.lower[x]) for x in range(n)]
-    if n > 1:  # a single outcome's complement is the zero vector
-        rows += [
-            (tuple(o - u for o, u in zip(one, unit(n, x))), 1 - m.upper[x]) for x in range(n)
-        ]
-    h = HPolytope(n, tuple(rows), ((one, 1),))
+    if n > 1:
+        rows += [(indicator(n, set(range(n)) - {x}), 1 - m.upper[x]) for x in range(n)]
     universe = SupportUniverse(tuple(sorted({f for f, _ in rows} | {one})))
-    return h, universe
+    if n == 1:  # the complement is the zero vector: the upper row is -1_x >= -u
+        rows.append((vneg(one), -m.upper[0]))
+    return HPolytope(n, tuple(rows), ((one, 1),)), universe
 
 
 def as_lower_prevision(m: PRIModel) -> LowerPrevision:
+    """The bounds as lower and upper assessments on singleton indicators.
+    One outcome's only gambles are constants, which assess nothing: its one
+    coherent model, l = u = 1, is the vacuous lower prevision, and any other
+    raises IncoherenceError."""
     sp = m.space
+    if m.n == 1:
+        if not is_coherent_pri(m).coherent:
+            raise IncoherenceError("a one-outcome interval model is coherent only at l = u = 1")
+        return LowerPrevision(sp, ())
     lows = [(Gamble.indicator(sp, (x,)), m.lower[x]) for x in range(m.n)]
     ups = [(Gamble.indicator(sp, (x,)), m.upper[x]) for x in range(m.n)]
     return LowerPrevision.from_bounds(sp, lower=lows, upper=ups)

@@ -6,6 +6,7 @@ stderr when data owns stdout, report on stdout otherwise.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -16,6 +17,7 @@ import pytest
 
 from credalfans import chains2mono, pri
 from credalfans.cli import main
+from credalfans.fanwalk import SeedSearchError, walk
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -234,30 +236,66 @@ class TestFan:
 
 # redundant_envelope_a of test_walk_pinned.py: a coherent lower envelope
 # whose redundant rows leave the walk two walls without a neighbour
-REDUNDANT_ENVELOPE = [
-    ((0, -4, -2), "-10/7"), ((-4, -3, 6), "-9/4"), ((5, 6, 5), "61/12"),
-    ((7, -1, 5), "5"), ((-1, 6, -1), "-5/12"), ((3, -2, 3), "16/7")]
+def _prevision_file(tmp_path, names, rows):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "type": "lower_prevision", "outcomes": names,
+        "assessments": [{"gamble": dict(zip(names, map(str, g))), "lower": low}
+                        for g, low in rows]}))
+    return str(path)
+
+
+# redundant_envelope_a of test_walk_pinned.py, on which the walk once left two
+# walls open; the first assessment set on which it once found no seed cone;
+# and two assessments that once left a wall open on a segment
+REDUNDANT_MODELS = {
+    "redundant_envelope_a": (["x0", "x1", "x2"], [
+        ((0, -4, -2), "-10/7"), ((-4, -3, 6), "-9/4"), ((5, 6, 5), "61/12"),
+        ((7, -1, 5), "5"), ((-1, 6, -1), "-5/12"), ((3, -2, 3), "16/7")]),
+    "no_seed_n2": (["x1", "x2"], [
+        ((6, 3), "15/4"), ((-4, -1), "-37/10"), ((7, -1), "1"), ((0, 3), "3/10")]),
+    "open_wall_n2": (["x1", "x2"], [((2, 0), "1"), ((2, -2), "0")]),
+}
 
 
 class TestIncompleteFan:
-    def test_vertices_and_graph_refuse_incomplete_walls(self, capsys, tmp_path):
-        names = ["x0", "x1", "x2"]
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({
-            "type": "lower_prevision", "outcomes": names,
-            "assessments": [{"gamble": dict(zip(names, map(str, g))), "lower": low}
-                            for g, low in REDUNDANT_ENVELOPE]}))
+    @pytest.mark.parametrize("name", sorted(REDUNDANT_MODELS))
+    def test_redundant_assessments_walk_to_the_oracle_vertices(self, capsys, tmp_path, name):
+        path = _prevision_file(tmp_path, *REDUNDANT_MODELS[name])
+        code, oracle, _ = run(capsys, "vertices", "--model", path, "--engine", "oracle")
+        assert code == 0
+        code, out, _ = run(capsys, "vertices", "--model", path)
+        assert (code, out) == (0, oracle)
+        code, out, _ = run(capsys, "fan", "--model", path)
+        assert code == 0 and report_get(out, "structure_ok") == "true"
+
+    def test_vertices_and_graph_refuse_incomplete_walls(self, capsys, tmp_path, monkeypatch):
+        def open_wall(h, universe):
+            g = walk(h, universe)
+            return dataclasses.replace(g, incomplete_walls=((g.nodes[0].gens, g.nodes[0].gens[-1]),))
+
+        monkeypatch.setattr("credalfans.cli.walk", open_wall)
+        path = _prevision_file(tmp_path, *REDUNDANT_MODELS["redundant_envelope_a"])
         for command in ("vertices", "graph"):
-            code, out, err = run(capsys, command, "--model", str(path))
+            code, out, err = run(capsys, command, "--model", path)
             assert (code, out) == (1, ""), command
-            assert err == ("error: incomplete fan: the wall of node (2, 4) without "
-                           "generator 4 has no neighbour; vertices may be missing "
+            assert err == ("error: incomplete fan: the wall of node (0, 1) without "
+                           "generator 1 has no neighbour; vertices may be missing "
                            "(try --engine oracle)\n")
-        code, out, _ = run(capsys, "fan", "--model", str(path))
+        code, out, _ = run(capsys, "fan", "--model", path)
         assert code == 1 and report_get(out, "structure_ok") == "false"
-        code, out, err = run(capsys, "vertices", "--model", str(path), "--engine", "oracle")
-        assert code == 0 and report_get(err, "n_vertices") == "4"
-        assert len(out.splitlines()) == 5
+
+    def test_no_seed_cone_exits_1(self, capsys, tmp_path, monkeypatch):
+        def no_seed(h, universe):
+            raise SeedSearchError("no seed MESC found in 32 attempts")
+
+        monkeypatch.setattr("credalfans.cli.walk", no_seed)
+        path = _prevision_file(tmp_path, *REDUNDANT_MODELS["no_seed_n2"])
+        for command in ("vertices", "fan", "graph"):
+            code, out, err = run(capsys, command, "--model", path)
+            assert (code, out) == (1, ""), command
+            assert err == ("error: no seed MESC found in 32 attempts: the walk cannot "
+                           "start (try --engine oracle)\n"), command
 
 
 class TestGraph:
@@ -653,3 +691,30 @@ class TestOneOutcome:
             code, out, _ = run(capsys, "graph", "--model", str(path))
             assert code == 0, tag
             assert [nd["vertex"] for nd in json.loads(out)["nodes"]] == [["1"]], tag
+
+    # one outcome's credal set is the point 1 when u = 1, else empty; only
+    # l = u = 1 is coherent, so only there do pri and walk give a value
+    @pytest.mark.parametrize("low, up, oracle_rows, values", [
+        ("1", "1", [["1"]], {"pri": "5/3", "walk": "5/3", "oracle": "5/3"}),
+        ("0", "1", [["1"]], {"pri": None, "walk": None, "oracle": "5/3"}),
+        ("0", "1/2", [], {"pri": None, "walk": None, "oracle": None}),
+    ], ids=["l1-u1", "l0-u1", "l0-u1_2"])
+    def test_interval_bounds(self, capsys, tmp_path, low, up, oracle_rows, values):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"type": "pri", "outcomes": ["a"], "lower": {"a": low}, "upper": {"a": up}}))
+        gamble = tmp_path / "g.json"
+        gamble.write_text(json.dumps({"a": "5/3"}))
+        code, out, _ = run(capsys, "vertices", "--model", str(path), "--engine", "oracle")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [["a"], *oracle_rows]
+        for engine, value in values.items():
+            code, out, err = run(capsys, "natex", "--model", str(path), "--gamble", str(gamble),
+                                 "--engine", engine)
+            if value is None:
+                assert (code, out) == (1, ""), engine
+                assert err.startswith("error: "), engine
+            else:
+                assert code == 0 and report_get(out, "value") == value, engine
+        if not oracle_rows:
+            assert err == "error: empty credal set: no vertices: empty or degenerate feasible set\n"

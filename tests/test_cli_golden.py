@@ -126,8 +126,8 @@ graph    lowprob_n3_supermodular.json    walk   0 e16d1d3f5c9b98da35bd57ff3fbcee
 graph    lowprob_n3_supermodular.json    chains 0 e16d1d3f5c9b98da35bd57ff3fbceeb05429f23068ce06e7332d052b9f3dbcd0 3ebbc0288f9b2339580496f6eaaf8b62e8fb0787b944635cb79a587678768213
 graph    lowprob_n3_supermodular.json    pri    2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 e1b5426c1551e9aa73b2b19ab7925a6f6e7fe32fa05cd6009080aeca6c33507e
 graph    lowprob_n3_supermodular.json    oracle 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 de79b920d35a3b082d51ee85382b8b2d525de3c3233cf7924fc5a4cac9879ba8
-graph    prevision_n3_general.json       auto   0 5b8b5280b3ee8a99c10185b0d68814bc80f5d5e43c7ad506147405b7fad2d1b3 ab7f6004fdfa2373fc692f61c3bfb605a043c63cff4481ee0d03419531b9216e
-graph    prevision_n3_general.json       walk   0 5b8b5280b3ee8a99c10185b0d68814bc80f5d5e43c7ad506147405b7fad2d1b3 ab7f6004fdfa2373fc692f61c3bfb605a043c63cff4481ee0d03419531b9216e
+graph    prevision_n3_general.json       auto   0 2e856636b8cd92f428bfacbd2a1d529eb7a7a9f9a53e755bc00a1f477b1e225b ab7f6004fdfa2373fc692f61c3bfb605a043c63cff4481ee0d03419531b9216e
+graph    prevision_n3_general.json       walk   0 2e856636b8cd92f428bfacbd2a1d529eb7a7a9f9a53e755bc00a1f477b1e225b ab7f6004fdfa2373fc692f61c3bfb605a043c63cff4481ee0d03419531b9216e
 graph    prevision_n3_general.json       chains 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 e5865014b7ade4c4829072b7641ffd2e896e9f72ab5e580b7208421859694e40
 graph    prevision_n3_general.json       pri    2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 82dccef118c8d51561606c8c2e922e1b65c87cbfc356522828113820e821b928
 graph    prevision_n3_general.json       oracle 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 de79b920d35a3b082d51ee85382b8b2d525de3c3233cf7924fc5a4cac9879ba8

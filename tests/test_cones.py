@@ -170,8 +170,8 @@ def test_adjacency_is_symmetric_for_chain_swaps(perm, i):
 
 def _tied_interval_universes(n):
     """The universes of an interval model whose bounds repeat on a 1/720
-    grid: pri_hrep's (singletons and complements) and build_credal_hrep's
-    (singletons and their negatives)."""
+    grid: pri_hrep's and build_credal_hrep's, both singletons and
+    complements, from two separate builders."""
     step = 180 // n
     rng = random.Random(720 + n)
     lo = tuple(rat(rng.choice((2, 3)) * step) / 720 for _ in range(n))

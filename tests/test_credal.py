@@ -5,7 +5,7 @@ parsing."""
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from credalfans import credal
 from credalfans.credal import (
@@ -131,6 +131,19 @@ class TestHrepConstruction:
         assert unit(3, 2) not in uni.vectors
         assert {unit(3, 0), unit(3, 1)} <= set(uni.vectors)
 
+    def test_lp_runs_only_for_uncovered_indicators(self, monkeypatch):
+        # p({x2, x3}) <= 3/4 is the row 1_{x1} >= 1/4 on the simplex, which
+        # covers x1; the implied-row LP runs for x2 and x3 alone
+        calls = []
+        real = credal._nonneg_row_implied
+        monkeypatch.setattr(credal, "_nonneg_row_implied",
+                            lambda x, rows, n: calls.append(x) or real(x, rows, n))
+        lp = LowerPrevision.from_bounds(SP3, upper=[((0, 1, 1), Q(3) / 4)])
+        h, uni = build_credal_hrep.__wrapped__(lp)
+        assert calls == [1, 2]
+        assert h.inequalities == ((unit(3, 0), Q(1) / 4), (unit(3, 1), 0), (unit(3, 2), 0))
+        assert set(uni.vectors) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
+
     def test_interval_model_matches_handbuilt_polytope(self):
         lp = pri3_lp()
         h, uni = build_credal_hrep(lp)
@@ -214,10 +227,24 @@ def rows_model(n, rows):
 @given(assessed_rows())
 def test_implied_row_lp_matches_ray_scan(model):
     n, rows = model
-    canonical = [credal._canonical_ray(vec(f), rat(b)) for f, b in rows]
+    canonical = [credal._canonical_row(vec(f), rat(b)) for f, b in rows]
     for x in range(n):
         others = canonical + [(unit(n, y), Q(0)) for y in range(n) if y != x]
         assert credal._nonneg_row_implied(x, others, n) == ray_scan_implied(x, others, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(assessed_rows())
+def test_walk_is_exact_on_coherent_models(model):
+    # repeated half-spaces (a row and a positive multiple of it plus a
+    # constant) merge into one row, so redundant assessments cannot leave a
+    # wall open or the seed search without a cone
+    lp = rows_model(*model)
+    assume(is_coherent(lp).coherent)
+    h, universe = build_credal_hrep(lp)
+    g = walk(h, universe)
+    assert g.incomplete_walls == ()
+    assert g.vertices == {v.point for v in vertices_bruteforce(h)}
 
 
 @settings(max_examples=80, deadline=None)

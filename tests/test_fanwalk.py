@@ -221,7 +221,7 @@ DOT_PINS = [
      "2b40b7492f424e63c9aed72bf5e6a3905726eb16cf0751354f8af6c3aaa2fa17"),
     (lambda: walk(*build_credal_hrep(
         lower_prevision_from_json(_model("prevision_n3_general.json")))),
-     "16cc04dc5f88106223ba6b90a1ee59f041c14af5207c7afa5d8c3666a9817aa8"),
+     "1050c6ded93760befafc9292ac7f19e2b3d0e74fbafd1e191f1c1a0614f36cd9"),
 ]
 
 

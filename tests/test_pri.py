@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 from credalfans.chains2mono import choquet, is_two_monotone
-from credalfans.credal import IncoherenceError, OutcomeSpace, SchemaError, natural_extension
+from credalfans.credal import (
+    IncoherenceError,
+    OutcomeSpace,
+    SchemaError,
+    build_credal_hrep,
+    natural_extension,
+)
 from credalfans.exactla import dot, ones, unit, vec
 from credalfans.fanwalk import MescNode, graph_to_json, verify_graph, walk
 from credalfans.polytope import vertices_bruteforce
@@ -105,6 +111,25 @@ class TestModelAndCoherence:
 
     def test_coherent_model_passes(self):
         assert is_coherent_pri(pri3()).coherent
+
+    def test_generic_builder_writes_pri_hrep(self):
+        # one row per half-space: the upper bound's row -1_x >= -u(x) is the
+        # complement row 1 - 1_x >= 1 - u(x), and from three outcomes on no
+        # two bounds share a half-space, so both builders give one polytope
+        rng = random.Random(1812)
+        verdicts = set()
+        for n in range(3, 11):
+            for i in range(40):
+                if i % 3 == 0:
+                    m = PRIModel(space(n), *map(tuple, coherent_intervals(rng, n)))
+                elif i % 3 == 1:
+                    m = _grid_intervals(rng, n, rng.randint(1, 12))
+                else:
+                    m = grid_intervals(rng, n, 1 + i % 4)
+                assert build_credal_hrep(as_lower_prevision(m)) == pri_hrep(m)
+                rep = is_coherent_pri(m)
+                verdicts.add((rep.proper, rep.coherent))
+        assert verdicts == {(False, False), (True, False), (True, True)}
 
     def test_integer_coherence_matches_fraction_reference(self):
         rng = random.Random(1711)

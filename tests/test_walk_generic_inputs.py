@@ -72,10 +72,12 @@ CASES = {
     "facet_envelope_n4_seed47": lambda: _facet_envelope(47, 4),
 }
 
-# taken on the walk whose wall crossing ran on Fractions
+# taken on the walk whose wall crossing ran on Fractions; the facet envelopes
+# re-taken when build_credal_hrep moved to one row per half-space, with the
+# same node, edge and vertex counts (12/18/12 and 10/15/10)
 PINNED = {
-    "facet_envelope_n4_seed43": "f899dec4c61e3349cbaffdf47e5c67ccde120ba6c3b468ac529472d9a65bb663",
-    "facet_envelope_n4_seed47": "9931f7342b4e00c89f3207a4752b5557cc035bcfca3b34d64c47bc3c4d889a26",
+    "facet_envelope_n4_seed43": "0faddf7d6bb8c11d0ac81f213c9f3e571eac39072fa58d1ada95e5b1c8ea4389",
+    "facet_envelope_n4_seed47": "200efe03d2c75c74f27fe35ff6fb8ed8653585f40f059fe095c0a2dfa239af96",
     "pri_grid_n5_a": "689f97ff2156413d6ba4d9b8d0414de9f2a15f33c7be8c6260935cb37f5d6530",
     "pri_grid_n5_b": "5f15d528c0d862b482a57c8f8ce4db0d5aa8fc0cad6b7e706637e34248950bc2",
     "pri_grid_n6_a": "1fd28683767e23bb065853152f63a51776201ab86f85215ae5421a3b146b31ff",

@@ -4,9 +4,11 @@ Each case is a fixed in-memory model; the pinned value is the sha256 of
 ``graph_to_json(walk(h, u), u)`` together with the walk's incomplete walls,
 so any change to the nodes, their vertices, the edges or the walls shows.
 The three ``redundant_envelope_*`` cases are lower envelopes assessed with
-redundant gambles, on which the walk misses vertices (ROADMAP, open items;
-perfbench/README.md, Known defects); they are pinned as the walk returns
-them, not as they should be.
+redundant gambles, some of which repeat a half-space of the simplex up to a
+positive factor and a constant. ``build_credal_hrep`` keeps one row per
+half-space, so the walk returns the oracle's vertex set on them with no
+incomplete wall, which ``test_redundant_envelope_walks_exactly`` checks next
+to the pins.
 """
 
 import hashlib
@@ -97,17 +99,18 @@ CASES = {
         ((3, 1, -4), "-1"), ((7, 6, 5), "23/4"), ((8, 4, 2), "11/3")]),
 }
 
-# taken on the walk as it was before it moved to dual bases
+# facet and redundant envelopes re-taken when build_credal_hrep moved to one
+# row per half-space; the others on the walk before it moved to dual bases
 PINNED = {
-    "facet_envelope_n3": "fc97422ca70b9eb9ee7f7e90b2a6806052f7af610d995390d16720f8a4bfe1f1",
-    "facet_envelope_n4": "db0453dd8cda36088b3c081f1cc7a819ddac93f1fdc76492b7e31a7e625a88a4",
+    "facet_envelope_n3": "25f6eb143e145185ecbc2c5ff8644d9c7be2a111617b1c9b54f43083e42d1f5a",
+    "facet_envelope_n4": "80e789f1bd5b686dd84dcb0f1ba1856f44f40bddeb5d077c80075b71edac9faf",
     "interval_n4": "9b075d5962cfbd789a6758532ed863fc20761300262ccd08b4a8b377c2aeea2a",
     "interval_n5": "9e523d3ee9ee92cae6e87e1ffef89cb211fdb5db0700a526694f068e48653595",
     "interval_n6": "6387f46fcdd9599573edd175e911d9d8c3b1d92d98a88769f32a01915444251d",
     "interval_reproducer_n5": "04635e1116ea655229a26d9b11bee9c9dd636f9fc5b221ab2af383af42b99fbd",
-    "redundant_envelope_a": "5478a4b6442f129be21ac8509d09ec40d79ded6acd3bf7994506e7cc4998b40f",
-    "redundant_envelope_b": "0b24437ffa89dce464b661f9dc57740eb977b7b1aa67f7bb5682eb6991ca669f",
-    "redundant_envelope_c": "6ee86af88973ede4ca0339bce33660649e2c7f6fb3d2c7c903465ba7874b0367",
+    "redundant_envelope_a": "164806e07eeafa9d35986ee9ec21b9b9f9c7e9ce6fd5dae739096961d639d213",
+    "redundant_envelope_b": "76ba6894ef285f19e2abc4193883091f3cd71938adb27476a4d850ed3b4b684a",
+    "redundant_envelope_c": "2a54d5e77e95a79dcae10924ba7aeb0c37cd25862cdf3f1d7cd5b8142fec126f",
     "two_monotone_n4": "9d162d59f49d7a4bc1d573543209462dd1b4478afb0fdcdfa47b29da4f636d25",
 }
 
@@ -128,3 +131,14 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_walk_graph_pinned(name):
     assert _digest(*CASES[name]()) == PINNED[name]
+
+
+@pytest.mark.parametrize("name, count", [("redundant_envelope_a", 4),
+                                         ("redundant_envelope_b", 6),
+                                         ("redundant_envelope_c", 7)])
+def test_redundant_envelope_walks_exactly(name, count):
+    h, universe = CASES[name]()
+    g = walk(h, universe)
+    assert g.incomplete_walls == ()
+    assert g.vertices == {v.point for v in vertices_bruteforce(h)}
+    assert len(g.vertices) == count
