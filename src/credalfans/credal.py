@@ -16,7 +16,7 @@ first nonzero entry 1. Only an outcome whose indicator no assessment covers
 costs an LP: if the other rows imply p(x) >= 0, 1_x stays out of the support
 universe, as a row never tight on a facet generates no MESC wall.
 
-Coherence is one exact LP per assessment (``polytope.lp_min``). Natural
+Coherence is one ``polytope.lp_minima`` over the assessments. Natural
 extension evaluates the lower envelope of the credal set at any gamble; on
 this layer it is a minimum over the vertex set from the brute-force oracle,
 enumerated once per model and cached, so a warm query is a scan of that
@@ -37,6 +37,7 @@ from .polytope import (
     HPolytope,
     UnboundedLpError,
     lp_min,
+    lp_minima,
     vertices_bruteforce,
 )
 
@@ -248,13 +249,13 @@ class CoherenceReport:
 
 def is_coherent(lp: LowerPrevision) -> CoherenceReport:
     """Envelope check: the credal set must be nonempty and every assessed
-    bound must equal the exact minimum of its gamble over the set, one
-    ``lp_min`` per assessment. A bound strictly below the minimum is not
-    attained (the assessment is too weak to be an envelope value); a bound
-    above would empty the set."""
+    bound must equal the exact minimum of its gamble over the set, all from
+    one ``lp_minima``. A bound strictly below the minimum is not attained
+    (the assessment is too weak to be an envelope value); a bound above
+    would empty the set."""
     h, _ = build_credal_hrep(lp)
     try:
-        attained = [lp_min(h, a.gamble.values).value for a in lp.assessments]
+        attained = lp_minima(h, [a.gamble.values for a in lp.assessments])
         empty = False
     except EmptyPolytopeError:
         attained, empty = [None] * len(lp.assessments), True

@@ -6,7 +6,8 @@ and ``rat`` is the only way in. It refuses floats (and bools), so an inexact
 value fails loudly instead of rounding silently.
 
 Vectors are tuples of Fractions. ``rank``, ``solve_unique``,
-``scaled_inverse`` and the one LP kernel (``simplex``) share one
+``scaled_inverse`` and the one LP kernel (``simplex_each``: one tableau for
+many right-hand sides, ``simplex`` its one-target case) share one
 fraction-free Gauss-Jordan pivot (``_pivot``, Edmonds' integer-preserving
 elimination, as in lrs) on denominator-cleared integer rows: every division
 is exact, intermediate growth stays polynomial, and a Fraction is built only
@@ -38,6 +39,7 @@ __all__ = [
     "LpInfeasible",
     "LpUnbounded",
     "simplex",
+    "simplex_each",
 ]
 
 
@@ -216,10 +218,10 @@ class LpUnbounded(ArithmeticError):
 
 def _to_optimum(t: list[list[int]], det: int, basis: list, m: int) -> int:
     """Bland's rule on the real columns 0..m-1 until no reduced cost in the
-    cost row t[-1] is negative; returns the final det. The last entry of a
-    row is its right-hand side (the cost row's is minus the cost). Ratios
-    compare by cross-multiplication. Raises LpUnbounded when an entering
-    column has no positive entry."""
+    cost row t[-1] is negative; returns the final det. Entry m of a row is
+    its right-hand side (the cost row's is minus the cost). Ratios compare
+    by cross-multiplication. Raises LpUnbounded when an entering column has
+    no positive entry."""
     while True:
         enter = next((j for j in range(m) if t[-1][j] < 0), None)
         if enter is None:
@@ -237,27 +239,51 @@ def _to_optimum(t: list[list[int]], det: int, basis: list, m: int) -> int:
         basis[leave] = enter
 
 
-def simplex(columns, target, costs=None):
+def _restore(t: list[list[int]], det: int, basis: list, m: int) -> int:
+    """The dual simplex under Bland's rule (Bland 1977) until no right-hand
+    side is negative, or nonzero on a dependent row: leave on such a row of
+    least basic index, enter on the least ratio of reduced cost to |entry|
+    over its negative entries, ties to the least column; else LpInfeasible."""
+    while True:
+        rows = [i for i, b in enumerate(basis) if t[i][m] < 0 or b >= m and t[i][m]]
+        if not rows:
+            return det
+        leave = min(rows, key=basis.__getitem__)
+        row, cost = t[leave], t[-1]
+        enter = None
+        for j in range(m):  # cost[j] / -row[j] < cost[enter] / -row[enter]
+            if row[j] < 0 and (enter is None or cost[j] * row[enter] > cost[enter] * row[j]):
+                enter = j
+        if enter is None:
+            raise LpInfeasible("no nonnegative combination of the columns meets the target")
+        det = _pivot(t, det, leave, enter)
+        basis[leave] = enter
+
+
+def simplex_each(columns, targets, costs=None) -> list:
     """Exact minimum of costs . x over x >= 0 with sum x_j columns[j] ==
-    target: the one LP kernel, a dense integer tableau (``_pivot``) with
-    Bland's rule (anti-cycling) in both phases and the cost as its last row.
+    target, for each of a nonempty list of targets, on one dense integer
+    tableau (``_pivot``) with the cost as its last row (all costs zero when
+    none are given): the one LP kernel.
 
-    Phase 1 starts from one artificial column per row and drives their sum
-    to zero, raising LpInfeasible when it cannot. An artificial still basic
-    (at level zero) is then pivoted out on any real column with a nonzero
-    entry in its row; a row with none is dependent and takes no further
-    part. Phase 2 runs when costs are given and minimises costs . x from
-    that basis, raising LpUnbounded when the cost falls without bound.
-
-    Returns (x, basis): a basic optimal x (a basic feasible one without
-    costs) and the indices of its basic columns in tableau row order. The
-    basic columns are linearly independent and span the columns, so there
-    are fewer of them than rows exactly when the columns do not span.
+    The first target runs two phases under Bland's rule: phase 1 (else
+    LpInfeasible) pivots the artificials out where a real column allows,
+    leaving the rest as dependent rows, and phase 2 may raise LpUnbounded.
+    A target is only a right-hand side, so each further one is a
+    ``_restore`` from the last optimum, its right-hand sides the artificial
+    block (det times the inverse basis) times the target. Returns (levels,
+    cost) per target: a basic optimal x as {basic column: value} in tableau
+    row order (fewer entries than rows exactly when the columns do not
+    span), and costs . x off the cost row. ValueError when the columns and
+    targets differ in length.
     """
-    n, m = len(target), len(columns)
-    t = _int_rows([[col[i] for col in columns] + [b] for i, b in enumerate(target)])
+    n, m = len(targets[0]), len(columns)
+    if any(len(v) != n for v in (*columns, *targets)):
+        raise ValueError("columns and targets differ in length")
+    scaled = _int_rows([[col[i] for col in columns] + [g[i] for g in targets] for i in range(n)])
+    t = [row[:m + 1] + [int(i == j) for j in range(n)] for i, row in enumerate(scaled)]
     t = [[-a for a in row] if row[m] < 0 else row for row in t]
-    t.append([-sum(row[j] for row in t) for j in range(m + 1)])
+    t.append([-sum(row[j] for row in t) for j in range(m + 1 + n)])
     basis = list(range(m, m + n))  # the artificial of row i has index m + i
     det = _to_optimum(t, 1, basis, m)
     if t[n][m] != 0:
@@ -268,18 +294,24 @@ def simplex(columns, target, costs=None):
             if j is not None:
                 det = _pivot(t, det, i, j)
                 basis[i] = j
-    if costs is not None:
-        (c,) = _int_rows([costs])
-        # the cost row in the current basis: det times the reduced costs
-        obj = [det * a for a in c] + [0]
-        for row, b in zip(t, basis):
-            if b < m and c[b] != 0:
-                obj = [a - c[b] * v for a, v in zip(obj, row)]
-        t[n] = obj
-        det = _to_optimum(t, det, basis, m)
-    x = [ZERO] * m
+    d, c = _scaled(zeros(m) if costs is None else vec(costs))
+    # the cost row in the current basis: det times the reduced costs
+    t[n] = [det * a for a in c] + [0] * (n + 1)
     for row, b in zip(t, basis):
-        if b < m:
-            x[b] = Fraction(row[m], det)
-    return x, tuple(b for b in basis if b < m)
+        if b < m and c[b] != 0:
+            t[n] = [a - c[b] * v for a, v in zip(t[n], row)]
+    det = _to_optimum(t, det, basis, m)
+    solved = []
+    for k in range(m, m + len(targets)):
+        for row in t:  # the target's right-hand sides (the first's are unchanged)
+            row[m] = sum(a * s[k] for a, s in zip(row[m + 1:], scaled))
+        det = _restore(t, det, basis, m)
+        solved.append(({b: Fraction(row[m], det) for row, b in zip(t, basis) if b < m},
+                       Fraction(-t[n][m], det * d)))
+    return solved
 
+
+def simplex(columns, target, costs=None):
+    """``simplex_each`` on one target, as (x, basis)."""
+    ((levels, _),) = simplex_each(columns, [target], costs)
+    return [levels.get(j, ZERO) for j in range(len(columns))], tuple(levels)

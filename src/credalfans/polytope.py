@@ -6,7 +6,7 @@ A polytope is stored as inequality rows ``x . f >= b`` plus equality rows
 independent active set by subset search; it is deliberately simple and
 exact, guarded to small instances, and serves as the ground truth that the
 structured fast paths are tested against. ``lp_min`` minimises a linear
-function by one exact simplex under the same guards.
+function by one exact simplex, ``lp_minima`` many, under the same guards.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .exactla import (
     rank,
     rat,
     simplex,
+    simplex_each,
     solve_unique,
     vec,
     vneg,
@@ -38,6 +39,7 @@ __all__ = [
     "check_guards",
     "vertices_bruteforce",
     "lp_min",
+    "lp_minima",
 ]
 
 
@@ -139,6 +141,12 @@ def vertices_bruteforce(p: HPolytope, *, max_dim: int = 6, max_constraints: int 
     return tuple(Vertex(x) for x in sorted(seen))
 
 
+def _dual(p: HPolytope):
+    """The dual LP's rows (each equality as a +- pair), columns and costs."""
+    rows = list(p.inequalities + p.equalities) + [(vneg(g), -b) for g, b in p.equalities]
+    return rows, [g for g, _ in rows], [-b for _, b in rows]
+
+
 def lp_min(p: HPolytope, f, *, max_dim: int = 6, max_constraints: int = 25) -> LpResult:
     """Exact minimum of x . f over p and a vertex attaining it, by one
     ``exactla.simplex`` on the dual.
@@ -157,10 +165,7 @@ def lp_min(p: HPolytope, f, *, max_dim: int = 6, max_constraints: int = 25) -> L
     """
     check_guards(p, max_dim, max_constraints)
     f = vec(f)
-    rows = list(p.inequalities + p.equalities)
-    rows += [(vneg(g), -b) for g, b in p.equalities]
-    normals = [g for g, _ in rows]
-    costs = [-b for _, b in rows]
+    rows, normals, costs = _dual(p)
     try:
         _, basis = simplex(normals, f, costs)
     except LpUnbounded:  # the dual is unbounded, so p is empty
@@ -176,3 +181,23 @@ def lp_min(p: HPolytope, f, *, max_dim: int = 6, max_constraints: int = 25) -> L
         raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
     x = solve_unique([normals[j] for j in basis], [rows[j][1] for j in basis])
     return LpResult(dot(x, f), Vertex(x))
+
+
+def lp_minima(p: HPolytope, objectives) -> list:
+    """[lp_min(p, f).value for f in objectives], read off the cost row of one
+    ``exactla.simplex_each`` on the dual. Hypothesis: the first optimal basis
+    spans (p has a vertex), else EmptyPolytopeError as from lp_min. An empty
+    list runs no guard and no LP."""
+    if not objectives:
+        return []
+    check_guards(p)
+    _, normals, costs = _dual(p)
+    try:
+        solved = simplex_each(normals, [vec(f) for f in objectives], costs)
+    except (LpInfeasible, LpUnbounded):
+        # lp_min's own error if the first objective fails, else a later one is unbounded
+        lp_min(p, objectives[0])
+        raise UnboundedLpError("x . f is unbounded below over the polyhedron") from None
+    if len(solved[0][0]) < p.dim:
+        raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
+    return [-cost for _, cost in solved]

@@ -19,6 +19,7 @@ from credalfans.exactla import (
     rat,
     scaled_inverse,
     simplex,
+    simplex_each,
     solve_unique,
     unit,
     vec,
@@ -318,3 +319,42 @@ def test_simplex_matches_basis_enumeration(data):
     assert [dot([c[i] for c in cols], x) for i in range(n + 1)] == list(target)
     assert dot(costs, x) == expected
     assert all(x[j] == 0 for j in range(m) if j not in basis)
+
+
+def test_simplex_each_dependent_row():
+    # one column (1, 1): the second row is dependent, so a later target off
+    # the line x0 == x1 fails there whatever the sign of its right-hand side
+    col = [vec([1, 1])]
+    assert simplex_each(col, [vec([1, 1]), vec([3, 3])], [1]) == [({0: 1}, 1), ({0: 3}, 3)]
+    for off in ([1, 2], [2, 1]):
+        with pytest.raises(LpInfeasible):
+            simplex_each(col, [vec([1, 1]), vec(off)], [1])
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_simplex_each_matches_basis_enumeration(data):
+    # one tableau for several targets: each cost is that target's minimum,
+    # and a target no nonnegative combination meets raises, dependent rows
+    # (columns that do not span) included
+    n = data.draw(st.integers(0, 3))
+    m = data.draw(st.integers(1, 6))
+    cols = [data.draw(st.lists(small_rats, min_size=n, max_size=n)) + [rat(1)] for _ in range(m)]
+    targets = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        x0 = data.draw(st.lists(small_rats.filter(lambda a: a >= 0), min_size=m, max_size=m))
+        targets.append([dot([c[i] for c in cols], x0) for i in range(n + 1)])
+    if data.draw(st.booleans()):
+        targets.insert(data.draw(st.integers(0, len(targets))),
+                       data.draw(st.lists(small_rats, min_size=n + 1, max_size=n + 1)))
+    costs = data.draw(st.lists(small_rats, min_size=m, max_size=m))
+    expected = [_min_over_bases(cols, target, costs) for target in targets]
+    if None in expected:
+        with pytest.raises(LpInfeasible):
+            simplex_each(cols, targets, costs)
+        return
+    solved = simplex_each(cols, targets, costs)
+    assert [cost for _, cost in solved] == expected
+    for target, (levels, cost) in zip(targets, solved):
+        assert all(v >= 0 for v in levels.values())
+        assert [sum(cols[j][i] * v for j, v in levels.items()) for i in range(n + 1)] == target
+        assert sum(costs[j] * v for j, v in levels.items()) == cost

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credalfans.exactla import dot, ones, rat, unit, vec
+from credalfans import exactla, polytope
+from credalfans.exactla import dot, indicator, ones, rat, unit, vec
 from credalfans.polytope import (
     EmptyPolytopeError,
     HPolytope,
@@ -14,6 +15,7 @@ from credalfans.polytope import (
     UnboundedLpError,
     Vertex,
     lp_min,
+    lp_minima,
     vertices_bruteforce,
 )
 
@@ -132,6 +134,79 @@ def test_lp_min_without_a_vertex():
     # a half-plane has a minimum of x1 but no vertex to return
     with pytest.raises(EmptyPolytopeError):
         lp_min(HPolytope(2, ((unit(2, 0), 0),)), unit(2, 0))
+
+
+def test_lp_minima_of_no_objective_runs_no_guard_and_no_lp(monkeypatch):
+    big = simplex(7)  # past the oracle's dimension guard
+
+    def no_lp(*args):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(polytope, "simplex_each", no_lp)
+    assert lp_minima(big, []) == []
+    with pytest.raises(OracleGuardError):
+        lp_minima(big, [ones(7)])
+
+
+def test_lp_minima_raises_as_lp_min():
+    quadrant = HPolytope(2, ((unit(2, 0), 0), (unit(2, 1), 0)))
+    assert lp_minima(quadrant, [vec([1, 2]), vec([3, 0])]) == [0, 0]
+    # the second objective leaves the normals' cone in the dual restore
+    with pytest.raises(UnboundedLpError):
+        lp_minima(quadrant, [vec([1, 2]), vec([1, -1])])
+    with pytest.raises(UnboundedLpError):
+        lp_minima(quadrant, [vec([1, -1]), vec([1, 2])])
+    empty = HPolytope(2, ((unit(2, 0), 1), (vec([-1, 0]), 0)))
+    with pytest.raises(EmptyPolytopeError):
+        lp_minima(empty, [vec([0, -1]), vec([1, 0])])
+    half_plane = HPolytope(2, ((unit(2, 0), 0),))  # a minimum of x1, but no vertex
+    with pytest.raises(EmptyPolytopeError):
+        lp_minima(half_plane, [unit(2, 0), unit(2, 1)])
+    # an objective of the wrong length is refused, not truncated
+    for objectives in ([vec([1, 2]), vec([1, 2, 3])], [vec([1])]):
+        with pytest.raises(ValueError):
+            lp_minima(quadrant, objectives)
+    with pytest.raises(ValueError):
+        lp_min(quadrant, vec([1]))
+
+
+def test_lp_minima_tied_dual_restore(monkeypatch):
+    """l = 1/6, u = 1/4 on five outcomes, a degenerate interval model: the
+    lower probability of an event A is max(|A| / 6, 1 - (5 - |A|) / 4),
+    tied at |A| = 3. The dual restores between the events meet tied
+    entering ratios, and still end at those optima."""
+    p = interval_polytope(["1/6"] * 5, ["1/4"] * 5)
+    m = len(p.inequalities) + 2 * len(p.equalities)  # the dual's columns
+    tied = []
+    pivot = exactla._pivot
+
+    def spy(t, det, r, c):
+        row, cost = t[r], t[-1]
+        if row[m] < 0:  # a dual simplex pivot
+            tied.append(any(row[j] < 0 and cost[j] * row[c] == cost[c] * row[j]
+                            for j in range(m) if j != c))
+        return pivot(t, det, r, c)
+
+    monkeypatch.setattr(exactla, "_pivot", spy)
+    events = [set(s) for r in (3, 1, 4, 2) for s in itertools.combinations(range(5), r)]
+    values = lp_minima(p, [indicator(5, a) for a in events])
+    assert values == [max(Q(len(a)) / 6, 1 - Q(5 - len(a)) / 4) for a in events]
+    assert any(tied)
+
+
+@settings(max_examples=150, deadline=None)
+@given(assessed_rows(), st.data())
+def test_lp_minima_matches_lp_min(model, data):
+    n, rows = model
+    p = rows_hrep(n, rows)
+    fs = data.draw(st.permutations([f for f, _ in rows] + [unit(n, x) for x in range(n)]))
+    try:
+        expected = [lp_min(p, f).value for f in fs]
+    except EmptyPolytopeError:
+        with pytest.raises(EmptyPolytopeError):
+            lp_minima(p, fs)
+        return
+    assert lp_minima(p, fs) == expected
 
 
 @settings(max_examples=60, deadline=None)
