@@ -19,9 +19,9 @@ gamble decreasing along the order pays most, so the Choquet integral of
 such a gamble equals its exact lower expectation.
 
 The fan's kernels read L off one table of ints over a common denominator,
-indexed by event bitmask: is_two_monotone checks local inequalities on it,
-and the step masses L(A | {x}) - L(A) that chain vertices are made of come
-from it once per model, not once per order. choquet builds no table.
+indexed by event bitmask and kept with the model: is_two_monotone checks
+local inequalities on it, enumerate_extreme_2mono walks the outcome orders
+on it, and chain vertices share its step masses. choquet builds no table.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class NotTwoMonotoneError(ValueError):
     """The operation requires a 2-monotone lower probability."""
 
 
-def _event_key(e):
-    return (len(e), tuple(sorted(e)))
-
-
 @dataclass(frozen=True)
 class LowerProbability:
     """Lower probability on all events of a finite space.
@@ -72,7 +68,7 @@ class LowerProbability:
     space: OutcomeSpace
     table: tuple
     _index: dict = field(init=False, repr=False, compare=False, default=None)
-    _steps: tuple = field(init=False, repr=False, compare=False, default=None)
+    _ints: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.space.n
@@ -102,7 +98,7 @@ class LowerProbability:
                     raise ValueError(
                         f"not monotone: dropping outcome {x} from {sorted(e)} raises the value")
         table = tuple(sorted(((e, v) for e, v in index.items()
-                              if e and e != omega), key=lambda t: _event_key(t[0])))
+                              if e and e != omega), key=lambda t: (len(t[0]), sorted(t[0]))))
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_index", index)
 
@@ -132,12 +128,15 @@ class TwoMonotoneReport:
 
 def _scaled_table(lowprob: LowerProbability):
     """(V, d): V[mask] = d L(event) as an int for every event, empty and
-    sure included, indexed by bitmask (outcome i is bit i)."""
-    d, values = _scaled(lowprob._index.values())
-    table = [0] * (1 << lowprob.space.n)
-    for e, v in zip(lowprob._index, values):
-        table[sum(1 << x for x in e)] = v
-    return table, d
+    sure included, indexed by bitmask (outcome i is bit i); kept with the
+    model as (V, d, steps), steps None until _step_table builds them."""
+    if lowprob._ints is None:
+        d, values = _scaled(lowprob._index.values())
+        table = [0] * (1 << lowprob.space.n)
+        for e, v in zip(lowprob._index, values):
+            table[sum(1 << x for x in e)] = v
+        object.__setattr__(lowprob, "_ints", (tuple(table), d, None))
+    return lowprob._ints[:2]
 
 
 def is_two_monotone(lowprob: LowerProbability) -> TwoMonotoneReport:
@@ -167,15 +166,16 @@ def is_two_monotone(lowprob: LowerProbability) -> TwoMonotoneReport:
 
 def _step_table(lowprob: LowerProbability) -> tuple:
     """The n 2^(n-1) step masses L(A | {x}) - L(A) as steps[mask of A][x]
-    (None for x in A), built on the model's first chain_vertex call and
-    kept with it, so that its vertices share them."""
-    if lowprob._steps is None:
-        table, d = _scaled_table(lowprob)
+    (None for x in A), built once per model beside its integer table, so
+    that its vertices share them."""
+    table, d = _scaled_table(lowprob)
+    steps = lowprob._ints[2]
+    if steps is None:
         bits = [1 << x for x in range(lowprob.space.n)]
-        object.__setattr__(lowprob, "_steps", tuple(
-            tuple(None if a & bx else Fraction(table[a | bx] - va, d) for bx in bits)
-            for a, va in enumerate(table)))
-    return lowprob._steps
+        steps = tuple(tuple(None if a & bx else Fraction(table[a | bx] - va, d) for bx in bits)
+                      for a, va in enumerate(table))
+        object.__setattr__(lowprob, "_ints", (table, d, steps))
+    return steps
 
 
 def chain_vertex(lowprob: LowerProbability, order):
@@ -226,18 +226,45 @@ def chain_graph(lowprob: LowerProbability) -> MescGraph:
     return MescGraph(tuple(nodes), edges)
 
 
-def enumerate_extreme_2mono(lowprob: LowerProbability) -> frozenset:
-    """Extreme points of a 2-monotone lower probability's credal set: the
-    chain vertices, deduplicated. Raises on non-2-monotone input with the
-    violating pair."""
+def enumerate_extreme_2mono(lowprob: LowerProbability) -> tuple:
+    """Extreme points of a 2-monotone lower probability's credal set: a
+    tuple of the distinct chain vertices, each at its first order in
+    itertools.permutations order. Raises on non-2-monotone input with the
+    violating pair. One depth-first pass over the orders on V = d L, lowest
+    unused outcome first, keys each vertex by one int: step mass
+    V[A | {x}] - V[A] at bit w x, w = d.bit_length(). LowerProbability
+    enforces monotonicity, so every step mass lies in [0, d] and no two
+    fields overlap."""
     rep = is_two_monotone(lowprob)
     if not rep.ok:
         a, b = rep.violator
         raise NotTwoMonotoneError(
             f"not 2-monotone: events {sorted(a)} and {sorted(b)} give "
             f"{rep.lhs} < {rep.rhs}")
-    return frozenset(chain_vertex(lowprob, order)
-                     for order in itertools.permutations(range(lowprob.space.n)))
+    n = lowprob.space.n
+    steps = _step_table(lowprob)
+    table, d = _scaled_table(lowprob)
+    w = d.bit_length()
+    moves = [(x, 1 << x, w * x) for x in range(n)]
+    full, p, points = (1 << n) - 1, [ZERO] * n, {}
+
+    def descend(a, key):
+        va, row = table[a], steps[a]
+        rest = full ^ a
+        if not rest & (rest - 1):  # one outcome left: the order's leaf
+            x = rest.bit_length() - 1
+            key |= (d - va) << w * x
+            if key not in points:
+                p[x] = row[x]
+                points[key] = tuple(p)
+            return
+        for x, bx, shift in moves:
+            if rest & bx:
+                p[x] = row[x]
+                descend(a | bx, key | (table[a | bx] - va) << shift)
+
+    descend(0, 0)
+    return tuple(points.values())
 
 
 def choquet(lowprob: LowerProbability, f):

@@ -271,19 +271,20 @@ def simplex_each(columns, targets, costs=None) -> list:
     leaving the rest as dependent rows, and phase 2 may raise LpUnbounded.
     A target is only a right-hand side, so each further one is a
     ``_restore`` from the last optimum, its right-hand sides the artificial
-    block (det times the inverse basis) times the target. Returns (levels,
-    cost) per target: a basic optimal x as {basic column: value} in tableau
-    row order (fewer entries than rows exactly when the columns do not
-    span), and costs . x off the cost row. ValueError when the columns and
-    targets differ in length.
+    block (det times the inverse basis, kept only then) times the target.
+    Returns (levels, cost) per target: a basic optimal x as {basic column:
+    value} in tableau row order (fewer entries than rows exactly when the
+    columns do not span), and costs . x off the cost row. ValueError when
+    the columns and targets differ in length.
     """
     n, m = len(targets[0]), len(columns)
     if any(len(v) != n for v in (*columns, *targets)):
         raise ValueError("columns and targets differ in length")
     scaled = _int_rows([[col[i] for col in columns] + [g[i] for g in targets] for i in range(n)])
-    t = [row[:m + 1] + [int(i == j) for j in range(n)] for i, row in enumerate(scaled)]
+    block = n if len(targets) > 1 else 0  # the artificial block, read only by further targets
+    t = [row[:m + 1] + [int(i == j) for j in range(block)] for i, row in enumerate(scaled)]
     t = [[-a for a in row] if row[m] < 0 else row for row in t]
-    t.append([-sum(row[j] for row in t) for j in range(m + 1 + n)])
+    t.append([-sum(row[j] for row in t) for j in range(m + 1 + block)])
     basis = list(range(m, m + n))  # the artificial of row i has index m + i
     det = _to_optimum(t, 1, basis, m)
     if t[n][m] != 0:
@@ -296,16 +297,17 @@ def simplex_each(columns, targets, costs=None) -> list:
                 basis[i] = j
     d, c = _scaled(zeros(m) if costs is None else vec(costs))
     # the cost row in the current basis: det times the reduced costs
-    t[n] = [det * a for a in c] + [0] * (n + 1)
+    t[n] = [det * a for a in c] + [0] * (block + 1)
     for row, b in zip(t, basis):
         if b < m and c[b] != 0:
             t[n] = [a - c[b] * v for a, v in zip(t[n], row)]
     det = _to_optimum(t, det, basis, m)
     solved = []
     for k in range(m, m + len(targets)):
-        for row in t:  # the target's right-hand sides (the first's are unchanged)
-            row[m] = sum(a * s[k] for a, s in zip(row[m + 1:], scaled))
-        det = _restore(t, det, basis, m)
+        if k > m:  # a further target's right-hand sides
+            for row in t:
+                row[m] = sum(a * s[k] for a, s in zip(row[m + 1:], scaled))
+            det = _restore(t, det, basis, m)
         solved.append(({b: Fraction(row[m], det) for row, b in zip(t, basis) if b < m},
                        Fraction(-t[n][m], det * d)))
     return solved

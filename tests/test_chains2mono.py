@@ -182,19 +182,25 @@ class TestChains:
             assert chain_vertex(lp, order) == reference_chain_vertex(lp, order)
 
     def test_step_table_is_built_by_chain_vertex_only(self):
-        # construction, value, choquet and the 2-monotone test leave it
-        # unbuilt: models queried once through choquet never pay for it
+        # construction, value, choquet and the 2-monotone test leave the
+        # step masses unbuilt: models queried once through choquet never
+        # pay for them; the 2-monotone test builds and keeps the int table
         lp = lp3(SUPERMOD3)
         lp.value((0, 1))
         choquet(lp, (2, 1, 0))
+        assert lp._ints is None
         is_two_monotone(lp)
-        assert lp._steps is None
+        table, d, steps = lp._ints
+        assert steps is None
+        is_two_monotone(lp)
+        assert lp._ints[0] is table
         first = chain_vertex(lp, (0, 1, 2))
-        steps = lp._steps
-        assert steps is not None
+        steps = lp._ints[2]
+        assert steps is not None and lp._ints[0] is table
         # built once and shared: equal steps are the same objects
         second = chain_vertex(lp, (0, 2, 1))
-        assert lp._steps is steps and second[0] is first[0]
+        assert lp._ints[2] is steps and second[0] is first[0]
+        assert enumerate_extreme_2mono(lp)[0][0] is first[0]
         assert lp == lp3(SUPERMOD3) and hash(lp) == hash(lp3(SUPERMOD3))
 
     def test_cone_generators_are_initial_segments(self):
@@ -228,7 +234,8 @@ class TestChains:
 class TestEnumeration:
     def test_supermodular_hexagon(self):
         pts = enumerate_extreme_2mono(lp3(SUPERMOD3))
-        assert pts == {tuple(p) for p in itertools.permutations((Q(1) / 10, Q(2) / 5, Q(1) / 2))}
+        assert len(pts) == len(frozenset(pts))
+        assert frozenset(pts) == {tuple(p) for p in itertools.permutations((Q(1) / 10, Q(2) / 5, Q(1) / 2))}
 
     def test_matches_vertex_oracle(self):
         rng = random.Random(11)
@@ -238,7 +245,64 @@ class TestEnumeration:
                 lp = LowerProbability(sp, tuple(make(rng, n).items()))
                 h, _ = build_credal_hrep(as_lower_prevision(lp))
                 oracle = {v.point for v in vertices_bruteforce(h)}
-                assert enumerate_extreme_2mono(lp) == oracle
+                points = enumerate_extreme_2mono(lp)
+                assert len(points) == len(frozenset(points))
+                assert frozenset(points) == oracle
+
+    @staticmethod
+    def belief(n, masses):
+        """The belief function of a Moebius assignment {focal set: mass},
+        the rest of the unit mass on the sure event."""
+        sp = OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+        events = [frozenset(s) for r in range(1, n) for s in itertools.combinations(range(n), r)]
+        return LowerProbability(sp, tuple(
+            (e, sum((m for f, m in masses.items() if f <= e), Q(0))) for e in events))
+
+    def test_tied_models_give_each_chain_vertex_once_in_first_chain_order(self):
+        f = frozenset
+        models = [
+            self.belief(1, {}),  # n = 1: the one point (1,)
+            self.belief(2, {}),  # vacuous
+            self.belief(2, {f({0}): Fraction(1, 3)}),
+            self.belief(2, {f({0}): Fraction(1, 2), f({1}): Fraction(1, 2)}),  # additive
+            self.belief(3, {}),
+            self.belief(4, {}),
+            self.belief(4, {f({0, 1}): Q(1)}),  # one focal set
+            self.belief(4, {f({1}): Fraction(1, 3), f({0, 2, 3}): Fraction(2, 3)}),  # two
+            self.belief(4, {f({0, 3}): Fraction(1, 4), f({1, 2}): Fraction(1, 4)}),  # two, and the sure event
+            self.belief(4, {f({i}): Fraction(w, 10) for i, w in enumerate((4, 3, 2, 1))}),  # additive
+            self.belief(5, {f({2}): Fraction(1, 5), f({0, 4}): Fraction(1, 5)}),
+        ]
+        for lp in models:
+            n = lp.space.n
+            chains = [chain_vertex(lp, order) for order in itertools.permutations(range(n))]
+            points = enumerate_extreme_2mono(lp)
+            assert len(points) == len(set(points))
+            assert set(points) == set(chains)
+            assert points == tuple(dict.fromkeys(chains))  # first-chain order
+        assert enumerate_extreme_2mono(models[0]) == ((Q(1),),)
+        assert len(enumerate_extreme_2mono(models[1])) == 2
+        assert len(enumerate_extreme_2mono(models[3])) == 1
+        assert len(enumerate_extreme_2mono(models[9])) == 1
+
+    def test_packed_keys_keep_apart_on_a_large_denominator(self):
+        # d is a product of two large primes, so packed fields are w = 92
+        # bits wide. With h = 2^(w-1), the top bit of a field, the focal
+        # sets {0, 1} (mass h/d) and {1, 2} (mass 1/d) give, among others,
+        # the vertices d p = (h, 0, 1, r) and (0, h + 1, 0, r): fields 0
+        # and 1 reach their top bit, and on fields one bit narrower the
+        # two keys would coincide (h - (h + 1) h + h^2 = 0)
+        d = (2 ** 61 - 1) * (2 ** 31 - 1)
+        w = d.bit_length()
+        h = 1 << w - 1
+        lp = self.belief(4, {frozenset({0, 1}): Fraction(h, d), frozenset({1, 2}): Fraction(1, d),
+                             frozenset({3}): Fraction(d - h - 1, d)})
+        chains = [chain_vertex(lp, order) for order in itertools.permutations(range(4))]
+        points = enumerate_extreme_2mono(lp)
+        assert points == tuple(dict.fromkeys(chains))
+        assert (Fraction(h, d), Q(0), Fraction(1, d), Fraction(d - h - 1, d)) in points
+        assert (Q(0), Fraction(h + 1, d), Q(0), Fraction(d - h - 1, d)) in points
+        assert len(points) == 4
 
     def test_rejects_nonsupermodular_with_violator(self):
         with pytest.raises(ValueError, match=r"not 2-monotone"):
@@ -251,7 +315,9 @@ class TestEnumeration:
         for r in (1, 2):
             for s in itertools.combinations(range(3), r):
                 values[frozenset(s)] = sum(dist[i] for i in s)
-        assert enumerate_extreme_2mono(lp3(values)) == {dist}
+        points = enumerate_extreme_2mono(lp3(values))
+        assert len(points) == len(frozenset(points))
+        assert frozenset(points) == {dist}
 
 
 class TestChoquet:
