@@ -26,6 +26,7 @@ on it, and chain vertices share its step masses. choquet builds no table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -166,13 +167,14 @@ def is_two_monotone(lowprob: LowerProbability) -> TwoMonotoneReport:
 
 def _step_table(lowprob: LowerProbability) -> tuple:
     """The n 2^(n-1) step masses L(A | {x}) - L(A) as steps[mask of A][x]
-    (None for x in A), built once per model beside its integer table, so
-    that its vertices share them."""
+    (None for x in A), built once per model beside its integer table, one
+    Fraction per distinct integer step, so that its vertices share them."""
     table, d = _scaled_table(lowprob)
     steps = lowprob._ints[2]
     if steps is None:
         bits = [1 << x for x in range(lowprob.space.n)]
-        steps = tuple(tuple(None if a & bx else Fraction(table[a | bx] - va, d) for bx in bits)
+        mass = functools.cache(lambda v: Fraction(v, d))
+        steps = tuple(tuple(None if a & bx else mass(table[a | bx] - va) for bx in bits)
                       for a, va in enumerate(table))
         object.__setattr__(lowprob, "_ints", (table, d, steps))
     return steps

@@ -297,15 +297,19 @@ def verify_graph(g: MescGraph) -> FanReport:
     )
 
 
-def _vertex_label(vertex) -> str:
-    return ",".join(format_rat(a) for a in vertex)
+def _formatter():
+    """format_rat of a vector as a list of strings, memoized on each value's id()."""
+    memo = {}
+    return lambda v: [memo[k] if (k := id(a)) in memo else memo.setdefault(k, format_rat(a))
+                      for a in v]
 
 
 def graph_to_dot(g: MescGraph) -> str:
     """Undirected DOT rendering; node labels are the certified vertices."""
+    fmt = _formatter()
     lines = ["graph fan {"]
     for i, node in enumerate(g.nodes):
-        lines.append(f'  n{i} [label="{_vertex_label(node.vertex)}"];')
+        lines.append(f'  n{i} [label="{",".join(fmt(node.vertex))}"];')
     for a, b in g.pairs:
         lines.append(f"  n{a} -- n{b};")
     lines.append("}")
@@ -313,21 +317,19 @@ def graph_to_dot(g: MescGraph) -> str:
 
 
 def graph_to_json(g: MescGraph, universe: SupportUniverse) -> dict:
-    """JSON-ready dict; generators are referenced by universe index."""
+    """JSON-ready dict; generators are referenced by universe index. Each value
+    object, such as a 0 or 1 of the immutable universe pri_hrep shares per n,
+    is formatted once (_formatter): the id() memo is safe, as it lives for
+    this call only and g and universe keep every keyed object alive."""
     size = len(universe)
+    fmt = _formatter()
     nodes = []
     for i, node in enumerate(g.nodes):
         if not all(0 <= k < size for k in node.gens):
             raise ValueError("graph generator index outside the universe")
-        nodes.append(
-            {
-                "id": i,
-                "vertex": [format_rat(a) for a in node.vertex],
-                "generators": list(node.gens),
-            }
-        )
+        nodes.append({"id": i, "vertex": fmt(node.vertex), "generators": list(node.gens)})
     return {
-        "universe": [[format_rat(a) for a in v] for v in universe.vectors],
+        "universe": [fmt(v) for v in universe.vectors],
         "nodes": nodes,
         "edges": [[i, j] for i, j in g.pairs],
     }

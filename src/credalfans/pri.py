@@ -34,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .chains2mono import LowerProbability
 from .cones import SupportUniverse
@@ -46,7 +47,7 @@ from .credal import (
     _schema_outcomes,
     parse_gamble,
 )
-from .exactla import ZERO, _scaled, indicator, ones, unit, vec, vneg
+from .exactla import ZERO, _scaled, indicator, ones, vec, vneg
 from .fanwalk import MescGraph, MescNode, walk
 from .polytope import HPolytope
 
@@ -183,13 +184,13 @@ def pri_neighbors(t: tuple, s: tuple) -> tuple:
 
 def enumerate_extreme_pri(m: PRIModel):
     """All extreme points of a coherent interval model, with the MESC
-    adjacency graph, by walking the exchange rules from a seed cone. Graph
-    nodes are keyed by generator indices in pri_hrep(m)'s universe.
+    adjacency graph, by walking the exchange rules from a seed cone. Nodes
+    are keyed by generator indices in pri_hrep(m)'s universe (shared per n).
 
     The walk's states are pri_neighbors' (x, a, b, r) on the model's
     integer table, keyed by a | b << n; each new one must keep
-    l(x) <= R <= u(x). A vertex's x-coordinate Fraction(r, d) is the only
-    Fraction built; its other coordinates are the model's own bounds.
+    l(x) <= R <= u(x). The only Fractions built are the x-coordinates
+    Fraction(r, d), one per distinct r; other coordinates are the bounds.
 
     Raises IncoherenceError on incoherent input (repair it first via
     is_coherent_pri). For n <= 2 the graph is fanwalk.walk's on
@@ -227,15 +228,14 @@ def enumerate_extreme_pri(m: PRIModel):
             edges.add((key, nk) if key < nk else (nk, key))
     # bit j of a key is pri_hrep's row j (lower row of y at y, upper row of
     # z at n + z); node keys are those rows' universe indices
-    h, universe = pri_hrep(m)
-    uindex = {v: i for i, v in enumerate(universe.vectors)}
-    row = [uindex[f] for f, _ in h.inequalities]
+    row = _interval_fan(n)[2]
     gens = {k: tuple(sorted(row[j] for j in range(2 * n) if k >> j & 1)) for k in states}
+    remainder = {r: Fraction(r, d) for _, _, _, r in states.values()}
     nodes = []
     for k in sorted(states, key=gens.__getitem__):
         x, a, b, r = states[k]
         p = [m.lower[y] if a >> y & 1 else m.upper[y] for y in range(n)]
-        p[x] = Fraction(r, d)
+        p[x] = remainder[r]
         nodes.append(MescNode(gens[k], tuple(p)))
     graph = MescGraph(tuple(nodes), frozenset(frozenset((gens[i], gens[j])) for i, j in edges))
     return graph.vertices, graph
@@ -297,16 +297,26 @@ def count_bounds(n: int) -> tuple:
     return (n * (n - 1), n * math.comb(n - 1, half))
 
 
+@lru_cache(maxsize=16)
+def _interval_fan(n: int) -> tuple:
+    """(normals, universe, row) on n outcomes, built on first use and kept
+    for the 16 latest n: pri_hrep's inequality normals, its universe, and
+    row[j] the universe index of normal j."""
+    events = [{x} for x in range(n)] + [set(range(n)) - {x} for x in range(n) if n > 1]
+    normals = tuple(indicator(n, e) for e in events)
+    universe = SupportUniverse(normals + (ones(n),))
+    return normals, universe, tuple(map(universe.vectors.index, normals))
+
+
 def pri_hrep(m: PRIModel):
     """H-representation with one lower row per singleton indicator and one
-    upper row per complement indicator, plus the mass-one equality; the
-    universe lists every row normal and the constant."""
+    upper row per complement indicator, plus the mass-one equality. The
+    universe, of every row normal and the constant, is one immutable object
+    shared by all models on n outcomes."""
     n = m.n
+    normals, universe, _ = _interval_fan(n)
     one = ones(n)
-    rows = [(unit(n, x), m.lower[x]) for x in range(n)]
-    if n > 1:
-        rows += [(indicator(n, set(range(n)) - {x}), 1 - m.upper[x]) for x in range(n)]
-    universe = SupportUniverse(tuple(sorted({f for f, _ in rows} | {one})))
+    rows = list(zip(normals, m.lower + tuple(1 - u for u in m.upper)))
     if n == 1:  # the complement is the zero vector: the upper row is -1_x >= -u
         rows.append((vneg(one), -m.upper[0]))
     return HPolytope(n, tuple(rows), ((one, 1),)), universe

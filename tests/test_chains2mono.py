@@ -200,6 +200,8 @@ class TestChains:
         # built once and shared: equal steps are the same objects
         second = chain_vertex(lp, (0, 2, 1))
         assert lp._ints[2] is steps and second[0] is first[0]
+        masses = [v for row in steps for v in row if v is not None]
+        assert len({id(v) for v in masses}) == len(set(masses))
         assert enumerate_extreme_2mono(lp)[0][0] is first[0]
         assert lp == lp3(SUPERMOD3) and hash(lp) == hash(lp3(SUPERMOD3))
 

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from credalfans.cones import SupportUniverse
 from credalfans.credal import OutcomeSpace, build_credal_hrep
 from credalfans.exactla import LpInfeasible, dot, is_multiple, ones, rank, rat, simplex, vec, vneg
-from credalfans.pri import PRIModel, as_lower_prevision, is_coherent_pri, pri_hrep
+from credalfans.pri import PRIModel, is_coherent_pri, pri_hrep
 
 from cone_calculus import Cone, Witness, absorbed, are_adjacent, contains, dual_basis, witness
+from test_walk_pinned import _envelope
 
 Q = rat
 
@@ -168,19 +169,26 @@ def test_adjacency_is_symmetric_for_chain_swaps(perm, i):
 # ------------------------------------------- dual basis against the LP route
 
 
-def _tied_interval_universes(n):
-    """The universes of an interval model whose bounds repeat on a 1/720
-    grid: pri_hrep's and build_credal_hrep's, both singletons and
-    complements, from two separate builders."""
+def _tied_interval_universe(n):
+    """The universe of an interval model whose bounds repeat on a 1/720
+    grid: singletons and complements, from pri_hrep."""
     step = 180 // n
     rng = random.Random(720 + n)
     lo = tuple(rat(rng.choice((2, 3)) * step) / 720 for _ in range(n))
     up = tuple(rat(rng.choice((5, 6)) * step) / 720 for _ in range(n))
     m = is_coherent_pri(PRIModel(OutcomeSpace(tuple(f"x{i}" for i in range(n))), lo, up)).repaired
-    return [pri_hrep(m)[1], build_credal_hrep(as_lower_prevision(m))[1]]
+    return pri_hrep(m)[1]
 
 
-UNIVERSES = [u for n in (3, 4, 5) for u in [event_universe(n), *_tied_interval_universes(n)]]
+def _envelope_universe(n):
+    """The universe build_credal_hrep writes for a lower envelope on 2n
+    integer gambles, redundant ones included: row normals the interval
+    builder never writes."""
+    return build_credal_hrep(_envelope(random.Random(720 + n), n))[1]
+
+
+UNIVERSES = [u for n in (3, 4, 5)
+             for u in (event_universe(n), _tied_interval_universe(n), _envelope_universe(n))]
 
 
 def lp_mesc_failure(gens, universe):

@@ -4,10 +4,13 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from cone_calculus import dual_basis
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     SUPERMOD3,
     event_universe,
@@ -19,7 +22,7 @@ from conftest import (
 from credalfans.chains2mono import chain_graph, lower_probability_from_json
 from credalfans.cones import SupportUniverse
 from credalfans.credal import OutcomeSpace, build_credal_hrep, lower_prevision_from_json
-from credalfans.exactla import ones, rat, unit, vec
+from credalfans.exactla import format_rat, ones, rat, unit, vec
 from credalfans.fanwalk import (
     MescGraph,
     MescNode,
@@ -228,6 +231,49 @@ DOT_PINS = [
 @pytest.mark.parametrize("graph,digest", DOT_PINS, ids=["pri", "chains", "walk"])
 def test_graph_to_dot_pinned(graph, digest):
     assert hashlib.sha256(graph_to_dot(graph()).encode()).hexdigest() == digest
+
+
+@st.composite
+def shared_value_graphs(draw):
+    """(graph, universe) whose coordinates mix shared Fraction objects, the
+    way engines share bounds, remainders and step masses, with Fractions
+    equal to them but distinct."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.fractions(-3, 3, max_denominator=60), min_size=1, max_size=5))
+
+    def vector():
+        vals = [draw(st.sampled_from(pool)) for _ in range(n)]
+        return tuple(Fraction(a.numerator, a.denominator) if draw(st.booleans()) else a
+                     for a in vals)
+
+    universe = SupportUniverse(tuple(vector() for _ in range(draw(st.integers(0, 4)))) + (ones(n),))
+    key = st.lists(st.integers(0, len(universe) - 1), min_size=1, max_size=2, unique=True)
+    keys = sorted(draw(st.lists(key.map(lambda k: tuple(sorted(k))), min_size=1, max_size=6,
+                                unique=True)))
+    pairs = list(itertools.combinations(keys, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = MescGraph(tuple(MescNode(k, vector()) for k in keys),
+                      frozenset(frozenset(e) for e in edges))
+    return graph, universe
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_value_graphs())
+def test_exports_match_formatting_every_coordinate(drawn):
+    # each value object is formatted once per call; the text must be what
+    # format_rat gives coordinate by coordinate
+    g, universe = drawn
+    plain = {
+        "universe": [[format_rat(a) for a in v] for v in universe.vectors],
+        "nodes": [{"id": i, "vertex": [format_rat(a) for a in node.vertex],
+                   "generators": list(node.gens)} for i, node in enumerate(g.nodes)],
+        "edges": [[i, j] for i, j in g.pairs],
+    }
+    assert json.dumps(graph_to_json(g, universe), indent=2) == json.dumps(plain, indent=2)
+    labels = [f'  n{i} [label="{",".join(map(format_rat, node.vertex))}"];'
+              for i, node in enumerate(g.nodes)]
+    edges = [f"  n{a} -- n{b};" for a, b in g.pairs]
+    assert graph_to_dot(g) == "\n".join(["graph fan {", *labels, *edges, "}"]) + "\n"
 
 
 def test_graph_to_json_roundtrips_through_json():

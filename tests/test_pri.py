@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from credalfans.chains2mono import choquet, is_two_monotone
+from credalfans.cones import SupportUniverse
 from credalfans.credal import (
     IncoherenceError,
     OutcomeSpace,
@@ -130,6 +131,23 @@ class TestModelAndCoherence:
                 rep = is_coherent_pri(m)
                 verdicts.add((rep.proper, rep.coherent))
         assert verdicts == {(False, False), (True, False), (True, True)}
+
+    def test_pri_hrep_shares_one_universe_per_n(self):
+        # the universe depends on n alone: every model on n outcomes gets the
+        # same object, equal to the singletons, complements and constant
+        # built from scratch; another n gets another universe
+        seen = set()
+        for n in (2, 3, 4, 10):
+            m1 = pri_uniform(n, 0, 1)
+            m2 = pri_uniform(n, Q(1) / (2 * n), Q(3) / (2 * n))
+            universe = pri_hrep(m1)[1]
+            assert pri_hrep(m2)[1] is universe
+            fresh = SupportUniverse(tuple(unit(n, x) for x in range(n))
+                                    + tuple(vec([int(y != x) for y in range(n)]) for x in range(n))
+                                    + (ones(n),))
+            assert universe == fresh
+            seen.add(id(universe))
+        assert len(seen) == 4
 
     def test_integer_coherence_matches_fraction_reference(self):
         rng = random.Random(1711)

@@ -20,12 +20,12 @@ import pytest
 from cone_calculus import absorbed, dual_basis
 from conftest import coherent_intervals, interval_hrep, interval_universe
 from test_graph_keys import tied_model
-from test_walk_pinned import CASES
+from test_walk_pinned import CASES, _envelope
 
 from credalfans.credal import build_credal_hrep
 from credalfans.exactla import dot, solve_unique
 from credalfans.fanwalk import MescNode, _active_table, _mesc_dual, neighbor_candidates, walk
-from credalfans.pri import as_lower_prevision, pri_hrep
+from credalfans.pri import pri_hrep
 
 
 def reference_crossing(node, dropped, t, h, universe):
@@ -61,16 +61,15 @@ def _random_intervals(n, seed):
     return interval_hrep(lows, ups), interval_universe(n)
 
 
-def _tied(n, credal_universe):
-    m = tied_model(random.Random(720 + n), n)
-    return build_credal_hrep(as_lower_prevision(m)) if credal_universe else pri_hrep(m)
-
-
 MODELS = dict(CASES)
 MODELS.update({f"random_interval_n{n}_{s}": (lambda n=n, s=s: _random_intervals(n, 50 * n + s))
                for n in (3, 4, 5) for s in (1, 2)})  # CASES has interval_n4..n6
-MODELS.update({f"tied_interval_n{n}_{kind}": (lambda n=n, c=c: _tied(n, c))
-               for n in (3, 4, 5) for kind, c in (("pri_hrep", False), ("credal_hrep", True))})
+MODELS.update({f"tied_interval_n{n}_pri_hrep":
+               (lambda n=n: pri_hrep(tied_model(random.Random(720 + n), n))) for n in (3, 4, 5)})
+# the generic builder on inputs the interval builder cannot write: lower
+# envelopes on 2n gambles, redundant ones included (degenerate vertices at n = 3, 4)
+MODELS.update({f"redundant_envelope_n{n}":
+               (lambda n=n: build_credal_hrep(_envelope(random.Random(720 + n), n))) for n in (3, 4, 5)})
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
