@@ -20,8 +20,9 @@ such a gamble equals its exact lower expectation.
 
 The fan's kernels read L off one table of ints over a common denominator,
 indexed by event bitmask and kept with the model: is_two_monotone checks
-local inequalities on it, enumerate_extreme_2mono walks the outcome orders
-on it, and chain vertices share its step masses. choquet builds no table.
+local inequalities on it, and enumerate_extreme_2mono and chain_graph walk
+the outcome orders on it, their vertices sharing its step masses. choquet
+builds no table.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ __all__ = [
     "TwoMonotoneReport",
     "as_lower_prevision",
     "is_two_monotone",
-    "chain_vertex",
-    "chain_neighbors",
     "event_universe",
     "chain_graph",
     "enumerate_extreme_2mono",
@@ -180,30 +179,6 @@ def _step_table(lowprob: LowerProbability) -> tuple:
     return steps
 
 
-def chain_vertex(lowprob: LowerProbability, order):
-    """Telescope L along the growing prefixes of an outcome order (highest
-    ranked first): the outcome at step k receives mass L(A_k) - L(A_{k-1}),
-    read off the model's step table. The point dominates L on every event
-    when L is 2-monotone."""
-    n = lowprob.space.n
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order is not a permutation of the {n} outcomes")
-    steps = _step_table(lowprob)
-    p = [ZERO] * n
-    prefix = 0
-    for x in order:
-        p[x] = steps[prefix][x]
-        prefix |= 1 << x
-    return tuple(p)
-
-
-def chain_neighbors(order) -> tuple:
-    """The n-1 orders whose cones share a wall with this one's: each swaps
-    one pair of consecutive outcomes."""
-    return tuple(order[:i] + (order[i + 1], order[i]) + order[i + 2:]
-                 for i in range(len(order) - 1))
-
-
 def event_universe(n: int) -> SupportUniverse:
     """Indicators of every nonempty event: the rays of the chain fan plus
     the constant direction."""
@@ -214,17 +189,30 @@ def event_universe(n: int) -> SupportUniverse:
 def chain_graph(lowprob: LowerProbability) -> MescGraph:
     """The chain fan as a MescGraph over event_universe(n): one node per
     outcome order, keyed by the universe indices of its proper initial
-    segments, and one edge per swap of two consecutive outcomes. Validity
-    of the vertices (2-monotonicity) is the caller's concern."""
+    segments, each read by bitmask from one list, with the vertex that
+    telescopes the step table along them. The fan is complete and
+    simplicial, so each wall bounds exactly two cones: the wall that drops
+    an order's k-th prefix is shared with the order that swaps its k-th
+    and (k+1)-th outcomes, and with no other. The edges are these swaps,
+    each taken once, from the order that lists the pair ascending.
+    Validity of the vertices (2-monotonicity) is the caller's concern."""
     n = lowprob.space.n
-    universe = event_universe(n)
-    uindex = {frozenset(i for i, a in enumerate(v) if a): k for k, v in enumerate(universe.vectors)}
-    keys = {order: tuple(sorted(uindex[frozenset(order[:k])] for k in range(1, n)))
-            for order in itertools.permutations(range(n))}
-    nodes = sorted((MescNode(k, chain_vertex(lowprob, order)) for order, k in keys.items()),
-                   key=lambda node: node.gens)
-    edges = frozenset(frozenset({k, keys[nb]}) for order, k in keys.items()
-                      for nb in chain_neighbors(order))
+    steps = _step_table(lowprob)
+    index = [None] * (1 << n)
+    for k, v in enumerate(event_universe(n).vectors):
+        index[sum(1 << i for i, a in enumerate(v) if a)] = k
+    keys, nodes = {}, []
+    for order in itertools.permutations(range(n)):
+        p, prefix, gens = [ZERO] * n, 0, []
+        for x in order:
+            p[x] = steps[prefix][x]
+            prefix |= 1 << x
+            gens.append(index[prefix])
+        keys[order] = key = tuple(sorted(gens[:-1]))  # the sure event is no generator
+        nodes.append(MescNode(key, tuple(p)))
+    nodes.sort(key=lambda node: node.gens)
+    edges = frozenset(frozenset({k, keys[o[:i] + (o[i + 1], o[i]) + o[i + 2:]]})
+                      for o, k in keys.items() for i in range(n - 1) if o[i] < o[i + 1])
     return MescGraph(tuple(nodes), edges)
 
 

@@ -321,15 +321,13 @@ def graph_to_json(g: MescGraph, universe: SupportUniverse) -> dict:
     object, such as a 0 or 1 of the immutable universe pri_hrep shares per n,
     is formatted once (_formatter): the id() memo is safe, as it lives for
     this call only and g and universe keep every keyed object alive."""
-    size = len(universe)
+    gens = set().union(*(node.gens for node in g.nodes))
+    if gens and (min(gens) < 0 or max(gens) >= len(universe)):
+        raise ValueError("graph generator index outside the universe")
     fmt = _formatter()
-    nodes = []
-    for i, node in enumerate(g.nodes):
-        if not all(0 <= k < size for k in node.gens):
-            raise ValueError("graph generator index outside the universe")
-        nodes.append({"id": i, "vertex": fmt(node.vertex), "generators": list(node.gens)})
     return {
         "universe": [fmt(v) for v in universe.vectors],
-        "nodes": nodes,
+        "nodes": [{"id": i, "vertex": fmt(node.vertex), "generators": list(node.gens)}
+                  for i, node in enumerate(g.nodes)],
         "edges": [[i, j] for i, j in g.pairs],
     }

@@ -147,7 +147,7 @@ def _dual(p: HPolytope):
     return rows, [g for g, _ in rows], [-b for _, b in rows]
 
 
-def lp_min(p: HPolytope, f, *, max_dim: int = 6, max_constraints: int = 25) -> LpResult:
+def lp_min(p: HPolytope, f) -> LpResult:
     """Exact minimum of x . f over p and a vertex attaining it, by one
     ``exactla.simplex`` on the dual.
 
@@ -163,7 +163,7 @@ def lp_min(p: HPolytope, f, *, max_dim: int = 6, max_constraints: int = 25) -> L
     normals do not span), UnboundedLpError when x . f is unbounded below
     over p, and keeps the oracle's guards (OracleGuardError).
     """
-    check_guards(p, max_dim, max_constraints)
+    check_guards(p)
     f = vec(f)
     rows, normals, costs = _dual(p)
     try:

@@ -5,12 +5,15 @@ adjacency here is simplicial modulo the constant-one lineality, so
 membership off their signs: no LP. Those coordinates are the conic
 witness. ``dual_basis`` is exact, in Fractions: the reference the walk's
 integer dual rows are checked against. Normal-cone membership is its
-definition: f is in N(x) iff x attains E(f). ``reference_pri_neighbors`` and
-``reference_enumerate_extreme_pri`` are the interval exchange walk on
-``PriCone``s in Fractions, seeded by ``seed_cone`` and with each remainder
-summed from the bounds (``remainder``, ``vertex_for_cone``): the reference
-the integer walk and the split rule of ``credalfans.pri`` are checked
-against. ``reference_is_coherent_pri`` is the interval coherence test and
+definition: f is in N(x) iff x attains E(f). ``chain_cone``,
+``adjacent_swaps`` and ``reference_chain_vertex`` give the chain fan of a
+lower probability from its definition, in Fractions on frozenset prefixes:
+the reference the chain engine's graph is checked against.
+``reference_pri_neighbors`` and ``reference_enumerate_extreme_pri`` are the
+interval exchange walk on ``PriCone``s in Fractions, seeded by
+``seed_cone`` and with each remainder summed from the bounds
+(``remainder``, ``vertex_for_cone``): the reference the integer walk and
+the split rule of ``credalfans.pri`` are checked against. ``reference_is_coherent_pri`` is the interval coherence test and
 repair in Fractions, the reference for the integer one.
 """
 
@@ -108,6 +111,26 @@ def chain_cone(order) -> Cone:
     segments, sorted."""
     n = len(order)
     return Cone(tuple(sorted(indicator(n, order[:k]) for k in range(1, n))))
+
+
+def adjacent_swaps(order) -> tuple:
+    """The n-1 orders that swap one pair of consecutive outcomes of order:
+    the orders whose chain cones share a wall with its cone."""
+    return tuple(order[:i] + (order[i + 1], order[i]) + order[i + 2:]
+                 for i in range(len(order) - 1))
+
+
+def reference_chain_vertex(lowprob, order):
+    """Telescoping on frozenset prefixes: the outcome at step k of the order
+    gets L(A_k) - L(A_{k-1}). The reference for the step table's vertices."""
+    p = [None] * lowprob.space.n
+    prefix, prev = frozenset(), ZERO
+    for x in order:
+        prefix = prefix | {x}
+        val = lowprob.value(prefix)
+        p[x] = val - prev
+        prev = val
+    return tuple(p)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,6 @@ import time
 from credalfans.chains2mono import (
     LowerProbability,
     as_lower_prevision,
-    chain_neighbors,
-    chain_vertex,
     choquet,
     enumerate_extreme_2mono,
     is_two_monotone,
@@ -44,6 +42,7 @@ from credalfans.pri import (
 
 from cone_calculus import (
     EventCollection,
+    adjacent_swaps,
     are_adjacent,
     chain_cone,
     cone_additivity_check,
@@ -52,6 +51,7 @@ from cone_calculus import (
     is_event_mesc,
     locate_cone,
     normal_cone_at,
+    reference_chain_vertex,
     vadd,
     vertex_for_cone,
 )
@@ -222,12 +222,12 @@ def _chain_graph_n4():
     gens_of = {}
     nodes = {}
     for order in itertools.permutations(range(4)):
-        node = MescNode(chain_cone(order).generators, chain_vertex(values, order))
+        node = MescNode(chain_cone(order).generators, reference_chain_vertex(values, order))
         gens_of[order] = node.gens
         nodes[node.gens] = node
     edges = set()
     for order in itertools.permutations(range(4)):
-        for nb in chain_neighbors(order):
+        for nb in adjacent_swaps(order):
             edges.add(frozenset({gens_of[order], gens_of[nb]}))
     return MescGraph(tuple(nodes[k] for k in sorted(nodes)), frozenset(edges))
 
@@ -240,7 +240,7 @@ def test_c09_fan_structure_and_unique_cone_location():
     assert rep.degree_histogram == ((3, 24),)
     for order in itertools.permutations(range(4)):
         cone = chain_cone(order)
-        for nb in chain_neighbors(order):
+        for nb in adjacent_swaps(order):
             assert are_adjacent(cone, chain_cone(nb))
     # interval fan at the sharp maximum: simple and connected
     points10, g10 = enumerate_extreme_pri(MAX10)

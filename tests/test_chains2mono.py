@@ -14,18 +14,18 @@ from credalfans.chains2mono import (
     TwoMonotoneReport,
     as_lower_prevision,
     chain_graph,
-    chain_neighbors,
-    chain_vertex,
     choquet,
     enumerate_extreme_2mono,
+    event_universe,
     is_two_monotone,
     lower_probability_from_json,
 )
 from credalfans.credal import OutcomeSpace, SchemaError, build_credal_hrep, natural_extension
 from credalfans.exactla import dot, unit
+from credalfans.fanwalk import MescGraph, MescNode
 from credalfans.polytope import lp_min, vertices_bruteforce
 
-from cone_calculus import are_adjacent, chain_cone, is_comonotone
+from cone_calculus import adjacent_swaps, chain_cone, is_comonotone, reference_chain_vertex
 from conftest import SUPERMOD3, Q, belief_masses, lowprob_hrep, quadratic_lowprob, random_gamble
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -58,16 +58,29 @@ def reference_is_two_monotone(lowprob):
     return TwoMonotoneReport(True)
 
 
-def reference_chain_vertex(lowprob, order):
-    """Telescoping on frozenset prefixes: the reference for the step table."""
-    p = [None] * lowprob.space.n
-    prefix, prev = frozenset(), Q(0)
-    for x in order:
-        prefix = prefix | {x}
-        val = lowprob.value(prefix)
-        p[x] = val - prev
-        prev = val
-    return tuple(p)
+def chain_keys(n):
+    """{order: the universe indices of its chain cone's generators}, sorted
+    as the universe is."""
+    uindex = {v: k for k, v in enumerate(event_universe(n).vectors)}
+    return {order: tuple(uindex[g] for g in chain_cone(order).generators)
+            for order in itertools.permutations(range(n))}
+
+
+def reference_chain_graph(lowprob):
+    """The chain fan from its definition: one node per order, keyed by
+    chain_keys, with reference_chain_vertex's point, and one edge per
+    adjacent swap."""
+    keys = chain_keys(lowprob.space.n)
+    nodes = sorted((MescNode(k, reference_chain_vertex(lowprob, order)) for order, k in keys.items()),
+                   key=lambda node: node.gens)
+    edges = frozenset(frozenset({k, keys[nb]}) for order, k in keys.items() for nb in adjacent_swaps(order))
+    return MescGraph(tuple(nodes), edges)
+
+
+def chain_vertices(lowprob):
+    """{order: its vertex in chain_graph(lowprob)}."""
+    vertex = {node.gens: node.vertex for node in chain_graph(lowprob).nodes}
+    return {order: vertex[k] for order, k in chain_keys(lowprob.space.n).items()}
 
 
 @st.composite
@@ -152,36 +165,29 @@ class TestTwoMonotonicity:
 
 
 class TestChains:
-    def test_vertex_rejects_a_non_permutation(self):
-        lp = lp3(SUPERMOD3)
-        for order in ((0, 1), (0, 1, 1), (0, 1, 3), (0, 1, 2, 3)):
-            with pytest.raises(ValueError, match="permutation"):
-                chain_vertex(lp, order)
-
     def test_vertex_telescopes(self):
         lp = lp3(SUPERMOD3)
-        assert chain_vertex(lp, (0, 1, 2)) == (Q(1) / 10, Q(2) / 5, Q(1) / 2)
+        vertices = chain_vertices(lp)
+        assert vertices[(0, 1, 2)] == (Q(1) / 10, Q(2) / 5, Q(1) / 2)
         # under 2-monotonicity every chain point dominates L on every event
-        for order in itertools.permutations(range(3)):
-            p = chain_vertex(lp, order)
+        for p in vertices.values():
             assert all(sum(p[x] for x in e) >= v for e, v in lp.table)
 
     def test_vertex_check_catches_violation(self):
         # without 2-monotonicity some chain point leaves the credal set
         lp = lp3(NONSUPER3)
-        p = chain_vertex(lp, (1, 2, 0))
+        vertices = chain_vertices(lp)
+        p = vertices[(1, 2, 0)]
         assert p == (Q(1) / 4, Q(0), Q(3) / 4)
         assert sum(p[x] for x in (0, 1)) < lp.value((0, 1))
-        assert any(sum(chain_vertex(lp, order)[x] for x in e) < v
-                   for order in itertools.permutations(range(3)) for e, v in lp.table)
+        assert any(sum(p[x] for x in e) < v for p in vertices.values() for e, v in lp.table)
 
     @settings(max_examples=60, deadline=None)
     @given(monotone_capacities())
-    def test_vertex_matches_reference_telescoping(self, lp):
-        for order in itertools.permutations(range(lp.space.n)):
-            assert chain_vertex(lp, order) == reference_chain_vertex(lp, order)
+    def test_graph_matches_reference_fan(self, lp):
+        assert chain_graph(lp) == reference_chain_graph(lp)  # node order included
 
-    def test_step_table_is_built_by_chain_vertex_only(self):
+    def test_step_table_is_built_by_chain_graph_and_enumeration_only(self):
         # construction, value, choquet and the 2-monotone test leave the
         # step masses unbuilt: models queried once through choquet never
         # pay for them; the 2-monotone test builds and keeps the int table
@@ -194,16 +200,22 @@ class TestChains:
         assert steps is None
         is_two_monotone(lp)
         assert lp._ints[0] is table
-        first = chain_vertex(lp, (0, 1, 2))
+        vertices = chain_vertices(lp)
         steps = lp._ints[2]
         assert steps is not None and lp._ints[0] is table
         # built once and shared: equal steps are the same objects
-        second = chain_vertex(lp, (0, 2, 1))
-        assert lp._ints[2] is steps and second[0] is first[0]
+        first, second = vertices[(0, 1, 2)], vertices[(0, 2, 1)]
+        assert second[0] is first[0]
+        chain_graph(lp)
+        assert lp._ints[2] is steps
         masses = [v for row in steps for v in row if v is not None]
         assert len({id(v) for v in masses}) == len(set(masses))
         assert enumerate_extreme_2mono(lp)[0][0] is first[0]
         assert lp == lp3(SUPERMOD3) and hash(lp) == hash(lp3(SUPERMOD3))
+        # the enumeration builds the same table on a fresh model
+        fresh = lp3(SUPERMOD3)
+        point = enumerate_extreme_2mono(fresh)[0]
+        assert fresh._ints[2] is not None and point[0] is fresh._ints[2][0][0]
 
     def test_cone_generators_are_initial_segments(self):
         cone = chain_cone((2, 0, 1))
@@ -217,20 +229,6 @@ class TestChains:
             graph = chain_graph(lp)
             assert len(graph.nodes) == math.factorial(n)
             assert len(graph.edges) == math.factorial(n) * (n - 1) // 2
-
-    def test_neighbors_swap_adjacent_outcomes(self):
-        swaps = {(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)}
-        assert set(chain_neighbors((0, 1, 2, 3))) == swaps
-
-    def test_neighbor_relation_is_symmetric(self):
-        for order in itertools.permutations(range(4)):
-            for nb in chain_neighbors(order):
-                assert order in chain_neighbors(nb)
-
-    def test_neighbor_cones_share_a_wall(self):
-        order = (0, 1, 2, 3)
-        for nb in chain_neighbors(order):
-            assert are_adjacent(chain_cone(order), chain_cone(nb))
 
 
 class TestEnumeration:
@@ -277,7 +275,7 @@ class TestEnumeration:
         ]
         for lp in models:
             n = lp.space.n
-            chains = [chain_vertex(lp, order) for order in itertools.permutations(range(n))]
+            chains = [reference_chain_vertex(lp, order) for order in itertools.permutations(range(n))]
             points = enumerate_extreme_2mono(lp)
             assert len(points) == len(set(points))
             assert set(points) == set(chains)
@@ -299,7 +297,7 @@ class TestEnumeration:
         h = 1 << w - 1
         lp = self.belief(4, {frozenset({0, 1}): Fraction(h, d), frozenset({1, 2}): Fraction(1, d),
                              frozenset({3}): Fraction(d - h - 1, d)})
-        chains = [chain_vertex(lp, order) for order in itertools.permutations(range(4))]
+        chains = [reference_chain_vertex(lp, order) for order in itertools.permutations(range(4))]
         points = enumerate_extreme_2mono(lp)
         assert points == tuple(dict.fromkeys(chains))
         assert (Fraction(h, d), Q(0), Fraction(1, d), Fraction(d - h - 1, d)) in points

@@ -16,7 +16,7 @@ import pytest
 from credalfans.chains2mono import chain_graph, event_universe
 from credalfans.credal import OutcomeSpace
 from credalfans.exactla import dot, ones, rat
-from credalfans.fanwalk import graph_to_json, walk
+from credalfans.fanwalk import MescGraph, MescNode, graph_to_json, walk
 from credalfans.pri import PRIModel, enumerate_extreme_pri, induced_2mono, is_coherent_pri, pri_hrep
 
 
@@ -71,3 +71,6 @@ def test_graph_to_json_rejects_index_outside_universe():
     small = event_universe(2)
     with pytest.raises(ValueError):
         graph_to_json(graph, small)
+    negative = MescGraph((MescNode((-1,), (rat(1), rat(0))),), frozenset())
+    with pytest.raises(ValueError):
+        graph_to_json(negative, small)
