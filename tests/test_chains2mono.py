@@ -25,7 +25,7 @@ from credalfans.exactla import dot, unit
 from credalfans.fanwalk import MescGraph, MescNode
 from credalfans.polytope import lp_min, vertices_bruteforce
 
-from cone_calculus import adjacent_swaps, chain_cone, is_comonotone, reference_chain_vertex
+from cone_calculus import Cone, adjacent_swaps, are_adjacent, chain_cone, is_comonotone, reference_chain_vertex
 from conftest import SUPERMOD3, Q, belief_masses, lowprob_hrep, quadratic_lowprob, random_gamble
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -75,6 +75,21 @@ def reference_chain_graph(lowprob):
                    key=lambda node: node.gens)
     edges = frozenset(frozenset({k, keys[nb]}) for order, k in keys.items() for nb in adjacent_swaps(order))
     return MescGraph(tuple(nodes), edges)
+
+
+def graph_neighbors(graph):
+    """{node key: the set of keys it shares an edge with}."""
+    neighbors = {node.gens: set() for node in graph.nodes}
+    for a, b in map(tuple, graph.edges):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    return neighbors
+
+
+def lp4():
+    """A 2-monotone lower probability on four outcomes."""
+    sp = OutcomeSpace(tuple(f"x{i}" for i in range(4)))
+    return LowerProbability(sp, tuple(quadratic_lowprob(random.Random(4), 4).items()))
 
 
 def chain_vertices(lowprob):
@@ -229,6 +244,35 @@ class TestChains:
             graph = chain_graph(lp)
             assert len(graph.nodes) == math.factorial(n)
             assert len(graph.edges) == math.factorial(n) * (n - 1) // 2
+
+    def test_neighbors_swap_adjacent_outcomes(self):
+        keys, neighbors = chain_keys(4), graph_neighbors(chain_graph(lp4()))
+        swaps = {(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)}
+        assert neighbors[keys[(0, 1, 2, 3)]] == {keys[nb] for nb in swaps}
+
+    def test_neighbor_relation_is_symmetric(self):
+        # every order's graph neighbours are its adjacent swaps, and each
+        # swap lists the order back among its own swaps
+        keys, neighbors = chain_keys(4), graph_neighbors(chain_graph(lp4()))
+        for order, k in keys.items():
+            assert neighbors[k] == {keys[nb] for nb in adjacent_swaps(order)}
+            for nb in adjacent_swaps(order):
+                assert order in adjacent_swaps(nb) and k in neighbors[keys[nb]]
+
+    def test_neighbor_cones_share_a_wall(self):
+        # each edge joins two cones that differ in one generator and lie on
+        # opposite sides of their common wall; each wall bounds two cones
+        graph = chain_graph(lp4())
+        vectors = event_universe(4).vectors
+        for a, b in map(tuple, graph.edges):
+            assert len(set(a) ^ set(b)) == 2
+            assert are_adjacent(Cone(tuple(vectors[i] for i in a)), Cone(tuple(vectors[i] for i in b)))
+        walls = {}
+        for node in graph.nodes:
+            for i in range(len(node.gens)):
+                walls.setdefault(node.gens[:i] + node.gens[i + 1:], []).append(node.gens)
+        assert all(len(cones) == 2 for cones in walls.values())
+        assert {frozenset(cones) for cones in walls.values()} == graph.edges
 
 
 class TestEnumeration:
