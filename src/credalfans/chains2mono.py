@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cones import SupportUniverse
 from .credal import Gamble, LowerPrevision, OutcomeSpace, SchemaError, _schema_outcomes, _schema_rat
-from .exactla import ZERO, _scaled, indicator, rat, vec
-from .fanwalk import MescGraph, MescNode
+from .exactla import ZERO, Record, _scaled, indicator, rat, vec
 
 __all__ = [
     "LowerProbability",
@@ -55,26 +54,23 @@ class NotTwoMonotoneError(ValueError):
     """The operation requires a 2-monotone lower probability."""
 
 
-@dataclass(frozen=True)
-class LowerProbability:
+class LowerProbability(Record):
     """Lower probability on all events of a finite space.
 
     table lists every proper nonempty event with its value; the empty event
     and the sure event are pinned to 0 and 1. Values must lie in [0, 1] and
     be monotone under inclusion. 2-monotonicity is a separate, stronger
-    property checked by is_two_monotone.
+    property checked by is_two_monotone. _index maps each event to its value
+    and _ints holds the integer tables (_scaled_table), built on first use.
     """
 
-    space: OutcomeSpace
-    table: tuple
-    _index: dict = field(init=False, repr=False, compare=False, default=None)
-    _ints: tuple = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ("space", "table", "_index", "_ints")
 
-    def __post_init__(self):
-        n = self.space.n
+    def __init__(self, space: OutcomeSpace, table):
+        n = space.n
         omega = frozenset(range(n))
         index = {}
-        for e, v in self.table:
+        for e, v in table:
             fe = frozenset(e)
             if not fe <= omega:
                 raise ValueError("event outside the outcome space")
@@ -99,8 +95,7 @@ class LowerProbability:
                         f"not monotone: dropping outcome {x} from {sorted(e)} raises the value")
         table = tuple(sorted(((e, v) for e, v in index.items()
                               if e and e != omega), key=lambda t: (len(t[0]), sorted(t[0]))))
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_index", index)
+        self.space, self.table, self._index, self._ints = space, table, index, None
 
     def value(self, event):
         e = frozenset(x if isinstance(x, int) else self.space.index(x) for x in event)
@@ -118,8 +113,7 @@ def as_lower_prevision(lowprob: LowerProbability) -> LowerPrevision:
     return LowerPrevision.from_bounds(sp, lower=lows)
 
 
-@dataclass(frozen=True)
-class TwoMonotoneReport:
+class TwoMonotoneReport(NamedTuple):
     ok: bool
     violator: tuple = None  # incomparable pair (A, B) breaking the inequality
     lhs: object = None  # L(A | B) + L(A & B)
@@ -135,7 +129,7 @@ def _scaled_table(lowprob: LowerProbability):
         table = [0] * (1 << lowprob.space.n)
         for e, v in zip(lowprob._index, values):
             table[sum(1 << x for x in e)] = v
-        object.__setattr__(lowprob, "_ints", (tuple(table), d, None))
+        lowprob._ints = (tuple(table), d, None)
     return lowprob._ints[:2]
 
 
@@ -175,7 +169,7 @@ def _step_table(lowprob: LowerProbability) -> tuple:
         mass = functools.cache(lambda v: Fraction(v, d))
         steps = tuple(tuple(None if a & bx else mass(table[a | bx] - va) for bx in bits)
                       for a, va in enumerate(table))
-        object.__setattr__(lowprob, "_ints", (table, d, steps))
+        lowprob._ints = (table, d, steps)
     return steps
 
 
@@ -186,7 +180,7 @@ def event_universe(n: int) -> SupportUniverse:
         indicator(n, s) for r in range(1, n + 1) for s in itertools.combinations(range(n), r)))
 
 
-def chain_graph(lowprob: LowerProbability) -> MescGraph:
+def chain_graph(lowprob: LowerProbability):
     """The chain fan as a MescGraph over event_universe(n): one node per
     outcome order, keyed by the universe indices of its proper initial
     segments, each read by bitmask from one list, with the vertex that
@@ -196,6 +190,7 @@ def chain_graph(lowprob: LowerProbability) -> MescGraph:
     and (k+1)-th outcomes, and with no other. The edges are these swaps,
     each taken once, from the order that lists the pair ascending.
     Validity of the vertices (2-monotonicity) is the caller's concern."""
+    from .fanwalk import MescGraph, MescNode
     n = lowprob.space.n
     steps = _step_table(lowprob)
     index = [None] * (1 << n)

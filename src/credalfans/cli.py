@@ -28,18 +28,13 @@ approximations for reading convenience, explicitly marked non-authoritative.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import io
 import json
 import sys
 import time
 from fractions import Fraction
 
-from . import chains2mono, credal, pri
 from .exactla import DigitLimitError, dot, format_rat
-from .fanwalk import SeedSearchError, graph_to_dot, graph_to_json, verify_graph, walk
-from .polytope import EmptyPolytopeError, OracleGuardError, check_guards, vertices_bruteforce
 
 __all__ = ["main"]
 
@@ -75,17 +70,21 @@ def _read_json(path, what):
 
 
 def _load_model(path):
+    import hashlib  # loads OpenSSL: a start-up cost only model commands pay
     raw, obj = _read_json(path, "model")
     digest = hashlib.sha256(raw).hexdigest()
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("model document must be an object with a 'type' field")
     tag = obj["type"]
+    from . import credal
     try:
         if tag == "lower_prevision":
             return tag, credal.lower_prevision_from_json(obj), digest
         if tag == "lower_probability":
+            from . import chains2mono
             return tag, chains2mono.lower_probability_from_json(obj), digest
         if tag == "pri":
+            from . import pri
             return tag, pri.pri_from_json(obj), digest
     except credal.SchemaError as exc:
         raise InputError(str(exc)) from None
@@ -120,15 +119,18 @@ def _pick_engine(requested, tag, model):
     if tag == "pri":
         return "pri"
     if tag == "lower_probability":
-        return "chains" if chains2mono.is_two_monotone(model).ok else "walk"
+        from .chains2mono import is_two_monotone
+        return "chains" if is_two_monotone(model).ok else "walk"
     return "walk"
 
 
 def _as_prevision(tag, model):
     """The model as a lower prevision, for the generic engines."""
     if tag == "lower_probability":
+        from . import chains2mono
         return chains2mono.as_lower_prevision(model)
     if tag == "pri":
+        from . import pri
         return pri.as_lower_prevision(model)
     return model
 
@@ -136,12 +138,15 @@ def _as_prevision(tag, model):
 def _hrep(tag, model):
     """(polytope, universe) of the credal set for the generic engines."""
     if tag == "pri":
-        return pri.pri_hrep(model)
-    return credal.build_credal_hrep(_as_prevision(tag, model))
+        from .pri import pri_hrep
+        return pri_hrep(model)
+    from .credal import build_credal_hrep
+    return build_credal_hrep(_as_prevision(tag, model))
 
 
 def _oracle_points(tag, model):
     """The brute-force vertex set, subject to the oracle guards."""
+    from .polytope import vertices_bruteforce
     h, _ = _hrep(tag, model)
     return frozenset(v.point for v in vertices_bruteforce(h))
 
@@ -150,11 +155,13 @@ def _check_verify(args, tag, model):
     """Under --verify, refuse a model past the oracle guards before the
     engine runs, with the refusal the oracle itself would raise."""
     if args.verify:
+        from .polytope import check_guards
         _run_engine("oracle", lambda tag, model: check_guards(_hrep(tag, model)[0]), tag, model)
 
 
 def _require_two_monotone(model):
-    rep = chains2mono.is_two_monotone(model)
+    from .chains2mono import is_two_monotone
+    rep = is_two_monotone(model)
     if not rep.ok:
         names = model.space.names
         a, b = rep.violator
@@ -168,6 +175,7 @@ def _require_two_monotone(model):
 def _chain_model(tag, model):
     """The 2-monotone lower probability the chains engine works on."""
     if tag == "pri":
+        from . import pri
         if not pri.is_coherent_pri(model).proper:
             raise PropertyError("improper interval model: no distribution fits the bounds")
         model = pri.induced_2mono(model)
@@ -179,6 +187,7 @@ def _chain_model(tag, model):
 # functions the exact lower expectation of a gamble's value vector.
 
 def _pri_graph(tag, model):
+    from . import pri
     points, graph = pri.enumerate_extreme_pri(model)
     return graph, pri.pri_hrep(model)[1], points
 
@@ -190,6 +199,7 @@ def _chains_graph(tag, model):
             f"chain fan refused: {n} outcomes > {CHAIN_FAN_MAX_N} ({n}! chains); "
             "use --engine pri for interval models")
     model = _chain_model(tag, model)
+    from . import chains2mono
     graph = chains2mono.chain_graph(model)
     return graph, chains2mono.event_universe(n), graph.vertices
 
@@ -201,18 +211,21 @@ def _walk_graph(tag, model):
     # Repeated half-spaces are one row; a wall still left without a neighbour
     # makes vertices and graph refuse the graph (_require_complete), fan report it.
     if tag == "pri":
-        if not pri.is_coherent_pri(model).coherent:
+        from .pri import is_coherent_pri
+        if not is_coherent_pri(model).coherent:
             raise PropertyError(
                 "incoherent interval model: the adjacency walk needs reachable "
                 "bounds (run check for the repaired bounds)")
     else:
-        rep = credal.is_coherent(_as_prevision(tag, model))
+        from .credal import is_coherent
+        rep = is_coherent(_as_prevision(tag, model))
         if not rep.coherent:
             raise PropertyError(
                 "empty credal set" if rep.empty
                 else "incoherent model: some assessed bound is not attained; "
                      "the adjacency walk needs a coherent model (try --engine oracle "
                      "for the raw vertex set)")
+    from .fanwalk import walk
     graph = walk(h, universe)
     return graph, universe, graph.vertices
 
@@ -220,22 +233,34 @@ def _walk_graph(tag, model):
 def _oracle_natex(tag, model, gamble):
     # Raw polytope minimum: valid on incoherent input too, where the
     # natural extension (an envelope notion) refuses to answer.
+    from .polytope import EmptyPolytopeError
     points = _oracle_points(tag, model)
     if not points:
         raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
     return min(dot(gamble, p) for p in points)
 
 
+def _pri_natex(tag, model, gamble):
+    from .pri import natural_extension_pri
+    return natural_extension_pri(model, gamble)
+
+
+def _chains_natex(tag, model, gamble):
+    from .chains2mono import choquet
+    return choquet(_chain_model(tag, model), gamble)
+
+
+def _walk_natex(tag, model, gamble):
+    from .credal import natural_extension
+    return natural_extension(_as_prevision(tag, model), gamble)
+
+
 # engine -> (graph function, natex function), each called through _run_engine
 ENGINES = {
-    "pri": (_pri_graph,
-            lambda tag, model, gamble: pri.natural_extension_pri(model, gamble)),
-    "chains": (_chains_graph,
-               lambda tag, model, gamble: chains2mono.choquet(_chain_model(tag, model), gamble)),
-    "walk": (_walk_graph,
-             lambda tag, model, gamble: credal.natural_extension(_as_prevision(tag, model), gamble)),
-    "oracle": (lambda tag, model: (None, None, _oracle_points(tag, model)),
-               _oracle_natex),
+    "pri": (_pri_graph, _pri_natex),
+    "chains": (_chains_graph, _chains_natex),
+    "walk": (_walk_graph, _walk_natex),
+    "oracle": (lambda tag, model: (None, None, _oracle_points(tag, model)), _oracle_natex),
 }
 
 
@@ -254,16 +279,18 @@ def _guard_advice(exc, engine, tag):
 
 
 def _run_engine(engine, step, tag, *args):
-    """Run step(tag, *args), mapping the engines' exceptions to exit classes."""
+    """Run step(tag, *args), mapping the engines' exceptions to exit classes.
+    credal and polytope define them, so both load before the step runs."""
+    from . import credal, polytope
     try:
         return step(tag, *args)
     except credal.IncoherenceError as exc:
         raise PropertyError(str(exc)) from None
-    except EmptyPolytopeError as exc:
+    except polytope.EmptyPolytopeError as exc:
         raise PropertyError(f"empty credal set: {exc}") from None
-    except OracleGuardError as exc:
+    except polytope.OracleGuardError as exc:
         raise InputError(_guard_advice(exc, engine, tag)) from None
-    except SeedSearchError as exc:
+    except polytope.SeedSearchError as exc:
         raise PropertyError(f"{exc}: the walk cannot start (try --engine oracle)") from None
 
 
@@ -354,6 +381,7 @@ def _emit_vertices(points, names, out_path, decimal, report):
     header = list(names)
     if decimal:
         header += [f"{name}_dec" for name in names]
+    import csv
     target = io.StringIO() if out_path else sys.stdout
     writer = csv.writer(target)
     writer.writerow(header)
@@ -377,7 +405,8 @@ def _cmd_check(args):
     report.add("type", tag)
     ok = True
     if tag == "pri":
-        rep = pri.is_coherent_pri(model)
+        from .pri import is_coherent_pri
+        rep = is_coherent_pri(model)
         report.add("proper", rep.proper)
         report.add("coherent", rep.coherent)
         if rep.proper and not rep.coherent:
@@ -386,7 +415,8 @@ def _cmd_check(args):
             report.add("repaired_upper", " ".join(format_rat(x) for x in fixed.upper))
         ok = rep.coherent
     elif tag == "lower_probability":
-        rep = chains2mono.is_two_monotone(model)
+        from .chains2mono import is_two_monotone
+        rep = is_two_monotone(model)
         report.add("two_monotone", rep.ok)
         if not rep.ok:
             a, b = rep.violator
@@ -396,7 +426,8 @@ def _cmd_check(args):
             report.add("violation", f"{format_rat(rep.lhs)} < {format_rat(rep.rhs)}")
         ok = rep.ok
     else:
-        rep = _run_engine("oracle", lambda tag, model: credal.is_coherent(model), tag, model)
+        from .credal import is_coherent
+        rep = _run_engine("oracle", lambda tag, model: is_coherent(model), tag, model)
         report.add("empty", rep.empty)
         report.add("coherent", rep.coherent)
         for chk in rep.failures():
@@ -420,6 +451,7 @@ def _cmd_vertices(args):
 
 def _cmd_fan(args):
     tag, model, graph, _, points, report = _compute_graph(args, "fan")
+    from .fanwalk import graph_to_dot, verify_graph
     fan_rep = verify_graph(graph)
     report.add("n_nodes", fan_rep.n_nodes)
     report.add("n_edges", fan_rep.n_edges)
@@ -445,6 +477,7 @@ def _cmd_graph(args):
     report.add("n_edges", len(graph.pairs))
     if args.verify:
         _verify_vertices(tag, model, points, report)
+    from .fanwalk import graph_to_json
     payload = json.dumps(graph_to_json(graph, universe), indent=2)
     if args.out:
         _write_file(args.out, payload + "\n")
@@ -459,9 +492,10 @@ def _cmd_graph(args):
 def _cmd_natex(args):
     tag, model, engine, report = _start(args, "natex")
     _, gobj = _read_json(args.gamble, "gamble")
+    from .credal import SchemaError, parse_gamble
     try:
-        gamble = credal.parse_gamble(gobj, model.space, "gamble").values
-    except credal.SchemaError as exc:
+        gamble = parse_gamble(gobj, model.space, "gamble").values
+    except SchemaError as exc:
         raise InputError(str(exc)) from None
     _check_verify(args, tag, model)
     t0 = time.perf_counter()
@@ -494,8 +528,9 @@ def _cmd_bounds(args):
         report.add("sha256", digest)
     else:
         n = args.n
+    from .pri import count_bounds
     try:
-        low, high = pri.count_bounds(n)
+        low, high = count_bounds(n)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     report.add("n", n)

@@ -12,23 +12,20 @@ on the integer rows of each cone's dual basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactla import ones, vec
+from .exactla import Record, ones, vec
 
 __all__ = ["SupportUniverse"]
 
 
-@dataclass(frozen=True)
-class SupportUniverse:
+class SupportUniverse(Record):
     """Finite family of support vectors; must contain the constant-one
     vector (the lineality direction of every cone drawn from it).
     Stored sorted and deduplicated."""
 
-    vectors: tuple
+    __slots__ = ("vectors",)
 
-    def __post_init__(self):
-        vs = tuple(sorted({vec(v) for v in self.vectors}))
+    def __init__(self, vectors):
+        vs = tuple(sorted({vec(v) for v in vectors}))
         if not vs:
             raise ValueError("empty support universe")
         n = len(vs[0])
@@ -36,7 +33,7 @@ class SupportUniverse:
             raise ValueError("mixed dimensions in support universe")
         if ones(n) not in vs:
             raise ValueError("support universe must contain the constant-one vector")
-        object.__setattr__(self, "vectors", vs)
+        self.vectors = vs
 
     @property
     def dim(self) -> int:

@@ -27,19 +27,11 @@ engines exist precisely to avoid them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cones import SupportUniverse
-from .exactla import ZERO, dot, indicator, ones, rat, unit, vec
-from .polytope import (
-    EmptyPolytopeError,
-    HPolytope,
-    UnboundedLpError,
-    lp_min,
-    lp_minima,
-    vertices_bruteforce,
-)
+from .exactla import ZERO, Record, dot, indicator, ones, rat, unit, vec
 
 __all__ = [
     "OutcomeSpace",
@@ -70,22 +62,21 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
-class OutcomeSpace:
+class OutcomeSpace(Record):
     """Finite possibility space with named outcomes (order is significant:
     it fixes vector coordinates)."""
 
-    names: tuple
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        names = tuple(self.names)
+    def __init__(self, names):
+        names = tuple(names)
         if not names:
             raise ValueError("outcome space must be nonempty")
         if len(set(names)) != len(names):
             raise ValueError("duplicate outcome names")
         if any(not isinstance(n, str) or not n for n in names):
             raise ValueError("outcome names must be nonempty strings")
-        object.__setattr__(self, "names", names)
+        self.names = names
 
     @property
     def n(self) -> int:
@@ -98,18 +89,16 @@ class OutcomeSpace:
             raise KeyError(f"unknown outcome {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Gamble:
+class Gamble(Record):
     """Real-valued map on an outcome space, stored as an exact vector."""
 
-    space: OutcomeSpace
-    values: tuple
+    __slots__ = ("space", "values")
 
-    def __post_init__(self):
-        values = vec(self.values)
-        if len(values) != self.space.n:
+    def __init__(self, space: OutcomeSpace, values):
+        values = vec(values)
+        if len(values) != space.n:
             raise ValueError("gamble length does not match the outcome space")
-        object.__setattr__(self, "values", values)
+        self.space, self.values = space, values
 
     @classmethod
     def indicator(cls, space: OutcomeSpace, members) -> "Gamble":
@@ -125,41 +114,43 @@ class Gamble:
         return all(a == self.values[0] for a in self.values)
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(Record):
     """One accepted bound: the gamble's lower prevision."""
 
-    gamble: Gamble
-    lower: object
+    __slots__ = ("gamble", "lower")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lower", rat(self.lower))
+    def __init__(self, gamble: Gamble, lower):
+        self.gamble = gamble
+        self.lower = rat(lower)
 
 
-@dataclass(frozen=True)
-class LowerPrevision:
+class LowerPrevision(Record):
     """Finitely many assessments on a common outcome space.
 
     Constant gambles are rejected: an assessment on a constant is either
     vacuous or contradictory and has no facet normal, so it cannot take part
-    in the fan machinery. At most one assessment per distinct gamble.
+    in the fan machinery. At most one assessment per distinct gamble. The
+    hash, the key of the per-model caches, is computed once.
     """
 
-    space: OutcomeSpace
-    assessments: tuple
+    __slots__ = ("space", "assessments", "_hash")
 
-    def __post_init__(self):
-        assessments = tuple(self.assessments)
+    def __init__(self, space: OutcomeSpace, assessments):
+        assessments = tuple(assessments)
         seen = set()
         for a in assessments:
-            if a.gamble.space != self.space:
+            if a.gamble.space != space:
                 raise ValueError("assessment on a different outcome space")
             if a.gamble.is_constant():
                 raise ValueError("assessment on a constant gamble is not representable")
             if a.gamble.values in seen:
                 raise ValueError("two assessments on the same gamble")
             seen.add(a.gamble.values)
-        object.__setattr__(self, "assessments", assessments)
+        self.space, self.assessments = space, assessments
+        self._hash = hash((space, assessments))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_bounds(cls, space: OutcomeSpace, lower=(), upper=()) -> "LowerPrevision":
@@ -191,6 +182,7 @@ def _nonneg_row_implied(x: int, other_rows, n: int) -> bool:
     """Is p(x) >= 0 implied by the listed rows plus total mass one? One LP:
     the minimum of p(x) over that relaxation is at least 0. A relaxation
     that is empty, or on which p(x) is unbounded below, implies nothing."""
+    from .polytope import EmptyPolytopeError, HPolytope, UnboundedLpError, lp_min
     relaxed = HPolytope(n, tuple(other_rows), ((ones(n), 1),))
     try:
         return lp_min(relaxed, unit(n, x)).value >= 0
@@ -212,6 +204,7 @@ def build_credal_hrep(lp: LowerPrevision):
     universe, only where no assessment covers 1_x. Rows keep the
     assessments' order, then the unassessed outcomes'.
     """
+    from .polytope import HPolytope
     n = lp.space.n
     rows: dict = {}
     for a in lp.assessments:
@@ -227,8 +220,7 @@ def build_credal_hrep(lp: LowerPrevision):
     return h, SupportUniverse(tuple(sorted(universe)))
 
 
-@dataclass(frozen=True)
-class AssessmentCheck:
+class AssessmentCheck(NamedTuple):
     lower: object
     attained: object  # exact minimum over the credal set, None when empty
 
@@ -237,8 +229,7 @@ class AssessmentCheck:
         return self.attained == self.lower
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
+class CoherenceReport(NamedTuple):
     coherent: bool
     empty: bool
     checks: tuple
@@ -253,6 +244,7 @@ def is_coherent(lp: LowerPrevision) -> CoherenceReport:
     one ``lp_minima``. A bound strictly below the minimum is not attained
     (the assessment is too weak to be an envelope value); a bound above
     would empty the set."""
+    from .polytope import EmptyPolytopeError, lp_minima
     h, _ = build_credal_hrep(lp)
     try:
         attained = lp_minima(h, [a.gamble.values for a in lp.assessments])
@@ -267,6 +259,7 @@ def is_coherent(lp: LowerPrevision) -> CoherenceReport:
 def _credal_vertices(lp: LowerPrevision):
     """The coherence report and, for a coherent model, the vertex set the
     natural extension minimises over, computed once per model."""
+    from .polytope import vertices_bruteforce
     report = is_coherent(lp)
     vs = vertices_bruteforce(build_credal_hrep(lp)[0]) if report.coherent else ()
     return vs, report

@@ -77,7 +77,29 @@ ZERO = rat(0)
 ONE = rat(1)
 
 
+class Record:
+    """Validated value class with no generated code: equality (within a class),
+    hashing and repr read the __slots__ not starting with "_" (caches)."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+
+
 def vec(values) -> tuple:
+    """values as a tuple of Fractions; one that already is comes back as is."""
+    if type(values) is tuple and all(type(a) is Fraction for a in values):
+        return values
     return tuple(rat(v) for v in values)
 
 
@@ -117,10 +139,8 @@ def is_multiple(u, v) -> bool:
     return all(rat(a) == c * b for a, b in zip(u, v))
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    assert r == 0
-    return q
+def _inexact(x: int, det: int):
+    raise AssertionError(f"pivot division {x} / {det} is not exact")
 
 
 def _scaled(v) -> tuple:
@@ -143,8 +163,9 @@ def _pivot(t: list[list[int]], det: int, r: int, c: int) -> int:
     """Integer-preserving Gauss-Jordan pivot on t[r][c] (Edmonds): every
     row holds det times its rational values, before and after, and the new
     det is returned. Each entry of another row becomes
-    (p * a - f * b) / det, an exact division. A negative pivot row is
-    negated first, so det stays positive and signs read off the integers."""
+    (p * a - f * b) / det, an exact division, checked entry by entry
+    (_inexact otherwise). A negative pivot row is negated first, so det
+    stays positive and signs read off the integers."""
     if t[r][c] < 0:
         t[r] = [-a for a in t[r]]
     pr = t[r]
@@ -152,7 +173,8 @@ def _pivot(t: list[list[int]], det: int, r: int, c: int) -> int:
     for i, row in enumerate(t):
         if i != r:
             f = row[c]
-            t[i] = [_exact_div(p * a - f * b, det) for a, b in zip(row, pr)]
+            t[i] = [x // det if not (x := p * a - f * b) % det else _inexact(x, det)
+                    for a, b in zip(row, pr)]
     return p
 
 

@@ -38,13 +38,12 @@ from typing import NamedTuple
 
 from .cones import SupportUniverse
 from .exactla import _scaled, format_rat, is_multiple, ones, rat, scaled_inverse
-from .polytope import HPolytope, lp_min
+from .polytope import HPolytope, SeedSearchError, lp_min
 
 __all__ = [
     "MescNode",
     "MescGraph",
     "FanReport",
-    "SeedSearchError",
     "neighbor_candidates",
     "walk",
     "verify_graph",
@@ -56,12 +55,7 @@ __all__ = [
 SEED_ATTEMPTS = 32
 
 
-class SeedSearchError(RuntimeError):
-    """No starting MESC found after SEED_ATTEMPTS generic directions."""
-
-
-@dataclass(frozen=True)
-class MescNode:
+class MescNode(NamedTuple):
     """A MESC plus the vertex it certifies. gens is the sorted tuple of the
     generators' indices in the engine's SupportUniverse; the universe is
     stored sorted, so index order is generator order."""
@@ -76,7 +70,8 @@ class MescGraph:
     of node keys (gens), which readers take from ``pairs``. incomplete_walls
     records (gens, dropped index) walls where no neighbour was found, which
     can only happen on degenerate input. ``vertices`` and ``pairs`` are
-    built on the first read, kept, and outside equality and hashing."""
+    built on the first read, kept, and outside equality and hashing. It stays
+    a dataclass: tests and the benchmark derive graphs by dataclasses.replace."""
 
     nodes: tuple
     edges: frozenset
@@ -254,8 +249,7 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
     return MescGraph(ordered, frozenset(edges), tuple(incomplete))
 
 
-@dataclass(frozen=True)
-class FanReport:
+class FanReport(NamedTuple):
     """Structural summary of a MESC graph."""
 
     n_nodes: int

@@ -12,12 +12,12 @@ function by one exact simplex, ``lp_minima`` many, under the same guards.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exactla import (
     LpInfeasible,
     LpUnbounded,
+    Record,
     dot,
     rank,
     rat,
@@ -36,6 +36,7 @@ __all__ = [
     "OracleGuardError",
     "EmptyPolytopeError",
     "UnboundedLpError",
+    "SeedSearchError",
     "check_guards",
     "vertices_bruteforce",
     "lp_min",
@@ -55,25 +56,25 @@ class UnboundedLpError(RuntimeError):
     """The objective is unbounded below over the polyhedron."""
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class SeedSearchError(RuntimeError):
+    """No seed cone for ``fanwalk.walk``; here, so the command line catches it unloaded."""
+
+
+class HPolytope(Record):
     """dim-dimensional H-polytope: rows (f, b) meaning x . f >= b, equality
     rows meaning x . f == b."""
 
-    dim: int
-    inequalities: tuple
-    equalities: tuple = ()
+    __slots__ = ("dim", "inequalities", "equalities")
 
-    def __post_init__(self):
-        ineqs = tuple((vec(f), rat(b)) for f, b in self.inequalities)
-        eqs = tuple((vec(f), rat(b)) for f, b in self.equalities)
+    def __init__(self, dim: int, inequalities, equalities=()):
+        ineqs = tuple((vec(f), rat(b)) for f, b in inequalities)
+        eqs = tuple((vec(f), rat(b)) for f, b in equalities)
         for f, _ in ineqs + eqs:
-            if len(f) != self.dim:
+            if len(f) != dim:
                 raise ValueError("constraint normal has wrong dimension")
-            if all(a == 0 for a in f):
+            if not any(f):
                 raise ValueError("zero constraint normal")
-        object.__setattr__(self, "inequalities", ineqs)
-        object.__setattr__(self, "equalities", eqs)
+        self.dim, self.inequalities, self.equalities = dim, ineqs, eqs
 
     @property
     def n_constraints(self) -> int:
@@ -85,14 +86,14 @@ class HPolytope:
             dot(x, f) == b for f, b in self.equalities
         )
 
-@dataclass(frozen=True)
-class Vertex:
+
+class Vertex(Record):
     """Extreme point of a polytope."""
 
-    point: tuple
+    __slots__ = ("point",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "point", vec(self.point))
+    def __init__(self, point):
+        self.point = vec(point)
 
 
 class LpResult(NamedTuple):

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .chains2mono import LowerProbability
 from .cones import SupportUniverse
 from .credal import (
     Gamble,
@@ -47,9 +46,7 @@ from .credal import (
     _schema_outcomes,
     parse_gamble,
 )
-from .exactla import ZERO, _scaled, indicator, ones, vec, vneg
-from .fanwalk import MescGraph, MescNode, walk
-from .polytope import HPolytope
+from .exactla import ZERO, Record, _scaled, indicator, ones, vec, vneg
 
 __all__ = [
     "PRIModel",
@@ -66,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PRIModel:
+class PRIModel(Record):
     """Interval bounds on each singleton mass.
 
     Construction checks only the elementwise sanity 0 <= l <= u <= 1; the
@@ -77,30 +73,24 @@ class PRIModel:
     diagnosed.
     """
 
-    space: OutcomeSpace
-    lower: tuple
-    upper: tuple
+    __slots__ = ("space", "lower", "upper")
 
-    def __post_init__(self):
-        lo = vec(self.lower)
-        up = vec(self.upper)
-        n = self.space.n
+    def __init__(self, space: OutcomeSpace, lower, upper):
+        lo, up, n = vec(lower), vec(upper), space.n
         if len(lo) != n or len(up) != n:
             raise ValueError("bound vectors must match the outcome space")
         for x in range(n):
             if not (0 <= lo[x] <= up[x] <= 1):
                 raise ValueError(
-                    f"need 0 <= l <= u <= 1 at outcome {self.space.names[x]}")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
+                    f"need 0 <= l <= u <= 1 at outcome {space.names[x]}")
+        self.space, self.lower, self.upper = space, lo, up
 
     @property
     def n(self) -> int:
         return self.space.n
 
 
-@dataclass(frozen=True)
-class PriCoherenceReport:
+class PriCoherenceReport(NamedTuple):
     """proper: some distribution satisfies all bounds. coherent: proper and
     every bound attained (reachable). repaired: the reachable shrink of the
     intervals, None when improper."""
@@ -198,6 +188,7 @@ def enumerate_extreme_pri(m: PRIModel):
     and at n == 2 the segment's two ends, each certified by one singleton
     row.
     """
+    from .fanwalk import MescGraph, MescNode, walk
     if not is_coherent_pri(m).coherent:
         raise IncoherenceError("extreme-point walk requires a coherent interval model")
     n = m.n
@@ -264,10 +255,11 @@ def natural_extension_pri(m: PRIModel, f):
     raise AssertionError("coherent model must admit a split position")
 
 
-def induced_2mono(m: PRIModel) -> LowerProbability:
+def induced_2mono(m: PRIModel):
     """The lower probability induced on events: mass forced into A directly
     plus mass that cannot escape to the complement. For a coherent interval
     model this is the exact envelope and is 2-monotone."""
+    from .chains2mono import LowerProbability
     n = m.n
     table = []
     for size in range(1, n):
@@ -313,6 +305,7 @@ def pri_hrep(m: PRIModel):
     upper row per complement indicator, plus the mass-one equality. The
     universe, of every row normal and the constant, is one immutable object
     shared by all models on n outcomes."""
+    from .polytope import HPolytope
     n = m.n
     normals, universe, _ = _interval_fan(n)
     one = ones(n)

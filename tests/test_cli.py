@@ -274,7 +274,7 @@ class TestIncompleteFan:
             g = walk(h, universe)
             return dataclasses.replace(g, incomplete_walls=((g.nodes[0].gens, g.nodes[0].gens[-1]),))
 
-        monkeypatch.setattr("credalfans.cli.walk", open_wall)
+        monkeypatch.setattr("credalfans.fanwalk.walk", open_wall)
         path = _prevision_file(tmp_path, *REDUNDANT_MODELS["redundant_envelope_a"])
         for command in ("vertices", "graph"):
             code, out, err = run(capsys, command, "--model", path)
@@ -289,7 +289,7 @@ class TestIncompleteFan:
         def no_seed(h, universe):
             raise SeedSearchError("no seed MESC found in 32 attempts")
 
-        monkeypatch.setattr("credalfans.cli.walk", no_seed)
+        monkeypatch.setattr("credalfans.fanwalk.walk", no_seed)
         path = _prevision_file(tmp_path, *REDUNDANT_MODELS["no_seed_n2"])
         for command in ("vertices", "fan", "graph"):
             code, out, err = run(capsys, command, "--model", path)

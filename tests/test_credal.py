@@ -89,6 +89,16 @@ class TestSpacesAndGambles:
         assert conj.gamble.values == (Q(-1), Q(0), Q(0))
         assert conj.lower == Q(-1) / 2
 
+    def test_records_compare_and_hash_by_their_fields(self):
+        lp = LowerPrevision.from_bounds(SP3, lower=[((1, 0, 0), Q(1) / 4)])
+        twin = LowerPrevision.from_bounds(OutcomeSpace(["x1", "x2", "x3"]),
+                                          lower=[([1, 0, 0], "1/4")])
+        assert lp == twin and hash(lp) == hash(twin) and lp is not twin
+        assert build_credal_hrep(twin) is build_credal_hrep(lp)  # one cache entry
+        assert lp != LowerPrevision.from_bounds(SP3, lower=[((1, 0, 0), Q(1) / 3)])
+        assert lp != (lp.space, lp.assessments)  # a record is no tuple
+        assert repr(SP3) == "OutcomeSpace(('x1', 'x2', 'x3'))"
+
 
 class TestHrepConstruction:
     def test_vacuous_universe_and_rows(self):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from credalfans.exactla import (
     LpInfeasible,
     LpUnbounded,
+    _pivot,
     dot,
     format_rat,
     is_multiple,
@@ -63,6 +64,11 @@ def test_vector_helpers():
     assert is_multiple(vec([-3, -3]), ones(2))
     assert is_multiple(zeros(2), ones(2))
     assert not is_multiple(vec([1, 2]), ones(2))
+    v = vec([1, "1/2"])
+    assert vec(v) is v  # a tuple of Fractions comes back as it is
+    assert vec(list(v)) == v and vec(list(v)) is not v
+    with pytest.raises(TypeError):
+        vec((Q(1), 0.5))
 
 
 # ---------------------------------------------------------------- rank
@@ -72,6 +78,14 @@ def test_rank_event_indicators_with_constant():
     # 1_{x1,x2}, 1_{x2,x3}, 1_{x1,x3}, 1_Omega on a 4-outcome space
     m = rows([1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 1, 1])
     assert rank(m) == 4
+
+
+def test_pivot_checks_that_every_division_is_exact():
+    t = [[2, 1], [1, 1]]
+    assert _pivot(t, 1, 0, 0) == 2
+    assert t == [[2, 1], [0, 1]]
+    with pytest.raises(AssertionError):  # det 3 does not divide 2 * 1 - 1 * 1
+        _pivot([[2, 1], [1, 1]], 3, 0, 0)
 
 
 def test_rank_degenerate_cases():

@@ -9,8 +9,9 @@ A use of a name is a name read or an attribute access in the code (an
 definition and the ``__all__`` entry itself do not count. Dunder names such
 as ``__version__`` are conventions, not API, and are exempt.
 
-A use of a class member (method, property or class-body attribute,
-dataclass fields included) is an ``ast.Attribute`` read of its name;
+A use of a class member (method, property or class-body attribute, record
+fields included: NamedTuple and dataclass fields and the names in
+``__slots__``) is an ``ast.Attribute`` read of its name;
 ``self.name`` counts, and so does a read inside the class itself, but
 setting the field through a constructor keyword does not. A use of a
 defaulted parameter is a call of the function's name that passes it, by
@@ -18,8 +19,11 @@ keyword or by position.
 """
 
 import ast
+import importlib
 from functools import cache
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "credalfans"
@@ -90,12 +94,15 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 
 def _members(cls):
-    """Public methods, properties and class-body attributes of a class."""
+    """Public methods, properties and class-body attributes of a class,
+    the fields a class lists in ``__slots__`` included."""
     for node in cls.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            if names == ["__slots__"]:
+                names = list(ast.literal_eval(node.value))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names = [node.target.id]
         else:
@@ -159,3 +166,43 @@ def test_every_exemption_names_a_parameter_still_unpassed():
     # exist, keep its default and have no caller outside the tests
     stale = sorted(UNPASSED_PARAMETERS_ALLOWED - _unpassed_parameters())
     assert not stale, f"exemptions for parameters that are gone or now passed: {stale}"
+
+
+# The package's records: (module, class, public fields).
+RECORDS = [
+    ("credal", "OutcomeSpace", {"names"}),
+    ("credal", "Gamble", {"space", "values"}),
+    ("credal", "Assessment", {"gamble", "lower"}),
+    ("credal", "LowerPrevision", {"space", "assessments"}),
+    ("credal", "AssessmentCheck", {"lower", "attained"}),
+    ("credal", "CoherenceReport", {"coherent", "empty", "checks"}),
+    ("polytope", "HPolytope", {"dim", "inequalities", "equalities"}),
+    ("polytope", "Vertex", {"point"}),
+    ("cones", "SupportUniverse", {"vectors"}),
+    ("pri", "PRIModel", {"space", "lower", "upper"}),
+    ("pri", "PriCoherenceReport", {"proper", "coherent", "repaired"}),
+    ("chains2mono", "LowerProbability", {"space", "table"}),
+    ("chains2mono", "TwoMonotoneReport", {"ok", "violator", "lhs", "rhs"}),
+    ("fanwalk", "MescNode", {"gens", "vertex"}),
+    ("fanwalk", "MescGraph", {"nodes", "edges", "incomplete_walls"}),
+    ("fanwalk", "FanReport", {"n_nodes", "n_edges", "n_vertices", "degree_histogram",
+                              "connected", "regular", "ok"}),
+]
+
+
+def _record_fields(cls):
+    """The public fields of a live record class, whatever kind it is."""
+    if hasattr(cls, "_fields"):  # NamedTuple
+        return set(cls._fields)
+    if hasattr(cls, "__dataclass_fields__"):
+        return set(cls.__dataclass_fields__)
+    return {name for name in cls.__slots__ if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("module, name, fields", RECORDS, ids=[r[1] for r in RECORDS])
+def test_the_member_gate_sees_every_record_field(module, name, fields):
+    cls = getattr(importlib.import_module(f"credalfans.{module}"), name)
+    assert _record_fields(cls) == fields
+    (node,) = (n for n in _parse(PACKAGE / f"{module}.py").body
+               if isinstance(n, ast.ClassDef) and n.name == name)
+    assert fields <= set(_members(node))
