@@ -69,23 +69,27 @@ def _read_json(path, what):
         raise InputError(f"{what} file is nested too deeply to parse") from None
 
 
-def _load_model(path):
+def _load_model(path, command):
+    """(tag, model, report): the parsed model and the command's run report,
+    opened on the model's path and the sha256 of its bytes."""
     import hashlib  # loads OpenSSL: a start-up cost only model commands pay
     raw, obj = _read_json(path, "model")
-    digest = hashlib.sha256(raw).hexdigest()
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("model document must be an object with a 'type' field")
+    report = Report(command)
+    report.add("model", path)
+    report.add("sha256", hashlib.sha256(raw).hexdigest())
     tag = obj["type"]
     from . import credal
     try:
         if tag == "lower_prevision":
-            return tag, credal.lower_prevision_from_json(obj), digest
+            return tag, credal.lower_prevision_from_json(obj), report
         if tag == "lower_probability":
             from . import chains2mono
-            return tag, chains2mono.lower_probability_from_json(obj), digest
+            return tag, chains2mono.lower_probability_from_json(obj), report
         if tag == "pri":
             from . import pri
-            return tag, pri.pri_from_json(obj), digest
+            return tag, pri.pri_from_json(obj), report
     except credal.SchemaError as exc:
         raise InputError(str(exc)) from None
     raise InputError(f"unknown model type {tag!r}")
@@ -159,17 +163,19 @@ def _check_verify(args, tag, model):
         _run_engine("oracle", lambda tag, model: check_guards(_hrep(tag, model)[0]), tag, model)
 
 
+def _violation(model, rep):
+    """(event a, event b, "lhs < rhs") of a failed 2-monotonicity report,
+    each event as its outcome names joined by |."""
+    a, b = ("|".join(model.space.names[i] for i in sorted(e)) for e in rep.violator)
+    return a, b, f"{format_rat(rep.lhs)} < {format_rat(rep.rhs)}"
+
+
 def _require_two_monotone(model):
     from .chains2mono import is_two_monotone
     rep = is_two_monotone(model)
     if not rep.ok:
-        names = model.space.names
-        a, b = rep.violator
-        ka = "|".join(names[i] for i in sorted(a))
-        kb = "|".join(names[i] for i in sorted(b))
-        raise PropertyError(
-            f"not 2-monotone: events {ka} and {kb} "
-            f"give {format_rat(rep.lhs)} < {format_rat(rep.rhs)}")
+        a, b, gap = _violation(model, rep)
+        raise PropertyError(f"not 2-monotone: events {a} and {b} give {gap}")
 
 
 def _chain_model(tag, model):
@@ -296,13 +302,10 @@ def _run_engine(engine, step, tag, *args):
 
 def _start(args, command):
     """Load the model, pick the engine and open the run report."""
-    tag, model, digest = _load_model(args.model)
+    tag, model, report = _load_model(args.model, command)
     engine = _pick_engine(args.engine, tag, model)
     if engine == "oracle" and command in ("fan", "graph"):
         raise InputError("the oracle engine enumerates vertices only; pick walk, chains, or pri")
-    report = Report(command)
-    report.add("model", args.model)
-    report.add("sha256", digest)
     report.add("engine", engine)
     return tag, model, engine, report
 
@@ -398,10 +401,7 @@ def _emit_vertices(points, names, out_path, decimal, report):
 
 
 def _cmd_check(args):
-    tag, model, digest = _load_model(args.model)
-    report = Report("check")
-    report.add("model", args.model)
-    report.add("sha256", digest)
+    tag, model, report = _load_model(args.model, "check")
     report.add("type", tag)
     ok = True
     if tag == "pri":
@@ -419,11 +419,8 @@ def _cmd_check(args):
         rep = is_two_monotone(model)
         report.add("two_monotone", rep.ok)
         if not rep.ok:
-            a, b = rep.violator
-            names = model.space.names
-            report.add("violator_a", "|".join(names[i] for i in sorted(a)))
-            report.add("violator_b", "|".join(names[i] for i in sorted(b)))
-            report.add("violation", f"{format_rat(rep.lhs)} < {format_rat(rep.rhs)}")
+            for key, value in zip(("violator_a", "violator_b", "violation"), _violation(model, rep)):
+                report.add(key, value)
         ok = rep.ok
     else:
         from .credal import is_coherent
@@ -516,18 +513,15 @@ def _cmd_natex(args):
 
 
 def _cmd_bounds(args):
-    report = Report("bounds")
     if (args.n is None) == (args.model is None):
         raise InputError("give exactly one of --n or --model")
     if args.model is not None:
-        tag, model, digest = _load_model(args.model)
+        tag, model, report = _load_model(args.model, "bounds")
         if tag != "pri":
             raise InputError("cone-count bounds apply to interval models")
         n = model.space.n
-        report.add("model", args.model)
-        report.add("sha256", digest)
     else:
-        n = args.n
+        n, report = args.n, Report("bounds")
     from .pri import count_bounds
     try:
         low, high = count_bounds(n)

@@ -182,10 +182,10 @@ def _nonneg_row_implied(x: int, other_rows, n: int) -> bool:
     """Is p(x) >= 0 implied by the listed rows plus total mass one? One LP:
     the minimum of p(x) over that relaxation is at least 0. A relaxation
     that is empty, or on which p(x) is unbounded below, implies nothing."""
-    from .polytope import EmptyPolytopeError, HPolytope, UnboundedLpError, lp_min
+    from .polytope import EmptyPolytopeError, HPolytope, UnboundedLpError, lp_minima
     relaxed = HPolytope(n, tuple(other_rows), ((ones(n), 1),))
     try:
-        return lp_min(relaxed, unit(n, x)).value >= 0
+        return lp_minima(relaxed, [unit(n, x)])[0] >= 0
     except (EmptyPolytopeError, UnboundedLpError):
         return False
 

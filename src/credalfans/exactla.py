@@ -7,7 +7,7 @@ value fails loudly instead of rounding silently.
 
 Vectors are tuples of Fractions. ``rank``, ``solve_unique``,
 ``scaled_inverse`` and the one LP kernel (``simplex_each``: one tableau for
-many right-hand sides, ``simplex`` its one-target case) share one
+many right-hand sides, run only by ``polytope._dual_solve``) share one
 fraction-free Gauss-Jordan pivot (``_pivot``, Edmonds' integer-preserving
 elimination, as in lrs) on denominator-cleared integer rows: every division
 is exact, intermediate growth stays polynomial, and a Fraction is built only
@@ -32,13 +32,11 @@ __all__ = [
     "indicator",
     "dot",
     "vneg",
-    "is_multiple",
     "rank",
     "solve_unique",
     "scaled_inverse",
     "LpInfeasible",
     "LpUnbounded",
-    "simplex",
     "simplex_each",
 ]
 
@@ -128,15 +126,6 @@ def dot(u, v):
 
 def vneg(u) -> tuple:
     return tuple(-a for a in u)
-
-
-def is_multiple(u, v) -> bool:
-    """True iff u == c*v for some scalar c (v must be nonzero)."""
-    assert len(u) == len(v)
-    lead = next((i for i, a in enumerate(v) if a != 0), None)
-    assert lead is not None, "reference vector is zero"
-    c = rat(u[lead]) / v[lead]
-    return all(rat(a) == c * b for a, b in zip(u, v))
 
 
 def _inexact(x: int, det: int):
@@ -282,11 +271,10 @@ def _restore(t: list[list[int]], det: int, basis: list, m: int) -> int:
         basis[leave] = enter
 
 
-def simplex_each(columns, targets, costs=None) -> list:
+def simplex_each(columns, targets, costs) -> list:
     """Exact minimum of costs . x over x >= 0 with sum x_j columns[j] ==
     target, for each of a nonempty list of targets, on one dense integer
-    tableau (``_pivot``) with the cost as its last row (all costs zero when
-    none are given): the one LP kernel.
+    tableau (``_pivot``) with the cost as its last row: the one LP kernel.
 
     The first target runs two phases under Bland's rule: phase 1 (else
     LpInfeasible) pivots the artificials out where a real column allows,
@@ -317,7 +305,7 @@ def simplex_each(columns, targets, costs=None) -> list:
             if j is not None:
                 det = _pivot(t, det, i, j)
                 basis[i] = j
-    d, c = _scaled(zeros(m) if costs is None else vec(costs))
+    d, c = _scaled(vec(costs))
     # the cost row in the current basis: det times the reduced costs
     t[n] = [det * a for a in c] + [0] * (block + 1)
     for row, b in zip(t, basis):
@@ -334,8 +322,3 @@ def simplex_each(columns, targets, costs=None) -> list:
                        Fraction(-t[n][m], det * d)))
     return solved
 
-
-def simplex(columns, target, costs=None):
-    """``simplex_each`` on one target, as (x, basis)."""
-    ((levels, _),) = simplex_each(columns, [target], costs)
-    return [levels.get(j, ZERO) for j in range(len(columns))], tuple(levels)

@@ -37,7 +37,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .cones import SupportUniverse
-from .exactla import _scaled, format_rat, is_multiple, ones, rat, scaled_inverse
+from .exactla import _scaled, format_rat, ones, rat, scaled_inverse
 from .polytope import HPolytope, SeedSearchError, lp_min
 
 __all__ = [
@@ -115,7 +115,7 @@ def _active_table(h: HPolytope, universe: SupportUniverse) -> _Table:
     for f, b in h.inequalities:
         if f not in bounds or b > bounds[f]:
             bounds[f] = b
-    index = {v: i for i, v in enumerate(universe.vectors) if not is_multiple(v, one)}
+    index = {v: i for i, v in enumerate(universe.vectors) if len(set(v)) > 1}
     if not index.keys() <= bounds.keys():
         raise ValueError("universe vector is not an inequality normal of the polytope")
     scaled = ((index.get(f), _scaled(f + (b,))[1]) for f, b in bounds.items())

@@ -5,8 +5,10 @@ A polytope is stored as inequality rows ``x . f >= b`` plus equality rows
 ``x . f == b``. The vertex oracle enumerates every maximal linearly
 independent active set by subset search; it is deliberately simple and
 exact, guarded to small instances, and serves as the ground truth that the
-structured fast paths are tested against. ``lp_min`` minimises a linear
-function by one exact simplex, ``lp_minima`` many, under the same guards.
+structured fast paths are tested against. Every LP of the package is one
+guarded ``exactla.simplex_each`` on the dual, in ``_dual_solve``: ``lp_min``
+solves its basic rows for a minimising vertex, ``lp_minima`` reads the
+minima of many objectives off its cost row.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .exactla import (
     dot,
     rank,
     rat,
-    simplex,
     simplex_each,
     solve_unique,
     vec,
@@ -142,63 +143,60 @@ def vertices_bruteforce(p: HPolytope, *, max_dim: int = 6, max_constraints: int 
     return tuple(Vertex(x) for x in sorted(seen))
 
 
-def _dual(p: HPolytope):
-    """The dual LP's rows (each equality as a +- pair), columns and costs."""
+_NO_VERTEX = "no vertices: empty or degenerate feasible set"
+
+
+def _dual_solve(p: HPolytope, objectives):
+    """(rows, solved): the rows of the dual LP (each equality as a +- pair)
+    and one ``exactla.simplex_each`` on it for a nonempty list of
+    objectives, under the oracle guards: every LP of the package.
+
+    The dual of min x . f over p maximises b . y over multipliers y with
+    sum y_i f_i == f, y >= 0 on the rows' normals f_i; at an optimal basis
+    the basic rows of p hold with equality. The first objective's own
+    error comes first: EmptyPolytopeError when p is empty or its first
+    optimal basis does not span (the normals do not, so p has no vertex),
+    UnboundedLpError when f leaves the normals' cone over a nonempty p. By
+    Farkas, one solve of the zero objective tells those two apart: its dual
+    is bounded exactly when p is nonempty. A later failing objective is
+    unbounded (UnboundedLpError).
+    """
+    check_guards(p)
     rows = list(p.inequalities + p.equalities) + [(vneg(g), -b) for g, b in p.equalities]
-    return rows, [g for g, _ in rows], [-b for _, b in rows]
+    normals, costs = [g for g, _ in rows], [-b for _, b in rows]
+    try:
+        solved = simplex_each(normals, objectives, costs)
+    except (LpInfeasible, LpUnbounded):
+        if len(objectives) > 1:  # the first objective's own error, if it fails alone
+            _dual_solve(p, objectives[:1])
+        else:
+            try:  # Farkas
+                simplex_each(normals, [zeros(p.dim)], costs)
+            except LpUnbounded:
+                raise EmptyPolytopeError(_NO_VERTEX) from None
+        raise UnboundedLpError("x . f is unbounded below over the polyhedron") from None
+    if len(solved[0][0]) < p.dim:
+        raise EmptyPolytopeError(_NO_VERTEX)
+    return rows, solved
 
 
 def lp_min(p: HPolytope, f) -> LpResult:
-    """Exact minimum of x . f over p and a vertex attaining it, by one
-    ``exactla.simplex`` on the dual.
-
-    The dual LP maximises b . y over multipliers y with sum y_i f_i == f,
-    y >= 0 on the inequality normals f_i and free on the equality normals
-    (each entered as a +- pair of columns). At its optimal basis the basic
-    rows of p hold with equality and define the returned vertex. When
-    several vertices attain the minimum, the one returned is the vertex of
-    the basis Bland's rule ends on, fixed by the row order of p and f; no
-    other tie rule is promised.
-
-    Raises EmptyPolytopeError when p is empty or has no vertex (its
-    normals do not span), UnboundedLpError when x . f is unbounded below
-    over p, and keeps the oracle's guards (OracleGuardError).
-    """
-    check_guards(p)
+    """Exact minimum of x . f over p and a vertex attaining it: the basic
+    rows of ``_dual_solve``'s optimal basis, solved. When several vertices
+    attain the minimum, the one returned is the vertex of the basis Bland's
+    rule ends on, fixed by the row order of p and f; no other tie rule is
+    promised. Raises as ``_dual_solve``, and OracleGuardError past the
+    oracle's guards."""
     f = vec(f)
-    rows, normals, costs = _dual(p)
-    try:
-        _, basis = simplex(normals, f, costs)
-    except LpUnbounded:  # the dual is unbounded, so p is empty
-        basis = ()
-    except LpInfeasible:  # f leaves the normals' cone: unbounded unless p is empty
-        try:
-            simplex(normals, zeros(p.dim), costs)
-        except LpUnbounded:
-            basis = ()
-        else:
-            raise UnboundedLpError("x . f is unbounded below over the polyhedron") from None
-    if len(basis) < p.dim:  # empty, or no vertex because the normals do not span
-        raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
-    x = solve_unique([normals[j] for j in basis], [rows[j][1] for j in basis])
+    rows, ((levels, _),) = _dual_solve(p, [f])
+    x = solve_unique([rows[j][0] for j in levels], [rows[j][1] for j in levels])
     return LpResult(dot(x, f), Vertex(x))
 
 
 def lp_minima(p: HPolytope, objectives) -> list:
     """[lp_min(p, f).value for f in objectives], read off the cost row of one
-    ``exactla.simplex_each`` on the dual. Hypothesis: the first optimal basis
-    spans (p has a vertex), else EmptyPolytopeError as from lp_min. An empty
-    list runs no guard and no LP."""
+    ``_dual_solve``, which raises as lp_min does for the first objective. An
+    empty list runs no guard and no LP."""
     if not objectives:
         return []
-    check_guards(p)
-    _, normals, costs = _dual(p)
-    try:
-        solved = simplex_each(normals, [vec(f) for f in objectives], costs)
-    except (LpInfeasible, LpUnbounded):
-        # lp_min's own error if the first objective fails, else a later one is unbounded
-        lp_min(p, objectives[0])
-        raise UnboundedLpError("x . f is unbounded below over the polyhedron") from None
-    if len(solved[0][0]) < p.dim:
-        raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
-    return [-cost for _, cost in solved]
+    return [-cost for _, cost in _dual_solve(p, objectives)[1]]

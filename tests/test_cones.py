@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from credalfans.cones import SupportUniverse
 from credalfans.credal import OutcomeSpace, build_credal_hrep
-from credalfans.exactla import LpInfeasible, dot, is_multiple, ones, rank, rat, simplex, vec, vneg
+from credalfans.exactla import LpInfeasible, dot, ones, rank, rat, vec, vneg
 from credalfans.pri import PRIModel, is_coherent_pri, pri_hrep
 
 from cone_calculus import Cone, Witness, absorbed, are_adjacent, contains, dual_basis, witness
+from conftest import simplex
 from test_walk_pinned import _envelope
 
 Q = rat
@@ -39,8 +40,7 @@ CHAIN3 = Cone((ind(3, {0}), ind(3, {0, 1})))
 def others(gens, universe):
     """The universe vectors a MESC on gens must not absorb: all but the
     generators and the constant direction, in universe order."""
-    n = universe.dim
-    return [u for u in universe.vectors if u not in gens and not is_multiple(u, ones(n))]
+    return [u for u in universe.vectors if u not in gens and len(set(u)) > 1]
 
 
 def test_support_universe_requires_constant_one():
@@ -194,7 +194,7 @@ UNIVERSES = [u for n in (3, 4, 5)
 def lp_mesc_failure(gens, universe):
     """Why the cone on gens is no MESC, by the LP route: 'size', 'dependent'
     (a rank test), or the first absorbed vector with its witness (one
-    phase-1 LP of exactla.simplex per universe vector, the constant-one
+    phase-1 LP of conftest.simplex per universe vector, the constant-one
     lineality entered as a +- pair of columns); None for a MESC."""
     n = universe.dim
     if len(gens) != n - 1:

@@ -23,12 +23,12 @@ from credalfans.credal import (
     natural_extension,
     parse_gamble,
 )
-from credalfans.exactla import LpInfeasible, dot, ones, rat, simplex, unit, vec
+from credalfans.exactla import LpInfeasible, dot, ones, rat, unit, vec
 from credalfans.fanwalk import walk
 from credalfans.polytope import HPolytope, vertices_bruteforce
 
 from cone_calculus import EventCollection, cone_additivity_check, is_event_mesc
-from conftest import Q, assessed_rows, interval_hrep
+from conftest import Q, assessed_rows, interval_hrep, simplex
 
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -197,7 +197,7 @@ class TestCoherence:
 def ray_scan_implied(x, other_rows, n):
     """Reference for credal._nonneg_row_implied by another route: a
     descent ray (d . g >= 0 on every other normal, d . 1 == 0, d(x) == -1)
-    from one phase-1 LP (exactla.simplex without costs) means p(x) is
+    from one phase-1 LP (conftest.simplex without costs) means p(x) is
     unbounded below, so not implied; otherwise the minimum of p(x) over the
     relaxation's vertex set decides."""
     normals = [f for f, _ in other_rows]

@@ -14,12 +14,10 @@ from credalfans.exactla import (
     _pivot,
     dot,
     format_rat,
-    is_multiple,
     ones,
     rank,
     rat,
     scaled_inverse,
-    simplex,
     simplex_each,
     solve_unique,
     unit,
@@ -27,6 +25,8 @@ from credalfans.exactla import (
     vneg,
     zeros,
 )
+
+from conftest import simplex
 
 Q = rat
 
@@ -60,10 +60,6 @@ def test_vector_helpers():
     assert ones(2) == vec([1, 1])
     assert dot(vec([1, 2]), vec([3, "1/2"])) == Q(4)
     assert vneg(vec([1, -1])) == vec([-1, 1])
-    assert is_multiple(vec([2, 2, 2]), ones(3))
-    assert is_multiple(vec([-3, -3]), ones(2))
-    assert is_multiple(zeros(2), ones(2))
-    assert not is_multiple(vec([1, 2]), ones(2))
     v = vec([1, "1/2"])
     assert vec(v) is v  # a tuple of Fractions comes back as it is
     assert vec(list(v)) == v and vec(list(v)) is not v

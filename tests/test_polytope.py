@@ -148,6 +148,21 @@ def test_lp_minima_of_no_objective_runs_no_guard_and_no_lp(monkeypatch):
         lp_minima(big, [ones(7)])
 
 
+def test_lp_min_and_lp_minima_make_one_kernel_call(monkeypatch):
+    calls = []
+    kernel = polytope.simplex_each
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(polytope, "simplex_each", spy)
+    assert lp_min(PRI3, vec([3, 2, 1])).value == Q(5) / 3
+    assert calls == [1]
+    assert lp_minima(PRI3, [vec([3, 2, 1]), ones(3), unit(3, 0)]) == [Q(5) / 3, 1, Q(1) / 6]
+    assert calls == [1, 3]
+
+
 def test_lp_minima_raises_as_lp_min():
     quadrant = HPolytope(2, ((unit(2, 0), 0), (unit(2, 1), 0)))
     assert lp_minima(quadrant, [vec([1, 2]), vec([3, 0])]) == [0, 0]

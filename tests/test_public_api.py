@@ -2,7 +2,8 @@
 in ``__all__``, every public member of a class it lists there, and every
 defaulted parameter of a function it lists there must be used somewhere in
 the package, the benchmark harness or the benchmark scripts, not only by
-the tests.
+the tests. And one LP path: in the package, only ``polytope._dual_solve``
+reads the LP kernel ``exactla.simplex_each``.
 
 A use of a name is a name read or an attribute access in the code (an
 ``ast.Name`` load or an ``ast.Attribute``); an import alone, a string, a
@@ -206,3 +207,23 @@ def test_the_member_gate_sees_every_record_field(module, name, fields):
     (node,) = (n for n in _parse(PACKAGE / f"{module}.py").body
                if isinstance(n, ast.ClassDef) and n.name == name)
     assert fields <= set(_members(node))
+
+
+# The one LP path: (module, top-level definition) of every read of the kernel.
+LP_KERNEL = "simplex_each"
+LP_PATH = {("polytope", "_dual_solve")}
+
+
+def test_only_the_one_lp_path_calls_the_lp_kernel():
+    reads, imports = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for top in _parse(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id == LP_KERNEL or (
+                        isinstance(node, ast.Attribute) and node.attr == LP_KERNEL):
+                    reads.add((path.stem, getattr(top, "name", None)))
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    imports.update((path.stem, a.asname) for a in node.names
+                                   if a.name.split(".")[-1] == LP_KERNEL)
+    assert reads == LP_PATH
+    assert imports == {("polytope", None)}  # bound under its own name, where it is read
