@@ -69,15 +69,15 @@ def _read_json(path, what):
         raise InputError(f"{what} file is nested too deeply to parse") from None
 
 
-def _load_model(path, command):
+def _load_model(args):
     """(tag, model, report): the parsed model and the command's run report,
     opened on the model's path and the sha256 of its bytes."""
     import hashlib  # loads OpenSSL: a start-up cost only model commands pay
-    raw, obj = _read_json(path, "model")
+    raw, obj = _read_json(args.model, "model")
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("model document must be an object with a 'type' field")
-    report = Report(command)
-    report.add("model", path)
+    report = Report(args.command)
+    report.add("model", args.model)
     report.add("sha256", hashlib.sha256(raw).hexdigest())
     tag = obj["type"]
     from . import credal
@@ -300,19 +300,19 @@ def _run_engine(engine, step, tag, *args):
         raise PropertyError(f"{exc}: the walk cannot start (try --engine oracle)") from None
 
 
-def _start(args, command):
+def _start(args):
     """Load the model, pick the engine and open the run report."""
-    tag, model, report = _load_model(args.model, command)
+    tag, model, report = _load_model(args)
     engine = _pick_engine(args.engine, tag, model)
-    if engine == "oracle" and command in ("fan", "graph"):
+    if engine == "oracle" and args.command in ("fan", "graph"):
         raise InputError("the oracle engine enumerates vertices only; pick walk, chains, or pri")
     report.add("engine", engine)
     return tag, model, engine, report
 
 
-def _compute_graph(args, command):
+def _compute_graph(args):
     """(tag, model, graph, universe, vertex set, report) under the picked engine."""
-    tag, model, engine, report = _start(args, command)
+    tag, model, engine, report = _start(args)
     _check_verify(args, tag, model)
     t0 = time.perf_counter()
     graph, universe, points = _run_engine(engine, ENGINES[engine][0], tag, model)
@@ -401,7 +401,7 @@ def _emit_vertices(points, names, out_path, decimal, report):
 
 
 def _cmd_check(args):
-    tag, model, report = _load_model(args.model, "check")
+    tag, model, report = _load_model(args)
     report.add("type", tag)
     ok = True
     if tag == "pri":
@@ -437,7 +437,7 @@ def _cmd_check(args):
 
 
 def _cmd_vertices(args):
-    tag, model, graph, _, points, report = _compute_graph(args, "vertices")
+    tag, model, graph, _, points, report = _compute_graph(args)
     _require_complete(graph)
     report.add("n_vertices", len(points))
     if args.verify:
@@ -447,7 +447,7 @@ def _cmd_vertices(args):
 
 
 def _cmd_fan(args):
-    tag, model, graph, _, points, report = _compute_graph(args, "fan")
+    tag, model, graph, _, points, report = _compute_graph(args)
     from .fanwalk import graph_to_dot, verify_graph
     fan_rep = verify_graph(graph)
     report.add("n_nodes", fan_rep.n_nodes)
@@ -468,7 +468,7 @@ def _cmd_fan(args):
 
 
 def _cmd_graph(args):
-    tag, model, graph, universe, points, report = _compute_graph(args, "graph")
+    tag, model, graph, universe, points, report = _compute_graph(args)
     _require_complete(graph)
     report.add("n_nodes", len(graph.nodes))
     report.add("n_edges", len(graph.pairs))
@@ -487,7 +487,7 @@ def _cmd_graph(args):
 
 
 def _cmd_natex(args):
-    tag, model, engine, report = _start(args, "natex")
+    tag, model, engine, report = _start(args)
     _, gobj = _read_json(args.gamble, "gamble")
     from .credal import SchemaError, parse_gamble
     try:
@@ -516,12 +516,12 @@ def _cmd_bounds(args):
     if (args.n is None) == (args.model is None):
         raise InputError("give exactly one of --n or --model")
     if args.model is not None:
-        tag, model, report = _load_model(args.model, "bounds")
+        tag, model, report = _load_model(args)
         if tag != "pri":
             raise InputError("cone-count bounds apply to interval models")
         n = model.space.n
     else:
-        n, report = args.n, Report("bounds")
+        n, report = args.n, Report(args.command)
     from .pri import count_bounds
     try:
         low, high = count_bounds(n)
