@@ -257,19 +257,19 @@ def choquet(lowprob: LowerProbability, f):
 
         E(f) = v_m + sum_{j<m} (v_j - v_{j+1}) L(f >= v_j)
 
-    over the distinct values v_1 > ... > v_m. Equals the exact lower
-    expectation iff L is 2-monotone; on merely monotone L it can overshoot
-    or undershoot the envelope value.
+    over the distinct values v_1 > ... > v_m, in one pass down the outcomes
+    sorted by f. Equals the exact lower expectation iff L is 2-monotone; on
+    merely monotone L it can overshoot or undershoot the envelope value.
     """
     fv = vec(f)
-    n = lowprob.space.n
-    if len(fv) != n:
+    if len(fv) != lowprob.space.n:
         raise ValueError("gamble length does not match the outcome space")
-    values = sorted(set(fv), reverse=True)
-    total = values[-1]
-    for j in range(len(values) - 1):
-        level = frozenset(i for i in range(n) if fv[i] >= values[j])
-        total += (values[j] - values[j + 1]) * lowprob.value(level)
+    order = sorted(range(len(fv)), key=fv.__getitem__, reverse=True)
+    total, level = fv[order[-1]], frozenset()
+    for i, j in zip(order, order[1:]):
+        level |= {i}
+        if fv[j] != fv[i]:
+            total += (fv[i] - fv[j]) * lowprob._index[level]
     return total
 
 

@@ -19,7 +19,9 @@ mismatch, a fan with incomplete walls, a walk with no seed cone), 2 unusable
 input (schema errors, unwritable output paths, wrong engine for the model
 type, oracle guards exceeded, a chain fan on more than CHAIN_FAN_MAX_N = 8
 outcomes, a result past Python's int-to-str digit limit). --verify checks
-the oracle guards before the engine runs.
+the oracle guards before the engine runs. natex --engine walk runs no walk:
+it takes credal.natural_extension, a minimum over the oracle's vertex set,
+so natex --engine walk --verify compares the oracle with itself.
 
 All values are exact rationals; --decimal (vertices, natex) adds 12-digit
 approximations for reading convenience, explicitly marked non-authoritative.
@@ -38,8 +40,8 @@ from .exactla import DigitLimitError, dot, format_rat
 
 __all__ = ["main"]
 
-# Largest outcome count the chain fan is built for: n! nodes, and n = 8
-# already takes seconds and hundreds of megabytes.
+# Largest outcome count the chain fan is built for: n! nodes; fan at n = 8
+# takes about 2 s and 90 MB peak RSS.
 CHAIN_FAN_MAX_N = 8
 
 
@@ -354,8 +356,7 @@ class Report:
         self.lines.append((key, value))
 
     def write(self, stream):
-        for key, value in self.lines:
-            print(f"{key}: {value}", file=stream)
+        stream.write("".join(f"{key}: {value}\n" for key, value in self.lines))
 
 
 def _decimal(x) -> str:
@@ -379,31 +380,27 @@ def _decimal(x) -> str:
     return ("-" if x < 0 else "") + text[:point] + ("." + frac if frac else "") + suffix
 
 
-def _emit_vertices(points, names, out_path, decimal, report):
-    rows = sorted(points)
+def _vertices_csv(points, names, decimal):
+    """CSV text of the sorted vertices: exact cells, then under decimal
+    their approximations."""
+    import csv
     header = list(names)
     if decimal:
         header += [f"{name}_dec" for name in names]
-    import csv
-    target = io.StringIO() if out_path else sys.stdout
-    writer = csv.writer(target)
+    text = io.StringIO()
+    writer = csv.writer(text)
     writer.writerow(header)
-    for p in rows:
+    for p in sorted(points):
         cells = [format_rat(x) for x in p]
         if decimal:
             cells += [_decimal(x) for x in p]
         writer.writerow(cells)
-    if out_path:
-        _write_file(out_path, target.getvalue())
-    if decimal:
-        report.add("decimal", "12-digit approximations, non-authoritative")
-    report.write(sys.stdout if out_path else sys.stderr)
+    return text.getvalue()
 
 
 def _cmd_check(args):
     tag, model, report = _load_model(args)
     report.add("type", tag)
-    ok = True
     if tag == "pri":
         from .pri import is_coherent_pri
         rep = is_coherent_pri(model)
@@ -432,8 +429,7 @@ def _cmd_check(args):
             report.add("slack_assessment",
                        f"lower {format_rat(chk.lower)} vs exact {attained}")
         ok = rep.coherent
-    report.write(sys.stdout)
-    return 0 if ok else 1
+    return (0 if ok else 1), report, None, None
 
 
 def _cmd_vertices(args):
@@ -442,8 +438,10 @@ def _cmd_vertices(args):
     report.add("n_vertices", len(points))
     if args.verify:
         _verify_vertices(tag, model, points, report)
-    _emit_vertices(points, model.space.names, args.out, args.decimal, report)
-    return 0
+    data = _vertices_csv(points, model.space.names, args.decimal)
+    if args.decimal:
+        report.add("decimal", "12-digit approximations, non-authoritative")
+    return 0, report, data, args.out
 
 
 def _cmd_fan(args):
@@ -461,10 +459,8 @@ def _cmd_fan(args):
     if args.verify:
         _verify_vertices(tag, model, points, report)
     if args.dot:
-        _write_file(args.dot, graph_to_dot(graph))
         report.add("dot", args.dot)
-    report.write(sys.stdout)
-    return 0 if fan_rep.ok else 1
+    return (0 if fan_rep.ok else 1), report, graph_to_dot(graph) if args.dot else None, args.dot
 
 
 def _cmd_graph(args):
@@ -475,15 +471,10 @@ def _cmd_graph(args):
     if args.verify:
         _verify_vertices(tag, model, points, report)
     from .fanwalk import graph_to_json
-    payload = json.dumps(graph_to_json(graph, universe), indent=2)
+    data = json.dumps(graph_to_json(graph, universe), indent=2) + "\n"
     if args.out:
-        _write_file(args.out, payload + "\n")
         report.add("out", args.out)
-        report.write(sys.stdout)
-    else:
-        print(payload)
-        report.write(sys.stderr)
-    return 0
+    return 0, report, data, args.out
 
 
 def _cmd_natex(args):
@@ -508,8 +499,7 @@ def _cmd_natex(args):
     if args.decimal:
         report.add("value_dec", _decimal(value))
         report.add("decimal", "12-digit approximation, non-authoritative")
-    report.write(sys.stdout)
-    return 0
+    return 0, report, None, None
 
 
 def _cmd_bounds(args):
@@ -530,8 +520,7 @@ def _cmd_bounds(args):
     report.add("n", n)
     report.add("min_cones", low)
     report.add("max_cones", high)
-    report.write(sys.stdout)
-    return 0
+    return 0, report, None, None
 
 
 def _build_parser():
@@ -583,16 +572,24 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. Each _cmd_* builds its whole result and returns (exit
+    code, report, data text or None, output path or None); only main writes,
+    so a refused command leaves no partial output. The data goes to its path
+    or stdout, the report to whichever of stdout and stderr the data leaves free."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except PropertyError as exc:
+        code, report, data, path = args.func(args)
+        stream = sys.stdout
+        if path:
+            _write_file(path, data)
+        elif data is not None:
+            sys.stdout.write(data)
+            stream = sys.stderr
+        report.write(stream)
+        return code
+    except (PropertyError, InputError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InputError, DigitLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, PropertyError) else 2
 
 
 if __name__ == "__main__":

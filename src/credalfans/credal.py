@@ -72,10 +72,10 @@ class OutcomeSpace(Record):
         names = tuple(names)
         if not names:
             raise ValueError("outcome space must be nonempty")
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate outcome names")
         if any(not isinstance(n, str) or not n for n in names):
             raise ValueError("outcome names must be nonempty strings")
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate outcome names")
         self.names = names
 
     @property
@@ -306,11 +306,10 @@ def _schema_outcomes(obj, path: str) -> OutcomeSpace:
     names = obj.get("outcomes")
     if not isinstance(names, list) or not names:
         raise SchemaError(f"{path}.outcomes", "required: nonempty list of outcome names")
-    if any(not isinstance(x, str) or not x for x in names):
-        raise SchemaError(f"{path}.outcomes", "outcome names must be nonempty strings")
-    if len(set(names)) != len(names):
-        raise SchemaError(f"{path}.outcomes", "duplicate outcome names")
-    return OutcomeSpace(tuple(names))
+    try:
+        return OutcomeSpace(names)
+    except ValueError as exc:
+        raise SchemaError(f"{path}.outcomes", str(exc)) from None
 
 
 def parse_gamble(obj, space: OutcomeSpace, path: str = "gamble") -> Gamble:
@@ -360,8 +359,8 @@ def lower_prevision_from_json(obj) -> LowerPrevision:
             if (
                 not isinstance(ev, list)
                 or not ev
+                or any(x not in space.names for x in ev)  # names, so hashable
                 or len(set(ev)) != len(ev)
-                or any(x not in space.names for x in ev)
             ):
                 raise SchemaError(f"{path}.event", "expected a nonempty list of distinct outcomes")
             g = Gamble.indicator(space, ev)

@@ -279,8 +279,9 @@ COUNT_BOUNDS_MAX_N = 10_000
 
 def count_bounds(n: int) -> tuple:
     """Sharp bounds on the number of cones (equivalently walk nodes) of a
-    coherent interval model on 3 <= n <= COUNT_BOUNDS_MAX_N outcomes: at
-    least n(n-1), at most n! / (floor((n-1)/2)! ceil((n-1)/2)!)."""
+    coherent interval model on 3 <= n <= COUNT_BOUNDS_MAX_N outcomes with no
+    tied split (one cone per vertex; ties can leave both ends): at least
+    n(n-1), at most n! / (floor((n-1)/2)! ceil((n-1)/2)!)."""
     if n < 3:
         raise ValueError("cone counts are defined for n >= 3")
     if n > COUNT_BOUNDS_MAX_N:

@@ -5,6 +5,7 @@ exercised exactly as a shell user would see them: data on stdout, report on
 stderr when data owns stdout, report on stdout otherwise.
 """
 
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from credalfans import chains2mono, pri
+from credalfans import chains2mono, cli, pri
 from credalfans.cli import main
 from credalfans.fanwalk import SeedSearchError, walk
 
@@ -113,6 +114,23 @@ class TestVertices:
         assert rows[1:] == self.GOLDEN
         # report moves to stdout once the data has its own file
         assert report_get(out, "n_vertices") == "6"
+
+    def test_refusal_past_the_digit_limit_leaves_no_output(self, capsys, tmp_path):
+        # vertex (1/A, 1/B, 1 - 1/A - 1/B) with 2200-digit A and B: its last
+        # cell's denominator has about 4400 digits, past the 4300 that
+        # Python converts to text; the CSV header must not be written either
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({
+            "type": "lower_prevision", "outcomes": ["x1", "x2", "x3"],
+            "assessments": [{"event": ["x1"], "lower": f"1/{10 ** 2199 + 7}"},
+                            {"event": ["x2"], "lower": f"1/{10 ** 2199 + 9}"}]}))
+        target = tmp_path / "v.csv"
+        for out in ([], ["--out", str(target)]):
+            code, stdout, err = run(capsys, "vertices", "--model", str(mpath), *out)
+            assert (code, stdout) == (2, "")
+            assert err == ("error: result too large to print: more than 4300 digits "
+                           "in its numerator or denominator\n")
+        assert not target.exists()
 
     def test_decimal_columns_marked(self, capsys):
         code, out, err = run(capsys, "vertices", "--model", model("pri_n3.json"),
@@ -718,3 +736,19 @@ class TestOneOutcome:
                 assert code == 0 and report_get(out, "value") == value, engine
         if not oracle_rows:
             assert err == "error: empty credal set: no vertices: empty or degenerate feasible set\n"
+
+
+def test_only_main_writes():
+    # every command returns its result; main alone writes it, to a file or
+    # a standard stream, and the report's own write is called only there
+    streams, writes = set(), set()
+    for top in ast.parse(Path(cli.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                    or isinstance(node, ast.Name)
+                    and node.id in ("print", "_write_file", "stdout", "stderr")):
+                streams.add(getattr(top, "name", None))
+            elif isinstance(node, ast.Attribute) and node.attr == "write":
+                writes.add(getattr(top, "name", None))
+    assert streams == {"main"}
+    assert writes == {"main", "_write_file", "Report"}

@@ -6,8 +6,10 @@ import itertools
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from credalfans import credal
+from credalfans.chains2mono import lower_probability_from_json
 from credalfans.credal import (
     Assessment,
     AssessmentCheck,
@@ -26,6 +28,7 @@ from credalfans.credal import (
 from credalfans.exactla import LpInfeasible, dot, ones, rat, unit, vec
 from credalfans.fanwalk import walk
 from credalfans.polytope import HPolytope, vertices_bruteforce
+from credalfans.pri import pri_from_json
 
 from cone_calculus import EventCollection, cone_additivity_check, is_event_mesc
 from conftest import Q, assessed_rows, interval_hrep, simplex
@@ -496,3 +499,60 @@ class TestJson:
         g = walk(h, uni)
         perms = {tuple(p) for p in itertools.permutations((Q(1) / 2, Q(1) / 3, Q(1) / 6))}
         assert g.vertices == perms
+
+
+# JSON values drawn near the model schemas: the field names, outcome names
+# and rational literals they use, mixed with arbitrary scalars and nesting
+_WORDS = st.sampled_from(["x1", "x2", "x3", "", "x1|x2", "x1|x1", "1/2", "-1", "0", "1/0",
+                          "type", "outcomes", "assessments", "event", "gamble", "lower",
+                          "upper", "values", "lower_prevision", "lower_probability", "pri"])
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+            | st.floats(allow_nan=False, allow_infinity=False) | _WORDS)
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(_WORDS | st.text(max_size=3), inner, max_size=5),
+                     max_leaves=12)
+_EVENTS = st.lists(_WORDS | st.lists(_JSON, max_size=2), max_size=3)
+_MAPS = st.dictionaries(_WORDS, _SCALARS) | _JSON
+_ASSESSMENTS = st.lists(
+    st.fixed_dictionaries({"event": _EVENTS}, optional={"lower": _SCALARS, "upper": _SCALARS})
+    | st.fixed_dictionaries({}, optional={"event": _EVENTS, "gamble": _MAPS,
+                                          "lower": _SCALARS, "upper": _SCALARS}),
+    min_size=1, max_size=3)
+_DOCS = _JSON | st.fixed_dictionaries({
+    "outcomes": st.lists(st.sampled_from(["x1", "x2", "x3"]), min_size=1, unique=True)
+                | st.lists(_WORDS | _JSON, max_size=3),
+    "assessments": _ASSESSMENTS | _JSON,
+}, optional={
+    "type": st.sampled_from(["lower_prevision", "lower_probability", "pri"]),
+    "values": _MAPS, "lower": _MAPS, "upper": _MAPS,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_schema_readers_raise_only_schema_errors(doc):
+    readers = (lower_prevision_from_json, lower_probability_from_json, pri_from_json,
+               lambda doc: parse_gamble(doc, OutcomeSpace(("x1", "x2"))))
+    for read in readers:
+        try:
+            read(doc)
+        except SchemaError:
+            pass
+
+
+@pytest.mark.parametrize("event", [[["x1"]], [{}], ["x1", ["x1"]]])
+def test_unhashable_event_member_is_a_schema_error(event):
+    doc = dict(TestJson.DOC, assessments=[{"event": event, "lower": "0"}])
+    with pytest.raises(SchemaError, match=r"^\$\.assessments\[0\]\.event: "):
+        lower_prevision_from_json(doc)
+
+
+@pytest.mark.parametrize("names,message", [
+    (["x1", ["x1"]], "outcome names must be nonempty strings"),
+    (["x1", ""], "outcome names must be nonempty strings"),
+    (["x1", "x1"], "duplicate outcome names")])
+def test_outcome_name_checks_are_schema_errors(names, message):
+    with pytest.raises(SchemaError, match=rf"^\$\.outcomes: {message}$"):
+        pri_from_json({"type": "pri", "outcomes": names, "lower": {}, "upper": {}})
+    with pytest.raises(ValueError, match=message):
+        OutcomeSpace(names)

@@ -533,6 +533,23 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_bounds(2)
 
+    def test_count_bounds_assume_one_cone_per_vertex(self):
+        # tied splits put several cones on one vertex: the cones pass the
+        # upper bound and the vertices fall under the lower one
+        low, high = count_bounds(5)
+        tied = pri_uniform(5, "1/6", "1/4")
+        assert is_coherent_pri(tied).coherent
+        pts, graph = enumerate_extreme_pri(tied)
+        assert (len(graph.nodes), len(pts)) == (50, 10)
+        assert len(pts) < low < high < len(graph.nodes)
+        # a tie-free model: one cone per vertex, strictly inside the bounds
+        m = PRIModel(space(5), tuple(map(Q, ("1/30", "1/30", "2/15", "2/15", "1/30"))),
+                     tuple(map(Q, ("17/60", "2/5", "13/60", "3/10", "7/30"))))
+        assert is_coherent_pri(m).coherent
+        pts, graph = enumerate_extreme_pri(m)
+        assert len(graph.nodes) == len(pts) == 25
+        assert low < len(pts) < high
+
     def test_count_bounds_refuses_sizes_it_cannot_answer(self):
         # the closed form at COUNT_BOUNDS_MAX_N, then a size whose factorial
         # would never finish
