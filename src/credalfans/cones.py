@@ -6,8 +6,8 @@ includes the constant-one direction) is a cone whose generators, together
 with the constant-one vector, form a basis, and which absorbs no other
 member of U. MESCs are the maximal cells available for triangulating a
 normal fan whose rays are drawn from U, which is what makes the adjacency
-walk work. The walk (``fanwalk``) runs the MESC test itself, as a sign test
-on the integer rows of each cone's dual basis.
+walk work. The walk (``fanwalk``) runs the MESC test itself, as a sign scan
+of each new cone's pivot table: the universe's coordinates on its generators.
 """
 
 from __future__ import annotations

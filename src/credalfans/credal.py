@@ -74,6 +74,8 @@ class OutcomeSpace(Record):
             raise ValueError("outcome space must be nonempty")
         if any(not isinstance(n, str) or not n for n in names):
             raise ValueError("outcome names must be nonempty strings")
+        if any(n.encode(errors="replace").decode() != n for n in names):
+            raise ValueError("outcome names must encode as UTF-8")
         if len(set(names)) != len(names):
             raise ValueError("duplicate outcome names")
         self.names = names

@@ -11,8 +11,8 @@ many right-hand sides, run only by ``polytope._dual_solve``) share one
 fraction-free Gauss-Jordan pivot (``_pivot``, Edmonds' integer-preserving
 elimination, as in lrs) on denominator-cleared integer rows: every division
 is exact, intermediate growth stays polynomial, and a Fraction is built only
-when a result leaves the kernel. ``scaled_inverse`` returns integers, for
-callers that read only the signs and ratios of an inverse's rows.
+when a result leaves the kernel. ``scaled_inverse`` returns integers, d
+times the inverse for one d > 0, which the walk's seed table is built on.
 """
 
 from __future__ import annotations

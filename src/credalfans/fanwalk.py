@@ -7,18 +7,16 @@ facet, and the rows entering the edge beyond it that complete the facet to
 another MESC are its neighbours. The walk yields the vertex set and the
 cone adjacency graph together.
 
-Nodes are keyed by sorted universe indices. Each node's dual basis is
-computed once, from the polytope's rows scaled to integers once per walk:
-its rows (``exactla.scaled_inverse``) are positive multiples of the exact
-dual rows. The row t of a generator is both the wall normal and the
-direction of the edge leaving the node's vertex x across that wall, so a
-wall is crossed by one minimum-ratio test (Avis and Fukuda's pivot) on
-integer rows: the rows attaining the least ratio lambda* enter, and the
-neighbour's vertex x + lambda* t is the only Fraction built. The MESC test
-is an integer sign test. Only the seed comes from an LP: one exact simplex
-(``polytope.lp_min``) per generic direction tried, whose vertex's tight
-rows give the seed's generators. No vertex set is enumerated, but the
-walk inherits ``lp_min``'s oracle guards on dimension and row count.
+Nodes are keyed by sorted universe indices. Each queued node keeps one
+integer table (``_Tableau``) on the polytope's rows, scaled to integers
+once per walk. A wall is crossed as in Avis and Fukuda's pivot: a ratio
+test on two table rows gives the entering rows, and each new key costs one
+fraction-free pivot (``exactla._pivot``, as in lrs) on a copy of the table,
+then a sign scan as its MESC test; its vertex is the only Fraction built.
+Only the seed comes from an LP (``polytope.lp_min``, one per generic
+direction tried), and its table from ``exactla.scaled_inverse``. No vertex
+set is enumerated, but the walk inherits ``lp_min``'s oracle guards on
+dimension and row count.
 
 The walk is deterministic for a fixed model. Node count is bounded
 by the number of feasible MESCs over the universe; for models whose normal
@@ -37,7 +35,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .cones import SupportUniverse
-from .exactla import _scaled, format_rat, ones, rat, scaled_inverse
+from .exactla import _pivot, _scaled, format_rat, ones, rat, scaled_inverse
 from .polytope import HPolytope, SeedSearchError, lp_min
 
 __all__ = [
@@ -90,15 +88,21 @@ class MescGraph:
         return tuple(sorted((i, j) if i < j else (j, i) for i, j in pairs))
 
 
-class _Table(NamedTuple):
-    """The walk's integer rows: (j, f, b) per distinct inequality normal of
-    h, and the universe rows f by their universe index j."""
+class _Tableau(NamedTuple):
+    """A queued node and its table, each entry det = |det| of the basis
+    matrix times the exact value. Columns are the walk's rows
+    (``_active_table``), then the n unit vectors with bound 0. Rows are the
+    columns' coordinates on each generator, in key order, then their slack
+    f . x - b at the node's vertex x: so a generator's row ends in det
+    times its dual row t, and the slack row in det x. The constant's row,
+    which no step reads, is not kept."""
 
-    rows: tuple
-    gens: dict
+    node: MescNode
+    det: int
+    rows: list
 
 
-def _active_table(h: HPolytope, universe: SupportUniverse) -> _Table:
+def _active_table(h: HPolytope, universe: SupportUniverse) -> tuple:
     """One integer row (j, f, b) per distinct inequality normal of h and its
     tightest bound, scaled together to integers; j is the normal's universe
     index, None off the universe.
@@ -119,133 +123,124 @@ def _active_table(h: HPolytope, universe: SupportUniverse) -> _Table:
     if not index.keys() <= bounds.keys():
         raise ValueError("universe vector is not an inequality normal of the polytope")
     scaled = ((index.get(f), _scaled(f + (b,))[1]) for f, b in bounds.items())
-    rows = tuple((j, row[:-1], row[-1]) for j, row in scaled)
-    return _Table(rows, {j: f for j, f, _ in rows if j is not None})
+    return tuple((j, row[:-1], row[-1]) for j, row in scaled)
 
 
-def _mesc_dual(key, table: _Table, cache: dict):
-    """Integer dual rows of the cone on these universe indices when it is a
-    MESC over the universe, else None; memoized in cache.
-
-    The basis is the generators' integer rows plus the constant-one vector.
-    ``exactla.scaled_inverse`` of the matrix with those columns gives one
-    row per basis vector, in that order, each a positive multiple of the
-    exact dual row, so t . v has the sign of v's coordinate on that basis
-    vector. The cone absorbs v when its coordinates on the generators are
-    all nonnegative; it is a MESC when it absorbs no other universe row."""
-    if key not in cache:
-        dual = scaled_inverse([(*col, 1) for col in zip(*(table.gens[i] for i in key))])
-        if dual is not None and any(all(sum(map(mul, t, v)) >= 0 for t in dual[:-1])
-                                    for j, v in table.gens.items() if j not in key):
-            dual = None
-        cache[key] = dual
-    return cache[key]
+def _is_mesc(key, rows, table) -> bool:
+    """Whether the cone on key absorbs no other universe row: each such
+    column of its table has a negative coordinate on some generator."""
+    return all(min(col) < 0 for col, (j, _, _) in zip(zip(*rows[:len(key)]), table)
+               if j is not None and j not in key)
 
 
-def neighbor_candidates(node: MescNode, dropped, t, table: _Table, cache: dict):
-    """MESC neighbours of node across the wall opened by dropping universe
-    index ``dropped``; t is the node's dual-basis row of that generator, or
-    a positive multiple of it.
-
-    t is orthogonal to the other generators and to the constant, and
-    t . f_dropped > 0, so the edge leaving the node's vertex x across the
-    wall is x + lambda t, lambda >= 0. It stops at the least ratio
-    lambda* = (x . f - b) / (-t . f) over the rows of the polytope with
-    t . f < 0, compared on table's integer rows by cross-multiplication. The
-    candidates are the universe rows attaining lambda*, which are the rows
-    tight at x + lambda* t; each whose completed cone is a MESC is a
-    neighbour with vertex x + lambda* t. table is the walk's
-    ``_active_table(h, universe)`` and cache its memo of ``_mesc_dual``.
-
-    The returned tuple, sorted by key, is empty only when the polytope is
+def neighbor_candidates(tab: _Tableau, dropped, table) -> tuple:
+    """(j, column) of the universe rows j entering tab's basis across the
+    wall opened by dropping its generator ``dropped``, sorted; table is the
+    walk's ``_active_table(h, universe)``. Empty only when the polytope is
     degenerate across that wall or unbounded along the edge.
+
+    The generator's dual row t is orthogonal to the rest of the basis and
+    t . f_dropped > 0, so the edge leaving the vertex x across the wall is
+    x + lambda t, lambda >= 0. It stops at the least ratio (x . f - b) /
+    (-t . f) over the rows with t . f < 0, read off the slack row and the
+    generator's row by cross-multiplication. The universe rows attaining it
+    are tight there, and each completes the wall to a candidate cone.
     """
-    if dropped not in node.gens:
-        raise ValueError("dropped index is not a generator of the node")
-    d, x = _scaled(node.vertex)
-    _, t = _scaled(t)
     num, den, entering = 0, 0, []  # least ratio num / den so far, rows attaining it
-    for j, f, b in table.rows:
-        s = -sum(map(mul, f, t))
-        if s > 0:
-            r = sum(map(mul, f, x)) - b * d
-            c = r * den - num * s if den else -1  # sign of r / s - num / den
+    row = tab.rows[tab.node.gens.index(dropped)]
+    for k, ((j, _, _), a, r) in enumerate(zip(table, row, tab.rows[-1])):
+        if a < 0:
+            c = r * den + num * a if den else -1  # sign of r / -a - num / den
             if c < 0:
-                num, den, entering = r, s, [j]
+                num, den, entering = r, -a, [(j, k)]
             elif c == 0:
-                entering.append(j)
-    if not den:
-        return ()
-    point = tuple(Fraction(den * a + num * c, den * d) for a, c in zip(x, t))
-    shared = tuple(i for i in node.gens if i != dropped)
-    found = []
-    for j in sorted(j for j in entering if j is not None):  # keys come out sorted
-        key = tuple(sorted(shared + (j,)))
-        if _mesc_dual(key, table, cache) is not None:
-            found.append(MescNode(key, point))
-    return tuple(found)
+                entering.append((j, k))
+    return tuple(sorted(e for e in entering if e[0] is not None))
 
 
-def _generic_direction(n: int, rng: random.Random) -> tuple:
-    nums = rng.sample(range(1, 9973), n)
-    den = rng.randint(7, 97)
-    return tuple(rat(a) / den for a in nums)
+def _crossed(tab: _Tableau, c: int, k: int, key, table):
+    """key's tableau, by one pivot on a copy of tab's table that brings
+    column k into the basis in place of the generator in row c; None when
+    key's cone is not a MESC. The vertex is read off the new slack row."""
+    rows = list(tab.rows)
+    det = _pivot(rows, tab.det, c, k)
+    rows.insert(key.index(table[k][0]), rows.pop(c))
+    if not _is_mesc(key, rows, table):
+        return None
+    return _Tableau(MescNode(key, tuple(Fraction(a, det) for a in rows[-1][len(table):])),
+                    det, rows)
 
 
-def _find_seed(h: HPolytope, table: _Table, direction, cache: dict):
-    """A MESC containing the direction inside the normal cone of the vertex
-    minimizing it, or None when the universe rows tight there span no such
-    MESC."""
+def _find_seed(h: HPolytope, table, direction):
+    """The tableau of a MESC containing the direction inside the normal
+    cone of the vertex minimizing it, else None. A candidate's table comes
+    from the ``scaled_inverse`` R of its basis matrix B, R . B = det I, and
+    det = sum(R[-1]), as B's last column is the constant one."""
     _, vtx = lp_min(h, direction)
     d, x = _scaled(vtx.point)
     _, w = _scaled(direction)
-    tight = sorted(j for j, f, b in table.rows if j is not None and sum(map(mul, f, x)) == b * d)
-    for key in itertools.combinations(tight, h.dim - 1):
-        dual = _mesc_dual(key, table, cache)
-        if dual is not None and all(sum(map(mul, t, w)) >= 0 for t in dual[:-1]):
-            return MescNode(key, vtx.point)
+    tight = sorted((j, f) for j, f, b in table if j is not None and sum(map(mul, f, x)) == b * d)
+    for gens in itertools.combinations(tight, h.dim - 1):
+        inverse = scaled_inverse(list(zip(*(f for _, f in gens), (1,) * h.dim)))
+        if inverse is None or any(sum(map(mul, t, w)) < 0 for t in inverse[:-1]):
+            continue
+        det = sum(inverse[-1])
+        dx = [(det * a).numerator for a in vtx.point]
+        rows = [[*(sum(map(mul, t, f)) for _, f, _ in table), *t] for t in inverse[:-1]]
+        rows.append([*(sum(map(mul, f, dx)) - b * det for _, f, b in table), *dx])
+        key = tuple(j for j, _ in gens)
+        if _is_mesc(key, rows, table):
+            return _Tableau(MescNode(key, vtx.point), det, rows)
     return None
 
 
 def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
     """Full adjacency walk: seed a MESC, then breadth-first cross every wall
-    of every discovered node. Deterministic given (h, universe): the
-    k-th generic direction tried for the seed comes from random.Random(k).
+    of every discovered node, in sorted-generator order. Deterministic given
+    (h, universe): the k-th generic direction tried for the seed comes from
+    random.Random(k).
+
+    One pivot per new node: after the seed, the walk calls no
+    ``scaled_inverse``, and ``_pivot`` once per node but the seed plus once
+    per candidate key that is not a MESC. So it is one pivot per node but
+    the seed when no ratio test ties and every universe row's bound is
+    attained: each wall then has one candidate, a MESC.
 
     Raises SeedSearchError when no starting MESC is found (after
     SEED_ATTEMPTS generic directions), ValueError when h and the universe
     break the hypotheses of ``_active_table``, and propagates
     EmptyPolytopeError when h has no vertices at all.
     """
-    n = h.dim
     table = _active_table(h, universe)
-    cache: dict = {}  # key -> integer dual basis of a MESC, or None
-    start = None
     for attempt in range(SEED_ATTEMPTS):
-        direction = _generic_direction(n, random.Random(attempt))
-        start = _find_seed(h, table, direction, cache)
+        rng = random.Random(attempt)  # a generic direction
+        nums, den = rng.sample(range(1, 9973), h.dim), rng.randint(7, 97)
+        start = _find_seed(h, table, tuple(rat(a) / den for a in nums))
         if start is not None:
             break
-    if start is None:
+    else:
         raise SeedSearchError(f"no seed MESC found in {SEED_ATTEMPTS} attempts")
-    nodes = {start.gens: start}
-    edges = set()
-    incomplete = []
+    seen = {start.node.gens: start.node}  # key -> its node, None when it is no MESC
+    edges, incomplete = set(), []
     queue = deque([start])
     while queue:
-        node = queue.popleft()
-        key = node.gens
-        for i, t in zip(key, cache[key]):
-            cands = neighbor_candidates(node, i, t, table, cache)
-            if not cands:
+        tab = queue.popleft()
+        key = tab.node.gens
+        for c, i in enumerate(key):
+            shared, found = key[:c] + key[c + 1:], False
+            for j, k in neighbor_candidates(tab, i, table):
+                other = tuple(sorted(shared + (j,)))
+                if other not in seen:
+                    new = _crossed(tab, c, k, other, table)
+                    seen[other] = new.node if new else None
+                    if new:
+                        queue.append(new)
+                if seen[other]:
+                    found = True
+                    edges.add(frozenset({key, other}))
+            if not found:
                 incomplete.append((key, i))
-                continue
-            for cand in cands:
-                if cand.gens not in nodes:
-                    nodes[cand.gens] = cand
-                    queue.append(cand)
-                edges.add(frozenset({key, cand.gens}))
-    ordered = tuple(nodes[k] for k in sorted(nodes))
+    ordered = tuple(seen[k] for k in sorted(seen) if seen[k])
     return MescGraph(ordered, frozenset(edges), tuple(incomplete))
 
 
@@ -266,6 +261,9 @@ def verify_graph(g: MescGraph) -> FanReport:
     on adjacency lists of node positions.
 
     ok means: connected, no incomplete walls, and all degrees equal.
+    Regularity assumes non-degenerate walls, with no tie in the walk's
+    ratio test: each of a node's n - 1 walls then has one neighbour, and a
+    tie can give a wall two neighbours or none.
     """
     adj = [[] for _ in g.nodes]
     for i, j in g.pairs:

@@ -352,6 +352,18 @@ OPTIONS = {"check": ("-",), "bounds": ("-",),
            "natex": ("--verify", "--decimal")}
 
 
+# One model outside models/, written to a temporary file: a pri model whose
+# second outcome name is a lone surrogate (JSON "\ud800"), which no UTF-8
+# output can hold. The schema refuses it, exit 2, before any output.
+SURROGATE_MODEL = {"type": "pri", "outcomes": ["a", "\ud800"],
+                   "lower": {"a": "0", "\ud800": "0"}, "upper": {"a": "1", "\ud800": "1"}}
+# command, engine, exit code, stdout digest, stderr digest
+SURROGATE_GOLDEN = """
+check    -    2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 16b75fb9604edd4de80365d650b802f0a3177828bf3c384fa10bd7e5869032cf
+vertices auto 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 16b75fb9604edd4de80365d650b802f0a3177828bf3c384fa10bd7e5869032cf
+"""
+
+
 def _option_rows():
     for line in OPTION_GOLDEN.strip().splitlines():
         command, name, engine, option, code, *digests = line.split()
@@ -424,3 +436,18 @@ def test_option_bytes_pinned(capsys, monkeypatch, tmp_path, command, name, engin
     assert _kept_digest(captured.err.replace(str(written), "FILE")) == err_digest
     assert (hashlib.sha256(written.read_bytes()).hexdigest()
             if written.exists() else "-") == file_digest
+
+
+@pytest.mark.parametrize("command,engine,code,out_digest,err_digest",
+                         [pytest.param(*line.split(), id=line.split()[0])
+                          for line in SURROGATE_GOLDEN.strip().splitlines()])
+def test_surrogate_outcome_name_bytes_pinned(capsys, tmp_path, command, engine, code, out_digest,
+                                             err_digest):
+    model = tmp_path / "surrogate.json"
+    model.write_text(json.dumps(SURROGATE_MODEL))
+    argv = [command, "--model", str(model)] + (["--engine", engine] if engine != "-" else [])
+    got = main(argv)
+    captured = capsys.readouterr()
+    assert got == int(code)
+    assert _kept_digest(captured.out) == out_digest
+    assert _kept_digest(captured.err) == err_digest

@@ -550,7 +550,9 @@ def test_unhashable_event_member_is_a_schema_error(event):
 @pytest.mark.parametrize("names,message", [
     (["x1", ["x1"]], "outcome names must be nonempty strings"),
     (["x1", ""], "outcome names must be nonempty strings"),
-    (["x1", "x1"], "duplicate outcome names")])
+    (["x1", "x1"], "duplicate outcome names"),
+    (["x1", "\ud800"], "outcome names must encode as UTF-8"),  # a lone surrogate
+    (["\udfff x"], "outcome names must encode as UTF-8")])
 def test_outcome_name_checks_are_schema_errors(names, message):
     with pytest.raises(SchemaError, match=rf"^\$\.outcomes: {message}$"):
         pri_from_json({"type": "pri", "outcomes": names, "lower": {}, "upper": {}})

@@ -8,7 +8,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from cone_calculus import dual_basis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
@@ -27,6 +26,8 @@ from credalfans.fanwalk import (
     MescGraph,
     MescNode,
     _active_table,
+    _crossed,
+    _find_seed,
     graph_to_dot,
     graph_to_json,
     neighbor_candidates,
@@ -50,20 +51,41 @@ def _simplex_index(*vectors):
     return tuple(sorted(SIMPLEX3_U.vectors.index(v) for v in vectors))
 
 
-def test_neighbor_candidates_simplex():
-    node = MescNode(_simplex_index(unit(3, 1), unit(3, 2)), vec([1, 0, 0]))
-    (dropped,) = _simplex_index(unit(3, 1))
-    t = dual_basis([SIMPLEX3_U.vectors[i] for i in node.gens], 3)[node.gens.index(dropped)]
+def _simplex_seed():
+    """The table and the seed tableau of SIMPLEX3 at the vertex (1, 0, 0),
+    the minimum of (0, 1, 2)."""
     table = _active_table(SIMPLEX3, SIMPLEX3_U)
-    out = neighbor_candidates(node, dropped, t, table, {})
-    assert out == (MescNode(_simplex_index(unit(3, 0), unit(3, 2)), vec([0, 1, 0])),)
+    tab = _find_seed(SIMPLEX3, table, vec([0, 1, 2]))
+    assert tab.node == MescNode(_simplex_index(unit(3, 1), unit(3, 2)), vec([1, 0, 0]))
+    return table, tab
+
+
+def test_neighbor_candidates_simplex():
+    table, tab = _simplex_seed()
+    (dropped,) = _simplex_index(unit(3, 1))
+    (entering,) = _simplex_index(unit(3, 0))
+    ((j, k),) = neighbor_candidates(tab, dropped, table)
+    assert j == entering and table[k][0] == entering
+    key = _simplex_index(unit(3, 0), unit(3, 2))
+    crossed = _crossed(tab, tab.node.gens.index(dropped), k, key, table)
+    assert crossed.node == MescNode(key, vec([0, 1, 0]))
+    assert crossed.det == 1 and crossed.rows[-1][-3:] == [0, 1, 0]
 
 
 def test_neighbor_candidates_drop_must_be_generator():
-    node = MescNode(_simplex_index(unit(3, 1), unit(3, 2)), vec([1, 0, 0]))
+    table, tab = _simplex_seed()
     (dropped,) = _simplex_index(unit(3, 0))
     with pytest.raises(ValueError):
-        neighbor_candidates(node, dropped, ones(3), _active_table(SIMPLEX3, SIMPLEX3_U), {})
+        neighbor_candidates(tab, dropped, table)
+
+
+def test_walk_one_outcome_is_one_node():
+    universe = SupportUniverse((ones(1),))
+    g = walk(HPolytope(1, ((vec([1]), 0),), ((ones(1), 1),)), universe)
+    assert g == MescGraph((MescNode((), vec([1])),), frozenset())
+    assert verify_graph(g).ok
+    with pytest.raises(EmptyPolytopeError):
+        walk(HPolytope(1, ((vec([1]), 2),), ((ones(1), 1),)), universe)
 
 
 def test_walk_needs_mass_one_as_the_only_equality():

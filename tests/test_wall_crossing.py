@@ -1,17 +1,22 @@
 """The walk's wall crossing against the universe scan it replaced, and its
-integer dual rows against the exact ones.
+pivot tables against the exact coordinates.
 
 ``fanwalk.neighbor_candidates`` crosses a wall by one minimum-ratio test
-along the edge x + lambda t. The reference below is the earlier crossing:
-try every universe vector beyond the wall (f . t < 0), solve the active
-system of its completed cone, check the point against every row of h, keep
-the cones that are MESCs, and of those keep the ones certifying the
+on two rows of the node's pivot table, and each new candidate key gets one
+pivot of that table (``fanwalk._crossed``) and a sign scan as its MESC
+test. The reference below is the earlier crossing: try every universe
+vector beyond the wall (f . t < 0), solve the active system of its
+completed cone, check the point against every row of h, keep the cones
+that are MESCs, and of those keep the ones certifying the
 lexicographically smallest vertex. Both must return the same tuple at every
-wall of the walks on the models below, degenerate ones included.
+wall of the walks on the models below, degenerate ones included, on the
+tables the walk itself built.
 
-The ratio test and the MESC test read only signs and ratios of the dual
-rows, so the walk's integer rows must be positive multiples of the exact
-Fraction rows of ``cone_calculus.dual_basis``.
+Each table holds det = |det| of the basis matrix times exact values: a
+generator's row the coordinates of every column on that generator, from
+the Fraction rows of ``cone_calculus.dual_basis``, and the slack row
+f . x - b at the node's vertex x. The walk pivots once per new candidate
+key, and calls ``scaled_inverse`` for the seed only.
 """
 
 import random
@@ -19,12 +24,14 @@ import random
 import pytest
 from cone_calculus import absorbed, dual_basis
 from conftest import coherent_intervals, interval_hrep, interval_universe
+from test_exactla import _leibniz_det
 from test_graph_keys import tied_model
 from test_walk_pinned import CASES, _envelope
 
+from credalfans import fanwalk
 from credalfans.credal import build_credal_hrep
-from credalfans.exactla import dot, solve_unique
-from credalfans.fanwalk import MescNode, _active_table, _mesc_dual, neighbor_candidates, walk
+from credalfans.exactla import dot, solve_unique, unit
+from credalfans.fanwalk import MescNode, _active_table, _crossed, neighbor_candidates, walk
 from credalfans.pri import pri_hrep
 
 
@@ -72,41 +79,90 @@ MODELS.update({f"redundant_envelope_n{n}":
                (lambda n=n: build_credal_hrep(_envelope(random.Random(720 + n), n))) for n in (3, 4, 5)})
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_crossing_matches_the_universe_scan_at_every_wall(name):
+def _walked(monkeypatch, name):
+    """(graph, tables, table): the walk on MODELS[name], the tableau of
+    each node as the walk crossed its walls, and the walk's rows."""
     h, universe = MODELS[name]()
-    table = _active_table(h, universe)
-    cache = {}
+    tables, cross = {}, fanwalk.neighbor_candidates
+
+    def spy(tab, dropped, table):
+        tables[tab.node.gens] = tab
+        return cross(tab, dropped, table)
+
+    monkeypatch.setattr(fanwalk, "neighbor_candidates", spy)
     graph = walk(h, universe)
-    assert graph.nodes
+    assert graph.nodes and tables.keys() == {node.gens for node in graph.nodes}
+    return graph, tables, _active_table(h, universe)
+
+
+def table_crossing(tab, dropped, table):
+    """The MESC neighbours across a wall: each candidate key's table by one
+    pivot of tab's, kept when the sign scan finds a MESC."""
+    c = tab.node.gens.index(dropped)
+    shared = tab.node.gens[:c] + tab.node.gens[c + 1:]
+    crossed = (_crossed(tab, c, k, tuple(sorted(shared + (j,))), table)
+               for j, k in neighbor_candidates(tab, dropped, table))
+    return tuple(new.node for new in crossed if new is not None)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_crossing_matches_the_universe_scan_at_every_wall(monkeypatch, name):
+    h, universe = MODELS[name]()
+    graph, tables, table = _walked(monkeypatch, name)
     for node in graph.nodes:
+        tab = tables[node.gens]
+        assert tab.node == node
         dual = dual_basis([universe.vectors[i] for i in node.gens], universe.dim)
         for i, t in zip(node.gens, dual):
-            expected = reference_crossing(node, i, t, h, universe)
-            assert neighbor_candidates(node, i, t, table, cache) == expected
+            assert table_crossing(tab, i, table) == reference_crossing(node, i, t, h, universe)
 
 
-def test_degenerate_walls_are_covered():
+def test_degenerate_walls_are_covered(monkeypatch):
     # the l=1/6, u=1/4 reproducer has walls with two neighbours at one vertex
-    h, universe = MODELS["interval_reproducer_n5"]()
-    table = _active_table(h, universe)
-    graph = walk(h, universe)
-    widths = set()
-    for node in graph.nodes:
-        dual = dual_basis([universe.vectors[i] for i in node.gens], universe.dim)
-        for i, t in zip(node.gens, dual):
-            widths.add(len(neighbor_candidates(node, i, t, table, {})))
+    graph, tables, table = _walked(monkeypatch, "interval_reproducer_n5")
+    widths = {len(table_crossing(tables[node.gens], i, table))
+              for node in graph.nodes for i in node.gens}
     assert max(widths) > 1
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_integer_dual_rows_are_positive_multiples_of_the_exact_rows(name):
-    h, universe = MODELS[name]()
-    table = _active_table(h, universe)
-    cache = {}
-    for node in walk(h, universe).nodes:
-        exact = dual_basis([universe.vectors[i] for i in node.gens], universe.dim)
-        for t, ref in zip(_mesc_dual(node.gens, table, cache), exact, strict=True):
-            lead = next(k for k, a in enumerate(ref) if a != 0)
-            c = t[lead] / ref[lead]
-            assert c > 0 and all(a == c * b for a, b in zip(t, ref, strict=True))
+def test_tables_hold_det_times_the_exact_coordinates(monkeypatch, name):
+    graph, tables, table = _walked(monkeypatch, name)
+    n = len(graph.nodes[0].vertex)
+    columns = [f for _, f, _ in table] + [unit(n, k) for k in range(n)]
+    bounds = [b for _, _, b in table] + [0] * n
+    rows = {j: f for j, f, _ in table if j is not None}
+    for node in graph.nodes:
+        tab = tables[node.gens]
+        basis = [rows[i] for i in node.gens]
+        assert tab.det == abs(_leibniz_det([(*col, 1) for col in zip(*basis)]))
+        exact = dual_basis(basis, n)[:-1]  # the constant's row is not kept
+        assert tab.rows[:-1] == [[tab.det * dot(t, f) for f in columns] for t in exact]
+        assert tab.rows[-1] == [tab.det * (dot(f, node.vertex) - b)
+                                for f, b in zip(columns, bounds)]
+        assert all(type(a) is int for row in tab.rows for a in row)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_one_pivot_per_new_candidate_key(monkeypatch, name):
+    # after the seed no scaled_inverse runs, and _pivot runs once per node
+    # but the seed and once per candidate key that is no MESC
+    calls, keys = [], set()
+    pivot, inverse, cross = fanwalk._pivot, fanwalk.scaled_inverse, fanwalk.neighbor_candidates
+
+    def candidates(tab, dropped, table):
+        calls.append("wall")
+        found = cross(tab, dropped, table)
+        shared = tuple(i for i in tab.node.gens if i != dropped)
+        keys.update(tuple(sorted(shared + (j,))) for j, _ in found)
+        return found
+
+    monkeypatch.setattr(fanwalk, "_pivot", lambda *args: calls.append("pivot") or pivot(*args))
+    monkeypatch.setattr(fanwalk, "scaled_inverse", lambda m: calls.append("inverse") or inverse(m))
+    monkeypatch.setattr(fanwalk, "neighbor_candidates", candidates)
+    graph = walk(*MODELS[name]())
+    first = calls.index("wall")
+    assert "inverse" in calls[:first] and "inverse" not in calls[first:]
+    assert "pivot" not in calls[:first]
+    nodes = {node.gens for node in graph.nodes}
+    assert calls.count("pivot") == len(nodes) - 1 + len(keys - nodes)
