@@ -191,7 +191,7 @@ def _chain_model(tag, model):
     return model
 
 
-# Graph functions return (graph or None, universe, vertex set); natex
+# Graph functions return (graph or None, universe, distinct vertices); natex
 # functions the exact lower expectation of a gamble's value vector.
 
 def _pri_graph(tag, model):
@@ -313,7 +313,7 @@ def _start(args):
 
 
 def _compute_graph(args):
-    """(tag, model, graph, universe, vertex set, report) under the picked engine."""
+    """(tag, model, graph, universe, distinct vertices, report) under the picked engine."""
     tag, model, engine, report = _start(args)
     _check_verify(args, tag, model)
     t0 = time.perf_counter()
@@ -335,6 +335,7 @@ def _require_complete(graph):
 def _verify_vertices(tag, model, points, report):
     t0 = time.perf_counter()
     oracle = _run_engine("oracle", _oracle_points, tag, model)
+    points = frozenset(points)
     if oracle != points:
         missing = len(oracle - points)
         extra = len(points - oracle)
@@ -450,7 +451,7 @@ def _cmd_fan(args):
     fan_rep = verify_graph(graph)
     report.add("n_nodes", fan_rep.n_nodes)
     report.add("n_edges", fan_rep.n_edges)
-    report.add("n_vertices", fan_rep.n_vertices)
+    report.add("n_vertices", len(points))
     report.add("degree_histogram",
                " ".join(f"{deg}:{count}" for deg, count in fan_rep.degree_histogram))
     report.add("connected", fan_rep.connected)

@@ -68,8 +68,9 @@ class MescGraph:
     of node keys (gens), which readers take from ``pairs``. incomplete_walls
     records (gens, dropped index) walls where no neighbour was found, which
     can only happen on degenerate input. ``vertices`` and ``pairs`` are
-    built on the first read, kept, and outside equality and hashing. It stays
-    a dataclass: tests and the benchmark derive graphs by dataclasses.replace."""
+    built on the first read, kept, and outside equality and hashing; no
+    interval engine or export reads ``vertices``. It stays a dataclass:
+    tests and the benchmark derive graphs by dataclasses.replace."""
 
     nodes: tuple
     edges: frozenset
@@ -245,11 +246,10 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
 
 
 class FanReport(NamedTuple):
-    """Structural summary of a MESC graph."""
+    """Structural summary of a MESC graph; the engine's points count its vertices."""
 
     n_nodes: int
     n_edges: int
-    n_vertices: int
     degree_histogram: tuple  # sorted (degree, count) pairs
     connected: bool
     regular: bool
@@ -258,7 +258,7 @@ class FanReport(NamedTuple):
 
 def verify_graph(g: MescGraph) -> FanReport:
     """Degree histogram, connectivity, and regularity of the walk result,
-    on adjacency lists of node positions.
+    on adjacency lists of node positions: structure only, no vertex read.
 
     ok means: connected, no incomplete walls, and all degrees equal.
     Regularity assumes non-degenerate walls, with no tie in the walk's
@@ -281,7 +281,6 @@ def verify_graph(g: MescGraph) -> FanReport:
     return FanReport(
         n_nodes=len(g.nodes),
         n_edges=len(g.pairs),
-        n_vertices=len(g.vertices),
         degree_histogram=tuple(sorted(hist.items())),
         connected=connected,
         regular=regular,

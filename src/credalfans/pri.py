@@ -173,14 +173,16 @@ def pri_neighbors(t: tuple, s: tuple) -> tuple:
 
 
 def enumerate_extreme_pri(m: PRIModel):
-    """All extreme points of a coherent interval model, with the MESC
-    adjacency graph, by walking the exchange rules from a seed cone. Nodes
-    are keyed by generator indices in pri_hrep(m)'s universe (shared per n).
+    """(points, graph): the distinct extreme points of a coherent interval
+    model as a tuple in node order, and its MESC adjacency graph, by walking
+    the exchange rules from a seed cone. Nodes are keyed by generator
+    indices in pri_hrep(m)'s universe (shared per n).
 
     The walk's states are pri_neighbors' (x, a, b, r) on the model's
     integer table, keyed by a | b << n; each new one must keep
-    l(x) <= R <= u(x). The only Fractions built are the x-coordinates
-    Fraction(r, d), one per distinct r; other coordinates are the bounds.
+    l(x) <= R <= u(x). Each vertex is keyed by its int row d p (lo on A,
+    up on B, r at x), so no Fraction is hashed, and built once, shared by
+    its nodes, from the bounds and Fraction(r, d), one per distinct r.
 
     Raises IncoherenceError on incoherent input (repair it first via
     is_coherent_pri). For n <= 2 the graph is fanwalk.walk's on
@@ -194,7 +196,7 @@ def enumerate_extreme_pri(m: PRIModel):
     n = m.n
     if n <= 2:
         graph = walk(*pri_hrep(m))
-        return graph.vertices, graph
+        return tuple(dict.fromkeys(node.vertex for node in graph.nodes)), graph
     t = lo, up, d = _int_bounds(m)
     # the seed: the first interior split of the staircase gamble (0, ..., n-1)
     # that fits, with A the outcomes after x and B those before it
@@ -221,15 +223,19 @@ def enumerate_extreme_pri(m: PRIModel):
     # z at n + z); node keys are those rows' universe indices
     row = _interval_fan(n)[2]
     gens = {k: tuple(sorted(row[j] for j in range(2 * n) if k >> j & 1)) for k in states}
-    remainder = {r: Fraction(r, d) for _, _, _, r in states.values()}
-    nodes = []
+    value = {r: Fraction(r, d) for _, _, _, r in states.values()}  # c -> c / d
+    value.update(zip(lo + up, m.lower + m.upper))  # the bounds' own objects
+    points, nodes = {}, []  # a vertex's integer row d p -> its one Fraction tuple
     for k in sorted(states, key=gens.__getitem__):
         x, a, b, r = states[k]
-        p = [m.lower[y] if a >> y & 1 else m.upper[y] for y in range(n)]
-        p[x] = remainder[r]
-        nodes.append(MescNode(gens[k], tuple(p)))
+        dp = [lo[y] if a >> y & 1 else up[y] for y in range(n)]
+        dp[x] = r
+        dp = tuple(dp)
+        if dp not in points:
+            points[dp] = tuple(map(value.__getitem__, dp))
+        nodes.append(MescNode(gens[k], points[dp]))
     graph = MescGraph(tuple(nodes), frozenset(frozenset((gens[i], gens[j])) for i, j in edges))
-    return graph.vertices, graph
+    return tuple(points.values()), graph
 
 
 def natural_extension_pri(m: PRIModel, f):

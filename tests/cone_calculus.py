@@ -249,7 +249,8 @@ def reference_enumerate_extreme_pri(m):
     """(points, MescGraph) of a coherent interval model on n >= 3 outcomes
     by walking reference_pri_neighbors from seed_cone, each vertex from
     vertex_for_cone; nodes keyed by pri_hrep(m)'s universe
-    indices, as the engine keys them."""
+    indices, as the engine keys them, and points the distinct vertices in
+    node order."""
     n = m.n
     h, universe = pri_hrep(m)
     uindex = {v: i for i, v in enumerate(universe.vectors)}
@@ -276,7 +277,7 @@ def reference_enumerate_extreme_pri(m):
                 queue.append(nk)
             edges.add(frozenset({key, nk}))
     ordered = tuple(nodes[k] for k in sorted(nodes))
-    return frozenset(node.vertex for node in ordered), MescGraph(ordered, frozenset(edges))
+    return tuple(dict.fromkeys(node.vertex for node in ordered)), MescGraph(ordered, frozenset(edges))
 
 
 def is_comonotone(f, g) -> bool:

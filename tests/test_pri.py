@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -313,7 +314,8 @@ def _cone_from_gens(gens, m):
 class TestEnumeration:
     def test_hexagon(self):
         pts, graph = enumerate_extreme_pri(pri3())
-        assert pts == {tuple(p) for p in itertools.permutations((Q(1) / 2, Q(1) / 3, Q(1) / 6))}
+        assert len(pts) == len(frozenset(pts))
+        assert frozenset(pts) == {tuple(p) for p in itertools.permutations((Q(1) / 2, Q(1) / 3, Q(1) / 6))}
         rep = verify_graph(graph)
         assert rep.ok and rep.n_nodes == 6 and rep.n_edges == 6
         assert rep.degree_histogram == ((2, 6),)
@@ -326,7 +328,8 @@ class TestEnumeration:
     def test_n2_segment(self):
         m = PRIModel(OutcomeSpace(("a", "b")), (Q(1) / 4, Q(1) / 3), (Q(2) / 3, Q(3) / 4))
         pts, graph = enumerate_extreme_pri(m)
-        assert pts == {(Q(1) / 4, Q(3) / 4), (Q(2) / 3, Q(1) / 3)}
+        assert len(pts) == len(frozenset(pts))
+        assert frozenset(pts) == {(Q(1) / 4, Q(3) / 4), (Q(2) / 3, Q(1) / 3)}
         assert graph.nodes == (MescNode((0,), (Q(2) / 3, Q(1) / 3)),
                                MescNode((1,), (Q(1) / 4, Q(3) / 4)))
         assert graph.edges == {frozenset({(0,), (1,)})}
@@ -343,7 +346,8 @@ class TestEnumeration:
         h, universe = pri_hrep(m)
         doc = graph_to_json(graph, universe)
         assert doc == graph_to_json(walk(h, universe), universe)
-        assert pts == {v.point for v in vertices_bruteforce(h)}
+        assert len(pts) == len(frozenset(pts))
+        assert frozenset(pts) == {v.point for v in vertices_bruteforce(h)}
         if n == 1:  # one cone, with no generators, and no wall
             assert doc["nodes"] == [{"id": 0, "vertex": ["1"], "generators": []}]
             assert doc["edges"] == []
@@ -365,7 +369,8 @@ class TestEnumeration:
         for m in models:
             pts, graph = enumerate_extreme_pri(m)
             h, uni = pri_hrep(m)
-            assert pts == {v.point for v in vertices_bruteforce(h)}
+            assert len(pts) == len(frozenset(pts))
+            assert frozenset(pts) == {v.point for v in vertices_bruteforce(h)}
             walked = walk(h, uni)
             assert graph.nodes == walked.nodes
             assert graph.edges == walked.edges
@@ -377,7 +382,8 @@ class TestEnumeration:
         m = PRIModel(SP3, (Q(1) / 2, 0, 0), (Q(1) / 2, Q(1) / 2, Q(1) / 2))
         assert is_coherent_pri(m).coherent
         pts, graph = enumerate_extreme_pri(m)
-        assert pts == {(Q(1) / 2, Q(0), Q(1) / 2), (Q(1) / 2, Q(1) / 2, Q(0))}
+        assert len(pts) == len(frozenset(pts))
+        assert frozenset(pts) == {(Q(1) / 2, Q(0), Q(1) / 2), (Q(1) / 2, Q(1) / 2, Q(0))}
         h, uni = pri_hrep(m)
         walked = walk(h, uni)
         assert graph.nodes == walked.nodes
@@ -445,6 +451,56 @@ class TestIntegerWalk:
     def test_model_files(self, name):
         m = pri_from_json(json.loads((MODELS / f"{name}.json").read_text()))
         assert enumerate_extreme_pri(m) == reference_enumerate_extreme_pri(m)
+
+
+class TestVertexRows:
+    """The walk keys each vertex by its integer row over d: the points are
+    the distinct vertices in first-node order, each one Fraction tuple that
+    every node certifying it shares, and no Fraction is hashed from the
+    walk to the JSON export."""
+
+    @pytest.mark.parametrize("m, nodes, points", [
+        pytest.param(pri_uniform(5, "1/6", "1/4"), 50, 10, id="reproducer"),
+        # l = u at one outcome: equal vertex values from distinct cones
+        pytest.param(grid_intervals(random.Random(1), 5, 1), 44, 8, id="grid"),
+        pytest.param(pri_uniform(1, "1", "1"), 1, 1, id="n1"),
+        pytest.param(pri_uniform(2, "1/4", "3/4"), 2, 2, id="n2"),
+        pytest.param(pri_uniform(2, "1/2", "1/2"), 2, 1, id="n2-point"),
+    ])
+    def test_points_are_the_distinct_vertices_in_node_order(self, m, nodes, points):
+        pts, graph = enumerate_extreme_pri(m)
+        assert type(pts) is tuple
+        assert (len(graph.nodes), len(pts)) == (nodes, points)
+        assert len(pts) == len(frozenset(pts))
+        assert pts == tuple(dict.fromkeys(node.vertex for node in graph.nodes))
+        assert frozenset(pts) == graph.vertices
+        if len(graph.nodes[0].vertex) > 2:  # the interval walk shares each tuple
+            first = {}
+            assert all(first.setdefault(node.vertex, node.vertex) is node.vertex
+                       for node in graph.nodes)
+            assert all(first[p] is p for p in pts)
+
+    def test_no_fraction_hashing_from_walk_to_export(self, monkeypatch):
+        models = [pri_from_json(json.loads((MODELS / f"{name}.json").read_text()))
+                  for name in ("pri_n10_uniform_max", "pri_n10_uniform_min")]
+        models.append(pri_uniform(5, "1/6", "1/4"))
+        for m in models:
+            pri_hrep(m)  # fills the per-n fan cache, whose universe hashes its vectors
+        calls = []
+        real = Fraction.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        for m in models:
+            points, graph = enumerate_extreme_pri(m)
+            verify_graph(graph)
+            graph_to_json(graph, pri_hrep(m)[1])
+        assert len(calls) == 0
+        frozenset(points)  # the spy does see a hash
+        assert calls
 
 
 class TestNaturalExtension:

@@ -186,7 +186,7 @@ RECORDS = [
     ("chains2mono", "TwoMonotoneReport", {"ok", "violator", "lhs", "rhs"}),
     ("fanwalk", "MescNode", {"gens", "vertex"}),
     ("fanwalk", "MescGraph", {"nodes", "edges", "incomplete_walls"}),
-    ("fanwalk", "FanReport", {"n_nodes", "n_edges", "n_vertices", "degree_histogram",
+    ("fanwalk", "FanReport", {"n_nodes", "n_edges", "degree_histogram",
                               "connected", "regular", "ok"}),
 ]
 
