@@ -36,7 +36,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactla import DigitLimitError, dot, format_rat
+from .exactla import DigitLimitError, _int_rows, _min_dot, format_rat
 
 __all__ = ["main"]
 
@@ -245,7 +245,7 @@ def _oracle_natex(tag, model, gamble):
     points = _oracle_points(tag, model)
     if not points:
         raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
-    return min(dot(gamble, p) for p in points)
+    return _min_dot(_int_rows(points), gamble)
 
 
 def _pri_natex(tag, model, gamble):

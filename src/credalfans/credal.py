@@ -18,10 +18,10 @@ universe, as a row never tight on a facet generates no MESC wall.
 
 Coherence is one ``polytope.lp_minima`` over the assessments. Natural
 extension evaluates the lower envelope of the credal set at any gamble; on
-this layer it is a minimum over the vertex set from the brute-force oracle,
-enumerated once per model and cached, so a warm query is a scan of that
-set. Both paths keep the oracle's small-instance guards; the structured
-engines exist precisely to avoid them.
+this layer it is a minimum over the oracle's vertex set, enumerated and
+scaled to integer rows once per model and cached, so a warm query is an
+integer scan of those rows. Both paths keep the oracle's small-instance
+guards; the structured engines exist precisely to avoid them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .cones import SupportUniverse
-from .exactla import ZERO, Record, dot, indicator, ones, rat, unit, vec
+from .exactla import ZERO, Record, _int_rows, _min_dot, indicator, ones, rat, unit, vec
 
 __all__ = [
     "OutcomeSpace",
@@ -260,30 +260,27 @@ def is_coherent(lp: LowerPrevision) -> CoherenceReport:
 @lru_cache(maxsize=CACHE_SIZE)
 def _credal_vertices(lp: LowerPrevision):
     """The coherence report and, for a coherent model, the vertex set the
-    natural extension minimises over, computed once per model."""
+    natural extension minimises over as (d, integer rows), once per model."""
     from .polytope import vertices_bruteforce
     report = is_coherent(lp)
     vs = vertices_bruteforce(build_credal_hrep(lp)[0]) if report.coherent else ()
-    return vs, report
+    return _int_rows(v.point for v in vs), report
 
 
 def natural_extension(lp: LowerPrevision, f):
     """Exact lower envelope value min {p . f : p in the credal set}.
 
     Defined here only for coherent lp (IncoherenceError otherwise); the
-    minimum is taken over the cached vertex set, next to which the
-    coherence report is cached.
-    """
-    vs, report = _credal_vertices(lp)
+    minimum is an integer scan of the vertex rows, scaled once per model and
+    cached next to the coherence report."""
+    scaled, report = _credal_vertices(lp)
     if not report.coherent:
-        raise IncoherenceError(
-            "natural extension requires a coherent lower prevision"
-            + (" (empty credal set)" if report.empty else "")
-        )
+        raise IncoherenceError("natural extension requires a coherent lower prevision"
+                               + (" (empty credal set)" if report.empty else ""))
     v = vec(f)
     if len(v) != lp.space.n:
         raise ValueError("gamble length does not match the outcome space")
-    return min(dot(v, vtx.point) for vtx in vs)
+    return _min_dot(scaled, v)
 
 
 # ----------------------------------------------------------------- JSON

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from operator import mul
 
 __all__ = [
     "rat",
@@ -139,13 +140,21 @@ def _scaled(v) -> tuple:
     return d, tuple(a.numerator * (d // a.denominator) for a in v)
 
 
-def _int_rows(rows) -> list[list[int]]:
-    """Clear denominators with one common multiplier. Scaling the whole
-    matrix by a positive number keeps its rank, its solutions, every sign
-    and every ratio, so the simplex makes the same choices on the result."""
+def _int_rows(rows) -> tuple[int, list[list[int]]]:
+    """(d, d rows): clear denominators with one common multiplier d. Scaling
+    the whole matrix by a positive number keeps its rank, its solutions,
+    every sign and every ratio, so the simplex makes the same choices."""
     rows = [[rat(a) for a in row] for row in rows]
-    entries = iter(_scaled([a for row in rows for a in row])[1])
-    return [[next(entries) for _ in row] for row in rows]
+    d, entries = _scaled([a for row in rows for a in row])
+    entries = iter(entries)
+    return d, [[next(entries) for _ in row] for row in rows]
+
+
+def _min_dot(scaled, v):
+    """min p . v over the points _int_rows scaled: v is scaled once, the
+    minimum is taken over ints, and one Fraction is built at the end."""
+    (d, rows), (e, g) = scaled, _scaled(v)
+    return Fraction(min(sum(map(mul, g, row)) for row in rows), d * e)
 
 
 def _pivot(t: list[list[int]], det: int, r: int, c: int) -> int:
@@ -186,7 +195,7 @@ def rank(rows) -> int:
     rows = list(rows)
     if not rows:
         return 0
-    return _eliminate(_int_rows(rows), len(rows[0]))[1]
+    return _eliminate(_int_rows(rows)[1], len(rows[0]))[1]
 
 
 def solve_unique(rows, rhs):
@@ -199,7 +208,7 @@ def solve_unique(rows, rhs):
     rhs = list(rhs)
     assert rows and len(rows) == len(rhs)
     n = len(rows[0])
-    t = _int_rows([list(r) + [b] for r, b in zip(rows, rhs)])
+    t = _int_rows([list(r) + [b] for r, b in zip(rows, rhs)])[1]
     det, r = _eliminate(t, n)
     if r < n or any(row[n] != 0 for row in t[n:]):
         return None  # rank-deficient, or a nonzero rhs left over: inconsistent
@@ -290,7 +299,7 @@ def simplex_each(columns, targets, costs) -> list:
     n, m = len(targets[0]), len(columns)
     if any(len(v) != n for v in (*columns, *targets)):
         raise ValueError("columns and targets differ in length")
-    scaled = _int_rows([[col[i] for col in columns] + [g[i] for g in targets] for i in range(n)])
+    scaled = _int_rows([[col[i] for col in columns] + [g[i] for g in targets] for i in range(n)])[1]
     block = n if len(targets) > 1 else 0  # the artificial block, read only by further targets
     t = [row[:m + 1] + [int(i == j) for j in range(block)] for i, row in enumerate(scaled)]
     t = [[-a for a in row] if row[m] < 0 else row for row in t]

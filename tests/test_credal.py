@@ -3,6 +3,7 @@ coherence, natural extension, axiom checks, event-family MESC tests, JSON
 parsing."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -302,6 +303,73 @@ class TestNaturalExtension:
         for f in ((1, 1, 0), (0, 0, 1)):
             with pytest.raises(IncoherenceError):
                 natural_extension(lp, f)
+
+    def test_refusals_keep_their_order_on_a_warm_model(self):
+        # incoherence is refused before the gamble is read; then rat refuses
+        # a float entry and the length check a gamble of the wrong length
+        slack = LowerPrevision.from_bounds(SP3, lower=[((1, 2, 3), 0)])
+        empty = LowerPrevision.from_bounds(SP3, lower=[((1, 0, 0), Q(2) / 3), ((0, 1, 0), Q(2) / 3)])
+        lp = supermod3_lp()
+        for m in (slack, empty):
+            with pytest.raises(IncoherenceError):
+                natural_extension(m, (0, 0, 0))
+        natural_extension(lp, (0, 0, 0))
+        hits = credal._credal_vertices.cache_info().hits
+        for f in ((1, 0), (0.5, 0, 0), (0.5, 0)):
+            with pytest.raises(IncoherenceError, match=r"prevision$"):
+                natural_extension(slack, f)
+            with pytest.raises(IncoherenceError, match=r"prevision \(empty credal set\)$"):
+                natural_extension(empty, f)
+        with pytest.raises(ValueError, match="gamble length") as exc:
+            natural_extension(lp, (1, 0))
+        assert type(exc.value) is ValueError
+        for f in ((0.5, 0, 0), (0.5, 0)):
+            with pytest.raises(TypeError, match="not an exact rational"):
+                natural_extension(lp, f)
+        assert credal._credal_vertices.cache_info().hits == hits + 9
+
+    def test_a_warm_query_does_no_fraction_arithmetic(self, monkeypatch):
+        # the vertex rows are scaled to ints once per model, and a query
+        # scales its gamble and builds its one Fraction without arithmetic
+        gambles = {3: [(2, 1, 0), (Q(-1) / 3, Q(5) / 4, 0), (0, 0, 0), (-1, -1, 2)],
+                   4: [(1, Q(-7) / 6, Q(1) / 2, 1), (0, 0, 0, 0)]}
+        models = (supermod3_lp(), pri3_lp(), LowerPrevision(SP3, ()),
+                  LowerPrevision.from_bounds(SP4, lower=[((3, 1, 0, 0), Q(1) / 5)]))
+        queries = [(lp, vec(f)) for lp in models for f in gambles[lp.space.n]]
+        expected = [natural_extension(lp, f) for lp, f in queries]  # warms the cache
+        calls = []
+        for name in ("__mul__", "__add__"):
+            real = getattr(Fraction, name)
+
+            def counting(self, other, name=name, real=real):
+                calls.append(name)
+                return real(self, other)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        assert [natural_extension(lp, f) for lp, f in queries] == expected
+        assert calls == []
+        Q(1) * Q(2) + Q(3)  # the spy does see Fraction arithmetic
+        assert calls == ["__mul__", "__add__"]
+
+
+GAMBLE_ENTRIES = st.sampled_from(
+    [Q(0), Q(1), Q(-1), Q(2), Q(-3), Q(1) / 2, Q(-1) / 3, Q(5) / 4, Q(-7) / 6])
+
+
+@settings(max_examples=120, deadline=None)
+@given(assessed_rows(), st.data())
+def test_natural_extension_is_the_vertex_minimum(model, data):
+    # gambles with negative, zero, tied and mixed-denominator entries, and
+    # the zero gamble, against a Fraction scan of the oracle's vertex set
+    n, rows = model
+    lp = rows_model(n, rows)
+    assume(is_coherent(lp).coherent)
+    vs = vertices_bruteforce(build_credal_hrep(lp)[0])
+    gamble = st.one_of(st.just((Q(0),) * n), st.tuples(*[GAMBLE_ENTRIES] * n))
+    for f in data.draw(st.lists(gamble, min_size=1, max_size=4)):
+        value = natural_extension(lp, f)
+        assert type(value) is Fraction
+        assert value == min(dot(f, v.point) for v in vs)
 
 
 class TestCaches:

@@ -227,3 +227,28 @@ def test_only_the_one_lp_path_calls_the_lp_kernel():
                                    if a.name.split(".")[-1] == LP_KERNEL)
     assert reads == LP_PATH
     assert imports == {("polytope", None)}  # bound under its own name, where it is read
+
+
+# The read path's one minimum over a vertex set: exactla._min_dot on integer
+# rows, read where natural extension and the oracle's natex take it, so no
+# Fraction scan through exactla.dot comes back on either.
+MIN_KERNEL = "_min_dot"
+MIN_PATH = {("credal", "natural_extension"), ("cli", "_oracle_natex")}
+
+
+def test_the_natex_read_path_scans_integer_rows_only():
+    reads = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in _parse(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id == MIN_KERNEL:
+                    reads.add((path.stem, getattr(top, "name", None)))
+    assert reads == MIN_PATH
+    for module in ("credal", "cli"):
+        tree = _parse(PACKAGE / f"{module}.py")
+        assert not [node for node in ast.walk(tree) if
+                    isinstance(node, ast.Name) and node.id == "dot"
+                    or isinstance(node, ast.Attribute) and node.attr == "dot"
+                    and isinstance(node.value, ast.Name) and node.value.id == "exactla"
+                    or isinstance(node, ast.ImportFrom)
+                    and any(a.name == "dot" for a in node.names)], module
