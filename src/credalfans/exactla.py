@@ -10,9 +10,10 @@ Vectors are tuples of Fractions. ``rank``, ``solve_unique``,
 many right-hand sides, run only by ``polytope._dual_solve``) share one
 fraction-free Gauss-Jordan pivot (``_pivot``, Edmonds' integer-preserving
 elimination, as in lrs) on denominator-cleared integer rows: every division
-is exact, intermediate growth stays polynomial, and a Fraction is built only
-when a result leaves the kernel. ``scaled_inverse`` returns integers, d
-times the inverse for one d > 0, which the walk's seed table is built on.
+is exact and intermediate growth stays polynomial. The LP kernel starts a
+credal set's dual at the simplex's own basis, with no pivot, and returns
+integers over one scale, as ``scaled_inverse`` does (d times the inverse,
+for the walk's seed table): its callers build the Fractions they read.
 """
 
 from __future__ import annotations
@@ -280,43 +281,69 @@ def _restore(t: list[list[int]], det: int, basis: list, m: int) -> int:
         basis[leave] = enter
 
 
+def _simplex_start(t: list[list[int]], m: int):
+    """(det, basis) of the simplex's own start, t rewritten on it, if the
+    columns hold a_y e_y (a_y > 0) for each y but y0, the least index of the
+    first target w's minimum, and c 1 with c w_y0 >= 0 (the last such
+    column), else None: w = w_y0 1 + sum (w_y - w_y0) e_y, so it is feasible.
+    det = |c| prod a_y is its |determinant|, so later pivots stay exact."""
+    n = len(t)
+    w = [row[m] for row in t]
+    y0 = w.index(min(w))
+    basis = [None] * n
+    for j, col in enumerate(zip(*(row[:m] for row in t))):
+        if col[y0] and col.count(col[y0]) == n and col[y0] * w[y0] >= 0:
+            basis[y0] = j  # c 1
+        elif not col[y0] and col.count(0) == n - 1 and max(col) > 0:
+            basis[col.index(max(col))] = j  # a_y e_y
+    if None in basis:
+        return None
+    det = abs(math.prod(row[j] for row, j in zip(t, basis)))
+    v0 = t[y0]
+    for y, (row, j) in enumerate(zip(t, basis)):
+        q = det // row[j]
+        t[y] = [q * a for a in v0] if y == y0 else [q * (a - b) for a, b in zip(row, v0)]
+    return det, basis
+
+
 def simplex_each(columns, targets, costs) -> list:
     """Exact minimum of costs . x over x >= 0 with sum x_j columns[j] ==
     target, for each of a nonempty list of targets, on one dense integer
     tableau (``_pivot``) with the cost as its last row: the one LP kernel.
 
-    The first target runs two phases under Bland's rule: phase 1 (else
-    LpInfeasible) pivots the artificials out where a real column allows,
-    leaving the rest as dependent rows, and phase 2 may raise LpUnbounded.
-    A target is only a right-hand side, so each further one is a
-    ``_restore`` from the last optimum, its right-hand sides the artificial
-    block (det times the inverse basis, kept only then) times the target.
-    Returns (levels, cost) per target: a basic optimal x as {basic column:
-    value} in tableau row order (fewer entries than rows exactly when the
-    columns do not span), and costs . x off the cost row. ValueError when
-    the columns and targets differ in length.
+    The first target starts at ``_simplex_start``'s basis where the columns
+    hold it, as every credal set's dual does; else phase 1 from the
+    artificial basis (else LpInfeasible) pivots out each artificial a real
+    column can replace, the rest left as dependent rows. Phase 2 (Bland's
+    rule) may raise LpUnbounded. Each further target is a ``_restore`` from
+    the last optimum, its right-hand sides the artificial block (det times
+    the inverse basis) times the target. Per target: (s, levels, cost,
+    duals), integers over one s > 0: a basic optimal x as {basic column:
+    level} in row order (fewer entries than rows exactly when the columns
+    do not span), costs . x, and the multipliers y off the cost row's
+    artificial block (y . columns[j] <= costs[j], equal where j is basic).
+    ValueError when the columns and targets differ in length.
     """
     n, m = len(targets[0]), len(columns)
     if any(len(v) != n for v in (*columns, *targets)):
         raise ValueError("columns and targets differ in length")
-    scaled = _int_rows([[col[i] for col in columns] + [g[i] for g in targets] for i in range(n)])[1]
-    block = n if len(targets) > 1 else 0  # the artificial block, read only by further targets
-    t = [row[:m + 1] + [int(i == j) for j in range(block)] for i, row in enumerate(scaled)]
-    t = [[-a for a in row] if row[m] < 0 else row for row in t]
-    t.append([-sum(row[j] for row in t) for j in range(m + 1 + block)])
-    basis = list(range(m, m + n))  # the artificial of row i has index m + i
-    det = _to_optimum(t, 1, basis, m)
-    if t[n][m] != 0:
-        raise LpInfeasible("no nonnegative combination of the columns meets the target")
-    for i in range(n):  # artificials still basic are at level zero
-        if basis[i] >= m:
-            j = next((j for j in range(m) if t[i][j] != 0), None)
+    scale, scaled = _int_rows([[col[i] for col in columns] + [g[i] for g in targets] for i in range(n)])
+    t = [row[:m + 1] + [int(i == j) for j in range(n)] for i, row in enumerate(scaled)]
+    det, basis = n and _simplex_start(t, m) or (1, None)
+    if basis is None:
+        t = [[-a for a in row] if row[m] < 0 else row for row in t]
+        t.append([-sum(row[j] for row in t) for j in range(m + 1 + n)])
+        basis = list(range(m, m + n))  # the artificial of row i has index m + i
+        det = _to_optimum(t, det, basis, m)
+        if t[n][m] != 0:
+            raise LpInfeasible("no nonnegative combination of the columns meets the target")
+        for i in range(n):  # artificials still basic are at level zero
+            j = next((j for j in range(m) if t[i][j] != 0), None) if basis[i] >= m else None
             if j is not None:
-                det = _pivot(t, det, i, j)
-                basis[i] = j
+                det, basis[i] = _pivot(t, det, i, j), j
     d, c = _scaled(vec(costs))
     # the cost row in the current basis: det times the reduced costs
-    t[n] = [det * a for a in c] + [0] * (block + 1)
+    t[n:] = [[det * a for a in c] + [0] * (n + 1)]
     for row, b in zip(t, basis):
         if b < m and c[b] != 0:
             t[n] = [a - c[b] * v for a, v in zip(t[n], row)]
@@ -327,7 +354,6 @@ def simplex_each(columns, targets, costs) -> list:
             for row in t:
                 row[m] = sum(a * s[k] for a, s in zip(row[m + 1:], scaled))
             det = _restore(t, det, basis, m)
-        solved.append(({b: Fraction(row[m], det) for row, b in zip(t, basis) if b < m},
-                       Fraction(-t[n][m], det * d)))
+        solved.append((det * d, {b: d * row[m] for row, b in zip(t, basis) if b < m},
+                       -t[n][m], tuple(-scale * a for a in t[n][m + 1:])))
     return solved
-

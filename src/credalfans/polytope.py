@@ -7,13 +7,14 @@ independent active set by subset search; it is deliberately simple and
 exact, guarded to small instances, and serves as the ground truth that the
 structured fast paths are tested against. Every LP of the package is one
 guarded ``exactla.simplex_each`` on the dual, in ``_dual_solve``: ``lp_min``
-solves its basic rows for a minimising vertex, ``lp_minima`` reads the
-minima of many objectives off its cost row.
+reads a minimising vertex (minus the simplex multipliers) and its value off
+its cost row, ``lp_minima`` the minima of many objectives.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import NamedTuple
 
 from .exactla import (
@@ -147,9 +148,9 @@ _NO_VERTEX = "no vertices: empty or degenerate feasible set"
 
 
 def _dual_solve(p: HPolytope, objectives):
-    """(rows, solved): the rows of the dual LP (each equality as a +- pair)
-    and one ``exactla.simplex_each`` on it for a nonempty list of
-    objectives, under the oracle guards: every LP of the package.
+    """One ``exactla.simplex_each`` on the dual LP (each equality as a +-
+    pair of rows) for a nonempty list of objectives, under the oracle
+    guards: every LP of the package.
 
     The dual of min x . f over p maximises b . y over multipliers y with
     sum y_i f_i == f, y >= 0 on the rows' normals f_i; at an optimal basis
@@ -175,22 +176,20 @@ def _dual_solve(p: HPolytope, objectives):
             except LpUnbounded:
                 raise EmptyPolytopeError(_NO_VERTEX) from None
         raise UnboundedLpError("x . f is unbounded below over the polyhedron") from None
-    if len(solved[0][0]) < p.dim:
+    if len(solved[0][1]) < p.dim:
         raise EmptyPolytopeError(_NO_VERTEX)
-    return rows, solved
+    return solved
 
 
 def lp_min(p: HPolytope, f) -> LpResult:
-    """Exact minimum of x . f over p and a vertex attaining it: the basic
-    rows of ``_dual_solve``'s optimal basis, solved. When several vertices
-    attain the minimum, the one returned is the vertex of the basis Bland's
-    rule ends on, fixed by the row order of p and f; no other tie rule is
+    """Exact minimum of x . f over p and a vertex attaining it, read off the
+    cost row of ``_dual_solve``'s final tableau: x is minus its multipliers.
+    On a tie, the vertex is that of the basis Bland's rule ends on from the
+    start basis, fixed by p's row order and f; no other tie rule is
     promised. Raises as ``_dual_solve``, and OracleGuardError past the
     oracle's guards."""
-    f = vec(f)
-    rows, ((levels, _),) = _dual_solve(p, [f])
-    x = solve_unique([rows[j][0] for j in levels], [rows[j][1] for j in levels])
-    return LpResult(dot(x, f), Vertex(x))
+    ((s, _, cost, duals),) = _dual_solve(p, [vec(f)])
+    return LpResult(Fraction(-cost, s), Vertex(tuple(Fraction(-a, s) for a in duals)))
 
 
 def lp_minima(p: HPolytope, objectives) -> list:
@@ -199,4 +198,4 @@ def lp_minima(p: HPolytope, objectives) -> list:
     empty list runs no guard and no LP."""
     if not objectives:
         return []
-    return [-cost for _, cost in _dual_solve(p, objectives)[1]]
+    return [Fraction(-cost, s) for s, _, cost, _ in _dual_solve(p, objectives)]

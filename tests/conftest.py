@@ -7,11 +7,12 @@ the one-target form of the LP kernel the tests read.
 """
 
 import itertools
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from credalfans.cones import SupportUniverse
-from credalfans.exactla import ZERO, ones, rat, simplex_each, unit, vneg, zeros
+from credalfans.exactla import ones, rat, simplex_each, unit, vneg, zeros
 from credalfans.polytope import HPolytope
 
 Q = rat
@@ -22,8 +23,8 @@ def simplex(columns, target, costs=None):
     columns[j] == target minimising costs . x (all costs zero when none
     are given), and its basic columns in tableau row order."""
     costs = zeros(len(columns)) if costs is None else costs
-    ((levels, _),) = simplex_each(columns, [target], costs)
-    return [levels.get(j, ZERO) for j in range(len(columns))], tuple(levels)
+    ((s, levels, _, _),) = simplex_each(columns, [target], costs)
+    return [Fraction(levels.get(j, 0), s) for j in range(len(columns))], tuple(levels)
 
 
 def ind(n, members):

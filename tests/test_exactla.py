@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from credalfans import exactla
 from credalfans.exactla import (
     LpInfeasible,
     LpUnbounded,
@@ -335,7 +336,8 @@ def test_simplex_each_dependent_row():
     # one column (1, 1): the second row is dependent, so a later target off
     # the line x0 == x1 fails there whatever the sign of its right-hand side
     col = [vec([1, 1])]
-    assert simplex_each(col, [vec([1, 1]), vec([3, 3])], [1]) == [({0: 1}, 1), ({0: 3}, 3)]
+    assert [({j: Q(v) / s for j, v in levels.items()}, Q(cost) / s) for s, levels, cost, _
+            in simplex_each(col, [vec([1, 1]), vec([3, 3])], [1])] == [({0: 1}, 1), ({0: 3}, 3)]
     for off in ([1, 2], [2, 1]):
         with pytest.raises(LpInfeasible):
             simplex_each(col, [vec([1, 1]), vec(off)], [1])
@@ -363,8 +365,54 @@ def test_simplex_each_matches_basis_enumeration(data):
             simplex_each(cols, targets, costs)
         return
     solved = simplex_each(cols, targets, costs)
-    assert [cost for _, cost in solved] == expected
-    for target, (levels, cost) in zip(targets, solved):
-        assert all(v >= 0 for v in levels.values())
-        assert [sum(cols[j][i] * v for j, v in levels.items()) for i in range(n + 1)] == target
+    assert [Q(cost) / s for s, _, cost, _ in solved] == expected
+    for target, (s, levels, cost, duals) in zip(targets, solved):
+        assert s > 0 and all(v >= 0 for v in levels.values())
+        assert [sum(cols[j][i] * v for j, v in levels.items()) for i in range(n + 1)] == [
+            s * a for a in target]
         assert sum(costs[j] * v for j, v in levels.items()) == cost
+        _assert_optimal_duals(cols, target, costs, s, levels, cost, duals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_simplex_each_from_the_simplex_start_matches_basis_enumeration(data):
+    # every unit vector scaled by a positive int, the +- pair of a scaled
+    # ones vector and drawn columns, shuffled: phase 2 alone (one
+    # _to_optimum run) from the closed-form start. Costs y . column + a
+    # nonnegative slack keep the dual feasible, so the LP is bounded.
+    n = data.draw(st.integers(1, 3))
+    beta = data.draw(st.integers(1, 3))
+    cols = [vec([data.draw(st.integers(1, 3)) * (i == y) for i in range(n)]) for y in range(n)]
+    cols += [vec([beta] * n), vec([-beta] * n)]
+    cols += data.draw(st.lists(st.lists(small_rats, min_size=n, max_size=n).map(vec), max_size=3))
+    cols = data.draw(st.permutations(cols))
+    y = data.draw(st.lists(small_rats, min_size=n, max_size=n))
+    costs = [dot(y, col) + data.draw(small_rats.filter(lambda a: a >= 0)) for col in cols]
+    targets = data.draw(st.lists(st.lists(small_rats, min_size=n, max_size=n), min_size=1, max_size=3))
+    runs, real = [], exactla._to_optimum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_to_optimum", lambda *args: runs.append(args) or real(*args))
+        solved = simplex_each(cols, targets, costs)
+    assert len(runs) == 1
+    for target, (s, levels, cost, duals) in zip(targets, solved):
+        assert Q(cost) / s == _min_over_bases(cols, target, costs)
+        assert [sum(cols[j][i] * v for j, v in levels.items()) for i in range(n)] == [
+            s * a for a in target]
+        _assert_optimal_duals(cols, target, costs, s, levels, cost, duals)
+
+
+def test_simplex_start_det_is_its_basis_determinant():
+    # w = (1, 2): y0 = 0 and the basis {5 . 1, 3 e_1}, of |determinant| 15,
+    # is already optimal at zero cost: levels 1/5 and 1/3, no pivot
+    cols = [vec([2, 0]), vec([0, 3]), vec([5, 5]), vec([-5, -5])]
+    assert simplex_each(cols, [vec([1, 2])], zeros(4)) == [(15, {2: 3, 1: 5}, 0, (0, 0))]
+
+
+def _assert_optimal_duals(cols, target, costs, s, levels, cost, duals):
+    """duals / s is dual feasible (y . column <= cost), tight on every basic
+    column, and its value y . target is the optimal cost (strong duality)."""
+    y = [Q(a) / s for a in duals]
+    assert all(dot(y, col) <= c for col, c in zip(cols, costs))
+    assert all(dot(y, cols[j]) == costs[j] for j in levels)
+    assert dot(y, target) == Q(cost) / s

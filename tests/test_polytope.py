@@ -20,7 +20,14 @@ from credalfans.polytope import (
 )
 
 from cone_calculus import Cone, active_set, normal_cone_at
-from conftest import assessed_rows, rows_hrep
+from conftest import (
+    assessed_rows,
+    belief_masses,
+    coherent_intervals,
+    interval_hrep,
+    lowprob_hrep,
+    rows_hrep,
+)
 
 Q = rat
 
@@ -255,6 +262,102 @@ def test_lp_min_on_a_shifted_orthant(drawn):
             lp_min(p, f)
     else:
         assert lp_min(p, f) == (dot(c, f), Vertex(c))
+
+
+def _optimum_runs(call):
+    """(call(), its count of exactla._to_optimum runs): 1 from the simplex's
+    own start (phase 2 alone), 2 from the artificial one (phases 1 and 2)."""
+    runs, real = [], exactla._to_optimum
+
+    def spy(*args):
+        runs.append(args)
+        return real(*args)
+
+    exactla._to_optimum = spy
+    try:
+        return call(), len(runs)
+    finally:
+        exactla._to_optimum = real
+
+
+def _off_units(rows):
+    """rows with each a e_x >= b (a > 0) written on the complement as
+    -a (1 - e_x) >= b - a: the same set wherever p . 1 == 1, and no unit
+    column left in the dual."""
+    for f, b in rows:
+        (x, *more) = [i for i, a in enumerate(f) if a]
+        if more or f[x] < 0:
+            yield f, b
+        else:
+            yield tuple(Q(0) if i == x else -f[x] for i in range(len(f))), b - f[x]
+
+
+_seeded = st.tuples(st.integers(2, 5), st.randoms(use_true_random=False))
+credal_hreps = st.one_of(
+    _seeded.map(lambda a: interval_hrep(*coherent_intervals(a[1], a[0]))),
+    _seeded.map(lambda a: lowprob_hrep(min(a[0], 4), belief_masses(a[1], min(a[0], 4)))),
+    st.just(interval_polytope(["1/6"] * 5, ["1/4"] * 5)),  # degenerate: tied bounds
+    assessed_rows().map(lambda model: rows_hrep(*model)),  # tied, envelope, empty
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(credal_hreps, st.data())
+def test_lp_on_credal_sets_from_either_start_matches_the_oracle(p, data):
+    """A credal set's dual starts at the simplex's own basis: one
+    _to_optimum run. Its twin, every unit row rewritten off the unit
+    vectors, is the same set but runs phase 1 too. Both give the oracle's
+    minima, and lp_min a vertex of the oracle's attaining it."""
+    twin = HPolytope(p.dim, tuple(_off_units(p.inequalities)), p.equalities)
+    vs = vertices_bruteforce(p)
+    assert vertices_bruteforce(twin) == vs
+    fs = [vec(f) for f in data.draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * p.dim), min_size=1, max_size=4))]
+    for h, runs in ((p, 1), (twin, 2)):
+        if not vs:
+            with pytest.raises(EmptyPolytopeError):
+                lp_minima(h, fs)
+            continue
+        expected = [min(dot(v.point, f) for v in vs) for f in fs]
+        assert _optimum_runs(lambda: lp_minima(h, fs)) == (expected, runs)
+        for f, value in zip(fs, expected):
+            (got, arg), k = _optimum_runs(lambda: lp_min(h, f))
+            assert (got, k) == (value, runs)
+            assert arg in vs and dot(arg.point, f) == value
+
+
+def _simplex_rows(units, f, b):
+    """Rows a e_x >= 0 for each (a, x) of units, in that order, then f >= b."""
+    return tuple((tuple(Q(a) * e for e in unit(3, x)), Q(0)) for a, x in units) + ((vec(f), Q(b)),)
+
+
+EDGE_CASES = [
+    # (rows, equalities, objective, _to_optimum runs): the start needs a
+    # positive multiple of e_y for every y but y0, the least index of the
+    # objective's minimum, and a multiple of 1 on the side of its value
+    (_simplex_rows([(2, 0), (1, 1), (3, 2)], (1, 1, 0), "1/3"), [(ones(3), 1)], (3, 2, 1), 1),
+    (_simplex_rows([(1, 2), (5, 0), (1, 1)], (1, 1, 0), "1/3"), [(ones(3), 1)], (3, 2, 1), 1),
+    (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 1, 0), "1/3"), [(vec([2, 2, 2]), 2)], (1, 2, 3), 1),
+    (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 0, 1), "1/4"), [(ones(3), 1)], (2, 1, 1), 1),
+    (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 0, 1), "1/4"), [(ones(3), 1)], (0, -1, -1), 1),
+    # p(2) >= 0 on the complement, so no e_2 row: fine when y0 == 2 only
+    (_simplex_rows([(1, 0), (1, 1)], (-1, -1, 0), -1), [(ones(3), 1)], (2, 3, 1), 1),
+    (_simplex_rows([(1, 0), (1, 1)], (-1, -1, 0), -1), [(ones(3), 1)], (1, 3, 2), 2),
+    # an equality other than p . 1 == 1 in its place, or beside it
+    (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 1, 0), 0), [(vec([1, 1, 2]), 1)], (3, 2, 1), 2),
+    (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 1, 0), 0),
+     [(ones(3), 1), (vec([1, -1, 0]), 0)], (3, 2, 1), 1),
+]
+
+
+@pytest.mark.parametrize("rows, equalities, f, runs", EDGE_CASES)
+def test_the_simplex_start_at_the_edge_of_its_hypotheses(rows, equalities, f, runs):
+    p = HPolytope(3, rows, equalities)
+    f = vec(f)
+    (value, arg), k = _optimum_runs(lambda: lp_min(p, f))
+    assert k == runs
+    vs = vertices_bruteforce(p)
+    assert value == min(dot(v.point, f) for v in vs) and arg in vs and dot(arg.point, f) == value
 
 
 def test_unbounded_face_is_not_a_problem_for_pointed_sets():

@@ -252,3 +252,18 @@ def test_the_natex_read_path_scans_integer_rows_only():
                     and isinstance(node.value, ast.Name) and node.value.id == "exactla"
                     or isinstance(node, ast.ImportFrom)
                     and any(a.name == "dot" for a in node.names)], module
+
+
+# lp_min reads its vertex and value off the LP's final tableau, so neither it
+# nor the walk's seed, which takes its vertex from lp_min, solves the basic
+# rows again (exactla.solve_unique) or takes a Fraction dot product.
+RE_SOLVES = {"solve_unique", "dot"}
+
+
+@pytest.mark.parametrize("module, function", [("polytope", "lp_min"), ("fanwalk", "_find_seed")])
+def test_lp_min_reads_its_vertex_off_the_tableau(module, function):
+    (fn,) = [top for top in _parse(PACKAGE / f"{module}.py").body
+             if isinstance(top, ast.FunctionDef) and top.name == function]
+    read = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(fn)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not read & RE_SOLVES
