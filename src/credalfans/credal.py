@@ -14,7 +14,10 @@ every normal cone, and p . f >= b and p . (c f + k 1) >= c b + k (c > 0)
 one half-space, kept as one row: f shifted to least entry 0, then scaled to
 first nonzero entry 1. Only an outcome whose indicator no assessment covers
 costs an LP: if the other rows imply p(x) >= 0, 1_x stays out of the support
-universe, as a row never tight on a facet generates no MESC wall.
+universe, as a row never tight on a facet generates no MESC wall. That LP
+keeps p(x) >= -1 in place of p(x) >= 0: every LP of the package is over a
+credal set, bounded and with a row on each p(y), as the LP kernel's start
+requires.
 
 Coherence is one ``polytope.lp_minima`` over the assessments. Natural
 extension evaluates the lower envelope of the credal set at any gamble; on
@@ -182,13 +185,18 @@ def _canonical_row(f, b):
 
 def _nonneg_row_implied(x: int, other_rows, n: int) -> bool:
     """Is p(x) >= 0 implied by the listed rows plus total mass one? One LP:
-    the minimum of p(x) over that relaxation is at least 0. A relaxation
-    that is empty, or on which p(x) is unbounded below, implies nothing."""
-    from .polytope import EmptyPolytopeError, HPolytope, UnboundedLpError, lp_minima
-    relaxed = HPolytope(n, tuple(other_rows), ((ones(n), 1),))
+    the minimum of p(x) is at least 0 over those rows (a row on each p(y),
+    y != x, among them), p . 1 = 1 and p(x) >= -1. With that last row the
+    set is bounded and its dual holds the LP kernel's start, and the answer
+    is the same: where p(x) < 0 somewhere, either the set is empty (p(x) <
+    -1 everywhere, so nothing is implied) or, by convexity, it holds a
+    point with p(x) in [-1, 0)."""
+    from .polytope import EmptyPolytopeError, HPolytope, lp_minima
+    e_x = unit(n, x)
+    relaxed = HPolytope(n, (*other_rows, (e_x, -1)), ((ones(n), 1),))
     try:
-        return lp_minima(relaxed, [unit(n, x)])[0] >= 0
-    except (EmptyPolytopeError, UnboundedLpError):
+        return lp_minima(relaxed, [e_x])[0] >= 0
+    except EmptyPolytopeError:
         return False
 
 
@@ -202,9 +210,11 @@ def build_credal_hrep(lp: LowerPrevision):
     One row per half-space, keyed by _canonical_row (the shift-and-scale
     rule), each key at its tightest bound; the universe is the assessment
     keys and the constant. Every p(x) >= 0 merges into its key, and one LP
-    (_nonneg_row_implied over the other rows) decides whether 1_x joins the
-    universe, only where no assessment covers 1_x. Rows keep the
-    assessments' order, then the unassessed outcomes'.
+    (_nonneg_row_implied: the minimum of p(x) over the other rows, every
+    p(y) >= 0 among them, p . 1 = 1 and p(x) >= -1, which the LP kernel's
+    start requires) decides whether 1_x joins the universe, only where no
+    assessment covers 1_x. Rows keep the assessments' order, then the
+    unassessed outcomes'.
     """
     from .polytope import HPolytope
     n = lp.space.n

@@ -10,10 +10,12 @@ Vectors are tuples of Fractions. ``rank``, ``solve_unique``,
 many right-hand sides, run only by ``polytope._dual_solve``) share one
 fraction-free Gauss-Jordan pivot (``_pivot``, Edmonds' integer-preserving
 elimination, as in lrs) on denominator-cleared integer rows: every division
-is exact and intermediate growth stays polynomial. The LP kernel starts a
-credal set's dual at the simplex's own basis, with no pivot, and returns
-integers over one scale, as ``scaled_inverse`` does (d times the inverse,
-for the walk's seed table): its callers build the Fractions they read.
+is exact and intermediate growth stays polynomial. The LP kernel solves a
+credal set's dual alone: it starts at the probability simplex's own basis,
+written down with no pivot and no phase 1, refuses (ValueError) columns
+that do not hold that basis, and returns integers over one scale, as
+``scaled_inverse`` does (d times the inverse, for the walk's seed table):
+its callers build the Fractions they read.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "format_rat",
     "DigitLimitError",
     "vec",
-    "zeros",
     "unit",
     "ones",
     "indicator",
@@ -101,10 +102,6 @@ def vec(values) -> tuple:
     if type(values) is tuple and all(type(a) is Fraction for a in values):
         return values
     return tuple(rat(v) for v in values)
-
-
-def zeros(n: int) -> tuple:
-    return (ZERO,) * n
 
 
 def unit(n: int, i: int) -> tuple:
@@ -262,11 +259,11 @@ def _to_optimum(t: list[list[int]], det: int, basis: list, m: int) -> int:
 
 def _restore(t: list[list[int]], det: int, basis: list, m: int) -> int:
     """The dual simplex under Bland's rule (Bland 1977) until no right-hand
-    side is negative, or nonzero on a dependent row: leave on such a row of
-    least basic index, enter on the least ratio of reduced cost to |entry|
-    over its negative entries, ties to the least column; else LpInfeasible."""
+    side is negative: leave on such a row of least basic index, enter on the
+    least ratio of reduced cost to |entry| over its negative entries, ties
+    to the least column; else LpInfeasible."""
     while True:
-        rows = [i for i, b in enumerate(basis) if t[i][m] < 0 or b >= m and t[i][m]]
+        rows = [i for i in range(len(basis)) if t[i][m] < 0]
         if not rows:
             return det
         leave = min(rows, key=basis.__getitem__)
@@ -311,41 +308,32 @@ def simplex_each(columns, targets, costs) -> list:
     target, for each of a nonempty list of targets, on one dense integer
     tableau (``_pivot``) with the cost as its last row: the one LP kernel.
 
-    The first target starts at ``_simplex_start``'s basis where the columns
-    hold it, as every credal set's dual does; else phase 1 from the
-    artificial basis (else LpInfeasible) pivots out each artificial a real
-    column can replace, the rest left as dependent rows. Phase 2 (Bland's
-    rule) may raise LpUnbounded. Each further target is a ``_restore`` from
-    the last optimum, its right-hand sides the artificial block (det times
-    the inverse basis) times the target. Per target: (s, levels, cost,
-    duals), integers over one s > 0: a basic optimal x as {basic column:
-    level} in row order (fewer entries than rows exactly when the columns
-    do not span), costs . x, and the multipliers y off the cost row's
-    artificial block (y . columns[j] <= costs[j], equal where j is basic).
-    ValueError when the columns and targets differ in length.
+    Hypothesis: the columns hold ``_simplex_start``'s basis for the first
+    target, as every credal set's dual does (its rows a_y p(y) >= b_y and
+    c p . 1 = c k); ValueError otherwise, and when the columns and targets
+    differ in length. Phase 2 (Bland's rule) runs from that start and may
+    raise LpUnbounded. Each further target is a ``_restore`` from the last
+    optimum, its right-hand sides the inverse block (the columns after the
+    right-hand side, started as the identity: det times the inverse basis)
+    times the target. Per target: (s, levels, cost, duals), integers over
+    one s > 0: a basic optimal x as {basic column: level} in row order,
+    costs . x, and the multipliers y off the cost row's inverse block
+    (y . columns[j] <= costs[j], equal where j is basic).
     """
     n, m = len(targets[0]), len(columns)
     if any(len(v) != n for v in (*columns, *targets)):
         raise ValueError("columns and targets differ in length")
     scale, scaled = _int_rows([[col[i] for col in columns] + [g[i] for g in targets] for i in range(n)])
     t = [row[:m + 1] + [int(i == j) for j in range(n)] for i, row in enumerate(scaled)]
-    det, basis = n and _simplex_start(t, m) or (1, None)
-    if basis is None:
-        t = [[-a for a in row] if row[m] < 0 else row for row in t]
-        t.append([-sum(row[j] for row in t) for j in range(m + 1 + n)])
-        basis = list(range(m, m + n))  # the artificial of row i has index m + i
-        det = _to_optimum(t, det, basis, m)
-        if t[n][m] != 0:
-            raise LpInfeasible("no nonnegative combination of the columns meets the target")
-        for i in range(n):  # artificials still basic are at level zero
-            j = next((j for j in range(m) if t[i][j] != 0), None) if basis[i] >= m else None
-            if j is not None:
-                det, basis[i] = _pivot(t, det, i, j), j
+    start = n and _simplex_start(t, m)
+    if not start:
+        raise ValueError("the columns do not hold the probability simplex's start basis")
+    det, basis = start
     d, c = _scaled(vec(costs))
-    # the cost row in the current basis: det times the reduced costs
-    t[n:] = [[det * a for a in c] + [0] * (n + 1)]
+    # the cost row in the start basis: det times the reduced costs
+    t.append([det * a for a in c] + [0] * (n + 1))
     for row, b in zip(t, basis):
-        if b < m and c[b] != 0:
+        if c[b] != 0:
             t[n] = [a - c[b] * v for a, v in zip(t[n], row)]
     det = _to_optimum(t, det, basis, m)
     solved = []
@@ -354,6 +342,6 @@ def simplex_each(columns, targets, costs) -> list:
             for row in t:
                 row[m] = sum(a * s[k] for a, s in zip(row[m + 1:], scaled))
             det = _restore(t, det, basis, m)
-        solved.append((det * d, {b: d * row[m] for row, b in zip(t, basis) if b < m},
+        solved.append((det * d, {b: d * row[m] for row, b in zip(t, basis)},
                        -t[n][m], tuple(-scale * a for a in t[n][m + 1:])))
     return solved

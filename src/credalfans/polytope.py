@@ -8,7 +8,11 @@ exact, guarded to small instances, and serves as the ground truth that the
 structured fast paths are tested against. Every LP of the package is one
 guarded ``exactla.simplex_each`` on the dual, in ``_dual_solve``: ``lp_min``
 reads a minimising vertex (minus the simplex multipliers) and its value off
-its cost row, ``lp_minima`` the minima of many objectives.
+its cost row, ``lp_minima`` the minima of many objectives. The LP is
+defined on credal sets alone, which hold the kernel's start: a row on a
+positive multiple of each p(y) and an equality on a multiple of p . 1.
+Such a set is bounded, so the LP's one failure is an empty set. The
+oracle stays general: it is the ground truth.
 """
 
 from __future__ import annotations
@@ -17,19 +21,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactla import (
-    LpInfeasible,
-    LpUnbounded,
-    Record,
-    dot,
-    rank,
-    rat,
-    simplex_each,
-    solve_unique,
-    vec,
-    vneg,
-    zeros,
-)
+from .exactla import LpUnbounded, Record, dot, rank, rat, simplex_each, solve_unique, vec, vneg
 
 __all__ = [
     "HPolytope",
@@ -37,7 +29,6 @@ __all__ = [
     "LpResult",
     "OracleGuardError",
     "EmptyPolytopeError",
-    "UnboundedLpError",
     "SeedSearchError",
     "check_guards",
     "vertices_bruteforce",
@@ -52,10 +43,6 @@ class OracleGuardError(RuntimeError):
 
 class EmptyPolytopeError(RuntimeError):
     """The feasible set is empty."""
-
-
-class UnboundedLpError(RuntimeError):
-    """The objective is unbounded below over the polyhedron."""
 
 
 class SeedSearchError(RuntimeError):
@@ -154,31 +141,16 @@ def _dual_solve(p: HPolytope, objectives):
 
     The dual of min x . f over p maximises b . y over multipliers y with
     sum y_i f_i == f, y >= 0 on the rows' normals f_i; at an optimal basis
-    the basic rows of p hold with equality. The first objective's own
-    error comes first: EmptyPolytopeError when p is empty or its first
-    optimal basis does not span (the normals do not, so p has no vertex),
-    UnboundedLpError when f leaves the normals' cone over a nonempty p. By
-    Farkas, one solve of the zero objective tells those two apart: its dual
-    is bounded exactly when p is nonempty. A later failing objective is
-    unbounded (UnboundedLpError).
+    the basic rows of p hold with equality. p must hold the kernel's start
+    (ValueError otherwise), which is a feasible dual basis, so the dual is
+    unbounded exactly when p is empty: EmptyPolytopeError.
     """
     check_guards(p)
     rows = list(p.inequalities + p.equalities) + [(vneg(g), -b) for g, b in p.equalities]
-    normals, costs = [g for g, _ in rows], [-b for _, b in rows]
     try:
-        solved = simplex_each(normals, objectives, costs)
-    except (LpInfeasible, LpUnbounded):
-        if len(objectives) > 1:  # the first objective's own error, if it fails alone
-            _dual_solve(p, objectives[:1])
-        else:
-            try:  # Farkas
-                simplex_each(normals, [zeros(p.dim)], costs)
-            except LpUnbounded:
-                raise EmptyPolytopeError(_NO_VERTEX) from None
-        raise UnboundedLpError("x . f is unbounded below over the polyhedron") from None
-    if len(solved[0][1]) < p.dim:
-        raise EmptyPolytopeError(_NO_VERTEX)
-    return solved
+        return simplex_each([g for g, _ in rows], objectives, [-b for _, b in rows])
+    except LpUnbounded:
+        raise EmptyPolytopeError(_NO_VERTEX) from None
 
 
 def lp_min(p: HPolytope, f) -> LpResult:
@@ -186,16 +158,19 @@ def lp_min(p: HPolytope, f) -> LpResult:
     cost row of ``_dual_solve``'s final tableau: x is minus its multipliers.
     On a tie, the vertex is that of the basis Bland's rule ends on from the
     start basis, fixed by p's row order and f; no other tie rule is
-    promised. Raises as ``_dual_solve``, and OracleGuardError past the
-    oracle's guards."""
+    promised. Defined where p holds the kernel's start, as every credal set
+    does; raises as ``_dual_solve``, and OracleGuardError past the oracle's
+    guards."""
     ((s, _, cost, duals),) = _dual_solve(p, [vec(f)])
     return LpResult(Fraction(-cost, s), Vertex(tuple(Fraction(-a, s) for a in duals)))
 
 
 def lp_minima(p: HPolytope, objectives) -> list:
     """[lp_min(p, f).value for f in objectives], read off the cost row of one
-    ``_dual_solve``, which raises as lp_min does for the first objective. An
-    empty list runs no guard and no LP."""
+    ``_dual_solve``, which raises as lp_min does for the first objective. On
+    a credal set every objective has a minimum; where p lacks a unit row, a
+    later objective may be unbounded below (exactla.LpInfeasible). An empty
+    list runs no guard and no LP."""
     if not objectives:
         return []
     return [Fraction(-cost, s) for s, _, cost, _ in _dual_solve(p, objectives)]

@@ -2,29 +2,18 @@
 
 These build H-representations by hand, independent of the package's own
 model-to-polytope builders, so lower layers are testable on their own and
-the builders themselves can be cross-checked against them. ``simplex`` is
-the one-target form of the LP kernel the tests read.
+the builders themselves can be cross-checked against them.
 """
 
 import itertools
-from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from credalfans.cones import SupportUniverse
-from credalfans.exactla import ones, rat, simplex_each, unit, vneg, zeros
+from credalfans.exactla import ones, rat, unit, vneg
 from credalfans.polytope import HPolytope
 
 Q = rat
-
-
-def simplex(columns, target, costs=None):
-    """One ``simplex_each`` target, as (x, basis): x >= 0 with sum x_j
-    columns[j] == target minimising costs . x (all costs zero when none
-    are given), and its basic columns in tableau row order."""
-    costs = zeros(len(columns)) if costs is None else costs
-    ((s, levels, _, _),) = simplex_each(columns, [target], costs)
-    return [Fraction(levels.get(j, 0), s) for j in range(len(columns))], tuple(levels)
 
 
 def ind(n, members):

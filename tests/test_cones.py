@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from credalfans.cones import SupportUniverse
 from credalfans.credal import OutcomeSpace, build_credal_hrep
-from credalfans.exactla import LpInfeasible, dot, ones, rank, rat, vec, vneg
+from credalfans.exactla import dot, ones, rank, rat, solve_unique, vec
 from credalfans.pri import PRIModel, is_coherent_pri, pri_hrep
 
 from cone_calculus import Cone, Witness, absorbed, are_adjacent, contains, dual_basis, witness
-from conftest import simplex
 from test_walk_pinned import _envelope
 
 Q = rat
@@ -192,21 +191,21 @@ UNIVERSES = [u for n in (3, 4, 5)
 
 
 def lp_mesc_failure(gens, universe):
-    """Why the cone on gens is no MESC, by the LP route: 'size', 'dependent'
-    (a rank test), or the first absorbed vector with its witness (one
-    phase-1 LP of conftest.simplex per universe vector, the constant-one
-    lineality entered as a +- pair of columns); None for a MESC."""
+    """Why the cone on gens is no MESC, by the coordinates route: 'size',
+    'dependent' (a rank test), or the first absorbed vector with its
+    witness (its coordinates on the basis gens + 1, by solve_unique, all
+    nonnegative on gens; the constant-one lineality takes any sign); None
+    for a MESC."""
     n = universe.dim
     if len(gens) != n - 1:
         return "size"
-    if rank(list(gens) + [ones(n)]) != n:
+    basis = list(gens) + [ones(n)]
+    if rank(basis) != n:
         return "dependent"
     for u in others(gens, universe):
-        try:
-            x, _ = simplex(list(gens) + [ones(n), vneg(ones(n))], u)
-        except LpInfeasible:
-            continue
-        return u, Witness(tuple(x[: n - 1]), (x[n - 1] - x[n],))
+        x = solve_unique(list(zip(*basis)), u)
+        if all(a >= 0 for a in x[: n - 1]):
+            return u, Witness(x[: n - 1], x[n - 1:])
     return None
 
 

@@ -26,13 +26,13 @@ from credalfans.credal import (
     natural_extension,
     parse_gamble,
 )
-from credalfans.exactla import LpInfeasible, dot, ones, rat, unit, vec
+from credalfans.exactla import dot, ones, rat, unit, vec
 from credalfans.fanwalk import walk
 from credalfans.polytope import HPolytope, vertices_bruteforce
 from credalfans.pri import pri_from_json
 
 from cone_calculus import EventCollection, cone_additivity_check, is_event_mesc
-from conftest import Q, assessed_rows, interval_hrep, simplex
+from conftest import Q, assessed_rows, interval_hrep
 
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -201,23 +201,12 @@ class TestCoherence:
 def ray_scan_implied(x, other_rows, n):
     """Reference for credal._nonneg_row_implied by another route: a
     descent ray (d . g >= 0 on every other normal, d . 1 == 0, d(x) == -1)
-    from one phase-1 LP (conftest.simplex without costs) means p(x) is
-    unbounded below, so not implied; otherwise the minimum of p(x) over the
-    relaxation's vertex set decides."""
-    normals = [f for f, _ in other_rows]
-    m = len(normals)
-    cols = []
-    for i in range(n):  # d+ part
-        cols.append(vec([g[i] for g in normals] + [1, 1 if i == x else 0]))
-    for i in range(n):  # d- part
-        cols.append(vec([-g[i] for g in normals] + [-1, -1 if i == x else 0]))
-    for j in range(m):  # slack per inequality
-        cols.append(vec([-1 if k == j else 0 for k in range(m)] + [0, 0]))
-    try:
-        simplex(cols, vec([0] * m + [0, -1]))
-    except LpInfeasible:
-        pass  # no descent ray
-    else:
+    from the oracle, as that set is bounded (the other unit rows give
+    d(y) >= 0, summing to 1) and so nonempty exactly when it has a vertex,
+    means p(x) is unbounded below, so not implied; otherwise the minimum of
+    p(x) over the relaxation's vertex set decides."""
+    rays = HPolytope(n, tuple((g, 0) for g, _ in other_rows), ((ones(n), 0), (unit(n, x), -1)))
+    if vertices_bruteforce(rays):
         return False
     vs = vertices_bruteforce(HPolytope(n, tuple(other_rows), ((ones(n), 1),)))
     return bool(vs) and min(v.point[x] for v in vs) >= 0

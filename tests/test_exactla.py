@@ -24,10 +24,7 @@ from credalfans.exactla import (
     unit,
     vec,
     vneg,
-    zeros,
 )
-
-from conftest import simplex
 
 Q = rat
 
@@ -56,7 +53,6 @@ def test_rat_coercion_and_format():
 
 
 def test_vector_helpers():
-    assert zeros(3) == vec([0, 0, 0])
     assert unit(3, 1) == vec([0, 1, 0])
     assert ones(2) == vec([1, 1])
     assert dot(vec([1, 2]), vec([3, "1/2"])) == Q(4)
@@ -113,39 +109,45 @@ def test_solve_unique_overdetermined():
     assert solve_unique(a, vec([2, 3, 6])) is None
 
 
-def test_simplex_phase_one_trivial_and_empty():
-    assert simplex([], zeros(3))[0] == []
-    with pytest.raises(LpInfeasible):
-        simplex([], vec([1, 0, 0]))
-    x, _ = simplex([vec([1, 0]), vec([0, 1])], zeros(2))
-    assert x == [Q(0), Q(0)]
+def test_simplex_each_refuses_columns_without_the_start():
+    # (columns, first target): no columns; units but no multiple of 1; 1
+    # only on the side opposite the target's least entry; no e_1 although
+    # y0 == 0; and no target coordinates at all
+    for cols, target in (([], [1, 0, 0]), ([[1, 0], [0, 1]], [1, 2]),
+                         ([[0, 1], [1, 1]], [-1, 0]), ([[1, 0], [1, 1], [-1, -1]], [1, 2]),
+                         ([], [])):
+        with pytest.raises(ValueError, match="start basis"):
+            simplex_each([vec(c) for c in cols], [vec(target)], [0] * len(cols))
+    # y0 == 1 needs no e_1: the same columns hold the start for (2, 1)
+    ((s, levels, _, _),) = simplex_each(rows([1, 0], [1, 1], [-1, -1]), [vec([2, 1])], [0] * 3)
+    assert {j: Fraction(v, s) for j, v in levels.items()} == {1: 1, 0: 1}
 
 
 def test_simplex_phase_two():
-    # min x0 + 2 x1 + 3 x2 with x0 + x1 + x2 == 1 and x1 - x2 == 0
-    cols = [vec([1, 0]), vec([1, 1]), vec([1, -1])]
-    x, basis = simplex(cols, vec([1, 0]), vec([1, 2, 3]))
-    assert x == [Q(1), Q(0), Q(0)]
-    assert sorted(basis) in ([0, 1], [0, 2])
-    # without costs the same call is phase 1: any feasible basic x
-    x, _ = simplex(cols, vec([1, 0]))
-    assert [dot([c[i] for c in cols], x) for i in range(2)] == [1, 0]
-
-
-def test_simplex_drops_a_dependent_row():
-    # the third row is the sum of the first two: two basic columns
-    cols = [vec([1, 0, 1]), vec([0, 1, 1]), vec([1, 1, 2])]
-    x, basis = simplex(cols, vec([1, 2, 3]), vec([1, 1, 1]))
-    assert len(basis) == 2
-    assert x == [Q(0), Q(1), Q(1)]
+    # the dual of min p . (1, 3) over p >= 0, p . (1, 3) >= 2 and p . 1 == 1:
+    # from the start {1, e_1} (levels 1 and 2, cost -1) one pivot brings in
+    # the assessment's column, degenerate; the value is 2 at p = (1/2, 1/2)
+    cols = rows([1, 0], [0, 1], [1, 3], [1, 1], [-1, -1])
+    pivots, real = [], exactla._pivot
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_pivot", lambda *args: pivots.append(args[3]) or real(*args))
+        ((s, levels, cost, duals),) = simplex_each(cols, [vec([1, 3])], vec([0, 0, -2, -1, 1]))
+    assert pivots == [2]
+    assert {j: Fraction(v, s) for j, v in levels.items()} == {3: 0, 2: 1}
+    assert Fraction(cost, s) == -2
+    assert tuple(Fraction(a, s) for a in duals) == (Q("-1/2"), Q("-1/2"))
 
 
 def test_simplex_infeasible_and_unbounded():
-    with pytest.raises(LpInfeasible):
-        simplex([vec([1, 1])], vec([1, 2]), vec([0]))
-    # x0 == x1 leaves -x0 unbounded below
+    # p(0), p(1) >= 2/3 with p . 1 == 1 is empty: the dual cost falls along
+    # the +- pair of 1 from the start, whatever the target
+    cols = rows([1, 0], [0, 1], [1, 1], [-1, -1])
     with pytest.raises(LpUnbounded):
-        simplex([vec([1]), vec([-1])], vec([0]), vec([-1, 0]))
+        simplex_each(cols, [vec([1, 0])], vec(["-2/3", "-2/3", -1, 1]))
+    # without e_0, a later target whose least entry is not at 0 leaves the
+    # columns' cone: the dual restore finds no entering column
+    with pytest.raises(LpInfeasible):
+        simplex_each(rows([0, 1], [1, 1], [-1, -1]), [vec([0, 1]), vec([1, 0])], [0] * 3)
 
 
 # ---------------------------------------------------------------- properties
@@ -234,44 +236,6 @@ def test_scaled_inverse_contract(m):
     assert prod == [[d * (i == j) for j in range(n)] for i in range(n)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_simplex_finds_planted_combination(data):
-    # phase 1 recovers some x >= 0 over the generators and a +- pair for
-    # the constant direction whenever a planted combination exists
-    n = data.draw(st.integers(2, 4))
-    k = data.draw(st.integers(1, 3))
-    gens = [
-        vec(data.draw(st.lists(small_rats, min_size=n, max_size=n)))
-        for _ in range(k)
-    ]
-    gens = [g for g in gens if any(a != 0 for a in g)]
-    if not gens:
-        return
-    alphas = data.draw(
-        st.lists(
-            st.fractions(min_value=0, max_value=3, max_denominator=4),
-            min_size=len(gens),
-            max_size=len(gens),
-        )
-    )
-    beta = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
-    cols = gens + [ones(n), vneg(ones(n))]
-    planted = [rat(Fraction(a)) for a in alphas] + [rat(Fraction(beta)), Q(0)]
-    v = _combine(cols, planted)
-    x, _ = simplex(cols, v)
-    assert all(a >= 0 for a in x)
-    assert _combine(cols, x) == v
-
-
-def _combine(columns, coeffs):
-    """sum coeffs_j columns[j]."""
-    out = zeros(len(columns[0]))
-    for c, col in zip(coeffs, columns):
-        out = tuple(a + c * b for a, b in zip(out, col))
-    return out
-
-
 def _gauss(columns, target):
     """Unique x with sum x_j columns[j] == target, by plain Gaussian
     elimination over fractions; None when the columns are dependent or the
@@ -309,56 +273,23 @@ def _min_over_bases(columns, target, costs):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_simplex_matches_basis_enumeration(data):
-    # at most 3 drawn rows plus an all-ones row, which bounds the LP
-    n = data.draw(st.integers(0, 3))
-    m = data.draw(st.integers(1, 6))
-    cols = [data.draw(st.lists(small_rats, min_size=n, max_size=n)) + [rat(1)] for _ in range(m)]
-    if data.draw(st.booleans()):  # planted feasible point
-        x0 = data.draw(st.lists(small_rats.filter(lambda a: a >= 0), min_size=m, max_size=m))
-        target = [dot([c[i] for c in cols], x0) for i in range(n + 1)]
-    else:
-        target = data.draw(st.lists(small_rats, min_size=n + 1, max_size=n + 1))
-    costs = data.draw(st.lists(small_rats, min_size=m, max_size=m))
-    expected = _min_over_bases(cols, target, costs)
-    if expected is None:
-        with pytest.raises(LpInfeasible):
-            simplex(cols, target, costs)
-        return
-    x, basis = simplex(cols, target, costs)
-    assert all(a >= 0 for a in x)
-    assert [dot([c[i] for c in cols], x) for i in range(n + 1)] == list(target)
-    assert dot(costs, x) == expected
-    assert all(x[j] == 0 for j in range(m) if j not in basis)
-
-
-def test_simplex_each_dependent_row():
-    # one column (1, 1): the second row is dependent, so a later target off
-    # the line x0 == x1 fails there whatever the sign of its right-hand side
-    col = [vec([1, 1])]
-    assert [({j: Q(v) / s for j, v in levels.items()}, Q(cost) / s) for s, levels, cost, _
-            in simplex_each(col, [vec([1, 1]), vec([3, 3])], [1])] == [({0: 1}, 1), ({0: 3}, 3)]
-    for off in ([1, 2], [2, 1]):
-        with pytest.raises(LpInfeasible):
-            simplex_each(col, [vec([1, 1]), vec(off)], [1])
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
 def test_simplex_each_matches_basis_enumeration(data):
-    # one tableau for several targets: each cost is that target's minimum,
-    # and a target no nonnegative combination meets raises, dependent rows
-    # (columns that do not span) included
-    n = data.draw(st.integers(0, 3))
-    m = data.draw(st.integers(1, 6))
-    cols = [data.draw(st.lists(small_rats, min_size=n, max_size=n)) + [rat(1)] for _ in range(m)]
-    targets = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        x0 = data.draw(st.lists(small_rats.filter(lambda a: a >= 0), min_size=m, max_size=m))
-        targets.append([dot([c[i] for c in cols], x0) for i in range(n + 1)])
-    if data.draw(st.booleans()):
-        targets.insert(data.draw(st.integers(0, len(targets))),
-                       data.draw(st.lists(small_rats, min_size=n + 1, max_size=n + 1)))
-    costs = data.draw(st.lists(small_rats, min_size=m, max_size=m))
+    # one tableau for several targets, on columns that hold the start for
+    # the first target alone: every unit vector but e_k, where that
+    # target's entry is least, the +- pair of 1 and drawn columns. Each
+    # cost is that target's minimum, and a later target no nonnegative
+    # combination meets raises in the dual restore. Costs y . column + a
+    # nonnegative slack keep the dual feasible, so the LP is bounded.
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(0, n - 1))
+    cols = [unit(n, y) for y in range(n) if y != k] + [ones(n), vneg(ones(n))]
+    cols += data.draw(st.lists(st.lists(small_rats, min_size=n, max_size=n).map(vec), max_size=3))
+    cols = data.draw(st.permutations(cols))
+    y = data.draw(st.lists(small_rats, min_size=n, max_size=n))
+    costs = [dot(y, col) + data.draw(small_rats.filter(lambda a: a >= 0)) for col in cols]
+    first = data.draw(st.lists(small_rats, min_size=n, max_size=n))
+    first[k] = min(first) - data.draw(small_rats.filter(lambda a: a > 0))
+    targets = [first] + data.draw(st.lists(st.lists(small_rats, min_size=n, max_size=n), max_size=3))
     expected = [_min_over_bases(cols, target, costs) for target in targets]
     if None in expected:
         with pytest.raises(LpInfeasible):
@@ -368,7 +299,7 @@ def test_simplex_each_matches_basis_enumeration(data):
     assert [Q(cost) / s for s, _, cost, _ in solved] == expected
     for target, (s, levels, cost, duals) in zip(targets, solved):
         assert s > 0 and all(v >= 0 for v in levels.values())
-        assert [sum(cols[j][i] * v for j, v in levels.items()) for i in range(n + 1)] == [
+        assert [sum(cols[j][i] * v for j, v in levels.items()) for i in range(n)] == [
             s * a for a in target]
         assert sum(costs[j] * v for j, v in levels.items()) == cost
         _assert_optimal_duals(cols, target, costs, s, levels, cost, duals)
@@ -380,7 +311,10 @@ def test_simplex_each_from_the_simplex_start_matches_basis_enumeration(data):
     # every unit vector scaled by a positive int, the +- pair of a scaled
     # ones vector and drawn columns, shuffled: phase 2 alone (one
     # _to_optimum run) from the closed-form start. Costs y . column + a
-    # nonnegative slack keep the dual feasible, so the LP is bounded.
+    # slack: a nonnegative one keeps the dual feasible, so the LP is
+    # bounded; a drawn one may let the cost fall along a ray r >= 0 with
+    # sum r_j columns[j] == 0 (the dual of an empty credal set), found by
+    # basis enumeration on the rays normalised to sum r_j == 1.
     n = data.draw(st.integers(1, 3))
     beta = data.draw(st.integers(1, 3))
     cols = [vec([data.draw(st.integers(1, 3)) * (i == y) for i in range(n)]) for y in range(n)]
@@ -388,13 +322,21 @@ def test_simplex_each_from_the_simplex_start_matches_basis_enumeration(data):
     cols += data.draw(st.lists(st.lists(small_rats, min_size=n, max_size=n).map(vec), max_size=3))
     cols = data.draw(st.permutations(cols))
     y = data.draw(st.lists(small_rats, min_size=n, max_size=n))
-    costs = [dot(y, col) + data.draw(small_rats.filter(lambda a: a >= 0)) for col in cols]
+    slack = data.draw(st.sampled_from((small_rats.filter(lambda a: a >= 0), small_rats)))
+    costs = [dot(y, col) + data.draw(slack) for col in cols]
     targets = data.draw(st.lists(st.lists(small_rats, min_size=n, max_size=n), min_size=1, max_size=3))
+    unbounded = _min_over_bases([[*col, 1] for col in cols], [0] * n + [1], costs) < 0
     runs, real = [], exactla._to_optimum
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactla, "_to_optimum", lambda *args: runs.append(args) or real(*args))
-        solved = simplex_each(cols, targets, costs)
+        if unbounded:
+            with pytest.raises(LpUnbounded):
+                simplex_each(cols, targets, costs)
+        else:
+            solved = simplex_each(cols, targets, costs)
     assert len(runs) == 1
+    if unbounded:
+        return
     for target, (s, levels, cost, duals) in zip(targets, solved):
         assert Q(cost) / s == _min_over_bases(cols, target, costs)
         assert [sum(cols[j][i] * v for j, v in levels.items()) for i in range(n)] == [
@@ -406,7 +348,7 @@ def test_simplex_start_det_is_its_basis_determinant():
     # w = (1, 2): y0 = 0 and the basis {5 . 1, 3 e_1}, of |determinant| 15,
     # is already optimal at zero cost: levels 1/5 and 1/3, no pivot
     cols = [vec([2, 0]), vec([0, 3]), vec([5, 5]), vec([-5, -5])]
-    assert simplex_each(cols, [vec([1, 2])], zeros(4)) == [(15, {2: 3, 1: 5}, 0, (0, 0))]
+    assert simplex_each(cols, [vec([1, 2])], [0] * 4) == [(15, {2: 3, 1: 5}, 0, (0, 0))]
 
 
 def _assert_optimal_duals(cols, target, costs, s, levels, cost, duals):

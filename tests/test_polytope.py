@@ -12,7 +12,6 @@ from credalfans.polytope import (
     EmptyPolytopeError,
     HPolytope,
     OracleGuardError,
-    UnboundedLpError,
     Vertex,
     lp_min,
     lp_minima,
@@ -120,26 +119,31 @@ def test_empty_polytope():
         lp_min(p, ones(3))
 
 
+QUADRANT = HPolytope(2, ((unit(2, 0), 0), (unit(2, 1), 0)))
+
+
 def test_lp_min_unbounded_raises():
-    # the quadrant has one vertex, the origin, but x . (1, -1) has no minimum
-    quadrant = HPolytope(2, ((unit(2, 0), 0), (unit(2, 1), 0)))
-    with pytest.raises(UnboundedLpError):
-        lp_min(quadrant, vec([1, -1]))
-    assert lp_min(quadrant, vec([1, 2])) == (0, Vertex(vec([0, 0])))
+    # the quadrant has one vertex, the origin, but x . (1, -1) has no
+    # minimum; with no multiple of x . 1 fixed, its dual holds no start
+    for f in ((1, -1), (1, 2)):
+        with pytest.raises(ValueError, match="start basis"):
+            lp_min(QUADRANT, vec(f))
 
 
 def test_lp_min_tells_empty_from_unbounded():
-    # x1 >= 1 and x1 <= 0: empty, although (0, -1) also leaves the normals' cone
-    empty = HPolytope(2, ((unit(2, 0), 1), (vec([-1, 0]), 0)))
-    with pytest.raises(EmptyPolytopeError):
-        lp_min(empty, vec([0, -1]))
-    with pytest.raises(EmptyPolytopeError):
-        lp_min(empty, vec([1, 0]))
+    # an empty credal set, whatever the objective, is EmptyPolytopeError;
+    # the unbounded quadrant is refused before any LP runs
+    empty = interval_polytope(["2/3"] * 3, ["2/3"] * 3)
+    for f in ((0, -1, 0), (1, 0, 0), (0, 0, 0)):
+        with pytest.raises(EmptyPolytopeError):
+            lp_min(empty, vec(f))
+    with pytest.raises(ValueError, match="start basis"):
+        lp_min(QUADRANT, vec([1, -1]))
 
 
 def test_lp_min_without_a_vertex():
-    # a half-plane has a minimum of x1 but no vertex to return
-    with pytest.raises(EmptyPolytopeError):
+    # a half-plane has a minimum of x1 but no vertex to return, and no start
+    with pytest.raises(ValueError, match="start basis"):
         lp_min(HPolytope(2, ((unit(2, 0), 0),)), unit(2, 0))
 
 
@@ -171,25 +175,22 @@ def test_lp_min_and_lp_minima_make_one_kernel_call(monkeypatch):
 
 
 def test_lp_minima_raises_as_lp_min():
-    quadrant = HPolytope(2, ((unit(2, 0), 0), (unit(2, 1), 0)))
-    assert lp_minima(quadrant, [vec([1, 2]), vec([3, 0])]) == [0, 0]
-    # the second objective leaves the normals' cone in the dual restore
-    with pytest.raises(UnboundedLpError):
-        lp_minima(quadrant, [vec([1, 2]), vec([1, -1])])
-    with pytest.raises(UnboundedLpError):
-        lp_minima(quadrant, [vec([1, -1]), vec([1, 2])])
-    empty = HPolytope(2, ((unit(2, 0), 1), (vec([-1, 0]), 0)))
+    assert lp_minima(simplex(2), [vec([1, 2]), vec([3, 0])]) == [1, 0]
+    empty = interval_polytope(["2/3"] * 3, ["2/3"] * 3)
     with pytest.raises(EmptyPolytopeError):
-        lp_minima(empty, [vec([0, -1]), vec([1, 0])])
+        lp_minima(empty, [vec([0, -1, 0]), vec([1, 0, 0])])
+    for objectives in ([vec([1, 2]), vec([1, -1])], [vec([1, -1]), vec([1, 2])]):
+        with pytest.raises(ValueError, match="start basis"):
+            lp_minima(QUADRANT, objectives)
     half_plane = HPolytope(2, ((unit(2, 0), 0),))  # a minimum of x1, but no vertex
-    with pytest.raises(EmptyPolytopeError):
+    with pytest.raises(ValueError, match="start basis"):
         lp_minima(half_plane, [unit(2, 0), unit(2, 1)])
     # an objective of the wrong length is refused, not truncated
     for objectives in ([vec([1, 2]), vec([1, 2, 3])], [vec([1])]):
-        with pytest.raises(ValueError):
-            lp_minima(quadrant, objectives)
-    with pytest.raises(ValueError):
-        lp_min(quadrant, vec([1]))
+        with pytest.raises(ValueError, match="differ in length"):
+            lp_minima(simplex(2), objectives)
+    with pytest.raises(ValueError, match="differ in length"):
+        lp_min(simplex(2), vec([1]))
 
 
 def test_lp_minima_tied_dual_restore(monkeypatch):
@@ -253,20 +254,22 @@ def test_lp_min_matches_oracle(model, data):
     st.lists(st.integers(-2, 2), min_size=n, max_size=n),
     st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
 def test_lp_min_on_a_shifted_orthant(drawn):
-    # x >= c: the minimum is c . f when f >= 0, else unbounded below
+    # x >= c holds no start: refused. Cut by x . 1 == c . 1 + 1, it is the
+    # simplex shifted by c, with the minimum c . f + min f at c + e_y for
+    # some y where f is least
     c, f = (vec(v) for v in drawn)
     n = len(c)
-    p = HPolytope(n, tuple((unit(n, i), c[i]) for i in range(n)))
-    if min(f) < 0:
-        with pytest.raises(UnboundedLpError):
-            lp_min(p, f)
-    else:
-        assert lp_min(p, f) == (dot(c, f), Vertex(c))
+    orthant = tuple((unit(n, i), c[i]) for i in range(n))
+    with pytest.raises(ValueError, match="start basis"):
+        lp_min(HPolytope(n, orthant), f)
+    value, arg = lp_min(HPolytope(n, orthant, ((ones(n), sum(c) + 1),)), f)
+    assert value == dot(c, f) + min(f)
+    assert arg in {Vertex(a + (i == y) for i, a in enumerate(c)) for y in range(n) if f[y] == min(f)}
 
 
 def _optimum_runs(call):
-    """(call(), its count of exactla._to_optimum runs): 1 from the simplex's
-    own start (phase 2 alone), 2 from the artificial one (phases 1 and 2)."""
+    """(call(), its count of exactla._to_optimum runs): 1 on every solve,
+    phase 2 alone from the simplex's own start."""
     runs, real = [], exactla._to_optimum
 
     def spy(*args):
@@ -283,7 +286,7 @@ def _optimum_runs(call):
 def _off_units(rows):
     """rows with each a e_x >= b (a > 0) written on the complement as
     -a (1 - e_x) >= b - a: the same set wherever p . 1 == 1, and no unit
-    column left in the dual."""
+    column left in the dual, so no start."""
     for f, b in rows:
         (x, *more) = [i for i, a in enumerate(f) if a]
         if more or f[x] < 0:
@@ -303,27 +306,28 @@ credal_hreps = st.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(credal_hreps, st.data())
-def test_lp_on_credal_sets_from_either_start_matches_the_oracle(p, data):
+def test_lp_on_credal_sets_matches_the_oracle(p, data):
     """A credal set's dual starts at the simplex's own basis: one
-    _to_optimum run. Its twin, every unit row rewritten off the unit
-    vectors, is the same set but runs phase 1 too. Both give the oracle's
-    minima, and lp_min a vertex of the oracle's attaining it."""
+    _to_optimum run gives the oracle's minima, and lp_min a vertex of the
+    oracle's attaining it. Its twin, every unit row rewritten off the unit
+    vectors, is the same set, but its dual holds no start: refused."""
     twin = HPolytope(p.dim, tuple(_off_units(p.inequalities)), p.equalities)
     vs = vertices_bruteforce(p)
     assert vertices_bruteforce(twin) == vs
     fs = [vec(f) for f in data.draw(st.lists(
         st.tuples(*[st.integers(-3, 3)] * p.dim), min_size=1, max_size=4))]
-    for h, runs in ((p, 1), (twin, 2)):
-        if not vs:
-            with pytest.raises(EmptyPolytopeError):
-                lp_minima(h, fs)
-            continue
-        expected = [min(dot(v.point, f) for v in vs) for f in fs]
-        assert _optimum_runs(lambda: lp_minima(h, fs)) == (expected, runs)
-        for f, value in zip(fs, expected):
-            (got, arg), k = _optimum_runs(lambda: lp_min(h, f))
-            assert (got, k) == (value, runs)
-            assert arg in vs and dot(arg.point, f) == value
+    with pytest.raises(ValueError, match="start basis"):
+        lp_minima(twin, fs)
+    if not vs:
+        with pytest.raises(EmptyPolytopeError):
+            lp_minima(p, fs)
+        return
+    expected = [min(dot(v.point, f) for v in vs) for f in fs]
+    assert _optimum_runs(lambda: lp_minima(p, fs)) == (expected, 1)
+    for f, value in zip(fs, expected):
+        (got, arg), k = _optimum_runs(lambda: lp_min(p, f))
+        assert (got, k) == (value, 1)
+        assert arg in vs and dot(arg.point, f) == value
 
 
 def _simplex_rows(units, f, b):
@@ -334,7 +338,8 @@ def _simplex_rows(units, f, b):
 EDGE_CASES = [
     # (rows, equalities, objective, _to_optimum runs): the start needs a
     # positive multiple of e_y for every y but y0, the least index of the
-    # objective's minimum, and a multiple of 1 on the side of its value
+    # objective's minimum, and a multiple of 1 on the side of its value;
+    # without it lp_min is refused, with no run
     (_simplex_rows([(2, 0), (1, 1), (3, 2)], (1, 1, 0), "1/3"), [(ones(3), 1)], (3, 2, 1), 1),
     (_simplex_rows([(1, 2), (5, 0), (1, 1)], (1, 1, 0), "1/3"), [(ones(3), 1)], (3, 2, 1), 1),
     (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 1, 0), "1/3"), [(vec([2, 2, 2]), 2)], (1, 2, 3), 1),
@@ -342,9 +347,9 @@ EDGE_CASES = [
     (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 0, 1), "1/4"), [(ones(3), 1)], (0, -1, -1), 1),
     # p(2) >= 0 on the complement, so no e_2 row: fine when y0 == 2 only
     (_simplex_rows([(1, 0), (1, 1)], (-1, -1, 0), -1), [(ones(3), 1)], (2, 3, 1), 1),
-    (_simplex_rows([(1, 0), (1, 1)], (-1, -1, 0), -1), [(ones(3), 1)], (1, 3, 2), 2),
+    (_simplex_rows([(1, 0), (1, 1)], (-1, -1, 0), -1), [(ones(3), 1)], (1, 3, 2), 0),
     # an equality other than p . 1 == 1 in its place, or beside it
-    (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 1, 0), 0), [(vec([1, 1, 2]), 1)], (3, 2, 1), 2),
+    (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 1, 0), 0), [(vec([1, 1, 2]), 1)], (3, 2, 1), 0),
     (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 1, 0), 0),
      [(ones(3), 1), (vec([1, -1, 0]), 0)], (3, 2, 1), 1),
 ]
@@ -354,6 +359,10 @@ EDGE_CASES = [
 def test_the_simplex_start_at_the_edge_of_its_hypotheses(rows, equalities, f, runs):
     p = HPolytope(3, rows, equalities)
     f = vec(f)
+    if not runs:
+        with pytest.raises(ValueError, match="start basis"):
+            lp_min(p, f)
+        return
     (value, arg), k = _optimum_runs(lambda: lp_min(p, f))
     assert k == runs
     vs = vertices_bruteforce(p)

@@ -3,7 +3,7 @@ in ``__all__``, every public member of a class it lists there, and every
 defaulted parameter of a function it lists there must be used somewhere in
 the package, the benchmark harness or the benchmark scripts, not only by
 the tests. And one LP path: in the package, only ``polytope._dual_solve``
-reads the LP kernel ``exactla.simplex_each``.
+reads the LP kernel ``exactla.simplex_each``, which has one start.
 
 A use of a name is a name read or an attribute access in the code (an
 ``ast.Name`` load or an ``ast.Attribute``); an import alone, a string, a
@@ -227,6 +227,24 @@ def test_only_the_one_lp_path_calls_the_lp_kernel():
                                    if a.name.split(".")[-1] == LP_KERNEL)
     assert reads == LP_PATH
     assert imports == {("polytope", None)}  # bound under its own name, where it is read
+
+
+# The kernel's one start: simplex_each reaches the start basis and phase 2
+# once each, and nothing else in the package calls either, so a second
+# start (a phase 1 beside the simplex's own basis) cannot come back unseen.
+LP_STAGES = ("_simplex_start", "_to_optimum")
+
+
+def test_the_lp_kernel_has_one_start():
+    calls = {stage: [] for stage in LP_STAGES}
+    for path in PACKAGE.glob("*.py"):
+        for top in _parse(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in calls:
+                        calls[name].append((path.stem, getattr(top, "name", None)))
+    assert calls == {stage: [("exactla", "simplex_each")] for stage in LP_STAGES}
 
 
 # The read path's one minimum over a vertex set: exactla._min_dot on integer
