@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .cones import SupportUniverse
 from .credal import Gamble, LowerPrevision, OutcomeSpace, SchemaError, _schema_outcomes, _schema_rat
-from .exactla import ZERO, Record, _scaled, indicator, rat, vec
+from .exactla import ZERO, Record, _scaled, rat, vec
 
 __all__ = [
     "LowerProbability",
@@ -177,7 +177,8 @@ def event_universe(n: int) -> SupportUniverse:
     """Indicators of every nonempty event: the rays of the chain fan plus
     the constant direction."""
     return SupportUniverse(tuple(
-        indicator(n, s) for r in range(1, n + 1) for s in itertools.combinations(range(n), r)))
+        tuple(int(x in s) for x in range(n)) for r in range(1, n + 1)
+        for s in itertools.combinations(range(n), r)))
 
 
 def chain_graph(lowprob: LowerProbability):
@@ -194,8 +195,8 @@ def chain_graph(lowprob: LowerProbability):
     n = lowprob.space.n
     steps = _step_table(lowprob)
     index = [None] * (1 << n)
-    for k, v in enumerate(event_universe(n).vectors):
-        index[sum(1 << i for i, a in enumerate(v) if a)] = k
+    for k, v in enumerate(event_universe(n).normals):  # the sure event's is the zero row
+        index[sum(1 << i for i, a in enumerate(v) if a) or (1 << n) - 1] = k
     keys, nodes = {}, []
     for order in itertools.permutations(range(n)):
         p, prefix, gens = [ZERO] * n, 0, []

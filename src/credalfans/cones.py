@@ -1,44 +1,56 @@
 """The support universe of a normal fan.
 
 Throughout, the constant-one vector is lineality: it is never a one-sided
-generator. A MESC over a support universe U (a finite vector family that
-includes the constant-one direction) is a cone whose generators, together
-with the constant-one vector, form a basis, and which absorbs no other
-member of U. MESCs are the maximal cells available for triangulating a
-normal fan whose rays are drawn from U, which is what makes the adjacency
-walk work. The walk (``fanwalk``) runs the MESC test itself, as a sign scan
-of each new cone's pivot table: the universe's coordinates on its generators.
+generator, and f and c f + k 1 (c > 0) span one cone with it, so a
+universe keeps each vector as its primitive integer normal. A MESC over a
+support universe U is a cone whose generators, together with the
+constant-one vector, form a basis, and which absorbs no other member of U:
+the maximal cells for triangulating a normal fan whose rays are drawn from
+U. The walk (``fanwalk``) runs the MESC test itself, as a sign scan of each
+new cone's pivot table.
 """
 
 from __future__ import annotations
 
-from .exactla import Record, ones, vec
+import math
+from fractions import Fraction
+
+from .exactla import Record, _primitive
 
 __all__ = ["SupportUniverse"]
 
 
 class SupportUniverse(Record):
-    """Finite family of support vectors; must contain the constant-one
-    vector (the lineality direction of every cone drawn from it).
-    Stored sorted and deduplicated."""
+    """Finite family of support vectors as primitive integer normals
+    (``exactla._primitive``), deduplicated; it must hold the constant, as
+    the zero row. Sorted as ``vectors`` are, the Fraction forms built on
+    their first read, for export: each normal over its first nonzero
+    entry, the constant as the ones vector."""
 
-    __slots__ = ("vectors",)
+    __slots__ = ("normals", "_vectors")
 
     def __init__(self, vectors):
-        vs = tuple(sorted({vec(v) for v in vectors}))
-        if not vs:
-            raise ValueError("empty support universe")
-        n = len(vs[0])
-        if any(len(v) != n for v in vs):
-            raise ValueError("mixed dimensions in support universe")
-        if ones(n) not in vs:
-            raise ValueError("support universe must contain the constant-one vector")
-        self.vectors = vs
+        normals = {_primitive(v)[0] for v in vectors}
+        n = len(next(iter(normals), ()))
+        if any(len(v) != n for v in normals) or (0,) * n not in normals:
+            raise ValueError("need vectors of one dimension, the constant-one vector among them")
+        lead = {v: next((a for a in v if a), 1) for v in normals}
+        scale = math.lcm(*lead.values())
+        self.normals = tuple(sorted(normals, key=lambda v: tuple(
+            a * (scale // lead[v]) for a in v) if any(v) else (scale,) * n))
+        self._vectors = None
+
+    @property
+    def vectors(self) -> tuple:
+        if self._vectors is None:
+            n = self.dim
+            self._vectors = tuple(tuple(Fraction(a, next(c for c in v if c)) for a in v)
+                                  if any(v) else (Fraction(1),) * n for v in self.normals)
+        return self._vectors
 
     @property
     def dim(self) -> int:
-        return len(self.vectors[0])
+        return len(self.normals[0])
 
     def __len__(self):
-        return len(self.vectors)
-
+        return len(self.normals)

@@ -6,18 +6,16 @@ credal set is the polytope of probability mass functions dominating every
 assessment:
 
     p . f >= lpr(f)   for each assessed gamble f,
-    p . 1_x >= 0      for each outcome x (unless already implied),
-    p . 1   == 1.
+    p . 1_x >= 0      for each outcome x,
+    p . 1   == 1,
 
-The probability-one equality makes the constant-one direction lineality in
-every normal cone, and p . f >= b and p . (c f + k 1) >= c b + k (c > 0)
-one half-space, kept as one row: f shifted to least entry 0, then scaled to
-first nonzero entry 1. Only an outcome whose indicator no assessment covers
-costs an LP: if the other rows imply p(x) >= 0, 1_x stays out of the support
-universe, as a row never tight on a facet generates no MESC wall. That LP
-keeps p(x) >= -1 in place of p(x) >= 0: every LP of the package is over a
-credal set, bounded and with a row on each p(y), as the LP kernel's start
-requires.
+built once per model as one integer ``polytope.HPolytope``. The
+probability-one equality makes the constant-one direction lineality in
+every normal cone, so p . f >= b and p . (c f + k 1) >= c b + k (c > 0) are
+one half-space, one row keyed by its primitive integer normal
+(``_canonical_row``). Only an outcome whose indicator no assessment covers
+costs an LP: if the other rows imply p(x) >= 0, 1_x stays out of the
+support universe, as a row never tight on a facet generates no MESC wall.
 
 Coherence is one ``polytope.lp_minima`` over the assessments. Natural
 extension evaluates the lower envelope of the credal set at any gamble; on
@@ -29,12 +27,14 @@ guards; the structured engines exist precisely to avoid them.
 
 from __future__ import annotations
 
+import math
 import re
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .cones import SupportUniverse
-from .exactla import ZERO, Record, _int_rows, _min_dot, indicator, ones, rat, unit, vec
+from .exactla import ONE, ZERO, Record, _int_rows, _min_dot, _primitive, rat, unit, vec
 
 __all__ = [
     "OutcomeSpace",
@@ -110,7 +110,7 @@ class Gamble(Record):
         idx = {m if isinstance(m, int) else space.index(m) for m in members}
         if not idx <= set(range(space.n)):
             raise ValueError("indicator members out of range")
-        return cls(space, indicator(space.n, idx))
+        return cls(space, tuple(ONE if i in idx else ZERO for i in range(space.n)))
 
     def __neg__(self):
         return Gamble(self.space, tuple(-a for a in self.values))
@@ -174,26 +174,22 @@ class LowerPrevision(Record):
 
 def _canonical_row(f, b):
     """The half-space p . f >= b of the simplex in one form: on p . 1 = 1,
-    f and b shift together by f's least entry, then scale so the first
-    nonzero entry is 1. Rows describing one half-space then share a key,
-    and an indicator row keeps its form."""
-    low = min(f)
-    f = [a - low for a in f]
-    lead = next(a for a in f if a != 0)
-    return tuple(a / lead for a in f), (b - low) / lead
+    f and b shift and scale together to f's primitive integer normal
+    (``exactla._primitive``), the row's key, and a Fraction bound. Rows of
+    one half-space share a key, and an indicator row keeps its form."""
+    row, d, k, g = _primitive(f)
+    return row, Fraction(b.numerator * d - k * b.denominator, b.denominator * g)
 
 
-def _nonneg_row_implied(x: int, other_rows, n: int) -> bool:
-    """Is p(x) >= 0 implied by the listed rows plus total mass one? One LP:
-    the minimum of p(x) is at least 0 over those rows (a row on each p(y),
-    y != x, among them), p . 1 = 1 and p(x) >= -1. With that last row the
-    set is bounded and its dual holds the LP kernel's start, and the answer
-    is the same: where p(x) < 0 somewhere, either the set is empty (p(x) <
-    -1 everywhere, so nothing is implied) or, by convexity, it holds a
-    point with p(x) in [-1, 0)."""
+def _nonneg_row_implied(x: int, h) -> bool:
+    """Is p(x) >= 0 implied by the other rows of the credal set h? One LP
+    over h with p(x) >= -1 in place of its row on p(x), a credal set on the
+    same rows: where p(x) < 0 somewhere, either that set is empty or, by
+    convexity, it holds a point with p(x) in [-1, 0)."""
     from .polytope import EmptyPolytopeError, HPolytope, lp_minima
-    e_x = unit(n, x)
-    relaxed = HPolytope(n, (*other_rows, (e_x, -1)), ((ones(n), 1),))
+    e_x = unit(h.dim, x)
+    i = h.rows.index(e_x)
+    relaxed = HPolytope(h.dim, h.rows, (*h.bounds[:i], -h.den, *h.bounds[i + 1:]), h.den)
     try:
         return lp_minima(relaxed, [e_x])[0] >= 0
     except EmptyPolytopeError:
@@ -205,16 +201,13 @@ CACHE_SIZE = 64  # models per cache; the least recently used are evicted
 
 @lru_cache(maxsize=CACHE_SIZE)
 def build_credal_hrep(lp: LowerPrevision):
-    """H-representation of the credal set plus its support universe.
+    """The credal set as one ``polytope.HPolytope``, plus its support universe.
 
-    One row per half-space, keyed by _canonical_row (the shift-and-scale
-    rule), each key at its tightest bound; the universe is the assessment
-    keys and the constant. Every p(x) >= 0 merges into its key, and one LP
-    (_nonneg_row_implied: the minimum of p(x) over the other rows, every
-    p(y) >= 0 among them, p . 1 = 1 and p(x) >= -1, which the LP kernel's
-    start requires) decides whether 1_x joins the universe, only where no
-    assessment covers 1_x. Rows keep the assessments' order, then the
-    unassessed outcomes'.
+    One row per half-space, keyed by _canonical_row, at its tightest bound:
+    the assessments' rows in order, then the unassessed outcomes'. The
+    universe is the assessment keys, the constant, and each 1_x no
+    assessment covers where one LP (_nonneg_row_implied) finds p(x) >= 0
+    not implied.
     """
     from .polytope import HPolytope
     n = lp.space.n
@@ -222,14 +215,16 @@ def build_credal_hrep(lp: LowerPrevision):
     for a in lp.assessments:
         f, b = _canonical_row(a.gamble.values, a.lower)
         rows[f] = max(b, rows.get(f, b))
-    universe = set(rows) | {ones(n)}
-    units = [unit(n, x) for x in range(n)]
-    for e_x in units:
-        rows[e_x] = max(ZERO, rows.get(e_x, ZERO))
-    universe.update(e_x for x, e_x in enumerate(units) if e_x not in universe and not
-                    _nonneg_row_implied(x, [r for r in rows.items() if r[0] != e_x], n))
-    h = HPolytope(n, tuple(rows.items()), ((ones(n), 1),))
-    return h, SupportUniverse(tuple(sorted(universe)))
+    universe = [*rows, (0,) * n]  # the constant is the zero row
+    units = [_canonical_row(unit(n, x), ZERO) for x in range(n)]
+    for e_x, b in units:
+        rows[e_x] = max(b, rows.get(e_x, b))
+    den = math.lcm(*(b.denominator for b in rows.values()))
+    h = HPolytope(n, rows, [b.numerator * (den // b.denominator) for b in rows.values()], den)
+    uncovered = {e_x for e_x, _ in units} - set(universe)
+    universe += [e_x for x, (e_x, _) in enumerate(units) if e_x in uncovered
+                 and not _nonneg_row_implied(x, h)]
+    return h, SupportUniverse(universe)
 
 
 class AssessmentCheck(NamedTuple):

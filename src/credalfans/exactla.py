@@ -5,17 +5,18 @@ may introduce floating point: the one number type is ``fractions.Fraction``,
 and ``rat`` is the only way in. It refuses floats (and bools), so an inexact
 value fails loudly instead of rounding silently.
 
-Vectors are tuples of Fractions. ``rank``, ``solve_unique``,
-``scaled_inverse`` and the one LP kernel (``simplex_each``: one tableau for
-many right-hand sides, run only by ``polytope._dual_solve``) share one
-fraction-free Gauss-Jordan pivot (``_pivot``, Edmonds' integer-preserving
-elimination, as in lrs) on denominator-cleared integer rows: every division
-is exact and intermediate growth stays polynomial. The LP kernel solves a
-credal set's dual alone: it starts at the probability simplex's own basis,
-written down with no pivot and no phase 1, refuses (ValueError) columns
-that do not hold that basis, and returns integers over one scale, as
-``scaled_inverse`` does (d times the inverse, for the walk's seed table):
-its callers build the Fractions they read.
+Vectors are tuples of Fractions; ``_scaled`` and ``_int_rows`` clear their
+denominators, and ``_primitive`` writes a half-space's normal as the
+primitive integer row that keys it. ``rank``, ``solve_unique``,
+``scaled_inverse`` and the one LP kernel (``simplex_each``, run only by
+``polytope._dual_solve``) share one fraction-free Gauss-Jordan pivot
+(``_pivot``, Edmonds' integer-preserving elimination, as in lrs): every
+division is exact and intermediate growth stays polynomial. The LP kernel
+takes integers, scaled by its callers, and solves a credal set's dual
+alone: it starts at the probability simplex's own basis, with no pivot and
+no phase 1, refuses (ValueError) columns that do not hold it, and returns
+integers over one det, as ``scaled_inverse`` does (d times the inverse, for
+the walk's seed table): its callers build the Fractions they read.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ __all__ = [
     "vec",
     "unit",
     "ones",
-    "indicator",
     "dot",
-    "vneg",
     "rank",
     "solve_unique",
     "scaled_inverse",
@@ -113,18 +112,9 @@ def ones(n: int) -> tuple:
     return (ONE,) * n
 
 
-def indicator(n: int, members) -> tuple:
-    """0/1 vector of an event given as a set of outcome indices."""
-    return tuple(ONE if i in members else ZERO for i in range(n))
-
-
 def dot(u, v):
     assert len(u) == len(v)
     return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
-def vneg(u) -> tuple:
-    return tuple(-a for a in u)
 
 
 def _inexact(x: int, det: int):
@@ -141,11 +131,23 @@ def _scaled(v) -> tuple:
 def _int_rows(rows) -> tuple[int, list[list[int]]]:
     """(d, d rows): clear denominators with one common multiplier d. Scaling
     the whole matrix by a positive number keeps its rank, its solutions,
-    every sign and every ratio, so the simplex makes the same choices."""
-    rows = [[rat(a) for a in row] for row in rows]
+    every sign and every ratio."""
+    rows = [vec(row) for row in rows]
     d, entries = _scaled([a for row in rows for a in row])
     entries = iter(entries)
     return d, [[next(entries) for _ in row] for row in rows]
+
+
+def _primitive(v) -> tuple:
+    """(p, d, k, g): p = (d v - k 1) / g for v's integers d v (``_scaled``),
+    their least entry k and the gcd g of d v - k 1 (1 if that is 0). On
+    p . 1 = 1, p . v >= b is p . p >= (d b - k) / g: p is the half-space's
+    primitive integer normal, least entry 0, zero for a constant v."""
+    d, ints = _scaled(v)
+    k = min(ints)
+    shifted = [a - k for a in ints]
+    g = math.gcd(*shifted) or 1
+    return tuple(a // g for a in shifted), d, k, g
 
 
 def _min_dot(scaled, v):
@@ -206,7 +208,7 @@ def solve_unique(rows, rhs):
     rhs = list(rhs)
     assert rows and len(rows) == len(rhs)
     n = len(rows[0])
-    t = _int_rows([list(r) + [b] for r, b in zip(rows, rhs)])[1]
+    t = _int_rows([(*r, b) for r, b in zip(rows, rhs)])[1]
     det, r = _eliminate(t, n)
     if r < n or any(row[n] != 0 for row in t[n:]):
         return None  # rank-deficient, or a nonzero rhs left over: inconsistent
@@ -307,41 +309,41 @@ def simplex_each(columns, targets, costs) -> list:
     """Exact minimum of costs . x over x >= 0 with sum x_j columns[j] ==
     target, for each of a nonempty list of targets, on one dense integer
     tableau (``_pivot``) with the cost as its last row: the one LP kernel.
+    Its integer data are scaled by the caller; a positive scale of a column
+    with its cost, or of a target, leaves every choice below the same.
 
     Hypothesis: the columns hold ``_simplex_start``'s basis for the first
-    target, as every credal set's dual does (its rows a_y p(y) >= b_y and
-    c p . 1 = c k); ValueError otherwise, and when the columns and targets
-    differ in length. Phase 2 (Bland's rule) runs from that start and may
-    raise LpUnbounded. Each further target is a ``_restore`` from the last
-    optimum, its right-hand sides the inverse block (the columns after the
-    right-hand side, started as the identity: det times the inverse basis)
-    times the target. Per target: (s, levels, cost, duals), integers over
-    one s > 0: a basic optimal x as {basic column: level} in row order,
-    costs . x, and the multipliers y off the cost row's inverse block
-    (y . columns[j] <= costs[j], equal where j is basic).
+    target, as every credal set's dual does; ValueError otherwise, and when
+    the columns and targets differ in length. Phase 2 (Bland's rule) runs
+    from that start and may raise LpUnbounded. Each further target is a
+    ``_restore`` from the last optimum, its right-hand sides the inverse
+    block (after the right-hand side, started as the identity: det times
+    the inverse basis) times the target. Per target: (det, levels, cost,
+    duals), integers over det > 0: a basic optimal x as {basic column:
+    level} in row order, costs . x, and the multipliers y off the cost
+    row's inverse block (y . columns[j] <= costs[j], equal where j is basic).
     """
     n, m = len(targets[0]), len(columns)
     if any(len(v) != n for v in (*columns, *targets)):
         raise ValueError("columns and targets differ in length")
-    scale, scaled = _int_rows([[col[i] for col in columns] + [g[i] for g in targets] for i in range(n)])
-    t = [row[:m + 1] + [int(i == j) for j in range(n)] for i, row in enumerate(scaled)]
+    t = [[*(col[i] for col in columns), targets[0][i], *(int(i == j) for j in range(n))]
+         for i in range(n)]
     start = n and _simplex_start(t, m)
     if not start:
         raise ValueError("the columns do not hold the probability simplex's start basis")
     det, basis = start
-    d, c = _scaled(vec(costs))
     # the cost row in the start basis: det times the reduced costs
-    t.append([det * a for a in c] + [0] * (n + 1))
+    t.append([det * a for a in costs] + [0] * (n + 1))
     for row, b in zip(t, basis):
-        if c[b] != 0:
-            t[n] = [a - c[b] * v for a, v in zip(t[n], row)]
+        if costs[b] != 0:
+            t[n] = [a - costs[b] * v for a, v in zip(t[n], row)]
     det = _to_optimum(t, det, basis, m)
     solved = []
-    for k in range(m, m + len(targets)):
-        if k > m:  # a further target's right-hand sides
+    for k, target in enumerate(targets):
+        if k:  # a further target's right-hand sides
             for row in t:
-                row[m] = sum(a * s[k] for a, s in zip(row[m + 1:], scaled))
+                row[m] = sum(map(mul, row[m + 1:], target))
             det = _restore(t, det, basis, m)
-        solved.append((det * d, {b: d * row[m] for row, b in zip(t, basis)},
-                       -t[n][m], tuple(-scale * a for a in t[n][m + 1:])))
+        solved.append((det, {b: row[m] for row, b in zip(t, basis)},
+                       -t[n][m], tuple(-a for a in t[n][m + 1:])))
     return solved

@@ -8,11 +8,12 @@ another MESC are its neighbours. The walk yields the vertex set and the
 cone adjacency graph together.
 
 Nodes are keyed by sorted universe indices. Each queued node keeps one
-integer table (``_Tableau``) on the polytope's rows, scaled to integers
-once per walk. A wall is crossed as in Avis and Fukuda's pivot: a ratio
-test on two table rows gives the entering rows, and each new key costs one
-fraction-free pivot (``exactla._pivot``, as in lrs) on a copy of the table,
-then a sign scan as its MESC test; its vertex is the only Fraction built.
+integer table (``_Tableau``) on the credal set's integer rows, read as
+they are (``_active_table``). A wall is crossed as in Avis and Fukuda's
+pivot: a ratio test on two table rows gives the entering rows, and each
+new key costs one fraction-free pivot (``exactla._pivot``, as in lrs) on a
+copy of the table, then a sign scan as its MESC test; its vertex is the
+only Fraction built.
 Only the seed comes from an LP (``polytope.lp_min``, one per generic
 direction tried), and its table from ``exactla.scaled_inverse``. No vertex
 set is enumerated, but the walk inherits ``lp_min``'s oracle guards on
@@ -26,6 +27,7 @@ cones are themselves simplicial this is exactly one node per vertex.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .cones import SupportUniverse
-from .exactla import _pivot, _scaled, format_rat, ones, rat, scaled_inverse
+from .exactla import _pivot, _scaled, format_rat, rat, scaled_inverse
 from .polytope import HPolytope, SeedSearchError, lp_min
 
 __all__ = [
@@ -104,27 +106,17 @@ class _Tableau(NamedTuple):
 
 
 def _active_table(h: HPolytope, universe: SupportUniverse) -> tuple:
-    """One integer row (j, f, b) per distinct inequality normal of h and its
-    tightest bound, scaled together to integers; j is the normal's universe
-    index, None off the universe.
-
-    These are the walk's hypotheses: h's only equality is p . 1 = 1, so an
-    edge direction is any vector orthogonal to the constant, and every
-    non-constant universe vector is an inequality normal of h, so every
-    generator has a bound. ValueError otherwise.
-    """
-    one = ones(universe.dim)
-    if h.equalities != ((one, 1),):
-        raise ValueError("the walk needs p . 1 = 1 as the polytope's only equality")
-    bounds: dict = {}
-    for f, b in h.inequalities:
-        if f not in bounds or b > bounds[f]:
-            bounds[f] = b
-    index = {v: i for i, v in enumerate(universe.vectors) if len(set(v)) > 1}
-    if not index.keys() <= bounds.keys():
+    """One integer row (j, f, b) per row of h: its normal and bound scaled
+    by the least q making b an integer; j is the normal's universe index,
+    None off the universe. The walk's hypothesis: every non-constant
+    universe vector is a row of h, so every generator has a bound
+    (ValueError otherwise)."""
+    index = {f: j for j, f in enumerate(universe.normals) if any(f)}
+    if not index.keys() <= set(h.rows):
         raise ValueError("universe vector is not an inequality normal of the polytope")
-    scaled = ((index.get(f), _scaled(f + (b,))[1]) for f, b in bounds.items())
-    return tuple((j, row[:-1], row[-1]) for j, row in scaled)
+    gcds = (math.gcd(b, h.den) for b in h.bounds)
+    return tuple((index.get(f), tuple(h.den // g * a for a in f), b // g)
+                 for f, b, g in zip(h.rows, h.bounds, gcds))
 
 
 def _is_mesc(key, rows, table) -> bool:

@@ -1,27 +1,30 @@
-"""Polytopes in H-representation, the brute-force vertex oracle and the
-exact LP.
+"""Credal polytopes, the brute-force vertex oracle and the exact LP.
 
-A polytope is stored as inequality rows ``x . f >= b`` plus equality rows
-``x . f == b``. The vertex oracle enumerates every maximal linearly
-independent active set by subset search; it is deliberately simple and
-exact, guarded to small instances, and serves as the ground truth that the
-structured fast paths are tested against. Every LP of the package is one
-guarded ``exactla.simplex_each`` on the dual, in ``_dual_solve``: ``lp_min``
+Every polytope of the package is a credal set, one ``HPolytope`` record
+built once per model (``credal.build_credal_hrep``, ``pri.pri_hrep``, and
+the relaxed sets of ``credal._nonneg_row_implied``): rows p . f >= b on
+primitive integer normals f, a row on each p(y), the bounds over one
+denominator, and p . 1 = 1 implicit. The vertex oracle solves every dim - 1
+rows with p . 1 = 1 by subset search; it is deliberately simple and exact,
+guarded to small instances, and the ground truth the structured fast paths
+are tested against. Every LP is one guarded ``exactla.simplex_each`` on the
+dual, in ``_dual_solve``: its columns are the record's rows as they are and
+the +- pair of 1, and only the objectives are scaled per call. ``lp_min``
 reads a minimising vertex (minus the simplex multipliers) and its value off
-its cost row, ``lp_minima`` the minima of many objectives. The LP is
-defined on credal sets alone, which hold the kernel's start: a row on a
-positive multiple of each p(y) and an equality on a multiple of p . 1.
-Such a set is bounded, so the LP's one failure is an empty set. The
-oracle stays general: it is the ground truth.
+its cost row, ``lp_minima`` the minima of many objectives. A credal set is
+bounded and holds the kernel's start, so the LP's one failure is an empty
+set.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
-from .exactla import LpUnbounded, Record, dot, rank, rat, simplex_each, solve_unique, vec, vneg
+from .exactla import ONE, LpUnbounded, Record, _scaled, ones, simplex_each, solve_unique, vec
 
 __all__ = [
     "HPolytope",
@@ -50,30 +53,25 @@ class SeedSearchError(RuntimeError):
 
 
 class HPolytope(Record):
-    """dim-dimensional H-polytope: rows (f, b) meaning x . f >= b, equality
-    rows meaning x . f == b."""
+    """A credal set on dim outcomes: p . rows[i] >= bounds[i] / den for each
+    i, and p . 1 = 1, implicit. The rows are distinct primitive integer
+    normals (``exactla._primitive``; the zero row only at dim 1), the
+    bounds integers over one den > 0, and each e_y's primitive form is a
+    row (ValueError otherwise), so the dual holds the LP kernel's start.
+    The dual's integer costs are built here, once."""
 
-    __slots__ = ("dim", "inequalities", "equalities")
+    __slots__ = ("dim", "rows", "bounds", "den", "_costs")
 
-    def __init__(self, dim: int, inequalities, equalities=()):
-        ineqs = tuple((vec(f), rat(b)) for f, b in inequalities)
-        eqs = tuple((vec(f), rat(b)) for f, b in equalities)
-        for f, _ in ineqs + eqs:
-            if len(f) != dim:
-                raise ValueError("constraint normal has wrong dimension")
-            if not any(f):
-                raise ValueError("zero constraint normal")
-        self.dim, self.inequalities, self.equalities = dim, ineqs, eqs
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.inequalities) + len(self.equalities)
-
-    def is_feasible(self, x) -> bool:
-        x = vec(x)
-        return all(dot(x, f) >= b for f, b in self.inequalities) and all(
-            dot(x, f) == b for f, b in self.equalities
-        )
+    def __init__(self, dim: int, rows, bounds, den: int):
+        rows, bounds = tuple(map(tuple, rows)), tuple(bounds)
+        if len(rows) != len(bounds) or len(set(rows)) != len(rows) or den <= 0 or any(
+                len(f) != dim or min(f) or math.gcd(*f) > 1 or dim > 1 and not any(f)
+                for f in rows):
+            raise ValueError("need distinct primitive integer normals, a bound each and den > 0")
+        if not rows or dim > 1 and len({f.index(1) for f in rows if sum(f) == 1}) < dim:
+            raise ValueError("no row on some p(y): not a credal set")
+        self.dim, self.rows, self.bounds, self.den = dim, rows, bounds, den
+        self._costs = (*(-b for b in bounds), -den, den)
 
 
 class Vertex(Record):
@@ -97,37 +95,27 @@ def check_guards(p: HPolytope, max_dim: int = 6, max_constraints: int = 25) -> N
             f"brute force refused: dimension {p.dim} > {max_dim}; "
             "use a structured engine or raise max_dim explicitly"
         )
-    if p.n_constraints > max_constraints:
+    if len(p.rows) + 1 > max_constraints:  # p . 1 = 1 counts as one
         raise OracleGuardError(
-            f"brute force refused: {p.n_constraints} constraints > {max_constraints}; "
+            f"brute force refused: {len(p.rows) + 1} constraints > {max_constraints}; "
             "use a structured engine or raise max_constraints explicitly"
         )
 
 
 def vertices_bruteforce(p: HPolytope, *, max_dim: int = 6, max_constraints: int = 25):
     """All vertices of p by exhaustive active-set search, sorted
-    lexicographically by point.
+    lexicographically by point: each dim - 1 rows with p . 1 = 1.
 
     Ground-truth oracle: independent of any fan or adjacency reasoning.
-    An empty result means the feasible set is empty, contains no extreme
-    point (nontrivial lineality), or the polytope is otherwise degenerate;
-    callers that require vertices should treat it as a diagnostic.
+    An empty result means the feasible set is empty.
     """
     check_guards(p, max_dim, max_constraints)
-    eq_rows = [f for f, _ in p.equalities]
-    eq_rhs = [b for _, b in p.equalities]
-    r0 = rank(eq_rows) if eq_rows else 0
-    k = p.dim - r0
+    rows = [(vec(f), Fraction(b, p.den)) for f, b in zip(p.rows, p.bounds)]
     seen = set()
-    for sel in itertools.combinations(range(len(p.inequalities)), k):
-        rows = eq_rows + [p.inequalities[i][0] for i in sel]
-        rhs = eq_rhs + [p.inequalities[i][1] for i in sel]
-        if not rows:
-            continue
-        x = solve_unique(rows, rhs)
-        if x is None or not p.is_feasible(x):
-            continue
-        seen.add(x)
+    for sel in itertools.combinations(rows, p.dim - 1):
+        x = solve_unique([ones(p.dim), *(f for f, _ in sel)], [ONE, *(b for _, b in sel)])
+        if x is not None and all(sum(map(mul, f, x)) >= b for f, b in rows):
+            seen.add(x)
     return tuple(Vertex(x) for x in sorted(seen))
 
 
@@ -135,20 +123,19 @@ _NO_VERTEX = "no vertices: empty or degenerate feasible set"
 
 
 def _dual_solve(p: HPolytope, objectives):
-    """One ``exactla.simplex_each`` on the dual LP (each equality as a +-
-    pair of rows) for a nonempty list of objectives, under the oracle
-    guards: every LP of the package.
+    """One ``exactla.simplex_each`` on the dual LP for a nonempty list of
+    integer objectives, under the oracle guards: every LP of the package.
 
-    The dual of min x . f over p maximises b . y over multipliers y with
-    sum y_i f_i == f, y >= 0 on the rows' normals f_i; at an optimal basis
-    the basic rows of p hold with equality. p must hold the kernel's start
-    (ValueError otherwise), which is a feasible dual basis, so the dual is
-    unbounded exactly when p is empty: EmptyPolytopeError.
+    The dual of min x . f over p maximises b . y + z over y >= 0 and z with
+    sum y_i f_i + z 1 == f: its columns are p's rows as they are and the +-
+    pair of 1 for the free z, its costs p's own. At an optimal basis the
+    basic rows hold with equality. p holds the kernel's start, so the dual
+    is unbounded exactly when p is empty: EmptyPolytopeError.
     """
     check_guards(p)
-    rows = list(p.inequalities + p.equalities) + [(vneg(g), -b) for g, b in p.equalities]
+    one = (1,) * p.dim
     try:
-        return simplex_each([g for g, _ in rows], objectives, [-b for _, b in rows])
+        return simplex_each((*p.rows, one, tuple(-a for a in one)), objectives, p._costs)
     except LpUnbounded:
         raise EmptyPolytopeError(_NO_VERTEX) from None
 
@@ -158,19 +145,21 @@ def lp_min(p: HPolytope, f) -> LpResult:
     cost row of ``_dual_solve``'s final tableau: x is minus its multipliers.
     On a tie, the vertex is that of the basis Bland's rule ends on from the
     start basis, fixed by p's row order and f; no other tie rule is
-    promised. Defined where p holds the kernel's start, as every credal set
-    does; raises as ``_dual_solve``, and OracleGuardError past the oracle's
-    guards."""
-    ((s, _, cost, duals),) = _dual_solve(p, [vec(f)])
-    return LpResult(Fraction(-cost, s), Vertex(tuple(Fraction(-a, s) for a in duals)))
+    promised. Raises as ``_dual_solve``, and OracleGuardError past the
+    oracle's guards."""
+    e, g = _scaled(vec(f))
+    ((det, _, cost, duals),) = _dual_solve(p, [g])
+    s = det * p.den
+    return LpResult(Fraction(-cost, s * e), Vertex(tuple(Fraction(-a, s) for a in duals)))
 
 
 def lp_minima(p: HPolytope, objectives) -> list:
     """[lp_min(p, f).value for f in objectives], read off the cost row of one
-    ``_dual_solve``, which raises as lp_min does for the first objective. On
-    a credal set every objective has a minimum; where p lacks a unit row, a
-    later objective may be unbounded below (exactla.LpInfeasible). An empty
-    list runs no guard and no LP."""
+    ``_dual_solve``, which raises as lp_min does for the first objective;
+    every later objective has a minimum on the credal set p. An empty list
+    runs no guard and no LP."""
     if not objectives:
         return []
-    return [Fraction(-cost, s) for s, _, cost, _ in _dual_solve(p, objectives)]
+    scaled = [_scaled(vec(f)) for f in objectives]
+    solved = _dual_solve(p, [g for _, g in scaled])
+    return [Fraction(-cost, det * p.den * e) for (det, _, cost, _), (e, _) in zip(solved, scaled)]

@@ -46,7 +46,7 @@ from .credal import (
     _schema_outcomes,
     parse_gamble,
 )
-from .exactla import ZERO, Record, _scaled, indicator, ones, vec, vneg
+from .exactla import ZERO, Record, _scaled, vec
 
 __all__ = [
     "PRIModel",
@@ -298,28 +298,31 @@ def count_bounds(n: int) -> tuple:
 
 @lru_cache(maxsize=16)
 def _interval_fan(n: int) -> tuple:
-    """(normals, universe, row) on n outcomes, built on first use and kept
-    for the 16 latest n: pri_hrep's inequality normals, its universe, and
-    row[j] the universe index of normal j."""
-    events = [{x} for x in range(n)] + [set(range(n)) - {x} for x in range(n) if n > 1]
-    normals = tuple(indicator(n, e) for e in events)
-    universe = SupportUniverse(normals + (ones(n),))
-    return normals, universe, tuple(map(universe.vectors.index, normals))
+    """(normals, universe, row) on n >= 2 outcomes, kept for the 16 latest n:
+    pri_hrep's integer row normals (singletons, then complements), its
+    universe, and row[j] the universe index of normal j."""
+    events = [{x} for x in range(n)] + [set(range(n)) - {x} for x in range(n)]
+    normals = tuple(tuple(int(x in e) for x in range(n)) for e in events)
+    universe = SupportUniverse(normals + ((0,) * n,))
+    return normals, universe, tuple(map(universe.normals.index, normals))
 
 
 def pri_hrep(m: PRIModel):
-    """H-representation with one lower row per singleton indicator and one
-    upper row per complement indicator, plus the mass-one equality. The
-    universe, of every row normal and the constant, is one immutable object
-    shared by all models on n outcomes."""
+    """The credal set as one ``polytope.HPolytope`` on the _int_bounds table:
+    a lower row per singleton indicator, an upper row per complement, and
+    two on one indicator (n = 2) merged at the tighter bound; at n = 1 both
+    are the zero row, l(x) <= p(x) = 1 <= u(x). The universe, every row
+    normal and the constant, is one immutable object per n."""
     from .polytope import HPolytope
     n = m.n
+    lo, up, d = _int_bounds(m)
+    if n == 1:
+        return HPolytope(1, ((0,),), (max(lo[0] - d, d - up[0]),), d), SupportUniverse(((0,),))
     normals, universe, _ = _interval_fan(n)
-    one = ones(n)
-    rows = list(zip(normals, m.lower + tuple(1 - u for u in m.upper)))
-    if n == 1:  # the complement is the zero vector: the upper row is -1_x >= -u
-        rows.append((vneg(one), -m.upper[0]))
-    return HPolytope(n, tuple(rows), ((one, 1),)), universe
+    bounds: dict = {}
+    for f, b in zip(normals, lo + tuple(d - u for u in up)):
+        bounds[f] = max(b, bounds.get(f, b))
+    return HPolytope(n, bounds, bounds.values(), d), universe
 
 
 def as_lower_prevision(m: PRIModel) -> LowerPrevision:

@@ -24,7 +24,21 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from credalfans.credal import natural_extension
-from credalfans.exactla import ZERO, dot, indicator, ones, scaled_inverse, vec
+from credalfans.exactla import (
+    ONE,
+    ZERO,
+    _int_rows,
+    _scaled,
+    dot,
+    ones,
+    rank,
+    rat,
+    scaled_inverse,
+    simplex_each,
+    solve_unique,
+    unit,
+    vec,
+)
 from credalfans.fanwalk import MescGraph, MescNode
 from credalfans.pri import PRIModel, PriCoherenceReport, pri_hrep
 
@@ -71,12 +85,94 @@ def absorbed(dual, vectors):
     return next((v for v in vectors if all(dot(t, v) >= 0 for t in gen_rows)), None)
 
 
+def indicator(n, members) -> tuple:
+    """0/1 vector of an event given as a set of outcome indices."""
+    return tuple(ONE if i in members else ZERO for i in range(n))
+
+
+def general_vertices(dim, rows, equalities) -> list:
+    """The sorted vertices of {x : x . f >= b for (f, b) in rows, x . g == c
+    for (g, c) in equalities}, any polyhedron, by exhaustive active-set
+    search in Fractions: the oracle for sets the package's record does not
+    hold (no row on some p(y), or an equality other than p . 1 = 1)."""
+    rows = [(vec(f), rat(b)) for f, b in rows]
+    eqs = [(vec(g), rat(c)) for g, c in equalities]
+    seen = set()
+    for sel in itertools.combinations(rows, dim - (rank([g for g, _ in eqs]) if eqs else 0)):
+        system = eqs + list(sel)
+        x = solve_unique([f for f, _ in system], [b for _, b in system]) if system else None
+        if x is not None and all(dot(x, f) >= b for f, b in rows) and all(
+                dot(x, g) == c for g, c in eqs):
+            seen.add(x)
+    return sorted(seen)
+
+
+def ray_scan_implied(x, other_rows, n):
+    """Whether the rows other_rows with p . 1 = 1 imply p(x) >= 0, by the
+    oracle on general polyhedra: a descent ray (d . g >= 0 on every other
+    normal, d . 1 == 0, d(x) == -1), as that set is bounded (the other unit
+    rows give d(y) >= 0, summing to 1) and so nonempty exactly when it has
+    a vertex, means p(x) is unbounded below, so not implied; otherwise the
+    minimum of p(x) over the rows' vertex set decides."""
+    if general_vertices(n, [(g, 0) for g, _ in other_rows], [(ones(n), 0), (unit(n, x), -1)]):
+        return False
+    vs = general_vertices(n, other_rows, [(ones(n), 1)])
+    return bool(vs) and min(v[x] for v in vs) >= 0
+
+
+def fraction_canonical_row(f, b):
+    """The Fraction key of the half-space p . f >= b that the integer key
+    (``credal._canonical_row``) replaced, kept as its reference: on
+    p . 1 = 1, f and b shift by f's least entry, then scale so f's first
+    nonzero entry is 1."""
+    low = min(f)
+    f = [a - low for a in f]
+    lead = next(a for a in f if a != 0)
+    return tuple(a / lead for a in f), (b - low) / lead
+
+
+def fraction_credal_hrep(lp):
+    """(rows, universe) of lp's credal set by the Fraction rule, as
+    ``build_credal_hrep`` wrote them before its integer record: the rows
+    [(f, b)] keyed by fraction_canonical_row at the tightest bound, the
+    assessments' keys first, then the unassessed outcomes' unit rows; the
+    universe the sorted keys, the constant and each uncovered unit vector
+    whose row the others do not imply (ray_scan_implied)."""
+    n = lp.space.n
+    rows = {}
+    for a in lp.assessments:
+        f, b = fraction_canonical_row(a.gamble.values, a.lower)
+        rows[f] = max(b, rows.get(f, b))
+    universe = set(rows) | {ones(n)}
+    units = [unit(n, x) for x in range(n)]
+    for e in units:
+        rows[e] = max(ZERO, rows.get(e, ZERO))
+    universe.update(e for x, e in enumerate(units) if e not in universe and not ray_scan_implied(
+        x, [r for r in rows.items() if r[0] != e], n))
+    return list(rows.items()), sorted(universe)
+
+
+def fraction_lp_min(rows, f):
+    """(value, vertex) of min p . f over the Fraction rows [(g, b)] with
+    p . 1 = 1, on the integer tableau lp_min solved before the integer
+    record: the dual's columns (the rows' normals and the +- pair of 1) and
+    the target cleared by one common multiple s, the costs (-b, -1 and 1)
+    by their own d. Raises exactla.LpUnbounded on an empty set."""
+    n = len(f)
+    cols = [g for g, _ in rows] + [ones(n), tuple(-a for a in ones(n))]
+    s, table = _int_rows([[c[i] for c in cols] + [f[i]] for i in range(n)])
+    d, costs = _scaled([-b for _, b in rows] + [-ONE, ONE])
+    ((det, _, cost, duals),) = simplex_each(list(zip(*(row[:-1] for row in table))),
+                                            [[row[-1] for row in table]], costs)
+    return Fraction(-cost, det * d), tuple(Fraction(-a * s, det * d) for a in duals)
+
+
 def active_set(h, x) -> frozenset:
-    """Indices of the constraints of h tight at the feasible point x:
-    inequality i has index i, equality j index len(inequalities) + j."""
-    m = len(h.inequalities)
-    return frozenset([i for i, (f, b) in enumerate(h.inequalities) if dot(vec(x), f) == b]
-                     + list(range(m, m + len(h.equalities))))
+    """Indices of the constraints of h tight at the feasible point x: row i
+    has index i, and p . 1 = 1 index len(h.rows)."""
+    m = len(h.rows)
+    return frozenset([i for i, (f, b) in enumerate(zip(h.rows, h.bounds))
+                      if dot(vec(x), vec(f)) * h.den == b] + [m])
 
 
 def witness(dual, v) -> Witness:
@@ -253,8 +349,8 @@ def reference_enumerate_extreme_pri(m):
     node order."""
     n = m.n
     h, universe = pri_hrep(m)
-    uindex = {v: i for i, v in enumerate(universe.vectors)}
-    row = [uindex[f] for f, _ in h.inequalities]
+    uindex = {v: i for i, v in enumerate(universe.normals)}
+    row = [uindex[f] for f in h.rows]
 
     def gens(c):
         return tuple(sorted([row[y] for y in c.a] + [row[n + z] for z in c.b]))
@@ -289,8 +385,8 @@ def is_comonotone(f, g) -> bool:
 def normal_cone_at(h, x) -> Cone:
     """The directions minimised at the vertex x of h, modulo its equality
     (the constant one): the active inequality normals generate."""
-    m = len(h.inequalities)
-    return Cone(tuple(sorted({h.inequalities[i][0] for i in active_set(h, x) if i < m})))
+    m = len(h.rows)
+    return Cone(tuple(sorted({vec(h.rows[i]) for i in active_set(h, x) if i < m})))
 
 
 def cone_additivity_check(lp, vertex_point, g, h):

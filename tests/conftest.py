@@ -6,14 +6,34 @@ the builders themselves can be cross-checked against them.
 """
 
 import itertools
+import math
 
 from hypothesis import strategies as st
 
 from credalfans.cones import SupportUniverse
-from credalfans.exactla import ones, rat, unit, vneg
+from credalfans.credal import _canonical_row
+from credalfans.exactla import ones, rat, unit, vec
 from credalfans.polytope import HPolytope
 
 Q = rat
+
+
+def hrep(n, rows):
+    """The credal set of the rows (f, b), meaning p . f >= b, with p . 1 = 1
+    implied, as the package's record: each row keyed by its primitive
+    integer normal (credal._canonical_row) at its tightest bound, in the
+    order first seen, the bounds over their least common denominator."""
+    merged = {}
+    for f, b in rows:
+        key, c = _canonical_row(vec(f), Q(b))
+        merged[key] = max(c, merged.get(key, c))
+    den = math.lcm(*(b.denominator for b in merged.values()))
+    return HPolytope(n, merged, [b.numerator * (den // b.denominator) for b in merged.values()], den)
+
+
+def fraction_rows(h):
+    """h's rows read back as (normal, bound) pairs of Fractions."""
+    return [(vec(f), Q(b) / h.den) for f, b in zip(h.rows, h.bounds)]
 
 
 def ind(n, members):
@@ -28,7 +48,7 @@ def interval_hrep(lows, ups):
     rows = [(unit(n, i), Q(lows[i])) for i in range(n)]
     for i in range(n):
         rows.append((ind(n, set(range(n)) - {i}), 1 - Q(ups[i])))
-    return HPolytope(n, tuple(rows), ((ones(n), 1),))
+    return hrep(n, rows)
 
 
 def interval_universe(n):
@@ -48,7 +68,7 @@ def lowprob_hrep(n, values):
     for r in range(1, n):
         for s in itertools.combinations(range(n), r):
             rows.append((ind(n, set(s)), Q(values.get(frozenset(s), 0))))
-    return HPolytope(n, tuple(rows), ((ones(n), 1),))
+    return hrep(n, rows)
 
 
 def event_universe(n):
@@ -173,7 +193,7 @@ def assessed_rows(draw):
         shift = draw(st.sampled_from((0, 0, 0, 120)))
         base = GRID // n
         rows = [(ind(n, {x}), on_grid(base + shift - draw(step))) for x in range(n)]
-        rows += [(vneg(ind(n, {x})), -on_grid(base + draw(step))) for x in range(n)]
+        rows += [(tuple(-a for a in ind(n, {x})), -on_grid(base + draw(step))) for x in range(n)]
         return n, rows
     if family == "envelope":
         n = draw(st.integers(2, 4))
@@ -196,4 +216,4 @@ def rows_hrep(n, rows):
     """The credal set of assessed_rows by hand: the rows, a nonnegativity
     row per outcome, masses summing to one."""
     rows = list(rows) + [(unit(n, x), Q(0)) for x in range(n)]
-    return HPolytope(n, tuple(rows), ((ones(n), 1),))
+    return hrep(n, rows)

@@ -111,7 +111,7 @@ def test_every_module_the_tracer_wraps_imports(name):
 
 
 def test_lp_min_result_has_what_the_lp_min_op_reads():
-    simplex2 = HPolytope(2, (((1, 0), 0), ((0, 1), 0)), (((1, 1), 1),))
+    simplex2 = HPolytope(2, ((1, 0), (0, 1)), (0, 0), 1)
     res = lp_min(simplex2, (1, 2))
     assert res.value == 1
     assert res.argmin.point == (1, 0)

@@ -3,13 +3,14 @@ coherence, natural extension, axiom checks, event-family MESC tests, JSON
 parsing."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from credalfans import credal
+from credalfans import credal, polytope
 from credalfans.chains2mono import lower_probability_from_json
 from credalfans.credal import (
     Assessment,
@@ -26,13 +27,20 @@ from credalfans.credal import (
     natural_extension,
     parse_gamble,
 )
-from credalfans.exactla import dot, ones, rat, unit, vec
-from credalfans.fanwalk import walk
-from credalfans.polytope import HPolytope, vertices_bruteforce
-from credalfans.pri import pri_from_json
+from credalfans.exactla import LpUnbounded, _primitive, dot, format_rat, ones, unit, vec
+from credalfans.fanwalk import graph_to_json, walk
+from credalfans.polytope import EmptyPolytopeError, lp_min, lp_minima, vertices_bruteforce
+from credalfans.pri import PRIModel, pri_from_json, pri_hrep
 
-from cone_calculus import EventCollection, cone_additivity_check, is_event_mesc
-from conftest import Q, assessed_rows, interval_hrep
+from cone_calculus import (
+    EventCollection,
+    cone_additivity_check,
+    fraction_credal_hrep,
+    fraction_lp_min,
+    is_event_mesc,
+    ray_scan_implied,
+)
+from conftest import Q, assessed_rows, fraction_rows, hrep, interval_hrep
 
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -117,7 +125,7 @@ class TestHrepConstruction:
         h, uni = build_credal_hrep(lp)
         # p(x1) >= 1/4 subsumes p(x1) >= 0; the other two rows survive
         assert set(uni.vectors) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
-        assert dict(h.inequalities)[unit(3, 0)] == Q(1) / 4
+        assert dict(fraction_rows(h))[unit(3, 0)] == Q(1) / 4
         assert {v.point for v in vertices_bruteforce(h)} == {
             (Q(1), Q(0), Q(0)),
             (Q(1) / 4, Q(3) / 4, Q(0)),
@@ -126,7 +134,7 @@ class TestHrepConstruction:
     def test_scaled_assessment_canonicalizes(self):
         lp = LowerPrevision.from_bounds(SP3, lower=[((2, 0, 0), Q(1) / 2)])
         h, _ = build_credal_hrep(lp)
-        assert dict(h.inequalities)[unit(3, 0)] == Q(1) / 4
+        assert dict(fraction_rows(h))[unit(3, 0)] == Q(1) / 4
 
     def test_descent_ray_keeps_row(self):
         # p . (1,2,3) >= 0 cannot bound any p(x) below, rows all retained
@@ -151,11 +159,11 @@ class TestHrepConstruction:
         calls = []
         real = credal._nonneg_row_implied
         monkeypatch.setattr(credal, "_nonneg_row_implied",
-                            lambda x, rows, n: calls.append(x) or real(x, rows, n))
+                            lambda x, h: calls.append(x) or real(x, h))
         lp = LowerPrevision.from_bounds(SP3, upper=[((0, 1, 1), Q(3) / 4)])
         h, uni = build_credal_hrep.__wrapped__(lp)
         assert calls == [1, 2]
-        assert h.inequalities == ((unit(3, 0), Q(1) / 4), (unit(3, 1), 0), (unit(3, 2), 0))
+        assert fraction_rows(h) == [(unit(3, 0), Q(1) / 4), (unit(3, 1), 0), (unit(3, 2), 0)]
         assert set(uni.vectors) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
 
     def test_interval_model_matches_handbuilt_polytope(self):
@@ -198,20 +206,6 @@ class TestCoherence:
             natural_extension(lp, (1, 0, 0))
 
 
-def ray_scan_implied(x, other_rows, n):
-    """Reference for credal._nonneg_row_implied by another route: a
-    descent ray (d . g >= 0 on every other normal, d . 1 == 0, d(x) == -1)
-    from the oracle, as that set is bounded (the other unit rows give
-    d(y) >= 0, summing to 1) and so nonempty exactly when it has a vertex,
-    means p(x) is unbounded below, so not implied; otherwise the minimum of
-    p(x) over the relaxation's vertex set decides."""
-    rays = HPolytope(n, tuple((g, 0) for g, _ in other_rows), ((ones(n), 0), (unit(n, x), -1)))
-    if vertices_bruteforce(rays):
-        return False
-    vs = vertices_bruteforce(HPolytope(n, tuple(other_rows), ((ones(n), 1),)))
-    return bool(vs) and min(v.point[x] for v in vs) >= 0
-
-
 def scan_report(lp):
     """Reference for is_coherent: every assessment's minimum over the
     oracle's vertex set of the credal set."""
@@ -230,10 +224,119 @@ def rows_model(n, rows):
 @given(assessed_rows())
 def test_implied_row_lp_matches_ray_scan(model):
     n, rows = model
-    canonical = [credal._canonical_row(vec(f), rat(b)) for f, b in rows]
+    h = hrep(n, list(rows) + [(unit(n, y), Q(0)) for y in range(n)])
     for x in range(n):
-        others = canonical + [(unit(n, y), Q(0)) for y in range(n) if y != x]
-        assert credal._nonneg_row_implied(x, others, n) == ray_scan_implied(x, others, n)
+        others = [r for r in fraction_rows(h) if r[0] != unit(n, x)]
+        assert credal._nonneg_row_implied(x, h) == ray_scan_implied(x, others, n)
+
+
+def _built_records(lp, m):
+    """Every record the builders write for two models: build_credal_hrep's
+    for lp, the relaxed sets its _nonneg_row_implied LPs run on (caught
+    where they reach lp_minima), and pri_hrep's for m."""
+    relaxed, real = [], polytope.lp_minima
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "lp_minima", lambda p, fs: relaxed.append(p) or real(p, fs))
+        h, _ = build_credal_hrep.__wrapped__(lp)
+    return [h, *relaxed, pri_hrep(m)[0]]
+
+
+_twelfths = st.lists(st.integers(0, 12), min_size=2, max_size=2).map(sorted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(assessed_rows(), st.lists(_twelfths, min_size=1, max_size=5), st.data())
+def test_every_builder_writes_a_credal_set(model, bounds, data):
+    # the record refuses a row set without a row on each p(y), so every LP
+    # of the package runs on a credal set: lp_minima, in any order of the
+    # objectives, returns lp_min's values or finds the set empty, and never
+    # meets exactla.LpInfeasible. The interval model may be incoherent, and
+    # one outcome is drawn too, where p(x) = 1 and each row is the zero row
+    n, rows = model
+    m = PRIModel(OutcomeSpace(tuple(f"y{i}" for i in range(len(bounds)))),
+                 [Fraction(lo, 12) for lo, _ in bounds], [Fraction(up, 12) for _, up in bounds])
+    for h in _built_records(rows_model(n, rows), m):
+        assert {_primitive(unit(h.dim, y))[0] for y in range(h.dim)} <= set(h.rows)
+        gambles = st.tuples(*[st.integers(-3, 3).map(Q)] * h.dim)
+        fs = data.draw(st.permutations([vec(f) for f in h.rows] + data.draw(st.lists(gambles))))
+        try:
+            values = lp_minima(h, fs)
+        except EmptyPolytopeError:
+            assert not vertices_bruteforce(h)
+            continue
+        assert values == [lp_min(h, f).value for f in fs]
+
+
+def test_pri_hrep_at_one_outcome_is_a_credal_set():
+    # p(x) = 1: the zero row holds exactly when l(x) <= 1 <= u(x)
+    for lo, up in ((0, 1), (1, 1), (0, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))):
+        h, universe = pri_hrep(PRIModel(OutcomeSpace(("x",)), (lo,), (up,)))
+        assert h.rows == ((0,),) and len(universe) == 1
+        expected = (vec([1]),) if up == 1 else ()
+        assert tuple(v.point for v in vertices_bruteforce(h)) == expected
+        if up == 1:
+            assert lp_minima(h, [vec([2])]) == [2]
+        else:
+            with pytest.raises(EmptyPolytopeError):
+                lp_minima(h, [vec([2])])
+
+
+@st.composite
+def redundant_previsions(draw):
+    """A lower prevision from assessed_rows, with some rows repeated as
+    c f + k 1 (c > 0) at the bound c b + k, tied, loosened or tightened by
+    1/720."""
+    n, rows = draw(assessed_rows())
+    seen = {tuple(f) for f, _ in rows}
+    for f, b in draw(st.lists(st.sampled_from(rows), max_size=4)):
+        c = draw(st.sampled_from((Q(2), Fraction(1, 2), Q(3))))
+        k = draw(st.sampled_from((Q(-1), Q(0), Q(2))))
+        g = tuple(c * a + k for a in f)
+        if g not in seen:
+            seen.add(g)
+            rows.append((g, c * b + k + draw(st.sampled_from((0, 0, Fraction(-1, 720), Fraction(1, 720))))))
+    return rows_model(n, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(redundant_previsions(), st.data())
+def test_integer_rule_matches_the_fraction_rule(lp, data):
+    # the integer key (primitive normal) merges the half-spaces the Fraction
+    # key (first nonzero entry 1) merged, in the same order and at the same
+    # bounds; the universe sorts as the Fraction vectors did, so the graph's
+    # keys and its JSON are unchanged; and the LP on the scaled integer rows
+    # makes the choices it made on the Fraction rows, so lp_min's vertex is
+    # the same on ties too
+    h, universe = build_credal_hrep(lp)
+    rows, vectors = fraction_credal_hrep(lp)
+    lead = [next(a for a in f if a) for f in h.rows]
+    assert [(tuple(Fraction(a, c) for a in f), Fraction(b, h.den * c))
+            for f, b, c in zip(h.rows, h.bounds, lead)] == rows
+    assert list(universe.vectors) == vectors
+    fs = [f for f, _ in rows] + [vec(f) for f in data.draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * h.dim), min_size=1, max_size=3))]
+    for f in fs:
+        try:
+            expected = fraction_lp_min(rows, f)
+        except LpUnbounded:
+            with pytest.raises(EmptyPolytopeError):
+                lp_min(h, f)
+            return
+        value, arg = lp_min(h, f)
+        assert (value, arg.point) == expected
+    if not is_coherent(lp).coherent:
+        return
+    g = walk(h, universe)
+    index = {v: i for i, v in enumerate(vectors)}
+    text = json.dumps({
+        "universe": [[format_rat(a) for a in v] for v in vectors],
+        "nodes": [{"id": i, "vertex": [format_rat(a) for a in node.vertex],
+                   "generators": [index[universe.vectors[j]] for j in node.gens]}
+                  for i, node in enumerate(g.nodes)],
+        "edges": [[i, j] for i, j in g.pairs]}, indent=2)
+    assert json.dumps(graph_to_json(g, universe), indent=2) == text
+    bound = dict(rows)
+    assert all(dot(vectors[j], node.vertex) == bound[vectors[j]] for node in g.nodes for j in node.gens)
 
 
 @settings(max_examples=150, deadline=None)

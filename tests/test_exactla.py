@@ -12,7 +12,9 @@ from credalfans import exactla
 from credalfans.exactla import (
     LpInfeasible,
     LpUnbounded,
+    _int_rows,
     _pivot,
+    _scaled,
     dot,
     format_rat,
     ones,
@@ -23,7 +25,6 @@ from credalfans.exactla import (
     solve_unique,
     unit,
     vec,
-    vneg,
 )
 
 Q = rat
@@ -31,6 +32,21 @@ Q = rat
 
 def rows(*rs):
     return [vec(r) for r in rs]
+
+
+def rational_simplex(cols, targets, costs):
+    """simplex_each on rational data, scaled as its callers scale it: the
+    columns by one common multiple c, each target and the costs by their
+    own, e and d. Each result is read back over one s = det d e, as (s,
+    levels, cost, duals): x = c x' / e for the kernel's x' = levels / det,
+    and y = c y' / d for its y' = duals / det."""
+    c, cols = _int_rows(cols)
+    d, costs = _scaled(vec(costs))
+    scaled = [_scaled(vec(g)) for g in targets]
+    solved = simplex_each(cols, [g for _, g in scaled], costs)
+    return [(det * d * e, {j: v * c * d for j, v in levels.items()}, cost * c,
+             tuple(a * c * e for a in duals))
+            for (det, levels, cost, duals), (e, _) in zip(solved, scaled)]
 
 
 # ---------------------------------------------------------------- basics
@@ -56,7 +72,6 @@ def test_vector_helpers():
     assert unit(3, 1) == vec([0, 1, 0])
     assert ones(2) == vec([1, 1])
     assert dot(vec([1, 2]), vec([3, "1/2"])) == Q(4)
-    assert vneg(vec([1, -1])) == vec([-1, 1])
     v = vec([1, "1/2"])
     assert vec(v) is v  # a tuple of Fractions comes back as it is
     assert vec(list(v)) == v and vec(list(v)) is not v
@@ -117,9 +132,9 @@ def test_simplex_each_refuses_columns_without_the_start():
                          ([[0, 1], [1, 1]], [-1, 0]), ([[1, 0], [1, 1], [-1, -1]], [1, 2]),
                          ([], [])):
         with pytest.raises(ValueError, match="start basis"):
-            simplex_each([vec(c) for c in cols], [vec(target)], [0] * len(cols))
+            rational_simplex([vec(c) for c in cols], [vec(target)], [0] * len(cols))
     # y0 == 1 needs no e_1: the same columns hold the start for (2, 1)
-    ((s, levels, _, _),) = simplex_each(rows([1, 0], [1, 1], [-1, -1]), [vec([2, 1])], [0] * 3)
+    ((s, levels, _, _),) = rational_simplex(rows([1, 0], [1, 1], [-1, -1]), [vec([2, 1])], [0] * 3)
     assert {j: Fraction(v, s) for j, v in levels.items()} == {1: 1, 0: 1}
 
 
@@ -131,7 +146,7 @@ def test_simplex_phase_two():
     pivots, real = [], exactla._pivot
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactla, "_pivot", lambda *args: pivots.append(args[3]) or real(*args))
-        ((s, levels, cost, duals),) = simplex_each(cols, [vec([1, 3])], vec([0, 0, -2, -1, 1]))
+        ((s, levels, cost, duals),) = rational_simplex(cols, [vec([1, 3])], vec([0, 0, -2, -1, 1]))
     assert pivots == [2]
     assert {j: Fraction(v, s) for j, v in levels.items()} == {3: 0, 2: 1}
     assert Fraction(cost, s) == -2
@@ -143,11 +158,11 @@ def test_simplex_infeasible_and_unbounded():
     # the +- pair of 1 from the start, whatever the target
     cols = rows([1, 0], [0, 1], [1, 1], [-1, -1])
     with pytest.raises(LpUnbounded):
-        simplex_each(cols, [vec([1, 0])], vec(["-2/3", "-2/3", -1, 1]))
+        rational_simplex(cols, [vec([1, 0])], vec(["-2/3", "-2/3", -1, 1]))
     # without e_0, a later target whose least entry is not at 0 leaves the
     # columns' cone: the dual restore finds no entering column
     with pytest.raises(LpInfeasible):
-        simplex_each(rows([0, 1], [1, 1], [-1, -1]), [vec([0, 1]), vec([1, 0])], [0] * 3)
+        rational_simplex(rows([0, 1], [1, 1], [-1, -1]), [vec([0, 1]), vec([1, 0])], [0] * 3)
 
 
 # ---------------------------------------------------------------- properties
@@ -282,7 +297,7 @@ def test_simplex_each_matches_basis_enumeration(data):
     # nonnegative slack keep the dual feasible, so the LP is bounded.
     n = data.draw(st.integers(1, 3))
     k = data.draw(st.integers(0, n - 1))
-    cols = [unit(n, y) for y in range(n) if y != k] + [ones(n), vneg(ones(n))]
+    cols = [unit(n, y) for y in range(n) if y != k] + [ones(n), tuple(-a for a in ones(n))]
     cols += data.draw(st.lists(st.lists(small_rats, min_size=n, max_size=n).map(vec), max_size=3))
     cols = data.draw(st.permutations(cols))
     y = data.draw(st.lists(small_rats, min_size=n, max_size=n))
@@ -293,9 +308,9 @@ def test_simplex_each_matches_basis_enumeration(data):
     expected = [_min_over_bases(cols, target, costs) for target in targets]
     if None in expected:
         with pytest.raises(LpInfeasible):
-            simplex_each(cols, targets, costs)
+            rational_simplex(cols, targets, costs)
         return
-    solved = simplex_each(cols, targets, costs)
+    solved = rational_simplex(cols, targets, costs)
     assert [Q(cost) / s for s, _, cost, _ in solved] == expected
     for target, (s, levels, cost, duals) in zip(targets, solved):
         assert s > 0 and all(v >= 0 for v in levels.values())
@@ -331,9 +346,9 @@ def test_simplex_each_from_the_simplex_start_matches_basis_enumeration(data):
         mp.setattr(exactla, "_to_optimum", lambda *args: runs.append(args) or real(*args))
         if unbounded:
             with pytest.raises(LpUnbounded):
-                simplex_each(cols, targets, costs)
+                rational_simplex(cols, targets, costs)
         else:
-            solved = simplex_each(cols, targets, costs)
+            solved = rational_simplex(cols, targets, costs)
     assert len(runs) == 1
     if unbounded:
         return
@@ -347,8 +362,8 @@ def test_simplex_each_from_the_simplex_start_matches_basis_enumeration(data):
 def test_simplex_start_det_is_its_basis_determinant():
     # w = (1, 2): y0 = 0 and the basis {5 . 1, 3 e_1}, of |determinant| 15,
     # is already optimal at zero cost: levels 1/5 and 1/3, no pivot
-    cols = [vec([2, 0]), vec([0, 3]), vec([5, 5]), vec([-5, -5])]
-    assert simplex_each(cols, [vec([1, 2])], [0] * 4) == [(15, {2: 3, 1: 5}, 0, (0, 0))]
+    cols = [(2, 0), (0, 3), (5, 5), (-5, -5)]
+    assert simplex_each(cols, [(1, 2)], [0] * 4) == [(15, {2: 3, 1: 5}, 0, (0, 0))]
 
 
 def _assert_optimal_duals(cols, target, costs, s, levels, cost, duals):

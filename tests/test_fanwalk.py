@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
     SUPERMOD3,
+    coherent_intervals,
     event_universe,
+    hrep,
     interval_hrep,
     interval_universe,
     lowprob_hrep,
@@ -21,7 +23,7 @@ from conftest import (
 from credalfans.chains2mono import chain_graph, lower_probability_from_json
 from credalfans.cones import SupportUniverse
 from credalfans.credal import OutcomeSpace, build_credal_hrep, lower_prevision_from_json
-from credalfans.exactla import format_rat, ones, rat, unit, vec
+from credalfans.exactla import _scaled, format_rat, ones, rat, unit, vec
 from credalfans.fanwalk import (
     MescGraph,
     MescNode,
@@ -34,12 +36,13 @@ from credalfans.fanwalk import (
     verify_graph,
     walk,
 )
-from credalfans.polytope import EmptyPolytopeError, HPolytope, vertices_bruteforce
-from credalfans.pri import PRIModel, enumerate_extreme_pri, pri_from_json
+from credalfans.polytope import EmptyPolytopeError, _dual_solve, vertices_bruteforce
+from credalfans.pri import PRIModel, enumerate_extreme_pri, pri_from_json, pri_hrep
+from test_walk_pinned import _envelope
 
 Q = rat
 
-SIMPLEX3 = HPolytope(3, tuple((unit(3, i), 0) for i in range(3)), ((ones(3), 1),))
+SIMPLEX3 = hrep(3, [(unit(3, i), 0) for i in range(3)])
 SIMPLEX3_U = SupportUniverse((unit(3, 0), unit(3, 1), unit(3, 2), ones(3)))
 PRI3 = interval_hrep(["1/6"] * 3, ["1/2"] * 3)
 PRI3_U = interval_universe(3)
@@ -81,21 +84,11 @@ def test_neighbor_candidates_drop_must_be_generator():
 
 def test_walk_one_outcome_is_one_node():
     universe = SupportUniverse((ones(1),))
-    g = walk(HPolytope(1, ((vec([1]), 0),), ((ones(1), 1),)), universe)
+    g = walk(hrep(1, [(vec([1]), 0)]), universe)
     assert g == MescGraph((MescNode((), vec([1])),), frozenset())
     assert verify_graph(g).ok
     with pytest.raises(EmptyPolytopeError):
-        walk(HPolytope(1, ((vec([1]), 2),), ((ones(1), 1),)), universe)
-
-
-def test_walk_needs_mass_one_as_the_only_equality():
-    pinned = HPolytope(3, SIMPLEX3.inequalities, SIMPLEX3.equalities + ((unit(3, 0), Q("1/2")),))
-    doubled = HPolytope(3, SIMPLEX3.inequalities, ((vec([2, 2, 2]), 2),))
-    for h in (pinned, doubled, HPolytope(3, SIMPLEX3.inequalities)):
-        with pytest.raises(ValueError, match="only equality"):
-            _active_table(h, SIMPLEX3_U)
-        with pytest.raises(ValueError, match="only equality"):
-            walk(h, SIMPLEX3_U)
+        walk(hrep(1, [(vec([1]), 2)]), universe)
 
 
 def test_walk_needs_every_universe_vector_as_a_row_normal():
@@ -310,3 +303,27 @@ def test_graph_to_json_roundtrips_through_json():
     assert all(
         0 <= gi < len(back["universe"]) for nd in back["nodes"] for gi in nd["generators"]
     )
+
+
+def test_no_fraction_hashing_once_the_model_is_built(monkeypatch):
+    # the walk and the LP read the record's integers: once build_credal_hrep
+    # or pri_hrep has returned, neither hashes a Fraction
+    lows, ups = coherent_intervals(random.Random(5), 5)
+    space5 = OutcomeSpace(tuple(f"x{i}" for i in range(5)))
+    models = [build_credal_hrep(_envelope(random.Random(724), 4)),
+              pri_hrep(PRIModel(space5, tuple(lows), tuple(ups)))]
+    calls = []
+    real = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    for h, universe in models:
+        assert walk(h, universe).nodes
+        objectives = [_scaled(vec(f))[1] for f in itertools.product((-1, 0, 2), repeat=h.dim)]
+        _dual_solve(h, objectives)
+    assert len(calls) == 0
+    hash(rat("1/3"))  # the spy does see a hash
+    assert calls

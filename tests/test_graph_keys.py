@@ -13,6 +13,8 @@ import random
 
 import pytest
 
+from conftest import fraction_rows
+
 from credalfans.chains2mono import chain_graph, event_universe
 from credalfans.credal import OutcomeSpace
 from credalfans.exactla import dot, ones, rat
@@ -56,7 +58,7 @@ def assert_keys_tight(graph, universe, bound):
 @pytest.mark.parametrize("m", models(), ids=lambda m: f"n{m.n}")
 def test_generator_indices_name_tight_rows(m):
     h, universe = pri_hrep(m)
-    rows = dict(h.inequalities)
+    rows = dict(fraction_rows(h))
     _, graph = enumerate_extreme_pri(m)
     assert_keys_tight(graph, universe, rows.__getitem__)
     assert_keys_tight(walk(h, universe), universe, rows.__getitem__)

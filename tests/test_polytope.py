@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credalfans import exactla, polytope
-from credalfans.exactla import dot, indicator, ones, rat, unit, vec
+from credalfans.exactla import _scaled, dot, ones, rat, simplex_each, unit, vec
 from credalfans.polytope import (
     EmptyPolytopeError,
     HPolytope,
@@ -18,11 +18,13 @@ from credalfans.polytope import (
     vertices_bruteforce,
 )
 
-from cone_calculus import Cone, active_set, normal_cone_at
+from cone_calculus import Cone, active_set, indicator, normal_cone_at
 from conftest import (
     assessed_rows,
     belief_masses,
     coherent_intervals,
+    fraction_rows,
+    hrep,
     interval_hrep,
     lowprob_hrep,
     rows_hrep,
@@ -32,11 +34,7 @@ Q = rat
 
 
 def simplex(n):
-    return HPolytope(
-        n,
-        tuple((unit(n, i), 0) for i in range(n)),
-        ((ones(n), 1),),
-    )
+    return hrep(n, [(unit(n, i), 0) for i in range(n)])
 
 
 def interval_polytope(lowers, uppers):
@@ -47,17 +45,24 @@ def interval_polytope(lowers, uppers):
     for i in range(n):
         comp = tuple(Q(0) if j == i else Q(1) for j in range(n))
         rows.append((comp, 1 - Q(uppers[i])))
-    return HPolytope(n, tuple(rows), ((ones(n), 1),))
+    return hrep(n, rows)
 
 
 PRI3 = interval_polytope(["1/6"] * 3, ["1/2"] * 3)
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        HPolytope(2, (((0, 0), 1),))
-    with pytest.raises(ValueError):
-        HPolytope(2, (((1, 0, 0), 1),))
+    # the record takes primitive integer normals (least entry 0, coprime,
+    # nonzero past one outcome), distinct, one bound each over a positive
+    # den, and a row on each p(y)
+    e0, e1 = (1, 0), (0, 1)
+    for rows, bounds, den in (([e0, e1, (0, 0)], [0] * 3, 1), ([e0, e1, (1, 0, 0)], [0] * 3, 1),
+                              ([e0, e1, (1, 1)], [0] * 3, 1), ([e0, e1, (2, 0)], [0] * 3, 1),
+                              ([e0, e1, e0], [0] * 3, 1), ([e0, e1], [0], 1), ([e0, e1], [0, 0], 0),
+                              ([e0, (1, 2)], [0, 0], 1)):
+        with pytest.raises(ValueError):
+            HPolytope(2, rows, bounds, den)
+    assert vertices_bruteforce(HPolytope(1, [(0,)], [-1], 1)) == (Vertex(vec([1])),)
 
 
 def test_simplex_vertices():
@@ -74,12 +79,10 @@ def test_interval_polytope_vertices_are_permutations():
 
 
 def test_duplicate_rows_do_not_duplicate_vertices():
-    p = HPolytope(
-        3,
-        PRI3.inequalities + PRI3.inequalities[:1],
-        PRI3.equalities,
-    )
-    assert len(vertices_bruteforce(p)) == 6
+    # a repeated half-space, here scaled and shifted, is one row of the record
+    (f, b), *_ = fraction_rows(PRI3)
+    p = hrep(3, fraction_rows(PRI3) + [(tuple(2 * a + 1 for a in f), 2 * b + 1)])
+    assert p == PRI3 and len(vertices_bruteforce(p)) == 6
 
 
 def test_active_set_known_vertex():
@@ -119,7 +122,11 @@ def test_empty_polytope():
         lp_min(p, ones(3))
 
 
-QUADRANT = HPolytope(2, ((unit(2, 0), 0), (unit(2, 1), 0)))
+def quadrant_dual(f):
+    """The LP kernel on the dual of min x . f over the quadrant x >= 0,
+    with no x . 1 fixed: no record holds that set, and its dual's columns,
+    the unit vectors alone, hold no start."""
+    return simplex_each([(1, 0), (0, 1)], [_scaled(vec(f))[1]], [0, 0])
 
 
 def test_lp_min_unbounded_raises():
@@ -127,7 +134,7 @@ def test_lp_min_unbounded_raises():
     # minimum; with no multiple of x . 1 fixed, its dual holds no start
     for f in ((1, -1), (1, 2)):
         with pytest.raises(ValueError, match="start basis"):
-            lp_min(QUADRANT, vec(f))
+            quadrant_dual(f)
 
 
 def test_lp_min_tells_empty_from_unbounded():
@@ -138,13 +145,14 @@ def test_lp_min_tells_empty_from_unbounded():
         with pytest.raises(EmptyPolytopeError):
             lp_min(empty, vec(f))
     with pytest.raises(ValueError, match="start basis"):
-        lp_min(QUADRANT, vec([1, -1]))
+        quadrant_dual([1, -1])
 
 
 def test_lp_min_without_a_vertex():
-    # a half-plane has a minimum of x1 but no vertex to return, and no start
-    with pytest.raises(ValueError, match="start basis"):
-        lp_min(HPolytope(2, ((unit(2, 0), 0),)), unit(2, 0))
+    # a half-plane has a minimum of x1 but no vertex to return: without a
+    # row on p(1) the record refuses it, so no LP runs
+    with pytest.raises(ValueError, match="no row on some p"):
+        hrep(2, [(unit(2, 0), 0)])
 
 
 def test_lp_minima_of_no_objective_runs_no_guard_and_no_lp(monkeypatch):
@@ -181,10 +189,9 @@ def test_lp_minima_raises_as_lp_min():
         lp_minima(empty, [vec([0, -1, 0]), vec([1, 0, 0])])
     for objectives in ([vec([1, 2]), vec([1, -1])], [vec([1, -1]), vec([1, 2])]):
         with pytest.raises(ValueError, match="start basis"):
-            lp_minima(QUADRANT, objectives)
-    half_plane = HPolytope(2, ((unit(2, 0), 0),))  # a minimum of x1, but no vertex
-    with pytest.raises(ValueError, match="start basis"):
-        lp_minima(half_plane, [unit(2, 0), unit(2, 1)])
+            quadrant_dual(objectives[0])
+    with pytest.raises(ValueError, match="no row on some p"):  # a half-plane
+        hrep(2, [(unit(2, 0), 0)])
     # an objective of the wrong length is refused, not truncated
     for objectives in ([vec([1, 2]), vec([1, 2, 3])], [vec([1])]):
         with pytest.raises(ValueError, match="differ in length"):
@@ -199,7 +206,7 @@ def test_lp_minima_tied_dual_restore(monkeypatch):
     tied at |A| = 3. The dual restores between the events meet tied
     entering ratios, and still end at those optima."""
     p = interval_polytope(["1/6"] * 5, ["1/4"] * 5)
-    m = len(p.inequalities) + 2 * len(p.equalities)  # the dual's columns
+    m = len(p.rows) + 2  # the dual's columns: the rows and the +- pair of 1
     tied = []
     pivot = exactla._pivot
 
@@ -254,17 +261,16 @@ def test_lp_min_matches_oracle(model, data):
     st.lists(st.integers(-2, 2), min_size=n, max_size=n),
     st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
 def test_lp_min_on_a_shifted_orthant(drawn):
-    # x >= c holds no start: refused. Cut by x . 1 == c . 1 + 1, it is the
-    # simplex shifted by c, with the minimum c . f + min f at c + e_y for
-    # some y where f is least
+    # x >= c / s with s = c . 1 + 1 (c . 1 >= 0) and x . 1 == 1, p . 1 = 1
+    # as in every record: x = (c + y) / s for y in the simplex, with the
+    # minimum (c . f + min f) / s at (c + e_y) / s for some y where f is least
     c, f = (vec(v) for v in drawn)
-    n = len(c)
-    orthant = tuple((unit(n, i), c[i]) for i in range(n))
-    with pytest.raises(ValueError, match="start basis"):
-        lp_min(HPolytope(n, orthant), f)
-    value, arg = lp_min(HPolytope(n, orthant, ((ones(n), sum(c) + 1),)), f)
-    assert value == dot(c, f) + min(f)
-    assert arg in {Vertex(a + (i == y) for i, a in enumerate(c)) for y in range(n) if f[y] == min(f)}
+    c = tuple(a + max(-sum(c), 0) if i == 0 else a for i, a in enumerate(c))  # c . 1 >= 0
+    n, s = len(c), sum(c) + 1
+    value, arg = lp_min(hrep(n, [(unit(n, i), c[i] / s) for i in range(n)]), f)
+    assert value == (dot(c, f) + min(f)) / s
+    assert arg in {Vertex((a + (i == y)) / s for i, a in enumerate(c))
+                   for y in range(n) if f[y] == min(f)}
 
 
 def _optimum_runs(call):
@@ -310,14 +316,11 @@ def test_lp_on_credal_sets_matches_the_oracle(p, data):
     """A credal set's dual starts at the simplex's own basis: one
     _to_optimum run gives the oracle's minima, and lp_min a vertex of the
     oracle's attaining it. Its twin, every unit row rewritten off the unit
-    vectors, is the same set, but its dual holds no start: refused."""
-    twin = HPolytope(p.dim, tuple(_off_units(p.inequalities)), p.equalities)
+    vectors, is the same set, and on primitive normals the same record."""
+    assert hrep(p.dim, _off_units(fraction_rows(p))) == p
     vs = vertices_bruteforce(p)
-    assert vertices_bruteforce(twin) == vs
     fs = [vec(f) for f in data.draw(st.lists(
         st.tuples(*[st.integers(-3, 3)] * p.dim), min_size=1, max_size=4))]
-    with pytest.raises(ValueError, match="start basis"):
-        lp_minima(twin, fs)
     if not vs:
         with pytest.raises(EmptyPolytopeError):
             lp_minima(p, fs)
@@ -336,20 +339,24 @@ def _simplex_rows(units, f, b):
 
 
 EDGE_CASES = [
-    # (rows, equalities, objective, _to_optimum runs): the start needs a
-    # positive multiple of e_y for every y but y0, the least index of the
-    # objective's minimum, and a multiple of 1 on the side of its value;
-    # without it lp_min is refused, with no run
+    # (rows, equalities, objective, _to_optimum runs): the record keys each
+    # row on its primitive normal, so a unit row scaled, or written on its
+    # complement, is e_y, and each credal set holds the kernel's start: one
+    # run. Every case keeps p . 1 == 1 (a positive multiple of it), the
+    # record's implicit equality; another equality g == b is the two rows
+    # g >= b and -g >= -b. Runs 0: some p(y) has no row, so the record
+    # refuses the rows and no LP runs
     (_simplex_rows([(2, 0), (1, 1), (3, 2)], (1, 1, 0), "1/3"), [(ones(3), 1)], (3, 2, 1), 1),
     (_simplex_rows([(1, 2), (5, 0), (1, 1)], (1, 1, 0), "1/3"), [(ones(3), 1)], (3, 2, 1), 1),
     (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 1, 0), "1/3"), [(vec([2, 2, 2]), 2)], (1, 2, 3), 1),
     (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 0, 1), "1/4"), [(ones(3), 1)], (2, 1, 1), 1),
     (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 0, 1), "1/4"), [(ones(3), 1)], (0, -1, -1), 1),
-    # p(2) >= 0 on the complement, so no e_2 row: fine when y0 == 2 only
+    # p(2) >= 0 on the complement is the row e_2 >= 0
     (_simplex_rows([(1, 0), (1, 1)], (-1, -1, 0), -1), [(ones(3), 1)], (2, 3, 1), 1),
-    (_simplex_rows([(1, 0), (1, 1)], (-1, -1, 0), -1), [(ones(3), 1)], (1, 3, 2), 0),
-    # an equality other than p . 1 == 1 in its place, or beside it
-    (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 1, 0), 0), [(vec([1, 1, 2]), 1)], (3, 2, 1), 0),
+    # no row on p(2), then none on p(0)
+    (_simplex_rows([(1, 0), (1, 1)], (1, 1, 0), 0), [(ones(3), 1)], (1, 3, 2), 0),
+    (_simplex_rows([(1, 1), (1, 2)], (1, -1, 0), 0), [(ones(3), 1)], (3, 2, 1), 0),
+    # an equality beside p . 1 == 1
     (_simplex_rows([(1, 0), (1, 1), (1, 2)], (1, 1, 0), 0),
      [(ones(3), 1), (vec([1, -1, 0]), 0)], (3, 2, 1), 1),
 ]
@@ -357,34 +364,27 @@ EDGE_CASES = [
 
 @pytest.mark.parametrize("rows, equalities, f, runs", EDGE_CASES)
 def test_the_simplex_start_at_the_edge_of_its_hypotheses(rows, equalities, f, runs):
-    p = HPolytope(3, rows, equalities)
-    f = vec(f)
+    assert any(len(set(g)) == 1 and g[0] == b for g, b in equalities)
+    rows += tuple((tuple(s * a for a in g), s * b)
+                  for g, b in equalities if len(set(g)) > 1 for s in (1, -1))
     if not runs:
-        with pytest.raises(ValueError, match="start basis"):
-            lp_min(p, f)
+        with pytest.raises(ValueError, match="no row on some p"):
+            hrep(3, rows)
         return
+    p = hrep(3, rows)
+    f = vec(f)
     (value, arg), k = _optimum_runs(lambda: lp_min(p, f))
     assert k == runs
     vs = vertices_bruteforce(p)
     assert value == min(dot(v.point, f) for v in vs) and arg in vs and dot(arg.point, f) == value
 
 
-def test_unbounded_face_is_not_a_problem_for_pointed_sets():
-    # quadrant: single vertex at the origin even though the set is unbounded
-    p = HPolytope(2, ((unit(2, 0), 0), (unit(2, 1), 0)))
-    vs = vertices_bruteforce(p)
-    assert [v.point for v in vs] == [vec([0, 0])]
-
-
 def test_oracle_guards():
     with pytest.raises(OracleGuardError):
         vertices_bruteforce(simplex(7))
-    wide = HPolytope(
-        3,
-        tuple((unit(3, i % 3), -j) for j, i in enumerate(range(26))),
-        ((ones(3), 1),),
-    )
-    with pytest.raises(OracleGuardError):
+    # 3 unit rows and 23 more distinct normals: 27 constraints with p . 1 = 1
+    wide = hrep(3, [(unit(3, i), 0) for i in range(3)] + [((0, 1, k), -1) for k in range(2, 25)])
+    with pytest.raises(OracleGuardError, match="27 constraints"):
         vertices_bruteforce(wide)
     assert len(vertices_bruteforce(simplex(7), max_dim=7)) == 7
 
@@ -393,7 +393,7 @@ def test_every_vertex_has_full_rank_active_set():
     from credalfans.exactla import rank
 
     for v in vertices_bruteforce(PRI3):
-        rows = PRI3.inequalities + PRI3.equalities
+        rows = fraction_rows(PRI3) + [(ones(3), 1)]
         normals = [rows[i][0] for i in sorted(active_set(PRI3, v.point))]
         assert rank(normals) == PRI3.dim
 
@@ -414,8 +414,8 @@ def test_lp_min_agrees_with_float_solver():
         exact, _ = lp_min(p, f)
         res = scipy.linprog(
             [float(a) for a in f],
-            A_ub=[[-float(a) for a in row] for row, _ in p.inequalities],
-            b_ub=[-float(b) for _, b in p.inequalities],
+            A_ub=[[-float(a) for a in row] for row, _ in fraction_rows(p)],
+            b_ub=[-float(b) for _, b in fraction_rows(p)],
             A_eq=[[1.0] * 4],
             b_eq=[1.0],
             bounds=[(None, None)] * 4,

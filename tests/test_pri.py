@@ -290,7 +290,7 @@ def _cone_of(c, m):
     y in A and the upper row of each z in B generate, the constants are
     lineality."""
     h, _ = pri_hrep(m)
-    rows = [f for f, _ in h.inequalities]
+    rows = [vec(f) for f in h.rows]
     return Cone(tuple([rows[y] for y in c.a] + [rows[m.n + z] for z in c.b]))
 
 

@@ -177,9 +177,9 @@ RECORDS = [
     ("credal", "LowerPrevision", {"space", "assessments"}),
     ("credal", "AssessmentCheck", {"lower", "attained"}),
     ("credal", "CoherenceReport", {"coherent", "empty", "checks"}),
-    ("polytope", "HPolytope", {"dim", "inequalities", "equalities"}),
+    ("polytope", "HPolytope", {"dim", "rows", "bounds", "den"}),
     ("polytope", "Vertex", {"point"}),
-    ("cones", "SupportUniverse", {"vectors"}),
+    ("cones", "SupportUniverse", {"normals"}),
     ("pri", "PRIModel", {"space", "lower", "upper"}),
     ("pri", "PriCoherenceReport", {"proper", "coherent", "repaired"}),
     ("chains2mono", "LowerProbability", {"space", "table"}),
@@ -285,3 +285,20 @@ def test_lp_min_reads_its_vertex_off_the_tableau(module, function):
     read = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(fn)
             if isinstance(node, (ast.Name, ast.Attribute))}
     assert not read & RE_SOLVES
+
+
+# The integer credal polytope is scaled once, where it is built: the LP's
+# dual, the kernel and the walk's table read its integers as they are, with
+# no denominator cleared and no Fraction made on the way in.
+SCALERS = {"_int_rows", "_scaled", "rat", "vec"}
+
+
+@pytest.mark.parametrize("module, function", [("polytope", "_dual_solve"),
+                                              ("exactla", "simplex_each"),
+                                              ("fanwalk", "_active_table")])
+def test_the_record_is_read_as_integers(module, function):
+    (fn,) = [top for top in _parse(PACKAGE / f"{module}.py").body
+             if isinstance(top, ast.FunctionDef) and top.name == function]
+    read = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(fn)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not read & SCALERS

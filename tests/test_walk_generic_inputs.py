@@ -20,14 +20,14 @@ import math
 import random
 
 import pytest
-from conftest import belief_masses, coherent_intervals, interval_hrep, interval_universe
+from conftest import (belief_masses, coherent_intervals, fraction_rows, hrep, interval_hrep,
+                      interval_universe)
 from test_walk_pinned import _facet_envelope
 
 from credalfans import chains2mono
 from credalfans.credal import OutcomeSpace, build_credal_hrep
 from credalfans.exactla import rat
 from credalfans.fanwalk import graph_to_json, walk
-from credalfans.polytope import HPolytope
 from credalfans.pri import PRIModel, is_coherent_pri, pri_hrep
 
 
@@ -111,11 +111,11 @@ def test_walk_graph_pinned(name):
 def _rescaled(h):
     """h's rows in reverse order, then each row scaled by (10^40 + 1)/7919,
     then each row loosened by 10^-30."""
-    rows = h.inequalities[::-1]
+    rows = fraction_rows(h)[::-1]
     scale, slack = rat(10**40 + 1) / 7919, rat(1) / 10**30
-    scaled = tuple((tuple(scale * a for a in f), scale * b) for f, b in rows)
-    loose = tuple((f, b - slack) for f, b in rows)
-    return HPolytope(h.dim, rows + scaled + loose, h.equalities)
+    scaled = [(tuple(scale * a for a in f), scale * b) for f, b in rows]
+    loose = [(f, b - slack) for f, b in rows]
+    return hrep(h.dim, rows + scaled + loose)
 
 
 def _interval_model(seed, n, build):
@@ -129,5 +129,5 @@ def _interval_model(seed, n, build):
 @pytest.mark.parametrize("seed", [300, 301, 302, 303])
 def test_walk_is_invariant_under_row_scaling(seed, build):
     h, universe = _interval_model(seed, 4, build)
-    assert 3 * len(h.inequalities) <= 24  # under the oracle guard's 25 rows
+    assert 3 * len(h.rows) <= 24  # under the oracle guard's 25 rows
     assert _doc(_rescaled(h), universe) == _doc(h, universe)

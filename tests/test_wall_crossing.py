@@ -23,27 +23,24 @@ import random
 
 import pytest
 from cone_calculus import absorbed, dual_basis
-from conftest import coherent_intervals, interval_hrep, interval_universe
+from conftest import coherent_intervals, fraction_rows, interval_hrep, interval_universe
 from test_exactla import _leibniz_det
 from test_graph_keys import tied_model
 from test_walk_pinned import CASES, _envelope
 
 from credalfans import fanwalk
 from credalfans.credal import build_credal_hrep
-from credalfans.exactla import dot, solve_unique, unit
+from credalfans.exactla import dot, ones, solve_unique, unit, vec
 from credalfans.fanwalk import MescNode, _active_table, _crossed, neighbor_candidates, walk
 from credalfans.pri import pri_hrep
 
 
 def reference_crossing(node, dropped, t, h, universe):
-    vectors = universe.vectors
-    bounds = {}
-    for f, b in h.inequalities:
-        bounds[f] = max(b, bounds.get(f, b))
+    vectors = [vec(v) for v in universe.normals]  # as h's rows are written
+    bounds = dict(fraction_rows(h))
     plain = [j for j, v in enumerate(vectors) if v in bounds]
     shared = tuple(i for i in node.gens if i != dropped)
-    eq_rows = [f for f, _ in h.equalities]
-    eq_rhs = [b for _, b in h.equalities]
+    eq_rows, eq_rhs = [ones(universe.dim)], [1]  # p . 1 = 1
     found = []
     for j in plain:
         if dot(vectors[j], t) >= 0:
@@ -51,7 +48,7 @@ def reference_crossing(node, dropped, t, h, universe):
         key = tuple(sorted(shared + (j,)))
         point = solve_unique(eq_rows + [vectors[i] for i in key],
                              eq_rhs + [bounds[vectors[i]] for i in key])
-        if point is None or not h.is_feasible(point):
+        if point is None or any(dot(point, f) < b for f, b in bounds.items()):
             continue
         dual = dual_basis([vectors[i] for i in key], universe.dim)
         if dual is None or absorbed(dual, (vectors[k] for k in plain if k not in key)):
