@@ -43,9 +43,11 @@ class SupportUniverse(Record):
     @property
     def vectors(self) -> tuple:
         if self._vectors is None:
-            n = self.dim
-            self._vectors = tuple(tuple(Fraction(a, next(c for c in v if c)) for a in v)
-                                  if any(v) else (Fraction(1),) * n for v in self.normals)
+            memo = {}  # one object per value, so export formats each once
+            pairs = ((v, next(a for a in v if a)) if any(v) else ((1,) * len(v), 1)
+                     for v in self.normals)
+            self._vectors = tuple(tuple(memo.setdefault((a, c), Fraction(a, c)) for a in v)
+                                  for v, c in pairs)
         return self._vectors
 
     @property
