@@ -20,9 +20,13 @@ such a gamble equals its exact lower expectation.
 
 The fan's kernels read L off one table of ints over a common denominator,
 indexed by event bitmask and kept with the model: is_two_monotone checks
-local inequalities on it, and enumerate_extreme_2mono and chain_graph walk
-the outcome orders on it, their vertices sharing its step masses. choquet
-builds no table.
+local inequalities on it once per model, and enumerate_extreme_2mono and
+chain_graph walk the outcome orders on it, their vertices sharing its step
+masses. The enumeration's tail rule: an order's masses below a prefix
+depend only on the prefix set A, through the steps L(A | {x}) - L(A), so
+the tails of each A with at most three outcomes left are built once. The
+rule holds for any set function; 2-monotonicity makes the chain vertices
+the extreme points. choquet builds no table.
 """
 
 from __future__ import annotations
@@ -60,11 +64,11 @@ class LowerProbability(Record):
     table lists every proper nonempty event with its value; the empty event
     and the sure event are pinned to 0 and 1. Values must lie in [0, 1] and
     be monotone under inclusion. 2-monotonicity is a separate, stronger
-    property checked by is_two_monotone. _index maps each event to its value
-    and _ints holds the integer tables (_scaled_table), built on first use.
+    property checked by is_two_monotone. _index maps each event to its value;
+    _ints (_scaled_table) and _report (is_two_monotone) are built on first use.
     """
 
-    __slots__ = ("space", "table", "_index", "_ints")
+    __slots__ = ("space", "table", "_index", "_ints", "_report")
 
     def __init__(self, space: OutcomeSpace, table):
         n = space.n
@@ -95,7 +99,8 @@ class LowerProbability(Record):
                         f"not monotone: dropping outcome {x} from {sorted(e)} raises the value")
         table = tuple(sorted(((e, v) for e, v in index.items()
                               if e and e != omega), key=lambda t: (len(t[0]), sorted(t[0]))))
-        self.space, self.table, self._index, self._ints = space, table, index, None
+        self.space, self.table, self._index = space, table, index
+        self._ints = self._report = None
 
     def value(self, event):
         e = frozenset(x if isinstance(x, int) else self.space.index(x) for x in event)
@@ -142,7 +147,13 @@ def is_two_monotone(lowprob: LowerProbability) -> TwoMonotoneReport:
     events, as L is with L(empty) = 0 and L(sure) = 1, these imply the
     inequality for every pair of events (Chateauneuf & Jaffray 1989). If
     one fails, a scan over all pairs in canonical order names the first
-    violator (comparable pairs hold with equality, so it is incomparable)."""
+    violator (comparable pairs hold with equality, so it is incomparable).
+    The report is kept with the model: one scan per model."""
+    lowprob._report = lowprob._report or _local_scan(lowprob)  # a report is a nonempty tuple
+    return lowprob._report
+
+
+def _local_scan(lowprob: LowerProbability) -> TwoMonotoneReport:
     table, d = _scaled_table(lowprob)
     bits = [1 << x for x in range(lowprob.space.n)]
     if all(table[a | bx | by] + va >= table[a | bx] + table[a | by]
@@ -216,40 +227,50 @@ def enumerate_extreme_2mono(lowprob: LowerProbability) -> tuple:
     """Extreme points of a 2-monotone lower probability's credal set: a
     tuple of the distinct chain vertices, each at its first order in
     itertools.permutations order. Raises on non-2-monotone input with the
-    violating pair. One depth-first pass over the orders on V = d L, lowest
-    unused outcome first, keys each vertex by one int: step mass
-    V[A | {x}] - V[A] at bit w x, w = d.bit_length(). LowerProbability
+    violating pair. Each vertex is keyed by one int on V = d L: step mass
+    V[A | {x}] - V[A] at bit w x, w = d.bit_length(); LowerProbability
     enforces monotonicity, so every step mass lies in [0, d] and no two
-    fields overlap."""
+    fields overlap. Tail rule: below a prefix set A an order's fields and
+    masses depend on A alone, so the table T(A) lists them per order of A's
+    complement, in permutations order, as x's step before T(A | {x}) for
+    each x not in A. A depth-first pass over the top n - 3 levels, lowest
+    unused outcome first, emits each node's leaves from its memoised T(A)."""
     rep = is_two_monotone(lowprob)
     if not rep.ok:
         a, b = rep.violator
-        raise NotTwoMonotoneError(
-            f"not 2-monotone: events {sorted(a)} and {sorted(b)} give "
-            f"{rep.lhs} < {rep.rhs}")
+        raise NotTwoMonotoneError(f"not 2-monotone: events {sorted(a)} and {sorted(b)} give "
+                                  f"{rep.lhs} < {rep.rhs}")
     n = lowprob.space.n
     steps = _step_table(lowprob)
     table, d = _scaled_table(lowprob)
     w = d.bit_length()
     moves = [(x, 1 << x, w * x) for x in range(n)]
     full, p, points = (1 << n) - 1, [ZERO] * n, {}
+    tails = {full: ((0, ()),)}
 
-    def descend(a, key):
-        va, row = table[a], steps[a]
-        rest = full ^ a
-        if not rest & (rest - 1):  # one outcome left: the order's leaf
-            x = rest.bit_length() - 1
-            key |= (d - va) << w * x
-            if key not in points:
-                p[x] = row[x]
-                points[key] = tuple(p)
+    def tail(a):  # T(a): (key fields, flat (outcome, mass) pairs; short tails repeat one)
+        if a not in tails:
+            va, row = table[a], steps[a]
+            tails[a] = tuple(((table[a | bx] - va) << shift | k,
+                              ((x, row[x]) + (pairs or (x, row[x]) * 2))[:6])
+                             for x, bx, shift in moves if not a & bx for k, pairs in tail(a | bx))
+        return tails[a]
+
+    def descend(a, key, left):
+        if left <= 3:  # the node's leaves, from its tail table
+            for k, (x, m, y, u, z, v) in tail(a):
+                k |= key
+                if k not in points:
+                    p[x], p[y], p[z] = m, u, v
+                    points[k] = tuple(p)
             return
+        va, row = table[a], steps[a]
         for x, bx, shift in moves:
-            if rest & bx:
+            if not a & bx:
                 p[x] = row[x]
-                descend(a | bx, key | (table[a | bx] - va) << shift)
+                descend(a | bx, key | (table[a | bx] - va) << shift, left - 1)
 
-    descend(0, 0)
+    descend(0, 0, n)
     return tuple(points.values())
 
 

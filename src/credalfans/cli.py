@@ -172,14 +172,6 @@ def _violation(model, rep):
     return a, b, f"{format_rat(rep.lhs)} < {format_rat(rep.rhs)}"
 
 
-def _require_two_monotone(model):
-    from .chains2mono import is_two_monotone
-    rep = is_two_monotone(model)
-    if not rep.ok:
-        a, b, gap = _violation(model, rep)
-        raise PropertyError(f"not 2-monotone: events {a} and {b} give {gap}")
-
-
 def _chain_model(tag, model):
     """The 2-monotone lower probability the chains engine works on."""
     if tag == "pri":
@@ -187,20 +179,24 @@ def _chain_model(tag, model):
         if not pri.is_coherent_pri(model).proper:
             raise PropertyError("improper interval model: no distribution fits the bounds")
         model = pri.induced_2mono(model)
-    _require_two_monotone(model)
+    from .chains2mono import is_two_monotone
+    rep = is_two_monotone(model)
+    if not rep.ok:
+        a, b, gap = _violation(model, rep)
+        raise PropertyError(f"not 2-monotone: events {a} and {b} give {gap}")
     return model
 
 
-# Graph functions return (graph or None, universe, distinct vertices); natex
-# functions the exact lower expectation of a gamble's value vector.
+# Graph functions, given the command, return (graph or None, universe, distinct
+# vertices); natex functions the exact lower expectation of a gamble's value vector.
 
-def _pri_graph(tag, model):
+def _pri_graph(tag, model, command):
     from . import pri
     points, graph = pri.enumerate_extreme_pri(model)
     return graph, pri.pri_hrep(model)[1], points
 
 
-def _chains_graph(tag, model):
+def _chains_graph(tag, model, command):
     n = model.space.n
     if n > CHAIN_FAN_MAX_N:
         raise InputError(
@@ -208,11 +204,13 @@ def _chains_graph(tag, model):
             "use --engine pri for interval models")
     model = _chain_model(tag, model)
     from . import chains2mono
+    if command == "vertices":  # the enumeration, without the n! fan nodes
+        return None, None, chains2mono.enumerate_extreme_2mono(model)
     graph = chains2mono.chain_graph(model)
     return graph, chains2mono.event_universe(n), graph.vertices
 
 
-def _walk_graph(tag, model):
+def _walk_graph(tag, model, command):
     h, universe = _hrep(tag, model)
     # The walk presumes every assessment row supports the credal set: slack
     # rows (incoherent input) break its wall crossing, so refuse them up front.
@@ -268,7 +266,7 @@ ENGINES = {
     "pri": (_pri_graph, _pri_natex),
     "chains": (_chains_graph, _chains_natex),
     "walk": (_walk_graph, _walk_natex),
-    "oracle": (lambda tag, model: (None, None, _oracle_points(tag, model)), _oracle_natex),
+    "oracle": (lambda tag, model, command: (None, None, _oracle_points(tag, model)), _oracle_natex),
 }
 
 
@@ -317,7 +315,7 @@ def _compute_graph(args):
     tag, model, engine, report = _start(args)
     _check_verify(args, tag, model)
     t0 = time.perf_counter()
-    graph, universe, points = _run_engine(engine, ENGINES[engine][0], tag, model)
+    graph, universe, points = _run_engine(engine, ENGINES[engine][0], tag, model, args.command)
     report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
     return tag, model, graph, universe, points, report
 

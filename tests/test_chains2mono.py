@@ -1,16 +1,20 @@
 """Lower probabilities and the chain structure of 2-monotone credal sets."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from credalfans import chains2mono, cli
 from credalfans.chains2mono import (
     LowerProbability,
+    NotTwoMonotoneError,
     TwoMonotoneReport,
     as_lower_prevision,
     chain_graph,
@@ -29,6 +33,7 @@ from cone_calculus import Cone, adjacent_swaps, are_adjacent, chain_cone, is_com
 from conftest import SUPERMOD3, Q, belief_masses, lowprob_hrep, quadratic_lowprob, random_gamble
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 NONSUPER3 = {
     frozenset({0}): Q(0),
@@ -362,6 +367,117 @@ class TestEnumeration:
         points = enumerate_extreme_2mono(lp3(values))
         assert len(points) == len(frozenset(points))
         assert frozenset(points) == {dist}
+
+
+@st.composite
+def two_monotone_lowprobs(draw):
+    """A 2-monotone lower probability on n = 1..6 outcomes: a belief function
+    of small integer masses, zero masses included, mixed with weight alpha
+    into Q(A)^2 for a random pmf Q. Both parts are 2-monotone, and so is
+    the mixture. alpha = 0 keeps the belief function's tied chain vertices;
+    alpha > 0 mostly gives n! distinct ones."""
+    n = draw(st.integers(1, 6))
+    events = [frozenset(s) for r in range(1, n) for s in itertools.combinations(range(n), r)]
+    masses = dict(zip(events, draw(st.lists(st.integers(0, 3), min_size=len(events),
+                                             max_size=len(events)))))
+    total = sum(masses.values()) + draw(st.integers(1, 3))  # the rest on the sure event
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    alpha = Fraction(draw(st.integers(0, 3)), 4)
+    values = {e: (1 - alpha) * Fraction(sum(m for f, m in masses.items() if f <= e), total)
+              + alpha * Fraction(sum(weights[i] for i in e), sum(weights)) ** 2 for e in events}
+    sp = OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+    return LowerProbability(sp, tuple(values.items()))
+
+
+def first_chain_vertices(lp):
+    """The distinct chain vertices by reference_chain_vertex, in first-chain order."""
+    orders = itertools.permutations(range(lp.space.n))
+    return tuple(dict.fromkeys(reference_chain_vertex(lp, order) for order in orders))
+
+
+def assert_tail_enumeration(lp):
+    """enumerate_extreme_2mono equals the reference in first-chain order, and
+    each coordinate is the step table's own Fraction object."""
+    points = enumerate_extreme_2mono(lp)
+    assert points == first_chain_vertices(lp)
+    masses = {id(v) for row in lp._ints[2] for v in row if v is not None}
+    assert all(id(x) in masses for p in points for x in p)
+
+
+class TestTailTables:
+    @settings(max_examples=80, deadline=None)
+    @given(two_monotone_lowprobs())
+    def test_matches_the_chain_reference(self, lp):
+        assert is_two_monotone(lp).ok
+        assert_tail_enumeration(lp)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_spaces_are_one_tail_table(self, n):
+        # with at most three outcomes the pass emits every order from T(empty set)
+        rng = random.Random(n)
+        sp = OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+        models = [TestEnumeration.belief(n, {}),  # vacuous: the n unit masses
+                  TestEnumeration.belief(n, {frozenset({0}): Fraction(1, 2)}),
+                  LowerProbability(sp, tuple(quadratic_lowprob(rng, n).items())),
+                  LowerProbability(sp, tuple(belief_masses(rng, n).items()))]
+        for lp in models:
+            assert_tail_enumeration(lp)
+        assert len(enumerate_extreme_2mono(models[0])) == n
+
+    def test_belief_functions_with_tied_masses(self):
+        # equal focal masses on overlapping and disjoint sets: many orders
+        # share a vertex, in and across tail tables
+        f = frozenset
+        for n, masses in [(4, {f({0, 1}): Fraction(1, 4), f({2, 3}): Fraction(1, 4)}),
+                          (5, {f({0}): Fraction(1, 5), f({1}): Fraction(1, 5), f({2, 3, 4}): Fraction(1, 5)}),
+                          (6, {f({0, 1, 2}): Fraction(1, 3), f({3, 4, 5}): Fraction(1, 3)}),
+                          (6, {f({i, (i + 1) % 6}): Fraction(1, 6) for i in range(6)})]:
+            lp = TestEnumeration.belief(n, masses)
+            assert_tail_enumeration(lp)
+            assert len(enumerate_extreme_2mono(lp)) < math.factorial(n)
+
+
+class TestOneScanPerModel:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The models the local-inequality scan ran on, one entry per run."""
+        runs, scan = [], chains2mono._local_scan
+        monkeypatch.setattr(chains2mono, "_local_scan", lambda lp: runs.append(lp) or scan(lp))
+        return runs
+
+    def test_library_and_cli_share_one_scan(self, scans, monkeypatch, capsys):
+        path = MODELS / "lowprob_n3_supermodular.json"
+        lp = lower_probability_from_json(json.loads(path.read_text()))
+        assert is_two_monotone(lp).ok
+        points = enumerate_extreme_2mono(lp)
+        # the CLI loads the same model object, picks chains under auto,
+        # gates on 2-monotonicity and enumerates
+        monkeypatch.setattr(chains2mono, "lower_probability_from_json", lambda obj: lp)
+        assert cli.main(["vertices", "--model", str(path)]) == 0
+        assert "engine: chains" in capsys.readouterr().err
+        assert scans == [lp]
+        assert enumerate_extreme_2mono(lp) == points
+
+    def test_cli_scans_a_loaded_model_once(self, scans, capsys):
+        assert cli.main(["vertices", "--model", str(MODELS / "lowprob_n3_supermodular.json")]) == 0
+        assert len(scans) == 1
+
+    def test_not_two_monotone_raises_the_same_error_again(self, scans):
+        lp = lp3(NONSUPER3)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(NotTwoMonotoneError) as info:
+                enumerate_extreme_2mono(lp)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == reference_error(lp)
+        assert is_two_monotone(lp) == reference_is_two_monotone(lp)
+        assert scans == [lp]
+
+
+def reference_error(lp):
+    rep = reference_is_two_monotone(lp)
+    a, b = rep.violator
+    return f"not 2-monotone: events {sorted(a)} and {sorted(b)} give {rep.lhs} < {rep.rhs}"
 
 
 class TestChoquet:

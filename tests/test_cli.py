@@ -12,6 +12,7 @@ import hashlib
 import io
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,23 @@ class TestVertices:
         assert report_get(err, "n_vertices") == "6"
         assert report_get(err, "verified") == "true"
 
+
+    @pytest.mark.parametrize("name, engine", [("lowprob_n3_supermodular.json", "auto"),
+                                              ("pri_n3.json", "chains")])
+    def test_chains_vertices_build_no_fan(self, capsys, monkeypatch, name, engine):
+        # vertices takes the chain enumeration's points: chain_graph never
+        # runs and fanwalk is never imported; the CSV is the oracle's
+        code, expected, _ = run(capsys, "vertices", "--model", model(name), "--engine", "oracle")
+        assert code == 0
+
+        def no_fan(lowprob):
+            raise AssertionError("vertices built the chain fan")
+
+        monkeypatch.setattr(chains2mono, "chain_graph", no_fan)
+        monkeypatch.setitem(sys.modules, "credalfans.fanwalk", None)
+        code, out, err = run(capsys, "vertices", "--model", model(name), "--engine", engine)
+        assert (code, out) == (0, expected)
+        assert report_get(err, "engine") == "chains"
 
 class TestFan:
     def test_hexagon_report(self, capsys):
