@@ -6,11 +6,9 @@ structured fast paths for 2-monotone lower probabilities and probability
 intervals, everything in exact rational arithmetic.
 """
 
-from .exactla import format_rat, rat
-
 # The one rational type, recorded by the benchmark harness in its results.
 BACKEND = "fraction"
 
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "rat", "format_rat", "__version__"]
+__all__ = ["BACKEND", "__version__"]

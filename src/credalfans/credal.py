@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .cones import SupportUniverse
-from .exactla import ONE, ZERO, Record, _int_rows, _min_dot, _primitive, rat, unit, vec
+from .exactla import ONE, ZERO, Record, _int_rows, _min_dot, _primitive, rat, vec
 
 __all__ = [
     "OutcomeSpace",
@@ -187,7 +187,7 @@ def _nonneg_row_implied(x: int, h) -> bool:
     same rows: where p(x) < 0 somewhere, either that set is empty or, by
     convexity, it holds a point with p(x) in [-1, 0)."""
     from .polytope import EmptyPolytopeError, HPolytope, lp_minima
-    e_x = unit(h.dim, x)
+    e_x = tuple(int(y == x) for y in range(h.dim))
     i = h.rows.index(e_x)
     relaxed = HPolytope(h.dim, h.rows, (*h.bounds[:i], -h.den, *h.bounds[i + 1:]), h.den)
     try:
@@ -216,7 +216,7 @@ def build_credal_hrep(lp: LowerPrevision):
         f, b = _canonical_row(a.gamble.values, a.lower)
         rows[f] = max(b, rows.get(f, b))
     universe = [*rows, (0,) * n]  # the constant is the zero row
-    units = [_canonical_row(unit(n, x), ZERO) for x in range(n)]
+    units = [_canonical_row(tuple(int(y == x) for y in range(n)), ZERO) for x in range(n)]
     for e_x, b in units:
         rows[e_x] = max(b, rows.get(e_x, b))
     den = math.lcm(*(b.denominator for b in rows.values()))

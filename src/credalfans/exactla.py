@@ -7,7 +7,8 @@ value fails loudly instead of rounding silently.
 
 Vectors are tuples of Fractions; ``_scaled`` and ``_int_rows`` clear their
 denominators, and ``_primitive`` writes a half-space's normal as the
-primitive integer row that keys it. ``rank``, ``solve_unique``,
+primitive integer row that keys it. ``rank``, the vertex oracle's
+subset solves (``_eliminate``, from ``polytope.vertices_bruteforce``),
 ``scaled_inverse`` and the one LP kernel (``simplex_each``, run only by
 ``polytope._dual_solve``) share one fraction-free Gauss-Jordan pivot
 (``_pivot``, Edmonds' integer-preserving elimination, as in lrs): every
@@ -31,11 +32,7 @@ __all__ = [
     "format_rat",
     "DigitLimitError",
     "vec",
-    "unit",
-    "ones",
-    "dot",
     "rank",
-    "solve_unique",
     "scaled_inverse",
     "LpInfeasible",
     "LpUnbounded",
@@ -101,20 +98,6 @@ def vec(values) -> tuple:
     if type(values) is tuple and all(type(a) is Fraction for a in values):
         return values
     return tuple(rat(v) for v in values)
-
-
-def unit(n: int, i: int) -> tuple:
-    assert 0 <= i < n
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def ones(n: int) -> tuple:
-    return (ONE,) * n
-
-
-def dot(u, v):
-    assert len(u) == len(v)
-    return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
 def _inexact(x: int, det: int):
@@ -196,23 +179,6 @@ def rank(rows) -> int:
     if not rows:
         return 0
     return _eliminate(_int_rows(rows)[1], len(rows[0]))[1]
-
-
-def solve_unique(rows, rhs):
-    """Unique exact solution of (possibly overdetermined) rows . x = rhs.
-
-    Returns the solution tuple, or None when the system is inconsistent or
-    underdetermined.
-    """
-    rows = list(rows)
-    rhs = list(rhs)
-    assert rows and len(rows) == len(rhs)
-    n = len(rows[0])
-    t = _int_rows([(*r, b) for r, b in zip(rows, rhs)])[1]
-    det, r = _eliminate(t, n)
-    if r < n or any(row[n] != 0 for row in t[n:]):
-        return None  # rank-deficient, or a nonzero rhs left over: inconsistent
-    return tuple(Fraction(row[n], det) for row in t[:n])
 
 
 def scaled_inverse(rows):

@@ -5,9 +5,10 @@ built once per model (``credal.build_credal_hrep``, ``pri.pri_hrep``, and
 the relaxed sets of ``credal._nonneg_row_implied``): rows p . f >= b on
 primitive integer normals f, a row on each p(y), the bounds over one
 denominator, and p . 1 = 1 implicit. The vertex oracle solves every dim - 1
-rows with p . 1 = 1 by subset search; it is deliberately simple and exact,
-guarded to small instances, and the ground truth the structured fast paths
-are tested against. Every LP is one guarded ``exactla.simplex_each`` on the
+rows with p . 1 = 1 by subset search, on the record's integers through
+``exactla._eliminate``; it is deliberately simple and exact, guarded to
+small instances, and the ground truth the structured fast paths are tested
+against. Every LP is one guarded ``exactla.simplex_each`` on the
 dual, in ``_dual_solve``: its columns are the record's rows as they are and
 the +- pair of 1, and only the objectives are scaled per call. ``lp_min``
 reads a minimising vertex (minus the simplex multipliers) and its value off
@@ -24,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .exactla import ONE, LpUnbounded, Record, _scaled, ones, simplex_each, solve_unique, vec
+from .exactla import LpUnbounded, Record, _eliminate, _scaled, simplex_each, vec
 
 __all__ = [
     "HPolytope",
@@ -104,18 +105,24 @@ def check_guards(p: HPolytope, max_dim: int = 6, max_constraints: int = 25) -> N
 
 def vertices_bruteforce(p: HPolytope, *, max_dim: int = 6, max_constraints: int = 25):
     """All vertices of p by exhaustive active-set search, sorted
-    lexicographically by point: each dim - 1 rows with p . 1 = 1.
+    lexicographically by point: each dim - 1 rows with p . 1 = 1, solved
+    for q = den p on the record's integers (q . 1 = den, q . f = b) by
+    ``exactla._eliminate``, which leaves det q over det > 0, and kept where
+    f . (det q) >= b det on every row; only those are made Fractions.
 
     Ground-truth oracle: independent of any fan or adjacency reasoning.
     An empty result means the feasible set is empty.
     """
     check_guards(p, max_dim, max_constraints)
-    rows = [(vec(f), Fraction(b, p.den)) for f, b in zip(p.rows, p.bounds)]
+    n, den = p.dim, p.den
+    rows = tuple(zip(p.rows, p.bounds))
     seen = set()
-    for sel in itertools.combinations(rows, p.dim - 1):
-        x = solve_unique([ones(p.dim), *(f for f, _ in sel)], [ONE, *(b for _, b in sel)])
-        if x is not None and all(sum(map(mul, f, x)) >= b for f, b in rows):
-            seen.add(x)
+    for sel in itertools.combinations(rows, n - 1):
+        t = [[1] * n + [den], *([*f, b] for f, b in sel)]
+        det, r = _eliminate(t, n)
+        q = [row[n] for row in t]
+        if r == n and all(sum(map(mul, f, q)) >= b * det for f, b in rows):
+            seen.add(tuple(Fraction(a, det * den) for a in q))
     return tuple(Vertex(x) for x in sorted(seen))
 
 

@@ -1,20 +1,24 @@
 """The cone calculus the acceptance suite checks the paper's claims with,
-on the engine's own primitives. Every cone tested for membership or
-adjacency here is simplicial modulo the constant-one lineality, so
-``dual_basis`` gives a vector's unique coordinates and ``absorbed`` reads
-membership off their signs: no LP. Those coordinates are the conic
-witness. ``dual_basis`` is exact, in Fractions: the reference the walk's
-integer dual rows are checked against. Normal-cone membership is its
-definition: f is in N(x) iff x attains E(f). ``chain_cone``,
-``adjacent_swaps`` and ``reference_chain_vertex`` give the chain fan of a
-lower probability from its definition, in Fractions on frozenset prefixes:
-the reference the chain engine's graph is checked against.
-``reference_pri_neighbors`` and ``reference_enumerate_extreme_pri`` are the
-interval exchange walk on ``PriCone``s in Fractions, seeded by
-``seed_cone`` and with each remainder summed from the bounds
-(``remainder``, ``vertex_for_cone``): the reference the integer walk and
-the split rule of ``credalfans.pri`` are checked against. ``reference_is_coherent_pri`` is the interval coherence test and
-repair in Fractions, the reference for the integer one.
+on the engine's own primitives. The Fraction vector helpers (``unit``,
+``ones``, ``dot``) and ``solve_unique``, a unique solve by the package's
+integer elimination, live here: only the tests read vectors this way.
+Every cone tested for membership or adjacency here is simplicial modulo
+the constant-one lineality, so ``dual_basis`` gives a vector's unique
+coordinates and ``absorbed`` reads membership off their signs: no LP.
+Those coordinates are the conic witness. ``dual_basis`` is exact, in
+Fractions: the reference the walk's integer dual rows are checked
+against. Normal-cone membership is its definition: f is in N(x) iff x
+attains E(f). ``chain_cone``, ``adjacent_swaps`` and
+``reference_chain_vertex`` give the chain fan of a lower probability
+from its definition, in Fractions on frozenset prefixes: the reference
+the chain engine's graph is checked against. ``reference_pri_neighbors``
+and ``reference_enumerate_extreme_pri`` are the interval exchange walk
+on ``PriCone``s in Fractions, seeded by ``seed_cone`` and with each
+remainder summed from the bounds (``remainder``, ``vertex_for_cone``):
+the reference the integer walk and the split rule of ``credalfans.pri``
+are checked against. ``reference_is_coherent_pri`` is the interval
+coherence test and repair in Fractions, the reference for the integer
+one.
 """
 
 import itertools
@@ -27,20 +31,46 @@ from credalfans.credal import natural_extension
 from credalfans.exactla import (
     ONE,
     ZERO,
+    _eliminate,
     _int_rows,
     _scaled,
-    dot,
-    ones,
     rank,
     rat,
     scaled_inverse,
     simplex_each,
-    solve_unique,
-    unit,
     vec,
 )
 from credalfans.fanwalk import MescGraph, MescNode
 from credalfans.pri import PRIModel, PriCoherenceReport, pri_hrep
+
+
+def unit(n: int, i: int) -> tuple:
+    assert 0 <= i < n
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def ones(n: int) -> tuple:
+    return (ONE,) * n
+
+
+def dot(u, v):
+    assert len(u) == len(v)
+    return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+def solve_unique(rows, rhs):
+    """Unique exact solution of (possibly overdetermined) rows . x = rhs,
+    by ``exactla._eliminate`` on the rows scaled to integers; None when
+    the system is inconsistent or underdetermined."""
+    rows = list(rows)
+    rhs = list(rhs)
+    assert rows and len(rows) == len(rhs)
+    n = len(rows[0])
+    t = _int_rows([(*r, b) for r, b in zip(rows, rhs)])[1]
+    det, r = _eliminate(t, n)
+    if r < n or any(row[n] != 0 for row in t[n:]):
+        return None  # rank-deficient, or a nonzero rhs left over: inconsistent
+    return tuple(Fraction(row[n], det) for row in t[:n])
 
 
 class Cone(NamedTuple):

@@ -10,9 +10,10 @@ import math
 
 from hypothesis import strategies as st
 
+from cone_calculus import ones, unit
 from credalfans.cones import SupportUniverse
 from credalfans.credal import _canonical_row
-from credalfans.exactla import ones, rat, unit, vec
+from credalfans.exactla import rat, vec
 from credalfans.polytope import HPolytope
 
 Q = rat

@@ -26,7 +26,7 @@ from credalfans.credal import (
     build_credal_hrep,
     natural_extension,
 )
-from credalfans.exactla import dot, rat
+from credalfans.exactla import rat
 from credalfans.fanwalk import MescGraph, MescNode, verify_graph
 from credalfans.polytope import vertices_bruteforce
 from credalfans.pri import (
@@ -47,6 +47,7 @@ from cone_calculus import (
     chain_cone,
     cone_additivity_check,
     contains,
+    dot,
     is_comonotone,
     is_event_mesc,
     locate_cone,

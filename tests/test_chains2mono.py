@@ -25,11 +25,19 @@ from credalfans.chains2mono import (
     lower_probability_from_json,
 )
 from credalfans.credal import OutcomeSpace, SchemaError, build_credal_hrep, natural_extension
-from credalfans.exactla import dot, unit
 from credalfans.fanwalk import MescGraph, MescNode
 from credalfans.polytope import lp_min, vertices_bruteforce
 
-from cone_calculus import Cone, adjacent_swaps, are_adjacent, chain_cone, is_comonotone, reference_chain_vertex
+from cone_calculus import (
+    Cone,
+    adjacent_swaps,
+    are_adjacent,
+    chain_cone,
+    dot,
+    is_comonotone,
+    reference_chain_vertex,
+    unit,
+)
 from conftest import SUPERMOD3, Q, belief_masses, lowprob_hrep, quadratic_lowprob, random_gamble
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))

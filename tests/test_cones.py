@@ -9,10 +9,21 @@ from hypothesis import strategies as st
 
 from credalfans.cones import SupportUniverse
 from credalfans.credal import OutcomeSpace, build_credal_hrep
-from credalfans.exactla import dot, ones, rank, rat, solve_unique, vec
+from credalfans.exactla import rank, rat, vec
 from credalfans.pri import PRIModel, is_coherent_pri, pri_hrep
 
-from cone_calculus import Cone, Witness, absorbed, are_adjacent, contains, dual_basis, witness
+from cone_calculus import (
+    Cone,
+    Witness,
+    absorbed,
+    are_adjacent,
+    contains,
+    dot,
+    dual_basis,
+    ones,
+    solve_unique,
+    witness,
+)
 from test_walk_pinned import _envelope
 
 Q = rat

@@ -27,7 +27,7 @@ from credalfans.credal import (
     natural_extension,
     parse_gamble,
 )
-from credalfans.exactla import LpUnbounded, _primitive, dot, format_rat, ones, unit, vec
+from credalfans.exactla import LpUnbounded, _primitive, format_rat, vec
 from credalfans.fanwalk import graph_to_json, walk
 from credalfans.polytope import EmptyPolytopeError, lp_min, lp_minima, vertices_bruteforce
 from credalfans.pri import PRIModel, pri_from_json, pri_hrep
@@ -35,10 +35,13 @@ from credalfans.pri import PRIModel, pri_from_json, pri_hrep
 from cone_calculus import (
     EventCollection,
     cone_additivity_check,
+    dot,
     fraction_credal_hrep,
     fraction_lp_min,
     is_event_mesc,
+    ones,
     ray_scan_implied,
+    unit,
 )
 from conftest import Q, assessed_rows, fraction_rows, hrep, interval_hrep
 

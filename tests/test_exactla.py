@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cone_calculus import dot, ones, solve_unique, unit
 from credalfans import exactla
 from credalfans.exactla import (
     LpInfeasible,
@@ -15,15 +16,11 @@ from credalfans.exactla import (
     _int_rows,
     _pivot,
     _scaled,
-    dot,
     format_rat,
-    ones,
     rank,
     rat,
     scaled_inverse,
     simplex_each,
-    solve_unique,
-    unit,
     vec,
 )
 
@@ -69,6 +66,7 @@ def test_rat_coercion_and_format():
 
 
 def test_vector_helpers():
+    # unit, ones and dot are the tests' own (cone_calculus); vec is the package's
     assert unit(3, 1) == vec([0, 1, 0])
     assert ones(2) == vec([1, 1])
     assert dot(vec([1, 2]), vec([3, "1/2"])) == Q(4)
@@ -104,6 +102,8 @@ def test_rank_degenerate_cases():
 
 
 # ---------------------------------------------------------------- solving
+# solve_unique is the tests' own (cone_calculus); it runs the package's
+# integer elimination, exactla._eliminate, which these cases exercise.
 
 
 def test_solve_square_unique():

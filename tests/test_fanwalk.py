@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from cone_calculus import ones, unit
 from conftest import (
     SUPERMOD3,
     coherent_intervals,
@@ -23,7 +24,7 @@ from conftest import (
 from credalfans.chains2mono import chain_graph, lower_probability_from_json
 from credalfans.cones import SupportUniverse
 from credalfans.credal import OutcomeSpace, build_credal_hrep, lower_prevision_from_json
-from credalfans.exactla import _scaled, format_rat, ones, rat, unit, vec
+from credalfans.exactla import _scaled, format_rat, rat, vec
 from credalfans.fanwalk import (
     MescGraph,
     MescNode,

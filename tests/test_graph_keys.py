@@ -13,11 +13,12 @@ import random
 
 import pytest
 
+from cone_calculus import dot, ones
 from conftest import fraction_rows
 
 from credalfans.chains2mono import chain_graph, event_universe
 from credalfans.credal import OutcomeSpace
-from credalfans.exactla import dot, ones, rat
+from credalfans.exactla import rat
 from credalfans.fanwalk import MescGraph, MescNode, graph_to_json, walk
 from credalfans.pri import PRIModel, enumerate_extreme_pri, induced_2mono, is_coherent_pri, pri_hrep
 

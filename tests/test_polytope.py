@@ -3,11 +3,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credalfans import exactla, polytope
-from credalfans.exactla import _scaled, dot, ones, rat, simplex_each, unit, vec
+from credalfans.exactla import _scaled, rat, simplex_each, vec
 from credalfans.polytope import (
     EmptyPolytopeError,
     HPolytope,
@@ -18,7 +18,7 @@ from credalfans.polytope import (
     vertices_bruteforce,
 )
 
-from cone_calculus import Cone, active_set, indicator, normal_cone_at
+from cone_calculus import Cone, active_set, dot, general_vertices, indicator, normal_cone_at, ones, unit
 from conftest import (
     assessed_rows,
     belief_masses,
@@ -120,6 +120,38 @@ def test_empty_polytope():
     assert vertices_bruteforce(p) == ()
     with pytest.raises(EmptyPolytopeError):
         lp_min(p, ones(3))
+
+
+@st.composite
+def oracle_records(draw):
+    """Records at dim 1..5 through hrep: integer gambles with bounds on a
+    coarse grid or tight at the uniform pmf, so bounds tie; a gamble may
+    come again as 2 g + 1 under the same or a weaker bound, one key with
+    repeated bounds; unit rows with positive bounds can empty the set; at
+    dim 1 every row is the zero row, its bound deciding empty or {(1,)}."""
+    n = draw(st.integers(1, 5))
+    grid = st.sampled_from([Q(k) / 12 for k in (-12, -6, -3, 0, 0, 2, 3, 4, 6)])
+    rows = [(unit(n, x), draw(st.sampled_from((Q(0), Q(0), Q(1) / 4, Q(1) / 3)))) for x in range(n)]
+    gamble = st.tuples(*[st.integers(-2, 3)] * n).filter(lambda g: n == 1 or len(set(g)) > 1)
+    for g in draw(st.lists(gamble, max_size=6)):
+        b = draw(st.one_of(grid, st.just(Q(sum(g)) / n)))
+        rows.append((g, b))
+        if draw(st.booleans()):
+            rows.append((tuple(2 * a + 1 for a in g), 2 * b + 1 - draw(st.sampled_from((0, 1)))))
+    return hrep(n, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_records())
+@example(HPolytope(1, [(0,)], [0], 1))
+@example(HPolytope(1, [(0,)], [1], 3))  # p(0) = 1 misses 0 >= 1/3: empty
+@example(interval_polytope(["1/6"] * 5, ["1/4"] * 5))  # tied bounds, degenerate vertices
+@example(interval_polytope(["2/3"] * 3, ["2/3"] * 3))  # empty
+def test_oracle_matches_the_general_active_set_search(h):
+    """The integer oracle returns, point for point and in order, the
+    Fraction active-set search over the record's rows with p . 1 = 1."""
+    expected = general_vertices(h.dim, fraction_rows(h), [(ones(h.dim), 1)])
+    assert [v.point for v in vertices_bruteforce(h)] == expected
 
 
 def quadrant_dual(f):

@@ -20,7 +20,7 @@ from credalfans.credal import (
     build_credal_hrep,
     natural_extension,
 )
-from credalfans.exactla import dot, ones, unit, vec
+from credalfans.exactla import vec
 from credalfans.fanwalk import MescNode, graph_to_json, verify_graph, walk
 from credalfans.polytope import vertices_bruteforce
 from credalfans.pri import (
@@ -44,11 +44,14 @@ from cone_calculus import (
     absorbed,
     chain_cone,
     contains,
+    dot,
     dual_basis,
     locate_cone,
+    ones,
     reference_enumerate_extreme_pri,
     reference_is_coherent_pri,
     remainder,
+    unit,
     vertex_for_cone,
     witness,
 )

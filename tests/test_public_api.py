@@ -6,9 +6,13 @@ the tests. And one LP path: in the package, only ``polytope._dual_solve``
 reads the LP kernel ``exactla.simplex_each``, which has one start.
 
 A use of a name is a name read or an attribute access in the code (an
-``ast.Name`` load or an ``ast.Attribute``); an import alone, a string, a
-definition and the ``__all__`` entry itself do not count. Dunder names such
-as ``__version__`` are conventions, not API, and are exempt.
+``ast.Name`` load or an ``ast.Attribute``) that resolves to the module
+whose ``__all__`` lists it: the name is read in that module, imported
+from it, or read as an attribute of it. A read of another object of the
+same name (a caller's own ``dot``, a local ``ones``) does not count, nor
+do an import alone, a string, a definition and the ``__all__`` entry
+itself. Dunder names such as ``__version__`` are conventions, not API,
+and are exempt.
 
 A use of a class member (method, property or class-body attribute, record
 fields included: NamedTuple and dataclass fields and the names in
@@ -51,15 +55,53 @@ def _exported(tree):
     return []
 
 
+def _dotted(path, top):
+    """The module name of the file path under the folder top."""
+    parts = path.relative_to(top).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
 @cache
-def _caller_trees():
-    return tuple(_parse(path) for folder in CALLER_DIRS for path in folder.rglob("*.py")
+def _caller_files():
+    """(module name, tree) of every caller file outside the tests."""
+    return tuple((_dotted(path, folder if folder.name == "src" else ROOT), _parse(path))
+                 for folder in CALLER_DIRS for path in folder.rglob("*.py")
                  if not path.name.startswith("test_"))
 
 
 def _caller_nodes():
-    for tree in _caller_trees():
+    for _, tree in _caller_files():
         yield from ast.walk(tree)
+
+
+def _bindings(tree, module):
+    """{local name: the dotted name it is imported as} for the file of the
+    module named module, relative imports resolved against its package."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                name = a.name if a.asname else a.name.split(".")[0]
+                bound[a.asname or name] = name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                package = module.rsplit(".", node.level)[0]
+                base = f"{package}.{base}" if base else package
+            for a in node.names:
+                bound[a.asname or a.name] = f"{base}.{a.name}"
+    return bound
+
+
+def _resolve(node, bound, module):
+    """The dotted name a Name or Attribute node reads: an imported name
+    through its import, any other name as one of the module's own."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id, f"{module}.{node.id}")
+    if isinstance(node, ast.Attribute):
+        base = _resolve(node.value, bound, module)
+        return base and f"{base}.{node.attr}"
+    return None
 
 
 def _exported_defs():
@@ -73,25 +115,43 @@ def _exported_defs():
                 yield path.stem, node
 
 
-def _used_names():
+def _used_names(files):
+    """The dotted names read in the (module name, tree) pairs files."""
     used = set()
-    for node in _caller_nodes():
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+    for module, tree in files:
+        bound = _bindings(tree, module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(
+                    node, ast.Attribute):
+                used.add(_resolve(node, bound, module))
     return used
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    used = _used_names()
+    used = _used_names(_caller_files())
     unused = sorted(
-        f"{path.stem}.{name}"
+        qualified
         for path in PACKAGE.glob("*.py")
         for name in _exported(_parse(path))
-        if not name.startswith("__") and name not in used
+        if not name.startswith("__")
+        and (qualified := f"{_dotted(path, ROOT / 'src')}.{name}") not in used
     )
     assert not unused, f"public names only the tests use: {unused}"
+
+
+def test_a_read_counts_only_where_it_resolves_to_the_defining_module():
+    caller = ast.parse(
+        "from credalfans import exactla\n"
+        "from credalfans.exactla import rank as r\n"
+        "from .exactla import vec\n"
+        "def dot(u, v):\n"
+        "    ones = 1\n"
+        "    return dot(u, v), ones, r, exactla.rat, vec\n")
+    used = _used_names([("credalfans.cli", caller)])
+    assert {"credalfans.exactla.rank", "credalfans.exactla.rat", "credalfans.exactla.vec"} <= used
+    assert not {"credalfans.exactla.dot", "credalfans.exactla.ones"} & used
+    # in the defining module itself, its own name is read
+    assert "credalfans.exactla.dot" in _used_names([("credalfans.exactla", caller)])
 
 
 def _members(cls):
@@ -288,14 +348,16 @@ def test_lp_min_reads_its_vertex_off_the_tableau(module, function):
 
 
 # The integer credal polytope is scaled once, where it is built: the LP's
-# dual, the kernel and the walk's table read its integers as they are, with
-# no denominator cleared and no Fraction made on the way in.
+# dual, the kernel, the walk's table and the vertex oracle read its
+# integers as they are, with no denominator cleared and no Fraction made on
+# the way in (the oracle makes Fractions of its feasible points only).
 SCALERS = {"_int_rows", "_scaled", "rat", "vec"}
 
 
 @pytest.mark.parametrize("module, function", [("polytope", "_dual_solve"),
                                               ("exactla", "simplex_each"),
-                                              ("fanwalk", "_active_table")])
+                                              ("fanwalk", "_active_table"),
+                                              ("polytope", "vertices_bruteforce")])
 def test_the_record_is_read_as_integers(module, function):
     (fn,) = [top for top in _parse(PACKAGE / f"{module}.py").body
              if isinstance(top, ast.FunctionDef) and top.name == function]

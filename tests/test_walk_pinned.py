@@ -16,6 +16,7 @@ import json
 import random
 
 import pytest
+from cone_calculus import dot
 from conftest import (
     coherent_intervals,
     event_universe,
@@ -26,7 +27,7 @@ from conftest import (
 )
 
 from credalfans.credal import LowerPrevision, OutcomeSpace, build_credal_hrep
-from credalfans.exactla import dot, rank, rat
+from credalfans.exactla import rank, rat
 from credalfans.fanwalk import graph_to_json, walk
 from credalfans.polytope import vertices_bruteforce
 

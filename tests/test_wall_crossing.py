@@ -22,7 +22,7 @@ key, and calls ``scaled_inverse`` for the seed only.
 import random
 
 import pytest
-from cone_calculus import absorbed, dual_basis
+from cone_calculus import absorbed, dot, dual_basis, ones, solve_unique, unit
 from conftest import coherent_intervals, fraction_rows, interval_hrep, interval_universe
 from test_exactla import _leibniz_det
 from test_graph_keys import tied_model
@@ -30,7 +30,7 @@ from test_walk_pinned import CASES, _envelope
 
 from credalfans import fanwalk
 from credalfans.credal import build_credal_hrep
-from credalfans.exactla import dot, ones, solve_unique, unit, vec
+from credalfans.exactla import vec
 from credalfans.fanwalk import MescNode, _active_table, _crossed, neighbor_candidates, walk
 from credalfans.pri import pri_hrep
 
