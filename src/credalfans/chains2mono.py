@@ -26,7 +26,7 @@ masses. The enumeration's tail rule: an order's masses below a prefix
 depend only on the prefix set A, through the steps L(A | {x}) - L(A), so
 the tails of each A with at most three outcomes left are built once. The
 rule holds for any set function; 2-monotonicity makes the chain vertices
-the extreme points. choquet builds no table.
+the extreme points. choquet builds no table; it sums its levels as ints.
 """
 
 from __future__ import annotations
@@ -279,20 +279,24 @@ def choquet(lowprob: LowerProbability, f):
 
         E(f) = v_m + sum_{j<m} (v_j - v_{j+1}) L(f >= v_j)
 
-    over the distinct values v_1 > ... > v_m, in one pass down the outcomes
-    sorted by f. Equals the exact lower expectation iff L is 2-monotone; on
-    merely monotone L it can overshoot or undershoot the envelope value.
+    over the distinct values v_1 > ... > v_m, in one pass down the ints
+    g = e f sorted, each step weighted by its level's d L over one common
+    d (both by exactla._scaled): one Fraction, over d e. Equals the exact
+    lower expectation iff L is 2-monotone; on merely monotone L it can
+    overshoot or undershoot the envelope value.
     """
     fv = vec(f)
     if len(fv) != lowprob.space.n:
         raise ValueError("gamble length does not match the outcome space")
-    order = sorted(range(len(fv)), key=fv.__getitem__, reverse=True)
-    total, level = fv[order[-1]], frozenset()
+    e, g = _scaled(fv)
+    order = sorted(range(len(g)), key=g.__getitem__, reverse=True)
+    level, steps = frozenset(), []
     for i, j in zip(order, order[1:]):
         level |= {i}
-        if fv[j] != fv[i]:
-            total += (fv[i] - fv[j]) * lowprob._index[level]
-    return total
+        if g[j] != g[i]:
+            steps.append((g[i] - g[j], lowprob._index[level]))
+    d, weights = _scaled([v for _, v in steps])
+    return Fraction(g[order[-1]] * d + sum(c * w for (c, _), w in zip(steps, weights)), d * e)
 
 
 def lower_probability_from_json(obj) -> LowerProbability:

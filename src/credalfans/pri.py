@@ -3,10 +3,10 @@ fan they induce.
 
 A probability-interval model gives l(x) <= p(x) <= u(x) per outcome; its
 coherence, like everything below, is decided on the integer table
-``_int_bounds``, the bounds over their common denominator d. Every extreme
-point of its credal set is a split of an outcome order: the outcomes before
-a distinguished x sit at their upper bounds (side B), those after it at
-their lower bounds (side A), and x takes the remainder
+``_int_bounds``, the bounds over their common denominator d, kept with the
+model. Every extreme point of its credal set is a split of an outcome order:
+the outcomes before a distinguished x sit at their upper bounds (side B),
+those after it at their lower bounds (side A), and x takes the remainder
 
     R = 1 - sum_A l - sum_B u
 
@@ -70,10 +70,10 @@ class PRIModel(Record):
     global conditions (proper: the bounds admit some distribution;
     reachable: every bound is attained) are the business of
     is_coherent_pri, so that improper models can still be built and
-    diagnosed.
+    diagnosed. _ints keeps the _int_bounds table, built on first use.
     """
 
-    __slots__ = ("space", "lower", "upper")
+    __slots__ = ("space", "lower", "upper", "_ints")
 
     def __init__(self, space: OutcomeSpace, lower, upper):
         lo, up, n = vec(lower), vec(upper), space.n
@@ -83,7 +83,7 @@ class PRIModel(Record):
             if not (0 <= lo[x] <= up[x] <= 1):
                 raise ValueError(
                     f"need 0 <= l <= u <= 1 at outcome {space.names[x]}")
-        self.space, self.lower, self.upper = space, lo, up
+        self.space, self.lower, self.upper, self._ints = space, lo, up, None
 
     @property
     def n(self) -> int:
@@ -120,9 +120,11 @@ def is_coherent_pri(m: PRIModel) -> PriCoherenceReport:
 
 def _int_bounds(m: PRIModel) -> tuple:
     """(lo, up, d): lo[y] = d l(y) and up[y] = d u(y) as ints over the
-    bounds' common denominator d."""
-    d, bounds = _scaled(m.lower + m.upper)
-    return bounds[:m.n], bounds[m.n:], d
+    bounds' common denominator d, scaled once per model and kept with it."""
+    if m._ints is None:
+        d, bounds = _scaled(m.lower + m.upper)
+        m._ints = bounds[:m.n], bounds[m.n:], d
+    return m._ints
 
 
 def _splits(t: tuple, order):
@@ -243,14 +245,17 @@ def natural_extension_pri(m: PRIModel, f):
     construction of the minimising distribution: sort outcomes by payoff,
     give upper mass to the cheap side and lower mass to the dear side, and
     place the remainder at the first split position (_splits) whose
-    interval can hold it."""
-    if not is_coherent_pri(m).coherent:
+    interval can hold it. It reads the kept _int_bounds table: coherent, as
+    is_coherent_pri decides, when no interval is wider than the slack on
+    either side of 1; the value is one int sum with g = e f, one Fraction."""
+    t = lo, up, d = _int_bounds(m)
+    slack = min(sum(up) - d, d - sum(lo))
+    if any(u - l > slack for l, u in zip(lo, up)):
         raise IncoherenceError("natural extension requires a coherent interval model")
     fv = vec(f)
     n = m.n
     if len(fv) != n:
         raise ValueError("gamble length does not match the outcome space")
-    t = lo, up, d = _int_bounds(m)
     e, g = _scaled(fv)
     order = sorted(range(n), key=g.__getitem__)  # stable: ties in outcome order
     for pos, (x, r) in enumerate(_splits(t, order)):

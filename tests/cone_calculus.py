@@ -11,14 +11,15 @@ against. Normal-cone membership is its definition: f is in N(x) iff x
 attains E(f). ``chain_cone``, ``adjacent_swaps`` and
 ``reference_chain_vertex`` give the chain fan of a lower probability
 from its definition, in Fractions on frozenset prefixes: the reference
-the chain engine's graph is checked against. ``reference_pri_neighbors``
-and ``reference_enumerate_extreme_pri`` are the interval exchange walk
-on ``PriCone``s in Fractions, seeded by ``seed_cone`` and with each
-remainder summed from the bounds (``remainder``, ``vertex_for_cone``):
-the reference the integer walk and the split rule of ``credalfans.pri``
-are checked against. ``reference_is_coherent_pri`` is the interval
-coherence test and repair in Fractions, the reference for the integer
-one.
+the chain engine's graph is checked against; ``reference_choquet`` is the
+Choquet integral on the same prefixes, the reference for the integer one.
+``reference_pri_neighbors`` and ``reference_enumerate_extreme_pri`` are
+the interval exchange walk on ``PriCone``s in Fractions, seeded by
+``seed_cone`` and with each remainder summed from the bounds
+(``remainder``, ``vertex_for_cone``): the reference the integer walk and
+the split rule of ``credalfans.pri`` are checked against.
+``reference_is_coherent_pri`` is the interval coherence test and repair in
+Fractions, the reference for the integer one.
 """
 
 import itertools
@@ -257,6 +258,20 @@ def reference_chain_vertex(lowprob, order):
         p[x] = val - prev
         prev = val
     return tuple(p)
+
+
+def reference_choquet(lowprob, f):
+    """Choquet integral of f against L in Fractions, in one pass down the
+    outcomes sorted by f, each level step weighted by L of the frozenset
+    of the outcomes above it."""
+    fv = vec(f)
+    order = sorted(range(len(fv)), key=fv.__getitem__, reverse=True)
+    total, level = fv[order[-1]], frozenset()
+    for i, j in zip(order, order[1:]):
+        level |= {i}
+        if fv[j] != fv[i]:
+            total += (fv[i] - fv[j]) * lowprob.value(level)
+    return total
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,14 @@ def coherentify_lowprob(n, values):
 
 # ------------------------------------------------------------ strategies
 
+
+def tied_gambles(n):
+    """Gambles on n outcomes whose entries come from a small drawn pool of
+    rationals in [-3, 3] with denominators up to 12: ties, negative entries
+    and mixed denominators are common, and a pool of one is a constant."""
+    pool = st.lists(st.fractions(-3, 3, max_denominator=12), min_size=1, max_size=n)
+    return pool.flatmap(lambda values: st.tuples(*[st.sampled_from(values)] * n))
+
 GRID = 720
 
 

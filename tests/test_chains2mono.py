@@ -36,9 +36,18 @@ from cone_calculus import (
     dot,
     is_comonotone,
     reference_chain_vertex,
+    reference_choquet,
     unit,
 )
-from conftest import SUPERMOD3, Q, belief_masses, lowprob_hrep, quadratic_lowprob, random_gamble
+from conftest import (
+    SUPERMOD3,
+    Q,
+    belief_masses,
+    lowprob_hrep,
+    quadratic_lowprob,
+    random_gamble,
+    tied_gambles,
+)
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -112,12 +121,13 @@ def chain_vertices(lowprob):
 
 
 @st.composite
-def monotone_capacities(draw):
-    """A monotone capacity on n = 2..5 outcomes, values on a grid of 1/k
-    for small k so that ties are common: either the monotone closure of
-    raw grid values (mostly not 2-monotone) or a belief function of grid
-    masses, zero masses included (always 2-monotone)."""
-    n = draw(st.integers(2, 5))
+def monotone_capacities(draw, min_n=2, max_n=5):
+    """A monotone capacity on n = min_n..max_n outcomes (2..5 unless
+    asked), values on a grid of 1/k for small k so that ties are common:
+    either the monotone closure of raw grid values (mostly not 2-monotone)
+    or a belief function of grid masses, zero masses included (always
+    2-monotone)."""
+    n = draw(st.integers(min_n, max_n))
     events = [frozenset(s) for r in range(1, n) for s in itertools.combinations(range(n), r)]
     k = draw(st.integers(1, 6))
     if draw(st.booleans()):
@@ -498,6 +508,17 @@ class TestChoquet:
 
     def test_constant_gamble(self):
         assert choquet(lp3(SUPERMOD3), (Q(1) / 3,) * 3) == Q(1) / 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_fraction_reference(self, data):
+        # any monotone capacity, 2-monotone or not, on one to six outcomes,
+        # against gambles with ties, negative entries, mixed denominators
+        # and constants: the integer sum is the Fraction one, as a Fraction
+        lp = data.draw(monotone_capacities(1, 6))
+        f = data.draw(tied_gambles(lp.space.n))
+        value = choquet(lp, f)
+        assert type(value) is Fraction and value == reference_choquet(lp, f)
 
     def test_choquet_equals_envelope_iff_2monotone(self):
         # the non-2-monotone model undershoots the exact envelope value;

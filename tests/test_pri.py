@@ -10,7 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from credalfans import pri
 from credalfans.chains2mono import choquet, is_two_monotone
 from credalfans.cones import SupportUniverse
 from credalfans.credal import (
@@ -20,7 +23,7 @@ from credalfans.credal import (
     build_credal_hrep,
     natural_extension,
 )
-from credalfans.exactla import vec
+from credalfans.exactla import _scaled, vec
 from credalfans.fanwalk import MescNode, graph_to_json, verify_graph, walk
 from credalfans.polytope import vertices_bruteforce
 from credalfans.pri import (
@@ -55,7 +58,7 @@ from cone_calculus import (
     vertex_for_cone,
     witness,
 )
-from conftest import Q, coherent_intervals, random_gamble
+from conftest import Q, coherent_intervals, random_gamble, tied_gambles
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -71,6 +74,28 @@ def pri3():
 
 def pri_uniform(n, low, up):
     return PRIModel(space(n), (Q(low),) * n, (Q(up),) * n)
+
+
+@st.composite
+def coherent_interval_models(draw):
+    """A coherent interval model on one to six outcomes: bounds around a
+    pmf of small integer weights, each off by a step of denominator up to
+    12 (a zero step pins a bound to the pmf, and steps often tie), then
+    tightened to their reachable form by the Fraction reference."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    step = st.fractions(0, Fraction(1, 4), max_denominator=12)
+    centre = [Fraction(w, sum(weights)) for w in weights]
+    lows = tuple(max(Fraction(0), c - draw(step)) for c in centre)
+    ups = tuple(min(Fraction(1), c + draw(step)) for c in centre)
+    return reference_is_coherent_pri(PRIModel(space(n), lows, ups)).repaired
+
+
+def split_vertices(m):
+    """The extreme points of an interval model by their definition: every
+    split of every outcome order whose remainder fits, in Fractions."""
+    return {p for order in itertools.permutations(range(m.n)) for i, x in enumerate(order)
+            if (p := vertex_for_cone(m, PriCone(x, order[i + 1:], order[:i]))) is not None}
 
 
 def _grid_intervals(rng, n, den):
@@ -542,11 +567,63 @@ class TestNaturalExtension:
         with pytest.raises(IncoherenceError):
             natural_extension_pri(m, (1, 2, 3))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_refuses_exactly_the_models_is_coherent_pri_calls_incoherent(self, data):
+        # grid bounds, proper or not, reachable or not: the closed form reads
+        # coherence off the kept table and must agree with the report
+        n, den = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+        ends = st.lists(st.integers(0, den), min_size=2, max_size=2).map(sorted)
+        bounds = [data.draw(ends) for _ in range(n)]
+        m = PRIModel(space(n), tuple(Fraction(l, den) for l, _ in bounds),
+                     tuple(Fraction(u, den) for _, u in bounds))
+        try:
+            natural_extension_pri(m, range(m.n))
+        except IncoherenceError:
+            assert not is_coherent_pri(m).coherent
+        else:
+            assert is_coherent_pri(m).coherent
+
     def test_ties_and_constants(self):
         m = pri3()
         assert natural_extension_pri(m, (1, 1, 1)) == 1
         # tied gamble: 2(p1 + p2) is smallest when p3 takes its upper bound
         assert natural_extension_pri(m, (2, 2, 0)) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_the_minimum_over_the_split_vertices(self, data):
+        # coherent models on one to six outcomes, tied and pinned bounds
+        # included, against gambles with ties, negative entries, mixed
+        # denominators and constants
+        m = data.draw(coherent_interval_models())
+        f = data.draw(tied_gambles(m.n))
+        value = natural_extension_pri(m, f)
+        assert type(value) is Fraction and value == min(dot(f, p) for p in split_vertices(m))
+
+
+class TestOneScalingPerModel:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_the_bounds_are_scaled_once_per_model_object(self, monkeypatch, n):
+        # the coherence test, the closed form, the walk and the H-rep read
+        # one integer table kept with the model, whichever of them runs
+        # first; an equal model is another object and scales its own
+        scaled = []
+
+        def spy(v):
+            scaled.append(tuple(v))
+            return _scaled(v)
+
+        monkeypatch.setattr(pri, "_scaled", spy)
+        lows, ups = coherent_intervals(random.Random(n), n)
+        calls = [is_coherent_pri, enumerate_extreme_pri, pri_hrep,
+                 lambda m: natural_extension_pri(m, range(n))]
+        for first in range(len(calls)):
+            m = PRIModel(space(n), tuple(lows), tuple(ups))
+            for call in calls[first:] + calls[:first]:
+                call(m)
+            natural_extension_pri(m, (Q(1) / 3,) * n)
+            assert scaled.count(m.lower + m.upper) == first + 1
 
 
 class TestInduced2Mono:

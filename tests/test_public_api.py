@@ -332,6 +332,23 @@ def test_the_natex_read_path_scans_integer_rows_only():
                     and any(a.name == "dot" for a in node.names)], module
 
 
+# The two closed forms sum on integers and make one Fraction, their result:
+# Choquet over the ints of the gamble and of its levels' values, the
+# interval form over the model's kept bounds table, whose coherence it reads
+# there too, not through is_coherent_pri and a report per query.
+@pytest.mark.parametrize("module, function", [("chains2mono", "choquet"),
+                                              ("pri", "natural_extension_pri")])
+def test_the_closed_forms_make_one_fraction_for_their_result(module, function):
+    (fn,) = [top for top in _parse(PACKAGE / f"{module}.py").body
+             if isinstance(top, ast.FunctionDef) and top.name == function]
+    names = [node.id for node in ast.walk(fn) if isinstance(node, ast.Name)]
+    results = [node for node in ast.walk(fn) if isinstance(node, ast.Return)
+               and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+               and node.value.func.id == "Fraction"]
+    assert names.count("Fraction") == len(results) == 1
+    assert "is_coherent_pri" not in names
+
+
 # lp_min reads its vertex and value off the LP's final tableau, so neither it
 # nor the walk's seed, which takes its vertex from lp_min, solves the basic
 # rows again (exactla.solve_unique) or takes a Fraction dot product.
