@@ -280,11 +280,10 @@ def choquet(lowprob: LowerProbability, f):
         E(f) = v_m + sum_{j<m} (v_j - v_{j+1}) L(f >= v_j)
 
     over the distinct values v_1 > ... > v_m, in one pass down the ints
-    g = e f sorted, each step weighted by its level's d L over one common
-    d (both by exactla._scaled): one Fraction, over d e. Equals the exact
-    lower expectation iff L is 2-monotone; on merely monotone L it can
-    overshoot or undershoot the envelope value.
-    """
+    g = e f sorted, each step weighted by its level's d L over one common d
+    (both by exactla._scaled), one Fraction over d e. Equals the exact lower
+    expectation iff L is 2-monotone; on merely monotone L it can overshoot
+    or undershoot the envelope value."""
     fv = vec(f)
     if len(fv) != lowprob.space.n:
         raise ValueError("gamble length does not match the outcome space")

@@ -101,21 +101,25 @@ class PriCoherenceReport(NamedTuple):
 
 
 def is_coherent_pri(m: PRIModel) -> PriCoherenceReport:
-    """Properness is sum l <= 1 <= sum u; reachability tightens each bound
-    against the mass the other outcomes must or may take; both on the
-    _int_bounds table. The repaired model is the canonical coherent one
-    with the same credal set, m itself when m is coherent."""
-    lo, up, d = _int_bounds(m)
+    """Coherent when _reachable on the _int_bounds table (repaired: m). Else
+    proper when sum l <= 1 <= sum u; repaired, same credal set, tightens each
+    bound against the mass the other outcomes must or may take."""
+    t = lo, up, d = _int_bounds(m)
+    if _reachable(t):
+        return PriCoherenceReport(True, True, m)
     sl, su = sum(lo), sum(up)
     if not sl <= d <= su:
         return PriCoherenceReport(False, False, None)
-    tlo = tuple(max(l, d - su + u) for l, u in zip(lo, up))
-    tup = tuple(min(u, d - sl + l) for l, u in zip(lo, up))
-    if tlo == lo and tup == up:
-        return PriCoherenceReport(True, True, m)
-    repaired = PRIModel(m.space, tuple(Fraction(v, d) for v in tlo),
-                        tuple(Fraction(v, d) for v in tup))
-    return PriCoherenceReport(True, False, repaired)
+    return PriCoherenceReport(True, False, PRIModel(
+        m.space, tuple(Fraction(max(l, d - su + u), d) for l, u in zip(lo, up)),
+        tuple(Fraction(min(u, d - sl + l), d) for l, u in zip(lo, up))))
+
+
+def _reachable(t: tuple) -> bool:
+    """No interval of the _int_bounds table t wider than min(sum u - 1, 1 - sum l)."""
+    lo, up, d = t
+    slack = min(sum(up) - d, d - sum(lo))
+    return all(u - l <= slack for l, u in zip(lo, up))
 
 
 def _int_bounds(m: PRIModel) -> tuple:
@@ -245,12 +249,10 @@ def natural_extension_pri(m: PRIModel, f):
     construction of the minimising distribution: sort outcomes by payoff,
     give upper mass to the cheap side and lower mass to the dear side, and
     place the remainder at the first split position (_splits) whose
-    interval can hold it. It reads the kept _int_bounds table: coherent, as
-    is_coherent_pri decides, when no interval is wider than the slack on
-    either side of 1; the value is one int sum with g = e f, one Fraction."""
+    interval can hold it. Coherence (_reachable) and the value, one int sum
+    with g = e f made one Fraction, read the kept _int_bounds table."""
     t = lo, up, d = _int_bounds(m)
-    slack = min(sum(up) - d, d - sum(lo))
-    if any(u - l > slack for l, u in zip(lo, up)):
+    if not _reachable(t):
         raise IncoherenceError("natural extension requires a coherent interval model")
     fv = vec(f)
     n = m.n

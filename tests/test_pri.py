@@ -567,23 +567,6 @@ class TestNaturalExtension:
         with pytest.raises(IncoherenceError):
             natural_extension_pri(m, (1, 2, 3))
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_refuses_exactly_the_models_is_coherent_pri_calls_incoherent(self, data):
-        # grid bounds, proper or not, reachable or not: the closed form reads
-        # coherence off the kept table and must agree with the report
-        n, den = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
-        ends = st.lists(st.integers(0, den), min_size=2, max_size=2).map(sorted)
-        bounds = [data.draw(ends) for _ in range(n)]
-        m = PRIModel(space(n), tuple(Fraction(l, den) for l, _ in bounds),
-                     tuple(Fraction(u, den) for _, u in bounds))
-        try:
-            natural_extension_pri(m, range(m.n))
-        except IncoherenceError:
-            assert not is_coherent_pri(m).coherent
-        else:
-            assert is_coherent_pri(m).coherent
-
     def test_ties_and_constants(self):
         m = pri3()
         assert natural_extension_pri(m, (1, 1, 1)) == 1
