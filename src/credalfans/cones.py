@@ -22,15 +22,17 @@ __all__ = ["SupportUniverse"]
 
 class SupportUniverse(Record):
     """Finite family of support vectors as primitive integer normals
-    (``exactla._primitive``), deduplicated; it must hold the constant, as
-    the zero row. Sorted as ``vectors`` are, the Fraction forms built on
-    their first read, for export: each normal over its first nonzero
-    entry, the constant as the ones vector."""
+    (``exactla._primitive``; a row of ints with least entry 0 and gcd at
+    most 1 already is one, and is taken as it is), deduplicated; it must
+    hold the constant, as the zero row. Sorted as ``vectors`` are, the
+    Fraction forms built on their first read, for export: each normal over
+    its first nonzero entry, the constant as the ones vector."""
 
     __slots__ = ("normals", "_vectors")
 
     def __init__(self, vectors):
-        normals = {_primitive(v)[0] for v in vectors}
+        normals = {v if all(type(a) is int for a in v) and min(v) == 0 and math.gcd(*v) <= 1
+                   else _primitive(v)[0] for v in map(tuple, vectors)}
         n = len(next(iter(normals), ()))
         if any(len(v) != n for v in normals) or (0,) * n not in normals:
             raise ValueError("need vectors of one dimension, the constant-one vector among them")

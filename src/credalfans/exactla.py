@@ -14,10 +14,12 @@ subset solves (``_eliminate``, from ``polytope.vertices_bruteforce``),
 (``_pivot``, Edmonds' integer-preserving elimination, as in lrs): every
 division is exact and intermediate growth stays polynomial. The LP kernel
 takes integers, scaled by its callers, and solves a credal set's dual
-alone: it starts at the probability simplex's own basis, with no pivot and
-no phase 1, refuses (ValueError) columns that do not hold it, and returns
-integers over one det, as ``scaled_inverse`` does (d times the inverse, for
-the walk's seed table): its callers build the Fractions they read.
+alone: it starts at the probability simplex's own basis, with no pivot, no
+phase 1 and no search for it, on the unit columns and the +- pair of 1
+its caller names (the record, ``polytope.HPolytope``, refuses a set
+without them), and returns integers over one det, as ``scaled_inverse``
+does (d times the inverse, for the walk's seed table): its callers build
+the Fractions they read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 __all__ = [
     "rat",
@@ -246,64 +248,51 @@ def _restore(t: list[list[int]], det: int, basis: list, m: int) -> int:
         basis[leave] = enter
 
 
-def _simplex_start(t: list[list[int]], m: int):
-    """(det, basis) of the simplex's own start, t rewritten on it, if the
-    columns hold a_y e_y (a_y > 0) for each y but y0, the least index of the
-    first target w's minimum, and c 1 with c w_y0 >= 0 (the last such
-    column), else None: w = w_y0 1 + sum (w_y - w_y0) e_y, so it is feasible.
-    det = |c| prod a_y is its |determinant|, so later pivots stay exact."""
-    n = len(t)
-    w = [row[m] for row in t]
-    y0 = w.index(min(w))
-    basis = [None] * n
-    for j, col in enumerate(zip(*(row[:m] for row in t))):
-        if col[y0] and col.count(col[y0]) == n and col[y0] * w[y0] >= 0:
-            basis[y0] = j  # c 1
-        elif not col[y0] and col.count(0) == n - 1 and max(col) > 0:
-            basis[col.index(max(col))] = j  # a_y e_y
-    if None in basis:
-        return None
-    det = abs(math.prod(row[j] for row, j in zip(t, basis)))
-    v0 = t[y0]
-    for y, (row, j) in enumerate(zip(t, basis)):
-        q = det // row[j]
-        t[y] = [q * a for a in v0] if y == y0 else [q * (a - b) for a, b in zip(row, v0)]
-    return det, basis
-
-
-def simplex_each(columns, targets, costs) -> list:
+def simplex_each(rows, targets, costs, units) -> list:
     """Exact minimum of costs . x over x >= 0 with sum x_j columns[j] ==
     target, for each of a nonempty list of targets, on one dense integer
     tableau (``_pivot``) with the cost as its last row: the one LP kernel.
-    Its integer data are scaled by the caller; a positive scale of a column
+    The columns come as the rows by coordinate (rows[i][j] is entry i of
+    column j), integers scaled by the caller; a positive scale of a column
     with its cost, or of a target, leaves every choice below the same.
 
-    Hypothesis: the columns hold ``_simplex_start``'s basis for the first
-    target, as every credal set's dual does; ValueError otherwise, and when
-    the columns and targets differ in length. Phase 2 (Bland's rule) runs
-    from that start and may raise LpUnbounded. Each further target is a
+    Hypothesis: the last two columns are the +- pair of 1, and column
+    units[y] is e_y for each y but y0, the first least entry of the first
+    target w, as in every credal set's dual (``polytope.HPolytope``); the
+    caller vouches for it. The start is the probability simplex's own
+    basis, written down with no scan and no pivot: e_y for y != y0 and c 1
+    for y0, c = 1 if w_y0 > 0 else -1, so w = c w_y0 (c 1) + sum (w_y -
+    w_y0) e_y is feasible and the start's det is 1. Phase 2 (Bland's rule)
+    runs from there and may raise LpUnbounded. Each further target is a
     ``_restore`` from the last optimum, its right-hand sides the inverse
-    block (after the right-hand side, started as the identity: det times
-    the inverse basis) times the target. Per target: (det, levels, cost,
-    duals), integers over det > 0: a basic optimal x as {basic column:
-    level} in row order, costs . x, and the multipliers y off the cost
-    row's inverse block (y . columns[j] <= costs[j], equal where j is basic).
+    block (after the right-hand side, started as the inverse of the start
+    basis: det times the inverse basis) times the target. Per target:
+    (det, levels, cost, duals), integers over det > 0: a basic optimal x as
+    {basic column: level} in row order, costs . x, and the multipliers y
+    off the cost row's inverse block (y . columns[j] <= costs[j], equal
+    where j is basic). ValueError when the targets and rows differ in length.
     """
-    n, m = len(targets[0]), len(columns)
-    if any(len(v) != n for v in (*columns, *targets)):
-        raise ValueError("columns and targets differ in length")
-    t = [[*(col[i] for col in columns), targets[0][i], *(int(i == j) for j in range(n))]
-         for i in range(n)]
-    start = n and _simplex_start(t, m)
-    if not start:
-        raise ValueError("the columns do not hold the probability simplex's start basis")
-    det, basis = start
-    # the cost row in the start basis: det times the reduced costs
-    t.append([det * a for a in costs] + [0] * (n + 1))
+    n, m = len(rows), len(costs)
+    if any(len(w) != n for w in targets):
+        raise ValueError("targets and rows differ in length")
+    w = targets[0]
+    y0 = w.index(min(w))
+    r0, a0 = rows[y0], w[y0]
+    c = 1 if a0 > 0 else -1
+    basis = [*units]
+    basis[y0] = m - 2 if c > 0 else m - 1
+    # the start's rows over det 1: row y - row y0, its inverse block row
+    # e_y - e_y0, for y != y0, and c (row y0), with c e_y0, at y0
+    t = [[*map(sub, row, r0), a - a0, *(0,) * n] for row, a in zip(rows, w)]
+    for y, row in enumerate(t):
+        row[m + 1 + y], row[m + 1 + y0] = 1, -1
+    t[y0] = [*(c * a for a in r0), c * a0, *(c * (i == y0) for i in range(n))]
+    # the cost row in the start basis: the reduced costs
+    t.append([*costs] + [0] * (n + 1))
     for row, b in zip(t, basis):
         if costs[b] != 0:
             t[n] = [a - costs[b] * v for a, v in zip(t[n], row)]
-    det = _to_optimum(t, det, basis, m)
+    det = _to_optimum(t, 1, basis, m)
     solved = []
     for k, target in enumerate(targets):
         if k:  # a further target's right-hand sides

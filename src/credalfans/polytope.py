@@ -10,7 +10,8 @@ rows with p . 1 = 1 by subset search, on the record's integers through
 small instances, and the ground truth the structured fast paths are tested
 against. Every LP is one guarded ``exactla.simplex_each`` on the
 dual, in ``_dual_solve``: its columns are the record's rows as they are and
-the +- pair of 1, and only the objectives are scaled per call. ``lp_min``
+the +- pair of 1, kept on the record by coordinate with the columns of the
+kernel's start, and only the objectives are scaled per call. ``lp_min``
 reads a minimising vertex (minus the simplex multipliers) and its value off
 its cost row, ``lp_minima`` the minima of many objectives. A credal set is
 bounded and holds the kernel's start, so the LP's one failure is an empty
@@ -59,9 +60,11 @@ class HPolytope(Record):
     normals (``exactla._primitive``; the zero row only at dim 1), the
     bounds integers over one den > 0, and each e_y's primitive form is a
     row (ValueError otherwise), so the dual holds the LP kernel's start.
-    The dual's integer costs are built here, once."""
+    The dual is kept here, built once: its integer costs, its rows by
+    coordinate (the rows' entries, then the +- pair of 1) and the column
+    of each e_y (None at dim 1, where the zero row is the only row)."""
 
-    __slots__ = ("dim", "rows", "bounds", "den", "_costs")
+    __slots__ = ("dim", "rows", "bounds", "den", "_costs", "_dual", "_units")
 
     def __init__(self, dim: int, rows, bounds, den: int):
         rows, bounds = tuple(map(tuple, rows)), tuple(bounds)
@@ -69,10 +72,13 @@ class HPolytope(Record):
                 len(f) != dim or min(f) or math.gcd(*f) > 1 or dim > 1 and not any(f)
                 for f in rows):
             raise ValueError("need distinct primitive integer normals, a bound each and den > 0")
-        if not rows or dim > 1 and len({f.index(1) for f in rows if sum(f) == 1}) < dim:
+        units = {f.index(1): j for j, f in enumerate(rows) if sum(f) == 1}
+        if not rows or dim > 1 and len(units) < dim:
             raise ValueError("no row on some p(y): not a credal set")
         self.dim, self.rows, self.bounds, self.den = dim, rows, bounds, den
         self._costs = (*(-b for b in bounds), -den, den)
+        self._dual = tuple((*col, 1, -1) for col in zip(*rows))
+        self._units = tuple(map(units.get, range(dim)))
 
 
 class Vertex(Record):
@@ -135,14 +141,14 @@ def _dual_solve(p: HPolytope, objectives):
 
     The dual of min x . f over p maximises b . y + z over y >= 0 and z with
     sum y_i f_i + z 1 == f: its columns are p's rows as they are and the +-
-    pair of 1 for the free z, its costs p's own. At an optimal basis the
-    basic rows hold with equality. p holds the kernel's start, so the dual
-    is unbounded exactly when p is empty: EmptyPolytopeError.
+    pair of 1 for the free z, its costs p's own, all kept on p with the
+    unit columns of the kernel's start. At an optimal basis the basic rows
+    hold with equality. p holds that start, so the dual is unbounded
+    exactly when p is empty: EmptyPolytopeError.
     """
     check_guards(p)
-    one = (1,) * p.dim
     try:
-        return simplex_each((*p.rows, one, tuple(-a for a in one)), objectives, p._costs)
+        return simplex_each(p._dual, objectives, p._costs, p._units)
     except LpUnbounded:
         raise EmptyPolytopeError(_NO_VERTEX) from None
 

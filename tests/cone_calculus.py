@@ -19,7 +19,11 @@ the interval exchange walk on ``PriCone``s in Fractions, seeded by
 (``remainder``, ``vertex_for_cone``): the reference the integer walk and
 the split rule of ``credalfans.pri`` are checked against.
 ``reference_is_coherent_pri`` is the interval coherence test and repair in
-Fractions, the reference for the integer one.
+Fractions, the reference for the integer one. ``reference_simplex_each`` is
+the LP kernel on arbitrary integer columns: it searches them for the
+probability simplex's start basis, scaled units and multiples of 1
+included, and refuses columns without it; the reference the package's
+kernel, which takes that start from the credal record, is checked against.
 """
 
 import itertools
@@ -34,11 +38,12 @@ from credalfans.exactla import (
     ZERO,
     _eliminate,
     _int_rows,
+    _restore,
     _scaled,
+    _to_optimum,
     rank,
     rat,
     scaled_inverse,
-    simplex_each,
     vec,
 )
 from credalfans.fanwalk import MescGraph, MescNode
@@ -193,9 +198,66 @@ def fraction_lp_min(rows, f):
     cols = [g for g, _ in rows] + [ones(n), tuple(-a for a in ones(n))]
     s, table = _int_rows([[c[i] for c in cols] + [f[i]] for i in range(n)])
     d, costs = _scaled([-b for _, b in rows] + [-ONE, ONE])
-    ((det, _, cost, duals),) = simplex_each(list(zip(*(row[:-1] for row in table))),
-                                            [[row[-1] for row in table]], costs)
+    ((det, _, cost, duals),) = reference_simplex_each(list(zip(*(row[:-1] for row in table))),
+                                                      [[row[-1] for row in table]], costs)
     return Fraction(-cost, det * d), tuple(Fraction(-a * s, det * d) for a in duals)
+
+
+def _simplex_start(t, m):
+    """(det, basis) of the simplex's own start, t rewritten on it, if the
+    columns hold a_y e_y (a_y > 0) for each y but y0, the least index of the
+    first target w's minimum, and c 1 with c w_y0 >= 0 (the last such
+    column), else None: w = w_y0 1 + sum (w_y - w_y0) e_y, so it is feasible.
+    det = |c| prod a_y is its |determinant|, so later pivots stay exact."""
+    n = len(t)
+    w = [row[m] for row in t]
+    y0 = w.index(min(w))
+    basis = [None] * n
+    for j, col in enumerate(zip(*(row[:m] for row in t))):
+        if col[y0] and col.count(col[y0]) == n and col[y0] * w[y0] >= 0:
+            basis[y0] = j  # c 1
+        elif not col[y0] and col.count(0) == n - 1 and max(col) > 0:
+            basis[col.index(max(col))] = j  # a_y e_y
+    if None in basis:
+        return None
+    det = abs(math.prod(row[j] for row, j in zip(t, basis)))
+    v0 = t[y0]
+    for y, (row, j) in enumerate(zip(t, basis)):
+        q = det // row[j]
+        t[y] = [q * a for a in v0] if y == y0 else [q * (a - b) for a, b in zip(row, v0)]
+    return det, basis
+
+
+def reference_simplex_each(columns, targets, costs) -> list:
+    """``exactla.simplex_each`` on integer columns as they are: the start is
+    found by a scan of every column (``_simplex_start``), ValueError when
+    they do not hold it or differ from the targets in length; then the
+    package's own phase 2 (``exactla._to_optimum``) and dual restores
+    (``exactla._restore``). Per target: (det, levels, cost, duals), as the
+    package's kernel returns them."""
+    n, m = len(targets[0]), len(columns)
+    if any(len(v) != n for v in (*columns, *targets)):
+        raise ValueError("columns and targets differ in length")
+    t = [[*(col[i] for col in columns), targets[0][i], *(int(i == j) for j in range(n))]
+         for i in range(n)]
+    start = n and _simplex_start(t, m)
+    if not start:
+        raise ValueError("the columns do not hold the probability simplex's start basis")
+    det, basis = start
+    t.append([det * a for a in costs] + [0] * (n + 1))
+    for row, b in zip(t, basis):
+        if costs[b] != 0:
+            t[n] = [a - costs[b] * v for a, v in zip(t[n], row)]
+    det = _to_optimum(t, det, basis, m)
+    solved = []
+    for k, target in enumerate(targets):
+        if k:
+            for row in t:
+                row[m] = sum(a * b for a, b in zip(row[m + 1:], target))
+            det = _restore(t, det, basis, m)
+        solved.append((det, {b: row[m] for row, b in zip(t, basis)},
+                       -t[n][m], tuple(-a for a in t[n][m + 1:])))
+    return solved
 
 
 def active_set(h, x) -> frozenset:

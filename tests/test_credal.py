@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from credalfans import credal, polytope
+from credalfans import cones, credal, polytope
 from credalfans.chains2mono import lower_probability_from_json
+from credalfans.cones import SupportUniverse
 from credalfans.credal import (
     Assessment,
     AssessmentCheck,
@@ -299,6 +300,25 @@ def redundant_previsions(draw):
             seen.add(g)
             rows.append((g, c * b + k + draw(st.sampled_from((0, 0, Fraction(-1, 720), Fraction(1, 720))))))
     return rows_model(n, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(redundant_previsions())
+def test_the_universe_takes_the_builder_keys_as_they_are(lp):
+    # build_credal_hrep writes each half-space's primitive normal once, in
+    # _canonical_row: once per assessment, then once per outcome's unit row.
+    # The universe takes those keys, already primitive, as they are, and
+    # its normals, in order, are those of the same vectors primitivised
+    calls, real = [], credal._primitive
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (credal, cones):
+            mp.setattr(module, "_primitive",
+                       lambda v, name=module.__name__: calls.append((name, v)) or real(v))
+        _, universe = build_credal_hrep.__wrapped__(lp)
+    n = lp.space.n
+    assert calls == [("credalfans.credal", a.gamble.values) for a in lp.assessments] + [
+        ("credalfans.credal", tuple(int(y == x) for y in range(n))) for x in range(n)]
+    assert SupportUniverse(map(vec, universe.normals)).normals == universe.normals
 
 
 @settings(max_examples=100, deadline=None)

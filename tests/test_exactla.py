@@ -8,12 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cone_calculus import dot, ones, solve_unique, unit
+from cone_calculus import dot, ones, reference_simplex_each, solve_unique, unit
 from credalfans import exactla
 from credalfans.exactla import (
     LpInfeasible,
     LpUnbounded,
-    _int_rows,
     _pivot,
     _scaled,
     format_rat,
@@ -32,17 +31,24 @@ def rows(*rs):
 
 
 def rational_simplex(cols, targets, costs):
-    """simplex_each on rational data, scaled as its callers scale it: the
-    columns by one common multiple c, each target and the costs by their
-    own, e and d. Each result is read back over one s = det d e, as (s,
-    levels, cost, duals): x = c x' / e for the kernel's x' = levels / det,
-    and y = c y' / d for its y' = duals / det."""
-    c, cols = _int_rows(cols)
+    """simplex_each on rational columns around a unit start, scaled as a
+    positive scale leaves its choices: each column j with its cost by its
+    own s_j, the common multiple of the column's denominators (1 on the
+    unit columns and on the +- pair of 1, which come last), the costs by
+    one common d and each target by its own e. Each result is read back
+    over one s = det d e, as (s, levels, cost, duals): x_j = s_j x'_j / e
+    for the kernel's x' = levels / det, and y = y' / d for its y' = duals /
+    det."""
+    n = len(targets[0])
+    assert list(cols[-2:]) == [ones(n), tuple(-a for a in ones(n))]
+    units = [next((j for j, col in enumerate(cols) if col == unit(n, y)), None) for y in range(n)]
     d, costs = _scaled(vec(costs))
+    scale, int_cols = zip(*(_scaled(vec(col)) for col in cols))
     scaled = [_scaled(vec(g)) for g in targets]
-    solved = simplex_each(cols, [g for _, g in scaled], costs)
-    return [(det * d * e, {j: v * c * d for j, v in levels.items()}, cost * c,
-             tuple(a * c * e for a in duals))
+    solved = simplex_each(list(zip(*int_cols)), [g for _, g in scaled],
+                          [s * a for s, a in zip(scale, costs)], units)
+    return [(det * d * e, {j: v * scale[j] * d for j, v in levels.items()}, cost,
+             tuple(a * e for a in duals))
             for (det, levels, cost, duals), (e, _) in zip(solved, scaled)]
 
 
@@ -124,18 +130,25 @@ def test_solve_unique_overdetermined():
     assert solve_unique(a, vec([2, 3, 6])) is None
 
 
-def test_simplex_each_refuses_columns_without_the_start():
-    # (columns, first target): no columns; units but no multiple of 1; 1
-    # only on the side opposite the target's least entry; no e_1 although
-    # y0 == 0; and no target coordinates at all
+def test_the_reference_kernel_refuses_columns_without_the_start():
+    # the package's kernel takes its start from the record, which refuses a
+    # set without a row on some p(y) (test_polytope); the reference kernel
+    # searches arbitrary columns for it and refuses, for (columns, first
+    # target): no columns; units but no multiple of 1; 1 only on the side
+    # opposite the target's least entry; no e_1 although y0 == 0; and no
+    # target coordinates at all
     for cols, target in (([], [1, 0, 0]), ([[1, 0], [0, 1]], [1, 2]),
                          ([[0, 1], [1, 1]], [-1, 0]), ([[1, 0], [1, 1], [-1, -1]], [1, 2]),
                          ([], [])):
         with pytest.raises(ValueError, match="start basis"):
-            rational_simplex([vec(c) for c in cols], [vec(target)], [0] * len(cols))
-    # y0 == 1 needs no e_1: the same columns hold the start for (2, 1)
-    ((s, levels, _, _),) = rational_simplex(rows([1, 0], [1, 1], [-1, -1]), [vec([2, 1])], [0] * 3)
+            reference_simplex_each(cols, [target], [0] * len(cols))
+    # y0 == 1 needs no e_1: the same columns hold the start for (2, 1), and
+    # the kernel reads no unit column at y0
+    cols = rows([1, 0], [1, 1], [-1, -1])
+    ((s, levels, _, _),) = rational_simplex(cols, [vec([2, 1])], [0] * 3)
     assert {j: Fraction(v, s) for j, v in levels.items()} == {1: 1, 0: 1}
+    assert simplex_each([(1, 1, -1), (0, 1, -1)], [(2, 1)], [0] * 3, (0, None)) == [
+        (1, {0: 1, 1: 1}, 0, (0, 0))]
 
 
 def test_simplex_phase_two():
@@ -286,20 +299,26 @@ def _min_over_bases(columns, target, costs):
     return best
 
 
+def _unit_start(data, n, k=None):
+    """Columns drawn around a unit start: every unit vector (but e_k) and up
+    to three drawn columns, shuffled, then the +- pair of 1, last."""
+    cols = [unit(n, y) for y in range(n) if y != k]
+    cols += data.draw(st.lists(st.lists(small_rats, min_size=n, max_size=n).map(vec), max_size=3))
+    return data.draw(st.permutations(cols)) + [ones(n), tuple(-a for a in ones(n))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_simplex_each_matches_basis_enumeration(data):
     # one tableau for several targets, on columns that hold the start for
     # the first target alone: every unit vector but e_k, where that
-    # target's entry is least, the +- pair of 1 and drawn columns. Each
+    # target's entry is least, drawn columns and the +- pair of 1. Each
     # cost is that target's minimum, and a later target no nonnegative
     # combination meets raises in the dual restore. Costs y . column + a
     # nonnegative slack keep the dual feasible, so the LP is bounded.
     n = data.draw(st.integers(1, 3))
     k = data.draw(st.integers(0, n - 1))
-    cols = [unit(n, y) for y in range(n) if y != k] + [ones(n), tuple(-a for a in ones(n))]
-    cols += data.draw(st.lists(st.lists(small_rats, min_size=n, max_size=n).map(vec), max_size=3))
-    cols = data.draw(st.permutations(cols))
+    cols = _unit_start(data, n, k)
     y = data.draw(st.lists(small_rats, min_size=n, max_size=n))
     costs = [dot(y, col) + data.draw(small_rats.filter(lambda a: a >= 0)) for col in cols]
     first = data.draw(st.lists(small_rats, min_size=n, max_size=n))
@@ -323,19 +342,15 @@ def test_simplex_each_matches_basis_enumeration(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_simplex_each_from_the_simplex_start_matches_basis_enumeration(data):
-    # every unit vector scaled by a positive int, the +- pair of a scaled
-    # ones vector and drawn columns, shuffled: phase 2 alone (one
-    # _to_optimum run) from the closed-form start. Costs y . column + a
-    # slack: a nonnegative one keeps the dual feasible, so the LP is
-    # bounded; a drawn one may let the cost fall along a ray r >= 0 with
-    # sum r_j columns[j] == 0 (the dual of an empty credal set), found by
-    # basis enumeration on the rays normalised to sum r_j == 1.
+    # every unit vector and drawn columns, shuffled, then the +- pair of 1:
+    # phase 2 alone (one _to_optimum run) from the start written down.
+    # Costs y . column + a slack: a nonnegative one keeps the dual
+    # feasible, so the LP is bounded; a drawn one may let the cost fall
+    # along a ray r >= 0 with sum r_j columns[j] == 0 (the dual of an empty
+    # credal set), found by basis enumeration on the rays normalised to
+    # sum r_j == 1.
     n = data.draw(st.integers(1, 3))
-    beta = data.draw(st.integers(1, 3))
-    cols = [vec([data.draw(st.integers(1, 3)) * (i == y) for i in range(n)]) for y in range(n)]
-    cols += [vec([beta] * n), vec([-beta] * n)]
-    cols += data.draw(st.lists(st.lists(small_rats, min_size=n, max_size=n).map(vec), max_size=3))
-    cols = data.draw(st.permutations(cols))
+    cols = _unit_start(data, n)
     y = data.draw(st.lists(small_rats, min_size=n, max_size=n))
     slack = data.draw(st.sampled_from((small_rats.filter(lambda a: a >= 0), small_rats)))
     costs = [dot(y, col) + data.draw(slack) for col in cols]
@@ -360,10 +375,14 @@ def test_simplex_each_from_the_simplex_start_matches_basis_enumeration(data):
 
 
 def test_simplex_start_det_is_its_basis_determinant():
-    # w = (1, 2): y0 = 0 and the basis {5 . 1, 3 e_1}, of |determinant| 15,
-    # is already optimal at zero cost: levels 1/5 and 1/3, no pivot
+    # w = (1, 2): y0 = 0 and the basis {1, e_1}, of determinant 1, is
+    # already optimal at zero cost: levels 1 and 1, no pivot. The reference
+    # kernel finds the start on scaled columns too: {5 . 1, 3 e_1}, of
+    # |determinant| 15, levels 1/5 and 1/3
+    assert simplex_each([(1, 0, 1, -1), (0, 1, 1, -1)], [(1, 2)], [0] * 4, (0, 1)) == [
+        (1, {2: 1, 1: 1}, 0, (0, 0))]
     cols = [(2, 0), (0, 3), (5, 5), (-5, -5)]
-    assert simplex_each(cols, [(1, 2)], [0] * 4) == [(15, {2: 3, 1: 5}, 0, (0, 0))]
+    assert reference_simplex_each(cols, [(1, 2)], [0] * 4) == [(15, {2: 3, 1: 5}, 0, (0, 0))]
 
 
 def _assert_optimal_duals(cols, target, costs, s, levels, cost, duals):

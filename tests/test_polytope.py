@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credalfans import exactla, polytope
-from credalfans.exactla import _scaled, rat, simplex_each, vec
+from credalfans.exactla import _scaled, rat, vec
 from credalfans.polytope import (
     EmptyPolytopeError,
     HPolytope,
@@ -18,7 +18,17 @@ from credalfans.polytope import (
     vertices_bruteforce,
 )
 
-from cone_calculus import Cone, active_set, dot, general_vertices, indicator, normal_cone_at, ones, unit
+from cone_calculus import (
+    Cone,
+    active_set,
+    dot,
+    general_vertices,
+    indicator,
+    normal_cone_at,
+    ones,
+    reference_simplex_each,
+    unit,
+)
 from conftest import (
     assessed_rows,
     belief_masses,
@@ -154,11 +164,45 @@ def test_oracle_matches_the_general_active_set_search(h):
     assert [v.point for v in vertices_bruteforce(h)] == expected
 
 
+def _reference_dual(p, objectives):
+    """The reference kernel on p's dual as the parent kernel took it: the
+    columns p's rows and the +- pair of 1, searched for the start."""
+    one = (1,) * p.dim
+    return reference_simplex_each((*p.rows, one, tuple(-a for a in one)), objectives,
+                                  (*(-b for b in p.bounds), -p.den, p.den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_records(), st.data())
+def test_the_kept_start_matches_the_reference_kernel(h, data):
+    """On every drawn record, tied bounds and the dim-1 zero row included,
+    lp_min's value and vertex, ties included, and lp_minima's values are
+    the reference kernel's, which finds its start by a scan of the dual's
+    columns."""
+    fs = [vec(f) for f in data.draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * h.dim), min_size=1, max_size=4))]
+    scaled = [_scaled(f) for f in fs]
+    try:
+        solved = _reference_dual(h, [g for _, g in scaled])
+    except exactla.LpUnbounded:
+        with pytest.raises(EmptyPolytopeError):
+            lp_minima(h, fs)
+        with pytest.raises(EmptyPolytopeError):
+            lp_min(h, fs[0])
+        return
+    values = [Q(-cost) / (det * h.den * e) for (det, _, cost, _), (e, _) in zip(solved, scaled)]
+    assert lp_minima(h, fs) == values
+    for f, (e, g) in zip(fs, scaled):
+        ((det, _, cost, duals),) = _reference_dual(h, [g])
+        s = det * h.den
+        assert lp_min(h, f) == (Q(-cost) / (s * e), Vertex(tuple(Q(-a) / s for a in duals)))
+
+
 def quadrant_dual(f):
-    """The LP kernel on the dual of min x . f over the quadrant x >= 0,
-    with no x . 1 fixed: no record holds that set, and its dual's columns,
-    the unit vectors alone, hold no start."""
-    return simplex_each([(1, 0), (0, 1)], [_scaled(vec(f))[1]], [0, 0])
+    """The reference LP kernel on the dual of min x . f over the quadrant
+    x >= 0, with no x . 1 fixed: no record holds that set, and its dual's
+    columns, the unit vectors alone, hold no start."""
+    return reference_simplex_each([(1, 0), (0, 1)], [_scaled(vec(f))[1]], [0, 0])
 
 
 def test_lp_min_unbounded_raises():

@@ -3,7 +3,8 @@ in ``__all__``, every public member of a class it lists there, and every
 defaulted parameter of a function it lists there must be used somewhere in
 the package, the benchmark harness or the benchmark scripts, not only by
 the tests. And one LP path: in the package, only ``polytope._dual_solve``
-reads the LP kernel ``exactla.simplex_each``, which has one start.
+reads the LP kernel ``exactla.simplex_each``, which has one start, kept
+on the record.
 
 A use of a name is a name read or an attribute access in the code (an
 ``ast.Name`` load or an ``ast.Attribute``) that resolves to the module
@@ -289,22 +290,35 @@ def test_only_the_one_lp_path_calls_the_lp_kernel():
     assert imports == {("polytope", None)}  # bound under its own name, where it is read
 
 
-# The kernel's one start: simplex_each reaches the start basis and phase 2
-# once each, and nothing else in the package calls either, so a second
-# start (a phase 1 beside the simplex's own basis) cannot come back unseen.
-LP_STAGES = ("_simplex_start", "_to_optimum")
+# The kernel's one start, taken from the record: no scan for it is left in
+# the package (the reference keeps one, in the tests), simplex_each runs
+# phase 2 once and nothing else in the package does, so a second start (a
+# phase 1 beside the simplex's own basis) cannot come back unseen; and
+# _dual_solve builds no column for it, reading the record's kept dual.
+def _calls(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
 
 
 def test_the_lp_kernel_has_one_start():
-    calls = {stage: [] for stage in LP_STAGES}
+    runs = set()
     for path in PACKAGE.glob("*.py"):
-        for top in _parse(path).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    if name in calls:
-                        calls[name].append((path.stem, getattr(top, "name", None)))
-    assert calls == {stage: [("exactla", "simplex_each")] for stage in LP_STAGES}
+        tree = _parse(path)
+        assert "_simplex_start" not in {getattr(node, "id", getattr(node, "name", None))
+                                        for node in ast.walk(tree)}, path.stem
+        runs.update((path.stem, getattr(top, "name", None))
+                    for top in tree.body for _ in _calls(top, "_to_optimum"))
+    assert runs == {("exactla", "simplex_each")}
+    (kernel,) = [top for top in _parse(PACKAGE / "exactla.py").body
+                 if getattr(top, "name", None) == "simplex_each"]
+    assert len(_calls(kernel, "_to_optimum")) == 1
+    (solve,) = [top for top in _parse(PACKAGE / "polytope.py").body
+                if getattr(top, "name", None) == "_dual_solve"]
+    assert not [node for node in ast.walk(solve)
+                if isinstance(node, (ast.Tuple, ast.GeneratorExp, ast.ListComp))]
+    assert not _calls(solve, "tuple")
+    read = {node.attr for node in ast.walk(solve) if isinstance(node, ast.Attribute)}
+    assert {"_dual", "_units"} <= read and "rows" not in read
 
 
 # The read path's one minimum over a vertex set: exactla._min_dot on integer
