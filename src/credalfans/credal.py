@@ -13,9 +13,9 @@ built once per model as one integer ``polytope.HPolytope``. The
 probability-one equality makes the constant-one direction lineality in
 every normal cone, so p . f >= b and p . (c f + k 1) >= c b + k (c > 0) are
 one half-space, one row keyed by its primitive integer normal
-(``_canonical_row``). Only an outcome whose indicator no assessment covers
-costs an LP: if the other rows imply p(x) >= 0, 1_x stays out of the
-support universe, as a row never tight on a facet generates no MESC wall.
+(``_canonical_row``). Every row is in the support universe; the walk
+learns which of them are implied (``fanwalk``), so building the set costs
+no LP.
 
 Coherence is one ``polytope.lp_minima`` over the assessments. Natural
 extension evaluates the lower envelope of the credal set at any gamble; on
@@ -181,21 +181,6 @@ def _canonical_row(f, b):
     return row, Fraction(b.numerator * d - k * b.denominator, b.denominator * g)
 
 
-def _nonneg_row_implied(x: int, h) -> bool:
-    """Is p(x) >= 0 implied by the other rows of the credal set h? One LP
-    over h with p(x) >= -1 in place of its row on p(x), a credal set on the
-    same rows: where p(x) < 0 somewhere, either that set is empty or, by
-    convexity, it holds a point with p(x) in [-1, 0)."""
-    from .polytope import EmptyPolytopeError, HPolytope, lp_minima
-    e_x = tuple(int(y == x) for y in range(h.dim))
-    i = h.rows.index(e_x)
-    relaxed = HPolytope(h.dim, h.rows, (*h.bounds[:i], -h.den, *h.bounds[i + 1:]), h.den)
-    try:
-        return lp_minima(relaxed, [e_x])[0] >= 0
-    except EmptyPolytopeError:
-        return False
-
-
 CACHE_SIZE = 64  # models per cache; the least recently used are evicted
 
 
@@ -205,9 +190,8 @@ def build_credal_hrep(lp: LowerPrevision):
 
     One row per half-space, keyed by _canonical_row, at its tightest bound:
     the assessments' rows in order, then the unassessed outcomes'. The
-    universe is the assessment keys, the constant, and each 1_x no
-    assessment covers where one LP (_nonneg_row_implied) finds p(x) >= 0
-    not implied.
+    universe is every row, plus the constant; the walk drops the rows it
+    finds implied (``fanwalk``).
     """
     from .polytope import HPolytope
     n = lp.space.n
@@ -215,16 +199,12 @@ def build_credal_hrep(lp: LowerPrevision):
     for a in lp.assessments:
         f, b = _canonical_row(a.gamble.values, a.lower)
         rows[f] = max(b, rows.get(f, b))
-    universe = [*rows, (0,) * n]  # the constant is the zero row
-    units = [_canonical_row(tuple(int(y == x) for y in range(n)), ZERO) for x in range(n)]
-    for e_x, b in units:
+    for x in range(n):
+        e_x, b = _canonical_row(tuple(int(y == x) for y in range(n)), ZERO)
         rows[e_x] = max(b, rows.get(e_x, b))
     den = math.lcm(*(b.denominator for b in rows.values()))
     h = HPolytope(n, rows, [b.numerator * (den // b.denominator) for b in rows.values()], den)
-    uncovered = {e_x for e_x, _ in units} - set(universe)
-    universe += [e_x for x, (e_x, _) in enumerate(units) if e_x in uncovered
-                 and not _nonneg_row_implied(x, h)]
-    return h, SupportUniverse(universe)
+    return h, SupportUniverse([*rows, (0,) * n])  # the constant is the zero row
 
 
 class AssessmentCheck(NamedTuple):

@@ -12,16 +12,26 @@ integer table (``_Tableau``) on the credal set's integer rows, read as
 they are (``_active_table``). A wall is crossed as in Avis and Fukuda's
 pivot: a ratio test on two table rows gives the entering rows, and each
 new key costs one fraction-free pivot (``exactla._pivot``, as in lrs) on a
-copy of the table, then a sign scan as its MESC test; its vertex is the
-only Fraction built.
+copy of the table, then a sign scan; its vertex is the only Fraction built.
 Only the seed comes from an LP (``polytope.lp_min``, one per generic
 direction tried), and its table from ``exactla.scaled_inverse``. No vertex
-set is enumerated, but the walk inherits ``lp_min``'s oracle guards on
-dimension and row count.
+set is enumerated, but the walk inherits ``lp_min``'s oracle guards.
 
-The walk is deterministic for a fixed model. Node count is bounded
-by the number of feasible MESCs over the universe; for models whose normal
-cones are themselves simplicial this is exactly one node per vertex.
+The walk learns its universe. A normal fan's rays are the facet normals
+alone (Ziegler, Lectures on Polytopes, 1995), but every other universe row
+adds cones. The sign scan of a new cone finds the universe rows r off its
+key whose table column has no negative coordinate on any generator. Each
+is implied: the cone's vertex x is feasible (the ratio test or the seed's
+LP found it) and its generators are tight there, so f_r = sum c_g f_g +
+c_0 1 with every c_g >= 0 gives f_r . p >= sum c_g b_g + c_0 = f_r . x >=
+b_r on the credal set. The walk drops them, so the cone is a MESC, and
+repairs the nodes built so far (``walk``). Each certificate uses rows
+still in the universe, so the rows kept imply the dropped ones and
+describe the same credal set, and a MESC over the larger universe is one
+over the smaller. Hypothesis: the walk keeps the facet normals alone, as
+when it meets a cone absorbing each other row. Then on a simple polytope
+each vertex's normal cone is one MESC, and the walk builds one node per
+vertex.
 """
 
 from __future__ import annotations
@@ -94,11 +104,11 @@ class MescGraph:
 class _Tableau(NamedTuple):
     """A queued node and its table, each entry det = |det| of the basis
     matrix times the exact value. Columns are the walk's rows
-    (``_active_table``), then the n unit vectors with bound 0. Rows are the
-    columns' coordinates on each generator, in key order, then their slack
-    f . x - b at the node's vertex x: so a generator's row ends in det
-    times its dual row t, and the slack row in det x. The constant's row,
-    which no step reads, is not kept."""
+    (``_active_table``). Rows are the columns' coordinates on each
+    generator, in key order, then their slack f . x - b at the node's
+    vertex x: a unit row (q e_y, b) has slack s = det (q x_y - b), so x_y
+    = (s + det b) / (det q). The constant's row, which no step reads, is
+    not kept."""
 
     node: MescNode
     det: int
@@ -119,11 +129,12 @@ def _active_table(h: HPolytope, universe: SupportUniverse) -> tuple:
                  for f, b, g in zip(h.rows, h.bounds, gcds))
 
 
-def _is_mesc(key, rows, table) -> bool:
-    """Whether the cone on key absorbs no other universe row: each such
-    column of its table has a negative coordinate on some generator."""
-    return all(min(col) < 0 for col, (j, _, _) in zip(zip(*rows[:len(key)]), table)
-               if j is not None and j not in key)
+def _absorbed(key, rows, table) -> list:
+    """The columns of the universe rows off key that the cone on key
+    absorbs: those with no negative coordinate on any generator. The cone
+    is a MESC when there are none."""
+    return [k for k, (col, (j, _, _)) in enumerate(zip(zip(*rows[:len(key)]), table))
+            if j is not None and j not in key and min(col) >= 0]
 
 
 def neighbor_candidates(tab: _Tableau, dropped, table) -> tuple:
@@ -151,24 +162,26 @@ def neighbor_candidates(tab: _Tableau, dropped, table) -> tuple:
     return tuple(sorted(e for e in entering if e[0] is not None))
 
 
-def _crossed(tab: _Tableau, c: int, k: int, key, table):
+def _crossed(tab: _Tableau, c: int, k: int, key, table, reads) -> _Tableau:
     """key's tableau, by one pivot on a copy of tab's table that brings
-    column k into the basis in place of the generator in row c; None when
-    key's cone is not a MESC. The vertex is read off the new slack row."""
+    column k into the basis in place of the generator in row c. Its vertex
+    is read off the new slack row at the columns of the unit rows (q e_y,
+    b), (column, q, b) for each y in reads."""
     rows = list(tab.rows)
     det = _pivot(rows, tab.det, c, k)
     rows.insert(key.index(table[k][0]), rows.pop(c))
-    if not _is_mesc(key, rows, table):
-        return None
-    return _Tableau(MescNode(key, tuple(Fraction(a, det) for a in rows[-1][len(table):])),
+    s = rows[-1]
+    return _Tableau(MescNode(key, tuple(Fraction(s[u] + det * b, det * q) for u, q, b in reads)),
                     det, rows)
 
 
 def _find_seed(h: HPolytope, table, direction):
-    """The tableau of a MESC containing the direction inside the normal
-    cone of the vertex minimizing it, else None. A candidate's table comes
-    from the ``scaled_inverse`` R of its basis matrix B, R . B = det I, and
-    det = sum(R[-1]), as B's last column is the constant one."""
+    """The tableau of the first simplicial cone on universe rows tight at
+    the vertex minimizing the direction that contains it, else None. A
+    candidate's table comes from the ``scaled_inverse`` R of its basis
+    matrix B, R . B = det I, and det = sum(R[-1]), as B's last column is
+    the constant one. The cone may absorb other universe rows; the walk
+    drops those (``_absorbed``)."""
     _, vtx = lp_min(h, direction)
     d, x = _scaled(vtx.point)
     _, w = _scaled(direction)
@@ -179,32 +192,35 @@ def _find_seed(h: HPolytope, table, direction):
             continue
         det = sum(inverse[-1])
         dx = [(det * a).numerator for a in vtx.point]
-        rows = [[*(sum(map(mul, t, f)) for _, f, _ in table), *t] for t in inverse[:-1]]
-        rows.append([*(sum(map(mul, f, dx)) - b * det for _, f, b in table), *dx])
-        key = tuple(j for j, _ in gens)
-        if _is_mesc(key, rows, table):
-            return _Tableau(MescNode(key, vtx.point), det, rows)
+        rows = [[sum(map(mul, t, f)) for _, f, _ in table] for t in inverse[:-1]]
+        rows.append([sum(map(mul, f, dx)) - b * det for _, f, b in table])
+        return _Tableau(MescNode(tuple(j for j, _ in gens), vtx.point), det, rows)
     return None
 
 
 def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
     """Full adjacency walk: seed a MESC, then breadth-first cross every wall
-    of every discovered node, in sorted-generator order. Deterministic given
-    (h, universe): the k-th generic direction tried for the seed comes from
-    random.Random(k).
+    of every discovered node, in sorted-generator order, learning the
+    universe. Deterministic given (h, universe): the k-th generic direction
+    tried for the seed comes from random.Random(k).
 
-    One pivot per new node: after the seed, the walk calls no
-    ``scaled_inverse``, and ``_pivot`` once per node but the seed plus once
-    per candidate key that is not a MESC. So it is one pivot per node but
-    the seed when no ratio test ties and every universe row's bound is
-    attained: each wall then has one candidate, a MESC.
+    A drop (``forget``) removes the nodes keyed on a dropped row and their
+    edges, and crosses again the wall of each remaining node that led to
+    one of them, on a table rebuilt by one pivot from the removed node's.
+    That node's vertex is degenerate: a row off its key is tight there,
+    else the row dropped would not be implied. Only nodes at degenerate
+    vertices keep their table once crossed.
 
-    Raises SeedSearchError when no starting MESC is found (after
+    One pivot per new node but the seed, and one per wall crossed again;
+    after the seed, the walk calls no ``scaled_inverse``.
+
+    Raises SeedSearchError when no starting cone is found (after
     SEED_ATTEMPTS generic directions), ValueError when h and the universe
     break the hypotheses of ``_active_table``, and propagates
     EmptyPolytopeError when h has no vertices at all.
     """
-    table = _active_table(h, universe)
+    table = list(_active_table(h, universe))
+    reads = [(k, table[k][1][y], table[k][2]) for y, k in enumerate(h._units) if k is not None]
     for attempt in range(SEED_ATTEMPTS):
         rng = random.Random(attempt)  # a generic direction
         nums, den = rng.sample(range(1, 9973), h.dim), rng.randint(7, 97)
@@ -213,27 +229,56 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
             break
     else:
         raise SeedSearchError(f"no seed MESC found in {SEED_ATTEMPTS} attempts")
-    seen = {start.node.gens: start.node}  # key -> its node, None when it is no MESC
-    edges, incomplete = set(), []
-    queue = deque([start])
+    seen, kept = {}, {}  # key -> node; key -> table of a node at a degenerate vertex
+    edges, incomplete = set(), {}
+    queue = deque()  # (tableau, the generators whose walls to cross)
+
+    def forget(absorbed):
+        gone = {table[k][0] for k in absorbed}
+        for k in absorbed:
+            table[k] = (None, *table[k][1:])
+        dead = {key for key in seen if not gone.isdisjoint(key)}
+        for edge in [e for e in edges if not dead.isdisjoint(e)]:
+            edges.remove(edge)
+            live, lost = sorted(edge, key=dead.__contains__)
+            if live not in dead:  # cross live's wall toward lost again
+                (i,), (g,) = set(live) - set(lost), set(lost) - set(live)
+                col = next(k for k, (j, _, _) in enumerate(table) if j == i)
+                queue.append((_crossed(kept[lost], lost.index(g), col, live, table, reads), (i,)))
+        for key in dead:
+            del seen[key]
+            kept.pop(key, None)
+        for wall in [w for w in incomplete if w[0] in dead]:
+            del incomplete[wall]
+
+    def add(tab):
+        if absorbed := _absorbed(tab.node.gens, tab.rows, table):
+            forget(absorbed)
+        seen[tab.node.gens] = tab.node
+        if tab.rows[-1].count(0) >= h.dim:
+            kept[tab.node.gens] = tab
+        queue.append((tab, tab.node.gens))
+
+    add(start)
     while queue:
-        tab = queue.popleft()
+        tab, walls = queue.popleft()
         key = tab.node.gens
-        for c, i in enumerate(key):
+        if key not in seen:
+            continue  # dropped since it was queued
+        for i in walls:
+            c = key.index(i)
             shared, found = key[:c] + key[c + 1:], False
             for j, k in neighbor_candidates(tab, i, table):
+                if table[k][0] is None:
+                    continue  # dropped by an earlier candidate of this wall
                 other = tuple(sorted(shared + (j,)))
                 if other not in seen:
-                    new = _crossed(tab, c, k, other, table)
-                    seen[other] = new.node if new else None
-                    if new:
-                        queue.append(new)
-                if seen[other]:
-                    found = True
-                    edges.add(frozenset({key, other}))
+                    add(_crossed(tab, c, k, other, table, reads))
+                found = True
+                edges.add(frozenset({key, other}))
             if not found:
-                incomplete.append((key, i))
-    ordered = tuple(seen[k] for k in sorted(seen) if seen[k])
+                incomplete[key, i] = None
+    ordered = tuple(seen[k] for k in sorted(seen))
     return MescGraph(ordered, frozenset(edges), tuple(incomplete))
 
 

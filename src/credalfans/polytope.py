@@ -1,21 +1,20 @@
 """Credal polytopes, the brute-force vertex oracle and the exact LP.
 
 Every polytope of the package is a credal set, one ``HPolytope`` record
-built once per model (``credal.build_credal_hrep``, ``pri.pri_hrep``, and
-the relaxed sets of ``credal._nonneg_row_implied``): rows p . f >= b on
-primitive integer normals f, a row on each p(y), the bounds over one
-denominator, and p . 1 = 1 implicit. The vertex oracle solves every dim - 1
-rows with p . 1 = 1 by subset search, on the record's integers through
-``exactla._eliminate``; it is deliberately simple and exact, guarded to
-small instances, and the ground truth the structured fast paths are tested
-against. Every LP is one guarded ``exactla.simplex_each`` on the
-dual, in ``_dual_solve``: its columns are the record's rows as they are and
-the +- pair of 1, kept on the record by coordinate with the columns of the
-kernel's start, and only the objectives are scaled per call. ``lp_min``
-reads a minimising vertex (minus the simplex multipliers) and its value off
-its cost row, ``lp_minima`` the minima of many objectives. A credal set is
-bounded and holds the kernel's start, so the LP's one failure is an empty
-set.
+built once per model (``credal.build_credal_hrep``, ``pri.pri_hrep``):
+rows p . f >= b on primitive integer normals f, a row on each p(y), the
+bounds over one denominator, and p . 1 = 1 implicit. The vertex oracle
+solves every dim - 1 rows with p . 1 = 1 by subset search, on the record's
+integers through ``exactla._eliminate``; it is deliberately simple and
+exact, guarded to small instances, and the ground truth the structured
+fast paths are tested against. Every LP is one guarded
+``exactla.simplex_each`` on the dual, in ``_dual_solve``: its columns are
+the record's rows as they are and the +- pair of 1, kept on the record by
+coordinate with the columns of the kernel's start, and only the
+objectives are scaled per call. ``lp_min`` reads a minimising vertex
+(minus the simplex multipliers) and its value off its cost row,
+``lp_minima`` the minima of many objectives. A credal set is bounded and
+holds the kernel's start, so the LP's one failure is an empty set.
 """
 
 from __future__ import annotations

@@ -143,17 +143,18 @@ def general_vertices(dim, rows, equalities) -> list:
     return sorted(seen)
 
 
-def ray_scan_implied(x, other_rows, n):
-    """Whether the rows other_rows with p . 1 = 1 imply p(x) >= 0, by the
-    oracle on general polyhedra: a descent ray (d . g >= 0 on every other
-    normal, d . 1 == 0, d(x) == -1), as that set is bounded (the other unit
-    rows give d(y) >= 0, summing to 1) and so nonempty exactly when it has
-    a vertex, means p(x) is unbounded below, so not implied; otherwise the
-    minimum of p(x) over the rows' vertex set decides."""
-    if general_vertices(n, [(g, 0) for g, _ in other_rows], [(ones(n), 0), (unit(n, x), -1)]):
+def ray_scan_implied(f, b, other_rows, n):
+    """Whether the rows other_rows with p . 1 = 1 imply p . f >= b, by the
+    oracle on general polyhedra. Both sets below are pointed, as the other
+    rows hold a row on each p(y) but at most one. A descent ray (d . g >= 0
+    on every other normal, d . 1 == 0, d . f == -1) exists exactly when its
+    set has a vertex, and means p . f is unbounded below on the other rows,
+    so not implied; otherwise the minimum of p . f over the other rows'
+    vertex set decides."""
+    if general_vertices(n, [(g, 0) for g, _ in other_rows], [(ones(n), 0), (f, -1)]):
         return False
     vs = general_vertices(n, other_rows, [(ones(n), 1)])
-    return bool(vs) and min(v[x] for v in vs) >= 0
+    return bool(vs) and min(dot(v, f) for v in vs) >= b
 
 
 def fraction_canonical_row(f, b):
@@ -172,20 +173,15 @@ def fraction_credal_hrep(lp):
     ``build_credal_hrep`` wrote them before its integer record: the rows
     [(f, b)] keyed by fraction_canonical_row at the tightest bound, the
     assessments' keys first, then the unassessed outcomes' unit rows; the
-    universe the sorted keys, the constant and each uncovered unit vector
-    whose row the others do not imply (ray_scan_implied)."""
+    universe every key and the constant, sorted."""
     n = lp.space.n
     rows = {}
     for a in lp.assessments:
         f, b = fraction_canonical_row(a.gamble.values, a.lower)
         rows[f] = max(b, rows.get(f, b))
-    universe = set(rows) | {ones(n)}
-    units = [unit(n, x) for x in range(n)]
-    for e in units:
+    for e in (unit(n, x) for x in range(n)):
         rows[e] = max(ZERO, rows.get(e, ZERO))
-    universe.update(e for x, e in enumerate(units) if e not in universe and not ray_scan_implied(
-        x, [r for r in rows.items() if r[0] != e], n))
-    return list(rows.items()), sorted(universe)
+    return list(rows.items()), sorted({*rows, ones(n)})
 
 
 def fraction_lp_min(rows, f):

@@ -315,8 +315,9 @@ class TestIncompleteFan:
         for command in ("vertices", "graph"):
             code, out, err = run(capsys, command, "--model", path)
             assert (code, out) == (1, ""), command
-            assert err == ("error: incomplete fan: the wall of node (0, 1) without "
-                           "generator 1 has no neighbour; vertices may be missing "
+            # the first node's key, (1, 2) since the walk learns its universe
+            assert err == ("error: incomplete fan: the wall of node (1, 2) without "
+                           "generator 2 has no neighbour; vertices may be missing "
                            "(try --engine oracle)\n")
         code, out, _ = run(capsys, "fan", "--model", path)
         assert code == 1 and report_get(out, "structure_ok") == "false"

@@ -89,8 +89,8 @@ fan      lowprob_n3_supermodular.json    walk   0 cd951cc4093c47a91ef67178ce71db
 fan      lowprob_n3_supermodular.json    chains 0 0b60c5b6b26cfb8df68c2efe78b0aaf78dc9751ebf600e41b37c5d45b2dc122a e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 fan      lowprob_n3_supermodular.json    pri    2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 e1b5426c1551e9aa73b2b19ab7925a6f6e7fe32fa05cd6009080aeca6c33507e
 fan      lowprob_n3_supermodular.json    oracle 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 de79b920d35a3b082d51ee85382b8b2d525de3c3233cf7924fc5a4cac9879ba8
-fan      prevision_n3_general.json       auto   0 9a36dcb1f4183cecb17575faa0a0b501e603f02a1551bd802bb28d6671159000 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
-fan      prevision_n3_general.json       walk   0 9a36dcb1f4183cecb17575faa0a0b501e603f02a1551bd802bb28d6671159000 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+fan      prevision_n3_general.json       auto   0 8de25beb4a4104f8fc8a5c3b2abf624a8305237693b6fff12a3682a2515942c7 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+fan      prevision_n3_general.json       walk   0 8de25beb4a4104f8fc8a5c3b2abf624a8305237693b6fff12a3682a2515942c7 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 fan      prevision_n3_general.json       chains 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 e5865014b7ade4c4829072b7641ffd2e896e9f72ab5e580b7208421859694e40
 fan      prevision_n3_general.json       pri    2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 82dccef118c8d51561606c8c2e922e1b65c87cbfc356522828113820e821b928
 fan      prevision_n3_general.json       oracle 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 de79b920d35a3b082d51ee85382b8b2d525de3c3233cf7924fc5a4cac9879ba8
@@ -132,8 +132,8 @@ graph    lowprob_n3_supermodular.json    walk   0 e16d1d3f5c9b98da35bd57ff3fbcee
 graph    lowprob_n3_supermodular.json    chains 0 e16d1d3f5c9b98da35bd57ff3fbceeb05429f23068ce06e7332d052b9f3dbcd0 3ebbc0288f9b2339580496f6eaaf8b62e8fb0787b944635cb79a587678768213
 graph    lowprob_n3_supermodular.json    pri    2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 e1b5426c1551e9aa73b2b19ab7925a6f6e7fe32fa05cd6009080aeca6c33507e
 graph    lowprob_n3_supermodular.json    oracle 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 de79b920d35a3b082d51ee85382b8b2d525de3c3233cf7924fc5a4cac9879ba8
-graph    prevision_n3_general.json       auto   0 2e856636b8cd92f428bfacbd2a1d529eb7a7a9f9a53e755bc00a1f477b1e225b ab7f6004fdfa2373fc692f61c3bfb605a043c63cff4481ee0d03419531b9216e
-graph    prevision_n3_general.json       walk   0 2e856636b8cd92f428bfacbd2a1d529eb7a7a9f9a53e755bc00a1f477b1e225b ab7f6004fdfa2373fc692f61c3bfb605a043c63cff4481ee0d03419531b9216e
+graph    prevision_n3_general.json       auto   0 f9f5b242ede4f158fb3e53f23da3c7f08f9e22b818da52d3dbd7d5d91aea0fe9 d846d9684a5937fb485dcef0f0f42708cf377cf2ae9194d69d4c54c730b13a52
+graph    prevision_n3_general.json       walk   0 f9f5b242ede4f158fb3e53f23da3c7f08f9e22b818da52d3dbd7d5d91aea0fe9 d846d9684a5937fb485dcef0f0f42708cf377cf2ae9194d69d4c54c730b13a52
 graph    prevision_n3_general.json       chains 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 e5865014b7ade4c4829072b7641ffd2e896e9f72ab5e580b7208421859694e40
 graph    prevision_n3_general.json       pri    2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 82dccef118c8d51561606c8c2e922e1b65c87cbfc356522828113820e821b928
 graph    prevision_n3_general.json       oracle 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 de79b920d35a3b082d51ee85382b8b2d525de3c3233cf7924fc5a4cac9879ba8
@@ -274,7 +274,7 @@ vertices vacuous_n3.json                 auto --out=     0 d24c8bf18c44070f32582
 fan      gamble_n3.json                  auto --verify   2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 1fc3acf41df60f9e032c33132be1a83cbf844b2ef0fbabaf59de931599ef92f7 -
 fan      lowprob_n3_nonsupermodular.json auto --verify   1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 9a3036b4b3db845d2f3365b2e38546bbcd305522ecd52760608a3cbd7905baab -
 fan      lowprob_n3_supermodular.json    auto --verify   0 1f0d344044642cd0a020849b214cd932d075f97d509c481baeb1dbe27be7210a e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 -
-fan      prevision_n3_general.json       auto --verify   0 8a48e0e2e0352d5aa6e51480a6fb228db6616f5dd17c9e2450d5db1b4b45f30c e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 -
+fan      prevision_n3_general.json       auto --verify   0 4e43d5ea1ff7ffa2ab7e750f963d2db451b80f3d088f5b8afd5b97281ef650dd e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 -
 fan      pri_n10_uniform_max.json        auto --verify   2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 288eb77d50071fa62db956fcb9f6a0c0a0620d162820e50230f99889941b0dcb -
 fan      pri_n10_uniform_min.json        auto --verify   2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 288eb77d50071fa62db956fcb9f6a0c0a0620d162820e50230f99889941b0dcb -
 fan      pri_n3.json                     auto --verify   0 7e131d7a64408d24851dc769e96a09e26dd5e594aeb0460921fdc6656310e040 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 -
@@ -283,7 +283,7 @@ fan      vacuous_n3.json                 auto --verify   0 dc7010d7f51f829e44376
 fan      gamble_n3.json                  auto --dot=FILE 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 1fc3acf41df60f9e032c33132be1a83cbf844b2ef0fbabaf59de931599ef92f7 -
 fan      lowprob_n3_nonsupermodular.json auto --dot=FILE 1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 9a3036b4b3db845d2f3365b2e38546bbcd305522ecd52760608a3cbd7905baab -
 fan      lowprob_n3_supermodular.json    auto --dot=FILE 0 c59335c0bb52e346b9989d3f7342e70bdbcd54ac85df408fa75a664350d67934 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 2b40b7492f424e63c9aed72bf5e6a3905726eb16cf0751354f8af6c3aaa2fa17
-fan      prevision_n3_general.json       auto --dot=FILE 0 acc568a91b74c6f5a6f0c439e1851167f8f1ddadbe6bdc9dcb35bcbf68088446 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 1050c6ded93760befafc9292ac7f19e2b3d0e74fbafd1e191f1c1a0614f36cd9
+fan      prevision_n3_general.json       auto --dot=FILE 0 c5f68d3639efd01930c9f1bf4df24977660be7ccf4904ae6aee57d40b65ba3a1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 c0d56ddd7e4887486ffc91abb77cec61387b2f048181b2306de9419cdae4abb8
 fan      pri_n10_uniform_max.json        auto --dot=FILE 0 f11c329d2add83de7484729ef0bcc33051f6fd8ddd311eadd3f559e44822a7c3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 af30be49d077992da9b5f3c6d695f89f61a5380c86dc6f95fac8a192060ce2b1
 fan      pri_n10_uniform_min.json        auto --dot=FILE 0 40888efff396c03dc472c7dcd20f1810005a792bcda6ee53a1267890101fc986 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 36fbcc7bfb78fdf1f543ae89df943235ab075c08b87e72e79ce2cb735aadd19e
 fan      pri_n3.json                     auto --dot=FILE 0 421e572b445e882b3101b895feed638fb7c4a660e6db5b4a446a3d3b41c80cdc e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 d2b3aa39d198817f2fcaaf8921a2ab0012fd195c808cf84d0ef0c55e87e8e7a5
@@ -292,7 +292,7 @@ fan      vacuous_n3.json                 auto --dot=FILE 0 936e91d9bf5494ef8bbca
 fan      gamble_n3.json                  auto --dot=     2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 1fc3acf41df60f9e032c33132be1a83cbf844b2ef0fbabaf59de931599ef92f7 -
 fan      lowprob_n3_nonsupermodular.json auto --dot=     1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 9a3036b4b3db845d2f3365b2e38546bbcd305522ecd52760608a3cbd7905baab -
 fan      lowprob_n3_supermodular.json    auto --dot=     0 0b60c5b6b26cfb8df68c2efe78b0aaf78dc9751ebf600e41b37c5d45b2dc122a e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 -
-fan      prevision_n3_general.json       auto --dot=     0 9a36dcb1f4183cecb17575faa0a0b501e603f02a1551bd802bb28d6671159000 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 -
+fan      prevision_n3_general.json       auto --dot=     0 8de25beb4a4104f8fc8a5c3b2abf624a8305237693b6fff12a3682a2515942c7 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 -
 fan      pri_n10_uniform_max.json        auto --dot=     0 e59215d2f42182927b5be3e5c68ece6086b96b69c4ad4d44bd014d4e0c1a4e6e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 -
 fan      pri_n10_uniform_min.json        auto --dot=     0 cc753d49713763e424e3d18b6f303b44f13bdf1912592a6a2c84d64bf2b7ea8d e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 -
 fan      pri_n3.json                     auto --dot=     0 f05f2dd730265f1c09052d842a79864502596070cb10926d5a02bf90570f98a3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 -
@@ -301,7 +301,7 @@ fan      vacuous_n3.json                 auto --dot=     0 77b1da9a8c2c2b83e71cc
 graph    gamble_n3.json                  auto --verify   2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 1fc3acf41df60f9e032c33132be1a83cbf844b2ef0fbabaf59de931599ef92f7 -
 graph    lowprob_n3_nonsupermodular.json auto --verify   1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 9a3036b4b3db845d2f3365b2e38546bbcd305522ecd52760608a3cbd7905baab -
 graph    lowprob_n3_supermodular.json    auto --verify   0 e16d1d3f5c9b98da35bd57ff3fbceeb05429f23068ce06e7332d052b9f3dbcd0 d1865a31969bf509f619eb82cb9ac0e131f4b1d3e56f06548b1ed84bb430ca8c -
-graph    prevision_n3_general.json       auto --verify   0 2e856636b8cd92f428bfacbd2a1d529eb7a7a9f9a53e755bc00a1f477b1e225b 5d32d1e7df13f428cc82fec6bcbd5d1dcfd2a9ee4a9d23013e0a833f4993ae20 -
+graph    prevision_n3_general.json       auto --verify   0 f9f5b242ede4f158fb3e53f23da3c7f08f9e22b818da52d3dbd7d5d91aea0fe9 eb6dc2552be0a66915a2c6ba6218c9c937357c5a4e172d70f23ffed0acd6559c -
 graph    pri_n10_uniform_max.json        auto --verify   2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 288eb77d50071fa62db956fcb9f6a0c0a0620d162820e50230f99889941b0dcb -
 graph    pri_n10_uniform_min.json        auto --verify   2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 288eb77d50071fa62db956fcb9f6a0c0a0620d162820e50230f99889941b0dcb -
 graph    pri_n3.json                     auto --verify   0 c2f2a67ee4ba4ffb85ed10e6c8ade420e9abbfe7ff0b40d7e4c371709c88277d 265ac3bddb44c0c1b721b3c6e6790ae47ce8f2fd08df2494501719979ee3c6ac -
@@ -310,7 +310,7 @@ graph    vacuous_n3.json                 auto --verify   0 947808552f3b312f5a922
 graph    gamble_n3.json                  auto --out=FILE 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 1fc3acf41df60f9e032c33132be1a83cbf844b2ef0fbabaf59de931599ef92f7 -
 graph    lowprob_n3_nonsupermodular.json auto --out=FILE 1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 9a3036b4b3db845d2f3365b2e38546bbcd305522ecd52760608a3cbd7905baab -
 graph    lowprob_n3_supermodular.json    auto --out=FILE 0 ceea5643c29384bed623aa372f24f27ab2d53bc03573b7b9b1ed7026a6e13f43 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 e16d1d3f5c9b98da35bd57ff3fbceeb05429f23068ce06e7332d052b9f3dbcd0
-graph    prevision_n3_general.json       auto --out=FILE 0 bae294ad83211f2c5acabd21febb2624df5f0af7d56ceeb6496b6d4e41fc97e5 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 2e856636b8cd92f428bfacbd2a1d529eb7a7a9f9a53e755bc00a1f477b1e225b
+graph    prevision_n3_general.json       auto --out=FILE 0 132df4e265d8ada626a5d1f260728c52541f4f6e008b59c72b89923cd1494d03 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 f9f5b242ede4f158fb3e53f23da3c7f08f9e22b818da52d3dbd7d5d91aea0fe9
 graph    pri_n10_uniform_max.json        auto --out=FILE 0 7519bca88ce896be0dd25f8f219e68b860f1e889d7aeca98d2c14337b417d69e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 a81c0286f25c4528fcf82c06dfe198f2974690e3cbc83a8bd44370c923546813
 graph    pri_n10_uniform_min.json        auto --out=FILE 0 c945377fe976a5500414a8b9b293694088f70076f1c662c66de7162a4bc1766c e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 6a60f92680481cf1fde0f9f4d3e2e07a19c617cd0ba0cab14ca760a571179110
 graph    pri_n3.json                     auto --out=FILE 0 6b545f67ff13707289e7599b033a75693b40c8d1ded17078539cd26639c45a4e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 c2f2a67ee4ba4ffb85ed10e6c8ade420e9abbfe7ff0b40d7e4c371709c88277d
@@ -319,7 +319,7 @@ graph    vacuous_n3.json                 auto --out=FILE 0 0dba257a4f60c9d1e9312
 graph    gamble_n3.json                  auto --out=     2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 1fc3acf41df60f9e032c33132be1a83cbf844b2ef0fbabaf59de931599ef92f7 -
 graph    lowprob_n3_nonsupermodular.json auto --out=     1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 9a3036b4b3db845d2f3365b2e38546bbcd305522ecd52760608a3cbd7905baab -
 graph    lowprob_n3_supermodular.json    auto --out=     0 e16d1d3f5c9b98da35bd57ff3fbceeb05429f23068ce06e7332d052b9f3dbcd0 3ebbc0288f9b2339580496f6eaaf8b62e8fb0787b944635cb79a587678768213 -
-graph    prevision_n3_general.json       auto --out=     0 2e856636b8cd92f428bfacbd2a1d529eb7a7a9f9a53e755bc00a1f477b1e225b ab7f6004fdfa2373fc692f61c3bfb605a043c63cff4481ee0d03419531b9216e -
+graph    prevision_n3_general.json       auto --out=     0 f9f5b242ede4f158fb3e53f23da3c7f08f9e22b818da52d3dbd7d5d91aea0fe9 d846d9684a5937fb485dcef0f0f42708cf377cf2ae9194d69d4c54c730b13a52 -
 graph    pri_n10_uniform_max.json        auto --out=     0 a81c0286f25c4528fcf82c06dfe198f2974690e3cbc83a8bd44370c923546813 d7d3e63d06f393b0be70ddf3b5fda95ebfda053559dfec8e1853dd06ca1c3d02 -
 graph    pri_n10_uniform_min.json        auto --out=     0 6a60f92680481cf1fde0f9f4d3e2e07a19c617cd0ba0cab14ca760a571179110 8dbbbaf3f1e42a95e22c0a34ec85d7f8a4df7905e10666a218d5ab323ef926fc -
 graph    pri_n3.json                     auto --out=     0 c2f2a67ee4ba4ffb85ed10e6c8ade420e9abbfe7ff0b40d7e4c371709c88277d 3592587829d3b6a9fb863bddb0e334728c8a656b7d597de61d741da455b09d83 -

@@ -1,5 +1,5 @@
-"""Lower-prevision layer: H-rep construction with implied-row marking,
-coherence, natural extension, axiom checks, event-family MESC tests, JSON
+"""Lower-prevision layer: H-rep construction, the rows the walk finds
+implied, coherence, natural extension, axiom checks, event-family MESC tests, JSON
 parsing."""
 
 import itertools
@@ -7,10 +7,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from credalfans import cones, credal, polytope
+from credalfans import cones, credal, fanwalk, polytope
 from credalfans.chains2mono import lower_probability_from_json
 from credalfans.cones import SupportUniverse
 from credalfans.credal import (
@@ -44,7 +44,7 @@ from cone_calculus import (
     ray_scan_implied,
     unit,
 )
-from conftest import Q, assessed_rows, fraction_rows, hrep, interval_hrep
+from conftest import Q, assessed_rows, fraction_rows, ind, interval_hrep
 
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -148,25 +148,27 @@ class TestHrepConstruction:
 
     def test_implied_row_without_shortcut(self):
         # upper bounds u == 1/3 on two outcomes force p(x3) >= 1/3 > 0,
-        # and no direct assessment sits on 1_{x3}: the oracle-path test
-        # must mark the x3 row implied.
+        # and no direct assessment sits on 1_{x3}: the row is in the
+        # universe, and the walk finds it implied and builds no cone on it
         lp = LowerPrevision.from_bounds(
             SP3, upper=[((1, 0, 0), Q(1) / 3), ((0, 1, 0), Q(1) / 3)]
         )
-        _, uni = build_credal_hrep(lp)
-        assert unit(3, 2) not in uni.vectors
-        assert {unit(3, 0), unit(3, 1)} <= set(uni.vectors)
+        h, uni = build_credal_hrep(lp)
+        assert {unit(3, 0), unit(3, 1), unit(3, 2)} <= set(uni.vectors)
+        assert dropped_rows(h, uni) == [unit(3, 2)]
+        g = walk(h, uni)
+        assert uni.vectors.index(unit(3, 2)) not in {i for node in g.nodes for i in node.gens}
+        assert g.vertices == {v.point for v in vertices_bruteforce(h)}
 
-    def test_lp_runs_only_for_uncovered_indicators(self, monkeypatch):
+    def test_building_the_record_runs_no_lp(self, monkeypatch):
         # p({x2, x3}) <= 3/4 is the row 1_{x1} >= 1/4 on the simplex, which
-        # covers x1; the implied-row LP runs for x2 and x3 alone
+        # covers x1; the universe is every row and the constant, with no LP
         calls = []
-        real = credal._nonneg_row_implied
-        monkeypatch.setattr(credal, "_nonneg_row_implied",
-                            lambda x, h: calls.append(x) or real(x, h))
+        for name in ("lp_min", "lp_minima", "_dual_solve"):
+            monkeypatch.setattr(polytope, name, lambda *args, name=name: calls.append(name))
         lp = LowerPrevision.from_bounds(SP3, upper=[((0, 1, 1), Q(3) / 4)])
         h, uni = build_credal_hrep.__wrapped__(lp)
-        assert calls == [1, 2]
+        assert calls == []
         assert fraction_rows(h) == [(unit(3, 0), Q(1) / 4), (unit(3, 1), 0), (unit(3, 2), 0)]
         assert set(uni.vectors) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
 
@@ -224,25 +226,43 @@ def rows_model(n, rows):
     return LowerPrevision.from_bounds(OutcomeSpace(tuple(f"x{i}" for i in range(n))), lower=rows)
 
 
-@settings(max_examples=40, deadline=None)
+def dropped_rows(h, universe):
+    """The normals, as h's rows are written (``fraction_rows``), of the
+    universe rows the walk on (h, universe) drops as implied: those off the
+    universe in its table as the walk ends (the table its seed search is
+    given, kept up to date)."""
+    tables, real = [], fanwalk._find_seed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fanwalk, "_find_seed", lambda h, table, w: tables.append(table) or real(h, table, w))
+        walk(h, universe)
+    before = fanwalk._active_table(h, universe)
+    return [vec(universe.normals[j]) for (j, _, _), (now, _, _) in zip(before, tables[0])
+            if j is not None and now is None]
+
+
+@settings(max_examples=100, deadline=None)
 @given(assessed_rows())
-def test_implied_row_lp_matches_ray_scan(model):
-    n, rows = model
-    h = hrep(n, list(rows) + [(unit(n, y), Q(0)) for y in range(n)])
-    for x in range(n):
-        others = [r for r in fraction_rows(h) if r[0] != unit(n, x)]
-        assert credal._nonneg_row_implied(x, h) == ray_scan_implied(x, others, n)
+@example((3, [(ind(3, {0}), Q(1) / 3), ((-Q(1), Q(0), Q(0)), -Q(1) / 3),
+              (ind(3, {1}), Q(1) / 6), ((Q(0), -Q(1), Q(0)), -Q(1) / 2)]))
+def test_every_row_the_walk_drops_is_implied(model):
+    # each row the walk drops is implied by the other rows of the credal
+    # set (the oracle on general polyhedra, with no LP of the package), and
+    # the walk still returns the oracle's vertex set; the example pins
+    # p(x1) = 1/3, a credal set of lower dimension
+    lp = rows_model(*model)
+    h, universe = build_credal_hrep(lp)
+    assume(vertices_bruteforce(h))
+    rows = fraction_rows(h)
+    for f in dropped_rows(h, universe):
+        (b,) = [b for g, b in rows if g == f]
+        assert ray_scan_implied(f, b, [r for r in rows if r[0] != f], h.dim), f
+    assert walk(h, universe).vertices == {v.point for v in vertices_bruteforce(h)}
 
 
 def _built_records(lp, m):
     """Every record the builders write for two models: build_credal_hrep's
-    for lp, the relaxed sets its _nonneg_row_implied LPs run on (caught
-    where they reach lp_minima), and pri_hrep's for m."""
-    relaxed, real = [], polytope.lp_minima
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polytope, "lp_minima", lambda p, fs: relaxed.append(p) or real(p, fs))
-        h, _ = build_credal_hrep.__wrapped__(lp)
-    return [h, *relaxed, pri_hrep(m)[0]]
+    for lp and pri_hrep's for m."""
+    return [build_credal_hrep.__wrapped__(lp)[0], pri_hrep(m)[0]]
 
 
 _twelfths = st.lists(st.integers(0, 12), min_size=2, max_size=2).map(sorted)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,14 @@ from conftest import (
     lowprob_hrep,
 )
 
-from credalfans.chains2mono import chain_graph, lower_probability_from_json
+from credalfans import polytope
+from credalfans.chains2mono import (
+    LowerProbability,
+    as_lower_prevision,
+    chain_graph,
+    enumerate_extreme_2mono,
+    lower_probability_from_json,
+)
 from credalfans.cones import SupportUniverse
 from credalfans.credal import OutcomeSpace, build_credal_hrep, lower_prevision_from_json
 from credalfans.exactla import _scaled, format_rat, rat, vec
@@ -71,9 +79,11 @@ def test_neighbor_candidates_simplex():
     ((j, k),) = neighbor_candidates(tab, dropped, table)
     assert j == entering and table[k][0] == entering
     key = _simplex_index(unit(3, 0), unit(3, 2))
-    crossed = _crossed(tab, tab.node.gens.index(dropped), k, key, table)
+    reads = [(y, 1, 0) for y in range(3)]  # the rows are the unit rows, in order
+    crossed = _crossed(tab, tab.node.gens.index(dropped), k, key, table, reads)
     assert crossed.node == MescNode(key, vec([0, 1, 0]))
-    assert crossed.det == 1 and crossed.rows[-1][-3:] == [0, 1, 0]
+    # one column per row, no others: the slack row is p(y) - 0 at (0, 1, 0)
+    assert crossed.det == 1 and crossed.rows[-1] == [0, 1, 0]
 
 
 def test_neighbor_candidates_drop_must_be_generator():
@@ -232,7 +242,11 @@ def _model(name):
 
 
 # sha256 of graph_to_dot on three model files, one engine each: any change
-# to a label, the node order or the edge order shows
+# to a label, the node order or the edge order shows. The walk's pin was
+# re-taken when the walk learned its universe: a 4-cycle, one node per
+# vertex, where the walk over every row built a 5-cycle with two nodes at
+# (1/2, 0, 1/2); the assessed row p(x1) + 2 p(x2) >= 1/2 there is implied
+# by p(x1) + p(x2) >= 1/2 and p(x2) >= 0, and the walk drops it
 DOT_PINS = [
     (lambda: enumerate_extreme_pri(pri_from_json(_model("pri_n10_uniform_max.json")))[1],
      "af30be49d077992da9b5f3c6d695f89f61a5380c86dc6f95fac8a192060ce2b1"),
@@ -240,13 +254,52 @@ DOT_PINS = [
      "2b40b7492f424e63c9aed72bf5e6a3905726eb16cf0751354f8af6c3aaa2fa17"),
     (lambda: walk(*build_credal_hrep(
         lower_prevision_from_json(_model("prevision_n3_general.json")))),
-     "1050c6ded93760befafc9292ac7f19e2b3d0e74fbafd1e191f1c1a0614f36cd9"),
+     "c0d56ddd7e4887486ffc91abb77cec61387b2f048181b2306de9419cdae4abb8"),
 ]
 
 
 @pytest.mark.parametrize("graph,digest", DOT_PINS, ids=["pri", "chains", "walk"])
 def test_graph_to_dot_pinned(graph, digest):
     assert hashlib.sha256(graph_to_dot(graph()).encode()).hexdigest() == digest
+
+
+def _lowprob(n, value):
+    """The lower probability with value(A) on every proper event A."""
+    return LowerProbability(OutcomeSpace(tuple(f"x{i}" for i in range(n))), tuple(
+        (frozenset(a), value(set(a))) for size in range(1, n)
+        for a in itertools.combinations(range(n), size)))
+
+
+def _belief(n, masses):
+    """The belief function of focal sets with integer masses: Bel(A) is the
+    mass of the focal sets inside A over the total."""
+    total = sum(m for _, m in masses)
+    return _lowprob(n, lambda a: Fraction(sum(m for f, m in masses if f <= a), total))
+
+
+# Past the oracle's guards on six outcomes, 63 rows with the constant, most
+# of them implied: the vacuous lower probability (every event at 0; its
+# facets are the 6 rows p(y) >= 0) and a belief function with four focal
+# sets. Over every row the walk built 128,520 and 59,172 nodes here.
+PAST_THE_GUARDS = {
+    "vacuous_n6": lambda: _lowprob(6, lambda a: Fraction(0)),
+    "belief_n6_k4": lambda: _belief(6, [({0, 4}, 3), ({3}, 4), ({0, 1, 3, 5}, 4), ({3}, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_THE_GUARDS))
+def test_walk_past_the_guards_learns_the_facets(monkeypatch, name):
+    monkeypatch.setattr(polytope, "check_guards", lambda *args, **kwargs: None)
+    lowprob = PAST_THE_GUARDS[name]()
+    h, universe = build_credal_hrep(as_lower_prevision(lowprob))
+    assert len(universe) == 63
+    start = time.perf_counter()
+    g = walk(h, universe)
+    elapsed = time.perf_counter() - start
+    assert g.vertices == set(enumerate_extreme_2mono(lowprob))
+    assert len(g.nodes) <= 2 * len(g.vertices)
+    assert verify_graph(g).ok
+    assert elapsed < 1.0
 
 
 @st.composite

@@ -74,14 +74,17 @@ CASES = {
 
 # taken on the walk whose wall crossing ran on Fractions; the facet envelopes
 # re-taken when build_credal_hrep moved to one row per half-space, with the
-# same node, edge and vertex counts (12/18/12 and 10/15/10)
+# same node, edge and vertex counts (12/18/12 and 10/15/10). Re-taken when
+# the walk learned its universe: the facet envelopes keep those counts, their
+# universe now holding the implied unit rows; the pri_grid graphs fall to one
+# node per vertex, 20 -> 5 nodes at n = 5 and 30 -> 26 and 30 -> 22 at n = 6
 PINNED = {
-    "facet_envelope_n4_seed43": "0faddf7d6bb8c11d0ac81f213c9f3e571eac39072fa58d1ada95e5b1c8ea4389",
-    "facet_envelope_n4_seed47": "200efe03d2c75c74f27fe35ff6fb8ed8653585f40f059fe095c0a2dfa239af96",
-    "pri_grid_n5_a": "689f97ff2156413d6ba4d9b8d0414de9f2a15f33c7be8c6260935cb37f5d6530",
-    "pri_grid_n5_b": "5f15d528c0d862b482a57c8f8ce4db0d5aa8fc0cad6b7e706637e34248950bc2",
-    "pri_grid_n6_a": "1fd28683767e23bb065853152f63a51776201ab86f85215ae5421a3b146b31ff",
-    "pri_grid_n6_b": "6147735508e85cc07097f21c7afa3aba3f882bd1bee144f4a026b858f700c11c",
+    "facet_envelope_n4_seed43": "6bf40a0351071ce96b106cc7b61951a2eb328b1ad4e83c0d9a66388e87adc6de",
+    "facet_envelope_n4_seed47": "d8896c152aeabaf8e67a87f0db7b92fe3a500c1cfd909280c6650ed126b0f14d",
+    "pri_grid_n5_a": "7815bc28e22c2affa675432e33884d265abfd0e01ae9ff7fa062db767156b74d",
+    "pri_grid_n5_b": "8a103f9d2b880b06485a7f164709a019f77f979812b63129a8daa490e50cd9ef",
+    "pri_grid_n6_a": "82f923a8641638562555b3fd324f1618de13af212c2cb0b8864cc1e0cf6b2ca2",
+    "pri_grid_n6_b": "34160c98a159a00a8eb06c57fb1ddbeb4671b81998a6f7702a36a09a2dd50fe9",
     "supermodular_n4_a": "ab504b083c22e824b8da6d190e717dc3651e900c9be918c645e9dcfd7c2c617f",
     "supermodular_n4_b": "94f54e60a46060d8a575fc4564cb848456347cfaa6fc2ef6b0a8122e9c882b9e",
 }

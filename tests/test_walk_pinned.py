@@ -6,9 +6,9 @@ so any change to the nodes, their vertices, the edges or the walls shows.
 The three ``redundant_envelope_*`` cases are lower envelopes assessed with
 redundant gambles, some of which repeat a half-space of the simplex up to a
 positive factor and a constant. ``build_credal_hrep`` keeps one row per
-half-space, so the walk returns the oracle's vertex set on them with no
-incomplete wall, which ``test_redundant_envelope_walks_exactly`` checks next
-to the pins.
+half-space, and the walk drops the rows it finds implied, so it returns the
+oracle's vertex set on them with no incomplete wall, which
+``test_redundant_envelope_walks_exactly`` checks next to the pins.
 """
 
 import hashlib
@@ -101,17 +101,23 @@ CASES = {
 }
 
 # facet and redundant envelopes re-taken when build_credal_hrep moved to one
-# row per half-space; the others on the walk before it moved to dual bases
+# row per half-space; the others on the walk before it moved to dual bases.
+# Re-taken when the walk learned its universe from every row of the record:
+# facet_envelope_n4 and redundant_envelope_b, c keep their node, edge and
+# vertex counts (14/21/14, 6/6/6, 7/7/7), their universe now holding the
+# implied unit rows; redundant_envelope_a falls from 5 nodes to 4, one per
+# vertex, and interval_n4 from 16 nodes and 28 edges to 8 and 12 on its 4
+# vertices, now a regular graph
 PINNED = {
     "facet_envelope_n3": "25f6eb143e145185ecbc2c5ff8644d9c7be2a111617b1c9b54f43083e42d1f5a",
-    "facet_envelope_n4": "80e789f1bd5b686dd84dcb0f1ba1856f44f40bddeb5d077c80075b71edac9faf",
-    "interval_n4": "9b075d5962cfbd789a6758532ed863fc20761300262ccd08b4a8b377c2aeea2a",
+    "facet_envelope_n4": "24e9419d6cc1b5fe5a976adec8104d10d6700764dd3811472ed629ec62fe77c6",
+    "interval_n4": "323eacfb3a48cf8cf06e710bf3510682a704dc023f67cbb75bb0b4fd2b54e2ed",
     "interval_n5": "9e523d3ee9ee92cae6e87e1ffef89cb211fdb5db0700a526694f068e48653595",
     "interval_n6": "6387f46fcdd9599573edd175e911d9d8c3b1d92d98a88769f32a01915444251d",
     "interval_reproducer_n5": "04635e1116ea655229a26d9b11bee9c9dd636f9fc5b221ab2af383af42b99fbd",
-    "redundant_envelope_a": "164806e07eeafa9d35986ee9ec21b9b9f9c7e9ce6fd5dae739096961d639d213",
-    "redundant_envelope_b": "76ba6894ef285f19e2abc4193883091f3cd71938adb27476a4d850ed3b4b684a",
-    "redundant_envelope_c": "2a54d5e77e95a79dcae10924ba7aeb0c37cd25862cdf3f1d7cd5b8142fec126f",
+    "redundant_envelope_a": "e210e0c18eca55ecc2971e816651225fc6c03074ed4c049ab33cb669da48a8f5",
+    "redundant_envelope_b": "477cef2ba907b12b39807fe3d7f4f9ab45446251af4bb36cdb58496cf386df92",
+    "redundant_envelope_c": "9dacf7c8f8062bc7652933ae0c5ef8d1bdd36592393740b84c06c75287c52fa0",
     "two_monotone_n4": "9d162d59f49d7a4bc1d573543209462dd1b4478afb0fdcdfa47b29da4f636d25",
 }
 

@@ -4,25 +4,27 @@ pivot tables against the exact coordinates.
 ``fanwalk.neighbor_candidates`` crosses a wall by one minimum-ratio test
 on two rows of the node's pivot table, and each new candidate key gets one
 pivot of that table (``fanwalk._crossed``) and a sign scan as its MESC
-test. The reference below is the earlier crossing: try every universe
-vector beyond the wall (f . t < 0), solve the active system of its
-completed cone, check the point against every row of h, keep the cones
-that are MESCs, and of those keep the ones certifying the
-lexicographically smallest vertex. Both must return the same tuple at every
-wall of the walks on the models below, degenerate ones included, on the
-tables the walk itself built.
+test. The reference below is the earlier crossing: try every vector of
+the walk's learned universe beyond the wall (f . t < 0), solve the active
+system of its completed cone, check the point against every row of h,
+keep the cones that are MESCs over that universe, and of those keep the
+ones certifying the lexicographically smallest vertex. Both must return
+the same tuple at every wall of the walks on the models below, degenerate
+ones included, on the tables the walk itself built and the universe it
+ended with.
 
 Each table holds det = |det| of the basis matrix times exact values: a
 generator's row the coordinates of every column on that generator, from
 the Fraction rows of ``cone_calculus.dual_basis``, and the slack row
 f . x - b at the node's vertex x. The walk pivots once per new candidate
-key, and calls ``scaled_inverse`` for the seed only.
+key and once per re-crossed wall, and calls ``scaled_inverse`` for the
+seed only.
 """
 
 import random
 
 import pytest
-from cone_calculus import absorbed, dot, dual_basis, ones, solve_unique, unit
+from cone_calculus import absorbed, dot, dual_basis, ones, solve_unique
 from conftest import coherent_intervals, fraction_rows, interval_hrep, interval_universe
 from test_exactla import _leibniz_det
 from test_graph_keys import tied_model
@@ -31,14 +33,14 @@ from test_walk_pinned import CASES, _envelope
 from credalfans import fanwalk
 from credalfans.credal import build_credal_hrep
 from credalfans.exactla import vec
-from credalfans.fanwalk import MescNode, _active_table, _crossed, neighbor_candidates, walk
+from credalfans.fanwalk import MescNode, _absorbed, _crossed, neighbor_candidates, walk
 from credalfans.pri import pri_hrep
 
 
-def reference_crossing(node, dropped, t, h, universe):
+def reference_crossing(node, dropped, t, h, universe, learned):
     vectors = [vec(v) for v in universe.normals]  # as h's rows are written
     bounds = dict(fraction_rows(h))
-    plain = [j for j, v in enumerate(vectors) if v in bounds]
+    plain = [j for j, v in enumerate(vectors) if v in bounds and j in learned]
     shared = tuple(i for i in node.gens if i != dropped)
     eq_rows, eq_rhs = [ones(universe.dim)], [1]  # p . 1 = 1
     found = []
@@ -78,18 +80,31 @@ MODELS.update({f"redundant_envelope_n{n}":
 
 def _walked(monkeypatch, name):
     """(graph, tables, table): the walk on MODELS[name], the tableau of
-    each node as the walk crossed its walls, and the walk's rows."""
+    each node as the walk crossed its walls (nodes it dropped later
+    included), and the walk's rows as the walk ended, on its learned
+    universe."""
     h, universe = MODELS[name]()
-    tables, cross = {}, fanwalk.neighbor_candidates
+    tables, seen, cross = {}, [], fanwalk.neighbor_candidates
 
     def spy(tab, dropped, table):
         tables[tab.node.gens] = tab
+        seen.append(table)
         return cross(tab, dropped, table)
 
     monkeypatch.setattr(fanwalk, "neighbor_candidates", spy)
     graph = walk(h, universe)
-    assert graph.nodes and tables.keys() == {node.gens for node in graph.nodes}
-    return graph, tables, _active_table(h, universe)
+    assert graph.nodes and tables.keys() >= {node.gens for node in graph.nodes}
+    return graph, tables, seen[0]
+
+
+def _reads(table):
+    """(column, q, b) of each p(y)'s unit row (q e_y, b) in table, as the
+    walk reads its vertices."""
+    units = {}
+    for k, (_, f, b) in enumerate(table):
+        if sum(map(bool, f)) == 1:
+            units[f.index(max(f))] = (k, max(f), b)
+    return [units[y] for y in sorted(units)]
 
 
 def table_crossing(tab, dropped, table):
@@ -97,21 +112,23 @@ def table_crossing(tab, dropped, table):
     pivot of tab's, kept when the sign scan finds a MESC."""
     c = tab.node.gens.index(dropped)
     shared = tab.node.gens[:c] + tab.node.gens[c + 1:]
-    crossed = (_crossed(tab, c, k, tuple(sorted(shared + (j,))), table)
+    crossed = (_crossed(tab, c, k, tuple(sorted(shared + (j,))), table, _reads(table))
                for j, k in neighbor_candidates(tab, dropped, table))
-    return tuple(new.node for new in crossed if new is not None)
+    return tuple(new.node for new in crossed if not _absorbed(new.node.gens, new.rows, table))
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_crossing_matches_the_universe_scan_at_every_wall(monkeypatch, name):
     h, universe = MODELS[name]()
     graph, tables, table = _walked(monkeypatch, name)
+    learned = {j for j, _, _ in table}
     for node in graph.nodes:
         tab = tables[node.gens]
         assert tab.node == node
         dual = dual_basis([universe.vectors[i] for i in node.gens], universe.dim)
         for i, t in zip(node.gens, dual):
-            assert table_crossing(tab, i, table) == reference_crossing(node, i, t, h, universe)
+            assert table_crossing(tab, i, table) == reference_crossing(node, i, t, h, universe,
+                                                                       learned)
 
 
 def test_degenerate_walls_are_covered(monkeypatch):
@@ -124,11 +141,12 @@ def test_degenerate_walls_are_covered(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_tables_hold_det_times_the_exact_coordinates(monkeypatch, name):
+    h, universe = MODELS[name]()
     graph, tables, table = _walked(monkeypatch, name)
     n = len(graph.nodes[0].vertex)
-    columns = [f for _, f, _ in table] + [unit(n, k) for k in range(n)]
-    bounds = [b for _, _, b in table] + [0] * n
-    rows = {j: f for j, f, _ in table if j is not None}
+    columns = [f for _, f, _ in table]
+    bounds = [b for _, _, b in table]
+    rows = {j: f for j, f, _ in fanwalk._active_table(h, universe) if j is not None}
     for node in graph.nodes:
         tab = tables[node.gens]
         basis = [rows[i] for i in node.gens]
@@ -142,17 +160,22 @@ def test_tables_hold_det_times_the_exact_coordinates(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_one_pivot_per_new_candidate_key(monkeypatch, name):
-    # after the seed no scaled_inverse runs, and _pivot runs once per node
-    # but the seed and once per candidate key that is no MESC
-    calls, keys = [], set()
+    # after the seed no scaled_inverse runs, and _pivot runs once per
+    # candidate key but the seed's, each a node until the walk drops a row
+    # of it, and once per wall crossed again after such a drop, on a table
+    # rebuilt from the dropped node's
+    calls, keys, walls = [], set(), []
     pivot, inverse, cross = fanwalk._pivot, fanwalk.scaled_inverse, fanwalk.neighbor_candidates
 
     def candidates(tab, dropped, table):
         calls.append("wall")
-        found = cross(tab, dropped, table)
+        walls.append((tab.node.gens, dropped))
+        keys.add(tab.node.gens)
         shared = tuple(i for i in tab.node.gens if i != dropped)
-        keys.update(tuple(sorted(shared + (j,))) for j, _ in found)
-        return found
+        for j, k in cross(tab, dropped, table):
+            if table[k][0] is not None:  # else dropped by an earlier candidate of this wall
+                keys.add(tuple(sorted(shared + (j,))))
+            yield j, k
 
     monkeypatch.setattr(fanwalk, "_pivot", lambda *args: calls.append("pivot") or pivot(*args))
     monkeypatch.setattr(fanwalk, "scaled_inverse", lambda m: calls.append("inverse") or inverse(m))
@@ -161,5 +184,6 @@ def test_one_pivot_per_new_candidate_key(monkeypatch, name):
     first = calls.index("wall")
     assert "inverse" in calls[:first] and "inverse" not in calls[first:]
     assert "pivot" not in calls[:first]
-    nodes = {node.gens for node in graph.nodes}
-    assert calls.count("pivot") == len(nodes) - 1 + len(keys - nodes)
+    assert {node.gens for node in graph.nodes} <= keys
+    again = len(walls) - len(set(walls))
+    assert calls.count("pivot") == len(keys) - 1 + again
