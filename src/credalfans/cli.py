@@ -15,13 +15,13 @@ the model supports, "walk" runs the generic adjacency walk, "chains" the
 chain fan of a 2-monotone lower probability, "pri" the interval exchange
 rules, "oracle" the brute-force vertex enumerator. Exit status: 0 success,
 1 a property of the model failed (incoherent, not 2-monotone, verification
-mismatch, a fan with incomplete walls, a walk with no seed cone), 2 unusable
-input (schema errors, unwritable output paths, wrong engine for the model
-type, oracle guards exceeded, a chain fan on more than CHAIN_FAN_MAX_N = 8
-outcomes, a result past Python's int-to-str digit limit). --verify checks
-the oracle guards before the engine runs. natex --engine walk runs no walk:
-it takes credal.natural_extension, a minimum over the oracle's vertex set,
-so natex --engine walk --verify compares the oracle with itself.
+mismatch, a fan with incomplete walls), 2 unusable input (schema errors,
+unwritable output paths, wrong engine for the model type, oracle guards
+exceeded, a chain fan on more than CHAIN_FAN_MAX_N = 8 outcomes, a result
+past Python's int-to-str digit limit). --verify checks the oracle guards
+before the engine runs. natex --engine walk runs no walk: it takes
+credal.natural_extension, a minimum over the oracle's vertex set, so natex
+--engine walk --verify compares the oracle with itself.
 
 All values are exact rationals; --decimal (vertices, natex) adds 12-digit
 approximations for reading convenience, explicitly marked non-authoritative.
@@ -296,8 +296,6 @@ def _run_engine(engine, step, tag, *args):
         raise PropertyError(f"empty credal set: {exc}") from None
     except polytope.OracleGuardError as exc:
         raise InputError(_guard_advice(exc, engine, tag)) from None
-    except polytope.SeedSearchError as exc:
-        raise PropertyError(f"{exc}: the walk cannot start (try --engine oracle)") from None
 
 
 def _start(args):

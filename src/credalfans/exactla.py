@@ -8,18 +8,17 @@ value fails loudly instead of rounding silently.
 Vectors are tuples of Fractions; ``_scaled`` and ``_int_rows`` clear their
 denominators, and ``_primitive`` writes a half-space's normal as the
 primitive integer row that keys it. ``rank``, the vertex oracle's
-subset solves (``_eliminate``, from ``polytope.vertices_bruteforce``),
-``scaled_inverse`` and the one LP kernel (``simplex_each``, run only by
-``polytope._dual_solve``) share one fraction-free Gauss-Jordan pivot
-(``_pivot``, Edmonds' integer-preserving elimination, as in lrs): every
-division is exact and intermediate growth stays polynomial. The LP kernel
-takes integers, scaled by its callers, and solves a credal set's dual
-alone: it starts at the probability simplex's own basis, with no pivot, no
-phase 1 and no search for it, on the unit columns and the +- pair of 1
-its caller names (the record, ``polytope.HPolytope``, refuses a set
-without them), and returns integers over one det, as ``scaled_inverse``
-does (d times the inverse, for the walk's seed table): its callers build
-the Fractions they read.
+subset solves (``_eliminate``, from ``polytope.vertices_bruteforce``) and
+the one LP kernel share one fraction-free Gauss-Jordan pivot (``_pivot``,
+Edmonds' integer-preserving elimination, as in lrs): every division is
+exact and intermediate growth stays polynomial. The LP kernel takes
+integers, scaled by its callers, and solves a credal set's dual alone: it
+starts at the probability simplex's own basis, with no pivot, no phase 1
+and no search for it, on the unit columns and the +- pair of 1 its caller
+names (the record, ``polytope.HPolytope``, refuses a set without them),
+and returns integers over one det: its callers build the Fractions they
+read. ``simplex_each`` solves many targets; ``_optimum``, its first step,
+returns the final tableau itself, from which the walk reads its seed.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "DigitLimitError",
     "vec",
     "rank",
-    "scaled_inverse",
     "LpInfeasible",
     "LpUnbounded",
     "simplex_each",
@@ -183,19 +181,6 @@ def rank(rows) -> int:
     return _eliminate(_int_rows(rows)[1], len(rows[0]))[1]
 
 
-def scaled_inverse(rows):
-    """The eliminated right-hand block of [rows | I] for a square integer
-    matrix rows: integer row tuples R with R . rows == d I for one d > 0,
-    so each row of R is a positive multiple of the matching row of the
-    inverse; None when rows is singular."""
-    n = len(rows)
-    assert all(len(row) == n for row in rows)
-    t = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    if _eliminate(t, n)[1] < n:
-        return None
-    return tuple(tuple(row[n:]) for row in t)
-
-
 class LpInfeasible(ArithmeticError):
     """No nonnegative combination of the columns meets the target."""
 
@@ -248,34 +233,25 @@ def _restore(t: list[list[int]], det: int, basis: list, m: int) -> int:
         basis[leave] = enter
 
 
-def simplex_each(rows, targets, costs, units) -> list:
-    """Exact minimum of costs . x over x >= 0 with sum x_j columns[j] ==
-    target, for each of a nonempty list of targets, on one dense integer
-    tableau (``_pivot``) with the cost as its last row: the one LP kernel.
-    The columns come as the rows by coordinate (rows[i][j] is entry i of
-    column j), integers scaled by the caller; a positive scale of a column
-    with its cost, or of a target, leaves every choice below the same.
+def _optimum(rows, w, costs, units) -> tuple:
+    """(t, det, basis) at the minimum of costs . x over x >= 0 with sum x_j
+    columns[j] == w, on one dense integer tableau t (``_pivot``), the cost
+    its last row. The columns come as the rows by coordinate (rows[i][j] is
+    entry i of column j), integers scaled by the caller; a positive scale of
+    a column with its cost, or of w, leaves every choice below the same.
 
     Hypothesis: the last two columns are the +- pair of 1, and column
-    units[y] is e_y for each y but y0, the first least entry of the first
-    target w, as in every credal set's dual (``polytope.HPolytope``); the
-    caller vouches for it. The start is the probability simplex's own
-    basis, written down with no scan and no pivot: e_y for y != y0 and c 1
-    for y0, c = 1 if w_y0 > 0 else -1, so w = c w_y0 (c 1) + sum (w_y -
-    w_y0) e_y is feasible and the start's det is 1. Phase 2 (Bland's rule)
-    runs from there and may raise LpUnbounded. Each further target is a
-    ``_restore`` from the last optimum, its right-hand sides the inverse
-    block (after the right-hand side, started as the inverse of the start
-    basis: det times the inverse basis) times the target. Per target:
-    (det, levels, cost, duals), integers over det > 0: a basic optimal x as
-    {basic column: level} in row order, costs . x, and the multipliers y
-    off the cost row's inverse block (y . columns[j] <= costs[j], equal
-    where j is basic). ValueError when the targets and rows differ in length.
-    """
+    units[y] is e_y for each y but y0, the first least entry of w, as in
+    every credal set's dual (``polytope.HPolytope``); the caller vouches
+    for it. The start is the probability simplex's own basis, written down
+    with no scan and no pivot: e_y for y != y0 and c 1 for y0, c = 1 if
+    w_y0 > 0 else -1, so w = c w_y0 (c 1) + sum (w_y - w_y0) e_y is
+    feasible and the start's det is 1. Phase 2 (Bland's rule) runs from
+    there and may raise LpUnbounded. Row i of t is det times basis[i]'s
+    coordinates of the m = len(costs) columns, its level at m and its row
+    of the inverse after m; the cost row, det times the reduced costs,
+    minus the cost and minus the multipliers y (y . columns[j] <= costs[j])."""
     n, m = len(rows), len(costs)
-    if any(len(w) != n for w in targets):
-        raise ValueError("targets and rows differ in length")
-    w = targets[0]
     y0 = w.index(min(w))
     r0, a0 = rows[y0], w[y0]
     c = 1 if a0 > 0 else -1
@@ -292,7 +268,23 @@ def simplex_each(rows, targets, costs, units) -> list:
     for row, b in zip(t, basis):
         if costs[b] != 0:
             t[n] = [a - costs[b] * v for a, v in zip(t[n], row)]
-    det = _to_optimum(t, 1, basis, m)
+    det = _to_optimum(t, 1, basis, m)  # t and basis move to the optimum in place
+    return t, det, basis
+
+
+def simplex_each(rows, targets, costs, units) -> list:
+    """``_optimum`` for each of a nonempty list of targets: the one LP
+    kernel. The first target is solved from the start; each further one is
+    a ``_restore`` from the last optimum, its right-hand sides the inverse
+    block times the target. Per target: (det, levels, cost, duals),
+    integers over det > 0: a basic optimal x as {basic column: level} in
+    row order, costs . x, and the multipliers y off the cost row's inverse
+    block. ValueError when the targets and rows differ in length.
+    """
+    n, m = len(rows), len(costs)
+    if any(len(w) != n for w in targets):
+        raise ValueError("targets and rows differ in length")
+    t, det, basis = _optimum(rows, targets[0], costs, units)
     solved = []
     for k, target in enumerate(targets):
         if k:  # a further target's right-hand sides

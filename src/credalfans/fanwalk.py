@@ -13,9 +13,8 @@ they are (``_active_table``). A wall is crossed as in Avis and Fukuda's
 pivot: a ratio test on two table rows gives the entering rows, and each
 new key costs one fraction-free pivot (``exactla._pivot``, as in lrs) on a
 copy of the table, then a sign scan; its vertex is the only Fraction built.
-Only the seed comes from an LP (``polytope.lp_min``, one per generic
-direction tried), and its table from ``exactla.scaled_inverse``. No vertex
-set is enumerated, but the walk inherits ``lp_min``'s oracle guards.
+As in lrs, the seed is the optimal basis of one LP, its table read off the
+final tableau (``_seed``); the walk inherits that LP's oracle guards.
 
 The walk learns its universe. A normal fan's rays are the facet normals
 alone (Ziegler, Lectures on Polytopes, 1995), but every other universe row
@@ -36,19 +35,16 @@ vertex.
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import NamedTuple
 
 from .cones import SupportUniverse
-from .exactla import _pivot, _scaled, format_rat, rat, scaled_inverse
-from .polytope import HPolytope, SeedSearchError, lp_min
+from .exactla import _pivot, format_rat
+from .polytope import HPolytope, _dual_tableau
 
 __all__ = [
     "MescNode",
@@ -60,10 +56,6 @@ __all__ = [
     "graph_to_dot",
     "graph_to_json",
 ]
-
-# Generic directions tried for the seed before the walk gives up.
-SEED_ATTEMPTS = 32
-
 
 class MescNode(NamedTuple):
     """A MESC plus the vertex it certifies. gens is the sorted tuple of the
@@ -105,9 +97,9 @@ class _Tableau(NamedTuple):
     """A queued node and its table, each entry det = |det| of the basis
     matrix times the exact value. Columns are the walk's rows
     (``_active_table``). Rows are the columns' coordinates on each
-    generator, in key order, then their slack f . x - b at the node's
-    vertex x: a unit row (q e_y, b) has slack s = det (q x_y - b), so x_y
-    = (s + det b) / (det q). The constant's row, which no step reads, is
+    generator, in key order, then their slack den f . x - b at the node's
+    vertex x: a unit row (e_y, b) has slack s = det (den x_y - b), so x_y
+    = (s + det b) / (det den). The constant's row, which no step reads, is
     not kept."""
 
     node: MescNode
@@ -116,17 +108,15 @@ class _Tableau(NamedTuple):
 
 
 def _active_table(h: HPolytope, universe: SupportUniverse) -> tuple:
-    """One integer row (j, f, b) per row of h: its normal and bound scaled
-    by the least q making b an integer; j is the normal's universe index,
-    None off the universe. The walk's hypothesis: every non-constant
-    universe vector is a row of h, so every generator has a bound
-    (ValueError otherwise)."""
+    """One row (j, f, b) per row of h, its normal f and bound b over h.den
+    as they are; j is f's universe index. The walk's hypothesis: the
+    non-constant universe vectors are h's nonzero rows (ValueError
+    otherwise), as the seed's basis may hold any row of h. So j is None
+    only at a row the walk dropped, or at h's zero row, its one at dim 1."""
     index = {f: j for j, f in enumerate(universe.normals) if any(f)}
-    if not index.keys() <= set(h.rows):
-        raise ValueError("universe vector is not an inequality normal of the polytope")
-    gcds = (math.gcd(b, h.den) for b in h.bounds)
-    return tuple((index.get(f), tuple(h.den // g * a for a in f), b // g)
-                 for f, b, g in zip(h.rows, h.bounds, gcds))
+    if index.keys() != {f for f in h.rows if any(f)}:
+        raise ValueError("non-constant universe vectors are not the polytope's inequality normals")
+    return tuple((index.get(f), f, b) for f, b in zip(h.rows, h.bounds))
 
 
 def _absorbed(key, rows, table) -> list:
@@ -140,8 +130,9 @@ def _absorbed(key, rows, table) -> list:
 def neighbor_candidates(tab: _Tableau, dropped, table) -> tuple:
     """(j, column) of the universe rows j entering tab's basis across the
     wall opened by dropping its generator ``dropped``, sorted; table is the
-    walk's ``_active_table(h, universe)``. Empty only when the polytope is
-    degenerate across that wall or unbounded along the edge.
+    walk's ``_active_table(h, universe)``, whose rows with j None the walk
+    dropped. Empty only when the polytope is degenerate across that wall or
+    unbounded along the edge.
 
     The generator's dual row t is orthogonal to the rest of the basis and
     t . f_dropped > 0, so the edge leaving the vertex x across the wall is
@@ -165,8 +156,8 @@ def neighbor_candidates(tab: _Tableau, dropped, table) -> tuple:
 def _crossed(tab: _Tableau, c: int, k: int, key, table, reads) -> _Tableau:
     """key's tableau, by one pivot on a copy of tab's table that brings
     column k into the basis in place of the generator in row c. Its vertex
-    is read off the new slack row at the columns of the unit rows (q e_y,
-    b), (column, q, b) for each y in reads."""
+    is read off the new slack row at the columns of the unit rows (e_y,
+    b), (column, den, b) for each y in reads."""
     rows = list(tab.rows)
     det = _pivot(rows, tab.det, c, k)
     rows.insert(key.index(table[k][0]), rows.pop(c))
@@ -175,34 +166,35 @@ def _crossed(tab: _Tableau, c: int, k: int, key, table, reads) -> _Tableau:
                     det, rows)
 
 
-def _find_seed(h: HPolytope, table, direction):
-    """The tableau of the first simplicial cone on universe rows tight at
-    the vertex minimizing the direction that contains it, else None. A
-    candidate's table comes from the ``scaled_inverse`` R of its basis
-    matrix B, R . B = det I, and det = sum(R[-1]), as B's last column is
-    the constant one. The cone may absorb other universe rows; the walk
-    drops those (``_absorbed``)."""
-    _, vtx = lp_min(h, direction)
-    d, x = _scaled(vtx.point)
-    _, w = _scaled(direction)
-    tight = sorted((j, f) for j, f, b in table if j is not None and sum(map(mul, f, x)) == b * d)
-    for gens in itertools.combinations(tight, h.dim - 1):
-        inverse = scaled_inverse(list(zip(*(f for _, f in gens), (1,) * h.dim)))
-        if inverse is None or any(sum(map(mul, t, w)) < 0 for t in inverse[:-1]):
-            continue
-        det = sum(inverse[-1])
-        dx = [(det * a).numerator for a in vtx.point]
-        rows = [[sum(map(mul, t, f)) for _, f, _ in table] for t in inverse[:-1]]
-        rows.append([sum(map(mul, f, dx)) - b * det for _, f, b in table])
-        return _Tableau(MescNode(tuple(j for j, _ in gens), vtx.point), det, rows)
-    return None
+def _seed(h: HPolytope, table) -> _Tableau:
+    """The tableau of the cone on the optimal basis of the walk's one LP,
+    for the integer target w of random.Random(0) (``_dual_tableau``). On
+    h's rows, table's columns, its final tableau is the walk's table: the
+    basic rows, by universe index, are the generators' rows, and the cost
+    row, det (den f . x - b) at the vertex x, the slack row; x is read off
+    the cost row's inverse block. When neither +- 1 column is basic, x is
+    degenerate: one pivot at the least ratio of the +1 column, so w stays
+    in the cone, brings the constant in. Its reduced cost is 0, so the cost
+    row and x stay the same. The walk drops the universe rows the cone
+    absorbs (``_absorbed``)."""
+    t, det, basis = _dual_tableau(h, random.Random(0).sample(range(1, 9973), h.dim))
+    m = len(table)  # the +1 column; then -1, the levels and the inverse block
+    if m not in basis and m + 1 not in basis:
+        c = min((i for i, row in enumerate(t[:-1]) if row[m] > 0),
+                key=lambda i: Fraction(t[i][m + 2], t[i][m]))
+        det = _pivot(t, det, c, m)
+        basis[c] = m
+    gens = sorted((table[k][0], i) for i, k in enumerate(basis) if k < m)
+    vertex = tuple(Fraction(a, det * h.den) for a in t[-1][m + 3:])
+    return _Tableau(MescNode(tuple(j for j, _ in gens), vertex), det,
+                    [t[i][:m] for _, i in gens] + [t[-1][:m]])
 
 
 def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
     """Full adjacency walk: seed a MESC, then breadth-first cross every wall
     of every discovered node, in sorted-generator order, learning the
-    universe. Deterministic given (h, universe): the k-th generic direction
-    tried for the seed comes from random.Random(k).
+    universe. Deterministic given (h, universe): the seed's target comes
+    from random.Random(0).
 
     A drop (``forget``) removes the nodes keyed on a dropped row and their
     edges, and crosses again the wall of each remaining node that led to
@@ -211,24 +203,15 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
     else the row dropped would not be implied. Only nodes at degenerate
     vertices keep their table once crossed.
 
-    One pivot per new node but the seed, and one per wall crossed again;
-    after the seed, the walk calls no ``scaled_inverse``.
+    One LP, for the seed, with at most one pivot after it; then one pivot
+    per new node and one per wall crossed again.
 
-    Raises SeedSearchError when no starting cone is found (after
-    SEED_ATTEMPTS generic directions), ValueError when h and the universe
-    break the hypotheses of ``_active_table``, and propagates
-    EmptyPolytopeError when h has no vertices at all.
+    Raises ValueError when h and the universe break the hypothesis of
+    ``_active_table``, and as ``polytope._guarded``: OracleGuardError past
+    the oracle's guards, EmptyPolytopeError when h is empty.
     """
     table = list(_active_table(h, universe))
-    reads = [(k, table[k][1][y], table[k][2]) for y, k in enumerate(h._units) if k is not None]
-    for attempt in range(SEED_ATTEMPTS):
-        rng = random.Random(attempt)  # a generic direction
-        nums, den = rng.sample(range(1, 9973), h.dim), rng.randint(7, 97)
-        start = _find_seed(h, table, tuple(rat(a) / den for a in nums))
-        if start is not None:
-            break
-    else:
-        raise SeedSearchError(f"no seed MESC found in {SEED_ATTEMPTS} attempts")
+    reads = [(k, h.den, table[k][2]) for k in h._units if k is not None]
     seen, kept = {}, {}  # key -> node; key -> table of a node at a degenerate vertex
     edges, incomplete = set(), {}
     queue = deque()  # (tableau, the generators whose walls to cross)
@@ -259,7 +242,7 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
             kept[tab.node.gens] = tab
         queue.append((tab, tab.node.gens))
 
-    add(start)
+    add(_seed(h, table))
     while queue:
         tab, walls = queue.popleft()
         key = tab.node.gens

@@ -7,14 +7,15 @@ bounds over one denominator, and p . 1 = 1 implicit. The vertex oracle
 solves every dim - 1 rows with p . 1 = 1 by subset search, on the record's
 integers through ``exactla._eliminate``; it is deliberately simple and
 exact, guarded to small instances, and the ground truth the structured
-fast paths are tested against. Every LP is one guarded
-``exactla.simplex_each`` on the dual, in ``_dual_solve``: its columns are
-the record's rows as they are and the +- pair of 1, kept on the record by
-coordinate with the columns of the kernel's start, and only the
-objectives are scaled per call. ``lp_min`` reads a minimising vertex
-(minus the simplex multipliers) and its value off its cost row,
-``lp_minima`` the minima of many objectives. A credal set is bounded and
-holds the kernel's start, so the LP's one failure is an empty set.
+fast paths are tested against. Every LP is one run of the kernel on the
+dual, ``_guarded``: its columns are the record's rows as they are and the
++- pair of 1, kept on the record by coordinate with the columns of the
+kernel's start, and only the objectives are scaled per call. ``lp_min``
+reads a minimising vertex (minus the simplex multipliers) and its value
+off its cost row, ``lp_minima`` the minima of many objectives and the
+walk its seed off the final tableau (``_dual_tableau``). A credal set is
+bounded and holds the kernel's start, so the LP's one failure is an
+empty set.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .exactla import LpUnbounded, Record, _eliminate, _scaled, simplex_each, vec
+from .exactla import LpUnbounded, Record, _eliminate, _optimum, _scaled, simplex_each, vec
 
 __all__ = [
     "HPolytope",
@@ -33,7 +34,6 @@ __all__ = [
     "LpResult",
     "OracleGuardError",
     "EmptyPolytopeError",
-    "SeedSearchError",
     "check_guards",
     "vertices_bruteforce",
     "lp_min",
@@ -47,10 +47,6 @@ class OracleGuardError(RuntimeError):
 
 class EmptyPolytopeError(RuntimeError):
     """The feasible set is empty."""
-
-
-class SeedSearchError(RuntimeError):
-    """No seed cone for ``fanwalk.walk``; here, so the command line catches it unloaded."""
 
 
 class HPolytope(Record):
@@ -134,22 +130,32 @@ def vertices_bruteforce(p: HPolytope, *, max_dim: int = 6, max_constraints: int 
 _NO_VERTEX = "no vertices: empty or degenerate feasible set"
 
 
-def _dual_solve(p: HPolytope, objectives):
-    """One ``exactla.simplex_each`` on the dual LP for a nonempty list of
-    integer objectives, under the oracle guards: every LP of the package.
-
-    The dual of min x . f over p maximises b . y + z over y >= 0 and z with
+def _guarded(p: HPolytope, kernel, targets):
+    """kernel (``exactla.simplex_each`` or ``exactla._optimum``) on p's
+    dual for targets, past ``check_guards``: every LP of the package. The
+    dual of min x . f over p maximises b . y + z over y >= 0 and z with
     sum y_i f_i + z 1 == f: its columns are p's rows as they are and the +-
     pair of 1 for the free z, its costs p's own, all kept on p with the
-    unit columns of the kernel's start. At an optimal basis the basic rows
-    hold with equality. p holds that start, so the dual is unbounded
-    exactly when p is empty: EmptyPolytopeError.
-    """
+    unit columns of the kernel's start. p holds that start, so the dual is
+    unbounded exactly when p is empty: EmptyPolytopeError."""
     check_guards(p)
     try:
-        return simplex_each(p._dual, objectives, p._costs, p._units)
+        return kernel(p._dual, targets, p._costs, p._units)
     except LpUnbounded:
         raise EmptyPolytopeError(_NO_VERTEX) from None
+
+
+def _dual_solve(p: HPolytope, objectives):
+    """``exactla.simplex_each`` for a nonempty list of integer objectives,
+    ``_guarded``."""
+    return _guarded(p, simplex_each, objectives)
+
+
+def _dual_tableau(p: HPolytope, f) -> tuple:
+    """``exactla._optimum`` for one integer objective f, ``_guarded``: the
+    final tableau, whose columns are p's rows in order, then the +- pair of
+    1, with its det and basis."""
+    return _guarded(p, _optimum, f)
 
 
 def lp_min(p: HPolytope, f) -> LpResult:
@@ -157,8 +163,7 @@ def lp_min(p: HPolytope, f) -> LpResult:
     cost row of ``_dual_solve``'s final tableau: x is minus its multipliers.
     On a tie, the vertex is that of the basis Bland's rule ends on from the
     start basis, fixed by p's row order and f; no other tie rule is
-    promised. Raises as ``_dual_solve``, and OracleGuardError past the
-    oracle's guards."""
+    promised. Raises as ``_guarded``."""
     e, g = _scaled(vec(f))
     ((det, _, cost, duals),) = _dual_solve(p, [g])
     s = det * p.den

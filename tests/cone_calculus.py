@@ -3,7 +3,8 @@ on the engine's own primitives. The Fraction vector helpers (``unit``,
 ``ones``, ``dot``) and ``solve_unique``, a unique solve by the package's
 integer elimination, live here: only the tests read vectors this way.
 Every cone tested for membership or adjacency here is simplicial modulo
-the constant-one lineality, so ``dual_basis`` gives a vector's unique
+the constant-one lineality, so ``dual_basis`` (on ``scaled_inverse``,
+the package's integer elimination of [B | I]) gives a vector's unique
 coordinates and ``absorbed`` reads membership off their signs: no LP.
 Those coordinates are the conic witness. ``dual_basis`` is exact, in
 Fractions: the reference the walk's integer dual rows are checked
@@ -43,7 +44,6 @@ from credalfans.exactla import (
     _to_optimum,
     rank,
     rat,
-    scaled_inverse,
     vec,
 )
 from credalfans.fanwalk import MescGraph, MescNode
@@ -92,6 +92,19 @@ class Witness(NamedTuple):
 
     coeffs: tuple
     lineality_coeffs: tuple
+
+
+def scaled_inverse(rows):
+    """The eliminated right-hand block of [rows | I] for a square integer
+    matrix rows: integer row tuples R with R . rows == d I for one d > 0,
+    so each row of R is a positive multiple of the matching row of the
+    inverse; None when rows is singular."""
+    n = len(rows)
+    assert all(len(row) == n for row in rows)
+    t = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    if _eliminate(t, n)[1] < n:
+        return None
+    return tuple(tuple(row[n:]) for row in t)
 
 
 def dual_basis(generators, n: int):

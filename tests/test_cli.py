@@ -19,7 +19,7 @@ import pytest
 
 from credalfans import chains2mono, cli, pri
 from credalfans.cli import main
-from credalfans.fanwalk import SeedSearchError, walk
+from credalfans.fanwalk import walk
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -321,18 +321,6 @@ class TestIncompleteFan:
                            "(try --engine oracle)\n")
         code, out, _ = run(capsys, "fan", "--model", path)
         assert code == 1 and report_get(out, "structure_ok") == "false"
-
-    def test_no_seed_cone_exits_1(self, capsys, tmp_path, monkeypatch):
-        def no_seed(h, universe):
-            raise SeedSearchError("no seed MESC found in 32 attempts")
-
-        monkeypatch.setattr("credalfans.fanwalk.walk", no_seed)
-        path = _prevision_file(tmp_path, *REDUNDANT_MODELS["no_seed_n2"])
-        for command in ("vertices", "fan", "graph"):
-            code, out, err = run(capsys, command, "--model", path)
-            assert (code, out) == (1, ""), command
-            assert err == ("error: no seed MESC found in 32 attempts: the walk cannot "
-                           "start (try --engine oracle)\n"), command
 
 
 class TestGraph:

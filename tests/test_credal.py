@@ -229,11 +229,11 @@ def rows_model(n, rows):
 def dropped_rows(h, universe):
     """The normals, as h's rows are written (``fraction_rows``), of the
     universe rows the walk on (h, universe) drops as implied: those off the
-    universe in its table as the walk ends (the table its seed search is
-    given, kept up to date)."""
-    tables, real = [], fanwalk._find_seed
+    universe in its table as the walk ends (the table its seed is read
+    with, kept up to date)."""
+    tables, real = [], fanwalk._seed
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fanwalk, "_find_seed", lambda h, table, w: tables.append(table) or real(h, table, w))
+        mp.setattr(fanwalk, "_seed", lambda h, table: tables.append(table) or real(h, table))
         walk(h, universe)
     before = fanwalk._active_table(h, universe)
     return [vec(universe.normals[j]) for (j, _, _), (now, _, _) in zip(before, tables[0])
@@ -387,7 +387,7 @@ def test_integer_rule_matches_the_fraction_rule(lp, data):
 def test_walk_is_exact_on_coherent_models(model):
     # repeated half-spaces (a row and a positive multiple of it plus a
     # constant) merge into one row, so redundant assessments cannot leave a
-    # wall open or the seed search without a cone
+    # wall open
     lp = rows_model(*model)
     assume(is_coherent(lp).coherent)
     h, universe = build_credal_hrep(lp)

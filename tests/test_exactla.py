@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cone_calculus import dot, ones, reference_simplex_each, solve_unique, unit
+from cone_calculus import dot, ones, reference_simplex_each, scaled_inverse, solve_unique, unit
 from credalfans import exactla
 from credalfans.exactla import (
     LpInfeasible,
@@ -18,7 +18,6 @@ from credalfans.exactla import (
     format_rat,
     rank,
     rat,
-    scaled_inverse,
     simplex_each,
     vec,
 )

@@ -22,7 +22,7 @@ from conftest import (
     lowprob_hrep,
 )
 
-from credalfans import polytope
+from credalfans import exactla, fanwalk, polytope
 from credalfans.chains2mono import (
     LowerProbability,
     as_lower_prevision,
@@ -31,14 +31,19 @@ from credalfans.chains2mono import (
     lower_probability_from_json,
 )
 from credalfans.cones import SupportUniverse
-from credalfans.credal import OutcomeSpace, build_credal_hrep, lower_prevision_from_json
+from credalfans.credal import (
+    LowerPrevision,
+    OutcomeSpace,
+    build_credal_hrep,
+    lower_prevision_from_json,
+)
 from credalfans.exactla import _scaled, format_rat, rat, vec
 from credalfans.fanwalk import (
     MescGraph,
     MescNode,
     _active_table,
     _crossed,
-    _find_seed,
+    _seed,
     graph_to_dot,
     graph_to_json,
     neighbor_candidates,
@@ -64,31 +69,31 @@ def _simplex_index(*vectors):
 
 
 def _simplex_seed():
-    """The table and the seed tableau of SIMPLEX3 at the vertex (1, 0, 0),
-    the minimum of (0, 1, 2)."""
+    """The table and the seed tableau of SIMPLEX3 at the vertex (0, 0, 1),
+    the minimum of the seed's target (6312, 6891, 664)."""
     table = _active_table(SIMPLEX3, SIMPLEX3_U)
-    tab = _find_seed(SIMPLEX3, table, vec([0, 1, 2]))
-    assert tab.node == MescNode(_simplex_index(unit(3, 1), unit(3, 2)), vec([1, 0, 0]))
+    tab = _seed(SIMPLEX3, list(table))
+    assert tab.node == MescNode(_simplex_index(unit(3, 0), unit(3, 1)), vec([0, 0, 1]))
     return table, tab
 
 
 def test_neighbor_candidates_simplex():
     table, tab = _simplex_seed()
-    (dropped,) = _simplex_index(unit(3, 1))
-    (entering,) = _simplex_index(unit(3, 0))
+    (dropped,) = _simplex_index(unit(3, 0))
+    (entering,) = _simplex_index(unit(3, 2))
     ((j, k),) = neighbor_candidates(tab, dropped, table)
     assert j == entering and table[k][0] == entering
-    key = _simplex_index(unit(3, 0), unit(3, 2))
-    reads = [(y, 1, 0) for y in range(3)]  # the rows are the unit rows, in order
+    key = _simplex_index(unit(3, 1), unit(3, 2))
+    reads = [(y, 1, 0) for y in range(3)]  # the unit rows in order, den 1, bounds 0
     crossed = _crossed(tab, tab.node.gens.index(dropped), k, key, table, reads)
-    assert crossed.node == MescNode(key, vec([0, 1, 0]))
-    # one column per row, no others: the slack row is p(y) - 0 at (0, 1, 0)
-    assert crossed.det == 1 and crossed.rows[-1] == [0, 1, 0]
+    assert crossed.node == MescNode(key, vec([1, 0, 0]))
+    # one column per row, no others: the slack row is p(y) - 0 at (1, 0, 0)
+    assert crossed.det == 1 and crossed.rows[-1] == [1, 0, 0]
 
 
 def test_neighbor_candidates_drop_must_be_generator():
     table, tab = _simplex_seed()
-    (dropped,) = _simplex_index(unit(3, 0))
+    (dropped,) = _simplex_index(unit(3, 2))
     with pytest.raises(ValueError):
         neighbor_candidates(tab, dropped, table)
 
@@ -104,10 +109,37 @@ def test_walk_one_outcome_is_one_node():
 
 def test_walk_needs_every_universe_vector_as_a_row_normal():
     extra = SupportUniverse(SIMPLEX3_U.vectors + (vec([1, 1, 0]),))
-    with pytest.raises(ValueError, match="not an inequality normal"):
+    with pytest.raises(ValueError, match="not the polytope's inequality normals"):
         _active_table(SIMPLEX3, extra)
-    with pytest.raises(ValueError, match="not an inequality normal"):
+    with pytest.raises(ValueError, match="not the polytope's inequality normals"):
         walk(SIMPLEX3, extra)
+
+
+def test_walk_needs_every_row_normal_in_the_universe():
+    # the seed's basis may hold any row of h, so each must be a universe vector
+    missing = SupportUniverse((unit(3, 0), unit(3, 1), ones(3)))
+    with pytest.raises(ValueError, match="not the polytope's inequality normals"):
+        walk(SIMPLEX3, missing)
+
+
+# Draw 14 of perfbench's redundant_envelope_misses at n = 3, a lower
+# envelope of three pmfs on six gambles: the seed's LP ends on three rows
+# tight at a degenerate vertex, with neither +- 1 column basic.
+DEGENERATE_SEED = [((-2, 6, 0), "6/17"), ((3, 5, 2), "29/10"), ((-4, 2, -1), "-32/17"),
+                   ((8, -4, 5), "41/10"), ((5, 1, 0), "17/10"), ((3, 4, 7), "71/17")]
+
+
+def test_seed_at_a_degenerate_vertex_pivots_the_constant_in(monkeypatch):
+    lp = LowerPrevision.from_bounds(OutcomeSpace(("x0", "x1", "x2")),
+                                    lower=[(g, Q(b)) for g, b in DEGENERATE_SEED])
+    h, universe = build_credal_hrep(lp)
+    calls, pivot, cross = [], fanwalk._pivot, fanwalk.neighbor_candidates
+    monkeypatch.setattr(fanwalk, "_pivot", lambda *args: calls.append("pivot") or pivot(*args))
+    monkeypatch.setattr(fanwalk, "neighbor_candidates",
+                        lambda *args: calls.append("wall") or cross(*args))
+    g = walk(h, universe)
+    assert calls[:calls.index("wall")] == ["pivot"]  # the seed's one pivot
+    assert g.vertices == {v.point for v in vertices_bruteforce(h)}
 
 
 def test_walk_simplex_triangle():
@@ -293,9 +325,15 @@ def test_walk_past_the_guards_learns_the_facets(monkeypatch, name):
     lowprob = PAST_THE_GUARDS[name]()
     h, universe = build_credal_hrep(as_lower_prevision(lowprob))
     assert len(universe) == 63
+    runs = {"_to_optimum": 0, "_eliminate": 0}  # LPs, and matrix inversions
+    for kernel in runs:
+        real = getattr(exactla, kernel)
+        monkeypatch.setattr(exactla, kernel, lambda *args, kernel=kernel, real=real:
+                            runs.update({kernel: runs[kernel] + 1}) or real(*args))
     start = time.perf_counter()
     g = walk(h, universe)
     elapsed = time.perf_counter() - start
+    assert runs == {"_to_optimum": 1, "_eliminate": 0}
     assert g.vertices == set(enumerate_extreme_2mono(lowprob))
     assert len(g.nodes) <= 2 * len(g.vertices)
     assert verify_graph(g).ok

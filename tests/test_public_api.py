@@ -291,10 +291,11 @@ def test_only_the_one_lp_path_calls_the_lp_kernel():
 
 
 # The kernel's one start, taken from the record: no scan for it is left in
-# the package (the reference keeps one, in the tests), simplex_each runs
-# phase 2 once and nothing else in the package does, so a second start (a
-# phase 1 beside the simplex's own basis) cannot come back unseen; and
-# _dual_solve builds no column for it, reading the record's kept dual.
+# the package (the reference keeps one, in the tests), _optimum runs phase
+# 2 once and nothing else in the package does, so a second start (a phase
+# 1 beside the simplex's own basis) cannot come back unseen; and _guarded,
+# where every LP runs, builds no column for it, reading the record's kept
+# dual.
 def _calls(tree, name):
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
@@ -308,12 +309,12 @@ def test_the_lp_kernel_has_one_start():
                                         for node in ast.walk(tree)}, path.stem
         runs.update((path.stem, getattr(top, "name", None))
                     for top in tree.body for _ in _calls(top, "_to_optimum"))
-    assert runs == {("exactla", "simplex_each")}
+    assert runs == {("exactla", "_optimum")}
     (kernel,) = [top for top in _parse(PACKAGE / "exactla.py").body
-                 if getattr(top, "name", None) == "simplex_each"]
+                 if getattr(top, "name", None) == "_optimum"]
     assert len(_calls(kernel, "_to_optimum")) == 1
     (solve,) = [top for top in _parse(PACKAGE / "polytope.py").body
-                if getattr(top, "name", None) == "_dual_solve"]
+                if getattr(top, "name", None) == "_guarded"]
     assert not [node for node in ast.walk(solve)
                 if isinstance(node, (ast.Tuple, ast.GeneratorExp, ast.ListComp))]
     assert not _calls(solve, "tuple")
@@ -363,13 +364,13 @@ def test_the_closed_forms_make_one_fraction_for_their_result(module, function):
     assert "is_coherent_pri" not in names
 
 
-# lp_min reads its vertex and value off the LP's final tableau, so neither it
-# nor the walk's seed, which takes its vertex from lp_min, solves the basic
-# rows again (exactla.solve_unique) or takes a Fraction dot product.
+# lp_min and the walk's seed read their vertex off the LP's final tableau,
+# so neither solves the basic rows again (exactla.solve_unique) or takes a
+# Fraction dot product.
 RE_SOLVES = {"solve_unique", "dot"}
 
 
-@pytest.mark.parametrize("module, function", [("polytope", "lp_min"), ("fanwalk", "_find_seed")])
+@pytest.mark.parametrize("module, function", [("polytope", "lp_min"), ("fanwalk", "_seed")])
 def test_lp_min_reads_its_vertex_off_the_tableau(module, function):
     (fn,) = [top for top in _parse(PACKAGE / f"{module}.py").body
              if isinstance(top, ast.FunctionDef) and top.name == function]
@@ -379,15 +380,17 @@ def test_lp_min_reads_its_vertex_off_the_tableau(module, function):
 
 
 # The integer credal polytope is scaled once, where it is built: the LP's
-# dual, the kernel, the walk's table and the vertex oracle read its
-# integers as they are, with no denominator cleared and no Fraction made on
-# the way in (the oracle makes Fractions of its feasible points only).
+# dual, the kernel, the walk's table and seed and the vertex oracle read
+# its integers as they are, with no denominator cleared and no Fraction
+# made on the way in (the oracle makes Fractions of its feasible points
+# only, the seed of its vertex).
 SCALERS = {"_int_rows", "_scaled", "rat", "vec"}
 
 
 @pytest.mark.parametrize("module, function", [("polytope", "_dual_solve"),
                                               ("exactla", "simplex_each"),
                                               ("fanwalk", "_active_table"),
+                                              ("fanwalk", "_seed"),
                                               ("polytope", "vertices_bruteforce")])
 def test_the_record_is_read_as_integers(module, function):
     (fn,) = [top for top in _parse(PACKAGE / f"{module}.py").body
