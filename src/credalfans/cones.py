@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactla import Record, _primitive
+from .exactla import Record, _primitive, format_rat
 
 __all__ = ["SupportUniverse"]
 
@@ -25,10 +25,11 @@ class SupportUniverse(Record):
     (``exactla._primitive``; a row of ints with least entry 0 and gcd at
     most 1 already is one, and is taken as it is), deduplicated; it must
     hold the constant, as the zero row. Sorted as ``vectors`` are, the
-    Fraction forms built on their first read, for export: each normal over
-    its first nonzero entry, the constant as the ones vector."""
+    Fraction forms and their strings (``formatted``) built on their first
+    read, for export: each normal over its first nonzero entry, the constant
+    as the ones vector. A universe is immutable; pri_hrep shares one per n."""
 
-    __slots__ = ("normals", "_vectors")
+    __slots__ = ("normals", "_vectors", "_formatted")
 
     def __init__(self, vectors):
         normals = {v if all(type(a) is int for a in v) and min(v) == 0 and math.gcd(*v) <= 1
@@ -40,7 +41,7 @@ class SupportUniverse(Record):
         scale = math.lcm(*lead.values())
         self.normals = tuple(sorted(normals, key=lambda v: tuple(
             a * (scale // lead[v]) for a in v) if any(v) else (scale,) * n))
-        self._vectors = None
+        self._vectors = self._formatted = None
 
     @property
     def vectors(self) -> tuple:
@@ -51,6 +52,12 @@ class SupportUniverse(Record):
             self._vectors = tuple(tuple(memo.setdefault((a, c), Fraction(a, c)) for a in v)
                                   for v, c in pairs)
         return self._vectors
+
+    @property
+    def formatted(self) -> tuple:
+        if self._formatted is None:
+            self._formatted = tuple(tuple(map(format_rat, v)) for v in self.vectors)
+        return self._formatted
 
     @property
     def dim(self) -> int:

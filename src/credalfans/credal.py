@@ -134,25 +134,25 @@ class LowerPrevision(Record):
 
     Constant gambles are rejected: an assessment on a constant is either
     vacuous or contradictory and has no facet normal, so it cannot take part
-    in the fan machinery. At most one assessment per distinct gamble. The
-    hash, the key of the per-model caches, is computed once.
+    in the fan machinery. At most one assessment per distinct gamble. That
+    check and the hash, built once as the caches' key, read integer ratios.
     """
 
     __slots__ = ("space", "assessments", "_hash")
 
     def __init__(self, space: OutcomeSpace, assessments):
         assessments = tuple(assessments)
-        seen = set()
+        seen = {}  # a gamble's integer ratios -> its bound's
         for a in assessments:
             if a.gamble.space != space:
                 raise ValueError("assessment on a different outcome space")
             if a.gamble.is_constant():
                 raise ValueError("assessment on a constant gamble is not representable")
-            if a.gamble.values in seen:
+            if (key := tuple([v.as_integer_ratio() for v in a.gamble.values])) in seen:
                 raise ValueError("two assessments on the same gamble")
-            seen.add(a.gamble.values)
+            seen[key] = a.lower.as_integer_ratio()
         self.space, self.assessments = space, assessments
-        self._hash = hash((space, assessments))
+        self._hash = hash((space, tuple(seen.items())))
 
     def __hash__(self):
         return self._hash

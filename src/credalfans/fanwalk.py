@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -73,12 +73,19 @@ class MescGraph:
     records (gens, dropped index) walls where no neighbour was found, which
     can only happen on degenerate input. ``vertices`` and ``pairs`` are
     built on the first read, kept, and outside equality and hashing; no
-    interval engine or export reads ``vertices``. It stays a dataclass:
-    tests and the benchmark derive graphs by dataclasses.replace."""
+    interval engine or export reads ``vertices``. An engine may pass the
+    pairs as ``positions``. It stays a dataclass: tests and the benchmark
+    derive graphs by dataclasses.replace, which derives the pairs anew."""
 
     nodes: tuple
     edges: frozenset
     incomplete_walls: tuple = ()
+    _: KW_ONLY
+    positions: InitVar[tuple | None] = None
+
+    def __post_init__(self, positions):
+        if positions is not None:
+            self.__dict__["pairs"] = positions
 
     @cached_property
     def vertices(self) -> frozenset:
@@ -108,22 +115,22 @@ class _Tableau(NamedTuple):
 
 
 def _active_table(h: HPolytope, universe: SupportUniverse) -> tuple:
-    """One row (j, f, b) per row of h, its normal f and bound b over h.den
-    as they are; j is f's universe index. The walk's hypothesis: the
-    non-constant universe vectors are h's nonzero rows (ValueError
-    otherwise), as the seed's basis may hold any row of h. So j is None
-    only at a row the walk dropped, or at h's zero row, its one at dim 1."""
+    """One row (j, b) per row f of h: j is f's universe index, and b its
+    bound over h.den as it is. The walk's hypothesis: the non-constant
+    universe vectors are h's nonzero rows (ValueError otherwise), as the
+    seed's basis may hold any row of h. So j is None only at a row the walk
+    dropped, or at h's zero row, its one at dim 1."""
     index = {f: j for j, f in enumerate(universe.normals) if any(f)}
     if index.keys() != {f for f in h.rows if any(f)}:
         raise ValueError("non-constant universe vectors are not the polytope's inequality normals")
-    return tuple((index.get(f), f, b) for f, b in zip(h.rows, h.bounds))
+    return tuple((index.get(f), b) for f, b in zip(h.rows, h.bounds))
 
 
 def _absorbed(key, rows, table) -> list:
     """The columns of the universe rows off key that the cone on key
     absorbs: those with no negative coordinate on any generator. The cone
     is a MESC when there are none."""
-    return [k for k, (col, (j, _, _)) in enumerate(zip(zip(*rows[:len(key)]), table))
+    return [k for k, (col, (j, _)) in enumerate(zip(zip(*rows[:len(key)]), table))
             if j is not None and j not in key and min(col) >= 0]
 
 
@@ -143,7 +150,7 @@ def neighbor_candidates(tab: _Tableau, dropped, table) -> tuple:
     """
     num, den, entering = 0, 0, []  # least ratio num / den so far, rows attaining it
     row = tab.rows[tab.node.gens.index(dropped)]
-    for k, ((j, _, _), a, r) in enumerate(zip(table, row, tab.rows[-1])):
+    for k, ((j, _), a, r) in enumerate(zip(table, row, tab.rows[-1])):
         if a < 0:
             c = r * den + num * a if den else -1  # sign of r / -a - num / den
             if c < 0:
@@ -211,7 +218,7 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
     the oracle's guards, EmptyPolytopeError when h is empty.
     """
     table = list(_active_table(h, universe))
-    reads = [(k, h.den, table[k][2]) for k in h._units if k is not None]
+    reads = [(k, h.den, table[k][1]) for k in h._units if k is not None]
     seen, kept = {}, {}  # key -> node; key -> table of a node at a degenerate vertex
     edges, incomplete = set(), {}
     queue = deque()  # (tableau, the generators whose walls to cross)
@@ -219,14 +226,14 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
     def forget(absorbed):
         gone = {table[k][0] for k in absorbed}
         for k in absorbed:
-            table[k] = (None, *table[k][1:])
+            table[k] = (None, table[k][1])
         dead = {key for key in seen if not gone.isdisjoint(key)}
         for edge in [e for e in edges if not dead.isdisjoint(e)]:
             edges.remove(edge)
             live, lost = sorted(edge, key=dead.__contains__)
             if live not in dead:  # cross live's wall toward lost again
                 (i,), (g,) = set(live) - set(lost), set(lost) - set(live)
-                col = next(k for k, (j, _, _) in enumerate(table) if j == i)
+                col = next(k for k, (j, _) in enumerate(table) if j == i)
                 queue.append((_crossed(kept[lost], lost.index(g), col, live, table, reads), (i,)))
         for key in dead:
             del seen[key]
@@ -328,16 +335,16 @@ def graph_to_dot(g: MescGraph) -> str:
 
 
 def graph_to_json(g: MescGraph, universe: SupportUniverse) -> dict:
-    """JSON-ready dict; generators are referenced by universe index. Each value
-    object, such as a 0 or 1 of the immutable universe pri_hrep shares per n,
-    is formatted once (_formatter): the id() memo is safe, as it lives for
-    this call only and g and universe keep every keyed object alive."""
+    """JSON-ready dict; generators are referenced by universe index. The
+    universe's strings are copied from its ``formatted``. Each vertex value
+    object is formatted once (_formatter): the id() memo is safe, as it
+    lives for this call only and g keeps every keyed object alive."""
     gens = set().union(*(node.gens for node in g.nodes))
     if gens and (min(gens) < 0 or max(gens) >= len(universe)):
         raise ValueError("graph generator index outside the universe")
     fmt = _formatter()
     return {
-        "universe": [fmt(v) for v in universe.vectors],
+        "universe": [list(v) for v in universe.formatted],
         "nodes": [{"id": i, "vertex": fmt(node.vertex), "generators": list(node.gens)}
                   for i, node in enumerate(g.nodes)],
         "edges": [[i, j] for i, j in g.pairs],

@@ -24,8 +24,10 @@ mirrored B moves), each an int comparison of the carried remainder against
 x's own bounds on bitmask sides; a tie emits both sides, which then certify
 the same vertex from two cones. No generic LP runs, and the time is
 proportional to the number of cones, from n(n-1) up to a central binomial
-count. Below three outcomes no cone has both sides nonempty; the generic
-walk takes those models, and its seed is the only LP this module runs.
+count. Its graph comes on integers: position pairs from each state's
+neighbour keys, generator keys off its bits. Below three outcomes no cone
+has both sides nonempty; the generic walk takes those models, and its seed
+is the only LP this module runs.
 """
 
 from __future__ import annotations
@@ -211,11 +213,11 @@ def enumerate_extreme_pri(m: PRIModel):
     if seed is None:
         raise IncoherenceError("no valid seed cone; model is not reachable")
     states = {seed[1] | seed[2] << n: seed}
-    edges = set()
+    links = {}  # a state's key -> its neighbours' keys
     queue = [seed]
     while queue:
         s = queue.pop()
-        key = s[1] | s[2] << n
+        links[s[1] | s[2] << n] = out = []
         for nb in pri_neighbors(t, s):
             x, a, b, r = nb
             nk = a | b << n
@@ -224,15 +226,18 @@ def enumerate_extreme_pri(m: PRIModel):
                     raise IncoherenceError("neighbour rule left the fan; model is not reachable")
                 states[nk] = nb
                 queue.append(nb)
-            edges.add((key, nk) if key < nk else (nk, key))
-    # bit j of a key is pri_hrep's row j (lower row of y at y, upper row of
-    # z at n + z); node keys are those rows' universe indices
-    row = _interval_fan(n)[2]
-    gens = {k: tuple(sorted(row[j] for j in range(2 * n) if k >> j & 1)) for k in states}
-    value = {r: Fraction(r, d) for _, _, _, r in states.values()}  # c -> c / d
+            out.append(nk)
+    # bit j of a key is pri_hrep's row j (lower row of y at y, upper row of z
+    # at n + z); a node key lists their universe indices, and at ranks the keys
+    bits = _interval_fan(n)[2]
+    gens = {k: tuple([i for i, j in bits if k >> j & 1]) for k in states}
+    at = {k: p for p, k in enumerate(sorted(states, key=gens.__getitem__))}
+    # a move's inverse is a rule of the state it reaches: read each edge at its lower end
+    pairs = tuple((p, q) for k, p in at.items() for q in sorted(map(at.__getitem__, links[k])) if q > p)
+    value = {r: Fraction(r, d) for r in {s[3] for s in states.values()}}  # c -> c / d
     value.update(zip(lo + up, m.lower + m.upper))  # the bounds' own objects
     points, nodes = {}, []  # a vertex's integer row d p -> its one Fraction tuple
-    for k in sorted(states, key=gens.__getitem__):
+    for k in at:
         x, a, b, r = states[k]
         dp = [lo[y] if a >> y & 1 else up[y] for y in range(n)]
         dp[x] = r
@@ -240,8 +245,8 @@ def enumerate_extreme_pri(m: PRIModel):
         if dp not in points:
             points[dp] = tuple(map(value.__getitem__, dp))
         nodes.append(MescNode(gens[k], points[dp]))
-    graph = MescGraph(tuple(nodes), frozenset(frozenset((gens[i], gens[j])) for i, j in edges))
-    return tuple(points.values()), graph
+    edges = frozenset(frozenset((nodes[p].gens, nodes[q].gens)) for p, q in pairs)
+    return tuple(points.values()), MescGraph(tuple(nodes), edges, positions=pairs)
 
 
 def natural_extension_pri(m: PRIModel, f):
@@ -305,13 +310,14 @@ def count_bounds(n: int) -> tuple:
 
 @lru_cache(maxsize=16)
 def _interval_fan(n: int) -> tuple:
-    """(normals, universe, row) on n >= 2 outcomes, kept for the 16 latest n:
+    """(normals, universe, bits) on n >= 2 outcomes, kept for the 16 latest n:
     pri_hrep's integer row normals (singletons, then complements), its
-    universe, and row[j] the universe index of normal j."""
+    universe, and a pair (i, j) per normal j, i its universe index, sorted."""
     events = [{x} for x in range(n)] + [set(range(n)) - {x} for x in range(n)]
     normals = tuple(tuple(int(x in e) for x in range(n)) for e in events)
     universe = SupportUniverse(normals + ((0,) * n,))
-    return normals, universe, tuple(map(universe.normals.index, normals))
+    return normals, universe, tuple(sorted((universe.normals.index(f), j)
+                                           for j, f in enumerate(normals)))
 
 
 def pri_hrep(m: PRIModel):

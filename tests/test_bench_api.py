@@ -6,18 +6,26 @@ every attribute chain they take of an imported credalfans module
 (``credal._credal_vertices.cache_clear``), must still resolve. A deletion
 or rename that would make benchmark operations fail then fails this test.
 
-Two uses are not visible as names: the tracer imports each module named in
-its ``MODULES`` string tuple, and the ``lp_min`` operation reads the
-result's ``value`` and ``argmin.point``. Both are exercised here.
+Three uses are not visible as names: the tracer imports each module named
+in its ``MODULES`` string tuple, the ``lp_min`` operation reads the
+result's ``value`` and ``argmin.point``, and the harness's own test derives
+a graph by ``dataclasses.replace`` with a subset of the nodes and the
+edges among them. All are exercised here.
 """
 
 import ast
+import dataclasses
 import importlib
+import random
 from pathlib import Path
 
 import pytest
 
+from conftest import coherent_intervals
+from credalfans.credal import OutcomeSpace
+from credalfans.fanwalk import MescGraph, graph_to_json, verify_graph
 from credalfans.polytope import HPolytope, lp_min
+from credalfans.pri import PRIModel, enumerate_extreme_pri, pri_hrep
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "perfbench").glob("*.py"))
@@ -115,3 +123,26 @@ def test_lp_min_result_has_what_the_lp_min_op_reads():
     res = lp_min(simplex2, (1, 2))
     assert res.value == 1
     assert res.argmin.point == (1, 0)
+
+
+def test_a_replaced_interval_graph_reads_as_one_built_fresh():
+    # as perfbench/test_harness.py::_drop_vertex does: drop one vertex's
+    # nodes and keep the edges among the others (e <= keys), after the
+    # walk's handed-over pairs were read
+    n = 7
+    m = PRIModel(OutcomeSpace(tuple(f"x{i}" for i in range(n))),
+                 *coherent_intervals(random.Random(1), n))
+    _, graph = enumerate_extreme_pri(m)
+    _, universe = pri_hrep(m)
+    assert verify_graph(graph).n_edges == len(graph.pairs)
+    gone = graph.nodes[0].vertex
+    nodes = tuple(node for node in graph.nodes if node.vertex != gone)
+    keys = {node.gens for node in nodes}
+    edges = frozenset(e for e in graph.edges if e <= keys)
+    replaced = dataclasses.replace(graph, nodes=nodes, edges=edges)
+    fresh = MescGraph(nodes, edges)
+    assert 0 < len(fresh.pairs) < len(graph.pairs)
+    assert replaced == fresh
+    assert replaced.pairs == fresh.pairs
+    assert verify_graph(replaced) == verify_graph(fresh)
+    assert graph_to_json(replaced, universe) == graph_to_json(fresh, universe)

@@ -236,7 +236,7 @@ def dropped_rows(h, universe):
         mp.setattr(fanwalk, "_seed", lambda h, table: tables.append(table) or real(h, table))
         walk(h, universe)
     before = fanwalk._active_table(h, universe)
-    return [vec(universe.normals[j]) for (j, _, _), (now, _, _) in zip(before, tables[0])
+    return [vec(universe.normals[j]) for (j, _), (now, _) in zip(before, tables[0])
             if j is not None and now is None]
 
 

@@ -7,11 +7,19 @@ row's face. Checked on the pri exchange walk and the generic walk over
 pri_hrep's universe, and on the chain fan over the event universe, for
 interval models whose bounds repeat on a 1/720 grid (ties are common) and
 for the degenerate l=1/6, u=1/4 model.
+
+The interval walk also hands its edges over as position pairs, which must
+be the pairs a graph derives from its edges.
 """
 
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cone_calculus import dot, ones
 from conftest import fraction_rows
@@ -20,7 +28,16 @@ from credalfans.chains2mono import chain_graph, event_universe
 from credalfans.credal import OutcomeSpace
 from credalfans.exactla import rat
 from credalfans.fanwalk import MescGraph, MescNode, graph_to_json, walk
-from credalfans.pri import PRIModel, enumerate_extreme_pri, induced_2mono, is_coherent_pri, pri_hrep
+from credalfans.pri import (
+    PRIModel,
+    enumerate_extreme_pri,
+    induced_2mono,
+    is_coherent_pri,
+    pri_from_json,
+    pri_hrep,
+)
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def space(n):
@@ -77,3 +94,44 @@ def test_graph_to_json_rejects_index_outside_universe():
     negative = MescGraph((MescNode((-1,), (rat(1), rat(0))),), frozenset())
     with pytest.raises(ValueError):
         graph_to_json(negative, small)
+
+
+@st.composite
+def coherent_interval_models(draw):
+    """A coherent interval model on one to seven outcomes: bounds a step of
+    denominator up to 12 (often zero, so bounds tie) around a pmf of small
+    integer weights, tightened to their reachable form."""
+    n = draw(st.integers(1, 7))
+    weights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    step = st.fractions(0, Fraction(1, 4), max_denominator=12)
+    centre = [Fraction(w, sum(weights)) for w in weights]
+    lows = tuple(max(Fraction(0), c - draw(step)) for c in centre)
+    ups = tuple(min(Fraction(1), c + draw(step)) for c in centre)
+    return is_coherent_pri(PRIModel(space(n), lows, ups)).repaired
+
+
+def assert_pairs_handed_over(m):
+    """The interval walk's graph starts with its pairs (from three outcomes
+    on, where the exchange walk runs), and they are the sorted position
+    pairs i < j that a graph on the same nodes and edges derives."""
+    _, graph = enumerate_extreme_pri(m)
+    assert ("pairs" in vars(graph)) == (m.n >= 3)
+    assert graph.pairs == MescGraph(graph.nodes, graph.edges).pairs
+    assert all(i < j for i, j in graph.pairs)
+    assert list(graph.pairs) == sorted(set(graph.pairs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(coherent_interval_models())
+def test_interval_walk_hands_over_the_derived_pairs(m):
+    assert_pairs_handed_over(m)
+
+
+@pytest.mark.parametrize("source", ["reproducer", "pri_n10_uniform_max.json",
+                                    "pri_n10_uniform_min.json"])
+def test_interval_walk_hands_over_the_derived_pairs_on_files(source):
+    if source == "reproducer":
+        m = models()[-1]
+    else:
+        m = pri_from_json(json.loads((MODELS / source).read_text()))
+    assert_pairs_handed_over(m)

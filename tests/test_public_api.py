@@ -21,10 +21,13 @@ fields included: NamedTuple and dataclass fields and the names in
 ``self.name`` counts, and so does a read inside the class itself, but
 setting the field through a constructor keyword does not. A use of a
 defaulted parameter is a call of the function's name that passes it, by
-keyword or by position.
+keyword or by position. A dataclass ``InitVar`` is a constructor input that
+no instance keeps, not a member: with a default, it is a keyword-only
+parameter of the class, used by a call of the class's name that passes it.
 """
 
 import ast
+import dataclasses
 import importlib
 from functools import cache
 from pathlib import Path
@@ -166,10 +169,16 @@ def _members(cls):
             if names == ["__slots__"]:
                 names = list(ast.literal_eval(node.value))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names = [node.target.id]
+            names = [] if _initvar(node) else [node.target.id]
         else:
             names = []
         yield from (name for name in names if not name.startswith("_"))
+
+
+def _initvar(node):
+    """Whether the annotated class-body name node is a dataclass InitVar."""
+    ann = node.annotation
+    return isinstance(ann, ast.Subscript) and getattr(ann.value, "id", None) == "InitVar"
 
 
 def _defaulted(fn):
@@ -204,13 +213,19 @@ def _calls_by_name():
 
 def _unpassed_parameters():
     """'module.function(parameter)' for each defaulted parameter of an
-    exported function that no call outside the tests passes."""
+    exported function, and each defaulted InitVar of an exported class,
+    that no call outside the tests passes."""
     calls = _calls_by_name()
-    return {f"{module}.{node.name}({param})"
-            for module, node in _exported_defs()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for param, position in _defaulted(node)
-            if not any(_passes(c, param, position) for c in calls.get(node.name, ()))}
+    inputs = {f"{module}.{node.name}({stmt.target.id})"
+              for module, node in _exported_defs() if isinstance(node, ast.ClassDef)
+              for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign) and _initvar(stmt) and stmt.value is not None
+              and not any(_passes(c, stmt.target.id, None) for c in calls.get(node.name, ()))}
+    return inputs | {f"{module}.{node.name}({param})"
+                     for module, node in _exported_defs()
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for param, position in _defaulted(node)
+                     if not any(_passes(c, param, position) for c in calls.get(node.name, ()))}
 
 
 def test_every_public_member_and_parameter_has_a_caller_outside_the_tests():
@@ -253,11 +268,12 @@ RECORDS = [
 
 
 def _record_fields(cls):
-    """The public fields of a live record class, whatever kind it is."""
+    """The public fields of a live record class, whatever kind it is; a
+    dataclass's InitVar inputs are not fields."""
     if hasattr(cls, "_fields"):  # NamedTuple
         return set(cls._fields)
-    if hasattr(cls, "__dataclass_fields__"):
-        return set(cls.__dataclass_fields__)
+    if dataclasses.is_dataclass(cls):
+        return {f.name for f in dataclasses.fields(cls)}
     return {name for name in cls.__slots__ if not name.startswith("_")}
 
 

@@ -98,22 +98,22 @@ def _walked(monkeypatch, name):
     return graph, tables, seen[0]
 
 
-def _reads(table, den):
-    """(column, den, b) of each p(y)'s unit row (e_y, b) in table, as the
-    walk reads its vertices."""
+def _reads(h, table):
+    """(column, den, b) of each p(y)'s unit row (e_y, b) of h in table, as
+    the walk reads its vertices."""
     units = {}
-    for k, (_, f, b) in enumerate(table):
+    for k, (f, (_, b)) in enumerate(zip(h.rows, table)):
         if sum(f) == 1:
-            units[f.index(1)] = (k, den, b)
+            units[f.index(1)] = (k, h.den, b)
     return [units[y] for y in sorted(units)]
 
 
-def table_crossing(tab, dropped, table, den):
+def table_crossing(tab, dropped, table, h):
     """The MESC neighbours across a wall: each candidate key's table by one
     pivot of tab's, kept when the sign scan finds a MESC."""
     c = tab.node.gens.index(dropped)
     shared = tab.node.gens[:c] + tab.node.gens[c + 1:]
-    crossed = (_crossed(tab, c, k, tuple(sorted(shared + (j,))), table, _reads(table, den))
+    crossed = (_crossed(tab, c, k, tuple(sorted(shared + (j,))), table, _reads(h, table))
                for j, k in neighbor_candidates(tab, dropped, table))
     return tuple(new.node for new in crossed if not _absorbed(new.node.gens, new.rows, table))
 
@@ -122,13 +122,13 @@ def table_crossing(tab, dropped, table, den):
 def test_crossing_matches_the_universe_scan_at_every_wall(monkeypatch, name):
     h, universe = MODELS[name]()
     graph, tables, table = _walked(monkeypatch, name)
-    learned = {j for j, _, _ in table}
+    learned = {j for j, _ in table}
     for node in graph.nodes:
         tab = tables[node.gens]
         assert tab.node == node
         dual = dual_basis([universe.vectors[i] for i in node.gens], universe.dim)
         for i, t in zip(node.gens, dual):
-            assert table_crossing(tab, i, table, h.den) == reference_crossing(
+            assert table_crossing(tab, i, table, h) == reference_crossing(
                 node, i, t, h, universe, learned)
 
 
@@ -136,7 +136,7 @@ def test_degenerate_walls_are_covered(monkeypatch):
     # the l=1/6, u=1/4 reproducer has walls with two neighbours at one vertex
     h, _ = MODELS["interval_reproducer_n5"]()
     graph, tables, table = _walked(monkeypatch, "interval_reproducer_n5")
-    widths = {len(table_crossing(tables[node.gens], i, table, h.den))
+    widths = {len(table_crossing(tables[node.gens], i, table, h))
               for node in graph.nodes for i in node.gens}
     assert max(widths) > 1
 
@@ -146,9 +146,9 @@ def test_tables_hold_det_times_the_exact_coordinates(monkeypatch, name):
     h, universe = MODELS[name]()
     graph, tables, table = _walked(monkeypatch, name)
     n = len(graph.nodes[0].vertex)
-    columns = [f for _, f, _ in table]
-    bounds = [b for _, _, b in table]
-    rows = {j: f for j, f, _ in fanwalk._active_table(h, universe) if j is not None}
+    columns = h.rows
+    bounds = [b for _, b in table]
+    rows = {j: f for (j, _), f in zip(fanwalk._active_table(h, universe), h.rows) if j is not None}
     for node in graph.nodes:
         tab = tables[node.gens]
         basis = [rows[i] for i in node.gens]
