@@ -7,18 +7,19 @@ value fails loudly instead of rounding silently.
 
 Vectors are tuples of Fractions; ``_scaled`` and ``_int_rows`` clear their
 denominators, and ``_primitive`` writes a half-space's normal as the
-primitive integer row that keys it. ``rank``, the vertex oracle's
-subset solves (``_eliminate``, from ``polytope.vertices_bruteforce``) and
-the one LP kernel share one fraction-free Gauss-Jordan pivot (``_pivot``,
-Edmonds' integer-preserving elimination, as in lrs): every division is
-exact and intermediate growth stays polynomial. The LP kernel takes
+primitive integer row that keys it. ``rank``, the vertex oracle's subset
+solves (``_eliminate``, from ``polytope.vertices_bruteforce``) and the one
+LP kernel share one fraction-free Gauss-Jordan pivot (``_pivot``, Edmonds'
+integer-preserving elimination, as in lrs): every division is exact and
+intermediate growth stays polynomial; it divides only at det > 1 and writes
+into no row, so tables may share the rows it leaves. The LP kernel takes
 integers, scaled by its callers, and solves a credal set's dual alone: it
-starts at the probability simplex's own basis, with no pivot, no phase 1
-and no search for it, on the unit columns and the +- pair of 1 its caller
-names (the record, ``polytope.HPolytope``, refuses a set without them),
-and returns integers over one det: its callers build the Fractions they
-read. ``simplex_each`` solves many targets; ``_optimum``, its first step,
-returns the final tableau itself, from which the walk reads its seed.
+starts at the probability simplex's own basis, with no pivot, no phase 1 and
+no search for it, on the unit columns and the +- pair of 1 its caller names
+(the record, ``polytope.HPolytope``, refuses a set without them), and
+returns integers over one det: its callers build the Fractions they read.
+``simplex_each`` solves many targets; ``_optimum``, its first step, returns
+the final tableau itself, from which the walk reads its seed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, mul, sub
 
 __all__ = [
     "rat",
@@ -143,19 +144,25 @@ def _min_dot(scaled, v):
 def _pivot(t: list[list[int]], det: int, r: int, c: int) -> int:
     """Integer-preserving Gauss-Jordan pivot on t[r][c] (Edmonds): every
     row holds det times its rational values, before and after, and the new
-    det is returned. Each entry of another row becomes
-    (p * a - f * b) / det, an exact division, checked entry by entry
-    (_inexact otherwise). A negative pivot row is negated first, so det
-    stays positive and signs read off the integers."""
+    det is returned. Each entry a of another row, f its entry in column c,
+    becomes (p * a - f * b) / det for the pivot p, an exact division checked
+    entry by entry (_inexact otherwise); at det = 1 there is none to check,
+    and at p = 1 a row with f = +-1 is one subtraction or addition. A row
+    with f = 0 at p = det is kept as it is. Each changed row is a new list:
+    no row is written into, so copies of t may share the rows left. A
+    negative pivot row is negated first, so det stays positive and signs
+    read off the integers."""
     if t[r][c] < 0:
         t[r] = [-a for a in t[r]]
     pr = t[r]
     p = pr[c]
     for i, row in enumerate(t):
-        if i != r:
-            f = row[c]
-            t[i] = [x // det if not (x := p * a - f * b) % det else _inexact(x, det)
-                    for a, b in zip(row, pr)]
+        f = row[c]
+        if i != r and (f or p != det):  # else the pivot row, or one times p / det = 1
+            t[i] = (list(map(sub if f > 0 else add, row, pr)) if p == det == 1 and f * f == 1
+                    else [p * a - f * b for a, b in zip(row, pr)] if det == 1
+                    else [x // det if not (x := p * a - f * b) % det else _inexact(x, det)
+                          for a, b in zip(row, pr)])
     return p
 
 

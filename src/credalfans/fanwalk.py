@@ -12,7 +12,8 @@ integer table (``_Tableau``) on the credal set's integer rows, read as
 they are (``_active_table``). A wall is crossed as in Avis and Fukuda's
 pivot: a ratio test on two table rows gives the entering rows, and each
 new key costs one fraction-free pivot (``exactla._pivot``, as in lrs) on a
-copy of the table, then a sign scan; its vertex is the only Fraction built.
+copy of the table, then a sign scan; its vertex is the only Fraction built,
+one per distinct coordinate in the walk.
 As in lrs, the seed is the optimal basis of one LP, its table read off the
 final tableau (``_seed``); the walk inherits that LP's oracle guards.
 
@@ -39,7 +40,7 @@ import random
 from collections import Counter, deque
 from dataclasses import KW_ONLY, InitVar, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .cones import SupportUniverse
@@ -145,46 +146,54 @@ def neighbor_candidates(tab: _Tableau, dropped, table) -> tuple:
     t . f_dropped > 0, so the edge leaving the vertex x across the wall is
     x + lambda t, lambda >= 0. It stops at the least ratio (x . f - b) /
     (-t . f) over the rows with t . f < 0, read off the slack row and the
-    generator's row by cross-multiplication. The universe rows attaining it
+    generator's row by cross-multiplication, at those rows alone: the
+    negative entries of the generator's row. The universe rows attaining it
     are tight there, and each completes the wall to a candidate cone.
     """
-    num, den, entering = 0, 0, []  # least ratio num / den so far, rows attaining it
-    row = tab.rows[tab.node.gens.index(dropped)]
-    for k, ((j, _), a, r) in enumerate(zip(table, row, tab.rows[-1])):
-        if a < 0:
-            c = r * den + num * a if den else -1  # sign of r / -a - num / den
-            if c < 0:
-                num, den, entering = r, -a, [(j, k)]
-            elif c == 0:
-                entering.append((j, k))
-    return tuple(sorted(e for e in entering if e[0] is not None))
+    num, den, entering = 0, 0, []  # least ratio num / den so far, columns attaining it
+    row, slack = tab.rows[tab.node.gens.index(dropped)], tab.rows[-1]
+    for k in [k for k, a in enumerate(row) if a < 0]:
+        a, r = row[k], slack[k]
+        c = r * den + num * a if den else -1  # sign of r / -a - num / den
+        if c < 0:
+            num, den, entering = r, -a, [k]
+        elif c == 0:
+            entering.append(k)
+    return tuple(sorted((j, k) for k in entering if (j := table[k][0]) is not None))
 
 
-def _crossed(tab: _Tableau, c: int, k: int, key, table, reads) -> _Tableau:
-    """key's tableau, by one pivot on a copy of tab's table that brings
-    column k into the basis in place of the generator in row c. Its vertex
-    is read off the new slack row at the columns of the unit rows (e_y,
-    b), (column, den, b) for each y in reads."""
+@cache
+def _target(dim: int) -> tuple:
+    """The seed LP's integer target at dim, drawn once from random.Random(0)."""
+    return tuple(random.Random(0).sample(range(1, 9973), dim))
+
+
+def _crossed(tab: _Tableau, c: int, k: int, key, table, reads, value=Fraction) -> _Tableau:
+    """key's tableau, by one pivot on a copy of tab's table, sharing the
+    rows ``_pivot`` leaves, that brings column k into the basis in place of
+    the generator in row c. Its vertex is read off the new slack row at the
+    columns of the unit rows (e_y, b), (column, den, b) for each y in
+    reads, each coordinate value(numerator, denominator)."""
     rows = list(tab.rows)
     det = _pivot(rows, tab.det, c, k)
     rows.insert(key.index(table[k][0]), rows.pop(c))
     s = rows[-1]
-    return _Tableau(MescNode(key, tuple(Fraction(s[u] + det * b, det * q) for u, q, b in reads)),
+    return _Tableau(MescNode(key, tuple(value(s[u] + det * b, det * q) for u, q, b in reads)),
                     det, rows)
 
 
 def _seed(h: HPolytope, table) -> _Tableau:
     """The tableau of the cone on the optimal basis of the walk's one LP,
-    for the integer target w of random.Random(0) (``_dual_tableau``). On
-    h's rows, table's columns, its final tableau is the walk's table: the
-    basic rows, by universe index, are the generators' rows, and the cost
-    row, det (den f . x - b) at the vertex x, the slack row; x is read off
-    the cost row's inverse block. When neither +- 1 column is basic, x is
-    degenerate: one pivot at the least ratio of the +1 column, so w stays
-    in the cone, brings the constant in. Its reduced cost is 0, so the cost
-    row and x stay the same. The walk drops the universe rows the cone
-    absorbs (``_absorbed``)."""
-    t, det, basis = _dual_tableau(h, random.Random(0).sample(range(1, 9973), h.dim))
+    for the integer target w of random.Random(0) drawn once per dim
+    (``_target``, ``_dual_tableau``). On h's rows, table's columns, its
+    final tableau is the walk's table: the basic rows, by universe index,
+    are the generators' rows, and the cost row, det (den f . x - b) at the
+    vertex x, the slack row; x is read off the cost row's inverse block.
+    When neither +- 1 column is basic, x is degenerate: one pivot at the
+    least ratio of the +1 column, so w stays in the cone, brings the
+    constant in. Its reduced cost is 0, so the cost row and x stay the same.
+    The walk drops the universe rows the cone absorbs (``_absorbed``)."""
+    t, det, basis = _dual_tableau(h, _target(h.dim))
     m = len(table)  # the +1 column; then -1, the levels and the inverse block
     if m not in basis and m + 1 not in basis:
         c = min((i for i, row in enumerate(t[:-1]) if row[m] > 0),
@@ -192,7 +201,8 @@ def _seed(h: HPolytope, table) -> _Tableau:
         det = _pivot(t, det, c, m)
         basis[c] = m
     gens = sorted((table[k][0], i) for i, k in enumerate(basis) if k < m)
-    vertex = tuple(Fraction(a, det * h.den) for a in t[-1][m + 3:])
+    value = cache(Fraction)  # one Fraction per distinct coordinate
+    vertex = tuple(value(a, det * h.den) for a in t[-1][m + 3:])
     return _Tableau(MescNode(tuple(j for j, _ in gens), vertex), det,
                     [t[i][:m] for _, i in gens] + [t[-1][:m]])
 
@@ -219,6 +229,7 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
     """
     table = list(_active_table(h, universe))
     reads = [(k, h.den, table[k][1]) for k in h._units if k is not None]
+    value = cache(Fraction)  # one Fraction per distinct (numerator, denominator) pair
     seen, kept = {}, {}  # key -> node; key -> table of a node at a degenerate vertex
     edges, incomplete = set(), {}
     queue = deque()  # (tableau, the generators whose walls to cross)
@@ -234,7 +245,8 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
             if live not in dead:  # cross live's wall toward lost again
                 (i,), (g,) = set(live) - set(lost), set(lost) - set(live)
                 col = next(k for k, (j, _) in enumerate(table) if j == i)
-                queue.append((_crossed(kept[lost], lost.index(g), col, live, table, reads), (i,)))
+                tab = _crossed(kept[lost], lost.index(g), col, live, table, reads, value)
+                queue.append((tab, (i,)))
         for key in dead:
             del seen[key]
             kept.pop(key, None)
@@ -263,7 +275,7 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
                     continue  # dropped by an earlier candidate of this wall
                 other = tuple(sorted(shared + (j,)))
                 if other not in seen:
-                    add(_crossed(tab, c, k, other, table, reads))
+                    add(_crossed(tab, c, k, other, table, reads, value))
                 found = True
                 edges.add(frozenset({key, other}))
             if not found:

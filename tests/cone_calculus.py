@@ -25,6 +25,9 @@ the LP kernel on arbitrary integer columns: it searches them for the
 probability simplex's start basis, scaled units and multiples of 1
 included, and refuses columns without it; the reference the package's
 kernel, which takes that start from the credal record, is checked against.
+``reference_pivot`` is the general Edmonds pivot, every entry by its checked
+division, on new lists: the reference ``exactla._pivot``'s fast paths are
+checked against.
 """
 
 import itertools
@@ -210,6 +213,26 @@ def fraction_lp_min(rows, f):
     ((det, _, cost, duals),) = reference_simplex_each(list(zip(*(row[:-1] for row in table))),
                                                       [[row[-1] for row in table]], costs)
     return Fraction(-cost, det * d), tuple(Fraction(-a * s, det * d) for a in duals)
+
+
+def reference_pivot(t, det, r, c):
+    """(rows, new det) of the integer-preserving Gauss-Jordan pivot on
+    t[r][c] (Edmonds), t left as it is: the pivot row, negated when
+    t[r][c] < 0, and each entry a of another row, f its entry in column c,
+    as (p a - f b) / det for the pivot p, asserted exact."""
+    pr = [-a for a in t[r]] if t[r][c] < 0 else list(t[r])
+    p, rows = pr[c], []
+    for i, row in enumerate(t):
+        if i == r:
+            rows.append(pr)
+            continue
+        f, new = row[c], []
+        for a, b in zip(row, pr):
+            q, rest = divmod(p * a - f * b, det)
+            assert rest == 0
+            new.append(q)
+        rows.append(new)
+    return rows, p
 
 
 def _simplex_start(t, m):
