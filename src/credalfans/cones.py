@@ -33,14 +33,14 @@ class SupportUniverse(Record):
 
     def __init__(self, vectors):
         normals = {v if all(type(a) is int for a in v) and min(v) == 0 and math.gcd(*v) <= 1
-                   else _primitive(v)[0] for v in map(tuple, vectors)}
+                   else _primitive(v) for v in map(tuple, vectors)}
         n = len(next(iter(normals), ()))
         if any(len(v) != n for v in normals) or (0,) * n not in normals:
             raise ValueError("need vectors of one dimension, the constant-one vector among them")
         lead = {v: next((a for a in v if a), 1) for v in normals}
         scale = math.lcm(*lead.values())
-        self.normals = tuple(sorted(normals, key=lambda v: tuple(
-            a * (scale // lead[v]) for a in v) if any(v) else (scale,) * n))
+        self.normals = tuple(sorted(normals, key=lambda v: [a * m for a in v] if any(v) and (
+            m := scale // lead[v]) else [scale] * n))
         self._vectors = self._formatted = None
 
     @property

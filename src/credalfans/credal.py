@@ -9,13 +9,12 @@ assessment:
     p . 1_x >= 0      for each outcome x,
     p . 1   == 1,
 
-built once per model as one integer ``polytope.HPolytope``. The
-probability-one equality makes the constant-one direction lineality in
-every normal cone, so p . f >= b and p . (c f + k 1) >= c b + k (c > 0) are
-one half-space, one row keyed by its primitive integer normal
-(``_canonical_row``). Every row is in the support universe; the walk
-learns which of them are implied (``fanwalk``), so building the set costs
-no LP.
+built once per model, on ints alone from the integer ratios the model
+keeps, as one integer ``polytope.HPolytope``. The probability-one equality
+makes the constant-one direction lineality in every normal cone, so
+p . f >= b and p . (c f + k 1) >= c b + k (c > 0) are one half-space, one
+row keyed by its primitive integer normal. Every row is in the support
+universe; the walk learns which are implied (``fanwalk``), so no LP runs.
 
 Coherence is one ``polytope.lp_minima`` over the assessments. Natural
 extension evaluates the lower envelope of the credal set at any gamble; on
@@ -29,12 +28,11 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .cones import SupportUniverse
-from .exactla import ONE, ZERO, Record, _int_rows, _min_dot, _primitive, rat, vec
+from .exactla import ONE, ZERO, Record, _int_rows, _min_dot, rat, vec
 
 __all__ = [
     "OutcomeSpace",
@@ -115,9 +113,6 @@ class Gamble(Record):
     def __neg__(self):
         return Gamble(self.space, tuple(-a for a in self.values))
 
-    def is_constant(self) -> bool:
-        return all(a == self.values[0] for a in self.values)
-
 
 class Assessment(Record):
     """One accepted bound: the gamble's lower prevision."""
@@ -134,25 +129,27 @@ class LowerPrevision(Record):
 
     Constant gambles are rejected: an assessment on a constant is either
     vacuous or contradictory and has no facet normal, so it cannot take part
-    in the fan machinery. At most one assessment per distinct gamble. That
-    check and the hash, built once as the caches' key, read integer ratios.
+    in the fan machinery. At most one assessment per distinct gamble. _ints
+    keeps (a gamble's integer ratios, its bound's) per assessment: those
+    checks, the hash, built once, and ``build_credal_hrep`` read them.
     """
 
-    __slots__ = ("space", "assessments", "_hash")
+    __slots__ = ("space", "assessments", "_ints", "_hash")
 
     def __init__(self, space: OutcomeSpace, assessments):
         assessments = tuple(assessments)
         seen = {}  # a gamble's integer ratios -> its bound's
         for a in assessments:
-            if a.gamble.space != space:
+            if a.gamble.space is not space and a.gamble.space != space:
                 raise ValueError("assessment on a different outcome space")
-            if a.gamble.is_constant():
+            key = tuple([v.as_integer_ratio() for v in a.gamble.values])
+            if key.count(key[0]) == len(key):
                 raise ValueError("assessment on a constant gamble is not representable")
-            if (key := tuple([v.as_integer_ratio() for v in a.gamble.values])) in seen:
+            if key in seen:
                 raise ValueError("two assessments on the same gamble")
             seen[key] = a.lower.as_integer_ratio()
-        self.space, self.assessments = space, assessments
-        self._hash = hash((space, tuple(seen.items())))
+        self.space, self.assessments, self._ints = space, assessments, tuple(seen.items())
+        self._hash = hash((space, self._ints))
 
     def __hash__(self):
         return self._hash
@@ -172,15 +169,6 @@ class LowerPrevision(Record):
         return cls(space, tuple(out))
 
 
-def _canonical_row(f, b):
-    """The half-space p . f >= b of the simplex in one form: on p . 1 = 1,
-    f and b shift and scale together to f's primitive integer normal
-    (``exactla._primitive``), the row's key, and a Fraction bound. Rows of
-    one half-space share a key, and an indicator row keeps its form."""
-    row, d, k, g = _primitive(f)
-    return row, Fraction(b.numerator * d - k * b.denominator, b.denominator * g)
-
-
 CACHE_SIZE = 64  # models per cache; the least recently used are evicted
 
 
@@ -188,22 +176,28 @@ CACHE_SIZE = 64  # models per cache; the least recently used are evicted
 def build_credal_hrep(lp: LowerPrevision):
     """The credal set as one ``polytope.HPolytope``, plus its support universe.
 
-    One row per half-space, keyed by _canonical_row, at its tightest bound:
-    the assessments' rows in order, then the unassessed outcomes'. The
-    universe is every row, plus the constant; the walk drops the rows it
-    finds implied (``fanwalk``).
+    One row per half-space at its tightest bound: the assessments' in order,
+    then the unassessed unit rows (e_x, 0), at n = 1 the zero row at -1. On
+    the model's integer ratios (``LowerPrevision._ints``), p . f >= b is the
+    row (d f - k 1) / g at (d b - k) / g: f's ints d f over the lcm d of its
+    denominators, their least entry k and the gcd g of d f - k 1 give its
+    primitive integer normal. The universe is every row and the constant.
     """
     from .polytope import HPolytope
     n = lp.space.n
-    rows: dict = {}
-    for a in lp.assessments:
-        f, b = _canonical_row(a.gamble.values, a.lower)
-        rows[f] = max(b, rows.get(f, b))
-    for x in range(n):
-        e_x, b = _canonical_row(tuple(int(y == x) for y in range(n)), ZERO)
-        rows[e_x] = max(b, rows.get(e_x, b))
-    den = math.lcm(*(b.denominator for b in rows.values()))
-    h = HPolytope(n, rows, [b.numerator * (den // b.denominator) for b in rows.values()], den)
+    rows: dict = {}  # key -> (p, q), its tightest bound p / q so far, q > 0
+    for ratios, (bn, bd) in lp._ints:
+        d = math.lcm(*[q for _, q in ratios])
+        ints = [p * (d // q) for p, q in ratios]
+        k = min(ints)
+        g = math.gcd(*[a - k for a in ints])  # not 0: no assessed gamble is constant
+        f, b = tuple([(a - k) // g for a in ints]), (bn * d - k * bd, bd * g)
+        rows[f] = b if (old := rows.get(f)) is None or b[0] * old[1] > old[0] * b[1] else old
+    for x in range(n):  # p(x) >= 0; at n = 1, p(x) = 1 makes e_x the constant
+        e_x, b = (tuple([int(y == x) for y in range(n)]), (0, 1)) if n > 1 else ((0,), (-1, 1))
+        rows[e_x] = b if (old := rows.get(e_x)) is None or b[0] * old[1] > old[0] * b[1] else old
+    den = math.lcm(*[q // math.gcd(p, q) for p, q in rows.values()])
+    h = HPolytope(n, rows, [p * den // q for p, q in rows.values()], den)
     return h, SupportUniverse([*rows, (0,) * n])  # the constant is the zero row
 
 

@@ -123,15 +123,15 @@ def _int_rows(rows) -> tuple[int, list[list[int]]]:
 
 
 def _primitive(v) -> tuple:
-    """(p, d, k, g): p = (d v - k 1) / g for v's integers d v (``_scaled``),
-    their least entry k and the gcd g of d v - k 1 (1 if that is 0). On
-    p . 1 = 1, p . v >= b is p . p >= (d b - k) / g: p is the half-space's
+    """(d v - k 1) / g for v's integers d v (``_scaled``), their least entry
+    k and the gcd g of d v - k 1 (1 if that is 0). On p . 1 = 1, p . v >= b
+    is one half-space with p . (d v - k 1) / g >= (d b - k) / g: this is its
     primitive integer normal, least entry 0, zero for a constant v."""
     d, ints = _scaled(v)
     k = min(ints)
     shifted = [a - k for a in ints]
     g = math.gcd(*shifted) or 1
-    return tuple(a // g for a in shifted), d, k, g
+    return tuple(a // g for a in shifted)
 
 
 def _min_dot(scaled, v):

@@ -211,7 +211,9 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
     """Full adjacency walk: seed a MESC, then breadth-first cross every wall
     of every discovered node, in sorted-generator order, learning the
     universe. Deterministic given (h, universe): the seed's target comes
-    from random.Random(0).
+    from random.Random(0). The wall a node was entered by from a parent at
+    a non-degenerate vertex is not crossed: the only tight row off it there
+    is the generator dropped, so it leads back to the parent alone.
 
     A drop (``forget``) removes the nodes keyed on a dropped row and their
     edges, and crosses again the wall of each remaining node that led to
@@ -253,13 +255,13 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
         for wall in [w for w in incomplete if w[0] in dead]:
             del incomplete[wall]
 
-    def add(tab):
+    def add(tab, entered=None):
         if absorbed := _absorbed(tab.node.gens, tab.rows, table):
             forget(absorbed)
         seen[tab.node.gens] = tab.node
         if tab.rows[-1].count(0) >= h.dim:
             kept[tab.node.gens] = tab
-        queue.append((tab, tab.node.gens))
+        queue.append((tab, [g for g in tab.node.gens if g != entered]))
 
     add(_seed(h, table))
     while queue:
@@ -275,7 +277,7 @@ def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
                     continue  # dropped by an earlier candidate of this wall
                 other = tuple(sorted(shared + (j,)))
                 if other not in seen:
-                    add(_crossed(tab, c, k, other, table, reads, value))
+                    add(_crossed(tab, c, k, other, table, reads, value), None if key in kept else j)
                 found = True
                 edges.add(frozenset({key, other}))
             if not found:

@@ -40,6 +40,7 @@ from typing import NamedTuple
 
 from .cones import SupportUniverse
 from .credal import (
+    Assessment,
     Gamble,
     IncoherenceError,
     LowerPrevision,
@@ -48,7 +49,7 @@ from .credal import (
     _schema_outcomes,
     parse_gamble,
 )
-from .exactla import ZERO, Record, _scaled, vec
+from .exactla import ONE, ZERO, Record, _scaled, vec
 
 __all__ = [
     "PRIModel",
@@ -339,18 +340,19 @@ def pri_hrep(m: PRIModel):
 
 
 def as_lower_prevision(m: PRIModel) -> LowerPrevision:
-    """The bounds as lower and upper assessments on singleton indicators.
-    One outcome's only gambles are constants, which assess nothing: its one
-    coherent model, l = u = 1, is the vacuous lower prevision, and any other
-    raises IncoherenceError."""
-    sp = m.space
-    if m.n == 1:
+    """The 2n assessments of ``LowerPrevision.from_bounds`` on the bounds,
+    written down: l(x) on e_x, then -u(x) on -e_x. One outcome's gambles are
+    constants, which assess nothing: its one coherent model, l = u = 1, is
+    the vacuous lower prevision, and any other raises IncoherenceError."""
+    sp, n = m.space, m.n
+    if n == 1:
         if not is_coherent_pri(m).coherent:
             raise IncoherenceError("a one-outcome interval model is coherent only at l = u = 1")
         return LowerPrevision(sp, ())
-    lows = [(Gamble.indicator(sp, (x,)), m.lower[x]) for x in range(m.n)]
-    ups = [(Gamble.indicator(sp, (x,)), m.upper[x]) for x in range(m.n)]
-    return LowerPrevision.from_bounds(sp, lower=lows, upper=ups)
+    return LowerPrevision(sp, [
+        Assessment(Gamble(sp, tuple([one if y == x else ZERO for y in range(n)])), b)
+        for one, bounds in ((ONE, m.lower), (-ONE, [-u for u in m.upper]))
+        for x, b in enumerate(bounds)])
 
 
 def pri_from_json(obj) -> PRIModel:

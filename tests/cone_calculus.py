@@ -27,11 +27,14 @@ included, and refuses columns without it; the reference the package's
 kernel, which takes that start from the credal record, is checked against.
 ``reference_pivot`` is the general Edmonds pivot, every entry by its checked
 division, on new lists: the reference ``exactla._pivot``'s fast paths are
-checked against.
+checked against. ``full_wall_walk`` is the generic walk crossing every wall
+of every node, the one it entered by included: the reference the walk,
+which skips that wall at a non-degenerate parent, is checked against.
 """
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -49,7 +52,8 @@ from credalfans.exactla import (
     rat,
     vec,
 )
-from credalfans.fanwalk import MescGraph, MescNode
+from credalfans import fanwalk
+from credalfans.fanwalk import MescGraph, MescNode, _absorbed, _active_table, _crossed, _seed
 from credalfans.pri import PRIModel, PriCoherenceReport, pri_hrep
 
 
@@ -175,29 +179,39 @@ def ray_scan_implied(f, b, other_rows, n):
 
 def fraction_canonical_row(f, b):
     """The Fraction key of the half-space p . f >= b that the integer key
-    (``credal._canonical_row``) replaced, kept as its reference: on
-    p . 1 = 1, f and b shift by f's least entry, then scale so f's first
-    nonzero entry is 1."""
+    replaced, kept as its reference: on p . 1 = 1, f and b shift by f's
+    least entry, then scale so f's first nonzero entry is 1. A constant f
+    is the zero row."""
     low = min(f)
     f = [a - low for a in f]
-    lead = next(a for a in f if a != 0)
+    lead = next((a for a in f if a != 0), 1)
     return tuple(a / lead for a in f), (b - low) / lead
+
+
+def integer_row(f, b):
+    """A Fraction key f of fraction_canonical_row and its bound b as the
+    credal record writes them: f scaled to its primitive integer normal
+    (least entry 0, gcd 1; the zero row stays), b scaled with it."""
+    s = math.lcm(*(a.denominator for a in f))
+    ints = [a.numerator * (s // a.denominator) for a in f]
+    g = math.gcd(*ints) or 1
+    return tuple(a // g for a in ints), b * s / g
 
 
 def fraction_credal_hrep(lp):
     """(rows, universe) of lp's credal set by the Fraction rule, as
     ``build_credal_hrep`` wrote them before its integer record: the rows
     [(f, b)] keyed by fraction_canonical_row at the tightest bound, the
-    assessments' keys first, then the unassessed outcomes' unit rows; the
-    universe every key and the constant, sorted."""
+    assessments' keys first, then the unassessed outcomes' unit rows (at
+    n = 1 the zero row at -1, as p(x) = 1); the universe every nonzero key
+    and the constant, sorted."""
     n = lp.space.n
     rows = {}
-    for a in lp.assessments:
-        f, b = fraction_canonical_row(a.gamble.values, a.lower)
+    for f, b in [(a.gamble.values, a.lower) for a in lp.assessments] + [
+            (unit(n, x), ZERO) for x in range(n)]:
+        f, b = fraction_canonical_row(f, b)
         rows[f] = max(b, rows.get(f, b))
-    for e in (unit(n, x) for x in range(n)):
-        rows[e] = max(ZERO, rows.get(e, ZERO))
-    return list(rows.items()), sorted({*rows, ones(n)})
+    return list(rows.items()), sorted({*(f for f in rows if any(f)), ones(n)})
 
 
 def fraction_lp_min(rows, f):
@@ -213,6 +227,64 @@ def fraction_lp_min(rows, f):
     ((det, _, cost, duals),) = reference_simplex_each(list(zip(*(row[:-1] for row in table))),
                                                       [[row[-1] for row in table]], costs)
     return Fraction(-cost, det * d), tuple(Fraction(-a * s, det * d) for a in duals)
+
+
+def full_wall_walk(h, universe):
+    """``fanwalk.walk`` as it crossed every wall of every node it added,
+    calling ``fanwalk.neighbor_candidates`` at each: the same seed, the
+    same drops and re-crossings, the same graph."""
+    table = list(_active_table(h, universe))
+    reads = [(k, h.den, table[k][1]) for k in h._units if k is not None]
+    seen, kept = {}, {}
+    edges, incomplete = set(), {}
+    queue = deque()
+
+    def forget(absorbed):
+        gone = {table[k][0] for k in absorbed}
+        for k in absorbed:
+            table[k] = (None, table[k][1])
+        dead = {key for key in seen if not gone.isdisjoint(key)}
+        for edge in [e for e in edges if not dead.isdisjoint(e)]:
+            edges.remove(edge)
+            live, lost = sorted(edge, key=dead.__contains__)
+            if live not in dead:
+                (i,), (g,) = set(live) - set(lost), set(lost) - set(live)
+                col = next(k for k, (j, _) in enumerate(table) if j == i)
+                queue.append((_crossed(kept[lost], lost.index(g), col, live, table, reads), (i,)))
+        for key in dead:
+            del seen[key]
+            kept.pop(key, None)
+        for wall in [w for w in incomplete if w[0] in dead]:
+            del incomplete[wall]
+
+    def add(tab):
+        if absorbed := _absorbed(tab.node.gens, tab.rows, table):
+            forget(absorbed)
+        seen[tab.node.gens] = tab.node
+        if tab.rows[-1].count(0) >= h.dim:
+            kept[tab.node.gens] = tab
+        queue.append((tab, tab.node.gens))
+
+    add(_seed(h, table))
+    while queue:
+        tab, walls = queue.popleft()
+        key = tab.node.gens
+        if key not in seen:
+            continue
+        for i in walls:
+            c = key.index(i)
+            shared, found = key[:c] + key[c + 1:], False
+            for j, k in fanwalk.neighbor_candidates(tab, i, table):
+                if table[k][0] is None:
+                    continue
+                other = tuple(sorted(shared + (j,)))
+                if other not in seen:
+                    add(_crossed(tab, c, k, other, table, reads))
+                found = True
+                edges.add(frozenset({key, other}))
+            if not found:
+                incomplete[key, i] = None
+    return MescGraph(tuple(seen[k] for k in sorted(seen)), frozenset(edges), tuple(incomplete))
 
 
 def reference_pivot(t, det, r, c):

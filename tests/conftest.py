@@ -10,9 +10,8 @@ import math
 
 from hypothesis import strategies as st
 
-from cone_calculus import ones, unit
+from cone_calculus import fraction_canonical_row, integer_row, ones, unit
 from credalfans.cones import SupportUniverse
-from credalfans.credal import _canonical_row
 from credalfans.exactla import rat, vec
 from credalfans.polytope import HPolytope
 
@@ -22,11 +21,11 @@ Q = rat
 def hrep(n, rows):
     """The credal set of the rows (f, b), meaning p . f >= b, with p . 1 = 1
     implied, as the package's record: each row keyed by its primitive
-    integer normal (credal._canonical_row) at its tightest bound, in the
-    order first seen, the bounds over their least common denominator."""
+    integer normal at its tightest bound, in the order first seen, the
+    bounds over their least common denominator."""
     merged = {}
     for f, b in rows:
-        key, c = _canonical_row(vec(f), Q(b))
+        key, c = integer_row(*fraction_canonical_row(vec(f), Q(b)))
         merged[key] = max(c, merged.get(key, c))
     den = math.lcm(*(b.denominator for b in merged.values()))
     return HPolytope(n, merged, [b.numerator * (den // b.denominator) for b in merged.values()], den)

@@ -4,13 +4,14 @@ parsing."""
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from credalfans import cones, credal, fanwalk, polytope
+from credalfans import credal, fanwalk, polytope
 from credalfans.chains2mono import lower_probability_from_json
 from credalfans.cones import SupportUniverse
 from credalfans.credal import (
@@ -39,12 +40,13 @@ from cone_calculus import (
     dot,
     fraction_credal_hrep,
     fraction_lp_min,
+    integer_row,
     is_event_mesc,
     ones,
     ray_scan_implied,
     unit,
 )
-from conftest import Q, assessed_rows, fraction_rows, ind, interval_hrep
+from conftest import Q, assessed_rows, fraction_rows, ind, interval_hrep, tied_gambles
 
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -80,8 +82,6 @@ class TestSpacesAndGambles:
         # negation, for conjugacy, is the one operation a gamble has
         f = Gamble(SP3, (2, 1, 0))
         assert (-f).values == (Q(-2), Q(-1), Q(0))
-        assert Gamble(SP3, (Q(1) / 3,) * 3).is_constant()
-        assert not f.is_constant()
 
     def test_gamble_mismatch(self):
         with pytest.raises(ValueError):
@@ -280,7 +280,7 @@ def test_every_builder_writes_a_credal_set(model, bounds, data):
     m = PRIModel(OutcomeSpace(tuple(f"y{i}" for i in range(len(bounds)))),
                  [Fraction(lo, 12) for lo, _ in bounds], [Fraction(up, 12) for _, up in bounds])
     for h in _built_records(rows_model(n, rows), m):
-        assert {_primitive(unit(h.dim, y))[0] for y in range(h.dim)} <= set(h.rows)
+        assert {_primitive(unit(h.dim, y)) for y in range(h.dim)} <= set(h.rows)
         gambles = st.tuples(*[st.integers(-3, 3).map(Q)] * h.dim)
         fs = data.draw(st.permutations([vec(f) for f in h.rows] + data.draw(st.lists(gambles))))
         try:
@@ -325,20 +325,68 @@ def redundant_previsions(draw):
 @settings(max_examples=60, deadline=None)
 @given(redundant_previsions())
 def test_the_universe_takes_the_builder_keys_as_they_are(lp):
-    # build_credal_hrep writes each half-space's primitive normal once, in
-    # _canonical_row: once per assessment, then once per outcome's unit row.
-    # The universe takes those keys, already primitive, as they are, and
-    # its normals, in order, are those of the same vectors primitivised
-    calls, real = [], credal._primitive
-    with pytest.MonkeyPatch.context() as mp:
-        for module in (credal, cones):
-            mp.setattr(module, "_primitive",
-                       lambda v, name=module.__name__: calls.append((name, v)) or real(v))
-        _, universe = build_credal_hrep.__wrapped__(lp)
-    n = lp.space.n
-    assert calls == [("credalfans.credal", a.gamble.values) for a in lp.assessments] + [
-        ("credalfans.credal", tuple(int(y == x) for y in range(n))) for x in range(n)]
+    # build_credal_hrep writes each half-space's primitive normal on ints
+    # (test_the_integer_builder_matches_the_fraction_rule); the universe
+    # takes those keys as they are, and its normals, in order, are those of
+    # the same vectors primitivised
+    _, universe = build_credal_hrep.__wrapped__(lp)
     assert SupportUniverse(map(vec, universe.normals)).normals == universe.normals
+
+
+_rationals = st.fractions(-3, 3, max_denominator=12)
+
+
+@st.composite
+def integer_builder_models(draw):
+    """A lower prevision on n = 1..5 outcomes: distinct non-constant gambles
+    of rational values, negative ones included (``tied_gambles``), some
+    half-spaces assessed again as c f + k 1 at another bound, and some unit
+    rows c e_x + k 1 assessed."""
+    n = draw(st.integers(1, 5))
+    rows = [(f, draw(_rationals)) for f in draw(st.lists(tied_gambles(n), max_size=5))]
+    for f, _ in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else ():
+        c, k = draw(st.sampled_from((2, Fraction(1, 3)))), draw(_rationals)
+        rows.append((tuple(c * a + k for a in f), draw(_rationals)))
+    for x in draw(st.lists(st.integers(0, n - 1), max_size=2)) if n > 1 else ():
+        c, k = draw(st.sampled_from((1, 3, Fraction(1, 2)))), draw(_rationals)
+        rows.append((tuple(c * int(y == x) + k for y in range(n)), draw(_rationals)))
+    distinct = {}
+    for f, b in rows:
+        if len(set(f)) > 1:
+            distinct.setdefault(vec(f), b)
+    return rows_model(n, distinct.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_builder_models())
+@example(LowerPrevision(OutcomeSpace(("x",)), ()))
+@example(rows_model(3, [(unit(3, 0), Q(1) / 5), ((Q(1), Q(-1), Q(-1)), Q(-1) / 2),
+                        ((Q(-1) / 2, Q(-3) / 4, Q(0)), Q(-5) / 8)]))
+def test_the_integer_builder_matches_the_fraction_rule(lp):
+    # the record's rows, bounds and den and the universe's normals, built on
+    # the model's integer ratios, are the Fraction rule's keys and bounds
+    # (fraction_credal_hrep) scaled to primitive integer normals: one row
+    # per half-space at its tightest bound, in the order first seen; at
+    # n = 1 the zero row at -1
+    h, universe = build_credal_hrep.__wrapped__(lp)
+    rows, vectors = fraction_credal_hrep(lp)
+    expected = [integer_row(f, b) for f, b in rows]
+    den = math.lcm(*(b.denominator for _, b in expected))
+    assert (h.rows, h.bounds, h.den) == (tuple(f for f, _ in expected),
+                                        tuple(b.numerator * (den // b.denominator)
+                                              for _, b in expected), den)
+    n = lp.space.n
+    assert universe.normals == tuple((0,) * n if v == ones(n) else integer_row(v, 0)[0]
+                                     for v in vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), _rationals, st.lists(tied_gambles(5), max_size=2))
+def test_a_constant_gamble_is_refused(n, c, others):
+    space = OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+    before = [Assessment(Gamble(space, f[:n]), 0) for f in others if len(set(f[:n])) > 1]
+    with pytest.raises(ValueError, match="^assessment on a constant gamble is not representable$"):
+        LowerPrevision(space, before[:1] + [Assessment(Gamble(space, (c,) * n), c)])
 
 
 @settings(max_examples=100, deadline=None)

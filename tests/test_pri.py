@@ -17,7 +17,9 @@ from credalfans import pri
 from credalfans.chains2mono import choquet, is_two_monotone
 from credalfans.cones import SupportUniverse
 from credalfans.credal import (
+    Gamble,
     IncoherenceError,
+    LowerPrevision,
     OutcomeSpace,
     SchemaError,
     build_credal_hrep,
@@ -160,6 +162,29 @@ class TestModelAndCoherence:
                 rep = is_coherent_pri(m)
                 verdicts.add((rep.proper, rep.coherent))
         assert verdicts == {(False, False), (True, False), (True, True)}
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 12), min_size=2, max_size=2).map(sorted),
+                    min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=7)))
+    def test_as_lower_prevision_writes_the_bounds_down(self, bounds):
+        # tied and pinned twelfths on n = 1..7 outcomes: the 2n assessments,
+        # written down, are the lower and upper bounds on singleton
+        # indicators through from_bounds, equal and hashing alike; one
+        # outcome assesses nothing, and only l = u = 1 is coherent there
+        m = PRIModel(space(len(bounds)), *[[Fraction(b[i], 12) for b in bounds] for i in (0, 1)])
+        if m.n == 1:
+            if bounds == [[12, 12]]:
+                assert as_lower_prevision(m) == LowerPrevision(m.space, ())
+            else:
+                with pytest.raises(IncoherenceError):
+                    as_lower_prevision(m)
+            return
+        singletons = [Gamble.indicator(m.space, (x,)) for x in range(m.n)]
+        expected = LowerPrevision.from_bounds(m.space, lower=zip(singletons, m.lower),
+                                              upper=zip(singletons, m.upper))
+        lp = as_lower_prevision(m)
+        assert lp == expected and hash(lp) == hash(expected) and lp._ints == expected._ints
 
     def test_pri_hrep_shares_one_universe_per_n(self):
         # the universe depends on n alone: every model on n outcomes gets the
