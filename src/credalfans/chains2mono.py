@@ -36,7 +36,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cones import SupportUniverse
+from .cones import support_universe
 from .credal import Gamble, LowerPrevision, OutcomeSpace, SchemaError, _schema_outcomes, _schema_rat
 from .exactla import ZERO, Record, _scaled, rat, vec
 
@@ -184,12 +184,11 @@ def _step_table(lowprob: LowerProbability) -> tuple:
     return steps
 
 
-def event_universe(n: int) -> SupportUniverse:
-    """Indicators of every nonempty event: the rays of the chain fan plus
-    the constant direction."""
-    return SupportUniverse(tuple(
-        tuple(int(x in s) for x in range(n)) for r in range(1, n + 1)
-        for s in itertools.combinations(range(n), r)))
+def event_universe(n: int) -> tuple:
+    """``cones.support_universe`` of every proper nonempty event's indicator,
+    the chain fan's rays, and of the zero row, the sure event's: the constant."""
+    return support_universe([tuple(int(x in s) for x in range(n)) for r in range(1, n)
+                             for s in itertools.combinations(range(n), r)] + [(0,) * n])
 
 
 def chain_graph(lowprob: LowerProbability):
@@ -206,7 +205,7 @@ def chain_graph(lowprob: LowerProbability):
     n = lowprob.space.n
     steps = _step_table(lowprob)
     index = [None] * (1 << n)
-    for k, v in enumerate(event_universe(n).normals):  # the sure event's is the zero row
+    for k, v in enumerate(event_universe(n)):  # the sure event's is the zero row
         index[sum(1 << i for i, a in enumerate(v) if a) or (1 << n) - 1] = k
     keys, nodes = {}, []
     for order in itertools.permutations(range(n)):

@@ -31,7 +31,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .cones import SupportUniverse
+from .cones import support_universe
 from .exactla import ONE, ZERO, Record, _int_rows, _min_dot, rat, vec
 
 __all__ = [
@@ -198,7 +198,7 @@ def build_credal_hrep(lp: LowerPrevision):
         rows[e_x] = b if (old := rows.get(e_x)) is None or b[0] * old[1] > old[0] * b[1] else old
     den = math.lcm(*[q // math.gcd(p, q) for p, q in rows.values()])
     h = HPolytope(n, rows, [p * den // q for p, q in rows.values()], den)
-    return h, SupportUniverse([*rows, (0,) * n])  # the constant is the zero row
+    return h, support_universe([*rows, (0,) * n])  # the constant is the zero row
 
 
 class AssessmentCheck(NamedTuple):

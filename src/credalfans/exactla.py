@@ -6,20 +6,19 @@ and ``rat`` is the only way in. It refuses floats (and bools), so an inexact
 value fails loudly instead of rounding silently.
 
 Vectors are tuples of Fractions; ``_scaled`` and ``_int_rows`` clear their
-denominators, and ``_primitive`` writes a half-space's normal as the
-primitive integer row that keys it. ``rank``, the vertex oracle's subset
-solves (``_eliminate``, from ``polytope.vertices_bruteforce``) and the one
-LP kernel share one fraction-free Gauss-Jordan pivot (``_pivot``, Edmonds'
-integer-preserving elimination, as in lrs): every division is exact and
-intermediate growth stays polynomial; it divides only at det > 1 and writes
-into no row, so tables may share the rows it leaves. The LP kernel takes
-integers, scaled by its callers, and solves a credal set's dual alone: it
-starts at the probability simplex's own basis, with no pivot, no phase 1 and
-no search for it, on the unit columns and the +- pair of 1 its caller names
-(the record, ``polytope.HPolytope``, refuses a set without them), and
-returns integers over one det: its callers build the Fractions they read.
-``simplex_each`` solves many targets; ``_optimum``, its first step, returns
-the final tableau itself, from which the walk reads its seed.
+denominators. ``rank``, the vertex oracle's subset solves (``_eliminate``,
+from ``polytope.vertices_bruteforce``) and the one LP kernel share one
+fraction-free Gauss-Jordan pivot (``_pivot``, Edmonds' integer-preserving
+elimination, as in lrs): every division is exact and intermediate growth
+stays polynomial; it divides only at det > 1 and writes into no row, so
+tables may share the rows it leaves. The LP kernel takes integers, scaled by
+its callers, and solves a credal set's dual alone: it starts at the
+probability simplex's own basis, with no pivot, no phase 1 and no search for
+it, on the unit columns and the +- pair of 1 its caller names (the record,
+``polytope.HPolytope``, refuses a set without them), and returns integers
+over one det: its callers build the Fractions they read. ``simplex_each``
+solves many targets; ``_optimum``, its first step, returns the final tableau
+itself, from which the walk reads its seed.
 """
 
 from __future__ import annotations
@@ -120,18 +119,6 @@ def _int_rows(rows) -> tuple[int, list[list[int]]]:
     d, entries = _scaled([a for row in rows for a in row])
     entries = iter(entries)
     return d, [[next(entries) for _ in row] for row in rows]
-
-
-def _primitive(v) -> tuple:
-    """(d v - k 1) / g for v's integers d v (``_scaled``), their least entry
-    k and the gcd g of d v - k 1 (1 if that is 0). On p . 1 = 1, p . v >= b
-    is one half-space with p . (d v - k 1) / g >= (d b - k) / g: this is its
-    primitive integer normal, least entry 0, zero for a constant v."""
-    d, ints = _scaled(v)
-    k = min(ints)
-    shifted = [a - k for a in ints]
-    g = math.gcd(*shifted) or 1
-    return tuple(a // g for a in shifted)
 
 
 def _min_dot(scaled, v):

@@ -40,10 +40,9 @@ import random
 from collections import Counter, deque
 from dataclasses import KW_ONLY, InitVar, dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
-from .cones import SupportUniverse
 from .exactla import _pivot, format_rat
 from .polytope import HPolytope, _dual_tableau
 
@@ -60,8 +59,8 @@ __all__ = [
 
 class MescNode(NamedTuple):
     """A MESC plus the vertex it certifies. gens is the sorted tuple of the
-    generators' indices in the engine's SupportUniverse; the universe is
-    stored sorted, so index order is generator order."""
+    generators' indices in the engine's universe (``cones.support_universe``);
+    the universe is stored sorted, so index order is generator order."""
 
     gens: tuple
     vertex: tuple
@@ -115,13 +114,13 @@ class _Tableau(NamedTuple):
     rows: list
 
 
-def _active_table(h: HPolytope, universe: SupportUniverse) -> tuple:
+def _active_table(h: HPolytope, universe: tuple) -> tuple:
     """One row (j, b) per row f of h: j is f's universe index, and b its
     bound over h.den as it is. The walk's hypothesis: the non-constant
     universe vectors are h's nonzero rows (ValueError otherwise), as the
     seed's basis may hold any row of h. So j is None only at a row the walk
     dropped, or at h's zero row, its one at dim 1."""
-    index = {f: j for j, f in enumerate(universe.normals) if any(f)}
+    index = {f: j for j, f in enumerate(universe) if any(f)}
     if index.keys() != {f for f in h.rows if any(f)}:
         raise ValueError("non-constant universe vectors are not the polytope's inequality normals")
     return tuple((index.get(f), b) for f, b in zip(h.rows, h.bounds))
@@ -207,11 +206,12 @@ def _seed(h: HPolytope, table) -> _Tableau:
                     [t[i][:m] for _, i in gens] + [t[-1][:m]])
 
 
-def walk(h: HPolytope, universe: SupportUniverse) -> MescGraph:
-    """Full adjacency walk: seed a MESC, then breadth-first cross every wall
-    of every discovered node, in sorted-generator order, learning the
-    universe. Deterministic given (h, universe): the seed's target comes
-    from random.Random(0). The wall a node was entered by from a parent at
+def walk(h: HPolytope, universe: tuple) -> MescGraph:
+    """Full adjacency walk over universe (``cones.support_universe`` of h's
+    rows): seed a MESC, then breadth-first cross every wall of every
+    discovered node, in sorted-generator order, learning the universe.
+    Deterministic given (h, universe): the seed's target comes from
+    random.Random(0). The wall a node was entered by from a parent at
     a non-degenerate vertex is not crossed: the only tight row off it there
     is the generator dropped, so it leads back to the parent alone.
 
@@ -348,17 +348,26 @@ def graph_to_dot(g: MescGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json(g: MescGraph, universe: SupportUniverse) -> dict:
-    """JSON-ready dict; generators are referenced by universe index. The
-    universe's strings are copied from its ``formatted``. Each vertex value
-    object is formatted once (_formatter): the id() memo is safe, as it
-    lives for this call only and g keeps every keyed object alive."""
+@lru_cache(maxsize=16)
+def _universe_strings(universe: tuple) -> tuple:
+    """The universe's export strings, kept for the 16 latest universes (pri
+    shares one per n): each row over its first nonzero entry, the constant
+    as the ones vector."""
+    return tuple(tuple(format_rat(Fraction(a, c)) for a in v)
+                 if (c := next((a for a in v if a), 0)) else ("1",) * len(v) for v in universe)
+
+
+def graph_to_json(g: MescGraph, universe: tuple) -> dict:
+    """JSON-ready dict; generators are referenced by universe index, and the
+    universe is printed by ``_universe_strings``. Each vertex value object
+    is formatted once (_formatter): the id() memo is safe, as it lives for
+    this call only and g keeps every keyed object alive."""
     gens = set().union(*(node.gens for node in g.nodes))
     if gens and (min(gens) < 0 or max(gens) >= len(universe)):
         raise ValueError("graph generator index outside the universe")
     fmt = _formatter()
     return {
-        "universe": [list(v) for v in universe.formatted],
+        "universe": [list(v) for v in _universe_strings(universe)],
         "nodes": [{"id": i, "vertex": fmt(node.vertex), "generators": list(node.gens)}
                   for i, node in enumerate(g.nodes)],
         "edges": [[i, j] for i, j in g.pairs],

@@ -52,9 +52,9 @@ class EmptyPolytopeError(RuntimeError):
 class HPolytope(Record):
     """A credal set on dim outcomes: p . rows[i] >= bounds[i] / den for each
     i, and p . 1 = 1, implicit. The rows are distinct primitive integer
-    normals (``exactla._primitive``; the zero row only at dim 1), the
-    bounds integers over one den > 0, and each e_y's primitive form is a
-    row (ValueError otherwise), so the dual holds the LP kernel's start.
+    normals (least entry 0, gcd 1; the zero row only at dim 1), the bounds
+    integers over one den > 0, and each e_y's primitive form is a row
+    (ValueError otherwise), so the dual holds the LP kernel's start.
     The dual is kept here, built once: its integer costs, its rows by
     coordinate (the rows' entries, then the +- pair of 1) and the column
     of each e_y (None at dim 1, where the zero row is the only row)."""

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .cones import SupportUniverse
+from .cones import support_universe
 from .credal import (
     Assessment,
     Gamble,
@@ -313,12 +313,12 @@ def count_bounds(n: int) -> tuple:
 def _interval_fan(n: int) -> tuple:
     """(normals, universe, bits) on n >= 2 outcomes, kept for the 16 latest n:
     pri_hrep's integer row normals (singletons, then complements), its
-    universe, and a pair (i, j) per normal j, i its universe index, sorted."""
+    universe (``cones.support_universe`` of them and the zero row), and a
+    pair (i, j) per normal j, i its universe index, sorted."""
     events = [{x} for x in range(n)] + [set(range(n)) - {x} for x in range(n)]
     normals = tuple(tuple(int(x in e) for x in range(n)) for e in events)
-    universe = SupportUniverse(normals + ((0,) * n,))
-    return normals, universe, tuple(sorted((universe.normals.index(f), j)
-                                           for j, f in enumerate(normals)))
+    universe = support_universe(normals + ((0,) * n,))
+    return normals, universe, tuple(sorted((universe.index(f), j) for j, f in enumerate(normals)))
 
 
 def pri_hrep(m: PRIModel):
@@ -326,12 +326,12 @@ def pri_hrep(m: PRIModel):
     a lower row per singleton indicator, an upper row per complement, and
     two on one indicator (n = 2) merged at the tighter bound; at n = 1 both
     are the zero row, l(x) <= p(x) = 1 <= u(x). The universe, every row
-    normal and the constant, is one immutable object per n."""
+    normal and the constant, is one tuple per n (``_interval_fan``)."""
     from .polytope import HPolytope
     n = m.n
     lo, up, d = _int_bounds(m)
     if n == 1:
-        return HPolytope(1, ((0,),), (max(lo[0] - d, d - up[0]),), d), SupportUniverse(((0,),))
+        return HPolytope(1, ((0,),), (max(lo[0] - d, d - up[0]),), d), ((0,),)
     normals, universe, _ = _interval_fan(n)
     bounds: dict = {}
     for f, b in zip(normals, lo + tuple(d - u for u in up)):

@@ -30,6 +30,9 @@ division, on new lists: the reference ``exactla._pivot``'s fast paths are
 checked against. ``full_wall_walk`` is the generic walk crossing every wall
 of every node, the one it entered by included: the reference the walk,
 which skips that wall at a non-degenerate parent, is checked against.
+``universe_of`` builds a support universe from Fraction vectors in any
+scale, and ``universe_vectors`` reads one back as the Fraction vectors its
+order and its printed strings are defined on.
 """
 
 import itertools
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from credalfans.cones import support_universe
 from credalfans.credal import natural_extension
 from credalfans.exactla import (
     ONE,
@@ -196,6 +200,21 @@ def integer_row(f, b):
     ints = [a.numerator * (s // a.denominator) for a in f]
     g = math.gcd(*ints) or 1
     return tuple(a // g for a in ints), b * s / g
+
+
+def universe_of(vectors) -> tuple:
+    """``cones.support_universe`` of Fraction vectors in any scale and
+    shift: each written as its primitive integer normal, the constant as
+    the zero row."""
+    return support_universe(integer_row(*fraction_canonical_row(v, 0))[0] for v in vectors)
+
+
+def universe_vectors(universe) -> tuple:
+    """A universe's rows as Fraction vectors, each over its first nonzero
+    entry, the constant (the zero row) as the ones vector: the vectors its
+    sort order and ``graph_to_json``'s strings are defined on."""
+    return tuple(tuple(Fraction(a, next(c for c in v if c)) for a in v) if any(v)
+                 else ones(len(v)) for v in universe)
 
 
 def fraction_credal_hrep(lp):
@@ -560,7 +579,7 @@ def reference_enumerate_extreme_pri(m):
     node order."""
     n = m.n
     h, universe = pri_hrep(m)
-    uindex = {v: i for i, v in enumerate(universe.normals)}
+    uindex = {v: i for i, v in enumerate(universe)}
     row = [uindex[f] for f in h.rows]
 
     def gens(c):

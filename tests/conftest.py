@@ -10,8 +10,7 @@ import math
 
 from hypothesis import strategies as st
 
-from cone_calculus import fraction_canonical_row, integer_row, ones, unit
-from credalfans.cones import SupportUniverse
+from cone_calculus import fraction_canonical_row, integer_row, ones, unit, universe_of
 from credalfans.exactla import rat, vec
 from credalfans.polytope import HPolytope
 
@@ -55,7 +54,7 @@ def interval_universe(n):
     vs = [unit(n, i) for i in range(n)]
     vs += [ind(n, set(range(n)) - {i}) for i in range(n)]
     vs.append(ones(n))
-    return SupportUniverse(tuple(vs))
+    return universe_of(vs)
 
 
 def lowprob_hrep(n, values):
@@ -77,7 +76,7 @@ def event_universe(n):
         for s in itertools.combinations(range(n), r):
             vs.append(ind(n, set(s)))
     vs.append(ones(n))
-    return SupportUniverse(tuple(vs))
+    return universe_of(vs)
 
 
 SUPERMOD3 = {

@@ -38,6 +38,7 @@ from cone_calculus import (
     reference_chain_vertex,
     reference_choquet,
     unit,
+    universe_vectors,
 )
 from conftest import (
     SUPERMOD3,
@@ -83,7 +84,7 @@ def reference_is_two_monotone(lowprob):
 def chain_keys(n):
     """{order: the universe indices of its chain cone's generators}, sorted
     as the universe is."""
-    uindex = {v: k for k, v in enumerate(event_universe(n).vectors)}
+    uindex = {v: k for k, v in enumerate(universe_vectors(event_universe(n)))}
     return {order: tuple(uindex[g] for g in chain_cone(order).generators)
             for order in itertools.permutations(range(n))}
 
@@ -286,7 +287,7 @@ class TestChains:
         # each edge joins two cones that differ in one generator and lie on
         # opposite sides of their common wall; each wall bounds two cones
         graph = chain_graph(lp4())
-        vectors = event_universe(4).vectors
+        vectors = universe_vectors(event_universe(4))
         for a, b in map(tuple, graph.edges):
             assert len(set(a) ^ set(b)) == 2
             assert are_adjacent(Cone(tuple(vectors[i] for i in a)), Cone(tuple(vectors[i] for i in b)))

@@ -1,4 +1,5 @@
-"""Cone membership, MESC recognition by the dual basis, adjacency sign test."""
+"""Cone membership, MESC recognition by the dual basis, adjacency sign test,
+and the order every builder's support universe is printed in."""
 
 import itertools
 import random
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credalfans.cones import SupportUniverse
+from credalfans import chains2mono, pri
 from credalfans.credal import OutcomeSpace, build_credal_hrep
-from credalfans.exactla import rank, rat, vec
+from credalfans.exactla import format_rat, rank, rat, vec
+from credalfans.fanwalk import MescGraph, graph_to_json
 from credalfans.pri import PRIModel, is_coherent_pri, pri_hrep
 
 from cone_calculus import (
@@ -20,8 +22,12 @@ from cone_calculus import (
     contains,
     dot,
     dual_basis,
+    indicator,
     ones,
     solve_unique,
+    unit,
+    universe_of,
+    universe_vectors,
     witness,
 )
 from test_walk_pinned import _envelope
@@ -41,7 +47,7 @@ def event_universe(n):
         for s in itertools.combinations(range(n), r):
             vs.append(ind(n, s))
     vs.append(ones(n))
-    return SupportUniverse(tuple(vs))
+    return universe_of(vs)
 
 
 CHAIN3 = Cone((ind(3, {0}), ind(3, {0, 1})))
@@ -50,15 +56,44 @@ CHAIN3 = Cone((ind(3, {0}), ind(3, {0, 1})))
 def others(gens, universe):
     """The universe vectors a MESC on gens must not absorb: all but the
     generators and the constant direction, in universe order."""
-    return [u for u in universe.vectors if u not in gens and len(set(u)) > 1]
+    return [u for u in universe_vectors(universe) if u not in gens and len(set(u)) > 1]
 
 
 def test_support_universe_requires_constant_one():
-    with pytest.raises(ValueError):
-        SupportUniverse((ind(3, {0}),))
     u = event_universe(3)
     assert len(u) == 7
-    assert ones(3) in u.vectors
+    assert ones(3) in universe_vectors(u)
+
+
+def _builder_universes():
+    """(id, universe, the Fraction vectors it is built from, written down
+    here): pri's interval fan at n = 2..10 (singletons, complements and the
+    constant), pri_hrep at n = 1, and the chain fan's events at n = 1..7."""
+    for n in range(2, 11):
+        yield f"interval_n{n}", pri._interval_fan(n)[1], [unit(n, x) for x in range(n)] + [
+            indicator(n, set(range(n)) - {x}) for x in range(n)] + [ones(n)]
+    one = PRIModel(OutcomeSpace(("x",)), (Q(1),), (Q(1),))
+    yield "interval_n1", pri_hrep(one)[1], [ones(1)]
+    for n in range(1, 8):
+        yield f"events_n{n}", chains2mono.event_universe(n), [
+            indicator(n, s) for r in range(1, n + 1) for s in itertools.combinations(range(n), r)]
+
+
+@pytest.mark.parametrize("universe, vectors", [u[1:] for u in _builder_universes()],
+                         ids=[u[0] for u in _builder_universes()])
+def test_every_builder_universe_prints_in_fraction_vector_order(universe, vectors):
+    # a universe is its builder's distinct vectors, sorted as Fraction
+    # vectors, each over its first nonzero entry, the constant as ones;
+    # node keys index it, so graph JSON prints it in that order, and an
+    # export's lists are its own: changing them changes no later export
+    assert universe_vectors(universe) == tuple(sorted(set(vectors)))
+    expected = [[format_rat(a) for a in v] for v in sorted(set(vectors))]
+    empty = MescGraph((), frozenset())
+    doc = graph_to_json(empty, universe)
+    assert doc["universe"] == expected
+    doc["universe"][0][0] = "changed"
+    doc["universe"].append(["extra"])
+    assert graph_to_json(empty, universe)["universe"] == expected
 
 
 def test_contains_and_relative_interior():
@@ -207,7 +242,7 @@ def lp_mesc_failure(gens, universe):
     witness (its coordinates on the basis gens + 1, by solve_unique, all
     nonnegative on gens; the constant-one lineality takes any sign); None
     for a MESC."""
-    n = universe.dim
+    n = len(universe[0])
     if len(gens) != n - 1:
         return "size"
     basis = list(gens) + [ones(n)]
@@ -223,8 +258,8 @@ def lp_mesc_failure(gens, universe):
 @st.composite
 def universe_and_generators(draw):
     universe = draw(st.sampled_from(UNIVERSES))
-    n = universe.dim
-    plain = [v for v in universe.vectors if v != ones(n)]
+    n = len(universe[0])
+    plain = [v for v in universe_vectors(universe) if v != ones(n)]
     size = draw(st.sampled_from((n - 1, n - 1, n - 1, n - 2)))
     gens = draw(st.lists(st.sampled_from(plain), min_size=size, max_size=size, unique=True))
     return universe, gens
@@ -234,7 +269,7 @@ def universe_and_generators(draw):
 @given(universe_and_generators())
 def test_dual_basis_matches_lp_route(drawn):
     universe, gens = drawn
-    n = universe.dim
+    n = len(universe[0])
     dual = dual_basis(gens, n)
     basis = gens + [ones(n)]
     if dual is None:

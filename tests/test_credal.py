@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from credalfans import credal, fanwalk, polytope
 from credalfans.chains2mono import lower_probability_from_json
-from credalfans.cones import SupportUniverse
 from credalfans.credal import (
     Assessment,
     AssessmentCheck,
@@ -29,7 +28,7 @@ from credalfans.credal import (
     natural_extension,
     parse_gamble,
 )
-from credalfans.exactla import LpUnbounded, _primitive, format_rat, vec
+from credalfans.exactla import LpUnbounded, format_rat, vec
 from credalfans.fanwalk import graph_to_json, walk
 from credalfans.polytope import EmptyPolytopeError, lp_min, lp_minima, vertices_bruteforce
 from credalfans.pri import PRIModel, pri_from_json, pri_hrep
@@ -38,6 +37,7 @@ from cone_calculus import (
     EventCollection,
     cone_additivity_check,
     dot,
+    fraction_canonical_row,
     fraction_credal_hrep,
     fraction_lp_min,
     integer_row,
@@ -45,6 +45,8 @@ from cone_calculus import (
     ones,
     ray_scan_implied,
     unit,
+    universe_of,
+    universe_vectors,
 )
 from conftest import Q, assessed_rows, fraction_rows, ind, interval_hrep, tied_gambles
 
@@ -120,7 +122,7 @@ class TestHrepConstruction:
     def test_vacuous_universe_and_rows(self):
         h, uni = build_credal_hrep(LowerPrevision(SP3, ()))
         # no assessment implies any nonnegativity row, so all three stay
-        assert set(uni.vectors) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
+        assert set(universe_vectors(uni)) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
         assert {v.point for v in vertices_bruteforce(h)} == {
             (Q(1), Q(0), Q(0)), (Q(0), Q(1), Q(0)), (Q(0), Q(0), Q(1))}
 
@@ -128,7 +130,7 @@ class TestHrepConstruction:
         lp = LowerPrevision.from_bounds(SP3, lower=[((1, 0, 0), Q(1) / 4)])
         h, uni = build_credal_hrep(lp)
         # p(x1) >= 1/4 subsumes p(x1) >= 0; the other two rows survive
-        assert set(uni.vectors) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
+        assert set(universe_vectors(uni)) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
         assert dict(fraction_rows(h))[unit(3, 0)] == Q(1) / 4
         assert {v.point for v in vertices_bruteforce(h)} == {
             (Q(1), Q(0), Q(0)),
@@ -144,7 +146,7 @@ class TestHrepConstruction:
         # p . (1,2,3) >= 0 cannot bound any p(x) below, rows all retained
         lp = LowerPrevision.from_bounds(SP3, lower=[((1, 2, 3), 0)])
         _, uni = build_credal_hrep(lp)
-        assert {unit(3, 0), unit(3, 1), unit(3, 2)} <= set(uni.vectors)
+        assert {unit(3, 0), unit(3, 1), unit(3, 2)} <= set(universe_vectors(uni))
 
     def test_implied_row_without_shortcut(self):
         # upper bounds u == 1/3 on two outcomes force p(x3) >= 1/3 > 0,
@@ -154,10 +156,11 @@ class TestHrepConstruction:
             SP3, upper=[((1, 0, 0), Q(1) / 3), ((0, 1, 0), Q(1) / 3)]
         )
         h, uni = build_credal_hrep(lp)
-        assert {unit(3, 0), unit(3, 1), unit(3, 2)} <= set(uni.vectors)
+        assert {unit(3, 0), unit(3, 1), unit(3, 2)} <= set(universe_vectors(uni))
         assert dropped_rows(h, uni) == [unit(3, 2)]
         g = walk(h, uni)
-        assert uni.vectors.index(unit(3, 2)) not in {i for node in g.nodes for i in node.gens}
+        gens = {i for node in g.nodes for i in node.gens}
+        assert universe_vectors(uni).index(unit(3, 2)) not in gens
         assert g.vertices == {v.point for v in vertices_bruteforce(h)}
 
     def test_building_the_record_runs_no_lp(self, monkeypatch):
@@ -170,7 +173,7 @@ class TestHrepConstruction:
         h, uni = build_credal_hrep.__wrapped__(lp)
         assert calls == []
         assert fraction_rows(h) == [(unit(3, 0), Q(1) / 4), (unit(3, 1), 0), (unit(3, 2), 0)]
-        assert set(uni.vectors) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
+        assert set(universe_vectors(uni)) == {unit(3, 0), unit(3, 1), unit(3, 2), ones(3)}
 
     def test_interval_model_matches_handbuilt_polytope(self):
         lp = pri3_lp()
@@ -236,7 +239,7 @@ def dropped_rows(h, universe):
         mp.setattr(fanwalk, "_seed", lambda h, table: tables.append(table) or real(h, table))
         walk(h, universe)
     before = fanwalk._active_table(h, universe)
-    return [vec(universe.normals[j]) for (j, _), (now, _) in zip(before, tables[0])
+    return [vec(universe[j]) for (j, _), (now, _) in zip(before, tables[0])
             if j is not None and now is None]
 
 
@@ -280,7 +283,8 @@ def test_every_builder_writes_a_credal_set(model, bounds, data):
     m = PRIModel(OutcomeSpace(tuple(f"y{i}" for i in range(len(bounds)))),
                  [Fraction(lo, 12) for lo, _ in bounds], [Fraction(up, 12) for _, up in bounds])
     for h in _built_records(rows_model(n, rows), m):
-        assert {_primitive(unit(h.dim, y)) for y in range(h.dim)} <= set(h.rows)
+        units = {integer_row(*fraction_canonical_row(unit(h.dim, y), 0))[0] for y in range(h.dim)}
+        assert units <= set(h.rows)
         gambles = st.tuples(*[st.integers(-3, 3).map(Q)] * h.dim)
         fs = data.draw(st.permutations([vec(f) for f in h.rows] + data.draw(st.lists(gambles))))
         try:
@@ -327,10 +331,10 @@ def redundant_previsions(draw):
 def test_the_universe_takes_the_builder_keys_as_they_are(lp):
     # build_credal_hrep writes each half-space's primitive normal on ints
     # (test_the_integer_builder_matches_the_fraction_rule); the universe
-    # takes those keys as they are, and its normals, in order, are those of
-    # the same vectors primitivised
+    # takes those keys as they are, and its rows, in order, are those of
+    # the same vectors primitivised and sorted
     _, universe = build_credal_hrep.__wrapped__(lp)
-    assert SupportUniverse(map(vec, universe.normals)).normals == universe.normals
+    assert universe_of(map(vec, universe)) == universe
 
 
 _rationals = st.fractions(-3, 3, max_denominator=12)
@@ -376,8 +380,7 @@ def test_the_integer_builder_matches_the_fraction_rule(lp):
                                         tuple(b.numerator * (den // b.denominator)
                                               for _, b in expected), den)
     n = lp.space.n
-    assert universe.normals == tuple((0,) * n if v == ones(n) else integer_row(v, 0)[0]
-                                     for v in vectors)
+    assert universe == tuple((0,) * n if v == ones(n) else integer_row(v, 0)[0] for v in vectors)
 
 
 @settings(max_examples=60, deadline=None)
@@ -403,7 +406,7 @@ def test_integer_rule_matches_the_fraction_rule(lp, data):
     lead = [next(a for a in f if a) for f in h.rows]
     assert [(tuple(Fraction(a, c) for a in f), Fraction(b, h.den * c))
             for f, b, c in zip(h.rows, h.bounds, lead)] == rows
-    assert list(universe.vectors) == vectors
+    assert list(universe_vectors(universe)) == vectors
     fs = [f for f, _ in rows] + [vec(f) for f in data.draw(st.lists(
         st.tuples(*[st.integers(-2, 2)] * h.dim), min_size=1, max_size=3))]
     for f in fs:
@@ -418,11 +421,11 @@ def test_integer_rule_matches_the_fraction_rule(lp, data):
     if not is_coherent(lp).coherent:
         return
     g = walk(h, universe)
-    index = {v: i for i, v in enumerate(vectors)}
+    index, written = {v: i for i, v in enumerate(vectors)}, universe_vectors(universe)
     text = json.dumps({
         "universe": [[format_rat(a) for a in v] for v in vectors],
         "nodes": [{"id": i, "vertex": [format_rat(a) for a in node.vertex],
-                   "generators": [index[universe.vectors[j]] for j in node.gens]}
+                   "generators": [index[written[j]] for j in node.gens]}
                   for i, node in enumerate(g.nodes)],
         "edges": [[i, j] for i, j in g.pairs]}, indent=2)
     assert json.dumps(graph_to_json(g, universe), indent=2) == text

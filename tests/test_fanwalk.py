@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from cone_calculus import ones, unit
+from cone_calculus import ones, unit, universe_of, universe_vectors
 from conftest import (
     SUPERMOD3,
     coherent_intervals,
@@ -30,7 +30,6 @@ from credalfans.chains2mono import (
     enumerate_extreme_2mono,
     lower_probability_from_json,
 )
-from credalfans.cones import SupportUniverse
 from credalfans.credal import (
     LowerPrevision,
     OutcomeSpace,
@@ -57,7 +56,7 @@ from test_walk_pinned import _envelope
 Q = rat
 
 SIMPLEX3 = hrep(3, [(unit(3, i), 0) for i in range(3)])
-SIMPLEX3_U = SupportUniverse((unit(3, 0), unit(3, 1), unit(3, 2), ones(3)))
+SIMPLEX3_U = universe_of((unit(3, 0), unit(3, 1), unit(3, 2), ones(3)))
 PRI3 = interval_hrep(["1/6"] * 3, ["1/2"] * 3)
 PRI3_U = interval_universe(3)
 SUP3 = lowprob_hrep(3, SUPERMOD3)
@@ -65,7 +64,7 @@ SUP3_U = event_universe(3)
 
 
 def _simplex_index(*vectors):
-    return tuple(sorted(SIMPLEX3_U.vectors.index(v) for v in vectors))
+    return tuple(sorted(universe_vectors(SIMPLEX3_U).index(v) for v in vectors))
 
 
 def _simplex_seed():
@@ -99,7 +98,7 @@ def test_neighbor_candidates_drop_must_be_generator():
 
 
 def test_walk_one_outcome_is_one_node():
-    universe = SupportUniverse((ones(1),))
+    universe = universe_of((ones(1),))
     g = walk(hrep(1, [(vec([1]), 0)]), universe)
     assert g == MescGraph((MescNode((), vec([1])),), frozenset())
     assert verify_graph(g).ok
@@ -108,7 +107,7 @@ def test_walk_one_outcome_is_one_node():
 
 
 def test_walk_needs_every_universe_vector_as_a_row_normal():
-    extra = SupportUniverse(SIMPLEX3_U.vectors + (vec([1, 1, 0]),))
+    extra = universe_of(universe_vectors(SIMPLEX3_U) + (vec([1, 1, 0]),))
     with pytest.raises(ValueError, match="not the polytope's inequality normals"):
         _active_table(SIMPLEX3, extra)
     with pytest.raises(ValueError, match="not the polytope's inequality normals"):
@@ -117,7 +116,7 @@ def test_walk_needs_every_universe_vector_as_a_row_normal():
 
 def test_walk_needs_every_row_normal_in_the_universe():
     # the seed's basis may hold any row of h, so each must be a universe vector
-    missing = SupportUniverse((unit(3, 0), unit(3, 1), ones(3)))
+    missing = universe_of((unit(3, 0), unit(3, 1), ones(3)))
     with pytest.raises(ValueError, match="not the polytope's inequality normals"):
         walk(SIMPLEX3, missing)
 
@@ -353,7 +352,7 @@ def shared_value_graphs(draw):
         return tuple(Fraction(a.numerator, a.denominator) if draw(st.booleans()) else a
                      for a in vals)
 
-    universe = SupportUniverse(tuple(vector() for _ in range(draw(st.integers(0, 4)))) + (ones(n),))
+    universe = universe_of([vector() for _ in range(draw(st.integers(0, 4)))] + [ones(n)])
     key = st.lists(st.integers(0, len(universe) - 1), min_size=1, max_size=2, unique=True)
     keys = sorted(draw(st.lists(key.map(lambda k: tuple(sorted(k))), min_size=1, max_size=6,
                                 unique=True)))
@@ -371,7 +370,7 @@ def test_exports_match_formatting_every_coordinate(drawn):
     # format_rat gives coordinate by coordinate
     g, universe = drawn
     plain = {
-        "universe": [[format_rat(a) for a in v] for v in universe.vectors],
+        "universe": [[format_rat(a) for a in v] for v in universe_vectors(universe)],
         "nodes": [{"id": i, "vertex": [format_rat(a) for a in node.vertex],
                    "generators": list(node.gens)} for i, node in enumerate(g.nodes)],
         "edges": [[i, j] for i, j in g.pairs],

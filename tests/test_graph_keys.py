@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_calculus import dot, ones
+from cone_calculus import dot, ones, universe_vectors
 from conftest import fraction_rows
 
 from credalfans.chains2mono import chain_graph, event_universe
@@ -61,14 +61,14 @@ def models():
 
 
 def assert_keys_tight(graph, universe, bound):
-    n = universe.dim
+    n, vectors = len(universe[0]), universe_vectors(universe)
     assert graph.nodes
     for node in graph.nodes:
         assert len(node.gens) == n - 1
         assert list(node.gens) == sorted(set(node.gens))
         for i in node.gens:
             assert 0 <= i < len(universe)
-            row = universe.vectors[i]
+            row = vectors[i]
             assert row != ones(n)  # the constant direction is lineality
             assert dot(row, node.vertex) == bound(row)
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from credalfans import pri
 from credalfans.chains2mono import choquet, is_two_monotone
-from credalfans.cones import SupportUniverse
 from credalfans.credal import (
     Gamble,
     IncoherenceError,
@@ -57,6 +56,8 @@ from cone_calculus import (
     reference_is_coherent_pri,
     remainder,
     unit,
+    universe_of,
+    universe_vectors,
     vertex_for_cone,
     witness,
 )
@@ -196,9 +197,9 @@ class TestModelAndCoherence:
             m2 = pri_uniform(n, Q(1) / (2 * n), Q(3) / (2 * n))
             universe = pri_hrep(m1)[1]
             assert pri_hrep(m2)[1] is universe
-            fresh = SupportUniverse(tuple(unit(n, x) for x in range(n))
-                                    + tuple(vec([int(y != x) for y in range(n)]) for x in range(n))
-                                    + (ones(n),))
+            fresh = universe_of([unit(n, x) for x in range(n)]
+                                + [vec([int(y != x) for y in range(n)]) for x in range(n)]
+                                + [ones(n)])
             assert universe == fresh
             seen.add(id(universe))
         assert len(seen) == 4
@@ -231,17 +232,17 @@ class TestConeCalculus:
         gens = _cone_of(c, pri3()).generators
         assert set(gens) == {unit(3, 1), (Q(1), Q(1), Q(0))}
         _, uni = pri_hrep(pri3())
-        assert set(gens) <= set(uni.vectors)
+        assert set(gens) <= set(universe_vectors(uni))
 
     def test_cone_is_mesc_over_interval_universe(self):
         points, graph = enumerate_extreme_pri(pri3())
-        _, uni = pri_hrep(pri3())
+        vectors = universe_vectors(pri_hrep(pri3())[1])
         assert len(graph.nodes) == 6
         for node in graph.nodes:
-            gens = [uni.vectors[i] for i in node.gens]
+            gens = [vectors[i] for i in node.gens]
             dual = dual_basis(gens, 3)
             assert dual is not None
-            assert absorbed(dual, (u for u in uni.vectors if u not in gens and u != ones(3))) is None
+            assert absorbed(dual, (u for u in vectors if u not in gens and u != ones(3))) is None
 
     def test_locate_generic(self):
         (c,) = locate_cone((3, 1, 2))
@@ -351,9 +352,9 @@ def _cone_from_gens(gens, m):
     """Invert _cone_of on graph keys: map the universe indices back through
     pri_hrep's universe, then singletons go to A, complements to B."""
     n = m.n
-    _, uni = pri_hrep(m)
+    vectors = universe_vectors(pri_hrep(m)[1])
     a, b = set(), set()
-    for g in (uni.vectors[i] for i in gens):
+    for g in (vectors[i] for i in gens):
         supp = [i for i in range(n) if g[i] != 0]
         if len(supp) == 1:
             a.add(supp[0])

@@ -255,7 +255,6 @@ RECORDS = [
     ("credal", "CoherenceReport", {"coherent", "empty", "checks"}),
     ("polytope", "HPolytope", {"dim", "rows", "bounds", "den"}),
     ("polytope", "Vertex", {"point"}),
-    ("cones", "SupportUniverse", {"normals"}),
     ("pri", "PRIModel", {"space", "lower", "upper"}),
     ("pri", "PriCoherenceReport", {"proper", "coherent", "repaired"}),
     ("chains2mono", "LowerProbability", {"space", "table"}),

@@ -25,7 +25,7 @@ re-crossed wall.
 import random
 
 import pytest
-from cone_calculus import absorbed, dot, dual_basis, ones, solve_unique
+from cone_calculus import absorbed, dot, dual_basis, ones, solve_unique, universe_vectors
 from conftest import coherent_intervals, fraction_rows, interval_hrep, interval_universe
 from test_exactla import _leibniz_det
 from test_graph_keys import tied_model
@@ -39,11 +39,11 @@ from credalfans.pri import pri_hrep
 
 
 def reference_crossing(node, dropped, t, h, universe, learned):
-    vectors = [vec(v) for v in universe.normals]  # as h's rows are written
+    vectors, n = [vec(v) for v in universe], len(universe[0])  # as h's rows are written
     bounds = dict(fraction_rows(h))
     plain = [j for j, v in enumerate(vectors) if v in bounds and j in learned]
     shared = tuple(i for i in node.gens if i != dropped)
-    eq_rows, eq_rhs = [ones(universe.dim)], [1]  # p . 1 = 1
+    eq_rows, eq_rhs = [ones(n)], [1]  # p . 1 = 1
     found = []
     for j in plain:
         if dot(vectors[j], t) >= 0:
@@ -53,7 +53,7 @@ def reference_crossing(node, dropped, t, h, universe, learned):
                              eq_rhs + [bounds[vectors[i]] for i in key])
         if point is None or any(dot(point, f) < b for f, b in bounds.items()):
             continue
-        dual = dual_basis([vectors[i] for i in key], universe.dim)
+        dual = dual_basis([vectors[i] for i in key], n)
         if dual is None or absorbed(dual, (vectors[k] for k in plain if k not in key)):
             continue
         found.append(MescNode(key, point))
@@ -70,7 +70,7 @@ def _random_intervals(n, seed):
 
 MODELS = dict(CASES)
 MODELS.update({f"random_interval_n{n}_{s}": (lambda n=n, s=s: _random_intervals(n, 50 * n + s))
-               for n in (3, 4, 5) for s in (1, 2)})  # CASES has interval_n4..n6
+               for n in (2, 3, 4, 5) for s in (1, 2)})  # CASES has interval_n4..n6
 MODELS.update({f"tied_interval_n{n}_pri_hrep":
                (lambda n=n: pri_hrep(tied_model(random.Random(720 + n), n))) for n in (3, 4, 5)})
 # the generic builder on inputs the interval builder cannot write: lower
@@ -81,18 +81,20 @@ MODELS.update({f"redundant_envelope_n{n}":
 
 def _walked(monkeypatch, name):
     """(graph, tables, table): the walk on MODELS[name], the tableau of
-    each node as the walk crossed its walls (nodes it dropped later
-    included), and the walk's rows as the walk ended, on its learned
-    universe."""
+    each node as the walk made it, by its seed or by a crossing (nodes it
+    dropped later included), and the walk's rows as the walk ended, on its
+    learned universe. A node's walls may all go uncrossed, as at n = 2
+    when it is entered from a parent at a non-degenerate vertex."""
     h, universe = MODELS[name]()
-    tables, seen, cross = {}, [], fanwalk.neighbor_candidates
+    tables, seen = {}, []
+    seed, crossed = fanwalk._seed, fanwalk._crossed
 
-    def spy(tab, dropped, table):
+    def keep(tab):
         tables[tab.node.gens] = tab
-        seen.append(table)
-        return cross(tab, dropped, table)
+        return tab
 
-    monkeypatch.setattr(fanwalk, "neighbor_candidates", spy)
+    monkeypatch.setattr(fanwalk, "_seed", lambda h, table: seen.append(table) or keep(seed(h, table)))
+    monkeypatch.setattr(fanwalk, "_crossed", lambda *args: keep(crossed(*args)))
     graph = walk(h, universe)
     assert graph.nodes and tables.keys() >= {node.gens for node in graph.nodes}
     return graph, tables, seen[0]
@@ -122,11 +124,11 @@ def table_crossing(tab, dropped, table, h):
 def test_crossing_matches_the_universe_scan_at_every_wall(monkeypatch, name):
     h, universe = MODELS[name]()
     graph, tables, table = _walked(monkeypatch, name)
-    learned = {j for j, _ in table}
+    learned, vectors = {j for j, _ in table}, universe_vectors(universe)
     for node in graph.nodes:
         tab = tables[node.gens]
         assert tab.node == node
-        dual = dual_basis([universe.vectors[i] for i in node.gens], universe.dim)
+        dual = dual_basis([vectors[i] for i in node.gens], len(universe[0]))
         for i, t in zip(node.gens, dual):
             assert table_crossing(tab, i, table, h) == reference_crossing(
                 node, i, t, h, universe, learned)
