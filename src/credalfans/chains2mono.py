@@ -18,15 +18,16 @@ Under this orientation the telescoped vertex puts the least mass where a
 gamble decreasing along the order pays most, so the Choquet integral of
 such a gamble equals its exact lower expectation.
 
-The fan's kernels read L off one table of ints over a common denominator,
-indexed by event bitmask and kept with the model: is_two_monotone checks
-local inequalities on it once per model, and enumerate_extreme_2mono and
+Every kernel reads L off one table of ints over a common denominator,
+indexed by event bitmask, which the model builds when it is constructed:
+choquet and value read their levels on it, is_two_monotone checks local
+inequalities on it once per model, and enumerate_extreme_2mono and
 chain_graph walk the outcome orders on it, their vertices sharing its step
 masses. The enumeration's tail rule: an order's masses below a prefix
 depend only on the prefix set A, through the steps L(A | {x}) - L(A), so
 the tails of each A with at most three outcomes left are built once. The
 rule holds for any set function; 2-monotonicity makes the chain vertices
-the extreme points. choquet builds no table; it sums its levels as ints.
+the extreme points.
 """
 
 from __future__ import annotations
@@ -64,47 +65,51 @@ class LowerProbability(Record):
     table lists every proper nonempty event with its value; the empty event
     and the sure event are pinned to 0 and 1. Values must lie in [0, 1] and
     be monotone under inclusion. 2-monotonicity is a separate, stronger
-    property checked by is_two_monotone. _index maps each event to its value;
-    _ints (_scaled_table) and _report (is_two_monotone) are built on first use.
+    property checked by is_two_monotone. _ints = (V, d, steps): V[mask] =
+    d L(event) as ints for every event by bitmask (outcome i is bit i), empty
+    and sure included; steps (_step_table) and _report are built on first use.
     """
 
-    __slots__ = ("space", "table", "_index", "_ints", "_report")
+    __slots__ = ("space", "table", "_ints", "_report")
 
     def __init__(self, space: OutcomeSpace, table):
         n = space.n
-        omega = frozenset(range(n))
-        index = {}
+        bit, full = {x: 1 << x for x in range(n)}, (1 << n) - 1
+        first = {}  # event mask -> (its first frozenset, its value), in input order
         for e, v in table:
             fe = frozenset(e)
-            if not fe <= omega:
+            if not fe <= bit.keys():
                 raise ValueError("event outside the outcome space")
-            v = rat(v)
-            if fe in index and index[fe] != v:
+            a, v = sum(map(bit.__getitem__, fe)), rat(v)
+            if a in first and first[a][1] != v:
                 raise ValueError(f"conflicting values for event {sorted(fe)}")
-            index[fe] = v
-        if index.pop(frozenset(), ZERO) != 0:
+            first.setdefault(a, (fe, v))
+        if first.pop(0, (None, 0))[1] != 0:
             raise ValueError("the empty event must have value 0")
-        if index.pop(omega, rat(1)) != 1:
+        if first.pop(full, (None, 1))[1] != 1:
             raise ValueError("the sure event must have value 1")
-        missing = (1 << n) - 2 - len(index)
+        missing = full - 1 - len(first)
         if missing:
             raise ValueError(f"{missing} proper events missing a value")
-        index[frozenset()] = ZERO
-        index[omega] = rat(1)
+        d, values = _scaled([v for _, v in first.values()])
+        table = [0] * full + [d]
+        for a, v in zip(first, values):
+            table[a] = v
         # covering-relation scan gives full monotonicity by transitivity
-        for e, v in index.items():
+        for a, e in [(a, e) for a, (e, _) in first.items()] + [(full, range(n))]:
             for x in e:
-                if index[e - {x}] > v:
+                if table[a ^ bit[x]] > table[a]:
                     raise ValueError(
                         f"not monotone: dropping outcome {x} from {sorted(e)} raises the value")
-        table = tuple(sorted(((e, v) for e, v in index.items()
-                              if e and e != omega), key=lambda t: (len(t[0]), sorted(t[0]))))
-        self.space, self.table, self._index = space, table, index
-        self._ints = self._report = None
+        self.space, self._ints, self._report = space, (tuple(table), d, None), None
+        self.table = tuple(sorted(first.values(), key=lambda t: (len(t[0]), sorted(t[0]))))
 
     def value(self, event):
         e = frozenset(x if isinstance(x, int) else self.space.index(x) for x in event)
-        return self._index[e]
+        if not all(0 <= x < self.space.n for x in e):
+            raise KeyError(e)
+        table, d, _ = self._ints
+        return Fraction(table[sum(1 << x for x in e)], d)
 
     def events(self):
         """Proper nonempty events in canonical order."""
@@ -125,19 +130,6 @@ class TwoMonotoneReport(NamedTuple):
     rhs: object = None  # L(A) + L(B)
 
 
-def _scaled_table(lowprob: LowerProbability):
-    """(V, d): V[mask] = d L(event) as an int for every event, empty and
-    sure included, indexed by bitmask (outcome i is bit i); kept with the
-    model as (V, d, steps), steps None until _step_table builds them."""
-    if lowprob._ints is None:
-        d, values = _scaled(lowprob._index.values())
-        table = [0] * (1 << lowprob.space.n)
-        for e, v in zip(lowprob._index, values):
-            table[sum(1 << x for x in e)] = v
-        lowprob._ints = (tuple(table), d, None)
-    return lowprob._ints[:2]
-
-
 def is_two_monotone(lowprob: LowerProbability) -> TwoMonotoneReport:
     """Exact supermodularity test by the n(n-1) 2^(n-3) local inequalities
 
@@ -154,7 +146,7 @@ def is_two_monotone(lowprob: LowerProbability) -> TwoMonotoneReport:
 
 
 def _local_scan(lowprob: LowerProbability) -> TwoMonotoneReport:
-    table, d = _scaled_table(lowprob)
+    table, d, _ = lowprob._ints
     bits = [1 << x for x in range(lowprob.space.n)]
     if all(table[a | bx | by] + va >= table[a | bx] + table[a | by]
            for a, va in enumerate(table)
@@ -173,8 +165,7 @@ def _step_table(lowprob: LowerProbability) -> tuple:
     """The n 2^(n-1) step masses L(A | {x}) - L(A) as steps[mask of A][x]
     (None for x in A), built once per model beside its integer table, one
     Fraction per distinct integer step, so that its vertices share them."""
-    table, d = _scaled_table(lowprob)
-    steps = lowprob._ints[2]
+    table, d, steps = lowprob._ints
     if steps is None:
         bits = [1 << x for x in range(lowprob.space.n)]
         mass = functools.cache(lambda v: Fraction(v, d))
@@ -184,9 +175,11 @@ def _step_table(lowprob: LowerProbability) -> tuple:
     return steps
 
 
+@functools.lru_cache(maxsize=16)
 def event_universe(n: int) -> tuple:
     """``cones.support_universe`` of every proper nonempty event's indicator,
-    the chain fan's rays, and of the zero row, the sure event's: the constant."""
+    the chain fan's rays, and of the zero row, the sure event's: the constant;
+    kept for the 16 latest n."""
     return support_universe([tuple(int(x in s) for x in range(n)) for r in range(1, n)
                              for s in itertools.combinations(range(n), r)] + [(0,) * n])
 
@@ -241,7 +234,7 @@ def enumerate_extreme_2mono(lowprob: LowerProbability) -> tuple:
                                   f"{rep.lhs} < {rep.rhs}")
     n = lowprob.space.n
     steps = _step_table(lowprob)
-    table, d = _scaled_table(lowprob)
+    table, d, _ = lowprob._ints
     w = d.bit_length()
     moves = [(x, 1 << x, w * x) for x in range(n)]
     full, p, points = (1 << n) - 1, [ZERO] * n, {}
@@ -279,8 +272,8 @@ def choquet(lowprob: LowerProbability, f):
         E(f) = v_m + sum_{j<m} (v_j - v_{j+1}) L(f >= v_j)
 
     over the distinct values v_1 > ... > v_m, in one pass down the ints
-    g = e f sorted, each step weighted by its level's d L over one common d
-    (both by exactla._scaled), one Fraction over d e. Equals the exact lower
+    g = e f sorted (exactla._scaled), each step weighted by its level's
+    d L in the model's table, one Fraction over d e. Equals the exact lower
     expectation iff L is 2-monotone; on merely monotone L it can overshoot
     or undershoot the envelope value."""
     fv = vec(f)
@@ -288,13 +281,12 @@ def choquet(lowprob: LowerProbability, f):
         raise ValueError("gamble length does not match the outcome space")
     e, g = _scaled(fv)
     order = sorted(range(len(g)), key=g.__getitem__, reverse=True)
-    level, steps = frozenset(), []
+    table, d, _ = lowprob._ints
+    level = total = 0
     for i, j in zip(order, order[1:]):
-        level |= {i}
-        if g[j] != g[i]:
-            steps.append((g[i] - g[j], lowprob._index[level]))
-    d, weights = _scaled([v for _, v in steps])
-    return Fraction(g[order[-1]] * d + sum(c * w for (c, _), w in zip(steps, weights)), d * e)
+        level |= 1 << i
+        total += (g[i] - g[j]) * table[level]
+    return Fraction(g[order[-1]] * d + total, d * e)
 
 
 def lower_probability_from_json(obj) -> LowerProbability:

@@ -212,8 +212,9 @@ def _chains_graph(tag, model, command):
 
 def _walk_graph(tag, model, command):
     h, universe = _hrep(tag, model)
-    # The walk presumes every assessment row supports the credal set: slack
-    # rows (incoherent input) break its wall crossing, so refuse them up front.
+    # Incoherent input is refused up front, though the walk learns slack rows
+    # and gives the oracle's vertex set on models/' incoherent files: golden
+    # cells and perfbench's cli_models pin this exit 1 (ROADMAP items 13, 21).
     # Repeated half-spaces are one row; a wall still left without a neighbour
     # makes vertices and graph refuse the graph (_require_complete), fan report it.
     if tag == "pri":

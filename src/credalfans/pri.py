@@ -2,10 +2,10 @@
 fan they induce.
 
 A probability-interval model gives l(x) <= p(x) <= u(x) per outcome; its
-coherence, like everything below, is decided on the integer table
-``_int_bounds``, the bounds over their common denominator d, kept with the
-model. Every extreme point of its credal set is a split of an outcome order:
-the outcomes before a distinguished x sit at their upper bounds (side B),
+coherence, like everything below, is decided on its integer table ``_ints``,
+the bounds over their common denominator d, built by its constructor. Every
+extreme point of its credal set is a split of an outcome order: the
+outcomes before a distinguished x sit at their upper bounds (side B),
 those after it at their lower bounds (side A), and x takes the remainder
 
     R = 1 - sum_A l - sum_B u
@@ -69,11 +69,13 @@ __all__ = [
 class PRIModel(Record):
     """Interval bounds on each singleton mass.
 
-    Construction checks only the elementwise sanity 0 <= l <= u <= 1; the
+    Construction scales the bounds once, to _ints = (lo, up, d) with
+    lo[y] = d l(y) and up[y] = d u(y) as ints over their common denominator
+    d, and checks on them only the elementwise sanity 0 <= l <= u <= 1; the
     global conditions (proper: the bounds admit some distribution;
     reachable: every bound is attained) are the business of
     is_coherent_pri, so that improper models can still be built and
-    diagnosed. _ints keeps the _int_bounds table, built on first use.
+    diagnosed.
     """
 
     __slots__ = ("space", "lower", "upper", "_ints")
@@ -82,11 +84,12 @@ class PRIModel(Record):
         lo, up, n = vec(lower), vec(upper), space.n
         if len(lo) != n or len(up) != n:
             raise ValueError("bound vectors must match the outcome space")
+        d, bounds = _scaled(lo + up)
         for x in range(n):
-            if not (0 <= lo[x] <= up[x] <= 1):
+            if not (0 <= bounds[x] <= bounds[n + x] <= d):
                 raise ValueError(
                     f"need 0 <= l <= u <= 1 at outcome {space.names[x]}")
-        self.space, self.lower, self.upper, self._ints = space, lo, up, None
+        self.space, self.lower, self.upper, self._ints = space, lo, up, (bounds[:n], bounds[n:], d)
 
     @property
     def n(self) -> int:
@@ -104,10 +107,10 @@ class PriCoherenceReport(NamedTuple):
 
 
 def is_coherent_pri(m: PRIModel) -> PriCoherenceReport:
-    """Coherent when _reachable on the _int_bounds table (repaired: m). Else
-    proper when sum l <= 1 <= sum u; repaired, same credal set, tightens each
-    bound against the mass the other outcomes must or may take."""
-    t = lo, up, d = _int_bounds(m)
+    """Coherent when _reachable on the model's integer table (repaired: m).
+    Else proper when sum l <= 1 <= sum u; repaired, same credal set, tightens
+    each bound against the mass the other outcomes must or may take."""
+    t = lo, up, d = m._ints
     if _reachable(t):
         return PriCoherenceReport(True, True, m)
     sl, su = sum(lo), sum(up)
@@ -119,26 +122,17 @@ def is_coherent_pri(m: PRIModel) -> PriCoherenceReport:
 
 
 def _reachable(t: tuple) -> bool:
-    """No interval of the _int_bounds table t wider than min(sum u - 1, 1 - sum l)."""
+    """No interval of the integer table t wider than min(sum u - 1, 1 - sum l)."""
     lo, up, d = t
     slack = min(sum(up) - d, d - sum(lo))
     return all(u - l <= slack for l, u in zip(lo, up))
 
 
-def _int_bounds(m: PRIModel) -> tuple:
-    """(lo, up, d): lo[y] = d l(y) and up[y] = d u(y) as ints over the
-    bounds' common denominator d, scaled once per model and kept with it."""
-    if m._ints is None:
-        d, bounds = _scaled(m.lower + m.upper)
-        m._ints = bounds[:m.n], bounds[m.n:], d
-    return m._ints
-
-
 def _splits(t: tuple, order):
     """(x, r) for each position of an outcome order, cheapest first: the
     outcomes before x at their upper bounds, those after it at their lower
-    bounds, and r = d R the remainder left to x, over the _int_bounds table
-    t. The split fits when lo[x] <= r <= up[x]."""
+    bounds, and r = d R the remainder left to x, over the model's integer
+    table t. The split fits when lo[x] <= r <= up[x]."""
     lo, up, d = t
     r = d - sum(lo)
     for x in order:
@@ -150,7 +144,7 @@ def _splits(t: tuple, order):
 def pri_neighbors(t: tuple, s: tuple) -> tuple:
     """The states across the walls of a full cone with both sides nonempty.
 
-    t is the model's _int_bounds table, s = (x, a, b, r) a cone with its
+    t is the model's integer table, s = (x, a, b, r) a cone with its
     sides A and B as outcome bitmasks and r = d R. The wall of y in A leads
     to (x, A - y, B + y) or to (y, A - y + x, B), decided by r + l(y) - u(y)
     against l(x); B walls mirror this against u(x). A tie emits both, and a
@@ -206,7 +200,7 @@ def enumerate_extreme_pri(m: PRIModel):
     if n <= 2:
         graph = walk(*pri_hrep(m))
         return tuple(dict.fromkeys(node.vertex for node in graph.nodes)), graph
-    t = lo, up, d = _int_bounds(m)
+    t = lo, up, d = m._ints
     # the seed: the first interior split of the staircase gamble (0, ..., n-1)
     # that fits, with A the outcomes after x and B those before it
     seed = next(((x, (1 << n) - (2 << x), (1 << x) - 1, r) for x, r in _splits(t, range(n))
@@ -256,8 +250,8 @@ def natural_extension_pri(m: PRIModel, f):
     give upper mass to the cheap side and lower mass to the dear side, and
     place the remainder at the first split position (_splits) whose
     interval can hold it. Coherence (_reachable) and the value, one int sum
-    with g = e f made one Fraction, read the kept _int_bounds table."""
-    t = lo, up, d = _int_bounds(m)
+    with g = e f made one Fraction, read the model's integer table."""
+    t = lo, up, d = m._ints
     if not _reachable(t):
         raise IncoherenceError("natural extension requires a coherent interval model")
     fv = vec(f)
@@ -277,17 +271,14 @@ def natural_extension_pri(m: PRIModel, f):
 def induced_2mono(m: PRIModel):
     """The lower probability induced on events: mass forced into A directly
     plus mass that cannot escape to the complement. For a coherent interval
-    model this is the exact envelope and is 2-monotone."""
+    model this is the exact envelope and is 2-monotone. Each event's value
+    is summed on the model's integer table and made one Fraction."""
     from .chains2mono import LowerProbability
-    n = m.n
-    table = []
-    for size in range(1, n):
-        for s in itertools.combinations(range(n), size):
-            a = frozenset(s)
-            direct = sum((m.lower[y] for y in a), ZERO)
-            forced = 1 - sum((m.upper[z] for z in range(n) if z not in a), ZERO)
-            table.append((a, max(direct, forced)))
-    return LowerProbability(m.space, tuple(table))
+    lo, up, d = m._ints
+    n, su = m.n, sum(up)
+    return LowerProbability(m.space, tuple(
+        (frozenset(s), Fraction(max(sum(lo[y] for y in s), d - su + sum(up[y] for y in s)), d))
+        for size in range(1, n) for s in itertools.combinations(range(n), size)))
 
 
 # Largest n count_bounds answers: the upper bound has about 0.3 n decimal
@@ -322,14 +313,14 @@ def _interval_fan(n: int) -> tuple:
 
 
 def pri_hrep(m: PRIModel):
-    """The credal set as one ``polytope.HPolytope`` on the _int_bounds table:
+    """The credal set as one ``polytope.HPolytope`` on the model's integer table:
     a lower row per singleton indicator, an upper row per complement, and
     two on one indicator (n = 2) merged at the tighter bound; at n = 1 both
     are the zero row, l(x) <= p(x) = 1 <= u(x). The universe, every row
     normal and the constant, is one tuple per n (``_interval_fan``)."""
     from .polytope import HPolytope
     n = m.n
-    lo, up, d = _int_bounds(m)
+    lo, up, d = m._ints
     if n == 1:
         return HPolytope(1, ((0,),), (max(lo[0] - d, d - up[0]),), d), ((0,),)
     normals, universe, _ = _interval_fan(n)

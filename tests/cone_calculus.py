@@ -434,12 +434,15 @@ def adjacent_swaps(order) -> tuple:
 
 def reference_chain_vertex(lowprob, order):
     """Telescoping on frozenset prefixes: the outcome at step k of the order
-    gets L(A_k) - L(A_{k-1}). The reference for the step table's vertices."""
-    p = [None] * lowprob.space.n
+    gets L(A_k) - L(A_{k-1}), L read off the model's public table (the sure
+    event at 1). The reference for the step table's vertices."""
+    n = lowprob.space.n
+    values = {**dict(lowprob.table), frozenset(range(n)): ONE}
+    p = [None] * n
     prefix, prev = frozenset(), ZERO
     for x in order:
         prefix = prefix | {x}
-        val = lowprob.value(prefix)
+        val = values[prefix]
         p[x] = val - prev
         prev = val
     return tuple(p)
@@ -448,14 +451,15 @@ def reference_chain_vertex(lowprob, order):
 def reference_choquet(lowprob, f):
     """Choquet integral of f against L in Fractions, in one pass down the
     outcomes sorted by f, each level step weighted by L of the frozenset
-    of the outcomes above it."""
+    of the outcomes above it, read off the model's public table."""
+    values = dict(lowprob.table)
     fv = vec(f)
     order = sorted(range(len(fv)), key=fv.__getitem__, reverse=True)
     total, level = fv[order[-1]], frozenset()
     for i, j in zip(order, order[1:]):
         level |= {i}
         if fv[j] != fv[i]:
-            total += (fv[i] - fv[j]) * lowprob.value(level)
+            total += (fv[i] - fv[j]) * values[level]
     return total
 
 

@@ -25,6 +25,7 @@ from credalfans.chains2mono import (
     lower_probability_from_json,
 )
 from credalfans.credal import OutcomeSpace, SchemaError, build_credal_hrep, natural_extension
+from credalfans.exactla import _scaled
 from credalfans.fanwalk import MescGraph, MescNode
 from credalfans.polytope import lp_min, vertices_bruteforce
 
@@ -69,16 +70,74 @@ def lp3(values):
 
 def reference_is_two_monotone(lowprob):
     """The pair scan over all incomparable proper events in canonical order,
-    on frozensets and Fractions: the reference for the local test's verdict
-    and for its first violator."""
+    on frozensets and Fractions, L read off the model's public table: the
+    reference for the local test's verdict and for its first violator."""
+    n = lowprob.space.n
+    value = {**dict(lowprob.table), frozenset(): Q(0), frozenset(range(n)): Q(1)}
     for a, b in itertools.combinations(lowprob.events(), 2):
         if a <= b or b <= a:
             continue
-        lhs = lowprob.value(a | b) + lowprob.value(a & b)
-        rhs = lowprob.value(a) + lowprob.value(b)
+        lhs = value[a | b] + value[a & b]
+        rhs = value[a] + value[b]
         if lhs < rhs:
             return TwoMonotoneReport(False, (a, b), lhs, rhs)
     return TwoMonotoneReport(True)
+
+
+def frozenset_scan(n, table):
+    """The refusal LowerProbability gives table on n outcomes, or None, by
+    the checks on a frozenset-keyed index of L: each event in input order,
+    the sure event last, each outcome dropped in its frozenset's order. The
+    reference for which violation the bitmask scan names."""
+    omega, index = frozenset(range(n)), {}
+    for e, v in table:
+        fe = frozenset(e)
+        if not fe <= omega:
+            return "event outside the outcome space"
+        if fe in index and index[fe] != v:
+            return f"conflicting values for event {sorted(fe)}"
+        index[fe] = v
+    if index.pop(frozenset(), 0) != 0:
+        return "the empty event must have value 0"
+    if index.pop(omega, 1) != 1:
+        return "the sure event must have value 1"
+    if len(index) != 2 ** n - 2:
+        return f"{2 ** n - 2 - len(index)} proper events missing a value"
+    index[frozenset()], index[omega] = 0, 1
+    for e, v in index.items():
+        for x in e:
+            if index[e - {x}] > v:
+                return f"not monotone: dropping outcome {x} from {sorted(e)} raises the value"
+    return None
+
+
+def refusal(space, table):
+    """The ValueError message LowerProbability(space, table) raises, or None."""
+    try:
+        LowerProbability(space, table)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def raw_tables(draw):
+    """(n, table): grid values on n = 1..5 outcomes, not closed under
+    inclusion, so most tables break monotonicity at several events. Each
+    event lists its outcomes in a drawn order; some are listed twice at an
+    equal or a conflicting value, some left out, the empty and sure events
+    sometimes given; then the entries are shuffled."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    events = [tuple(draw(st.permutations(s))) for r in range(1, n)
+              for s in itertools.combinations(range(n), r)]
+    value = st.integers(0, k).map(lambda a: Fraction(a, k))
+    table = [(e, draw(value)) for e in events if draw(st.integers(0, 30))]
+    table += draw(st.lists(st.sampled_from(table), max_size=3)) if table else []
+    table += draw(st.lists(st.tuples(st.sampled_from(events), value), max_size=2)) if events else []
+    table += draw(st.lists(st.tuples(st.sampled_from([(), tuple(range(n))]),
+                                     st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)])),
+                           max_size=2))
+    return n, tuple(draw(st.permutations(table)))
 
 
 def chain_keys(n):
@@ -173,6 +232,46 @@ class TestLowerProbability:
         assert lp.value((0, 2)) == Q(1) / 2
         assert lp.value(range(3)) == 1
 
+    def test_value_of_an_outside_outcome_raises_key_error(self):
+        lp = lp3(SUPERMOD3)
+        for event in ((3,), (0, 3), (-1,)):
+            with pytest.raises(KeyError):
+                lp.value(event)
+
+    @settings(max_examples=150, deadline=None)
+    @given(monotone_capacities(1, 6))
+    def test_the_constructor_builds_the_int_table(self, lp):
+        # V[mask] = d L(event) for every event, empty and sure included,
+        # over the values' least common denominator, with no step masses;
+        # value reads it back by index and by name
+        n, names = lp.space.n, lp.space.names
+        values = {**dict(lp.table), frozenset(): Q(0), frozenset(range(n)): Q(1)}
+        by_mask = [values[frozenset(x for x in range(n) if a >> x & 1)] for a in range(2 ** n)]
+        d, table = _scaled(by_mask)
+        assert lp._ints == (table, d, None)
+        for e, v in lp.table:
+            assert lp.value(e) == v and lp.value([names[x] for x in e]) == v
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_tables())
+    def test_refusals_match_the_frozenset_scan(self, drawn):
+        n, table = drawn
+        sp = OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+        assert refusal(sp, table) == frozenset_scan(n, table)
+
+    @pytest.mark.parametrize("event", [(0, 8), (8, 0)])
+    def test_refusal_drops_outcomes_in_the_events_own_order(self, event):
+        # at n = 9, 0 and 8 share a hash slot in a small frozenset, so the
+        # order they are listed in is the order the scan drops them in:
+        # both drops break monotonicity, and the first one is named
+        n = 9
+        events = [s for r in range(1, n) for s in itertools.combinations(range(n), r)]
+        table = [(event if s == (0, 8) else s, Fraction(len(s) * (s != (0, 8)), n)) for s in events]
+        sp = OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+        message = refusal(sp, table)
+        assert message == frozenset_scan(n, table)
+        assert message == f"not monotone: dropping outcome {event[0]} from [0, 8] raises the value"
+
     def test_canonical_table(self):
         lp = lp3(dict(reversed(SUPERMOD3.items())))
         assert lp == lp3(SUPERMOD3)
@@ -227,18 +326,16 @@ class TestChains:
         assert chain_graph(lp) == reference_chain_graph(lp)  # node order included
 
     def test_step_table_is_built_by_chain_graph_and_enumeration_only(self):
-        # construction, value, choquet and the 2-monotone test leave the
-        # step masses unbuilt: models queried once through choquet never
-        # pay for them; the 2-monotone test builds and keeps the int table
+        # value, choquet and the 2-monotone test leave the step masses
+        # unbuilt: models queried once through choquet never pay for them;
+        # every kernel reads the int table the constructor built
         lp = lp3(SUPERMOD3)
-        lp.value((0, 1))
-        choquet(lp, (2, 1, 0))
-        assert lp._ints is None
-        is_two_monotone(lp)
         table, d, steps = lp._ints
         assert steps is None
+        lp.value((0, 1))
+        choquet(lp, (2, 1, 0))
         is_two_monotone(lp)
-        assert lp._ints[0] is table
+        assert lp._ints == (table, d, None) and lp._ints[0] is table
         vertices = chain_vertices(lp)
         steps = lp._ints[2]
         assert steps is not None and lp._ints[0] is table

@@ -19,6 +19,7 @@ import pytest
 
 from credalfans import chains2mono, cli, pri
 from credalfans.cli import main
+from credalfans.cones import support_universe
 from credalfans.fanwalk import walk
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -191,6 +192,22 @@ class TestVertices:
         assert report_get(err, "n_vertices") == "6"
         assert report_get(err, "verified") == "true"
 
+
+    @pytest.mark.parametrize("command", ["graph", "fan"])
+    def test_chain_fan_builds_its_universe_once(self, capsys, monkeypatch, command):
+        # chain_graph's node index and the export read one event universe
+        calls = []
+
+        def spy(rows):
+            calls.append(rows)
+            return support_universe(rows)
+
+        monkeypatch.setattr(chains2mono, "support_universe", spy)
+        chains2mono.event_universe.cache_clear()
+        code, out, err = run(capsys, command, "--model", model("lowprob_n3_supermodular.json"))
+        chains2mono.event_universe.cache_clear()
+        assert code == 0 and report_get(out + err, "engine") == "chains"
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name, engine", [("lowprob_n3_supermodular.json", "auto"),
                                               ("pri_n3.json", "chains")])

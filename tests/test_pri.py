@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credalfans import pri
-from credalfans.chains2mono import choquet, is_two_monotone
+from credalfans.chains2mono import LowerProbability, choquet, is_two_monotone
 from credalfans.credal import (
     Gamble,
     IncoherenceError,
@@ -39,7 +39,6 @@ from credalfans.pri import (
     pri_from_json,
     pri_hrep,
     pri_neighbors,
-    _int_bounds,
 )
 
 from cone_calculus import (
@@ -117,12 +116,56 @@ def _grid_intervals(rng, n, den):
     return PRIModel(space(n), tuple(Q(a) / den for a in lo), tuple(Q(a) / den for a in up))
 
 
+def reference_induced_table(m):
+    """The induced lower probability's table in Fractions, event by event:
+    max(sum of l over A, 1 - sum of u off A)."""
+    n = m.n
+    return tuple((frozenset(s), max(sum(m.lower[y] for y in s),
+                                    1 - sum(m.upper[z] for z in range(n) if z not in s)))
+                 for size in range(1, n) for s in itertools.combinations(range(n), size))
+
+
+def outcome(build, *args):
+    """build(*args), or the ValueError message it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestModelAndCoherence:
     def test_elementwise_validation(self):
         with pytest.raises(ValueError):
             PRIModel(SP3, (Q(1) / 2, 0, 0), (Q(1) / 4, 1, 1))  # l > u
         with pytest.raises(ValueError):
             PRIModel(SP3, (0, 0, 0), (2, 1, 1))  # u > 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 15), st.integers(-3, 15)), min_size=1, max_size=6),
+           st.integers(1, 12))
+    def test_refuses_the_first_outcome_out_of_order(self, pairs, den):
+        # bounds below 0, above 1 and crossed, often at several outcomes:
+        # the message names the first x without 0 <= l(x) <= u(x) <= 1
+        lows, ups = ([Fraction(p[i], den) for p in pairs] for i in (0, 1))
+        bad = [x for x in range(len(pairs)) if not 0 <= lows[x] <= ups[x] <= 1]
+        got = outcome(PRIModel, space(len(pairs)), lows, ups)
+        if bad:
+            assert got == f"need 0 <= l <= u <= 1 at outcome x{bad[0]}"
+        else:
+            assert (got.lower, got.upper) == (tuple(lows), tuple(ups))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda den: st.tuples(st.just(den), st.lists(
+        st.lists(st.integers(0, den), min_size=2, max_size=2).map(sorted), min_size=1, max_size=6))))
+    def test_the_constructor_scales_the_bounds(self, drawn):
+        # proper, improper and unreachable models alike: _ints is the bounds
+        # over their least common denominator, and induced_2mono equals the
+        # Fraction reference, or refuses it with the same message
+        den, bounds = drawn
+        m = PRIModel(space(len(bounds)), *[[Fraction(b[i], den) for b in bounds] for i in (0, 1)])
+        d, ints = _scaled(m.lower + m.upper)
+        assert m._ints == (ints[:m.n], ints[m.n:], d)
+        assert outcome(induced_2mono, m) == outcome(LowerProbability, m.space, reference_induced_table(m))
 
     def test_improper_model_constructible_but_diagnosed(self):
         m = PRIModel(SP3, (Q(2) / 3, Q(2) / 3, 0), (1, 1, 1))
@@ -329,7 +372,7 @@ def _outcomes(mask):
 def _neighbors(m, c):
     """pri_neighbors of the cone c on m's integer table, as PriCones; each
     neighbour's carried r must be d times its remainder summed afresh."""
-    t = _int_bounds(m)
+    t = m._ints
     d = t[2]
     out = []
     for x, a, b, r in pri_neighbors(t, (c.x, _mask(c.a), _mask(c.b), int(d * remainder(m, c)))):
