@@ -102,7 +102,9 @@ class LowerProbability(Record):
                     raise ValueError(
                         f"not monotone: dropping outcome {x} from {sorted(e)} raises the value")
         self.space, self._ints, self._report = space, (tuple(table), d, None), None
-        self.table = tuple(sorted(first.values(), key=lambda t: (len(t[0]), sorted(t[0]))))
+        # canonical order: by size, then as itertools.combinations lists them
+        self.table = tuple(first[sum(c)] for r in range(1, n)
+                           for c in itertools.combinations(bit.values(), r))
 
     def value(self, event):
         e = frozenset(x if isinstance(x, int) else self.space.index(x) for x in event)

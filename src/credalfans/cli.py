@@ -19,9 +19,7 @@ mismatch, a fan with incomplete walls), 2 unusable input (schema errors,
 unwritable output paths, wrong engine for the model type, oracle guards
 exceeded, a chain fan on more than CHAIN_FAN_MAX_N = 8 outcomes, a result
 past Python's int-to-str digit limit). --verify checks the oracle guards
-before the engine runs. natex --engine walk runs no walk: it takes
-credal.natural_extension, a minimum over the oracle's vertex set, so natex
---engine walk --verify compares the oracle with itself.
+before the engine runs.
 
 All values are exact rationals; --decimal (vertices, natex) adds 12-digit
 approximations for reading convenience, explicitly marked non-authoritative.
@@ -419,7 +417,7 @@ def _cmd_check(args):
         ok = rep.ok
     else:
         from .credal import is_coherent
-        rep = _run_engine("oracle", lambda tag, model: is_coherent(model), tag, model)
+        rep = _run_engine("walk", lambda tag, model: is_coherent(model), tag, model)
         report.add("empty", rep.empty)
         report.add("coherent", rep.coherent)
         for chk in rep.failures():

@@ -16,12 +16,12 @@ p . f >= b and p . (c f + k 1) >= c b + k (c > 0) are one half-space, one
 row keyed by its primitive integer normal. Every row is in the support
 universe; the walk learns which are implied (``fanwalk``), so no LP runs.
 
-Coherence is one ``polytope.lp_minima`` over the assessments. Natural
-extension evaluates the lower envelope of the credal set at any gamble; on
-this layer it is a minimum over the oracle's vertex set, enumerated and
-scaled to integer rows once per model and cached, so a warm query is an
-integer scan of those rows. Both paths keep the oracle's small-instance
-guards; the structured engines exist precisely to avoid them.
+Coherence and natural extension read one vertex set, the walk's
+(``fanwalk.walk``) on the record, scaled to integer rows once per model and
+cached: an assessment is coherent when its bound is its gamble's minimum
+over those rows (Walley 1991, 3.3), and natural extension is the same scan
+at any gamble. Both keep the walk's seed LP's small-instance guards; the
+structured engines exist precisely to avoid them.
 """
 
 from __future__ import annotations
@@ -219,39 +219,44 @@ class CoherenceReport(NamedTuple):
         return tuple(c for c in self.checks if c.attained is None or not c.tight)
 
 
-def is_coherent(lp: LowerPrevision) -> CoherenceReport:
-    """Envelope check: the credal set must be nonempty and every assessed
-    bound must equal the exact minimum of its gamble over the set, all from
-    one ``lp_minima``. A bound strictly below the minimum is not attained
-    (the assessment is too weak to be an envelope value); a bound above
-    would empty the set."""
-    from .polytope import EmptyPolytopeError, lp_minima
-    h, _ = build_credal_hrep(lp)
-    try:
-        attained = lp_minima(h, [a.gamble.values for a in lp.assessments])
-        empty = False
-    except EmptyPolytopeError:
-        attained, empty = [None] * len(lp.assessments), True
-    checks = tuple(AssessmentCheck(a.lower, v) for a, v in zip(lp.assessments, attained))
-    return CoherenceReport(not empty and all(c.tight for c in checks), empty, checks)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _credal_vertices(lp: LowerPrevision):
-    """The coherence report and, for a coherent model, the vertex set the
-    natural extension minimises over as (d, integer rows), once per model."""
-    from .polytope import vertices_bruteforce
-    report = is_coherent(lp)
-    vs = vertices_bruteforce(build_credal_hrep(lp)[0]) if report.coherent else ()
-    return _int_rows(v.point for v in vs), report
+    """(the vertex set as ``exactla._int_rows`` scales it, the coherence
+    report), once per model, from one ``fanwalk.walk`` of the record: each
+    assessment's minimum is an integer scan of those rows. An empty record
+    is the seed LP's EmptyPolytopeError, and gives no rows. A walk that left
+    a wall open may miss vertices, and is refused (RuntimeError)."""
+    from .fanwalk import walk
+    from .polytope import EmptyPolytopeError
+    try:
+        graph = walk(*build_credal_hrep(lp))
+    except EmptyPolytopeError:
+        return None, CoherenceReport(False, True, tuple(AssessmentCheck(a.lower, None)
+                                                        for a in lp.assessments))
+    if graph.incomplete_walls:
+        raise RuntimeError("incomplete fan: the walk left a wall open; vertices may be missing")
+    scaled = _int_rows(graph.vertices)
+    checks = tuple(AssessmentCheck(a.lower, _min_dot(scaled, a.gamble.values))
+                   for a in lp.assessments)
+    return scaled, CoherenceReport(all(c.tight for c in checks), False, checks)
+
+
+def is_coherent(lp: LowerPrevision) -> CoherenceReport:
+    """Envelope check: the credal set is nonempty and each assessed bound
+    equals its gamble's minimum over the set's vertices (``_credal_vertices``);
+    a bound below it is not attained, one above would empty the set. A model
+    with no assessments is coherent, with no walk and no guard."""
+    if not lp.assessments:
+        return CoherenceReport(True, False, ())
+    return _credal_vertices(lp)[1]
 
 
 def natural_extension(lp: LowerPrevision, f):
     """Exact lower envelope value min {p . f : p in the credal set}.
 
     Defined here only for coherent lp (IncoherenceError otherwise); the
-    minimum is an integer scan of the vertex rows, scaled once per model and
-    cached next to the coherence report."""
+    minimum is an integer scan of the walk's vertex rows, scaled once per
+    model and cached next to the coherence report."""
     scaled, report = _credal_vertices(lp)
     if not report.coherent:
         raise IncoherenceError("natural extension requires a coherent lower prevision"

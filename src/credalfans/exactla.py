@@ -15,10 +15,10 @@ tables may share the rows it leaves. The LP kernel takes integers, scaled by
 its callers, and solves a credal set's dual alone: it starts at the
 probability simplex's own basis, with no pivot, no phase 1 and no search for
 it, on the unit columns and the +- pair of 1 its caller names (the record,
-``polytope.HPolytope``, refuses a set without them), and returns integers
-over one det: its callers build the Fractions they read. ``simplex_each``
-solves many targets; ``_optimum``, its first step, returns the final tableau
-itself, from which the walk reads its seed.
+``polytope.HPolytope``, refuses a set without them). It is ``_optimum``,
+one target per call, and it returns the final tableau itself, integers over
+one det: its one caller, ``polytope._dual_tableau``, and the readers of its
+tableau (``lp_min``, the walk's seed) build the Fractions they read.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ __all__ = [
     "DigitLimitError",
     "vec",
     "rank",
-    "LpInfeasible",
     "LpUnbounded",
-    "simplex_each",
 ]
 
 
@@ -175,10 +173,6 @@ def rank(rows) -> int:
     return _eliminate(_int_rows(rows)[1], len(rows[0]))[1]
 
 
-class LpInfeasible(ArithmeticError):
-    """No nonnegative combination of the columns meets the target."""
-
-
 class LpUnbounded(ArithmeticError):
     """The cost falls without bound over the nonnegative combinations."""
 
@@ -206,29 +200,8 @@ def _to_optimum(t: list[list[int]], det: int, basis: list, m: int) -> int:
         basis[leave] = enter
 
 
-def _restore(t: list[list[int]], det: int, basis: list, m: int) -> int:
-    """The dual simplex under Bland's rule (Bland 1977) until no right-hand
-    side is negative: leave on such a row of least basic index, enter on the
-    least ratio of reduced cost to |entry| over its negative entries, ties
-    to the least column; else LpInfeasible."""
-    while True:
-        rows = [i for i in range(len(basis)) if t[i][m] < 0]
-        if not rows:
-            return det
-        leave = min(rows, key=basis.__getitem__)
-        row, cost = t[leave], t[-1]
-        enter = None
-        for j in range(m):  # cost[j] / -row[j] < cost[enter] / -row[enter]
-            if row[j] < 0 and (enter is None or cost[j] * row[enter] > cost[enter] * row[j]):
-                enter = j
-        if enter is None:
-            raise LpInfeasible("no nonnegative combination of the columns meets the target")
-        det = _pivot(t, det, leave, enter)
-        basis[leave] = enter
-
-
 def _optimum(rows, w, costs, units) -> tuple:
-    """(t, det, basis) at the minimum of costs . x over x >= 0 with sum x_j
+    """The one LP kernel: (t, det, basis) at the minimum of costs . x over x >= 0 with sum x_j
     columns[j] == w, on one dense integer tableau t (``_pivot``), the cost
     its last row. The columns come as the rows by coordinate (rows[i][j] is
     entry i of column j), integers scaled by the caller; a positive scale of
@@ -264,27 +237,3 @@ def _optimum(rows, w, costs, units) -> tuple:
             t[n] = [a - costs[b] * v for a, v in zip(t[n], row)]
     det = _to_optimum(t, 1, basis, m)  # t and basis move to the optimum in place
     return t, det, basis
-
-
-def simplex_each(rows, targets, costs, units) -> list:
-    """``_optimum`` for each of a nonempty list of targets: the one LP
-    kernel. The first target is solved from the start; each further one is
-    a ``_restore`` from the last optimum, its right-hand sides the inverse
-    block times the target. Per target: (det, levels, cost, duals),
-    integers over det > 0: a basic optimal x as {basic column: level} in
-    row order, costs . x, and the multipliers y off the cost row's inverse
-    block. ValueError when the targets and rows differ in length.
-    """
-    n, m = len(rows), len(costs)
-    if any(len(w) != n for w in targets):
-        raise ValueError("targets and rows differ in length")
-    t, det, basis = _optimum(rows, targets[0], costs, units)
-    solved = []
-    for k, target in enumerate(targets):
-        if k:  # a further target's right-hand sides
-            for row in t:
-                row[m] = sum(map(mul, row[m + 1:], target))
-            det = _restore(t, det, basis, m)
-        solved.append((det, {b: row[m] for row, b in zip(t, basis)},
-                       -t[n][m], tuple(-a for a in t[n][m + 1:])))
-    return solved

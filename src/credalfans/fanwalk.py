@@ -206,14 +206,25 @@ def _seed(h: HPolytope, table) -> _Tableau:
                     [t[i][:m] for _, i in gens] + [t[-1][:m]])
 
 
+@lru_cache(maxsize=64)
 def walk(h: HPolytope, universe: tuple) -> MescGraph:
     """Full adjacency walk over universe (``cones.support_universe`` of h's
     rows): seed a MESC, then breadth-first cross every wall of every
     discovered node, in sorted-generator order, learning the universe.
     Deterministic given (h, universe): the seed's target comes from
-    random.Random(0). The wall a node was entered by from a parent at
-    a non-degenerate vertex is not crossed: the only tight row off it there
-    is the generator dropped, so it leads back to the parent alone.
+    random.Random(0), and the graphs of the 64 latest records are kept (a
+    caller must not change one), so a coherence check (``credal``) and a
+    walk of one record walk once. The wall a node was entered by from a
+    parent at a non-degenerate vertex is not crossed: the only tight row off
+    it there is the generator dropped, so it leads back to the parent alone.
+
+    A nonempty record leaves no wall open. It is bounded, so the edge beyond
+    a wall ends at a point y where a row r negative on the edge is tight. If
+    r was dropped, its certificate f_r = sum c_g f_g + c_0 1 (c_g >= 0, on
+    kept rows: a later drop has its own) gives b_r = f_r . y >= sum c_g b_g
+    + c_0 >= b_r, so each g with c_g > 0 is tight at y, and one of them is
+    negative on the edge, as f_r is and the constant is not: a kept
+    entering row.
 
     A drop (``forget``) removes the nodes keyed on a dropped row and their
     edges, and crosses again the wall of each remaining node that led to
@@ -226,8 +237,8 @@ def walk(h: HPolytope, universe: tuple) -> MescGraph:
     per new node and one per wall crossed again.
 
     Raises ValueError when h and the universe break the hypothesis of
-    ``_active_table``, and as ``polytope._guarded``: OracleGuardError past
-    the oracle's guards, EmptyPolytopeError when h is empty.
+    ``_active_table``, and as ``polytope._dual_tableau``: OracleGuardError
+    past the oracle's guards, EmptyPolytopeError when h is empty.
     """
     table = list(_active_table(h, universe))
     reads = [(k, h.den, table[k][1]) for k in h._units if k is not None]

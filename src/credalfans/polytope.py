@@ -8,14 +8,14 @@ solves every dim - 1 rows with p . 1 = 1 by subset search, on the record's
 integers through ``exactla._eliminate``; it is deliberately simple and
 exact, guarded to small instances, and the ground truth the structured
 fast paths are tested against. Every LP is one run of the kernel on the
-dual, ``_guarded``: its columns are the record's rows as they are and the
-+- pair of 1, kept on the record by coordinate with the columns of the
-kernel's start, and only the objectives are scaled per call. ``lp_min``
+dual, ``_dual_tableau``: its columns are the record's rows as they are and
+the +- pair of 1, kept on the record by coordinate with the columns of the
+kernel's start, and only the objective is scaled per call. ``lp_min``
 reads a minimising vertex (minus the simplex multipliers) and its value
-off its cost row, ``lp_minima`` the minima of many objectives and the
-walk its seed off the final tableau (``_dual_tableau``). A credal set is
-bounded and holds the kernel's start, so the LP's one failure is an
-empty set.
+off the final tableau's cost row, the walk its seed off the whole tableau.
+A credal set is bounded and holds the kernel's start, so the LP's one
+failure is an empty set. Coherence and natural extension run no LP of
+their own: they read the walk's vertex set (``credal``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .exactla import LpUnbounded, Record, _eliminate, _optimum, _scaled, simplex_each, vec
+from .exactla import LpUnbounded, Record, _eliminate, _optimum, _scaled, vec
 
 __all__ = [
     "HPolytope",
@@ -37,7 +37,6 @@ __all__ = [
     "check_guards",
     "vertices_bruteforce",
     "lp_min",
-    "lp_minima",
 ]
 
 
@@ -127,56 +126,31 @@ def vertices_bruteforce(p: HPolytope, *, max_dim: int = 6, max_constraints: int 
     return tuple(Vertex(x) for x in sorted(seen))
 
 
-_NO_VERTEX = "no vertices: empty or degenerate feasible set"
-
-
-def _guarded(p: HPolytope, kernel, targets):
-    """kernel (``exactla.simplex_each`` or ``exactla._optimum``) on p's
-    dual for targets, past ``check_guards``: every LP of the package. The
-    dual of min x . f over p maximises b . y + z over y >= 0 and z with
-    sum y_i f_i + z 1 == f: its columns are p's rows as they are and the +-
-    pair of 1 for the free z, its costs p's own, all kept on p with the
-    unit columns of the kernel's start. p holds that start, so the dual is
-    unbounded exactly when p is empty: EmptyPolytopeError."""
+def _dual_tableau(p: HPolytope, f) -> tuple:
+    """``exactla._optimum`` on p's dual for one integer objective f, past
+    ``check_guards``: every LP of the package. The dual of min x . f over p
+    maximises b . y + z over y >= 0 and z with sum y_i f_i + z 1 == f, on
+    columns kept on p (its rows as they are, then the +- pair of 1 for the
+    free z) with its costs and the unit columns of the kernel's start.
+    Returns the final tableau, its det and basis. p holds the start, so the
+    dual is unbounded exactly when p is empty: EmptyPolytopeError."""
     check_guards(p)
     try:
-        return kernel(p._dual, targets, p._costs, p._units)
+        return _optimum(p._dual, f, p._costs, p._units)
     except LpUnbounded:
-        raise EmptyPolytopeError(_NO_VERTEX) from None
-
-
-def _dual_solve(p: HPolytope, objectives):
-    """``exactla.simplex_each`` for a nonempty list of integer objectives,
-    ``_guarded``."""
-    return _guarded(p, simplex_each, objectives)
-
-
-def _dual_tableau(p: HPolytope, f) -> tuple:
-    """``exactla._optimum`` for one integer objective f, ``_guarded``: the
-    final tableau, whose columns are p's rows in order, then the +- pair of
-    1, with its det and basis."""
-    return _guarded(p, _optimum, f)
+        raise EmptyPolytopeError("no vertices: empty or degenerate feasible set") from None
 
 
 def lp_min(p: HPolytope, f) -> LpResult:
     """Exact minimum of x . f over p and a vertex attaining it, read off the
-    cost row of ``_dual_solve``'s final tableau: x is minus its multipliers.
-    On a tie, the vertex is that of the basis Bland's rule ends on from the
-    start basis, fixed by p's row order and f; no other tie rule is
-    promised. Raises as ``_guarded``."""
+    cost row of ``_dual_tableau``'s final tableau: the value at its cost
+    entry, x as minus the simplex multipliers past it. On a tie, the vertex is
+    that of the basis Bland's rule ends on from the start basis, fixed by
+    p's row order and f; no other tie rule is promised. ValueError when f
+    and p's rows differ in length; raises as ``_dual_tableau``."""
     e, g = _scaled(vec(f))
-    ((det, _, cost, duals),) = _dual_solve(p, [g])
-    s = det * p.den
-    return LpResult(Fraction(-cost, s * e), Vertex(tuple(Fraction(-a, s) for a in duals)))
-
-
-def lp_minima(p: HPolytope, objectives) -> list:
-    """[lp_min(p, f).value for f in objectives], read off the cost row of one
-    ``_dual_solve``, which raises as lp_min does for the first objective;
-    every later objective has a minimum on the credal set p. An empty list
-    runs no guard and no LP."""
-    if not objectives:
-        return []
-    scaled = [_scaled(vec(f)) for f in objectives]
-    solved = _dual_solve(p, [g for _, g in scaled])
-    return [Fraction(-cost, det * p.den * e) for (det, _, cost, _), (e, _) in zip(solved, scaled)]
+    if len(g) != p.dim:
+        raise ValueError("the objective and the rows differ in length")
+    t, det, _ = _dual_tableau(p, g)
+    s, cost = det * p.den, t[-1][len(p._costs):]
+    return LpResult(Fraction(cost[0], s * e), Vertex(tuple(Fraction(a, s) for a in cost[1:])))

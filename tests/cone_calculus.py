@@ -20,7 +20,7 @@ the interval exchange walk on ``PriCone``s in Fractions, seeded by
 (``remainder``, ``vertex_for_cone``): the reference the integer walk and
 the split rule of ``credalfans.pri`` are checked against.
 ``reference_is_coherent_pri`` is the interval coherence test and repair in
-Fractions, the reference for the integer one. ``reference_simplex_each`` is
+Fractions, the reference for the integer one. ``reference_simplex`` is
 the LP kernel on arbitrary integer columns: it searches them for the
 probability simplex's start basis, scaled units and multiples of 1
 included, and refuses columns without it; the reference the package's
@@ -49,7 +49,6 @@ from credalfans.exactla import (
     ZERO,
     _eliminate,
     _int_rows,
-    _restore,
     _scaled,
     _to_optimum,
     rank,
@@ -243,8 +242,8 @@ def fraction_lp_min(rows, f):
     cols = [g for g, _ in rows] + [ones(n), tuple(-a for a in ones(n))]
     s, table = _int_rows([[c[i] for c in cols] + [f[i]] for i in range(n)])
     d, costs = _scaled([-b for _, b in rows] + [-ONE, ONE])
-    ((det, _, cost, duals),) = reference_simplex_each(list(zip(*(row[:-1] for row in table))),
-                                                      [[row[-1] for row in table]], costs)
+    det, _, cost, duals = reference_simplex(list(zip(*(row[:-1] for row in table))),
+                                            [row[-1] for row in table], costs)
     return Fraction(-cost, det * d), tuple(Fraction(-a * s, det * d) for a in duals)
 
 
@@ -351,17 +350,17 @@ def _simplex_start(t, m):
     return det, basis
 
 
-def reference_simplex_each(columns, targets, costs) -> list:
-    """``exactla.simplex_each`` on integer columns as they are: the start is
+def reference_simplex(columns, target, costs) -> tuple:
+    """``exactla._optimum`` on integer columns as they are: the start is
     found by a scan of every column (``_simplex_start``), ValueError when
-    they do not hold it or differ from the targets in length; then the
-    package's own phase 2 (``exactla._to_optimum``) and dual restores
-    (``exactla._restore``). Per target: (det, levels, cost, duals), as the
-    package's kernel returns them."""
-    n, m = len(targets[0]), len(columns)
-    if any(len(v) != n for v in (*columns, *targets)):
-        raise ValueError("columns and targets differ in length")
-    t = [[*(col[i] for col in columns), targets[0][i], *(int(i == j) for j in range(n))]
+    they do not hold it or differ from the target in length; then the
+    package's own phase 2 (``exactla._to_optimum``). (det, levels, cost,
+    duals): a basic optimal x as {basic column: level} in row order, the
+    cost and the multipliers y, integers over det > 0."""
+    n, m = len(target), len(columns)
+    if any(len(v) != n for v in columns):
+        raise ValueError("columns and target differ in length")
+    t = [[*(col[i] for col in columns), target[i], *(int(i == j) for j in range(n))]
          for i in range(n)]
     start = n and _simplex_start(t, m)
     if not start:
@@ -372,15 +371,8 @@ def reference_simplex_each(columns, targets, costs) -> list:
         if costs[b] != 0:
             t[n] = [a - costs[b] * v for a, v in zip(t[n], row)]
     det = _to_optimum(t, det, basis, m)
-    solved = []
-    for k, target in enumerate(targets):
-        if k:
-            for row in t:
-                row[m] = sum(a * b for a, b in zip(row[m + 1:], target))
-            det = _restore(t, det, basis, m)
-        solved.append((det, {b: row[m] for row, b in zip(t, basis)},
-                       -t[n][m], tuple(-a for a in t[n][m + 1:])))
-    return solved
+    return (det, {b: row[m] for row, b in zip(t, basis)},
+            -t[n][m], tuple(-a for a in t[n][m + 1:]))
 
 
 def active_set(h, x) -> frozenset:

@@ -1,4 +1,4 @@
-"""Shared constructors for the test suite.
+"""Shared constructors and fixtures for the test suite.
 
 These build H-representations by hand, independent of the package's own
 model-to-polytope builders, so lower layers are testable on their own and
@@ -8,13 +8,22 @@ the builders themselves can be cross-checked against them.
 import itertools
 import math
 
+import pytest
 from hypothesis import strategies as st
 
 from cone_calculus import fraction_canonical_row, integer_row, ones, unit, universe_of
+from credalfans import fanwalk
 from credalfans.exactla import rat, vec
 from credalfans.polytope import HPolytope
 
 Q = rat
+
+
+@pytest.fixture(autouse=True)
+def fresh_walks():
+    """Each test starts with no walk kept (``fanwalk.walk`` keeps its latest
+    graphs), so a spy on the walk's steps sees a walk run."""
+    fanwalk.walk.cache_clear()
 
 
 def hrep(n, rows):

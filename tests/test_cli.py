@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from credalfans import chains2mono, cli, pri
+from credalfans import chains2mono, cli, credal, fanwalk, pri
 from credalfans.cli import main
 from credalfans.cones import support_universe
 from credalfans.fanwalk import walk
@@ -83,6 +83,15 @@ class TestCheck:
 
     def test_general_prevision(self, capsys):
         code, out, _ = run(capsys, "check", "--model", model("prevision_n3_general.json"))
+        assert code == 0
+        assert report_get(out, "coherent") == "true"
+
+    def test_vacuous_prevision_past_the_guards(self, capsys, tmp_path):
+        # no assessment: coherent with no walk and no guard, at n = 7
+        path = tmp_path / "vacuous_n7.json"
+        path.write_text(json.dumps({"type": "lower_prevision", "assessments": [],
+                                    "outcomes": [f"x{i}" for i in range(7)]}))
+        code, out, _ = run(capsys, "check", "--model", str(path))
         assert code == 0
         assert report_get(out, "coherent") == "true"
 
@@ -327,8 +336,13 @@ class TestIncompleteFan:
             g = walk(h, universe)
             return dataclasses.replace(g, incomplete_walls=((g.nodes[0].gens, g.nodes[0].gens[-1]),))
 
-        monkeypatch.setattr("credalfans.fanwalk.walk", open_wall)
         path = _prevision_file(tmp_path, *REDUNDANT_MODELS["redundant_envelope_a"])
+        # the coherence step before the engine reads its own walk, which
+        # refuses an open wall (test_credal): its report is kept before the
+        # patch, so only the engine's walk has the wall opened
+        with open(path) as fh:
+            assert credal.is_coherent(credal.lower_prevision_from_json(json.load(fh))).coherent
+        monkeypatch.setattr("credalfans.fanwalk.walk", open_wall)
         for command in ("vertices", "graph"):
             code, out, err = run(capsys, command, "--model", path)
             assert (code, out) == (1, ""), command
@@ -401,6 +415,28 @@ class TestNatex:
         assert report_get(out, "engine") == "chains"
         assert report_get(out, "value") == "8/5"
         assert report_get(out, "verified") == "true"
+
+    @pytest.mark.parametrize("source", ["prevision_n3_general.json", "redundant_envelope_a"])
+    def test_walk_verify_runs_the_walk_against_the_oracle(self, capsys, tmp_path, monkeypatch,
+                                                          source):
+        if source in REDUNDANT_MODELS:
+            names, rows = REDUNDANT_MODELS[source]
+            path = _prevision_file(tmp_path, names, rows)
+        else:
+            path, names = model(source), ["x1", "x2", "x3"]
+        gamble = tmp_path / "g.json"
+        gamble.write_text(json.dumps(dict(zip(names, ["3", "-1", "1/2"]))))
+        calls, real = [], fanwalk.walk
+        monkeypatch.setattr(fanwalk, "walk", lambda *args: calls.append(args) or real(*args))
+        credal._credal_vertices.cache_clear()
+        code, oracle, _ = run(capsys, "natex", "--model", path, "--gamble", str(gamble),
+                              "--engine", "oracle")
+        assert (code, calls) == (0, [])
+        code, out, _ = run(capsys, "natex", "--model", path, "--gamble", str(gamble),
+                           "--engine", "walk", "--verify")
+        assert (code, len(calls)) == (0, 1)
+        assert report_get(out, "verified") == "true"
+        assert report_get(out, "value") == report_get(oracle, "value")
 
     def test_decimal_value(self, capsys):
         code, out, _ = run(capsys, "natex", "--model", model("pri_n3.json"),

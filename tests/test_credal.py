@@ -2,6 +2,7 @@
 implied, coherence, natural extension, axiom checks, event-family MESC tests, JSON
 parsing."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -30,7 +31,7 @@ from credalfans.credal import (
 )
 from credalfans.exactla import LpUnbounded, format_rat, vec
 from credalfans.fanwalk import graph_to_json, walk
-from credalfans.polytope import EmptyPolytopeError, lp_min, lp_minima, vertices_bruteforce
+from credalfans.polytope import EmptyPolytopeError, OracleGuardError, lp_min, vertices_bruteforce
 from credalfans.pri import PRIModel, pri_from_json, pri_hrep
 
 from cone_calculus import (
@@ -48,7 +49,7 @@ from cone_calculus import (
     universe_of,
     universe_vectors,
 )
-from conftest import Q, assessed_rows, fraction_rows, ind, interval_hrep, tied_gambles
+from conftest import Q, assessed_rows, fraction_rows, ind, interval_hrep, rows_hrep, tied_gambles
 
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -167,7 +168,7 @@ class TestHrepConstruction:
         # p({x2, x3}) <= 3/4 is the row 1_{x1} >= 1/4 on the simplex, which
         # covers x1; the universe is every row and the constant, with no LP
         calls = []
-        for name in ("lp_min", "lp_minima", "_dual_solve"):
+        for name in ("lp_min", "_dual_tableau"):
             monkeypatch.setattr(polytope, name, lambda *args, name=name: calls.append(name))
         lp = LowerPrevision.from_bounds(SP3, upper=[((0, 1, 1), Q(3) / 4)])
         h, uni = build_credal_hrep.__wrapped__(lp)
@@ -233,11 +234,11 @@ def dropped_rows(h, universe):
     """The normals, as h's rows are written (``fraction_rows``), of the
     universe rows the walk on (h, universe) drops as implied: those off the
     universe in its table as the walk ends (the table its seed is read
-    with, kept up to date)."""
+    with, kept up to date). The walk runs afresh, past its cache."""
     tables, real = [], fanwalk._seed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fanwalk, "_seed", lambda h, table: tables.append(table) or real(h, table))
-        walk(h, universe)
+        walk.__wrapped__(h, universe)
     before = fanwalk._active_table(h, universe)
     return [vec(universe[j]) for (j, _), (now, _) in zip(before, tables[0])
             if j is not None and now is None]
@@ -275,10 +276,9 @@ _twelfths = st.lists(st.integers(0, 12), min_size=2, max_size=2).map(sorted)
 @given(assessed_rows(), st.lists(_twelfths, min_size=1, max_size=5), st.data())
 def test_every_builder_writes_a_credal_set(model, bounds, data):
     # the record refuses a row set without a row on each p(y), so every LP
-    # of the package runs on a credal set: lp_minima, in any order of the
-    # objectives, returns lp_min's values or finds the set empty, and never
-    # meets exactla.LpInfeasible. The interval model may be incoherent, and
-    # one outcome is drawn too, where p(x) = 1 and each row is the zero row
+    # of the package runs on a credal set: lp_min returns the oracle's
+    # minimum or finds the set empty. The interval model may be incoherent,
+    # and one outcome is drawn too, where p(x) = 1 and each row is zero
     n, rows = model
     m = PRIModel(OutcomeSpace(tuple(f"y{i}" for i in range(len(bounds)))),
                  [Fraction(lo, 12) for lo, _ in bounds], [Fraction(up, 12) for _, up in bounds])
@@ -287,12 +287,13 @@ def test_every_builder_writes_a_credal_set(model, bounds, data):
         assert units <= set(h.rows)
         gambles = st.tuples(*[st.integers(-3, 3).map(Q)] * h.dim)
         fs = data.draw(st.permutations([vec(f) for f in h.rows] + data.draw(st.lists(gambles))))
-        try:
-            values = lp_minima(h, fs)
-        except EmptyPolytopeError:
-            assert not vertices_bruteforce(h)
-            continue
-        assert values == [lp_min(h, f).value for f in fs]
+        vs = vertices_bruteforce(h)
+        for f in fs:
+            if not vs:
+                with pytest.raises(EmptyPolytopeError):
+                    lp_min(h, f)
+                continue
+            assert lp_min(h, f).value == min(dot(f, v.point) for v in vs)
 
 
 def test_pri_hrep_at_one_outcome_is_a_credal_set():
@@ -303,10 +304,10 @@ def test_pri_hrep_at_one_outcome_is_a_credal_set():
         expected = (vec([1]),) if up == 1 else ()
         assert tuple(v.point for v in vertices_bruteforce(h)) == expected
         if up == 1:
-            assert lp_minima(h, [vec([2])]) == [2]
+            assert lp_min(h, vec([2])).value == 2
         else:
             with pytest.raises(EmptyPolytopeError):
-                lp_minima(h, [vec([2])])
+                lp_min(h, vec([2]))
 
 
 @st.composite
@@ -452,6 +453,56 @@ def test_walk_is_exact_on_coherent_models(model):
 def test_is_coherent_matches_vertex_scan(model):
     lp = rows_model(*model)
     assert is_coherent(lp) == scan_report(lp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(assessed_rows())
+def test_is_coherent_matches_lp_min(model):
+    # each minimum read off the walk's vertex rows is lp_min's on the
+    # hand-built record, and the set is empty exactly where lp_min finds it
+    n, rows = model
+    rep = is_coherent(rows_model(n, rows))
+    p = rows_hrep(n, rows)
+    try:
+        expected = [lp_min(p, f).value for f, _ in rows]
+    except EmptyPolytopeError:
+        assert rep.empty and not rep.coherent
+        assert [c.attained for c in rep.checks] == [None] * len(rows)
+        return
+    assert not rep.empty
+    assert [c.attained for c in rep.checks] == expected
+    assert rep.coherent == all(c.tight for c in rep.checks)
+
+
+def test_no_assessment_is_coherent_with_no_walk_and_no_guard(monkeypatch):
+    # past the walk's guards (n = 7), a model with no assessments is
+    # coherent without a walk; one assessment makes the walk run and refuse
+    sp7 = OutcomeSpace(tuple(f"x{i}" for i in range(7)))
+
+    def no_walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(fanwalk, "walk", no_walk)
+    assert is_coherent(LowerPrevision(sp7, ())) == CoherenceReport(True, False, ())
+    monkeypatch.undo()
+    with pytest.raises(OracleGuardError):
+        is_coherent(LowerPrevision.from_bounds(sp7, lower=[(ind(7, {0}), 0)]))
+
+
+def test_an_open_wall_is_refused_loudly(monkeypatch):
+    # a walk that left a wall open may miss vertices: coherence and natural
+    # extension refuse it rather than answer from it
+    def open_wall(h, universe):
+        g = walk(h, universe)
+        return dataclasses.replace(g, incomplete_walls=((g.nodes[0].gens, g.nodes[0].gens[-1]),))
+
+    monkeypatch.setattr(fanwalk, "walk", open_wall)
+    credal._credal_vertices.cache_clear()
+    lp = supermod3_lp()
+    with pytest.raises(RuntimeError, match="incomplete fan"):
+        natural_extension(lp, (1, 0, 0))
+    with pytest.raises(RuntimeError, match="incomplete fan"):
+        is_coherent(lp)
 
 
 def test_is_coherent_matches_vertex_scan_on_every_verdict():

@@ -8,17 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cone_calculus import dot, ones, reference_simplex_each, scaled_inverse, solve_unique, unit
+from cone_calculus import dot, ones, reference_simplex, scaled_inverse, solve_unique, unit
 from credalfans import exactla
 from credalfans.exactla import (
-    LpInfeasible,
     LpUnbounded,
     _pivot,
     _scaled,
     format_rat,
     rank,
     rat,
-    simplex_each,
     vec,
 )
 
@@ -29,26 +27,33 @@ def rows(*rs):
     return [vec(r) for r in rs]
 
 
-def rational_simplex(cols, targets, costs):
-    """simplex_each on rational columns around a unit start, scaled as a
+def solved(rows, w, costs, units):
+    """(det, levels, cost, duals) off the final tableau of
+    ``exactla._optimum``: a basic optimal x as {basic column: level} in row
+    order, costs . x and the multipliers y, integers over det > 0."""
+    t, det, basis = exactla._optimum(rows, w, costs, units)
+    m = len(costs)
+    return det, {b: row[m] for row, b in zip(t, basis)}, -t[-1][m], tuple(-a for a in t[-1][m + 1:])
+
+
+def rational_simplex(cols, target, costs):
+    """The kernel on rational columns around a unit start, scaled as a
     positive scale leaves its choices: each column j with its cost by its
     own s_j, the common multiple of the column's denominators (1 on the
     unit columns and on the +- pair of 1, which come last), the costs by
-    one common d and each target by its own e. Each result is read back
-    over one s = det d e, as (s, levels, cost, duals): x_j = s_j x'_j / e
-    for the kernel's x' = levels / det, and y = y' / d for its y' = duals /
-    det."""
-    n = len(targets[0])
+    one common d and the target by e. The result is read back over one s =
+    det d e, as (s, levels, cost, duals): x_j = s_j x'_j / e for the
+    kernel's x' = levels / det, and y = y' / d for its y' = duals / det."""
+    n = len(target)
     assert list(cols[-2:]) == [ones(n), tuple(-a for a in ones(n))]
     units = [next((j for j, col in enumerate(cols) if col == unit(n, y)), None) for y in range(n)]
     d, costs = _scaled(vec(costs))
     scale, int_cols = zip(*(_scaled(vec(col)) for col in cols))
-    scaled = [_scaled(vec(g)) for g in targets]
-    solved = simplex_each(list(zip(*int_cols)), [g for _, g in scaled],
-                          [s * a for s, a in zip(scale, costs)], units)
-    return [(det * d * e, {j: v * scale[j] * d for j, v in levels.items()}, cost,
-             tuple(a * e for a in duals))
-            for (det, levels, cost, duals), (e, _) in zip(solved, scaled)]
+    e, g = _scaled(vec(target))
+    det, levels, cost, duals = solved(list(zip(*int_cols)), g,
+                                      [s * a for s, a in zip(scale, costs)], units)
+    return (det * d * e, {j: v * scale[j] * d for j, v in levels.items()}, cost,
+            tuple(a * e for a in duals))
 
 
 # ---------------------------------------------------------------- basics
@@ -140,14 +145,14 @@ def test_the_reference_kernel_refuses_columns_without_the_start():
                          ([[0, 1], [1, 1]], [-1, 0]), ([[1, 0], [1, 1], [-1, -1]], [1, 2]),
                          ([], [])):
         with pytest.raises(ValueError, match="start basis"):
-            reference_simplex_each(cols, [target], [0] * len(cols))
+            reference_simplex(cols, target, [0] * len(cols))
     # y0 == 1 needs no e_1: the same columns hold the start for (2, 1), and
     # the kernel reads no unit column at y0
     cols = rows([1, 0], [1, 1], [-1, -1])
-    ((s, levels, _, _),) = rational_simplex(cols, [vec([2, 1])], [0] * 3)
+    s, levels, _, _ = rational_simplex(cols, vec([2, 1]), [0] * 3)
     assert {j: Fraction(v, s) for j, v in levels.items()} == {1: 1, 0: 1}
-    assert simplex_each([(1, 1, -1), (0, 1, -1)], [(2, 1)], [0] * 3, (0, None)) == [
-        (1, {0: 1, 1: 1}, 0, (0, 0))]
+    assert solved([(1, 1, -1), (0, 1, -1)], (2, 1), [0] * 3, (0, None)) == (
+        1, {0: 1, 1: 1}, 0, (0, 0))
 
 
 def test_simplex_phase_two():
@@ -158,7 +163,7 @@ def test_simplex_phase_two():
     pivots, real = [], exactla._pivot
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exactla, "_pivot", lambda *args: pivots.append(args[3]) or real(*args))
-        ((s, levels, cost, duals),) = rational_simplex(cols, [vec([1, 3])], vec([0, 0, -2, -1, 1]))
+        s, levels, cost, duals = rational_simplex(cols, vec([1, 3]), vec([0, 0, -2, -1, 1]))
     assert pivots == [2]
     assert {j: Fraction(v, s) for j, v in levels.items()} == {3: 0, 2: 1}
     assert Fraction(cost, s) == -2
@@ -170,11 +175,7 @@ def test_simplex_infeasible_and_unbounded():
     # the +- pair of 1 from the start, whatever the target
     cols = rows([1, 0], [0, 1], [1, 1], [-1, -1])
     with pytest.raises(LpUnbounded):
-        rational_simplex(cols, [vec([1, 0])], vec(["-2/3", "-2/3", -1, 1]))
-    # without e_0, a later target whose least entry is not at 0 leaves the
-    # columns' cone: the dual restore finds no entering column
-    with pytest.raises(LpInfeasible):
-        rational_simplex(rows([0, 1], [1, 1], [-1, -1]), [vec([0, 1]), vec([1, 0])], [0] * 3)
+        rational_simplex(cols, vec([1, 0]), vec(["-2/3", "-2/3", -1, 1]))
 
 
 # ---------------------------------------------------------------- properties
@@ -298,52 +299,21 @@ def _min_over_bases(columns, target, costs):
     return best
 
 
-def _unit_start(data, n, k=None):
-    """Columns drawn around a unit start: every unit vector (but e_k) and up
-    to three drawn columns, shuffled, then the +- pair of 1, last."""
-    cols = [unit(n, y) for y in range(n) if y != k]
+def _unit_start(data, n):
+    """Columns drawn around a unit start: every unit vector and up to three
+    drawn columns, shuffled, then the +- pair of 1, last."""
+    cols = [unit(n, y) for y in range(n)]
     cols += data.draw(st.lists(st.lists(small_rats, min_size=n, max_size=n).map(vec), max_size=3))
     return data.draw(st.permutations(cols)) + [ones(n), tuple(-a for a in ones(n))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_simplex_each_matches_basis_enumeration(data):
-    # one tableau for several targets, on columns that hold the start for
-    # the first target alone: every unit vector but e_k, where that
-    # target's entry is least, drawn columns and the +- pair of 1. Each
-    # cost is that target's minimum, and a later target no nonnegative
-    # combination meets raises in the dual restore. Costs y . column + a
-    # nonnegative slack keep the dual feasible, so the LP is bounded.
-    n = data.draw(st.integers(1, 3))
-    k = data.draw(st.integers(0, n - 1))
-    cols = _unit_start(data, n, k)
-    y = data.draw(st.lists(small_rats, min_size=n, max_size=n))
-    costs = [dot(y, col) + data.draw(small_rats.filter(lambda a: a >= 0)) for col in cols]
-    first = data.draw(st.lists(small_rats, min_size=n, max_size=n))
-    first[k] = min(first) - data.draw(small_rats.filter(lambda a: a > 0))
-    targets = [first] + data.draw(st.lists(st.lists(small_rats, min_size=n, max_size=n), max_size=3))
-    expected = [_min_over_bases(cols, target, costs) for target in targets]
-    if None in expected:
-        with pytest.raises(LpInfeasible):
-            rational_simplex(cols, targets, costs)
-        return
-    solved = rational_simplex(cols, targets, costs)
-    assert [Q(cost) / s for s, _, cost, _ in solved] == expected
-    for target, (s, levels, cost, duals) in zip(targets, solved):
-        assert s > 0 and all(v >= 0 for v in levels.values())
-        assert [sum(cols[j][i] * v for j, v in levels.items()) for i in range(n)] == [
-            s * a for a in target]
-        assert sum(costs[j] * v for j, v in levels.items()) == cost
-        _assert_optimal_duals(cols, target, costs, s, levels, cost, duals)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
 def test_simplex_each_from_the_simplex_start_matches_basis_enumeration(data):
-    # every unit vector and drawn columns, shuffled, then the +- pair of 1:
-    # phase 2 alone (one _to_optimum run) from the start written down.
-    # Costs y . column + a slack: a nonnegative one keeps the dual
+    # the kernel, exactla._optimum, on every unit vector and drawn columns,
+    # shuffled, then the +- pair of 1: phase 2 alone (one _to_optimum run
+    # per target) from the start written down. Costs y . column + a
+    # slack: a nonnegative one keeps the dual
     # feasible, so the LP is bounded; a drawn one may let the cost fall
     # along a ray r >= 0 with sum r_j columns[j] == 0 (the dual of an empty
     # credal set), found by basis enumeration on the rays normalised to
@@ -360,13 +330,14 @@ def test_simplex_each_from_the_simplex_start_matches_basis_enumeration(data):
         mp.setattr(exactla, "_to_optimum", lambda *args: runs.append(args) or real(*args))
         if unbounded:
             with pytest.raises(LpUnbounded):
-                rational_simplex(cols, targets, costs)
+                rational_simplex(cols, targets[0], costs)
         else:
-            solved = rational_simplex(cols, targets, costs)
-    assert len(runs) == 1
+            results = [rational_simplex(cols, target, costs) for target in targets]
     if unbounded:
+        assert len(runs) == 1
         return
-    for target, (s, levels, cost, duals) in zip(targets, solved):
+    assert len(runs) == len(targets)
+    for target, (s, levels, cost, duals) in zip(targets, results):
         assert Q(cost) / s == _min_over_bases(cols, target, costs)
         assert [sum(cols[j][i] * v for j, v in levels.items()) for i in range(n)] == [
             s * a for a in target]
@@ -378,10 +349,10 @@ def test_simplex_start_det_is_its_basis_determinant():
     # already optimal at zero cost: levels 1 and 1, no pivot. The reference
     # kernel finds the start on scaled columns too: {5 . 1, 3 e_1}, of
     # |determinant| 15, levels 1/5 and 1/3
-    assert simplex_each([(1, 0, 1, -1), (0, 1, 1, -1)], [(1, 2)], [0] * 4, (0, 1)) == [
-        (1, {2: 1, 1: 1}, 0, (0, 0))]
+    assert solved([(1, 0, 1, -1), (0, 1, 1, -1)], (1, 2), [0] * 4, (0, 1)) == (
+        1, {2: 1, 1: 1}, 0, (0, 0))
     cols = [(2, 0), (0, 3), (5, 5), (-5, -5)]
-    assert reference_simplex_each(cols, [(1, 2)], [0] * 4) == [(15, {2: 3, 1: 5}, 0, (0, 0))]
+    assert reference_simplex(cols, (1, 2), [0] * 4) == (15, {2: 3, 1: 5}, 0, (0, 0))
 
 
 def _assert_optimal_duals(cols, target, costs, s, levels, cost, duals):

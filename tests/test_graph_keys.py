@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from cone_calculus import dot, ones, universe_vectors
 from conftest import fraction_rows
 
+from credalfans import fanwalk
 from credalfans.chains2mono import chain_graph, event_universe
 from credalfans.credal import OutcomeSpace
 from credalfans.exactla import rat
@@ -113,7 +114,10 @@ def coherent_interval_models(draw):
 def assert_pairs_handed_over(m):
     """The interval walk's graph starts with its pairs (from three outcomes
     on, where the exchange walk runs), and they are the sorted position
-    pairs i < j that a graph on the same nodes and edges derives."""
+    pairs i < j that a graph on the same nodes and edges derives. Below
+    three outcomes the graph is fanwalk.walk's, which keeps its graphs, and
+    one read before may have derived its pairs: the walk runs afresh."""
+    fanwalk.walk.cache_clear()
     _, graph = enumerate_extreme_pri(m)
     assert ("pairs" in vars(graph)) == (m.n >= 3)
     assert graph.pairs == MescGraph(graph.nodes, graph.edges).pairs

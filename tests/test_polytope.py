@@ -14,7 +14,6 @@ from credalfans.polytope import (
     OracleGuardError,
     Vertex,
     lp_min,
-    lp_minima,
     vertices_bruteforce,
 )
 
@@ -23,10 +22,9 @@ from cone_calculus import (
     active_set,
     dot,
     general_vertices,
-    indicator,
     normal_cone_at,
     ones,
-    reference_simplex_each,
+    reference_simplex,
     unit,
 )
 from conftest import (
@@ -164,36 +162,30 @@ def test_oracle_matches_the_general_active_set_search(h):
     assert [v.point for v in vertices_bruteforce(h)] == expected
 
 
-def _reference_dual(p, objectives):
+def _reference_dual(p, objective):
     """The reference kernel on p's dual as the parent kernel took it: the
     columns p's rows and the +- pair of 1, searched for the start."""
     one = (1,) * p.dim
-    return reference_simplex_each((*p.rows, one, tuple(-a for a in one)), objectives,
-                                  (*(-b for b in p.bounds), -p.den, p.den))
+    return reference_simplex((*p.rows, one, tuple(-a for a in one)), objective,
+                             (*(-b for b in p.bounds), -p.den, p.den))
 
 
 @settings(max_examples=150, deadline=None)
 @given(oracle_records(), st.data())
 def test_the_kept_start_matches_the_reference_kernel(h, data):
     """On every drawn record, tied bounds and the dim-1 zero row included,
-    lp_min's value and vertex, ties included, and lp_minima's values are
-    the reference kernel's, which finds its start by a scan of the dual's
-    columns."""
+    lp_min's value and vertex, ties included, are the reference kernel's,
+    which finds its start by a scan of the dual's columns."""
     fs = [vec(f) for f in data.draw(st.lists(
         st.tuples(*[st.integers(-3, 3)] * h.dim), min_size=1, max_size=4))]
-    scaled = [_scaled(f) for f in fs]
-    try:
-        solved = _reference_dual(h, [g for _, g in scaled])
-    except exactla.LpUnbounded:
-        with pytest.raises(EmptyPolytopeError):
-            lp_minima(h, fs)
-        with pytest.raises(EmptyPolytopeError):
-            lp_min(h, fs[0])
-        return
-    values = [Q(-cost) / (det * h.den * e) for (det, _, cost, _), (e, _) in zip(solved, scaled)]
-    assert lp_minima(h, fs) == values
-    for f, (e, g) in zip(fs, scaled):
-        ((det, _, cost, duals),) = _reference_dual(h, [g])
+    for f in fs:
+        e, g = _scaled(f)
+        try:
+            det, _, cost, duals = _reference_dual(h, g)
+        except exactla.LpUnbounded:
+            with pytest.raises(EmptyPolytopeError):
+                lp_min(h, f)
+            continue
         s = det * h.den
         assert lp_min(h, f) == (Q(-cost) / (s * e), Vertex(tuple(Q(-a) / s for a in duals)))
 
@@ -202,7 +194,7 @@ def quadrant_dual(f):
     """The reference LP kernel on the dual of min x . f over the quadrant
     x >= 0, with no x . 1 fixed: no record holds that set, and its dual's
     columns, the unit vectors alone, hold no start."""
-    return reference_simplex_each([(1, 0), (0, 1)], [_scaled(vec(f))[1]], [0, 0])
+    return reference_simplex([(1, 0), (0, 1)], _scaled(vec(f))[1], [0, 0])
 
 
 def test_lp_min_unbounded_raises():
@@ -231,88 +223,23 @@ def test_lp_min_without_a_vertex():
         hrep(2, [(unit(2, 0), 0)])
 
 
-def test_lp_minima_of_no_objective_runs_no_guard_and_no_lp(monkeypatch):
-    big = simplex(7)  # past the oracle's dimension guard
-
-    def no_lp(*args):
-        raise AssertionError("an LP ran")
-
-    monkeypatch.setattr(polytope, "simplex_each", no_lp)
-    assert lp_minima(big, []) == []
-    with pytest.raises(OracleGuardError):
-        lp_minima(big, [ones(7)])
-
-
-def test_lp_min_and_lp_minima_make_one_kernel_call(monkeypatch):
+def test_lp_min_makes_one_kernel_call(monkeypatch):
     calls = []
-    kernel = polytope.simplex_each
+    kernel = polytope._optimum
 
     def spy(*args):
-        calls.append(len(args[1]))
+        calls.append(args[1])
         return kernel(*args)
 
-    monkeypatch.setattr(polytope, "simplex_each", spy)
+    monkeypatch.setattr(polytope, "_optimum", spy)
     assert lp_min(PRI3, vec([3, 2, 1])).value == Q(5) / 3
-    assert calls == [1]
-    assert lp_minima(PRI3, [vec([3, 2, 1]), ones(3), unit(3, 0)]) == [Q(5) / 3, 1, Q(1) / 6]
-    assert calls == [1, 3]
-
-
-def test_lp_minima_raises_as_lp_min():
-    assert lp_minima(simplex(2), [vec([1, 2]), vec([3, 0])]) == [1, 0]
-    empty = interval_polytope(["2/3"] * 3, ["2/3"] * 3)
-    with pytest.raises(EmptyPolytopeError):
-        lp_minima(empty, [vec([0, -1, 0]), vec([1, 0, 0])])
-    for objectives in ([vec([1, 2]), vec([1, -1])], [vec([1, -1]), vec([1, 2])]):
-        with pytest.raises(ValueError, match="start basis"):
-            quadrant_dual(objectives[0])
-    with pytest.raises(ValueError, match="no row on some p"):  # a half-plane
-        hrep(2, [(unit(2, 0), 0)])
-    # an objective of the wrong length is refused, not truncated
-    for objectives in ([vec([1, 2]), vec([1, 2, 3])], [vec([1])]):
+    assert calls == [(3, 2, 1)]
+    # an objective of the wrong length is refused before the kernel runs,
+    # not truncated
+    for f in ([1], [1, 2, 3]):
         with pytest.raises(ValueError, match="differ in length"):
-            lp_minima(simplex(2), objectives)
-    with pytest.raises(ValueError, match="differ in length"):
-        lp_min(simplex(2), vec([1]))
-
-
-def test_lp_minima_tied_dual_restore(monkeypatch):
-    """l = 1/6, u = 1/4 on five outcomes, a degenerate interval model: the
-    lower probability of an event A is max(|A| / 6, 1 - (5 - |A|) / 4),
-    tied at |A| = 3. The dual restores between the events meet tied
-    entering ratios, and still end at those optima."""
-    p = interval_polytope(["1/6"] * 5, ["1/4"] * 5)
-    m = len(p.rows) + 2  # the dual's columns: the rows and the +- pair of 1
-    tied = []
-    pivot = exactla._pivot
-
-    def spy(t, det, r, c):
-        row, cost = t[r], t[-1]
-        if row[m] < 0:  # a dual simplex pivot
-            tied.append(any(row[j] < 0 and cost[j] * row[c] == cost[c] * row[j]
-                            for j in range(m) if j != c))
-        return pivot(t, det, r, c)
-
-    monkeypatch.setattr(exactla, "_pivot", spy)
-    events = [set(s) for r in (3, 1, 4, 2) for s in itertools.combinations(range(5), r)]
-    values = lp_minima(p, [indicator(5, a) for a in events])
-    assert values == [max(Q(len(a)) / 6, 1 - Q(5 - len(a)) / 4) for a in events]
-    assert any(tied)
-
-
-@settings(max_examples=150, deadline=None)
-@given(assessed_rows(), st.data())
-def test_lp_minima_matches_lp_min(model, data):
-    n, rows = model
-    p = rows_hrep(n, rows)
-    fs = data.draw(st.permutations([f for f, _ in rows] + [unit(n, x) for x in range(n)]))
-    try:
-        expected = [lp_min(p, f).value for f in fs]
-    except EmptyPolytopeError:
-        with pytest.raises(EmptyPolytopeError):
-            lp_minima(p, fs)
-        return
-    assert lp_minima(p, fs) == expected
+            lp_min(simplex(2), vec(f))
+    assert len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,11 +325,11 @@ def test_lp_on_credal_sets_matches_the_oracle(p, data):
     fs = [vec(f) for f in data.draw(st.lists(
         st.tuples(*[st.integers(-3, 3)] * p.dim), min_size=1, max_size=4))]
     if not vs:
-        with pytest.raises(EmptyPolytopeError):
-            lp_minima(p, fs)
+        for f in fs:
+            with pytest.raises(EmptyPolytopeError):
+                lp_min(p, f)
         return
     expected = [min(dot(v.point, f) for v in vs) for f in fs]
-    assert _optimum_runs(lambda: lp_minima(p, fs)) == (expected, 1)
     for f, value in zip(fs, expected):
         (got, arg), k = _optimum_runs(lambda: lp_min(p, f))
         assert (got, k) == (value, 1)

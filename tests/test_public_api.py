@@ -2,9 +2,9 @@
 in ``__all__``, every public member of a class it lists there, and every
 defaulted parameter of a function it lists there must be used somewhere in
 the package, the benchmark harness or the benchmark scripts, not only by
-the tests. And one LP path: in the package, only ``polytope._dual_solve``
-reads the LP kernel ``exactla.simplex_each``, which has one start, kept
-on the record.
+the tests. And one LP path: in the package, only ``polytope._dual_tableau``
+reads the LP kernel ``exactla._optimum``, which has one start, kept on
+the record.
 
 A use of a name is a name read or an attribute access in the code (an
 ``ast.Name`` load or an ``ast.Attribute``) that resolves to the module
@@ -286,8 +286,8 @@ def test_the_member_gate_sees_every_record_field(module, name, fields):
 
 
 # The one LP path: (module, top-level definition) of every read of the kernel.
-LP_KERNEL = "simplex_each"
-LP_PATH = {("polytope", "_dual_solve")}
+LP_KERNEL = "_optimum"
+LP_PATH = {("polytope", "_dual_tableau")}
 
 
 def test_only_the_one_lp_path_calls_the_lp_kernel():
@@ -308,9 +308,9 @@ def test_only_the_one_lp_path_calls_the_lp_kernel():
 # The kernel's one start, taken from the record: no scan for it is left in
 # the package (the reference keeps one, in the tests), _optimum runs phase
 # 2 once and nothing else in the package does, so a second start (a phase
-# 1 beside the simplex's own basis) cannot come back unseen; and _guarded,
-# where every LP runs, builds no column for it, reading the record's kept
-# dual.
+# 1 beside the simplex's own basis) cannot come back unseen; and
+# _dual_tableau, where every LP runs, builds no column for it, reading the
+# record's kept dual.
 def _calls(tree, name):
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
@@ -329,7 +329,7 @@ def test_the_lp_kernel_has_one_start():
                  if getattr(top, "name", None) == "_optimum"]
     assert len(_calls(kernel, "_to_optimum")) == 1
     (solve,) = [top for top in _parse(PACKAGE / "polytope.py").body
-                if getattr(top, "name", None) == "_guarded"]
+                if getattr(top, "name", None) == "_dual_tableau"]
     assert not [node for node in ast.walk(solve)
                 if isinstance(node, (ast.Tuple, ast.GeneratorExp, ast.ListComp))]
     assert not _calls(solve, "tuple")
@@ -338,10 +338,12 @@ def test_the_lp_kernel_has_one_start():
 
 
 # The read path's one minimum over a vertex set: exactla._min_dot on integer
-# rows, read where natural extension and the oracle's natex take it, so no
-# Fraction scan through exactla.dot comes back on either.
+# rows, read where natural extension, the coherence report off the walk's
+# vertex rows and the oracle's natex take it, so no Fraction scan through
+# exactla.dot comes back on any of them.
 MIN_KERNEL = "_min_dot"
-MIN_PATH = {("credal", "natural_extension"), ("cli", "_oracle_natex")}
+MIN_PATH = {("credal", "natural_extension"), ("credal", "_credal_vertices"),
+            ("cli", "_oracle_natex")}
 
 
 def test_the_natex_read_path_scans_integer_rows_only():
@@ -402,8 +404,8 @@ def test_lp_min_reads_its_vertex_off_the_tableau(module, function):
 SCALERS = {"_int_rows", "_scaled", "rat", "vec"}
 
 
-@pytest.mark.parametrize("module, function", [("polytope", "_dual_solve"),
-                                              ("exactla", "simplex_each"),
+@pytest.mark.parametrize("module, function", [("polytope", "_dual_tableau"),
+                                              ("exactla", "_optimum"),
                                               ("fanwalk", "_active_table"),
                                               ("fanwalk", "_seed"),
                                               ("polytope", "vertices_bruteforce")])
