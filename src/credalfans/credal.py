@@ -16,19 +16,19 @@ p . f >= b and p . (c f + k 1) >= c b + k (c > 0) are one half-space, one
 row keyed by its primitive integer normal. Every row is in the support
 universe; the walk learns which are implied (``fanwalk``), so no LP runs.
 
-Coherence and natural extension read one vertex set, the walk's
-(``fanwalk.walk``) on the record, scaled to integer rows once per model and
-cached: an assessment is coherent when its bound is its gamble's minimum
-over those rows (Walley 1991, 3.3), and natural extension is the same scan
-at any gamble. Both keep the walk's seed LP's small-instance guards; the
-structured engines exist precisely to avoid them.
+Coherence and natural extension read one walk (``fanwalk.walk``) of the
+record per model: an assessment is coherent when its row is tight at some
+vertex (Walley 1991, 3.3), and the walk reports the rows tight at none, so
+a coherent model scans no vertex; natural extension scans the vertex rows.
+Both keep the walk's seed LP's small-instance guards; the structured
+engines exist precisely to avoid them.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .cones import support_universe
@@ -172,26 +172,30 @@ class LowerPrevision(Record):
 CACHE_SIZE = 64  # models per cache; the least recently used are evicted
 
 
+def _row(entry) -> tuple:
+    """An assessment's row on the record from its ``LowerPrevision._ints``
+    entry (f's ratios, b's): f's ints d f over their lcm denominator d, less
+    their least entry k, over their gcd g, at (d b - k) / g as (p, q > 0)."""
+    ratios, (bn, bd) = entry
+    d = math.lcm(*[q for _, q in ratios])
+    ints = [p * (d // q) for p, q in ratios]
+    k = min(ints)
+    g = math.gcd(*[a - k for a in ints])  # not 0: no assessed gamble is constant
+    return tuple([(a - k) // g for a in ints]), (bn * d - k * bd, bd * g)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def build_credal_hrep(lp: LowerPrevision):
     """The credal set as one ``polytope.HPolytope``, plus its support universe.
 
     One row per half-space at its tightest bound: the assessments' in order,
-    then the unassessed unit rows (e_x, 0), at n = 1 the zero row at -1. On
-    the model's integer ratios (``LowerPrevision._ints``), p . f >= b is the
-    row (d f - k 1) / g at (d b - k) / g: f's ints d f over the lcm d of its
-    denominators, their least entry k and the gcd g of d f - k 1 give its
-    primitive integer normal. The universe is every row and the constant.
+    as ``_row`` writes them, then the unassessed unit rows (e_x, 0), at
+    n = 1 the zero row at -1. The universe is every row and the constant.
     """
     from .polytope import HPolytope
     n = lp.space.n
     rows: dict = {}  # key -> (p, q), its tightest bound p / q so far, q > 0
-    for ratios, (bn, bd) in lp._ints:
-        d = math.lcm(*[q for _, q in ratios])
-        ints = [p * (d // q) for p, q in ratios]
-        k = min(ints)
-        g = math.gcd(*[a - k for a in ints])  # not 0: no assessed gamble is constant
-        f, b = tuple([(a - k) // g for a in ints]), (bn * d - k * bd, bd * g)
+    for f, b in map(_row, lp._ints):
         rows[f] = b if (old := rows.get(f)) is None or b[0] * old[1] > old[0] * b[1] else old
     for x in range(n):  # p(x) >= 0; at n = 1, p(x) = 1 makes e_x the constant
         e_x, b = (tuple([int(y == x) for y in range(n)]), (0, 1)) if n > 1 else ((0,), (-1, 1))
@@ -221,31 +225,35 @@ class CoherenceReport(NamedTuple):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _credal_vertices(lp: LowerPrevision):
-    """(the vertex set as ``exactla._int_rows`` scales it, the coherence
-    report), once per model, from one ``fanwalk.walk`` of the record: each
-    assessment's minimum is an integer scan of those rows. An empty record
-    is the seed LP's EmptyPolytopeError, and gives no rows. A walk that left
-    a wall open may miss vertices, and is refused (RuntimeError)."""
+    """(a call scaling the walk's vertex set by ``exactla._int_rows`` once,
+    the coherence report) per model, from one ``fanwalk.walk``: an assessment
+    whose row (``_row``) is not loose and at its own bound attains it, and
+    only the others scan the rows. An empty record is the seed LP's
+    EmptyPolytopeError, with no rows; a walk with a wall open may miss
+    vertices, and is refused (RuntimeError)."""
     from .fanwalk import walk
     from .polytope import EmptyPolytopeError
+    h, universe = build_credal_hrep(lp)
     try:
-        graph = walk(*build_credal_hrep(lp))
+        graph = walk(h, universe)
     except EmptyPolytopeError:
         return None, CoherenceReport(False, True, tuple(AssessmentCheck(a.lower, None)
                                                         for a in lp.assessments))
     if graph.incomplete_walls:
         raise RuntimeError("incomplete fan: the walk left a wall open; vertices may be missing")
-    scaled = _int_rows(graph.vertices)
-    checks = tuple(AssessmentCheck(a.lower, _min_dot(scaled, a.gamble.values))
-                   for a in lp.assessments)
-    return scaled, CoherenceReport(all(c.tight for c in checks), False, checks)
+    scaled, checks = cache(lambda: _int_rows(graph.vertices)), []
+    for a, (f, (p, q)) in zip(lp.assessments, map(_row, lp._ints)):
+        tight = (i := h.rows.index(f)) not in graph.loose_rows and p * h.den == h.bounds[i] * q
+        checks.append(AssessmentCheck(a.lower, a.lower if tight else
+                                      _min_dot(scaled(), a.gamble.values)))
+    return scaled, CoherenceReport(all(c.tight for c in checks), False, tuple(checks))
 
 
 def is_coherent(lp: LowerPrevision) -> CoherenceReport:
     """Envelope check: the credal set is nonempty and each assessed bound
-    equals its gamble's minimum over the set's vertices (``_credal_vertices``);
-    a bound below it is not attained, one above would empty the set. A model
-    with no assessments is coherent, with no walk and no guard."""
+    equals its gamble's minimum over it, read off the rows the walk finds
+    tight, with no vertex scan on a coherent model (``_credal_vertices``). A
+    model with no assessments is coherent, with no walk and no guard."""
     if not lp.assessments:
         return CoherenceReport(True, False, ())
     return _credal_vertices(lp)[1]
@@ -255,8 +263,8 @@ def natural_extension(lp: LowerPrevision, f):
     """Exact lower envelope value min {p . f : p in the credal set}.
 
     Defined here only for coherent lp (IncoherenceError otherwise); the
-    minimum is an integer scan of the walk's vertex rows, scaled once per
-    model and cached next to the coherence report."""
+    minimum is an integer scan of the walk's vertex rows, scaled on the
+    model's first query and kept next to the coherence report."""
     scaled, report = _credal_vertices(lp)
     if not report.coherent:
         raise IncoherenceError("natural extension requires a coherent lower prevision"
@@ -264,7 +272,7 @@ def natural_extension(lp: LowerPrevision, f):
     v = vec(f)
     if len(v) != lp.space.n:
         raise ValueError("gamble length does not match the outcome space")
-    return _min_dot(scaled, v)
+    return _min_dot(scaled(), v)
 
 
 # ----------------------------------------------------------------- JSON

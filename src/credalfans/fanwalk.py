@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
@@ -71,15 +71,17 @@ class MescGraph:
     """Walk result: nodes in canonical order, undirected edges as frozensets
     of node keys (gens), which readers take from ``pairs``. incomplete_walls
     records (gens, dropped index) walls where no neighbour was found, which
-    can only happen on degenerate input. ``vertices`` and ``pairs`` are
-    built on the first read, kept, and outside equality and hashing; no
-    interval engine or export reads ``vertices``. An engine may pass the
-    pairs as ``positions``. It stays a dataclass: tests and the benchmark
-    derive graphs by dataclasses.replace, which derives the pairs anew."""
+    can only happen on degenerate input. loose_rows (``walk``; None on pri
+    and chain graphs), ``vertices`` and ``pairs`` are outside equality and
+    hashing; the last two are built on the first read and kept, and no
+    interval engine, export or coherence check reads ``vertices``. An engine
+    may pass the pairs as ``positions``. Tests and the benchmark derive
+    graphs by dataclasses.replace, which derives the pairs anew."""
 
     nodes: tuple
     edges: frozenset
     incomplete_walls: tuple = ()
+    loose_rows: frozenset | None = field(default=None, compare=False)
     _: KW_ONLY
     positions: InitVar[tuple | None] = None
 
@@ -234,7 +236,10 @@ def walk(h: HPolytope, universe: tuple) -> MescGraph:
     vertices keep their table once crossed.
 
     One LP, for the seed, with at most one pivot after it; then one pivot
-    per new node and one per wall crossed again.
+    per new node and one per wall crossed again. loose_rows are the rows
+    (table columns) tight at no node added, each slack row read at the
+    columns still loose. A complete walk meets every vertex, a dropped row
+    keeps its column and a node ``forget`` removes is a vertex: none is tight.
 
     Raises ValueError when h and the universe break the hypothesis of
     ``_active_table``, and as ``polytope._dual_tableau``: OracleGuardError
@@ -244,7 +249,7 @@ def walk(h: HPolytope, universe: tuple) -> MescGraph:
     reads = [(k, h.den, table[k][1]) for k in h._units if k is not None]
     value = cache(Fraction)  # one Fraction per distinct (numerator, denominator) pair
     seen, kept = {}, {}  # key -> node; key -> table of a node at a degenerate vertex
-    edges, incomplete = set(), {}
+    edges, incomplete, loose = set(), {}, set(range(len(table)))  # loose: tight at no node yet
     queue = deque()  # (tableau, the generators whose walls to cross)
 
     def forget(absorbed):
@@ -269,8 +274,10 @@ def walk(h: HPolytope, universe: tuple) -> MescGraph:
     def add(tab, entered=None):
         if absorbed := _absorbed(tab.node.gens, tab.rows, table):
             forget(absorbed)
+        slack = tab.rows[-1]
+        loose.difference_update([k for k in loose if not slack[k]])
         seen[tab.node.gens] = tab.node
-        if tab.rows[-1].count(0) >= h.dim:
+        if slack.count(0) >= h.dim:
             kept[tab.node.gens] = tab
         queue.append((tab, [g for g in tab.node.gens if g != entered]))
 
@@ -294,7 +301,7 @@ def walk(h: HPolytope, universe: tuple) -> MescGraph:
             if not found:
                 incomplete[key, i] = None
     ordered = tuple(seen[k] for k in sorted(seen))
-    return MescGraph(ordered, frozenset(edges), tuple(incomplete))
+    return MescGraph(ordered, frozenset(edges), tuple(incomplete), frozenset(loose))
 
 
 class FanReport(NamedTuple):

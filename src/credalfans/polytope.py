@@ -15,7 +15,7 @@ reads a minimising vertex (minus the simplex multipliers) and its value
 off the final tableau's cost row, the walk its seed off the whole tableau.
 A credal set is bounded and holds the kernel's start, so the LP's one
 failure is an empty set. Coherence and natural extension run no LP of
-their own: they read the walk's vertex set (``credal``).
+their own: they read the walk's tight rows and vertices (``credal``).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from credalfans import credal, fanwalk, polytope
-from credalfans.chains2mono import lower_probability_from_json
+from credalfans.chains2mono import LowerProbability, chain_graph, lower_probability_from_json
 from credalfans.credal import (
     Assessment,
     AssessmentCheck,
@@ -32,7 +32,7 @@ from credalfans.credal import (
 from credalfans.exactla import LpUnbounded, format_rat, vec
 from credalfans.fanwalk import graph_to_json, walk
 from credalfans.polytope import EmptyPolytopeError, OracleGuardError, lp_min, vertices_bruteforce
-from credalfans.pri import PRIModel, pri_from_json, pri_hrep
+from credalfans.pri import PRIModel, enumerate_extreme_pri, pri_from_json, pri_hrep
 
 from cone_calculus import (
     EventCollection,
@@ -449,9 +449,11 @@ def test_walk_is_exact_on_coherent_models(model):
 
 
 @settings(max_examples=80, deadline=None)
-@given(assessed_rows())
-def test_is_coherent_matches_vertex_scan(model):
-    lp = rows_model(*model)
+@given(redundant_previsions())
+def test_is_coherent_matches_vertex_scan(lp):
+    # assessed_rows' models, some with a half-space repeated at a tied,
+    # looser or tighter bound: the repeats merge into one row at the
+    # tightest, so an assessment may sit below a row tight at a vertex
     assert is_coherent(lp) == scan_report(lp)
 
 
@@ -513,6 +515,75 @@ def test_is_coherent_matches_vertex_scan_on_every_verdict():
     assert reports == [scan_report(lp) for lp in models]
     assert [(r.coherent, r.empty) for r in reports] == [
         (True, False), (True, False), (False, False), (False, True), (True, False)]
+
+
+def loose_by_oracle(h):
+    """The indices of h's rows whose minimum over the oracle's vertex set
+    is above their bound."""
+    vs = vertices_bruteforce(h)
+    return {i for i, (f, b) in enumerate(zip(h.rows, h.bounds))
+            if min(dot(f, v.point) for v in vs) > Fraction(b, h.den)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(assessed_rows())
+def test_the_loose_rows_are_those_tight_at_no_vertex(model):
+    lp = rows_model(*model)
+    h, universe = build_credal_hrep(lp)
+    assume(vertices_bruteforce(h))
+    assert walk(h, universe).loose_rows == loose_by_oracle(h)
+
+
+# A lower envelope of three pmfs on eight gambles at n = 4. The walk drops
+# three rows: the nonnegativity rows of the last two outcomes, which are
+# loose, and the row (1, 3, 0, 10) at 83/29 of the fourth assessment, which
+# stays tight at a vertex
+DROPPED_TIGHT = [((-2, 0, -2, 8), Fraction(8, 29)), ((-3, 5, 8, 0), Fraction(11, 10)),
+                 ((4, 7, 8, 5), Fraction(11, 2)), ((-2, 0, -3, 7), Fraction(-4, 29)),
+                 ((-3, 6, 1, 3), Fraction(43, 29)), ((4, -3, 1, 2), Fraction(9, 10)),
+                 ((1, 5, 6, -1), Fraction(53, 27)), ((4, 3, 3, 4), Fraction(101, 29))]
+
+
+def test_a_dropped_row_tight_at_a_vertex_is_not_loose():
+    lp = rows_model(4, DROPPED_TIGHT)
+    h, universe = build_credal_hrep(lp)
+    dropped = dropped_rows(h, universe)
+    assert len(dropped) == 3 and vec((1, 3, 0, 10)) in dropped
+    loose = walk(h, universe).loose_rows
+    assert loose == loose_by_oracle(h) == {h.rows.index((0, 0, 1, 0)), h.rows.index((0, 0, 0, 1))}
+    rep = is_coherent(lp)
+    assert rep.coherent and rep == scan_report(lp)
+
+
+def test_a_coherent_model_scans_no_vertex(monkeypatch):
+    # coherence reads the walk's loose rows alone; natural extension scales
+    # the vertex rows on its first query of a model and keeps them
+    def no_scan(*args):
+        raise AssertionError("a vertex scan ran")
+
+    models = (supermod3_lp(), pri3_lp(), rows_model(4, DROPPED_TIGHT))
+    credal._credal_vertices.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(credal, "_int_rows", no_scan)
+        mp.setattr(credal, "_min_dot", no_scan)
+        assert all(is_coherent(lp).coherent for lp in models)
+    calls, real = [], credal._int_rows
+    monkeypatch.setattr(credal, "_int_rows", lambda rows: calls.append(rows) or real(rows))
+    for lp in models:
+        for f in ((1,) + (0,) * (lp.space.n - 1), (0,) * lp.space.n):
+            natural_extension(lp, f)
+    assert len(calls) == len(models)
+
+
+def test_only_the_walk_reports_loose_rows():
+    events = [frozenset(a) for r in (1, 2) for a in itertools.combinations(range(3), r)]
+    lowprob = LowerProbability(SP3, tuple((e, Q(1) / 10 if len(e) == 1 else Q(1) / 2) for e in events))
+    assert chain_graph(lowprob).loose_rows is None
+    _, graph = enumerate_extreme_pri(PRIModel(SP3, (Q(1) / 6,) * 3, (Q(1) / 2,) * 3))
+    assert graph.loose_rows is None
+    graph = walk(*build_credal_hrep(supermod3_lp()))
+    assert graph.loose_rows == frozenset()
+    assert dataclasses.replace(graph, incomplete_walls=((),)).loose_rows is graph.loose_rows
 
 
 class TestNaturalExtension:
