@@ -34,7 +34,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactla import DigitLimitError, _int_rows, _min_dot, format_rat
+from .exactla import DigitLimitError, _min_dot, _scaled, format_rat
 
 __all__ = ["main"]
 
@@ -242,7 +242,7 @@ def _oracle_natex(tag, model, gamble):
     points = _oracle_points(tag, model)
     if not points:
         raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
-    return _min_dot(_int_rows(points), gamble)
+    return _min_dot(map(_scaled, points), gamble)
 
 
 def _pri_natex(tag, model, gamble):

@@ -32,7 +32,7 @@ from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .cones import support_universe
-from .exactla import ONE, ZERO, Record, _int_rows, _min_dot, rat, vec
+from .exactla import ONE, ZERO, Record, _min_dot, _scaled, rat, vec
 
 __all__ = [
     "OutcomeSpace",
@@ -130,25 +130,25 @@ class LowerPrevision(Record):
     Constant gambles are rejected: an assessment on a constant is either
     vacuous or contradictory and has no facet normal, so it cannot take part
     in the fan machinery. At most one assessment per distinct gamble. _ints
-    keeps (a gamble's integer ratios, its bound's) per assessment: those
-    checks, the hash, built once, and ``build_credal_hrep`` read them.
+    keeps each assessment's record row (``_row``), computed once, here: the
+    hash, ``build_credal_hrep`` and the coherence check read it.
     """
 
     __slots__ = ("space", "assessments", "_ints", "_hash")
 
     def __init__(self, space: OutcomeSpace, assessments):
         assessments = tuple(assessments)
-        seen = {}  # a gamble's integer ratios -> its bound's
+        seen = {}  # a gamble's (d, d f) -> its assessment's record row
         for a in assessments:
             if a.gamble.space is not space and a.gamble.space != space:
                 raise ValueError("assessment on a different outcome space")
-            key = tuple([v.as_integer_ratio() for v in a.gamble.values])
-            if key.count(key[0]) == len(key):
+            key = _scaled(a.gamble.values)
+            if len(set(key[1])) == 1:
                 raise ValueError("assessment on a constant gamble is not representable")
             if key in seen:
                 raise ValueError("two assessments on the same gamble")
-            seen[key] = a.lower.as_integer_ratio()
-        self.space, self.assessments, self._ints = space, assessments, tuple(seen.items())
+            seen[key] = _row(key, a.lower)
+        self.space, self.assessments, self._ints = space, assessments, tuple(seen.values())
         self._hash = hash((space, self._ints))
 
     def __hash__(self):
@@ -172,13 +172,11 @@ class LowerPrevision(Record):
 CACHE_SIZE = 64  # models per cache; the least recently used are evicted
 
 
-def _row(entry) -> tuple:
-    """An assessment's row on the record from its ``LowerPrevision._ints``
-    entry (f's ratios, b's): f's ints d f over their lcm denominator d, less
-    their least entry k, over their gcd g, at (d b - k) / g as (p, q > 0)."""
-    ratios, (bn, bd) = entry
-    d = math.lcm(*[q for _, q in ratios])
-    ints = [p * (d // q) for p, q in ratios]
+def _row(scaled, b) -> tuple:
+    """The record row of the assessment of f at b, from f's ``_scaled`` pair
+    (d, d f): d f less its least entry k, over their gcd g, at (d b - k) / g
+    as (p, q > 0)."""
+    (d, ints), (bn, bd) = scaled, b.as_integer_ratio()
     k = min(ints)
     g = math.gcd(*[a - k for a in ints])  # not 0: no assessed gamble is constant
     return tuple([(a - k) // g for a in ints]), (bn * d - k * bd, bd * g)
@@ -189,13 +187,13 @@ def build_credal_hrep(lp: LowerPrevision):
     """The credal set as one ``polytope.HPolytope``, plus its support universe.
 
     One row per half-space at its tightest bound: the assessments' in order,
-    as ``_row`` writes them, then the unassessed unit rows (e_x, 0), at
-    n = 1 the zero row at -1. The universe is every row and the constant.
+    as the model keeps them, then the unassessed unit rows (e_x, 0), at n = 1
+    the zero row at -1. The universe is every row and the constant.
     """
     from .polytope import HPolytope
     n = lp.space.n
     rows: dict = {}  # key -> (p, q), its tightest bound p / q so far, q > 0
-    for f, b in map(_row, lp._ints):
+    for f, b in lp._ints:
         rows[f] = b if (old := rows.get(f)) is None or b[0] * old[1] > old[0] * b[1] else old
     for x in range(n):  # p(x) >= 0; at n = 1, p(x) = 1 makes e_x the constant
         e_x, b = (tuple([int(y == x) for y in range(n)]), (0, 1)) if n > 1 else ((0,), (-1, 1))
@@ -225,10 +223,11 @@ class CoherenceReport(NamedTuple):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _credal_vertices(lp: LowerPrevision):
-    """(a call scaling the walk's vertex set by ``exactla._int_rows`` once,
-    the coherence report) per model, from one ``fanwalk.walk``: an assessment
-    whose row (``_row``) is not loose and at its own bound attains it, and
-    only the others scan the rows. An empty record is the seed LP's
+    """(a call building the vertex rows once, the coherence report) per model,
+    from one ``fanwalk.walk``: the rows are the set of its nodes' vertices,
+    each an ``exactla._scaled`` pair on its own least denominator. An
+    assessment whose row (``_row``) is not loose and at its own bound attains
+    it; only the others scan the rows. An empty record is the seed LP's
     EmptyPolytopeError, with no rows; a walk with a wall open may miss
     vertices, and is refused (RuntimeError)."""
     from .fanwalk import walk
@@ -241,12 +240,13 @@ def _credal_vertices(lp: LowerPrevision):
                                                         for a in lp.assessments))
     if graph.incomplete_walls:
         raise RuntimeError("incomplete fan: the walk left a wall open; vertices may be missing")
-    scaled, checks = cache(lambda: _int_rows(graph.vertices)), []
-    for a, (f, (p, q)) in zip(lp.assessments, map(_row, lp._ints)):
-        tight = (i := h.rows.index(f)) not in graph.loose_rows and p * h.den == h.bounds[i] * q
+    rows = cache(lambda: {_scaled(node.vertex) for node in graph.nodes})
+    index, checks = {f: i for i, f in enumerate(h.rows)}, []
+    for a, (f, (p, q)) in zip(lp.assessments, lp._ints):
+        tight = (i := index[f]) not in graph.loose_rows and p * h.den == h.bounds[i] * q
         checks.append(AssessmentCheck(a.lower, a.lower if tight else
-                                      _min_dot(scaled(), a.gamble.values)))
-    return scaled, CoherenceReport(all(c.tight for c in checks), False, tuple(checks))
+                                      _min_dot(rows(), a.gamble.values)))
+    return rows, CoherenceReport(all(c.tight for c in checks), False, tuple(checks))
 
 
 def is_coherent(lp: LowerPrevision) -> CoherenceReport:
@@ -263,16 +263,16 @@ def natural_extension(lp: LowerPrevision, f):
     """Exact lower envelope value min {p . f : p in the credal set}.
 
     Defined here only for coherent lp (IncoherenceError otherwise); the
-    minimum is an integer scan of the walk's vertex rows, scaled on the
-    model's first query and kept next to the coherence report."""
-    scaled, report = _credal_vertices(lp)
+    minimum is an integer scan of the walk's vertex rows (``_min_dot``), built
+    on the model's first query and kept next to the coherence report."""
+    rows, report = _credal_vertices(lp)
     if not report.coherent:
         raise IncoherenceError("natural extension requires a coherent lower prevision"
                                + (" (empty credal set)" if report.empty else ""))
     v = vec(f)
     if len(v) != lp.space.n:
         raise ValueError("gamble length does not match the outcome space")
-    return _min_dot(scaled(), v)
+    return _min_dot(rows(), v)
 
 
 # ----------------------------------------------------------------- JSON

@@ -5,9 +5,10 @@ may introduce floating point: the one number type is ``fractions.Fraction``,
 and ``rat`` is the only way in. It refuses floats (and bools), so an inexact
 value fails loudly instead of rounding silently.
 
-Vectors are tuples of Fractions; ``_scaled`` and ``_int_rows`` clear their
-denominators. ``rank``, the vertex oracle's subset solves (``_eliminate``,
-from ``polytope.vertices_bruteforce``) and the one LP kernel share one
+Vectors are tuples of Fractions; ``_scaled`` clears one vector's
+denominators: a vertex set or a matrix is scaled a row at a time. ``rank``,
+the vertex oracle's subset solves (``_eliminate``, from
+``polytope.vertices_bruteforce``) and the one LP kernel share one
 fraction-free Gauss-Jordan pivot (``_pivot``, Edmonds' integer-preserving
 elimination, as in lrs): every division is exact and intermediate growth
 stays polynomial; it divides only at det > 1 and writes into no row, so
@@ -15,9 +16,9 @@ tables may share the rows it leaves. The LP kernel takes integers, scaled by
 its callers, and solves a credal set's dual alone: it starts at the
 probability simplex's own basis, with no pivot, no phase 1 and no search for
 it, on the unit columns and the +- pair of 1 its caller names (the record,
-``polytope.HPolytope``, refuses a set without them). It is ``_optimum``,
-one target per call, and it returns the final tableau itself, integers over
-one det: its one caller, ``polytope._dual_tableau``, and the readers of its
+``polytope.HPolytope``, refuses a set without them). It is ``_optimum``, one
+target per call, and it returns the final tableau itself, integers over one
+det: its one caller, ``polytope._dual_tableau``, and the readers of its
 tableau (``lp_min``, the walk's seed) build the Fractions they read.
 """
 
@@ -109,21 +110,18 @@ def _scaled(v) -> tuple:
     return d, tuple(a.numerator * (d // a.denominator) for a in v)
 
 
-def _int_rows(rows) -> tuple[int, list[list[int]]]:
-    """(d, d rows): clear denominators with one common multiplier d. Scaling
-    the whole matrix by a positive number keeps its rank, its solutions,
-    every sign and every ratio."""
-    rows = [vec(row) for row in rows]
-    d, entries = _scaled([a for row in rows for a in row])
-    entries = iter(entries)
-    return d, [[next(entries) for _ in row] for row in rows]
-
-
-def _min_dot(scaled, v):
-    """min p . v over the points _int_rows scaled: v is scaled once, the
-    minimum is taken over ints, and one Fraction is built at the end."""
-    (d, rows), (e, g) = scaled, _scaled(v)
-    return Fraction(min(sum(map(mul, g, row)) for row in rows), d * e)
+def _min_dot(rows, v):
+    """min p . v over the points p given as their ``_scaled`` pairs (d, d p):
+    v is scaled once, to (e, g), each point's g . (d p) taken over ints and
+    the least s / d kept by cross-multiplication (s d' < s' d, as d, d' > 0).
+    One Fraction is built, the result s / (d e)."""
+    e, g = _scaled(v)
+    s, d = None, 1
+    for dp, row in rows:
+        sp = sum(map(mul, g, row))
+        if s is None or sp * d < s * dp:
+            s, d = sp, dp
+    return Fraction(s, d * e)
 
 
 def _pivot(t: list[list[int]], det: int, r: int, c: int) -> int:
@@ -170,7 +168,8 @@ def rank(rows) -> int:
     rows = list(rows)
     if not rows:
         return 0
-    return _eliminate(_int_rows(rows)[1], len(rows[0]))[1]
+    # a positive scale of a row keeps the rank: each row is scaled on its own
+    return _eliminate([_scaled(vec(row))[1] for row in rows], len(rows[0]))[1]
 
 
 class LpUnbounded(ArithmeticError):

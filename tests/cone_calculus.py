@@ -48,7 +48,6 @@ from credalfans.exactla import (
     ONE,
     ZERO,
     _eliminate,
-    _int_rows,
     _scaled,
     _to_optimum,
     rank,
@@ -76,13 +75,14 @@ def dot(u, v):
 
 def solve_unique(rows, rhs):
     """Unique exact solution of (possibly overdetermined) rows . x = rhs,
-    by ``exactla._eliminate`` on the rows scaled to integers; None when
-    the system is inconsistent or underdetermined."""
+    by ``exactla._eliminate`` on the rows scaled to integers, each on its
+    own (a positive row scale keeps the solutions); None when the system is
+    inconsistent or underdetermined."""
     rows = list(rows)
     rhs = list(rhs)
     assert rows and len(rows) == len(rhs)
     n = len(rows[0])
-    t = _int_rows([(*r, b) for r, b in zip(rows, rhs)])[1]
+    t = [_scaled(vec((*r, b)))[1] for r, b in zip(rows, rhs)]
     det, r = _eliminate(t, n)
     if r < n or any(row[n] != 0 for row in t[n:]):
         return None  # rank-deficient, or a nonzero rhs left over: inconsistent
@@ -232,6 +232,16 @@ def fraction_credal_hrep(lp):
     return list(rows.items()), sorted({*(f for f in rows if any(f)), ones(n)})
 
 
+def common_int_rows(rows) -> tuple:
+    """(s, s rows): the rows' denominators cleared by one common multiple
+    s, which keeps a multiple of a unit column one and the ones column
+    constant, as ``_simplex_start`` looks for them."""
+    rows = [vec(row) for row in rows]
+    s, entries = _scaled([a for row in rows for a in row])
+    entries = iter(entries)
+    return s, [[next(entries) for _ in row] for row in rows]
+
+
 def fraction_lp_min(rows, f):
     """(value, vertex) of min p . f over the Fraction rows [(g, b)] with
     p . 1 = 1, on the integer tableau lp_min solved before the integer
@@ -240,7 +250,7 @@ def fraction_lp_min(rows, f):
     by their own d. Raises exactla.LpUnbounded on an empty set."""
     n = len(f)
     cols = [g for g, _ in rows] + [ones(n), tuple(-a for a in ones(n))]
-    s, table = _int_rows([[c[i] for c in cols] + [f[i]] for i in range(n)])
+    s, table = common_int_rows([[c[i] for c in cols] + [f[i]] for i in range(n)])
     d, costs = _scaled([-b for _, b in rows] + [-ONE, ONE])
     det, _, cost, duals = reference_simplex(list(zip(*(row[:-1] for row in table))),
                                             [row[-1] for row in table], costs)

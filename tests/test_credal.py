@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -557,22 +558,56 @@ def test_a_dropped_row_tight_at_a_vertex_is_not_loose():
 
 def test_a_coherent_model_scans_no_vertex(monkeypatch):
     # coherence reads the walk's loose rows alone; natural extension scales
-    # the vertex rows on its first query of a model and keeps them
+    # each node's vertex (exactla._scaled) on its first query of a model and
+    # keeps the rows
     def no_scan(*args):
         raise AssertionError("a vertex scan ran")
 
     models = (supermod3_lp(), pri3_lp(), rows_model(4, DROPPED_TIGHT))
     credal._credal_vertices.cache_clear()
     with monkeypatch.context() as mp:
-        mp.setattr(credal, "_int_rows", no_scan)
+        mp.setattr(credal, "_scaled", no_scan)
         mp.setattr(credal, "_min_dot", no_scan)
         assert all(is_coherent(lp).coherent for lp in models)
-    calls, real = [], credal._int_rows
-    monkeypatch.setattr(credal, "_int_rows", lambda rows: calls.append(rows) or real(rows))
+    calls, real = [], credal._scaled
+    monkeypatch.setattr(credal, "_scaled", lambda v: calls.append(v) or real(v))
     for lp in models:
         for f in ((1,) + (0,) * (lp.space.n - 1), (0,) * lp.space.n):
             natural_extension(lp, f)
-    assert len(calls) == len(models)
+    nodes = [node.vertex for lp in models for node in walk(*build_credal_hrep(lp)).nodes]
+    assert calls == nodes
+
+
+def guard_edge_envelope(seed):
+    """Lower envelope of six random pmfs on 18 random gambles at n = 6: 24
+    rows, at the oracle's guard edge, and 155-197 vertices at seeds 0-2."""
+    rng, n = random.Random(seed), 6
+    pmfs = [[Fraction(x, sum(w)) for x in w] for w in
+            ([rng.randint(1, 9) for _ in range(n)] for _ in range(6))]
+    lows = {}
+    while len(lows) < 18:
+        g = tuple(Fraction(rng.randint(-4, 8)) for _ in range(n))
+        if len(set(g)) > 1:
+            lows[g] = min(dot(g, p) for p in pmfs)
+    space = OutcomeSpace(tuple(f"x{i}" for i in range(n)))
+    return LowerPrevision.from_bounds(space, lower=lows.items())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_vertex_rows_keep_their_own_denominators(seed):
+    # on these three models a denominator common to the vertex set has
+    # 851-1055 bits; each vertex's own has at most 37
+    lp = guard_edge_envelope(seed)
+    rng = random.Random(seed)
+    gambles = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(6))
+               for _ in range(3)]
+    values = [natural_extension(lp, f) for f in gambles]
+    h, universe = build_credal_hrep(lp)
+    assert values == [lp_min(h, f).value for f in gambles]
+    rows = credal._credal_vertices(lp)[0]()
+    for d, row in rows:
+        assert d == math.lcm(*(Fraction(a, d).denominator for a in row))
+    assert {tuple(Fraction(a, d) for a in row) for d, row in rows} == walk(h, universe).vertices
 
 
 def test_only_the_walk_reports_loose_rows():

@@ -338,9 +338,11 @@ def test_the_lp_kernel_has_one_start():
 
 
 # The read path's one minimum over a vertex set: exactla._min_dot on integer
-# rows, read where natural extension, the coherence report off the walk's
-# vertex rows and the oracle's natex take it, so no Fraction scan through
-# exactla.dot comes back on any of them.
+# rows, each vertex over its own denominator, read where natural extension,
+# the coherence report off the walk's vertex rows and the oracle's natex
+# take it, so no Fraction scan through exactla.dot comes back on any of
+# them, and no module clears denominators over a whole vertex set: none
+# names _int_rows.
 MIN_KERNEL = "_min_dot"
 MIN_PATH = {("credal", "natural_extension"), ("credal", "_credal_vertices"),
             ("cli", "_oracle_natex")}
@@ -354,6 +356,9 @@ def test_the_natex_read_path_scans_integer_rows_only():
                 if isinstance(node, ast.Name) and node.id == MIN_KERNEL:
                     reads.add((path.stem, getattr(top, "name", None)))
     assert reads == MIN_PATH
+    for path in PACKAGE.glob("*.py"):
+        assert "_int_rows" not in {getattr(node, "id", getattr(node, "name", None))
+                                   for node in ast.walk(_parse(path))}, path.stem
     for module in ("credal", "cli"):
         tree = _parse(PACKAGE / f"{module}.py")
         assert not [node for node in ast.walk(tree) if
@@ -401,7 +406,7 @@ def test_lp_min_reads_its_vertex_off_the_tableau(module, function):
 # its integers as they are, with no denominator cleared and no Fraction
 # made on the way in (the oracle makes Fractions of its feasible points
 # only, the seed of its vertex).
-SCALERS = {"_int_rows", "_scaled", "rat", "vec"}
+SCALERS = {"_scaled", "rat", "vec"}
 
 
 @pytest.mark.parametrize("module, function", [("polytope", "_dual_tableau"),
