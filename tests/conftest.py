@@ -26,6 +26,27 @@ def fresh_walks():
     fanwalk.walk.cache_clear()
 
 
+def open_first_wall(monkeypatch):
+    """Make ``fanwalk.neighbor_candidates`` find no neighbour across the
+    first wall it is asked about, and across that wall alone, with no walk
+    or coherence report kept. Returns a list that holds that wall, (node
+    key, generator), once asked."""
+    from credalfans import credal
+
+    real, first = fanwalk.neighbor_candidates, []
+
+    def candidates(tab, dropped, table):
+        wall = (tab.node.gens, dropped)
+        if not first:
+            first.append(wall)
+        return () if wall == first[0] else real(tab, dropped, table)
+
+    monkeypatch.setattr(fanwalk, "neighbor_candidates", candidates)
+    fanwalk.walk.cache_clear()
+    credal._credal_vertices.cache_clear()
+    return first
+
+
 def hrep(n, rows):
     """The credal set of the rows (f, b), meaning p . f >= b, with p . 1 = 1
     implied, as the package's record: each row keyed by its primitive

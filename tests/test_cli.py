@@ -7,12 +7,12 @@ stderr when data owns stdout, report on stdout otherwise.
 
 import ast
 import csv
-import dataclasses
 import hashlib
 import io
 import itertools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,8 @@ import pytest
 from credalfans import chains2mono, cli, credal, fanwalk, pri
 from credalfans.cli import main
 from credalfans.cones import support_universe
-from credalfans.fanwalk import walk
+
+from conftest import open_first_wall
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -85,6 +86,23 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--model", model("prevision_n3_general.json"))
         assert code == 0
         assert report_get(out, "coherent") == "true"
+
+    @pytest.mark.parametrize("assessments, lines", [
+        ([{"event": ["a"], "lower": "1/2"}, {"event": ["a", "b"], "lower": "1/4"}],
+         ["empty: false", "coherent: false", "slack_assessment: lower 1/4 vs exact 1/2"]),
+        ([{"event": ["a"], "lower": "3/4", "upper": "1/4"}],
+         ["empty: true", "coherent: false",
+          "slack_assessment: lower 3/4 vs exact unattained (empty)",
+          "slack_assessment: lower -1/4 vs exact unattained (empty)"]),
+    ], ids=["incoherent", "empty"])
+    def test_failed_prevision_names_each_slack_assessment(self, capsys, tmp_path,
+                                                          assessments, lines):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"type": "lower_prevision", "outcomes": ["a", "b", "c"],
+                                    "assessments": assessments}))
+        code, out, err = run(capsys, "check", "--model", str(path))
+        assert (code, err) == (1, "")
+        assert out.splitlines()[4:] == lines
 
     def test_vacuous_prevision_past_the_guards(self, capsys, tmp_path):
         # no assessment: coherent with no walk and no guard, at n = 7
@@ -296,8 +314,6 @@ class TestFan:
         assert report_get(out, "structure_ok") == "true"
 
 
-# redundant_envelope_a of test_walk_pinned.py: a coherent lower envelope
-# whose redundant rows leave the walk two walls without a neighbour
 def _prevision_file(tmp_path, names, rows):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({
@@ -332,26 +348,21 @@ class TestIncompleteFan:
         assert code == 0 and report_get(out, "structure_ok") == "true"
 
     def test_vertices_and_graph_refuse_incomplete_walls(self, capsys, tmp_path, monkeypatch):
-        def open_wall(h, universe):
-            g = walk(h, universe)
-            return dataclasses.replace(g, incomplete_walls=((g.nodes[0].gens, g.nodes[0].gens[-1]),))
-
+        # a nonempty record leaves no wall open (fanwalk.walk): a walk made to
+        # find no neighbour across a wall is a broken invariant, raised past
+        # the exit codes by every command that walks
         path = _prevision_file(tmp_path, *REDUNDANT_MODELS["redundant_envelope_a"])
-        # the coherence step before the engine reads its own walk, which
-        # refuses an open wall (test_credal): its report is kept before the
-        # patch, so only the engine's walk has the wall opened
-        with open(path) as fh:
-            assert credal.is_coherent(credal.lower_prevision_from_json(json.load(fh))).coherent
-        monkeypatch.setattr("credalfans.fanwalk.walk", open_wall)
-        for command in ("vertices", "graph"):
-            code, out, err = run(capsys, command, "--model", path)
-            assert (code, out) == (1, ""), command
-            # the first node's key, (1, 2) since the walk learns its universe
-            assert err == ("error: incomplete fan: the wall of node (1, 2) without "
-                           "generator 2 has no neighbour; vertices may be missing "
-                           "(try --engine oracle)\n")
-        code, out, _ = run(capsys, "fan", "--model", path)
-        assert code == 1 and report_get(out, "structure_ok") == "false"
+        gamble = tmp_path / "g.json"
+        gamble.write_text(json.dumps({"x0": "1", "x1": "0", "x2": "0"}))
+        wall = open_first_wall(monkeypatch)
+        commands = [["check"], ["vertices"], ["fan"], ["graph"], ["natex", "--gamble", str(gamble)]]
+        for argv in commands:
+            with pytest.raises(AssertionError) as exc:
+                main([*argv, "--model", path])
+            (key, g), = wall
+            assert str(exc.value) == (f"the wall of node {key} without generator {g} "
+                                      "has no neighbour")
+            assert capsys.readouterr() == ("", ""), argv
 
 
 class TestGraph:
@@ -454,6 +465,15 @@ class TestNatex:
         assert code == 0
         assert report_get(out, "value") == "5" + "0" * 400 + "/3"
         assert report_get(out, "value_dec") == "1.66666666667e+400"
+
+    @pytest.mark.parametrize("x, text", [
+        (Fraction(24999999999999, 25000000000000), "1"),
+        (Fraction(4999999999998, 5), "1e+12"),
+        (Fraction(-24999999999999, 250000000000000000), "-0.0001"),
+    ])
+    def test_decimal_rounding_carries_into_the_exponent(self, x, text):
+        # the 12 digits round up to 10**12, one digit more: the exponent carries
+        assert cli._decimal(x) == text == format(float(x), ".12g")
 
     def test_value_past_the_digit_limit_is_exit_2(self, capsys, tmp_path):
         # bounds 1/10**2000 and (10**2000 - 2)/10**2000 with 2500-digit
@@ -645,9 +665,9 @@ SEVEN = list("abcdefg")
 
 
 def prevision7(tmp_path):
-    """A seven-outcome lower prevision: building its credal set already asks
-    lp_min, which keeps the oracle's guards, whether the nonnegativity rows
-    are implied, and it refuses."""
+    """A seven-outcome lower prevision, past the oracle's guards at dim 7:
+    building its credal set runs no LP, and the walk's seed LP, which keeps
+    those guards, refuses it as the oracle does."""
     path = tmp_path / "m7.json"
     path.write_text(json.dumps({
         "type": "lower_prevision", "outcomes": SEVEN,
@@ -708,6 +728,33 @@ class TestRefusals:
                                "--engine", "chains")
             assert code == 2
             assert "chain fan refused" in err and "--engine pri" in err
+
+    def test_verify_mismatch_is_exit_1(self, capsys, monkeypatch):
+        # an engine made to give one wrong vertex and a value off by one
+        def wrong_graph(tag, model, command):
+            graph, universe, points = cli._pri_graph(tag, model, command)
+            return graph, universe, ((1, 0, 0),) + tuple(points[1:])
+
+        def wrong_value(*args):
+            return cli._pri_natex(*args) + 1
+
+        monkeypatch.setitem(cli.ENGINES, "pri", (wrong_graph, wrong_value))
+        code, out, err = run(capsys, "vertices", "--model", model("pri_n3.json"), "--verify")
+        assert (code, out) == (1, "")
+        assert err == "error: verification mismatch: 1 oracle vertices missing, 1 spurious\n"
+        code, out, err = run(capsys, "natex", "--model", model("pri_n3.json"),
+                             "--gamble", model("gamble_n3.json"), "--verify")
+        assert (code, out) == (1, "")
+        assert err == "error: verification mismatch: engine 8/3 vs oracle 5/3\n"
+
+    def test_chain_fan_refuses_an_improper_interval_model(self, capsys, tmp_path):
+        path = tmp_path / "improper.json"
+        path.write_text(json.dumps({"type": "pri", "outcomes": ["a", "b", "c"],
+                                    "lower": {"a": "1/2", "b": "1/2", "c": "1/2"},
+                                    "upper": {"a": "1", "b": "1", "c": "1"}}))
+        code, out, err = run(capsys, "vertices", "--model", str(path), "--engine", "chains")
+        assert (code, out) == (1, "")
+        assert err == "error: improper interval model: no distribution fits the bounds\n"
 
     # the JSON parser raises RecursionError on the first and
     # UnicodeDecodeError (a UTF-16 mark, then an odd byte count) on the

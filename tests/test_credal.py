@@ -50,7 +50,8 @@ from cone_calculus import (
     universe_of,
     universe_vectors,
 )
-from conftest import Q, assessed_rows, fraction_rows, ind, interval_hrep, rows_hrep, tied_gambles
+from conftest import (Q, assessed_rows, fraction_rows, ind, interval_hrep, open_first_wall,
+                      rows_hrep, tied_gambles)
 
 
 SP3 = OutcomeSpace(("x1", "x2", "x3"))
@@ -444,9 +445,7 @@ def test_walk_is_exact_on_coherent_models(model):
     lp = rows_model(*model)
     assume(is_coherent(lp).coherent)
     h, universe = build_credal_hrep(lp)
-    g = walk(h, universe)
-    assert g.incomplete_walls == ()
-    assert g.vertices == {v.point for v in vertices_bruteforce(h)}
+    assert walk(h, universe).vertices == {v.point for v in vertices_bruteforce(h)}
 
 
 @settings(max_examples=80, deadline=None)
@@ -493,19 +492,17 @@ def test_no_assessment_is_coherent_with_no_walk_and_no_guard(monkeypatch):
 
 
 def test_an_open_wall_is_refused_loudly(monkeypatch):
-    # a walk that left a wall open may miss vertices: coherence and natural
-    # extension refuse it rather than answer from it
-    def open_wall(h, universe):
-        g = walk(h, universe)
-        return dataclasses.replace(g, incomplete_walls=((g.nodes[0].gens, g.nodes[0].gens[-1]),))
-
-    monkeypatch.setattr(fanwalk, "walk", open_wall)
-    credal._credal_vertices.cache_clear()
+    # a nonempty record leaves no wall open (fanwalk.walk); a walk made to
+    # find no neighbour across a wall raises at that wall, and coherence and
+    # natural extension with it, rather than answer from a short vertex set
+    wall = open_first_wall(monkeypatch)
     lp = supermod3_lp()
-    with pytest.raises(RuntimeError, match="incomplete fan"):
-        natural_extension(lp, (1, 0, 0))
-    with pytest.raises(RuntimeError, match="incomplete fan"):
+    with pytest.raises(AssertionError) as exc:
         is_coherent(lp)
+    (key, g), = wall
+    assert str(exc.value) == f"the wall of node {key} without generator {g} has no neighbour"
+    with pytest.raises(AssertionError, match="has no neighbour"):
+        natural_extension(lp, (1, 0, 0))
 
 
 def test_is_coherent_matches_vertex_scan_on_every_verdict():
@@ -618,7 +615,7 @@ def test_only_the_walk_reports_loose_rows():
     assert graph.loose_rows is None
     graph = walk(*build_credal_hrep(supermod3_lp()))
     assert graph.loose_rows == frozenset()
-    assert dataclasses.replace(graph, incomplete_walls=((),)).loose_rows is graph.loose_rows
+    assert dataclasses.replace(graph, edges=frozenset()).loose_rows is graph.loose_rows
 
 
 class TestNaturalExtension:

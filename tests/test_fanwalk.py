@@ -147,7 +147,6 @@ def test_walk_simplex_triangle():
     report = verify_graph(g)
     assert report.ok and report.degree_histogram == ((2, 3),)
     assert report.n_nodes == 3 and report.n_edges == 3
-    assert not g.incomplete_walls
 
 
 def test_walk_interval_hexagon():
@@ -161,7 +160,7 @@ def test_walk_interval_hexagon():
 
 def test_graph_vertices_built_once_and_outside_equality():
     g = walk(PRI3, PRI3_U)
-    fresh = MescGraph(g.nodes, g.edges, g.incomplete_walls)
+    fresh = MescGraph(g.nodes, g.edges)
     assert g.vertices is g.vertices
     assert g == fresh and hash(g) == hash(fresh)
     assert fresh.vertices == g.vertices and fresh.vertices is not g.vertices
@@ -203,7 +202,6 @@ def test_walk_matches_oracle_on_random_interval_models():
         assert oracle
         g = walk(h, interval_universe(n))
         assert g.vertices == oracle
-        assert not g.incomplete_walls
 
 
 def test_walk_matches_oracle_on_random_lower_probabilities():
@@ -250,10 +248,6 @@ def test_verify_graph_degenerate_degree():
     empty = verify_graph(MescGraph((), frozenset()))
     assert (empty.n_nodes, empty.n_edges, empty.degree_histogram) == (0, 0, ())
     assert empty.ok and empty.connected and empty.regular
-    # a wall without a neighbour fails a connected regular graph
-    wall = (hexagon.nodes[0].gens, hexagon.nodes[0].gens[0])
-    incomplete = verify_graph(MescGraph(hexagon.nodes, hexagon.edges, (wall,)))
-    assert incomplete.connected and incomplete.regular and not incomplete.ok
 
 
 def test_graph_to_dot_shape():

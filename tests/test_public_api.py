@@ -260,7 +260,7 @@ RECORDS = [
     ("chains2mono", "LowerProbability", {"space", "table"}),
     ("chains2mono", "TwoMonotoneReport", {"ok", "violator", "lhs", "rhs"}),
     ("fanwalk", "MescNode", {"gens", "vertex"}),
-    ("fanwalk", "MescGraph", {"nodes", "edges", "incomplete_walls", "loose_rows"}),
+    ("fanwalk", "MescGraph", {"nodes", "edges", "loose_rows"}),
     ("fanwalk", "FanReport", {"n_nodes", "n_edges", "degree_histogram",
                               "connected", "regular", "ok"}),
 ]

@@ -1,14 +1,14 @@
 """Pinned graphs of the generic walk.
 
 Each case is a fixed in-memory model; the pinned value is the sha256 of
-``graph_to_json(walk(h, u), u)`` together with the walk's incomplete walls,
-so any change to the nodes, their vertices, the edges or the walls shows.
+``graph_to_json(walk(h, u), u)``, so any change to the nodes, their
+vertices or the edges shows.
 The three ``redundant_envelope_*`` cases are lower envelopes assessed with
 redundant gambles, some of which repeat a half-space of the simplex up to a
 positive factor and a constant. ``build_credal_hrep`` keeps one row per
 half-space, and the walk drops the rows it finds implied, so it returns the
-oracle's vertex set on them with no incomplete wall, which
-``test_redundant_envelope_walks_exactly`` checks next to the pins.
+oracle's vertex set on them, which ``test_redundant_envelope_walks_exactly``
+checks next to the pins.
 """
 
 import hashlib
@@ -107,27 +107,25 @@ CASES = {
 # vertex counts (14/21/14, 6/6/6, 7/7/7), their universe now holding the
 # implied unit rows; redundant_envelope_a falls from 5 nodes to 4, one per
 # vertex, and interval_n4 from 16 nodes and 28 edges to 8 and 12 on its 4
-# vertices, now a regular graph
+# vertices, now a regular graph. Re-taken when the open-wall record left the
+# graph: each case had no open wall, and its digest with the record's empty
+# list was the one pinned before
 PINNED = {
-    "facet_envelope_n3": "25f6eb143e145185ecbc2c5ff8644d9c7be2a111617b1c9b54f43083e42d1f5a",
-    "facet_envelope_n4": "24e9419d6cc1b5fe5a976adec8104d10d6700764dd3811472ed629ec62fe77c6",
-    "interval_n4": "323eacfb3a48cf8cf06e710bf3510682a704dc023f67cbb75bb0b4fd2b54e2ed",
-    "interval_n5": "9e523d3ee9ee92cae6e87e1ffef89cb211fdb5db0700a526694f068e48653595",
-    "interval_n6": "6387f46fcdd9599573edd175e911d9d8c3b1d92d98a88769f32a01915444251d",
-    "interval_reproducer_n5": "04635e1116ea655229a26d9b11bee9c9dd636f9fc5b221ab2af383af42b99fbd",
-    "redundant_envelope_a": "e210e0c18eca55ecc2971e816651225fc6c03074ed4c049ab33cb669da48a8f5",
-    "redundant_envelope_b": "477cef2ba907b12b39807fe3d7f4f9ab45446251af4bb36cdb58496cf386df92",
-    "redundant_envelope_c": "9dacf7c8f8062bc7652933ae0c5ef8d1bdd36592393740b84c06c75287c52fa0",
-    "two_monotone_n4": "9d162d59f49d7a4bc1d573543209462dd1b4478afb0fdcdfa47b29da4f636d25",
+    "facet_envelope_n3": "d4ae06d19e4092198779b97965e796dddc5c4578516ec2510a379ff2fec29fe7",
+    "facet_envelope_n4": "1bbb2e59dd18d070a8d1cf908d093d039a317e30e6d5912b0e9594b461bec0b7",
+    "interval_n4": "b2f32c2eeb3d91097b0ee8449ebaebb4b83b095a96b7fd24a0c0d77babdfc9fc",
+    "interval_n5": "dce6a085a03d373983dffeb218f8799de163e74ae9cfa85065c97c6f917605b4",
+    "interval_n6": "1d7ab3cad3253db530ec9d5f9117a9e3043fc518bb584abe1b0388170d44a90e",
+    "interval_reproducer_n5": "18d369533c1bc091e0b780870e62fe5c6da57be6bbf872a7b104a1281fe4e265",
+    "redundant_envelope_a": "7bfe2d825c64a6adf7eaf61531c82745b47469d74acbc40a687a7930cea43942",
+    "redundant_envelope_b": "44e480cc0c7d29c100fc08b2190200c5ddddc47080ffd3b0caf1b35978c3b182",
+    "redundant_envelope_c": "6bd7a5bf652aedc71e134d29919476079df717caee3d85b1e53c410f8f54c07e",
+    "two_monotone_n4": "7ac8318101599e428f75eabc6edd00887ab9bcaffbc650357c53cac18e4f39e5",
 }
 
 
 def _digest(h, universe):
-    g = walk(h, universe)
-    doc = {
-        "graph": graph_to_json(g, universe),
-        "incomplete_walls": [[list(key), i] for key, i in g.incomplete_walls],
-    }
+    doc = {"graph": graph_to_json(walk(h, universe), universe)}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
@@ -146,6 +144,5 @@ def test_walk_graph_pinned(name):
 def test_redundant_envelope_walks_exactly(name, count):
     h, universe = CASES[name]()
     g = walk(h, universe)
-    assert g.incomplete_walls == ()
     assert g.vertices == {v.point for v in vertices_bruteforce(h)}
     assert len(g.vertices) == count
