@@ -298,11 +298,7 @@ def lower_probability_from_json(obj) -> LowerProbability:
     {"x1": "1/10", "x1|x2": "1/2", ...}} with one '|'-joined key per proper
     nonempty event, all of them present.
     """
-    if not isinstance(obj, dict):
-        raise SchemaError("$", "model document must be an object")
-    if obj.get("type", "lower_probability") != "lower_probability":
-        raise SchemaError("$.type", f"expected 'lower_probability', got {obj.get('type')!r}")
-    space = _schema_outcomes(obj, "$")
+    space = _schema_outcomes(obj, "lower_probability")
     if any("|" in name for name in space.names):
         raise SchemaError("$.outcomes", "outcome names must not contain '|'")
     raw = obj.get("values")

@@ -18,8 +18,8 @@ rules, "oracle" the brute-force vertex enumerator. Exit status: 0 success,
 mismatch, an irregular or disconnected fan), 2 unusable input (schema errors,
 unwritable output paths, wrong engine for the model type, oracle guards
 exceeded, a chain fan on more than CHAIN_FAN_MAX_N = 8 outcomes, a result
-past Python's int-to-str digit limit). --verify checks the oracle guards
-before the engine runs.
+past Python's int-to-str digit limit). --verify runs the oracle first, so
+its guard refusal comes before the engine runs.
 
 All values are exact rationals; --decimal (vertices, natex) adds 12-digit
 approximations for reading convenience, explicitly marked non-authoritative.
@@ -103,31 +103,6 @@ def _write_file(path, text):
         raise InputError(f"cannot write output file: {exc}") from None
 
 
-# The structured engines that apply to each model type, preferred first;
-# the generic walk and oracle apply to every type.
-_STRUCTURED = {
-    "lower_prevision": (),
-    "lower_probability": ("chains",),
-    "pri": ("pri", "chains"),
-}
-
-
-def _pick_engine(requested, tag, model):
-    if requested != "auto":
-        allowed = {"walk", "oracle", *_STRUCTURED[tag]}
-        if requested not in allowed:
-            raise InputError(
-                f"engine {requested!r} does not apply to a {tag} model "
-                f"(choose from {sorted(allowed)})")
-        return requested
-    if tag == "pri":
-        return "pri"
-    if tag == "lower_probability":
-        from .chains2mono import is_two_monotone
-        return "chains" if is_two_monotone(model).ok else "walk"
-    return "walk"
-
-
 def _as_prevision(tag, model):
     """The model as a lower prevision, for the generic engines."""
     if tag == "lower_probability":
@@ -146,21 +121,6 @@ def _hrep(tag, model):
         return pri_hrep(model)
     from .credal import build_credal_hrep
     return build_credal_hrep(_as_prevision(tag, model))
-
-
-def _oracle_points(tag, model):
-    """The brute-force vertex set, subject to the oracle guards."""
-    from .polytope import vertices_bruteforce
-    h, _ = _hrep(tag, model)
-    return frozenset(v.point for v in vertices_bruteforce(h))
-
-
-def _check_verify(args, tag, model):
-    """Under --verify, refuse a model past the oracle guards before the
-    engine runs, with the refusal the oracle itself would raise."""
-    if args.verify:
-        from .polytope import check_guards
-        _run_engine("oracle", lambda tag, model: check_guards(_hrep(tag, model)[0]), tag, model)
 
 
 def _violation(model, rep):
@@ -233,11 +193,20 @@ def _walk_graph(tag, model, command):
     return graph, universe, graph.vertices
 
 
-def _oracle_natex(tag, model, gamble):
-    # Raw polytope minimum: valid on incoherent input too, where the
-    # natural extension (an envelope notion) refuses to answer.
+def _oracle_graph(tag, model, command):
+    """The brute-force vertex set, subject to the oracle guards."""
+    from .polytope import vertices_bruteforce
+    h, _ = _hrep(tag, model)
+    return None, None, frozenset(v.point for v in vertices_bruteforce(h))
+
+
+def _oracle_natex(tag, model, gamble, points=None):
+    # Raw polytope minimum over the oracle's vertex set (points, when taken
+    # already): valid on incoherent input too, where the natural extension
+    # (an envelope notion) refuses to answer.
     from .polytope import EmptyPolytopeError
-    points = _oracle_points(tag, model)
+    if points is None:
+        points = _oracle_graph(tag, model, "natex")[2]
     if not points:
         raise EmptyPolytopeError("no vertices: empty or degenerate feasible set")
     return _min_dot(map(_scaled, points), gamble)
@@ -258,32 +227,25 @@ def _walk_natex(tag, model, gamble):
     return natural_extension(_as_prevision(tag, model), gamble)
 
 
-# engine -> (graph function, natex function), each called through _run_engine
+_ANY = ("lower_prevision", "lower_probability", "pri")
+
+# engine -> (model types it takes, graph function, natex function), each
+# function called through _run_engine: the structured engines, then the
+# generic ones, which take any type. --engine accepts the engines that take
+# the model's type, and auto picks the first of them.
 ENGINES = {
-    "pri": (_pri_graph, _pri_natex),
-    "chains": (_chains_graph, _chains_natex),
-    "walk": (_walk_graph, _walk_natex),
-    "oracle": (lambda tag, model, command: (None, None, _oracle_points(tag, model)), _oracle_natex),
+    "pri": (("pri",), _pri_graph, _pri_natex),
+    "chains": (("lower_probability", "pri"), _chains_graph, _chains_natex),
+    "walk": (_ANY, _walk_graph, _walk_natex),
+    "oracle": (_ANY, _oracle_graph, _oracle_natex),
 }
-
-
-def _guard_advice(exc, engine, tag):
-    """The guard's refusal plus a hint naming only engines that _pick_engine
-    accepts for this model type."""
-    structured = _STRUCTURED[tag]
-    if not structured:
-        return f"{exc} (no structured engine applies to a {tag} model; reduce the instance size)"
-    options = " or ".join(f"--engine {e}" for e in structured)
-    hints = {
-        "walk": f"use {options} for structured models of this size",
-        "oracle": "the oracle is restricted to small instances; use a structured engine",
-    }
-    return f"{exc} ({hints.get(engine, 'reduce the instance size')})"
 
 
 def _run_engine(engine, step, tag, *args):
     """Run step(tag, *args), mapping the engines' exceptions to exit classes.
-    credal and polytope define them, so both load before the step runs."""
+    credal and polytope define them, so both load before the step runs. Only
+    the walk and the oracle reach a guard; its refusal gets a hint naming
+    the structured engines this model type takes."""
     from . import credal, polytope
     try:
         return step(tag, *args)
@@ -292,13 +254,30 @@ def _run_engine(engine, step, tag, *args):
     except polytope.EmptyPolytopeError as exc:
         raise PropertyError(f"empty credal set: {exc}") from None
     except polytope.OracleGuardError as exc:
-        raise InputError(_guard_advice(exc, engine, tag)) from None
+        options = " or ".join(f"--engine {e}" for e, (types, *_) in ENGINES.items()
+                              if tag in types and types != _ANY)
+        if not options:
+            hint = f"no structured engine applies to a {tag} model; reduce the instance size"
+        elif engine == "walk":
+            hint = f"use {options} for structured models of this size"
+        else:
+            hint = "the oracle is restricted to small instances; use a structured engine"
+        raise InputError(f"{exc} ({hint})") from None
 
 
 def _start(args):
     """Load the model, pick the engine and open the run report."""
     tag, model, report = _load_model(args)
-    engine = _pick_engine(args.engine, tag, model)
+    allowed = [e for e, (types, *_) in ENGINES.items() if tag in types]
+    engine = args.engine
+    if engine == "auto":
+        engine = allowed[0]
+        if engine == "chains":  # a lower probability: chains only if 2-monotone
+            from .chains2mono import is_two_monotone
+            engine = "chains" if is_two_monotone(model).ok else "walk"
+    elif engine not in allowed:
+        raise InputError(f"engine {engine!r} does not apply to a {tag} model "
+                         f"(choose from {sorted(allowed)})")
     if engine == "oracle" and args.command in ("fan", "graph"):
         raise InputError("the oracle engine enumerates vertices only; pick walk, chains, or pri")
     report.add("engine", engine)
@@ -306,26 +285,25 @@ def _start(args):
 
 
 def _compute_graph(args):
-    """(tag, model, graph, universe, distinct vertices, report) under the picked engine."""
+    """(model, graph, universe, distinct vertices, report, verify lines) under
+    the picked engine. --verify takes the oracle's vertex set first, so that
+    its guard refusal comes before the engine runs, and the engine's must
+    match it; the verify lines, for the command to add, say so."""
     tag, model, engine, report = _start(args)
-    _check_verify(args, tag, model)
+    verified = []
+    if args.verify:
+        t0 = time.perf_counter()
+        oracle = _run_engine("oracle", _oracle_graph, tag, model, args.command)[2]
+        verified = [("time_ms_verify", round(1000 * (time.perf_counter() - t0))),
+                    ("verified", "true")]
     t0 = time.perf_counter()
-    graph, universe, points = _run_engine(engine, ENGINES[engine][0], tag, model, args.command)
+    graph, universe, points = _run_engine(engine, ENGINES[engine][1], tag, model, args.command)
     report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
-    return tag, model, graph, universe, points, report
-
-
-def _verify_vertices(tag, model, points, report):
-    t0 = time.perf_counter()
-    oracle = _run_engine("oracle", _oracle_points, tag, model)
-    points = frozenset(points)
-    if oracle != points:
-        missing = len(oracle - points)
-        extra = len(points - oracle)
+    if verified and oracle != (got := frozenset(points)):
+        missing, extra = len(oracle - got), len(got - oracle)
         raise PropertyError(
             f"verification mismatch: {missing} oracle vertices missing, {extra} spurious")
-    report.add("time_ms_verify", round(1000 * (time.perf_counter() - t0)))
-    report.add("verified", True)
+    return model, graph, universe, points, report, verified
 
 
 class Report:
@@ -417,10 +395,9 @@ def _cmd_check(args):
 
 
 def _cmd_vertices(args):
-    tag, model, graph, _, points, report = _compute_graph(args)
+    model, graph, _, points, report, verified = _compute_graph(args)
     report.add("n_vertices", len(points))
-    if args.verify:
-        _verify_vertices(tag, model, points, report)
+    report.lines += verified
     data = _vertices_csv(points, model.space.names, args.decimal)
     if args.decimal:
         report.add("decimal", "12-digit approximations, non-authoritative")
@@ -428,7 +405,7 @@ def _cmd_vertices(args):
 
 
 def _cmd_fan(args):
-    tag, model, graph, _, points, report = _compute_graph(args)
+    model, graph, _, points, report, verified = _compute_graph(args)
     from .fanwalk import graph_to_dot, verify_graph
     fan_rep = verify_graph(graph)
     report.add("n_nodes", fan_rep.n_nodes)
@@ -439,19 +416,17 @@ def _cmd_fan(args):
     report.add("connected", fan_rep.connected)
     report.add("regular", fan_rep.regular)
     report.add("structure_ok", fan_rep.ok)
-    if args.verify:
-        _verify_vertices(tag, model, points, report)
+    report.lines += verified
     if args.dot:
         report.add("dot", args.dot)
     return (0 if fan_rep.ok else 1), report, graph_to_dot(graph) if args.dot else None, args.dot
 
 
 def _cmd_graph(args):
-    tag, model, graph, universe, points, report = _compute_graph(args)
+    model, graph, universe, points, report, verified = _compute_graph(args)
     report.add("n_nodes", len(graph.nodes))
     report.add("n_edges", len(graph.pairs))
-    if args.verify:
-        _verify_vertices(tag, model, points, report)
+    report.lines += verified
     from .fanwalk import graph_to_json
     data = json.dumps(graph_to_json(graph, universe), indent=2) + "\n"
     if args.out:
@@ -467,12 +442,13 @@ def _cmd_natex(args):
         gamble = parse_gamble(gobj, model.space, "gamble").values
     except SchemaError as exc:
         raise InputError(str(exc)) from None
-    _check_verify(args, tag, model)
+    if args.verify:  # the oracle's vertex set first, as in _compute_graph
+        points = _run_engine("oracle", _oracle_graph, tag, model, args.command)[2]
     t0 = time.perf_counter()
-    value = _run_engine(engine, ENGINES[engine][1], tag, model, gamble)
+    value = _run_engine(engine, ENGINES[engine][2], tag, model, gamble)
     report.add("time_ms_compute", round(1000 * (time.perf_counter() - t0)))
     if args.verify:
-        oracle = _run_engine("oracle", _oracle_natex, tag, model, gamble)
+        oracle = _run_engine("oracle", _oracle_natex, tag, model, gamble, points)
         if oracle != value:
             raise PropertyError(
                 f"verification mismatch: engine {format_rat(value)} vs oracle {format_rat(oracle)}")

@@ -192,12 +192,12 @@ def build_credal_hrep(lp: LowerPrevision):
     """
     from .polytope import HPolytope
     n = lp.space.n
+    # p(x) >= 0 on each e_x; at n = 1, p(x) = 1 makes e_x the constant
+    units = [((0,), (-1, 1))] if n == 1 else [
+        (tuple([int(y == x) for y in range(n)]), (0, 1)) for x in range(n)]
     rows: dict = {}  # key -> (p, q), its tightest bound p / q so far, q > 0
-    for f, b in lp._ints:
+    for f, b in (*lp._ints, *units):
         rows[f] = b if (old := rows.get(f)) is None or b[0] * old[1] > old[0] * b[1] else old
-    for x in range(n):  # p(x) >= 0; at n = 1, p(x) = 1 makes e_x the constant
-        e_x, b = (tuple([int(y == x) for y in range(n)]), (0, 1)) if n > 1 else ((0,), (-1, 1))
-        rows[e_x] = b if (old := rows.get(e_x)) is None or b[0] * old[1] > old[0] * b[1] else old
     den = math.lcm(*[q // math.gcd(p, q) for p, q in rows.values()])
     h = HPolytope(n, rows, [p * den // q for p, q in rows.values()], den)
     return h, support_universe([*rows, (0,) * n])  # the constant is the zero row
@@ -291,20 +291,27 @@ def _schema_rat(value, path: str):
             path, f"rational literal has too many digits ({len(value)} characters)") from None
 
 
-def _schema_outcomes(obj, path: str) -> OutcomeSpace:
+def _schema_outcomes(obj, tag: str) -> OutcomeSpace:
+    """The outcome space of a model document of type tag, past the checks
+    every model document shares: an object whose "type", if given, is tag."""
+    if not isinstance(obj, dict):
+        raise SchemaError("$", "model document must be an object")
+    if obj.get("type", tag) != tag:
+        raise SchemaError("$.type", f"expected {tag!r}, got {obj.get('type')!r}")
     names = obj.get("outcomes")
     if not isinstance(names, list) or not names:
-        raise SchemaError(f"{path}.outcomes", "required: nonempty list of outcome names")
+        raise SchemaError("$.outcomes", "required: nonempty list of outcome names")
     try:
         return OutcomeSpace(names)
     except ValueError as exc:
-        raise SchemaError(f"{path}.outcomes", str(exc)) from None
+        raise SchemaError("$.outcomes", str(exc)) from None
 
 
 def parse_gamble(obj, space: OutcomeSpace, path: str = "gamble") -> Gamble:
     """Gamble from a JSON mapping {outcome: rational string}; every outcome
-    must be present. Also accepts {'values': {...}}."""
-    if isinstance(obj, dict) and set(obj) == {"values"}:
+    must be present. Also accepts the mapping wrapped as {'values': {...}};
+    a lone "values" key that holds no mapping is an outcome of that name."""
+    if isinstance(obj, dict) and set(obj) == {"values"} and isinstance(obj["values"], dict):
         obj = obj["values"]
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected a mapping from outcome to rational string")
@@ -324,11 +331,7 @@ def lower_prevision_from_json(obj) -> LowerPrevision:
     [{"gamble": {...} | "event": [...], "lower": "p/q" and/or "upper":
     "p/q"}, ...]}. Upper bounds convert through conjugacy immediately.
     """
-    if not isinstance(obj, dict):
-        raise SchemaError("$", "model document must be an object")
-    if obj.get("type", "lower_prevision") != "lower_prevision":
-        raise SchemaError("$.type", f"expected 'lower_prevision', got {obj.get('type')!r}")
-    space = _schema_outcomes(obj, "$")
+    space = _schema_outcomes(obj, "lower_prevision")
     raw = obj.get("assessments")
     if not isinstance(raw, list):
         raise SchemaError("$.assessments", "required: list of assessments")

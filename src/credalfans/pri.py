@@ -350,11 +350,7 @@ def pri_from_json(obj) -> PRIModel:
     """Parse the interval model document: {"type": "pri", "outcomes":
     [...], "lower": {outcome: rational}, "upper": {...}} with every outcome
     present in both maps."""
-    if not isinstance(obj, dict):
-        raise SchemaError("$", "model document must be an object")
-    if obj.get("type", "pri") != "pri":
-        raise SchemaError("$.type", f"expected 'pri', got {obj.get('type')!r}")
-    space = _schema_outcomes(obj, "$")
+    space = _schema_outcomes(obj, "pri")
     bounds = []
     for key in ("lower", "upper"):
         raw = obj.get(key)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from credalfans import chains2mono, cli, credal, fanwalk, pri
+from credalfans import chains2mono, cli, credal, fanwalk, polytope, pri
 from credalfans.cli import main
 from credalfans.cones import support_universe
 
@@ -690,7 +690,7 @@ class TestRefusals:
             assert "brute force refused" in err, argv
 
     def test_guard_hint_names_only_engines_the_model_type_accepts(self, capsys, tmp_path):
-        # _pick_engine accepts walk and oracle for a lower_prevision, and
+        # --engine accepts walk and oracle for a lower_prevision, and
         # chains besides for a lower_probability
         events = ["|".join(s) for r in range(1, 7) for s in itertools.combinations(SEVEN, r)]
         lowprob = tmp_path / "lowprob7.json"
@@ -738,7 +738,7 @@ class TestRefusals:
         def wrong_value(*args):
             return cli._pri_natex(*args) + 1
 
-        monkeypatch.setitem(cli.ENGINES, "pri", (wrong_graph, wrong_value))
+        monkeypatch.setitem(cli.ENGINES, "pri", (("pri",), wrong_graph, wrong_value))
         code, out, err = run(capsys, "vertices", "--model", model("pri_n3.json"), "--verify")
         assert (code, out) == (1, "")
         assert err == "error: verification mismatch: 1 oracle vertices missing, 1 spurious\n"
@@ -859,3 +859,29 @@ def test_only_main_writes():
                 writes.add(getattr(top, "name", None))
     assert streams == {"main"}
     assert writes == {"main", "_write_file", "Report"}
+
+
+def test_engine_choices_and_guard_hints_follow_the_engine_table(capsys):
+    # --engine offers auto and exactly cli.ENGINES' keys, and a guard refusal
+    # under the walk names exactly the structured engines (all but the
+    # generic walk and oracle) whose model types include the model's
+    for command in ("vertices", "fan", "graph", "natex"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        choices = usage[usage.index("--engine {") + 10:].split("}", 1)[0].split(",")
+        assert choices[0] == "auto" and sorted(choices[1:]) == sorted(cli.ENGINES), command
+
+    def refused(tag):
+        raise polytope.OracleGuardError("refused")
+
+    tags = {tag for types, *_ in cli.ENGINES.values() for tag in types}
+    assert tags == {"lower_prevision", "lower_probability", "pri"}
+    for tag in tags:
+        with pytest.raises(cli.InputError) as exc:
+            cli._run_engine("walk", refused, tag)
+        named = {e for e in cli.ENGINES if f"--engine {e}" in str(exc.value)}
+        structured = {e for e, (types, *_) in cli.ENGINES.items()
+                      if tag in types and e not in ("walk", "oracle")}
+        assert named == structured, tag
+        assert ("no structured engine applies" in str(exc.value)) == (not structured), tag

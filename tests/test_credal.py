@@ -847,6 +847,17 @@ class TestJson:
             parse_gamble({"x1": "1", "x2": "0"}, SP3)
         assert "x3" in str(exc.value)
 
+    def test_parse_gamble_unwraps_only_a_mapping_under_values(self):
+        # {"values": {...}} wraps a gamble; on a one-outcome space whose
+        # outcome is named "values", {"values": "3"} is the gamble itself
+        wrapped = {"values": {"x1": "1", "x2": "0", "x3": "-1/2"}}
+        assert parse_gamble(wrapped, SP3).values == (1, 0, Fraction(-1, 2))
+        lone = OutcomeSpace(["values"])
+        assert parse_gamble({"values": "3"}, lone).values == (3,)
+        m = pri_from_json({"type": "pri", "outcomes": ["values"],
+                           "lower": {"values": "1"}, "upper": {"values": "1"}})
+        assert (m.lower, m.upper) == ((1,), (1,))
+
     def test_bad_rational(self):
         doc = dict(self.DOC, assessments=[{"event": ["x1"], "lower": "0.5"}])
         with pytest.raises(SchemaError) as exc:
